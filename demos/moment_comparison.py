@@ -7,7 +7,7 @@ compared against its continuous counterpart.  At alpha = 1 they track
 each other; at the symmetric point the discrete sum is inflated, and
 predict_E reproduces the measured excess from the diophantine tuples.
 
-Runtime: ~20 s (the T=2000 grids run through the Riemann-Siegel engine).
+Runtime: ~5 s on 2 cores (the T=2000 grids run through the Riemann-Siegel engine).
 """
 import math
 import time

@@ -12,6 +12,7 @@ computation error, 2 bad configuration.
 """
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -88,6 +89,16 @@ def _csv_cell(c):
     return str(c)
 
 
+def _finite_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _parse_rational(text):
     parts = text.split(":")
     if len(parts) != 3:
@@ -132,10 +143,10 @@ def _spec_params(spec: dmod.ProgressionSpec):
 
 def _add_progression(parser, required=True):
     g = parser.add_mutually_exclusive_group(required=required)
-    g.add_argument("--alpha", type=float, help="progression slope (float)")
+    g.add_argument("--alpha", type=_finite_float, help="progression slope (float)")
     g.add_argument("--alpha-rational", type=_parse_rational, metavar="L0:M:N",
                    help="exact form: exp(2*pi*L0/alpha) = M/N")
-    parser.add_argument("--beta", type=float, default=0.0, help="progression offset")
+    parser.add_argument("--beta", type=_finite_float, default=0.0, help="progression offset")
 
 
 def _add_outputs(parser):
@@ -291,8 +302,6 @@ def _cmd_resonate(args, t0):
 
 def _selftest_checks(rng):
     """Curated fast invariant checks; each yields (name, passed, detail)."""
-    import math
-
     from .kernels import eval_H, eval_W
 
     def close(a, b, tol):
@@ -384,10 +393,10 @@ def build_parser():
     p = sub.add_parser("moment", help="discrete vs continuous second moment + "
                        "predicted correction")
     _add_progression(p)
-    p.add_argument("--T", type=float, required=True)
-    p.add_argument("--theta", type=float, help="mollify with exponent theta")
-    p.add_argument("--edge", type=float, default=0.05)
-    p.add_argument("--eps", type=float, default=dmod.DEFAULT_EPS)
+    p.add_argument("--T", type=_finite_float, required=True)
+    p.add_argument("--theta", type=_finite_float, help="mollify with exponent theta")
+    p.add_argument("--edge", type=_finite_float, default=0.05)
+    p.add_argument("--eps", type=_finite_float, default=dmod.DEFAULT_EPS)
     p.add_argument("--no-predict", action="store_true")
     _add_outputs(p)
     p.set_defaults(fn=_cmd_moment)
@@ -403,27 +412,27 @@ def build_parser():
 
     p = sub.add_parser("dioph", help="diophantine tuples (a, b) per ell")
     _add_progression(p)
-    p.add_argument("--T", type=float, required=True)
+    p.add_argument("--T", type=_finite_float, required=True)
     p.add_argument("--ell", type=str, required=True, help="e.g. 3 or 1..5 or 1,2,7")
-    p.add_argument("--eps", type=float, default=dmod.DEFAULT_EPS)
+    p.add_argument("--eps", type=_finite_float, default=dmod.DEFAULT_EPS)
     _add_outputs(p)
     p.set_defaults(fn=_cmd_dioph)
 
     p = sub.add_parser("firstmoment", help="discrete first moment vs its references")
     _add_progression(p)
-    p.add_argument("--T", type=float, required=True)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--edge", type=float, default=0.05)
-    p.add_argument("--eps", type=float, default=dmod.DEFAULT_EPS)
+    p.add_argument("--T", type=_finite_float, required=True)
+    p.add_argument("--theta", type=_finite_float)
+    p.add_argument("--edge", type=_finite_float, default=0.05)
+    p.add_argument("--eps", type=_finite_float, default=dmod.DEFAULT_EPS)
     _add_outputs(p)
     p.set_defaults(fn=_cmd_firstmoment)
 
     p = sub.add_parser("nonvanish", help="mollified nonvanishing lower bound")
     _add_progression(p)
-    p.add_argument("--T", type=float, required=True)
-    p.add_argument("--theta", type=float, default=0.3)
-    p.add_argument("--edge", type=float, default=0.05)
-    p.add_argument("--threshold", type=float, default=1e-3,
+    p.add_argument("--T", type=_finite_float, required=True)
+    p.add_argument("--theta", type=_finite_float, default=0.3)
+    p.add_argument("--edge", type=_finite_float, default=0.05)
+    p.add_argument("--threshold", type=_finite_float, default=1e-3,
                    help="|zeta| cutoff (in units of (log ell)^-1/2) for the "
                         "empirical fraction")
     _add_outputs(p)
@@ -431,11 +440,11 @@ def build_parser():
 
     p = sub.add_parser("resonate", help="resonator ratio and extreme-value search")
     _add_progression(p)
-    p.add_argument("--T", type=float, required=True)
+    p.add_argument("--T", type=_finite_float, required=True)
     p.add_argument("--N", type=int, required=True, help="resonator length")
     p.add_argument("--mode", choices=("max", "min"), required=True)
-    p.add_argument("--eps", type=float, default=dmod.DEFAULT_EPS)
-    p.add_argument("--edge", type=float, default=0.05)
+    p.add_argument("--eps", type=_finite_float, default=dmod.DEFAULT_EPS)
+    p.add_argument("--edge", type=_finite_float, default=0.05)
     p.add_argument("--prime-window", choices=("auto", "asymptotic", "extended"),
                    default="auto")
     p.add_argument("--validity", choices=("exploratory", "paper-strict"),

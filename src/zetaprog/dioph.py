@@ -104,15 +104,18 @@ def minimal_fraction(form: RationalForm) -> RationalForm:
 
 @dataclass(frozen=True)
 class ProgressionSpec:
-    """The progression parameters alpha > 0, beta, with optional exact rational form."""
+    """The progression parameters: finite alpha > 0, finite beta, and an
+    optional exact rational form."""
 
     alpha: float
     beta: float = 0.0
     rational_form: Optional[RationalForm] = None
 
     def __post_init__(self):
-        if not (self.alpha > 0.0):
-            raise ValueError("alpha must be positive")
+        if not (0.0 < self.alpha < math.inf):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta!r}")
         rf = self.rational_form
         if rf is not None:
             implied = _TWO_PI * rf.ell0 / math.log(rf.m / rf.n)

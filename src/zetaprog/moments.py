@@ -20,7 +20,14 @@ visible T scaling on both factors, which dimensional analysis of the lattice
 sum forces even where display formulas leave it implicit.
 
 The same zeta engine feeds both the discrete sums and the continuous
-integrals so systematic engine error cancels in the difference E.
+integrals so systematic engine error cancels in the difference E.  Both are
+phi-weighted sums of the integrand over nodes ell: the discrete moment over
+the integers, the continuous one over the dyadic grid ell = j / 2^k.  That
+grid is a trapezoid rule whose first alias frequency 2^k starts above every
+tuple frequency (the bound _default_ell_max that predict_E also sums to);
+each halving of the step evaluates only the new midpoints, and two levels
+agreeing to 1e-4 relative end the refinement, with QuadratureError past the
+fourth level.
 """
 import math
 import warnings
@@ -142,20 +149,18 @@ def _progression_points(T: float):
     return np.arange(lo, hi + 1, dtype=np.int64)
 
 
-def discrete_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: float,
-                            poly: DirichletPoly, power: int):
-    """sum over integers ell in [T, 2T] of (zeta*B)(1/2+i(alpha*ell+beta)) weighted:
-
-    power=2 gives the real sum of |zeta*B|^2 * phi(ell/T); power=1 the complex
-    sum of zeta*B*phi(ell/T).
-    """
+def _check_moment_args(T: float, power: int):
     if power not in (1, 2):
         raise ValueError("power must be 1 or 2")
-    if T <= 0:
-        raise ValueError("T must be positive")
-    ell = _progression_points(T)
-    if len(ell) == 0:
-        return 0.0 if power == 2 else 0j
+    if not (0.0 < T < math.inf):
+        raise ValueError("T must be positive and finite")
+
+
+def _phi_weighted_sum(spec: ProgressionSpec, window: SmoothWindow, T: float,
+                      poly: DirichletPoly, power: int, ell: np.ndarray):
+    """sum over the nodes ell of phi(ell/T) * (zeta*B)(1/2+i(alpha*ell+beta)),
+    or of phi(ell/T) * |zeta*B|^2 for power=2; nodes where phi vanishes are
+    never evaluated."""
     w = window.phi(ell / T)
     live = w > 0.0
     if not np.any(live):
@@ -167,37 +172,62 @@ def discrete_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: floa
     return complex(np.sum(w[live] * vals))
 
 
-def _continuous_eval(spec, window, T, poly, power, density):
-    # >= 20 nodes per unit t at base density: degree-10 panels of length 1/2.
-    panels = int(np.ceil(2.0 * T * density))
-    t, wq = gl_panels(float(T), 2.0 * float(T), panels, 10)
-    vals = zmod.zeta_critical_grid(spec.alpha * t + spec.beta) * eval_poly_grid(poly, spec.alpha * t + spec.beta)
-    w = window.phi(t / T)
-    if power == 2:
-        return float(np.sum(wq * w * (vals * np.conj(vals)).real))
-    return complex(np.sum(wq * w * vals))
+def discrete_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: float,
+                            poly: DirichletPoly, power: int):
+    """sum over integers ell in [T, 2T] of (zeta*B)(1/2+i(alpha*ell+beta)) weighted:
+
+    power=2 gives the real sum of |zeta*B|^2 * phi(ell/T); power=1 the complex
+    sum of zeta*B*phi(ell/T).
+    """
+    _check_moment_args(T, power)
+    return _phi_weighted_sum(spec, window, T, poly, power, _progression_points(T))
+
+
+# Most nodes the trapezoid's start level may hold.  The start density grows
+# with alpha, and the fourth level adds four times the start's nodes, each
+# holding a few hundred bytes of working arrays: past this a large alpha
+# would allocate gigabytes before the first sum.
+_TRAPEZOID_START_NODE_CAP = 1 << 21
 
 
 def continuous_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: float,
                               poly: DirichletPoly, power: int):
-    """integral over [T, 2T] of the same integrand, adaptive to 1e-4 relative.
+    """integral over ell in [T, 2T] of the same integrand, to 1e-4 relative.
 
-    Node density starts at 20 per unit t (enough for the oscillation scale
-    2*pi/log T at desk heights) and doubles until two successive refinements
-    agree; exceeding the doubling budget raises QuadratureError.
+    The rule is the trapezoid on the dyadic grid ell = j / 2^k.  phi(ell/T)
+    vanishes with all its derivatives at both ends, so the rule needs no
+    endpoint weights and converges spectrally once the step 2^-k puts the
+    first alias frequency 2^k above every frequency the integrand carries.
+    In ell those are alpha*log(a/b)/(2*pi) for the ratios a/b the integrand
+    mixes, the diophantine tuple frequencies among them; _default_ell_max
+    (the bound predict_E sums to) lies above all of them, so 2^k is the
+    smallest power of two strictly above it.  The start step comes from that
+    bound, not from the refinement check: a frequency at an even multiple of
+    the step aliases on both levels a halving compares, so two agreeing
+    levels do not prove the step fine enough.
+
+    Each halving of the step evaluates only the new odd-j midpoints and
+    reuses the running sum.  Two successive levels agreeing to 1e-4
+    relative are accepted; a fourth level that still disagrees raises
+    QuadratureError, as does a start step needing more than
+    _TRAPEZOID_START_NODE_CAP nodes.
     """
-    if power not in (1, 2):
-        raise ValueError("power must be 1 or 2")
-    if T <= 0:
-        raise ValueError("T must be positive")
-    prev = None
-    density = 1.0
-    for _ in range(4):
-        val = _continuous_eval(spec, window, T, poly, power, density)
-        if prev is not None and abs(val - prev) <= 1e-4 * max(abs(val), 1e-12):
-            return val
-        prev = val
-        density *= 2.0
+    _check_moment_args(T, power)
+    per_unit = 1 << _default_ell_max(spec, T, poly).bit_length()
+    lo, hi = math.floor(T * per_unit), math.ceil(2.0 * T * per_unit)
+    if hi - lo + 1 > _TRAPEZOID_START_NODE_CAP:
+        raise QuadratureError(
+            f"continuous_twisted_moment needs {per_unit} nodes per unit ell over "
+            f"[{T!r}, {2.0 * T!r}], above the budget of {_TRAPEZOID_START_NODE_CAP} nodes")
+    j = np.arange(lo, hi + 1, dtype=np.int64)
+    val = _phi_weighted_sum(spec, window, T, poly, power, j / per_unit) / per_unit
+    for _ in range(3):
+        per_unit, lo, hi = 2 * per_unit, 2 * lo, 2 * hi
+        mid = np.arange(lo + 1, hi, 2, dtype=np.int64)
+        new = 0.5 * val + _phi_weighted_sum(spec, window, T, poly, power, mid / per_unit) / per_unit
+        if abs(new - val) <= 1e-4 * max(abs(new), 1e-12):
+            return new
+        val = new
     raise QuadratureError("continuous_twisted_moment did not converge at 1e-4 relative")
 
 

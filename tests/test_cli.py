@@ -129,6 +129,18 @@ def test_bad_configuration_exit_code(tmp_path):
                  "--json", str(tmp_path / "y.json")]) == 2
 
 
+@pytest.mark.parametrize("option, argv", [
+    ("--T", ["moment", "--alpha", "1", "--T", "nan"]),
+    ("--beta", ["moment", "--alpha", "1", "--beta", "nan", "--T", "300"]),
+    ("--alpha", ["moment", "--alpha", "inf", "--T", "300"]),
+], ids=["T-nan", "beta-nan", "alpha-inf"])
+def test_non_finite_option_exit_code(option, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {option}: must be finite" in capsys.readouterr().err
+
+
 def test_computation_failure_exit_code(tmp_path, monkeypatch):
     import zetaprog.cli as cli
 

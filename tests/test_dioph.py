@@ -69,6 +69,12 @@ def test_spec_validation():
         ProgressionSpec(alpha=0.0)
     with pytest.raises(ValueError):
         ProgressionSpec(alpha=-1.0)
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ProgressionSpec(alpha=alpha)
+    for beta in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ProgressionSpec(alpha=1.0, beta=beta)
     # float alpha inconsistent with the claimed symbolic form
     with pytest.raises(ValueError):
         ProgressionSpec(alpha=1.0, rational_form=RationalForm(1, 2, 1))

@@ -23,7 +23,9 @@ from zetaprog import (CapWarning, DirichletPoly, F_func, F_func_series,
                       discrete_twisted_moment, empirical_nonvanishing,
                       eval_H, eval_poly, eval_poly_grid, main_sum,
                       mollifier_coeffs, moment_report, nonvanishing_bound,
-                      predict_E, predict_E_prime)
+                      predict_E, predict_E_prime, zeta_critical_grid)
+from zetaprog.errors import QuadratureError
+from zetaprog.quadrature import gl_panels
 
 TWO_PI = 2.0 * math.pi
 EULER_GAMMA = 0.5772156649015329
@@ -162,20 +164,50 @@ def test_continuous_matches_classical_mean(unit_spec, window):
     # the classical law gives integrand density ln(t/2pi) + 2*gamma.
     T = 2000.0
     cont = continuous_twisted_moment(unit_spec, window, T, DirichletPoly.one(), power=2)
-    from zetaprog.quadrature import gl_panels
     t, w = gl_panels(T, 2 * T, 4000, 10)
     bench = float(np.sum(w * window.phi(t / T) * (np.log(t / TWO_PI) + 2 * EULER_GAMMA)))
     assert abs(cont - bench) < 0.01 * bench
 
 
-def test_continuous_agrees_with_dense_trapezoid(unit_spec, window):
-    # independent integration route at quarter-integer spacing
-    from zetaprog import zeta_abs2_grid
-    T = 500.0
-    cont = continuous_twisted_moment(unit_spec, window, T, DirichletPoly.one(), power=2)
-    tt = np.arange(T, 2 * T + 0.25, 0.25)
-    trap = float(np.trapezoid(window.phi(tt / T) * zeta_abs2_grid(tt), tt))
-    assert abs(trap - cont) < 1e-3 * cont
+@pytest.mark.parametrize("spec, T, theta, panels_per_unit", [
+    (ProgressionSpec.from_rational(1, 2, 1), 2000.0, None, 8),
+    (ProgressionSpec.from_rational(1, 2, 1), 2000.0, 0.3, 8),
+    (ProgressionSpec(alpha=math.sqrt(2.0)), 2000.0, None, 4),
+    (ProgressionSpec(alpha=1.0), 500.0, None, 4),
+    (ProgressionSpec.from_rational(2, 2, 1), 1000.0, None, 16),
+], ids=["sym-bare", "sym-mollified", "sqrt2-bare", "unit-T500-bare", "even-bare"])
+def test_continuous_matches_dense_gl(window, spec, T, theta, panels_per_unit):
+    # Independent integration route: Gauss-Legendre panels of degree 10,
+    # fine enough for every frequency of the integrand (doubling the panels
+    # moves these references by < 3e-13).  The trapezoid is exact only once
+    # its step resolves every frequency of the integrand: at 1:2:1, T=2000,
+    # bare, it is off by 364%, 142%, 41% and 5.5% at 1, 2, 4 and 8 nodes per
+    # unit ell, and exact from 16; at 2:2:1 (tuple frequencies 2, 4, 6, ...)
+    # only from 32.  A start of 4 or fewer nodes per unit ell fails here.
+    poly = DirichletPoly.one() if theta is None else mollifier_coeffs(T, theta)
+    t, wq = gl_panels(T, 2 * T, int(panels_per_unit * T), 10)
+    ts = spec.alpha * t + spec.beta
+    vals = zeta_critical_grid(ts) * eval_poly_grid(poly, ts)
+    wq = wq * window.phi(t / T)
+    refs = {1: complex(np.sum(wq * vals)), 2: float(np.sum(wq * (vals * np.conj(vals)).real))}
+    for power, ref in refs.items():
+        got = continuous_twisted_moment(spec, window, T, poly, power=power)
+        assert abs(got - ref) <= 1e-10 * abs(ref), (power, got, ref)
+
+
+def test_continuous_refuses_start_step_past_budget(window):
+    # alpha = 1e6 mixes frequencies near 3e6 per unit ell, so the start step
+    # alone would need 4M nodes per unit ell: refused before any evaluation.
+    with pytest.raises(QuadratureError):
+        continuous_twisted_moment(ProgressionSpec(alpha=1e6), window, 300.0,
+                                  DirichletPoly.one(), power=2)
+
+
+def test_moment_T_validation(unit_spec, window):
+    for T in (0.0, -1.0, math.nan, math.inf):
+        for moment in (discrete_twisted_moment, continuous_twisted_moment):
+            with pytest.raises(ValueError):
+                moment(unit_spec, window, T, DirichletPoly.one(), power=2)
 
 
 def test_discrete_near_continuous_alpha_one(unit_spec, window):

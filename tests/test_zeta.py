@@ -15,6 +15,7 @@ from zetaprog import (AccuracyError, CapError, PoleError, RS_MIN_T,
                       ZetaEngineConfig, afe_square, main_sum, main_sum_grid,
                       zeta_abs2_grid, zeta_critical, zeta_critical_grid,
                       zeta_em)
+from zetaprog.zeta import RS_FORCED_MIN_T
 
 FIRST_ZERO = 14.134725141734693
 
@@ -97,6 +98,18 @@ def test_rs_against_em_at_switchover(rng):
     rs = zeta_critical_grid(ts)
     for t, v in zip(ts, rs):
         assert abs(v - zeta_em(0.5 + 1j * t)) < 1e-6
+
+
+def test_forced_rs_floor():
+    # the forced Riemann-Siegel path refuses heights where it misses 1e-6
+    # (4.4e-6 at t ~ 100) and meets 1e-6 just above its floor, where the
+    # largest measured error is 3.6e-7 near t = 308.
+    with pytest.raises(ValueError):
+        zeta_critical_grid(np.array([RS_FORCED_MIN_T - 1.0]), engine="rs")
+    ts = np.linspace(RS_FORCED_MIN_T, RS_FORCED_MIN_T + 20.0, 81)
+    got = zeta_critical_grid(ts, engine="rs")
+    for t, v in zip(ts, got):
+        assert abs(v - _mp_zeta(0.5 + 1j * t)) < 1e-6
 
 
 def test_rs_against_mpmath_high():
