@@ -58,7 +58,8 @@ for spec, label in ((spec1, "alpha=1"), (sym, "sym")):
             print(f"  {label:7s} beta={beta:3.1f} {plab}:  E={d - c:9.2f}  "
                   f"predicted={pred:9.2f}")
 
-# moment_report bundles the same numbers with run metadata
-rep = zp.moment_report(sym, window, T, one)
+# moment_report bundles the same numbers with run metadata; it reduces one
+# sample of the progression for the discrete side
+rep = zp.moment_report(zp.sample_progression(sym, window, T, one))
 print("\nmoment_report:", rep)
 print(f"\ntotal {time.time() - t0:.1f} s")

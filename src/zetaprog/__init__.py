@@ -19,12 +19,12 @@ from .errors import (AccuracyError, CapError, DegenerateDenominatorError,
                      PoleError, QuadratureError, ToleranceError, ZetaprogError)
 from .kernels import DEFAULT_CONTOUR, ContourConfig, eval_G, eval_H, eval_W, h_many, w_many
 from .moments import (CapWarning, DirichletPoly, Mollifier, MomentReport,
-                      NonvanishingReport, F_func, F_func_series, F_prime, H_ell,
-                      continuous_twisted_moment, discrete_twisted_moment,
-                      empirical_nonvanishing, eval_poly, eval_poly_grid,
-                      moment_report, mollifier_coeffs, nonvanishing_bound,
-                      predict_E, predict_E_prime)
-from .resonance import (EulerPrediction, ExploratoryWarning, ExtremeReport,
+                      NonvanishingReport, ProgressionSample, F_func, F_func_series,
+                      F_prime, H_ell, continuous_twisted_moment, discrete_twisted_moment,
+                      empirical_nonvanishing, eval_poly, eval_poly_grid, moment_report,
+                      mollifier_coeffs, nonvanishing_bound, predict_E, predict_E_prime,
+                      sample_progression)
+from .resonance import (EulerPrediction, ExploratoryWarning, ExtremeReport, ResidualWarning,
                         Resonator, build_excluded_set, euler_product_prediction,
                         extreme_search, asymptotic_prime_window, ratio_R,
                         resonator_coeffs)
@@ -49,13 +49,14 @@ __all__ = [
     "waldschmidt_bound",
     # moments
     "DirichletPoly", "Mollifier", "MomentReport", "NonvanishingReport",
-    "mollifier_coeffs", "eval_poly", "eval_poly_grid", "discrete_twisted_moment",
+    "ProgressionSample", "sample_progression", "mollifier_coeffs", "eval_poly",
+    "eval_poly_grid", "discrete_twisted_moment",
     "continuous_twisted_moment", "F_func", "F_func_series", "F_prime", "H_ell",
     "predict_E", "predict_E_prime", "moment_report", "nonvanishing_bound",
     "empirical_nonvanishing", "CapWarning",
     # resonance
     "Resonator", "EulerPrediction", "ExtremeReport", "ExploratoryWarning",
-    "build_excluded_set", "resonator_coeffs", "ratio_R",
+    "ResidualWarning", "build_excluded_set", "resonator_coeffs", "ratio_R",
     "euler_product_prediction", "extreme_search", "asymptotic_prime_window",
     # errors
     "ZetaprogError", "PoleError", "AccuracyError", "ToleranceError",

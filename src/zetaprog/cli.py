@@ -166,22 +166,18 @@ def _poly_from(args, T):
 
 def _cmd_moment(args, t0):
     spec = _spec_from(args)
-    window = SmoothWindow(edge=args.edge)
-    poly = _poly_from(args, args.T)
-    report = mmod.moment_report(spec, window, args.T, poly,
-                                predict=not args.no_predict, eps=args.eps)
+    sample = mmod.sample_progression(spec, SmoothWindow(edge=args.edge), args.T,
+                                     _poly_from(args, args.T))
+    report = mmod.moment_report(sample, predict=not args.no_predict, eps=args.eps)
     results = asdict(report)
     rf = spec.rational_form
     if rf is None or rf.candidate:
         results["delta"] = 0.0
     else:
         results["delta"] = dmod.delta(spec)
-    ell = np.arange(int(np.ceil(args.T)), int(np.floor(2 * args.T)) + 1)
-    ts = spec.alpha * ell + spec.beta
-    w = window.phi(ell / args.T)
-    vals = zmod.zeta_critical_grid(ts) * mmod.eval_poly_grid(poly, ts)
+    vals = sample.zeta * sample.B
     rows = [(int(l), float(t), float(wi), float(np.abs(v) ** 2))
-            for l, t, wi, v in zip(ell, ts, w, vals)]
+            for l, t, wi, v in zip(sample.ell, sample.t, sample.phi, vals)]
     params = {**_spec_params(spec), "T": args.T, "edge": args.edge,
               "eps": args.eps, "theta": getattr(args, "theta", None),
               "predict": not args.no_predict}
@@ -228,7 +224,8 @@ def _cmd_firstmoment(args, t0):
     spec = _spec_from(args)
     window = SmoothWindow(edge=args.edge)
     poly = _poly_from(args, args.T)
-    disc = mmod.discrete_twisted_moment(spec, window, args.T, poly, power=1)
+    sample = mmod.sample_progression(spec, window, args.T, poly)
+    disc = sample.twisted_sum(1)
     cont = mmod.continuous_twisted_moment(spec, window, args.T, poly, power=1)
     pred = mmod.predict_E_prime(spec, window, args.T, poly, eps=args.eps)
     ref = args.T * window.phi_hat(0.0).real
@@ -239,12 +236,9 @@ def _cmd_firstmoment(args, t0):
         "poly_only_correction": pred,
         "abs_deviation_from_reference": abs(disc - ref),
     }
-    ell = np.arange(int(np.ceil(args.T)), int(np.floor(2 * args.T)) + 1)
-    ts = spec.alpha * ell + spec.beta
-    w = window.phi(ell / args.T)
-    vals = zmod.zeta_critical_grid(ts) * mmod.eval_poly_grid(poly, ts)
+    vals = sample.zeta * sample.B
     rows = [(int(l), float(t), float(wi), float(v.real), float(v.imag))
-            for l, t, wi, v in zip(ell, ts, w, vals)]
+            for l, t, wi, v in zip(sample.ell, sample.t, sample.phi, vals)]
     params = {**_spec_params(spec), "T": args.T, "edge": args.edge,
               "eps": args.eps, "theta": getattr(args, "theta", None)}
     _emit(args, "firstmoment", params, results, t0, rows,
@@ -254,9 +248,10 @@ def _cmd_firstmoment(args, t0):
 
 def _cmd_nonvanish(args, t0):
     spec = _spec_from(args)
-    window = SmoothWindow(edge=args.edge)
-    rep = mmod.nonvanishing_bound(spec, window, args.T, args.theta)
-    emp = mmod.empirical_nonvanishing(spec, args.T, args.threshold)
+    sample = mmod.sample_progression(spec, SmoothWindow(edge=args.edge), args.T,
+                                     _poly_from(args, args.T))
+    rep = mmod.nonvanishing_bound(sample)
+    emp = mmod.empirical_nonvanishing(sample, args.threshold)
     results = {**asdict(rep), "empirical_fraction": emp,
                "threshold": args.threshold}
     params = {**_spec_params(spec), "T": args.T, "theta": args.theta,
@@ -267,11 +262,11 @@ def _cmd_nonvanish(args, t0):
 
 def _cmd_resonate(args, t0):
     spec = _spec_from(args)
-    window = SmoothWindow(edge=args.edge)
     excluded = rmod.build_excluded_set(spec, args.T, args.eps)
     res = rmod.resonator_coeffs(args.N, args.mode, excluded, window=args.prime_window)
     euler = rmod.euler_product_prediction(res)
-    rep = rmod.extreme_search(spec, args.T, res, window, validity=args.validity)
+    sample = mmod.sample_progression(spec, SmoothWindow(edge=args.edge), args.T, res.coeffs)
+    rep = rmod.extreme_search(sample, res, validity=args.validity)
     results = {
         "excluded_primes": excluded,
         "resonator": {"N": res.N, "L": res.L, "prime_lo": res.prime_lo,
@@ -281,14 +276,9 @@ def _cmd_resonate(args, t0):
         "euler_prediction": asdict(euler),
         "extreme": asdict(rep),
     }
-    ell = np.arange(int(np.ceil(args.T)), int(np.floor(2 * args.T)) + 1)
-    ts = spec.alpha * ell + spec.beta
-    w = window.phi(ell / args.T)
-    Z = zmod.zeta_critical_grid(ts)
-    B = mmod.eval_poly_grid(res.coeffs, ts)
-    mass = w * np.abs(B) ** 2
+    mass = sample.phi * np.abs(sample.B) ** 2
     rows = [(int(l), float(t), float(np.abs(z)), float(m))
-            for l, t, z, m in zip(ell, ts, Z, mass)]
+            for l, t, z, m in zip(sample.ell, sample.t, sample.zeta, mass)]
     params = {**_spec_params(spec), "T": args.T, "N": args.N, "mode": args.mode,
               "eps": args.eps, "edge": args.edge,
               "prime_window": args.prime_window, "validity": args.validity}

@@ -19,15 +19,15 @@ of the lattice comb contributes T * phi_hat(T * frequency) -- note the
 visible T scaling on both factors, which dimensional analysis of the lattice
 sum forces even where display formulas leave it implicit.
 
-The same zeta engine feeds both the discrete sums and the continuous
-integrals so systematic engine error cancels in the difference E.  Both are
-phi-weighted sums of the integrand over nodes ell: the discrete moment over
-the integers, the continuous one over the dyadic grid ell = j / 2^k.  That
-grid is a trapezoid rule whose first alias frequency 2^k starts above every
-tuple frequency (the bound _default_ell_max that predict_E also sums to);
-each halving of the step evaluates only the new midpoints, and two levels
-agreeing to 1e-4 relative end the refinement, with QuadratureError past the
-fourth level.
+One sampler, sample_progression, evaluates zeta*B and phi(ell/T) at nodes
+ell of the progression; every consumer reduces a sample over its phi > 0
+nodes, and the discrete moments, the nonvanishing bound and the resonator
+search share one sample of the integers in [T, 2T].  The continuous moment
+samples the dyadic grid ell = j / 2^k, a trapezoid rule whose first alias
+frequency 2^k starts above every tuple frequency (the bound _default_ell_max
+that predict_E also sums to); each halving samples only the new midpoints,
+until two levels agree to 1e-4 relative (QuadratureError past the fourth).
+The same zeta engine feeds both sides, so engine error cancels in E.
 """
 import math
 import warnings
@@ -38,13 +38,14 @@ import numpy as np
 
 from . import zeta as zmod
 from .dioph import DEFAULT_EPS, ProgressionSpec, find_tuple
-from .errors import QuadratureError
+from .errors import CapError, QuadratureError
 from .kernels import DEFAULT_CONTOUR, ContourConfig, h_many, w_many
 from .quadrature import gl_panels
 from .sieves import mobius_table
 from .window import SmoothWindow
 
 __all__ = ["DirichletPoly", "Mollifier", "MomentReport", "NonvanishingReport",
+           "ProgressionSample", "sample_progression",
            "mollifier_coeffs", "eval_poly", "eval_poly_grid",
            "discrete_twisted_moment", "continuous_twisted_moment",
            "F_func", "F_func_series", "F_prime", "H_ell",
@@ -140,36 +141,79 @@ def eval_poly_grid(poly: DirichletPoly, ts) -> np.ndarray:
     return np.exp(-1j * np.outer(ts, np.log(ns.astype(float)))) @ mag.astype(complex)
 
 
-# -- moments -------------------------------------------------------------------
+# -- the progression sample ------------------------------------------------------
 
 
-def _progression_points(T: float):
-    lo = int(np.ceil(T))
-    hi = int(np.floor(2.0 * T))
-    return np.arange(lo, hi + 1, dtype=np.int64)
+# Most nodes the trapezoid's start level may hold.  The start density grows
+# with alpha, and the fourth level adds four times the start's nodes, each
+# holding a few hundred bytes of working arrays: past this a large alpha
+# would allocate gigabytes before the first sum.
+_TRAPEZOID_START_NODE_CAP = 1 << 21
+
+# Most nodes one sample may hold: the fourth trapezoid level's midpoints, the
+# largest node set the continuous moment can request.
+_SAMPLE_NODE_CAP = 4 * _TRAPEZOID_START_NODE_CAP
 
 
-def _check_moment_args(T: float, power: int):
+def _check_power(power: int):
     if power not in (1, 2):
         raise ValueError("power must be 1 or 2")
+
+
+def _check_T(T: float):
     if not (0.0 < T < math.inf):
         raise ValueError("T must be positive and finite")
 
 
-def _phi_weighted_sum(spec: ProgressionSpec, window: SmoothWindow, T: float,
-                      poly: DirichletPoly, power: int, ell: np.ndarray):
-    """sum over the nodes ell of phi(ell/T) * (zeta*B)(1/2+i(alpha*ell+beta)),
-    or of phi(ell/T) * |zeta*B|^2 for power=2; nodes where phi vanishes are
-    never evaluated."""
-    w = window.phi(ell / T)
-    live = w > 0.0
-    if not np.any(live):
-        return 0.0 if power == 2 else 0j
-    ts = spec.alpha * ell[live] + spec.beta
-    vals = zmod.zeta_critical_grid(ts) * eval_poly_grid(poly, ts)
-    if power == 2:
-        return float(np.sum(w[live] * (vals * np.conj(vals)).real))
-    return complex(np.sum(w[live] * vals))
+@dataclass(frozen=True, eq=False)
+class ProgressionSample:
+    """Per node ell of a progression, phi = 0 nodes included: t = alpha*ell +
+    beta, phi = phi(ell/T), zeta = zeta(1/2 + it) and B = B(1/2 + it).
+    Every reduction sums over the phi > 0 nodes only."""
+
+    spec: ProgressionSpec
+    window: SmoothWindow
+    T: float
+    poly: DirichletPoly
+    ell: np.ndarray
+    t: np.ndarray
+    phi: np.ndarray
+    zeta: np.ndarray
+    B: np.ndarray
+
+    def twisted_sum(self, power: int):
+        """sum over the phi > 0 nodes of phi * zeta*B (power=1, complex) or of
+        phi * |zeta*B|^2 (power=2, real)."""
+        _check_power(power)
+        live = self.phi > 0.0
+        w = self.phi[live]
+        vals = self.zeta[live] * self.B[live]
+        if power == 2:
+            return float(np.sum(w * (vals * np.conj(vals)).real))
+        return complex(np.sum(w * vals))
+
+
+def sample_progression(spec: ProgressionSpec, window: SmoothWindow, T: float,
+                       poly: DirichletPoly, ell: Optional[np.ndarray] = None
+                       ) -> ProgressionSample:
+    """Evaluate zeta and B once at every node ell (default: the integers in
+    [T, 2T]) of the progression 1/2 + i(alpha*ell + beta).  Raises ValueError
+    unless T is positive and finite, and CapError, before allocating, past
+    _SAMPLE_NODE_CAP nodes."""
+    _check_T(T)
+    count = math.floor(2.0 * T) - math.ceil(T) + 1 if ell is None else len(ell)
+    if count > _SAMPLE_NODE_CAP:
+        raise CapError(f"progression sample of {count} nodes exceeds the budget of "
+                       f"{_SAMPLE_NODE_CAP} nodes")
+    if ell is None:
+        ell = np.arange(math.ceil(T), math.floor(2.0 * T) + 1, dtype=np.int64)
+    t = spec.alpha * ell + spec.beta
+    return ProgressionSample(spec=spec, window=window, T=T, poly=poly, ell=ell, t=t,
+                             phi=window.phi(ell / T), zeta=zmod.zeta_critical_grid(t),
+                             B=eval_poly_grid(poly, t))
+
+
+# -- moments -------------------------------------------------------------------
 
 
 def discrete_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: float,
@@ -179,15 +223,7 @@ def discrete_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: floa
     power=2 gives the real sum of |zeta*B|^2 * phi(ell/T); power=1 the complex
     sum of zeta*B*phi(ell/T).
     """
-    _check_moment_args(T, power)
-    return _phi_weighted_sum(spec, window, T, poly, power, _progression_points(T))
-
-
-# Most nodes the trapezoid's start level may hold.  The start density grows
-# with alpha, and the fourth level adds four times the start's nodes, each
-# holding a few hundred bytes of working arrays: past this a large alpha
-# would allocate gigabytes before the first sum.
-_TRAPEZOID_START_NODE_CAP = 1 << 21
+    return sample_progression(spec, window, T, poly).twisted_sum(power)
 
 
 def continuous_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: float,
@@ -206,25 +242,32 @@ def continuous_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: fl
     the step aliases on both levels a halving compares, so two agreeing
     levels do not prove the step fine enough.
 
-    Each halving of the step evaluates only the new odd-j midpoints and
-    reuses the running sum.  Two successive levels agreeing to 1e-4
+    Each level samples the progression at its phi > 0 nodes: the start level
+    at all of them, each halving of the step only at the new odd-j midpoints,
+    added to the running sum.  Two successive levels agreeing to 1e-4
     relative are accepted; a fourth level that still disagrees raises
     QuadratureError, as does a start step needing more than
     _TRAPEZOID_START_NODE_CAP nodes.
     """
-    _check_moment_args(T, power)
+    _check_power(power)
+    _check_T(T)
     per_unit = 1 << _default_ell_max(spec, T, poly).bit_length()
     lo, hi = math.floor(T * per_unit), math.ceil(2.0 * T * per_unit)
     if hi - lo + 1 > _TRAPEZOID_START_NODE_CAP:
         raise QuadratureError(
             f"continuous_twisted_moment needs {per_unit} nodes per unit ell over "
             f"[{T!r}, {2.0 * T!r}], above the budget of {_TRAPEZOID_START_NODE_CAP} nodes")
+
+    def level_sum(ell):  # the grid reaches past [T, 2T]; nodes with phi = 0 add nothing
+        live = ell[window.phi(ell / T) > 0.0]
+        return sample_progression(spec, window, T, poly, live).twisted_sum(power)
+
     j = np.arange(lo, hi + 1, dtype=np.int64)
-    val = _phi_weighted_sum(spec, window, T, poly, power, j / per_unit) / per_unit
+    val = level_sum(j / per_unit) / per_unit
     for _ in range(3):
         per_unit, lo, hi = 2 * per_unit, 2 * lo, 2 * hi
         mid = np.arange(lo + 1, hi, 2, dtype=np.int64)
-        new = 0.5 * val + _phi_weighted_sum(spec, window, T, poly, power, mid / per_unit) / per_unit
+        new = 0.5 * val + level_sum(mid / per_unit) / per_unit
         if abs(new - val) <= 1e-4 * max(abs(new), 1e-12):
             return new
         val = new
@@ -433,14 +476,14 @@ class MomentReport:
     params: dict
 
 
-def moment_report(spec: ProgressionSpec, window: SmoothWindow, T: float,
-                  poly: DirichletPoly, predict: bool = True,
+def moment_report(sample: ProgressionSample, predict: bool = True,
                   contour: ContourConfig = DEFAULT_CONTOUR,
                   eps: float = DEFAULT_EPS) -> MomentReport:
-    """Second-moment comparison bundle: measured discrete and continuous
-    moments, their difference E, and (optionally) the tuple-machinery
-    prediction for E."""
-    disc = discrete_twisted_moment(spec, window, T, poly, power=2)
+    """Second-moment comparison bundle for the integer sample: measured
+    discrete and continuous moments, their difference E, and (optionally)
+    the tuple-machinery prediction for E."""
+    spec, window, T, poly = sample.spec, sample.window, sample.T, sample.poly
+    disc = sample.twisted_sum(2)
     cont = continuous_twisted_moment(spec, window, T, poly, power=2)
     pred = predict_E(spec, window, T, poly, contour=contour, eps=eps) if predict else float("nan")
     params = {
@@ -462,24 +505,24 @@ class NonvanishingReport:
     moment_second: float   # J
 
 
-def nonvanishing_bound(spec: ProgressionSpec, window: SmoothWindow, T: float,
-                       theta: float) -> NonvanishingReport:
+def nonvanishing_bound(sample: ProgressionSample) -> NonvanishingReport:
     """Cauchy-Schwarz lower bound |I|^2/(T*J) on the proportion of sampled
     points where zeta * mollifier does not vanish, with the asymptotic
-    target reported alongside."""
-    if not (0.0 < theta < 0.5):
-        raise ValueError("theta must lie in (0, 1/2)")
-    moll = mollifier_coeffs(T, theta)
-    first = discrete_twisted_moment(spec, window, T, moll, power=1)
-    second = discrete_twisted_moment(spec, window, T, moll, power=2)
-    bound = abs(first) ** 2 / (T * second)
-    target = theta / (theta + 1.0) * window.plateau_mass
+    target reported alongside.  I and J are the first and second twisted
+    sums of the sample, whose polynomial must be a Mollifier."""
+    moll = sample.poly
+    if not isinstance(moll, Mollifier):
+        raise ValueError("nonvanishing_bound needs a sample of a Mollifier")
+    first = sample.twisted_sum(1)
+    second = sample.twisted_sum(2)
+    bound = abs(first) ** 2 / (sample.T * second)
+    target = moll.theta / (moll.theta + 1.0) * sample.window.plateau_mass
     return NonvanishingReport(bound=bound, target=target,
                               moment_first=first, moment_second=second)
 
 
-def empirical_nonvanishing(spec: ProgressionSpec, T: float, threshold: float) -> float:
-    """Fraction of integers ell in [T, 2T] with
+def empirical_nonvanishing(sample: ProgressionSample, threshold: float) -> float:
+    """Fraction of the sample's nodes ell (all of them, phi = 0 included) with
     |zeta(1/2 + i(alpha*ell + beta))| > threshold * (log ell)^(-1/2).
 
     At threshold 0 this reports 1.0: exact vanishing at a sampled point is
@@ -487,9 +530,7 @@ def empirical_nonvanishing(spec: ProgressionSpec, T: float, threshold: float) ->
     """
     if threshold < 0.0:
         raise ValueError("threshold must be >= 0")
-    ell = _progression_points(T)
-    if len(ell) == 0:
+    if len(sample.ell) == 0:
         raise ValueError("empty progression window")
-    z = zmod.zeta_critical_grid(spec.alpha * ell + spec.beta)
-    cut = threshold * np.log(ell.astype(float)) ** (-0.5)
-    return float(np.mean(np.abs(z) > cut))
+    cut = threshold * np.log(sample.ell.astype(float)) ** (-0.5)
+    return float(np.mean(np.abs(sample.zeta) > cut))

@@ -9,7 +9,8 @@ points 1/2 + i(alpha*ell + beta).  The weighted average
 
 is then sandwiched between the extreme |zeta| values over the window, so a
 computed R far from 1 certifies that an extreme value exists, and the
-top-weighted progression points are where to look for the witness.
+top-weighted progression points are where to look for the witness.  R and
+the search reduce one moments.ProgressionSample over its phi > 0 nodes.
 
 The multiplicative coefficients r(p) = L/(sqrt(p) log p), L = sqrt(log N
 log log N), live on primes in [L^2, exp((log L)^2)] minus an excluded set S.
@@ -37,11 +38,11 @@ from . import zeta as zmod
 from .dioph import CF_PRECISION_BITS, DEFAULT_EPS, ProgressionSpec, _progression_x, \
     rational_approximations
 from .errors import CapError, DegenerateDenominatorError
-from .moments import DirichletPoly, eval_poly_grid
+from .moments import DirichletPoly, ProgressionSample
 from .sieves import primes_in, smallest_prime_factor
-from .window import SmoothWindow
 
 __all__ = ["Resonator", "EulerPrediction", "ExtremeReport", "ExploratoryWarning",
+           "ResidualWarning",
            "build_excluded_set", "resonator_coeffs", "ratio_R",
            "euler_product_prediction", "extreme_search", "asymptotic_prime_window"]
 
@@ -52,6 +53,10 @@ _SUPPORT_CAP = 5_000_000
 
 class ExploratoryWarning(UserWarning):
     """A parameter choice leaves the asymptotically-proven regime."""
+
+
+class ResidualWarning(UserWarning):
+    """The resonated average R has an imaginary part above 1e-2 of |R|."""
 
 
 @dataclass(frozen=True)
@@ -198,39 +203,38 @@ def _check_validity(N: int, T: float, validity: str):
         "lemma is asymptotic there (exploratory mode)", ExploratoryWarning)
 
 
-def _progression_grid(spec: ProgressionSpec, window: SmoothWindow, T: float):
-    ell = np.arange(int(np.ceil(T)), int(np.floor(2.0 * T)) + 1, dtype=np.int64)
-    w = window.phi(ell / T)
-    live = w > 0.0
-    return ell[live], w[live]
-
-
-def ratio_R(spec: ProgressionSpec, window: SmoothWindow, T: float,
-            resonator: Resonator, cfg: zmod.ZetaEngineConfig = zmod.DEFAULT_ENGINE,
-            validity: str = "exploratory") -> float:
-    """The resonated average R = sum A|B|^2 phi / sum |B|^2 phi over the
-    progression points, A = main_sum with cutoff T.
-
-    Returns the real part; the imaginary residual (A is complex, the weights
-    are real) is checked and warned about above 1e-2 relative.  Structurally
-    the residual sits at ~1e-3..1e-2: it is a weighted average of Im A, which
-    the weights do not cancel.
-    """
-    _check_validity(resonator.N, T, validity)
-    ell, w = _progression_grid(spec, window, T)
-    ts = spec.alpha * ell + spec.beta
-    A = zmod.main_sum_grid(ts, int(np.floor(T)), cfg)
-    B = eval_poly_grid(resonator.coeffs, ts)
-    mass = w * (B * np.conj(B)).real
+def _resonate(sample: ProgressionSample, resonator: Resonator, validity: str):
+    """The live-node mask, the resonator mass |B|^2 phi on it, and R."""
+    _check_validity(resonator.N, sample.T, validity)
+    if not np.array_equal(sample.poly.values, resonator.coeffs.values):
+        raise ValueError("the sample's polynomial is not the resonator's coefficients")
+    live = sample.phi > 0.0
+    B = sample.B[live]
+    mass = sample.phi[live] * (B * np.conj(B)).real
     den = float(np.sum(mass))
     if den < 1e-12:
         raise DegenerateDenominatorError(
             f"resonator mass sum {den:.3e} below 1e-12; no usable weight")
+    A = zmod.main_sum_grid(sample.t[live], int(np.floor(sample.T)))
     ratio = complex(np.sum(mass * A)) / den
     if abs(ratio.imag) > 1e-2 * abs(ratio):
-        warnings.warn(f"ratio_R imaginary residual {ratio.imag:.3e} above 1e-2 "
-                      f"relative (ratio {ratio.real:.6f})", UserWarning)
-    return ratio.real
+        warnings.warn(f"resonated average R: imaginary residual {ratio.imag:.3e} above "
+                      f"1e-2 relative (ratio {ratio.real:.6f})", ResidualWarning)
+    return live, mass, ratio.real
+
+
+def ratio_R(sample: ProgressionSample, resonator: Resonator,
+            validity: str = "exploratory") -> float:
+    """The resonated average R = sum A|B|^2 phi / sum |B|^2 phi over the
+    sample's phi > 0 nodes, A = main_sum with cutoff floor(T).  The sample
+    must hold B = the resonator's coefficients (ValueError otherwise).
+
+    Returns the real part; the imaginary residual (A is complex, the weights
+    are real) is checked, with a ResidualWarning above 1e-2 relative.  It is
+    a weighted average of Im A, which the weights do not cancel: the max-mode
+    resonator of length 100 at alpha = 1, T = 1e4 leaves 1.5e-2.
+    """
+    return _resonate(sample, resonator, validity)[2]
 
 
 @dataclass(frozen=True)
@@ -273,43 +277,26 @@ class ExtremeReport:
     certified: bool       # max >= |R| - slack (max mode); min <= |R| + slack (min)
 
 
-def extreme_search(spec: ProgressionSpec, T: float, resonator: Resonator,
-                   window: SmoothWindow = None,
-                   cfg: zmod.ZetaEngineConfig = zmod.DEFAULT_ENGINE,
+def extreme_search(sample: ProgressionSample, resonator: Resonator,
                    validity: str = "exploratory") -> ExtremeReport:
     """Locate the extreme-|zeta| witness the resonator points at.
 
     Candidate points carry the top decile of the resonator mass |B|^2 phi;
     the witness is the |zeta| extremum among them (per mode), reported next
-    to the global extremum over [T, 2T] and the sandwich certificate
-    |R| - slack <= max |zeta| (resp. min |zeta| <= |R| + slack).
+    to the global extremum over the sample's phi > 0 nodes and the sandwich
+    certificate |R| - slack <= max |zeta| (resp. min |zeta| <= |R| + slack).
+    R comes from the same sample, as in ratio_R.
     """
-    if window is None:
-        window = SmoothWindow()
-    _check_validity(resonator.N, T, validity)
-    ell, w = _progression_grid(spec, window, T)
-    ts = spec.alpha * ell + spec.beta
-    Z = zmod.zeta_critical_grid(ts, cfg)
+    live, mass, ratio = _resonate(sample, resonator, validity)
+    ell, ts, Z = sample.ell[live], sample.t[live], sample.zeta[live]
     absZ = np.abs(Z)
-    B = eval_poly_grid(resonator.coeffs, ts)
-    mass = w * (B * np.conj(B)).real
-    if float(np.sum(mass)) < 1e-12:
-        raise DegenerateDenominatorError("resonator mass sum below 1e-12")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ExploratoryWarning)
-        ratio = ratio_R(spec, window, T, resonator, cfg, validity="exploratory")
-
     cut = np.quantile(mass, 0.9)
     cand = np.nonzero(mass >= cut)[0]
-    if resonator.mode == "max":
-        i_wit = cand[np.argmax(absZ[cand])]
-        i_glob = int(np.argmax(absZ))
-        extreme = absZ[i_glob]
-    else:
-        i_wit = cand[np.argmin(absZ[cand])]
-        i_glob = int(np.argmin(absZ))
-        extreme = absZ[i_glob]
-    slack = 2.0 / math.sqrt(T) + 1e-6
+    pick = np.argmax if resonator.mode == "max" else np.argmin
+    i_wit = cand[pick(absZ[cand])]
+    i_glob = int(pick(absZ))
+    extreme = absZ[i_glob]
+    slack = 2.0 / math.sqrt(sample.T) + 1e-6
     if resonator.mode == "max":
         certified = extreme >= abs(ratio) - slack
     else:

@@ -65,14 +65,15 @@ class ZetaEngineConfig:
 DEFAULT_ENGINE = ZetaEngineConfig()
 
 
-def _em_tail(s: complex, N: float, korder: int) -> complex:
-    """N^-s/2 + N^(1-s)/(s-1) + the Bernoulli correction sum."""
+def _em_tail(s, N, korder: int, head=0.0):
+    """head + N^-s/2 + N^(1-s)/(s-1) + the Bernoulli correction sum, for scalar
+    or array s, added to head term by term (the rounding of in-place sums)."""
     Ns = np.exp(-s * np.log(N))
-    tot = 0.5 * Ns + Ns * N / (s - 1.0)
+    tot = head + (0.5 * Ns + Ns * N / (s - 1.0))
     fac = s * Ns / N
     for k in range(1, korder + 1):
-        tot += _BERN[2 * k] / math.factorial(2 * k) * fac
-        fac *= (s + (2 * k - 1)) * (s + 2 * k) / (N * N)
+        tot = tot + _BERN[2 * k] / math.factorial(2 * k) * fac
+        fac = fac * (s + (2 * k - 1)) * (s + 2 * k) / (N * N)
     return tot
 
 
@@ -97,7 +98,7 @@ def zeta_em(s, cfg: ZetaEngineConfig = DEFAULT_ENGINE) -> complex:
     mag = n.astype(np.float64) ** (-s.real)
     re = math.fsum(mag * np.cos(ph).astype(np.float64))
     im = -math.fsum(mag * np.sin(ph).astype(np.float64))
-    return complex(re, im) + _em_tail(s, float(N), cfg.em_bernoulli_order)
+    return _em_tail(s, float(N), cfg.em_bernoulli_order, complex(re, im))
 
 
 def zeta_critical(t: float, cfg: ZetaEngineConfig = DEFAULT_ENGINE) -> complex:
@@ -186,15 +187,8 @@ def _em_grid(ts: np.ndarray, cfg: ZetaEngineConfig) -> np.ndarray:
         N = max(cfg.em_terms, 50, int(2.0 * np.max(np.abs(chunk))) + 1)
         n = np.arange(1, N, dtype=float)
         terms = n[None, :] ** (-0.5) * np.exp(-1j * np.outer(chunk, np.log(n)))
-        s = 0.5 + 1j * chunk
-        vals = np.sum(terms, axis=1)
-        Ns = np.exp(-s * np.log(N))
-        vals += 0.5 * Ns + Ns * N / (s - 1.0)
-        fac = s * Ns / N
-        for k in range(1, cfg.em_bernoulli_order + 1):
-            vals += _BERN[2 * k] / math.factorial(2 * k) * fac
-            fac = fac * (s + (2 * k - 1)) * (s + 2 * k) / (N * N)
-        out[lo:lo + _EM_GRID_CHUNK] = vals
+        out[lo:lo + _EM_GRID_CHUNK] = _em_tail(0.5 + 1j * chunk, N, cfg.em_bernoulli_order,
+                                               np.sum(terms, axis=1))
     return out
 
 
@@ -307,14 +301,8 @@ def main_sum_grid(ts, cutoff: int, cfg: ZetaEngineConfig = DEFAULT_ENGINE) -> np
         raise ValueError("cutoff must be >= 1")
     if M >= np.max(np.abs(ts)) / 3.0 and M >= 50:
         s = 0.5 + 1j * ts
-        vals = zeta_critical_grid(ts, cfg)
-        Ms = np.exp(-s * np.log(M))
-        vals += 0.5 * Ms - Ms * M / (s - 1.0)
-        fac = s * Ms / M
-        for k in range(1, cfg.em_bernoulli_order + 1):
-            vals -= _BERN[2 * k] / math.factorial(2 * k) * fac
-            fac = fac * (s + (2 * k - 1)) * (s + 2 * k) / (M * M)
-        return vals
+        return (zeta_critical_grid(ts, cfg) - _em_tail(s, M, cfg.em_bernoulli_order)
+                + np.exp(-s * np.log(M)))
     out = np.zeros(len(ts), dtype=complex)
     for lo in range(1, M + 1, 4096):
         n = np.arange(lo, min(lo + 4096, M + 1), dtype=float)

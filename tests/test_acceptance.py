@@ -167,12 +167,13 @@ def test_acceptance_5_first_moment_symbolic(window):
 
 def test_acceptance_6_nonvanishing(unit_spec, window):
     T = 2000.0
-    rep = zp.nonvanishing_bound(unit_spec, window, T, theta=0.4)
+    sample = zp.sample_progression(unit_spec, window, T, zp.mollifier_coeffs(T, 0.4))
+    rep = zp.nonvanishing_bound(sample)
     ok_bound = rep.bound >= 0.2
     _line(ok_bound, "criterion-6a",
           f"|I|^2/(T J) = {rep.bound:.4f} (>= 0.2), target {rep.target:.4f}")
     assert ok_bound
-    frac = zp.empirical_nonvanishing(unit_spec, T, 0.1)
+    frac = zp.empirical_nonvanishing(sample, 0.1)
     ok_emp = frac >= 1.0 / 3.0
     _line(ok_emp, "criterion-6b",
           f"fraction with |zeta| > 0.1 (ln ell)^-1/2: {frac:.4f} (>= 1/3)")
@@ -213,8 +214,10 @@ def test_acceptance_8_resonance(unit_spec, window):
         warnings.simplefilter("ignore", zp.ExploratoryWarning)
         rmax = zp.resonator_coeffs(100, "max")
         rmin = zp.resonator_coeffs(100, "min")
-        rep_max = zp.extreme_search(unit_spec, T, rmax, window)
-        rep_min = zp.extreme_search(unit_spec, T, rmin, window)
+        rep_max = zp.extreme_search(zp.sample_progression(unit_spec, window, T, rmax.coeffs),
+                                    rmax)
+        rep_min = zp.extreme_search(zp.sample_progression(unit_spec, window, T, rmin.coeffs),
+                                    rmin)
 
     sandwich_max = rep_max.global_abs >= abs(rep_max.ratio) - slack
     sandwich_min = rep_min.global_abs <= abs(rep_min.ratio) + slack

@@ -3,8 +3,10 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
+import zetaprog.cli as cli
 from zetaprog.cli import main
 from zetaprog.errors import QuadratureError
 
@@ -142,14 +144,82 @@ def test_non_finite_option_exit_code(option, argv, capsys):
 
 
 def test_computation_failure_exit_code(tmp_path, monkeypatch):
-    import zetaprog.cli as cli
-
     def boom(*args, **kwargs):
         raise QuadratureError("injected failure")
 
     monkeypatch.setattr(cli.mmod, "moment_report", boom)
     assert main(["moment", "--alpha", "1", "--T", "300",
                  "--json", str(tmp_path / "x.json")]) == 1
+
+
+@pytest.mark.parametrize("subcommand", ["nonvanish", "moment"])
+def test_node_budget_exit_code(subcommand, tmp_path, capsys):
+    # 1e9 + 1 integer nodes: refused before any array is allocated.
+    out = tmp_path / "x.json"
+    assert main([subcommand, "--alpha", "1", "--T", "1e9", "--json", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "CapError" in err and "1000000001 nodes" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["moment", "--alpha", "1", "--beta", "0.25", "--T", "300"],
+    ["firstmoment", "--alpha", "1", "--beta", "0.25", "--T", "300", "--theta", "0.3"],
+    ["nonvanish", "--alpha", "1", "--beta", "0.25", "--T", "300"],
+    ["resonate", "--alpha", "1", "--beta", "0.25", "--T", "300", "--N", "100",
+     "--mode", "max"],
+], ids=["moment", "firstmoment", "nonvanish", "resonate"])
+def test_cli_samples_progression_once(argv, tmp_path, monkeypatch):
+    # Every evaluation of zeta and of B on the progression, tagged by the
+    # caller it serves.  main_sum_grid's own zeta call evaluates A, and the
+    # continuous moment samples its own dyadic grid, which holds the
+    # integers too; both are tracked apart from the run's sample.
+    seen = {"zeta": {"run": [], "continuous": []}, "B": {"run": [], "continuous": []}}
+    scope = ["run"]
+
+    def counting(name, fn, t_arg):
+        def wrapped(*args, **kwargs):
+            if scope[-1] != "main_sum":
+                seen[name][scope[-1]].append(np.array(args[t_arg], dtype=float))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def scoped(tag, fn):
+        def wrapped(*args, **kwargs):
+            scope.append(tag)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                scope.pop()
+        return wrapped
+
+    monkeypatch.setattr(cli.zmod, "zeta_critical_grid",
+                        counting("zeta", cli.zmod.zeta_critical_grid, 0))
+    monkeypatch.setattr(cli.mmod, "eval_poly_grid",
+                        counting("B", cli.mmod.eval_poly_grid, 1))
+    monkeypatch.setattr(cli.zmod, "main_sum_grid", scoped("main_sum", cli.zmod.main_sum_grid))
+    monkeypatch.setattr(cli.mmod, "continuous_twisted_moment",
+                        scoped("continuous", cli.mmod.continuous_twisted_moment))
+    csv = tmp_path / "rows.csv"
+    run = argv + ["--json", str(tmp_path / "x.json"), "--csv", str(csv)]
+    with warnings.catch_warnings():
+        if argv[0] == "resonate":  # exploratory at this T, as in test_resonate
+            warnings.simplefilter("ignore")
+        assert main(run) == 0
+
+    T = 300
+    nodes = np.arange(T, 2 * T + 1) + 0.25
+    for name in ("zeta", "B"):
+        assert np.array_equal(np.sort(np.concatenate(seen[name]["run"])), nodes), name
+        if seen[name]["continuous"]:
+            levels = np.concatenate(seen[name]["continuous"])
+            assert len(np.unique(levels)) == len(levels), name
+    if argv[0] != "nonvanish":
+        header, *rows = csv.read_text().splitlines()
+        assert len(rows) == math.floor(2 * T) - math.ceil(T) + 1
+        # the first row is ell = T, where phi (and so the resonator mass) is 0
+        col = header.split(",").index("resonator_mass" if argv[0] == "resonate" else "phi")
+        assert float(rows[0].split(",")[col]) == 0.0
 
 
 def test_version_flag(capsys):

@@ -23,7 +23,8 @@ from zetaprog import (CapWarning, DirichletPoly, F_func, F_func_series,
                       discrete_twisted_moment, empirical_nonvanishing,
                       eval_H, eval_poly, eval_poly_grid, main_sum,
                       mollifier_coeffs, moment_report, nonvanishing_bound,
-                      predict_E, predict_E_prime, zeta_critical_grid)
+                      predict_E, predict_E_prime, sample_progression,
+                      zeta_critical_grid)
 from zetaprog.errors import QuadratureError
 from zetaprog.quadrature import gl_panels
 
@@ -222,7 +223,7 @@ def test_discrete_near_continuous_alpha_one(unit_spec, window):
 
 
 def test_moment_report_consistency(unit_spec, window):
-    rep = moment_report(unit_spec, window, 300.0, DirichletPoly.one())
+    rep = moment_report(sample_progression(unit_spec, window, 300.0, DirichletPoly.one()))
     assert isinstance(rep, MomentReport)
     assert rep.E == rep.discrete - rep.continuous
     assert rep.ratio == rep.discrete / rep.continuous
@@ -451,7 +452,8 @@ def test_first_moment_regression_scaling(unit_spec, window):
 
 def test_nonvanishing_bound_report(unit_spec, window):
     T = 2000.0
-    rep = nonvanishing_bound(unit_spec, window, T, theta=0.4)
+    rep = nonvanishing_bound(sample_progression(unit_spec, window, T,
+                                                mollifier_coeffs(T, 0.4)))
     assert 0.0 <= rep.bound <= 1.0
     assert rep.bound >= 0.2
     assert rep.target == pytest.approx(0.4 / 1.4 * window.plateau_mass, abs=1e-15)
@@ -461,17 +463,22 @@ def test_nonvanishing_bound_report(unit_spec, window):
 
 def test_nonvanishing_theta_validation(unit_spec, window):
     with pytest.raises(ValueError):
-        nonvanishing_bound(unit_spec, window, 2000.0, theta=0.6)
+        nonvanishing_bound(sample_progression(unit_spec, window, 2000.0,
+                                              mollifier_coeffs(2000.0, 0.6)))
+    with pytest.raises(ValueError, match="Mollifier"):
+        nonvanishing_bound(sample_progression(unit_spec, window, 300.0, DirichletPoly.one()))
 
 
-def test_empirical_nonvanishing_monotone(unit_spec):
+def test_empirical_nonvanishing_monotone(unit_spec, window):
     T = 500.0
-    fracs = [empirical_nonvanishing(unit_spec, T, th) for th in (0.0, 0.05, 0.1, 0.5, 2.0)]
+    sample = sample_progression(unit_spec, window, T, DirichletPoly.one())
+    fracs = [empirical_nonvanishing(sample, th) for th in (0.0, 0.05, 0.1, 0.5, 2.0)]
     assert fracs[0] == 1.0
     assert all(a >= b for a, b in zip(fracs, fracs[1:]))
     assert fracs[2] >= 1.0 / 3.0
 
 
-def test_empirical_nonvanishing_validation(unit_spec):
+def test_empirical_nonvanishing_validation(unit_spec, window):
     with pytest.raises(ValueError):
-        empirical_nonvanishing(unit_spec, 500.0, -0.1)
+        empirical_nonvanishing(sample_progression(unit_spec, window, 500.0,
+                                                  DirichletPoly.one()), -0.1)

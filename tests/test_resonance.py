@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from zetaprog import (DegenerateDenominatorError, DirichletPoly,
-                      ExploratoryWarning, ProgressionSpec, Resonator,
-                      SmoothWindow, asymptotic_prime_window,
+                      ExploratoryWarning, ProgressionSpec, ResidualWarning,
+                      Resonator, SmoothWindow, asymptotic_prime_window,
                       build_excluded_set, euler_product_prediction,
                       eval_poly_grid, extreme_search, main_sum_grid,
-                      ratio_R, resonator_coeffs)
+                      ratio_R, resonator_coeffs, sample_progression)
 from zetaprog.quadrature import gl_panels
 from zetaprog.sieves import primes_in
 
@@ -27,6 +27,10 @@ def _quiet(fn, *args, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExploratoryWarning)
         return fn(*args, **kwargs)
+
+
+def _sample(spec, window, T, resonator):
+    return sample_progression(spec, window, T, resonator.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +151,7 @@ def test_excluded_set_validation(unit_spec):
 
 def test_trivial_resonator_gives_unit_ratio(unit_spec, window):
     triv = resonator_coeffs(100, "max", window="asymptotic")
-    r = _quiet(ratio_R, unit_spec, window, 1e4, triv)
+    r = _quiet(ratio_R, _sample(unit_spec, window, 1e4, triv), triv)
     assert abs(r - 1.0) < 0.01
 
 
@@ -156,9 +160,10 @@ def test_resonated_ordering(unit_spec, window):
     rmax = _quiet(resonator_coeffs, 100, "max")
     rmin = _quiet(resonator_coeffs, 100, "min")
     triv = resonator_coeffs(100, "max", window="asymptotic")
-    vmax = _quiet(ratio_R, unit_spec, window, T, rmax)
-    vmin = _quiet(ratio_R, unit_spec, window, T, rmin)
-    vtriv = _quiet(ratio_R, unit_spec, window, T, triv)
+    with pytest.warns(ResidualWarning):
+        vmax = _quiet(ratio_R, _sample(unit_spec, window, T, rmax), rmax)
+    vmin = _quiet(ratio_R, _sample(unit_spec, window, T, rmin), rmin)
+    vtriv = _quiet(ratio_R, _sample(unit_spec, window, T, triv), triv)
     assert vmin < vtriv < vmax
     assert vmin < 1.0 < vmax
 
@@ -168,7 +173,8 @@ def test_ratio_is_a_convex_average(unit_spec, window):
     # extreme Re A values over the live window -- exactly, no slack needed.
     T = 1e4
     rmax = _quiet(resonator_coeffs, 100, "max")
-    r = _quiet(ratio_R, unit_spec, window, T, rmax)
+    with pytest.warns(ResidualWarning):
+        r = _quiet(ratio_R, _sample(unit_spec, window, T, rmax), rmax)
     ell = np.arange(math.ceil(T), math.floor(2 * T) + 1, dtype=float)
     live = window.phi(ell / T) > 0.0
     A = main_sum_grid(ell[live], int(T))
@@ -181,15 +187,25 @@ def test_degenerate_resonator_rejected(unit_spec, window):
                      coeffs=DirichletPoly(np.array([0.0, 0.0])),
                      window_kind="asymptotic")
     with pytest.raises(DegenerateDenominatorError):
-        _quiet(ratio_R, unit_spec, window, 1e3, dead)
+        _quiet(ratio_R, _sample(unit_spec, window, 1e3, dead), dead)
 
 
 def test_paper_strict_validity_enforced(unit_spec, window):
     rmax = _quiet(resonator_coeffs, 100, "max")
+    sample = _sample(unit_spec, window, 1e4, rmax)
     with pytest.raises(ValueError):
-        ratio_R(unit_spec, window, 1e4, rmax, validity="paper-strict")
-    with pytest.warns(ExploratoryWarning):
-        ratio_R(unit_spec, window, 1e4, rmax, validity="exploratory")
+        ratio_R(sample, rmax, validity="paper-strict")
+    with pytest.warns(ResidualWarning), pytest.warns(ExploratoryWarning):
+        ratio_R(sample, rmax, validity="exploratory")
+
+
+def test_sample_of_another_polynomial_rejected(unit_spec, window):
+    rmax = _quiet(resonator_coeffs, 100, "max")
+    rmin = _quiet(resonator_coeffs, 100, "min")
+    sample = _sample(unit_spec, window, 1e3, rmin)
+    for fn in (ratio_R, extreme_search):
+        with pytest.raises(ValueError, match="resonator's coefficients"):
+            _quiet(fn, sample, rmax)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +221,8 @@ def test_euler_prediction_trivial_is_one():
 def test_euler_prediction_brackets_ratio(unit_spec, window):
     T = 1e4
     rmax = _quiet(resonator_coeffs, 100, "max")
-    vmax = _quiet(ratio_R, unit_spec, window, T, rmax)
+    with pytest.warns(ResidualWarning):
+        vmax = _quiet(ratio_R, _sample(unit_spec, window, T, rmax), rmax)
     ep = euler_product_prediction(rmax)
     assert abs(vmax - ep.prediction) <= 0.30 * vmax
     assert ep.envelope_low < ep.prediction < ep.envelope_high
@@ -279,10 +296,11 @@ def test_short_polynomial_moment_transfer(unit_spec, window):
 # extreme search
 # ---------------------------------------------------------------------------
 
-def test_extreme_search_max_mode(unit_spec):
+def test_extreme_search_max_mode(unit_spec, window):
     T = 1e4
     rmax = _quiet(resonator_coeffs, 100, "max")
-    rep = _quiet(extreme_search, unit_spec, T, rmax)
+    with pytest.warns(ResidualWarning):
+        rep = _quiet(extreme_search, _sample(unit_spec, window, T, rmax), rmax)
     assert T <= rep.ell_star <= 2 * T
     assert rep.t_star == unit_spec.alpha * rep.ell_star + unit_spec.beta
     assert rep.witness_abs == pytest.approx(abs(rep.zeta_star), rel=1e-12)
@@ -293,24 +311,26 @@ def test_extreme_search_max_mode(unit_spec):
     assert rep.global_abs >= abs(rep.ratio) - rep.slack
 
 
-def test_extreme_search_min_mode(unit_spec):
+def test_extreme_search_min_mode(unit_spec, window):
     T = 1e4
     rmin = _quiet(resonator_coeffs, 100, "min")
-    rep = _quiet(extreme_search, unit_spec, T, rmin)
+    rep = _quiet(extreme_search, _sample(unit_spec, window, T, rmin), rmin)
     assert rep.witness_abs <= 0.5 * rep.median_abs
     assert rep.certified
     assert rep.global_abs <= abs(rep.ratio) + rep.slack
     assert rep.global_abs <= rep.witness_abs
 
 
-def test_extreme_search_strict_validity(unit_spec):
+def test_extreme_search_strict_validity(unit_spec, window):
     rmax = _quiet(resonator_coeffs, 100, "max")
     with pytest.raises(ValueError):
-        extreme_search(unit_spec, 1e4, rmax, validity="paper-strict")
+        extreme_search(_sample(unit_spec, window, 1e4, rmax), rmax, validity="paper-strict")
 
 
-def test_extreme_search_deterministic(unit_spec):
+def test_extreme_search_deterministic(unit_spec, window):
     rmax = _quiet(resonator_coeffs, 100, "max")
-    a = _quiet(extreme_search, unit_spec, 1e4, rmax)
-    b = _quiet(extreme_search, unit_spec, 1e4, rmax)
+    with pytest.warns(ResidualWarning):
+        a = _quiet(extreme_search, _sample(unit_spec, window, 1e4, rmax), rmax)
+    with pytest.warns(ResidualWarning):
+        b = _quiet(extreme_search, _sample(unit_spec, window, 1e4, rmax), rmax)
     assert a == b
