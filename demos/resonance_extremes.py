@@ -7,7 +7,9 @@ multiplicative coefficients +-L/ln p on primes in a window, the weighted
 average R drifts above 1 (max mode) or below 1 (min mode), and the points
 carrying the resonator's mass witness large (resp. small) |zeta|.
 
-Runtime: ~8 s on 2 cores, dominated by the T=1e5 Riemann-Siegel grids.
+Runtime: ~3.5 s on 2 cores, of which the three T=1e5 Riemann-Siegel grids
+take ~2.9 s; the resonator sums B come from zeta.progression_sum in ~0.03 s,
+and R reuses each sample's zeta.
 """
 import math
 import warnings

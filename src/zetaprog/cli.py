@@ -59,7 +59,7 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(args, subcommand, params, results, t0, csv_rows=None, csv_header=None):
+def _emit(args, subcommand, params, results, t0, csv_header=None, csv_columns=None):
     report = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": subcommand,
@@ -76,17 +76,25 @@ def _emit(args, subcommand, params, results, t0, csv_rows=None, csv_header=None)
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if csv_rows is not None and args.csv:
+    if csv_columns is not None and args.csv:
+        cells = [_csv_column(col) for col in csv_columns]
         with open(args.csv, "w", newline="") as fh:
             fh.write(",".join(csv_header) + "\n")
-            for row in csv_rows:
-                fh.write(",".join(_csv_cell(c) for c in row) + "\n")
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _csv_cell(c):
     if isinstance(c, float):
         return repr(c)
     return str(c)
+
+
+def _csv_column(col):
+    """_csv_cell of every entry of a CSV column.  A numpy column is converted
+    once by tolist() and formatted by repr (floats) or str (integers)."""
+    if isinstance(col, np.ndarray):
+        return list(map(repr if col.dtype.kind == "f" else str, col.tolist()))
+    return [_csv_cell(c) for c in col]
 
 
 def _finite_float(text):
@@ -175,14 +183,11 @@ def _cmd_moment(args, t0):
         results["delta"] = 0.0
     else:
         results["delta"] = dmod.delta(spec)
-    vals = sample.zeta * sample.B
-    rows = [(int(l), float(t), float(wi), float(np.abs(v) ** 2))
-            for l, t, wi, v in zip(sample.ell, sample.t, sample.phi, vals)]
     params = {**_spec_params(spec), "T": args.T, "edge": args.edge,
               "eps": args.eps, "theta": getattr(args, "theta", None),
               "predict": not args.no_predict}
-    _emit(args, "moment", params, results, t0, rows,
-          ["ell", "t", "phi", "abs_zeta_B_sq"])
+    _emit(args, "moment", params, results, t0, ["ell", "t", "phi", "abs_zeta_B_sq"],
+          [sample.ell, sample.t, sample.phi, np.abs(sample.zeta * sample.B) ** 2])
     return 0
 
 
@@ -216,7 +221,7 @@ def _cmd_dioph(args, t0):
                           "quality": tup.quality})
     params = {**_spec_params(spec), "T": args.T, "eps": args.eps, "ell": args.ell}
     _emit(args, "dioph", params, {"tuples": found, "searched": _parse_ells(args.ell)},
-          t0, rows, ["ell", "a", "b", "quality"])
+          t0, ["ell", "a", "b", "quality"], list(zip(*rows)))
     return 0
 
 
@@ -237,12 +242,11 @@ def _cmd_firstmoment(args, t0):
         "abs_deviation_from_reference": abs(disc - ref),
     }
     vals = sample.zeta * sample.B
-    rows = [(int(l), float(t), float(wi), float(v.real), float(v.imag))
-            for l, t, wi, v in zip(sample.ell, sample.t, sample.phi, vals)]
     params = {**_spec_params(spec), "T": args.T, "edge": args.edge,
               "eps": args.eps, "theta": getattr(args, "theta", None)}
-    _emit(args, "firstmoment", params, results, t0, rows,
-          ["ell", "t", "phi", "re_zeta_B", "im_zeta_B"])
+    _emit(args, "firstmoment", params, results, t0,
+          ["ell", "t", "phi", "re_zeta_B", "im_zeta_B"],
+          [sample.ell, sample.t, sample.phi, vals.real, vals.imag])
     return 0
 
 
@@ -276,14 +280,11 @@ def _cmd_resonate(args, t0):
         "euler_prediction": asdict(euler),
         "extreme": asdict(rep),
     }
-    mass = sample.phi * np.abs(sample.B) ** 2
-    rows = [(int(l), float(t), float(np.abs(z)), float(m))
-            for l, t, z, m in zip(sample.ell, sample.t, sample.zeta, mass)]
     params = {**_spec_params(spec), "T": args.T, "N": args.N, "mode": args.mode,
               "eps": args.eps, "edge": args.edge,
               "prime_window": args.prime_window, "validity": args.validity}
-    _emit(args, "resonate", params, results, t0, rows,
-          ["ell", "t", "abs_zeta", "resonator_mass"])
+    _emit(args, "resonate", params, results, t0, ["ell", "t", "abs_zeta", "resonator_mass"],
+          [sample.ell, sample.t, np.abs(sample.zeta), sample.phi * np.abs(sample.B) ** 2])
     return 0
 
 
@@ -330,6 +331,11 @@ def _selftest_checks(rng):
     ms_scal = np.array([zmod.main_sum(t, 400) for t in ts])
     checks.append(("main_sum_grid_vs_scalar", float(np.max(np.abs(ms_grid - ms_scal))) < 1e-9,
                    f"max diff {np.max(np.abs(ms_grid - ms_scal)):.2e}"))
+    ns, t_first, h = np.arange(1, 401), rng.uniform(1000.0, 2000.0), 9.0647
+    bsgs = zmod.progression_sum(ns, np.ones(400), t_first, h, 97)
+    direct = zmod._dirichlet_grid(ns, np.ones(400), t_first + h * np.arange(97))
+    checks.append(("progression_sum_vs_direct", float(np.max(np.abs(bsgs - direct))) < 1e-10,
+                   f"max diff {np.max(np.abs(bsgs - direct)):.2e}"))
 
     sp = dmod.ProgressionSpec.from_rational(1, 2, 1)
     dv = dmod.delta(sp)

@@ -132,13 +132,11 @@ def eval_poly(poly: DirichletPoly, t: float) -> complex:
 
 
 def eval_poly_grid(poly: DirichletPoly, ts) -> np.ndarray:
-    """B(1/2 + it) over an array of t (outer-product path)."""
-    ts = np.asarray(ts, dtype=float)
+    """B(1/2 + it) over an arbitrary array of t, by direct exponentials in
+    bounded blocks (zeta._BLOCK_ELEMS points x terms); on a progression,
+    sample_progression uses zeta.progression_sum instead."""
     ns, bs = poly.nonzero()
-    if len(ns) == 0:
-        return np.zeros(len(ts), dtype=complex)
-    mag = bs * ns.astype(float) ** (-0.5)
-    return np.exp(-1j * np.outer(ts, np.log(ns.astype(float)))) @ mag.astype(complex)
+    return zmod._dirichlet_grid(ns, bs, ts)
 
 
 # -- the progression sample ------------------------------------------------------
@@ -193,12 +191,23 @@ class ProgressionSample:
         return complex(np.sum(w * vals))
 
 
+def _progression_dirichlet(spec: ProgressionSpec, ell: np.ndarray, ns, coeffs) -> np.ndarray:
+    """sum_k coeffs[k] ns[k]^(-1/2 - it) at t = alpha*ell + beta, through
+    zeta.progression_sum; ValueError unless the nodes ell are equally spaced."""
+    step = ell[1] - ell[0] if len(ell) > 1 else 0.0
+    if not np.all(np.diff(ell) == step):
+        raise ValueError("progression nodes ell must be equally spaced")
+    t0 = spec.alpha * ell[0] + spec.beta if len(ell) else spec.beta
+    return zmod.progression_sum(ns, coeffs, t0, spec.alpha * step, len(ell))
+
+
 def sample_progression(spec: ProgressionSpec, window: SmoothWindow, T: float,
                        poly: DirichletPoly, ell: Optional[np.ndarray] = None
                        ) -> ProgressionSample:
     """Evaluate zeta and B once at every node ell (default: the integers in
-    [T, 2T]) of the progression 1/2 + i(alpha*ell + beta).  Raises ValueError
-    unless T is positive and finite, and CapError, before allocating, past
+    [T, 2T]) of the progression 1/2 + i(alpha*ell + beta); B comes from
+    zeta.progression_sum.  Raises ValueError unless T is positive and finite
+    and the nodes are equally spaced, and CapError, before allocating, past
     _SAMPLE_NODE_CAP nodes."""
     _check_T(T)
     count = math.floor(2.0 * T) - math.ceil(T) + 1 if ell is None else len(ell)
@@ -207,10 +216,11 @@ def sample_progression(spec: ProgressionSpec, window: SmoothWindow, T: float,
                        f"{_SAMPLE_NODE_CAP} nodes")
     if ell is None:
         ell = np.arange(math.ceil(T), math.floor(2.0 * T) + 1, dtype=np.int64)
+    ell = np.asarray(ell)
+    B = _progression_dirichlet(spec, ell, *poly.nonzero())
     t = spec.alpha * ell + spec.beta
     return ProgressionSample(spec=spec, window=window, T=T, poly=poly, ell=ell, t=t,
-                             phi=window.phi(ell / T), zeta=zmod.zeta_critical_grid(t),
-                             B=eval_poly_grid(poly, t))
+                             phi=window.phi(ell / T), zeta=zmod.zeta_critical_grid(t), B=B)
 
 
 # -- moments -------------------------------------------------------------------

@@ -38,7 +38,7 @@ from . import zeta as zmod
 from .dioph import CF_PRECISION_BITS, DEFAULT_EPS, ProgressionSpec, _progression_x, \
     rational_approximations
 from .errors import CapError, DegenerateDenominatorError
-from .moments import DirichletPoly, ProgressionSample
+from .moments import DirichletPoly, ProgressionSample, _progression_dirichlet
 from .sieves import primes_in, smallest_prime_factor
 
 __all__ = ["Resonator", "EulerPrediction", "ExtremeReport", "ExploratoryWarning",
@@ -203,6 +203,18 @@ def _check_validity(N: int, T: float, validity: str):
         "lemma is asymptotic there (exploratory mode)", ExploratoryWarning)
 
 
+def _main_sum(sample: ProgressionSample, live: np.ndarray) -> np.ndarray:
+    """A = sum_{n <= T} n^(-1/2-it) at the sample's live nodes: from the
+    sample's own zeta where main_sum_grid would invert the EM tail, else by
+    progression_sum over n = 1..floor(T)."""
+    M = int(np.floor(sample.T))
+    ts = sample.t[live]
+    if zmod._main_sum_via_zeta(ts, M):
+        return zmod._main_sum_from_zeta(ts, sample.zeta[live], M)
+    return _progression_dirichlet(sample.spec, sample.ell[live], np.arange(1, M + 1),
+                                  np.ones(M))
+
+
 def _resonate(sample: ProgressionSample, resonator: Resonator, validity: str):
     """The live-node mask, the resonator mass |B|^2 phi on it, and R."""
     _check_validity(resonator.N, sample.T, validity)
@@ -215,7 +227,7 @@ def _resonate(sample: ProgressionSample, resonator: Resonator, validity: str):
     if den < 1e-12:
         raise DegenerateDenominatorError(
             f"resonator mass sum {den:.3e} below 1e-12; no usable weight")
-    A = zmod.main_sum_grid(sample.t[live], int(np.floor(sample.T)))
+    A = _main_sum(sample, live)
     ratio = complex(np.sum(mass * A)) / den
     if abs(ratio.imag) > 1e-2 * abs(ratio):
         warnings.warn(f"resonated average R: imaginary residual {ratio.imag:.3e} above "

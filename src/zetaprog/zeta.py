@@ -17,6 +17,18 @@ m = floor(sqrt(t/2pi)) so each group is one cosine matrix, and the remainder
 terms C_0..C_4 are Chebyshev fits of the usual Psi-derivative combinations,
 built once per process from an FFT-Cauchy Taylor expansion of Psi.  EM/RS
 agreement to 1e-6 wherever both run is part of the contract and the suite.
+
+Dirichlet sums sum_k c_k n_k^(-1/2-it) on an arithmetic progression of
+heights t = t0 + h*j go through progression_sum, a baby-step giant-step
+factorisation (the Odlyzko-Schoenhage idea, with a matrix product in place
+of the FFT): writing j = K*q + r, K = ceil(sqrt(count)), the exponentials
+split into a giant matrix over q and a baby matrix over r, so about
+2*sqrt(count) exponentials per term and one complex matrix product replace
+count exponentials per term.  The progression sampler takes B from it and
+the resonator its main sum A.  main_sum_grid and the polynomial evaluator
+keep the direct exponentials for arbitrary t (and serve as the kernel's
+reference); every such path works in blocks of at most _BLOCK_ELEMS points
+x terms, so memory stays bounded whatever the sizes.
 """
 import math
 from dataclasses import dataclass
@@ -29,7 +41,8 @@ from .errors import AccuracyError, CapError, PoleError, ToleranceError
 from .kernels import DEFAULT_CONTOUR, ContourConfig, w_many
 
 __all__ = ["ZetaEngineConfig", "zeta_em", "zeta_critical", "zeta_critical_grid",
-           "afe_square", "main_sum", "main_sum_grid", "zeta_abs2_grid"]
+           "afe_square", "main_sum", "main_sum_grid", "progression_sum",
+           "zeta_abs2_grid"]
 
 _TWO_PI = 2.0 * np.pi
 _TWO_PI_LD = np.longdouble(2) * np.arccos(np.longdouble(-1))
@@ -283,6 +296,19 @@ def main_sum(t: float, cutoff: int) -> complex:
     return complex(re, im)
 
 
+def _main_sum_via_zeta(ts, M: int) -> bool:
+    """Whether the cutoff M lies deep enough inside the Euler-Maclaurin zone
+    (M >= max|t|/3, M >= 50) for sum_{n <= M} n^-s to come from zeta."""
+    return M >= 50 and M >= np.max(np.abs(ts)) / 3.0
+
+
+def _main_sum_from_zeta(ts, zs, M: int, cfg: ZetaEngineConfig = DEFAULT_ENGINE):
+    """sum_{n <= M} n^(-1/2-it) = zeta + M^-s/2 - M^(1-s)/(s-1) - C(M), from
+    the values zs = zeta(1/2 + it) at ts (valid where _main_sum_via_zeta)."""
+    s = 0.5 + 1j * np.asarray(ts, dtype=float)
+    return zs - _em_tail(s, M, cfg.em_bernoulli_order) + np.exp(-s * np.log(M))
+
+
 def main_sum_grid(ts, cutoff: int, cfg: ZetaEngineConfig = DEFAULT_ENGINE) -> np.ndarray:
     """Vectorized main_sum over a t-grid.
 
@@ -292,20 +318,85 @@ def main_sum_grid(ts, cutoff: int, cfg: ZetaEngineConfig = DEFAULT_ENGINE) -> np
 
         sum_{n <= M} n^-s = zeta(s) + M^-s/2 - M^(1-s)/(s-1) - C(M),
 
-    otherwise it falls back to direct chunked summation.  Agreement with the
-    scalar main_sum to 1e-10 is part of the test suite.
+    otherwise it falls back to direct summation in blocks of at most
+    _BLOCK_ELEMS points x terms.  Agreement with the scalar main_sum to 1e-10
+    is part of the test suite.
     """
     ts = np.asarray(ts, dtype=float)
     M = int(cutoff)
     if M < 1:
         raise ValueError("cutoff must be >= 1")
-    if M >= np.max(np.abs(ts)) / 3.0 and M >= 50:
-        s = 0.5 + 1j * ts
-        return (zeta_critical_grid(ts, cfg) - _em_tail(s, M, cfg.em_bernoulli_order)
-                + np.exp(-s * np.log(M)))
+    if _main_sum_via_zeta(ts, M):
+        return _main_sum_from_zeta(ts, zeta_critical_grid(ts, cfg), M, cfg)
+    return _dirichlet_grid(np.arange(1, M + 1), np.ones(M), ts)
+
+
+# -- Dirichlet sums sum_k c_k n_k^(-1/2 - it) ------------------------------------
+
+# Most complex entries one block of a Dirichlet-sum evaluation holds (4 MiB):
+# the exponential matrices below never grow past a few blocks, whatever the
+# number of points or terms.
+_BLOCK_ELEMS = 1 << 18
+
+
+def _dirichlet_grid(ns, coeffs, ts) -> np.ndarray:
+    """sum_k coeffs[k] * ns[k]^(-1/2 - it) at every t of an arbitrary array,
+    by direct float64 exponentials in blocks of at most _BLOCK_ELEMS points x
+    terms.  The reference for progression_sum, and the path for t that are
+    not an arithmetic progression."""
+    ts = np.asarray(ts, dtype=float)
+    ns = np.asarray(ns, dtype=float)
+    mags = np.asarray(coeffs, dtype=float) * ns ** -0.5
+    lnn = np.log(ns)
     out = np.zeros(len(ts), dtype=complex)
-    for lo in range(1, M + 1, 4096):
-        n = np.arange(lo, min(lo + 4096, M + 1), dtype=float)
-        out += np.sum(n[None, :] ** (-0.5) * np.exp(-1j * np.outer(ts, np.log(n))),
-                      axis=1)
+    cols = max(1, min(len(ns), _BLOCK_ELEMS))
+    rows = max(1, _BLOCK_ELEMS // cols)
+    for lo in range(0, len(ts), rows):
+        for k in range(0, len(ns), cols):
+            ph = np.outer(ts[lo:lo + rows], lnn[k:k + cols])
+            out[lo:lo + rows] += np.exp(-1j * ph) @ mags[k:k + cols]
     return out
+
+
+def progression_sum(ns, coeffs, t0: float, h: float, count: int) -> np.ndarray:
+    """sum_k coeffs[k] * ns[k]^(-1/2 - i(t0 + h*j)) for j = 0 .. count-1.
+
+    Baby-step giant-step on the progression: with K = ceil(sqrt(count)) and
+    j = K*q + r, the exponential factors as
+
+        G[q, k] = coeffs[k] ns[k]^(-1/2) e^(-i(t0 + h*K*q) ln ns[k]),
+        E[r, k] = e^(-i h r ln ns[k]),
+
+    and the sums are the entries of G @ E.T, accumulated over blocks of
+    terms, each block at most _BLOCK_ELEMS entries of G and of E.  That is
+    (Q + K) * len(ns) exponentials and one complex matrix product (Q =
+    ceil(count/K)) in place of count * len(ns) exponentials.  The phases
+    t0 ln n, h K ln n and h ln n are reduced mod 2pi once per term in 80-bit
+    extended precision, so the only float64 phase error left is the
+    rounding of q * (h K ln n mod 2pi) and r * (h ln n mod 2pi), below 2e-12
+    rad up to count = 1e7, against about 1e-10 rad for a float64 t * ln n at
+    t = 1e5.
+    """
+    count = int(count)
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    if count == 0:
+        return np.zeros(0, dtype=complex)
+    ns = np.asarray(ns)
+    mags = np.asarray(coeffs, dtype=float) * ns.astype(float) ** -0.5
+    K = math.isqrt(count - 1) + 1
+    Q = -(-count // K)
+    lnn = np.log(ns.astype(np.longdouble))
+    phase0 = np.mod(np.longdouble(t0) * lnn, _TWO_PI_LD).astype(float)
+    giant = np.mod(np.longdouble(h) * K * lnn, _TWO_PI_LD).astype(float)
+    baby = np.mod(np.longdouble(h) * lnn, _TWO_PI_LD).astype(float)
+    q = np.arange(Q, dtype=float)[:, None]
+    r = np.arange(K, dtype=float)[:, None]
+    out = np.zeros((Q, K), dtype=complex)
+    step = max(1, _BLOCK_ELEMS // max(Q, K))
+    for lo in range(0, len(ns), step):
+        sl = slice(lo, lo + step)
+        G = mags[sl] * np.exp(-1j * (phase0[sl] + q * giant[sl]))
+        E = np.exp(-1j * (r * baby[sl]))
+        out += G @ E.T
+    return out.ravel()[:count]

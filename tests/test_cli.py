@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import zetaprog.cli as cli
+from zetaprog import ProgressionSpec
 from zetaprog.cli import main
 from zetaprog.errors import QuadratureError
 
@@ -162,25 +163,28 @@ def test_node_budget_exit_code(subcommand, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["moment", "--alpha", "1", "--beta", "0.25", "--T", "300"],
-    ["firstmoment", "--alpha", "1", "--beta", "0.25", "--T", "300", "--theta", "0.3"],
-    ["nonvanish", "--alpha", "1", "--beta", "0.25", "--T", "300"],
-    ["resonate", "--alpha", "1", "--beta", "0.25", "--T", "300", "--N", "100",
-     "--mode", "max"],
-], ids=["moment", "firstmoment", "nonvanish", "resonate"])
-def test_cli_samples_progression_once(argv, tmp_path, monkeypatch):
-    # Every evaluation of zeta and of B on the progression, tagged by the
-    # caller it serves.  main_sum_grid's own zeta call evaluates A, and the
+@pytest.mark.parametrize("argv, A_by_kernel", [
+    (["moment", "--alpha", "1", "--beta", "0.25", "--T", "300"], False),
+    (["firstmoment", "--alpha", "1", "--beta", "0.25", "--T", "300", "--theta", "0.3"], False),
+    (["nonvanish", "--alpha", "1", "--beta", "0.25", "--T", "300"], False),
+    (["resonate", "--alpha", "1", "--beta", "0.25", "--T", "300", "--N", "100",
+      "--mode", "max"], False),
+    (["resonate", "--alpha-rational", "1:2:1", "--beta", "0.25", "--T", "300", "--N", "100",
+      "--mode", "max"], True),
+], ids=["moment", "firstmoment", "nonvanish", "resonate", "resonate-direct"])
+def test_cli_samples_progression_once(argv, A_by_kernel, tmp_path, monkeypatch):
+    # Every evaluation of zeta and of a Dirichlet sum (B, and the resonator's
+    # main sum A) on the progression, tagged by the caller it serves.  The
     # continuous moment samples its own dyadic grid, which holds the
-    # integers too; both are tracked apart from the run's sample.
-    seen = {"zeta": {"run": [], "continuous": []}, "B": {"run": [], "continuous": []}}
+    # integers too, and extreme_search computes A; both are tracked apart
+    # from the run's sample.
+    scopes = ("run", "continuous", "resonator")
+    seen = {name: {tag: [] for tag in scopes} for name in ("zeta", "kernel")}
     scope = ["run"]
 
-    def counting(name, fn, t_arg):
+    def counting(name, fn, nodes):
         def wrapped(*args, **kwargs):
-            if scope[-1] != "main_sum":
-                seen[name][scope[-1]].append(np.array(args[t_arg], dtype=float))
+            seen[name][scope[-1]].append(nodes(*args, **kwargs))
             return fn(*args, **kwargs)
         return wrapped
 
@@ -193,13 +197,21 @@ def test_cli_samples_progression_once(argv, tmp_path, monkeypatch):
                 scope.pop()
         return wrapped
 
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a CLI run reached an arbitrary-t Dirichlet sum")
+
     monkeypatch.setattr(cli.zmod, "zeta_critical_grid",
-                        counting("zeta", cli.zmod.zeta_critical_grid, 0))
-    monkeypatch.setattr(cli.mmod, "eval_poly_grid",
-                        counting("B", cli.mmod.eval_poly_grid, 1))
-    monkeypatch.setattr(cli.zmod, "main_sum_grid", scoped("main_sum", cli.zmod.main_sum_grid))
+                        counting("zeta", cli.zmod.zeta_critical_grid,
+                                 lambda ts, *rest, **kw: np.array(ts, dtype=float)))
+    monkeypatch.setattr(cli.zmod, "progression_sum",
+                        counting("kernel", cli.zmod.progression_sum,
+                                 lambda ns, coeffs, t0, h, count: (t0, h, count)))
+    monkeypatch.setattr(cli.zmod, "main_sum_grid", unreachable)
+    monkeypatch.setattr(cli.mmod, "eval_poly_grid", unreachable)
     monkeypatch.setattr(cli.mmod, "continuous_twisted_moment",
                         scoped("continuous", cli.mmod.continuous_twisted_moment))
+    monkeypatch.setattr(cli.rmod, "extreme_search",
+                        scoped("resonator", cli.rmod.extreme_search))
     csv = tmp_path / "rows.csv"
     run = argv + ["--json", str(tmp_path / "x.json"), "--csv", str(csv)]
     with warnings.catch_warnings():
@@ -208,18 +220,37 @@ def test_cli_samples_progression_once(argv, tmp_path, monkeypatch):
         assert main(run) == 0
 
     T = 300
-    nodes = np.arange(T, 2 * T + 1) + 0.25
-    for name in ("zeta", "B"):
-        assert np.array_equal(np.sort(np.concatenate(seen[name]["run"])), nodes), name
-        if seen[name]["continuous"]:
-            levels = np.concatenate(seen[name]["continuous"])
-            assert len(np.unique(levels)) == len(levels), name
+    alpha = 1.0 if "--alpha" in argv else ProgressionSpec.from_rational(1, 2, 1).alpha
+    nodes = alpha * np.arange(T, 2 * T + 1) + 0.25
+    # the kernel sees a progression as (first height, step, count)
+    assert np.array_equal(np.sort(np.concatenate(seen["zeta"]["run"])), nodes)
+    assert seen["kernel"]["run"] == [(nodes[0], alpha, len(nodes))]
+    levels = [seen["zeta"]["continuous"],
+              [t0 + h * np.arange(count) for t0, h, count in seen["kernel"]["continuous"]]]
+    for level in levels:
+        if level:
+            level = np.concatenate(level)
+            assert len(np.unique(level)) == len(level)
+    # A reads the sample's zeta, or sums n <= T once over the phi > 0 nodes
+    assert seen["zeta"]["resonator"] == []
+    want_A = [(nodes[1], alpha, len(nodes) - 2)] if A_by_kernel else []
+    assert seen["kernel"]["resonator"] == want_A
     if argv[0] != "nonvanish":
         header, *rows = csv.read_text().splitlines()
         assert len(rows) == math.floor(2 * T) - math.ceil(T) + 1
         # the first row is ell = T, where phi (and so the resonator mass) is 0
         col = header.split(",").index("resonator_mass" if argv[0] == "resonate" else "phi")
         assert float(rows[0].split(",")[col]) == 0.0
+
+
+def test_csv_column_matches_cell():
+    floats = np.array([-0.0, 0.0, 1e16, 5e-324, 0.1, -2.5e-300, 1.0 / 3.0])
+    ints = np.array([0, -7, 2 ** 62], dtype=np.int64)
+    for col in (floats, ints):
+        assert cli._csv_column(col) == [cli._csv_cell(c) for c in col.tolist()]
+    assert cli._csv_column(floats)[:4] == ["-0.0", "0.0", "1e+16", "5e-324"]
+    mixed = (3, "none", 0.5)
+    assert cli._csv_column(mixed) == ["3", "none", "0.5"]
 
 
 def test_version_flag(capsys):

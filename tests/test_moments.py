@@ -149,6 +149,17 @@ def test_discrete_moment_empty_window_is_zero(unit_spec, window):
     assert discrete_twisted_moment(unit_spec, window, 0.4, DirichletPoly.one(), power=2) == 0.0
 
 
+def test_sample_rejects_unequally_spaced_nodes(unit_spec, window):
+    moll = mollifier_coeffs(1e4, 0.4)
+    with pytest.raises(ValueError, match="equally spaced"):
+        sample_progression(unit_spec, window, 300.0, moll,
+                           np.array([300.0, 301.0, 303.0, 304.0]))
+    # dyadic nodes are spaced exactly; B matches the arbitrary-t path there
+    ell = np.arange(2400, 4801) / 8.0
+    sample = sample_progression(unit_spec, window, 300.0, moll, ell)
+    assert np.max(np.abs(sample.B - eval_poly_grid(moll, sample.t))) < 1e-12
+
+
 def test_discrete_moment_power_validation(unit_spec, window):
     with pytest.raises(ValueError):
         discrete_twisted_moment(unit_spec, window, 500.0, DirichletPoly.one(), power=3)

@@ -5,16 +5,18 @@ different algorithm); classical constants (pi^2/6, zeta(1/2), the first zero
 ordinate) pin specific points.
 """
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 import scipy.optimize
 
-from zetaprog import (AccuracyError, CapError, PoleError, RS_MIN_T,
-                      ZetaEngineConfig, afe_square, main_sum, main_sum_grid,
-                      zeta_abs2_grid, zeta_critical, zeta_critical_grid,
-                      zeta_em)
+from zetaprog import (AccuracyError, CapError, DirichletPoly, PoleError, RS_MIN_T,
+                      ZetaEngineConfig, afe_square, eval_poly, eval_poly_grid,
+                      main_sum, main_sum_grid, mollifier_coeffs, progression_sum,
+                      resonator_coeffs, zeta_abs2_grid, zeta_critical,
+                      zeta_critical_grid, zeta_em)
 from zetaprog.zeta import RS_FORCED_MIN_T
 
 FIRST_ZERO = 14.134725141734693
@@ -187,6 +189,68 @@ def test_main_sum_grid_inversion_regime(rng):
 def test_main_sum_grid_validation():
     with pytest.raises(ValueError):
         main_sum_grid(np.array([100.0]), 0)
+
+
+@pytest.mark.parametrize("fn", ["main_sum_grid", "eval_poly_grid"])
+def test_arbitrary_t_sums_bounded_memory(fn, rng):
+    # 4000 points x 3000 terms: one unblocked exponential matrix is 192 MB.
+    ts = rng.uniform(1e4, 2e4, 4000)  # cutoff 3000 < max t / 3: the direct path
+    poly = DirichletPoly(np.r_[0.0, np.ones(3000)])
+    run = {"main_sum_grid": lambda: main_sum_grid(ts, 3000),
+           "eval_poly_grid": lambda: eval_poly_grid(poly, ts)}[fn]
+    tracemalloc.start()
+    try:
+        vals = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.0f} MB"
+    assert abs(vals[0] - main_sum(float(ts[0]), 3000)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# baby-step giant-step sums on a progression
+# ---------------------------------------------------------------------------
+
+_DENSE_M = 7900
+# first node per step: h = 1 and 2/32 stay below t = 2.5e4, h = 9.0647 (an
+# exact form's slope) ends at t = 1.45e5
+_T_FIRST = {1.0: 1000.0, 9.0647: 1.45e5 - 9.0647 * _DENSE_M, 2.0 / 32.0: 2.4e4}
+
+
+def _kernel_cases():
+    moll = mollifier_coeffs(1e4, 0.4)
+    res = resonator_coeffs(400, "max", window="extended").coeffs
+    return {
+        "dense": (np.arange(1, _DENSE_M + 1), np.ones(_DENSE_M),
+                  lambda t: main_sum(t, _DENSE_M)),
+        "resonator": (*res.nonzero(), lambda t: eval_poly(res, t)),
+        "mollifier": (*moll.nonzero(), lambda t: eval_poly(moll, t)),
+    }
+
+
+@pytest.mark.parametrize("h", sorted(_T_FIRST))
+@pytest.mark.parametrize("count", [0, 1, 2, 97, _DENSE_M])
+@pytest.mark.parametrize("poly", ["dense", "resonator", "mollifier"])
+def test_progression_sum_against_scalar(poly, count, h):
+    ns, coeffs, scalar = _kernel_cases()[poly]
+    t0 = _T_FIRST[h]
+    got = progression_sum(ns, coeffs, t0, h, count)
+    assert got.shape == (count,)
+    picks = np.unique(np.r_[0, count // 2, count - 1,
+                            np.random.default_rng(count).integers(0, count, 12)]) \
+        if count else []
+    for j in picks:
+        t = t0 + h * j
+        # the scalar sums reduce the phases in 80-bit; above t = 2.5e4 the
+        # float64 rounding of t itself moves them by up to 3e-10
+        tol = 1e-10 if t <= 2.5e4 else 1e-9
+        assert abs(got[j] - scalar(t)) < tol, (j, t)
+
+
+def test_progression_sum_validation():
+    with pytest.raises(ValueError):
+        progression_sum(np.arange(1, 5), np.ones(4), 100.0, 1.0, -1)
 
 
 # ---------------------------------------------------------------------------
