@@ -1,10 +1,11 @@
 """
-The smooth window, the contour kernels, and the zeta engines
-============================================================
+The smooth window, the kernels, and the zeta engines
+====================================================
 
 Everything upstream of the moments: the C-infinity window phi and its
-transform, the W / H kernels from the shifted-contour calculation, and
-the two zeta evaluation routes (Euler-Maclaurin and Riemann-Siegel).
+transform, the W kernel in closed form and the H kernel by contour
+quadrature with its Chebyshev table, and the two zeta evaluation routes
+(Euler-Maclaurin and Riemann-Siegel).
 """
 import math
 
@@ -37,10 +38,10 @@ for x in (1.0, 20.0, 300.0, 1e4, 1e8):
     asym = 0.5 * math.log(x) + 0.5772156649015329
     print(f"  H({x:8.0f}) = {zp.eval_H(x):12.8f}   asymptote {asym:12.8f}")
 
-# vectorized spline routes agree with the scalar contour quadrature
+# the vectorized Chebyshev route for H agrees with the scalar contour quadrature
 xs = np.geomspace(0.5, 5e3, 7)
-print("\nmax |w_many - eval_W| on a log grid:",
-      np.max(np.abs(zp.w_many(xs) - [zp.eval_W(float(x)) for x in xs])))
+print("\nmax |h_many - eval_H| on a log grid:",
+      np.max(np.abs(zp.h_many(xs) - [zp.eval_H(float(x)) for x in xs])))
 
 # --- zeta engines -----------------------------------------------------------
 # Euler-Maclaurin is the reference; the Riemann-Siegel grid takes over

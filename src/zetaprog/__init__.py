@@ -2,12 +2,13 @@
 
 The package computes, at desk scale, every quantity in the story of how the
 discrete second moment along a progression differs from its continuous
-counterpart: the smooth window and its transform, the contour kernels W and
-H, reference zeta engines (Euler-Maclaurin and a Riemann-Siegel grid
-accelerator), the rationality dichotomy exp(2*pi*ell/alpha) = m/n with its
-closed-form correction delta(alpha, beta), the diophantine tuple machinery
-behind the corrections, mollified first/second moments with a nonvanishing
-lower bound, and resonator constructions that exhibit extreme values.
+counterpart: the smooth window and its transform, the kernels W (closed
+form) and H (contour / Chebyshev), reference zeta engines (Euler-Maclaurin
+and a Riemann-Siegel grid accelerator), the rationality dichotomy
+exp(2*pi*ell/alpha) = m/n with its closed-form correction delta(alpha, beta),
+the diophantine tuple machinery behind the corrections, mollified
+first/second moments with a nonvanishing lower bound, and resonator
+constructions that exhibit extreme values.
 """
 
 __version__ = "0.1.0"

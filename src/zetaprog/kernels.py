@@ -1,45 +1,47 @@
-"""Kernel G, smoothing transform W, and arithmetic transform H by contour quadrature.
+"""Kernel G, smoothing weight W in closed form, and arithmetic transform H.
 
-All three live on a truncated vertical line Re w = sigma:
+The two transforms are defined on a vertical line Re w = sigma:
 
     W(x) = (1/2*pi*i) * integral of x^(-w) G(w) dw / w,
     H(x) = (1/2*pi*i) * integral of zeta(1+2w) x^w G(w) dw / w,
 
-with G(w) = exp(w^2), whose Gaussian decay makes a height cut of 12 already
-overkill (truncation below 1e-12 of the peak).  The quadrature runs over the
-full line [-i*H, +i*H]; the imaginary part of the result is a pure
+with G(w) = exp(w^2).  Completing the square in W's integrand gives the
+closed form W(x) = erfc(ln(x)/2)/2, which both `eval_W` and `w_many` return.
+
+H is computed by quadrature on the truncated line [sigma - i*H, sigma + i*H];
+the Gaussian decay of G makes a height cut of 12 already overkill (truncation
+below 1e-12 of the peak).  The imaginary part of the result is a pure
 consistency residual and is checked before being discarded.
 
 Two identities anchor the test oracles:
-  * shifting the W contour through the pole at w = 0 gives W(x) + W(1/x) = 1
-    (G is even), which is how the x -> 0 branch is computed;
+  * W(x) + W(1/x) = 1 (the pole at w = 0 crossed by a contour shift, since
+    G is even);
   * expanding zeta(1+2w) termwise gives H(x) = sum over r of (1/r) W(r^2/x).
 
-Bulk consumers (the approximate functional equation, the correction-term
-double sums) go through `w_many` / `h_many`, cubic splines in log x sampled
-from the same contour -- accelerators behind the identical contract, verified
-against the direct quadrature in the property suite.
+Bulk consumers of H (the correction-term double sums) go through `h_many`, a
+piecewise Chebyshev interpolant in log x sampled from the same contour -- an
+accelerator behind the identical contract, verified against the direct
+quadrature in the property suite.
 """
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from numpy.polynomial.chebyshev import chebpts1
+from scipy.special import erfc
 
 from .errors import ToleranceError
 from .quadrature import gl_panels
 
-__all__ = ["ContourConfig", "eval_G", "eval_W", "eval_H", "w_many", "h_many",
-           "X_LO", "X_HI"]
+__all__ = ["ContourConfig", "eval_G", "eval_W", "eval_H", "w_many", "h_many", "X_HI"]
 
 log = logging.getLogger(__name__)
 
 EULER_GAMMA = float(np.euler_gamma)
 
-# Branch thresholds for the asymptotic fast paths; both branches are
+# Above X_HI, H is its asymptotic (1/2) log x + gamma; the branch is
 # overlap-tested against the direct contour in the property suite.
-X_LO = 1e-4
 X_HI = 1e4
 
 _PANEL_DEG = 20
@@ -52,7 +54,6 @@ class ContourConfig:
     sigma: float = 0.5
     height_cut: float = 12.0
     nodes_per_unit: int = 40
-    decay_order: int = 5
 
     def __post_init__(self):
         if not (0.0 < self.sigma <= 1.0):
@@ -66,85 +67,27 @@ class ContourConfig:
 DEFAULT_CONTOUR = ContourConfig()
 
 
+def _positive(x, name: str) -> np.ndarray:
+    """x as a float array; ValueError unless every entry is > 0 (NaN included)."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(x > 0.0):
+        raise ValueError(f"{name} requires x > 0")
+    return x
+
+
 def eval_G(w):
     """The kernel G(w) = exp(w^2); entire, even, real on both axes' squares."""
     return np.exp(np.asarray(w) ** 2) if np.ndim(w) else complex(np.exp(complex(w) ** 2))
 
 
-@lru_cache(maxsize=32)
-def _line_nodes(sigma: float, height: float, nodes_per_unit: int):
-    """Quadrature nodes w = sigma + i*h on the full truncated line, plus weights."""
-    panel_len = _PANEL_DEG / float(nodes_per_unit)
-    panels = int(np.ceil(2.0 * height / panel_len))
-    h, wt = gl_panels(-height, height, panels, _PANEL_DEG)
-    return sigma + 1j * h, wt
+def eval_W(x: float) -> float:
+    """Smoothing weight W(x) = erfc(ln(x)/2)/2."""
+    return float(w_many(_positive(float(x), "eval_W")))
 
 
-def _w_direct(x: float, cfg: ContourConfig, sigma: float) -> complex:
-    w, wt = _line_nodes(sigma, max(cfg.height_cut, sigma + 8.0), cfg.nodes_per_unit)
-    integrand = np.exp(-w * np.log(x)) * np.exp(w * w) / w
-    return complex(np.sum(wt * integrand)) / (2.0 * np.pi)
-
-
-def _sigma_for(x: float, cfg: ContourConfig) -> float:
-    # Move the line toward the saddle for large x; harmless for moderate x
-    # (the integral is contour independent), decisive for x >> 1 where the
-    # integrand would otherwise oscillate against a tiny answer.
-    return min(max(cfg.sigma, np.log(x) / 2.0), 6.0)
-
-
-def eval_W(x: float, cfg: ContourConfig = DEFAULT_CONTOUR) -> float:
-    """Smoothing weight W(x); real, accurate to 1e-9.
-
-    x <= X_LO goes through the shifted-contour identity W(x) = 1 - W(1/x)
-    (the pole at w = 0 contributes G(0) = 1); x >= 1 uses a saddle-adapted
-    line.  The imaginary residual of the quadrature must be below 1e-9.
-    """
-    x = float(x)
-    if x <= 0.0:
-        raise ValueError("eval_W requires x > 0")
-    if x <= X_LO:
-        inv = 1.0 / x
-        val = 1.0 - _w_direct(inv, cfg, _sigma_for(inv, cfg))
-    elif x < 1.0:
-        val = _w_direct(x, cfg, cfg.sigma)
-    else:
-        val = _w_direct(x, cfg, _sigma_for(x, cfg))
-    if abs(val.imag) > 1e-9:
-        raise ToleranceError(f"W({x}): imaginary residual {val.imag:.3e} exceeds 1e-9")
-    return float(val.real)
-
-
-# -- bulk W: cubic spline in u = log x, sampled from the contour -------------
-
-_U_MAX = 30.0
-_U_STEP = 0.0125
-
-
-@lru_cache(maxsize=8)
-def _w_spline(cfg: ContourConfig) -> CubicSpline:
-    u = np.arange(0.0, _U_MAX + _U_STEP, _U_STEP)
-    vals = np.array([eval_W(float(np.exp(ui)), cfg) for ui in u])
-    return CubicSpline(u, vals)
-
-
-def w_many(x, cfg: ContourConfig = DEFAULT_CONTOUR) -> np.ndarray:
-    """Vectorized W over an array of positive x (spline accelerator)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("w_many requires x > 0")
-    u = np.log(x)
-    out = np.empty_like(u)
-    spl = _w_spline(cfg)
-    neg = u < 0.0
-    au = np.abs(u)
-    far = au > _U_MAX
-    out[far & neg] = 1.0
-    out[far & ~neg] = 0.0
-    near = ~far
-    sval = spl(au[near])
-    out[near] = np.where(neg[near], 1.0 - sval, sval)
-    return out
+def w_many(x) -> np.ndarray:
+    """Vectorized W over an array of positive x."""
+    return 0.5 * erfc(np.log(_positive(x, "w_many")) / 2.0)
 
 
 # -- H(x) ---------------------------------------------------------------------
@@ -152,18 +95,23 @@ def w_many(x, cfg: ContourConfig = DEFAULT_CONTOUR) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _zeta_line(cfg: ContourConfig):
-    """zeta(1 + 2w) cached on the fixed H-contour nodes."""
+    """Nodes w = sigma + i*h on the full truncated line, with weights and
+    zeta(1 + 2w) cached at the nodes."""
     from . import zeta  # deferred: zeta's AFE path imports this module
 
-    w, wt = _line_nodes(cfg.sigma, cfg.height_cut, cfg.nodes_per_unit)
+    panel_len = _PANEL_DEG / float(cfg.nodes_per_unit)
+    panels = int(np.ceil(2.0 * cfg.height_cut / panel_len))
+    h, wt = gl_panels(-cfg.height_cut, cfg.height_cut, panels, _PANEL_DEG)
+    w = cfg.sigma + 1j * h
     zv = np.array([zeta.zeta_em(1.0 + 2.0 * wi) for wi in w])
     return w, wt, zv
 
 
-def _h_direct(x: float, cfg: ContourConfig) -> complex:
+def _h_contour(u: np.ndarray, cfg: ContourConfig) -> np.ndarray:
+    """The H contour integral at x = exp(u), complex: one (nodes x u) matmul."""
     w, wt, zv = _zeta_line(cfg)
-    integrand = zv * np.exp(w * np.log(x)) * np.exp(w * w) / w
-    return complex(np.sum(wt * integrand)) / (2.0 * np.pi)
+    core = wt * zv * np.exp(w * w) / w
+    return core @ np.exp(np.outer(w, u)) / (2.0 * np.pi)
 
 
 def eval_H(x: float, cfg: ContourConfig = DEFAULT_CONTOUR) -> float:
@@ -174,45 +122,56 @@ def eval_H(x: float, cfg: ContourConfig = DEFAULT_CONTOUR) -> float:
     The pole of zeta(1+2w) at w = 0 stays left of the contour, so the
     (1/2) log x main term emerges numerically, never by residue bookkeeping.
     """
-    x = float(x)
-    if x <= 0.0:
-        raise ValueError("eval_H requires x > 0")
+    x = float(_positive(float(x), "eval_H"))
     if x >= X_HI:
         log.debug("eval_H(%g): asymptotic branch (1/2) log x + gamma", x)
         return 0.5 * np.log(x) + EULER_GAMMA
-    val = _h_direct(x, cfg)
+    val = complex(_h_contour(np.array([np.log(x)]), cfg)[0])
     if abs(val.imag) > 1e-8:
         raise ToleranceError(f"H({x}): imaginary residual {val.imag:.3e} exceeds 1e-8")
     return float(val.real)
 
 
 _HU_LO = -20.0
-_HU_STEP = 0.0125
+_HU_HI = float(np.log(X_HI))
+# On 32 equal panels of [_HU_LO, _HU_HI], the Chebyshev coefficients of
+# H(exp(u)) fall to their noise floor, below 3e-16 of the largest, by degree
+# 12.  One series over the whole range needs degree 90, and its Clenshaw
+# recurrence costs 90 passes over every argument array.
+_H_PANELS = 32
+_H_DEG = 12
+_H_PANEL_WIDTH = (_HU_HI - _HU_LO) / _H_PANELS
 
 
-@lru_cache(maxsize=8)
-def _h_spline(cfg: ContourConfig) -> CubicSpline:
-    u = np.arange(_HU_LO, np.log(X_HI) + _HU_STEP, _HU_STEP)
-    w, wt, zv = _zeta_line(cfg)
-    # One fixed contour for every sample: a (nodes x samples) matmul.
-    core = wt * zv * np.exp(w * w) / w
-    vals = (core @ np.exp(np.outer(w, u))).real / (2.0 * np.pi)
-    return CubicSpline(u, vals)
+@lru_cache(maxsize=1)
+def _h_table() -> np.ndarray:
+    """Interpolants of H(exp(u)) at each panel's Chebyshev points: row k holds
+    every panel's coefficient of s^(_H_DEG - k), s in [-1, 1] across the panel."""
+    s = chebpts1(_H_DEG + 1)
+    mids = _HU_LO + _H_PANEL_WIDTH * (np.arange(_H_PANELS) + 0.5)
+    u = np.add.outer(mids, 0.5 * _H_PANEL_WIDTH * s)
+    vals = _h_contour(u.ravel(), DEFAULT_CONTOUR).real.reshape(u.shape)
+    return np.linalg.solve(np.vander(s), vals.T)
 
 
-def h_many(x, cfg: ContourConfig = DEFAULT_CONTOUR) -> np.ndarray:
-    """Vectorized H over an array of positive x (spline accelerator).
+def h_many(x) -> np.ndarray:
+    """Vectorized H over an array of positive x (piecewise Chebyshev interpolant).
 
     Below exp(-20) the transform is smaller than 1e-44 and is returned as 0;
     above X_HI the asymptotic branch applies as in eval_H.
     """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("h_many requires x > 0")
-    u = np.log(x)
+    u = np.log(_positive(x, "h_many"))
     out = np.zeros_like(u)
-    hi = u >= np.log(X_HI)
+    hi = u >= _HU_HI
     out[hi] = 0.5 * u[hi] + EULER_GAMMA
     mid = (u > _HU_LO) & ~hi
-    out[mid] = _h_spline(cfg)(u[mid])
+    pos = (u[mid] - _HU_LO) / _H_PANEL_WIDTH
+    panel = np.minimum(pos.astype(np.intp), _H_PANELS - 1)
+    s = 2.0 * (pos - panel) - 1.0
+    coef = _h_table()
+    val = coef[0].take(panel)
+    for row in coef[1:]:
+        val *= s
+        val += row.take(panel)
+    out[mid] = val
     return out

@@ -39,7 +39,7 @@ import numpy as np
 from . import zeta as zmod
 from .dioph import DEFAULT_EPS, ProgressionSpec, find_tuple
 from .errors import CapError, QuadratureError
-from .kernels import DEFAULT_CONTOUR, ContourConfig, h_many, w_many
+from .kernels import h_many, w_many
 from .quadrature import gl_panels
 from .sieves import mobius_table
 from .window import SmoothWindow
@@ -301,17 +301,15 @@ def _f_pair_tables(a: int, b: int, poly: DirichletPoly):
     return np.array(weights), np.array(consts)
 
 
-def _F_batch(a: int, b: int, ts, poly: DirichletPoly, spec: ProgressionSpec,
-             contour: ContourConfig) -> np.ndarray:
+def _F_batch(a: int, b: int, ts, poly: DirichletPoly, spec: ProgressionSpec) -> np.ndarray:
     tt = spec.alpha * np.asarray(ts, dtype=float) + spec.beta
     weights, consts = _f_pair_tables(a, b, poly)
     X = np.outer(consts, tt)
-    H = h_many(X.ravel(), contour).reshape(X.shape)
+    H = h_many(X.ravel()).reshape(X.shape)
     return weights @ H
 
 
-def F_func(a: int, b: int, t: float, poly: DirichletPoly, spec: ProgressionSpec,
-           contour: ContourConfig = DEFAULT_CONTOUR) -> float:
+def F_func(a: int, b: int, t: float, poly: DirichletPoly, spec: ProgressionSpec) -> float:
     """The gcd-collapsed double sum
 
         F(a,b,t) = sum_{m,n <= length} b(m)b(n)/(mn) * g * H(tt*g^2/(2*pi*m*a*n*b)),
@@ -320,7 +318,7 @@ def F_func(a: int, b: int, t: float, poly: DirichletPoly, spec: ProgressionSpec,
     polynomial this is a single term H(tt/(2*pi*a*b))."""
     if math.gcd(a, b) != 1 or a * b <= 1:
         raise ValueError("need coprime (a, b) with a*b > 1")
-    return float(_F_batch(a, b, np.array([float(t)]), poly, spec, contour)[0])
+    return float(_F_batch(a, b, np.array([float(t)]), poly, spec)[0])
 
 
 def F_func_series(a: int, b: int, t: float, poly: DirichletPoly,
@@ -387,8 +385,7 @@ def _tuple_frequency(spec: ProgressionSpec, tup) -> float:
 
 
 def H_ell(ell: int, spec: ProgressionSpec, window: SmoothWindow, T: float,
-          poly: DirichletPoly, contour: ContourConfig = DEFAULT_CONTOUR,
-          eps: float = DEFAULT_EPS) -> complex:
+          poly: DirichletPoly, eps: float = DEFAULT_EPS) -> complex:
     """The ell-th correction integral (0 when no tuple exists):
 
         ((a/b)^(i*beta)/sqrt(ab)) * integral over [T,2T] of
@@ -407,7 +404,7 @@ def H_ell(ell: int, spec: ProgressionSpec, window: SmoothWindow, T: float,
     for panels in (64, 128, 256):
         t, wq = gl_panels(float(T), 2.0 * float(T), panels, 10)
         integrand = (window.phi(t / T) * np.exp(-2j * np.pi * t * nu)
-                     * _F_batch(tup.a, tup.b, t, poly, spec, contour))
+                     * _F_batch(tup.a, tup.b, t, poly, spec))
         val = complex(np.sum(wq * integrand))
         if prev is not None and abs(val - prev) <= 1e-5 * max(abs(val), 1e-9 * T):
             return pref * val
@@ -427,7 +424,6 @@ def _required_ell_max(spec: ProgressionSpec, T: float) -> int:
 
 def predict_E(spec: ProgressionSpec, window: SmoothWindow, T: float,
               poly: DirichletPoly, ell_max: Optional[int] = None,
-              contour: ContourConfig = DEFAULT_CONTOUR,
               eps: float = DEFAULT_EPS) -> float:
     """Predicted discrete-minus-continuous correction: 4 * Re sum H(ell)."""
     if ell_max is None:
@@ -438,7 +434,7 @@ def predict_E(spec: ProgressionSpec, window: SmoothWindow, T: float,
             f"(need >= {_required_ell_max(spec, T)})")
     total = 0j
     for ell in range(1, ell_max + 1):
-        total += H_ell(ell, spec, window, T, poly, contour, eps)
+        total += H_ell(ell, spec, window, T, poly, eps)
     return 4.0 * total.real
 
 
@@ -487,7 +483,6 @@ class MomentReport:
 
 
 def moment_report(sample: ProgressionSample, predict: bool = True,
-                  contour: ContourConfig = DEFAULT_CONTOUR,
                   eps: float = DEFAULT_EPS) -> MomentReport:
     """Second-moment comparison bundle for the integer sample: measured
     discrete and continuous moments, their difference E, and (optionally)
@@ -495,7 +490,7 @@ def moment_report(sample: ProgressionSample, predict: bool = True,
     spec, window, T, poly = sample.spec, sample.window, sample.T, sample.poly
     disc = sample.twisted_sum(2)
     cont = continuous_twisted_moment(spec, window, T, poly, power=2)
-    pred = predict_E(spec, window, T, poly, contour=contour, eps=eps) if predict else float("nan")
+    pred = predict_E(spec, window, T, poly, eps=eps) if predict else float("nan")
     params = {
         "alpha": spec.alpha, "beta": spec.beta, "T": T, "edge": window.edge,
         "poly_length": poly.length,

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.special import bernoulli, loggamma
 
 from .errors import AccuracyError, CapError, PoleError, ToleranceError
-from .kernels import DEFAULT_CONTOUR, ContourConfig, w_many
+from .kernels import w_many
 
 __all__ = ["ZetaEngineConfig", "zeta_em", "zeta_critical", "zeta_critical_grid",
            "afe_square", "main_sum", "main_sum_grid", "progression_sum",
@@ -248,8 +248,7 @@ def zeta_abs2_grid(ts, cfg: ZetaEngineConfig = DEFAULT_ENGINE,
 
 
 def afe_square(t: float, cap: float | None = None,
-               cfg: ZetaEngineConfig = DEFAULT_ENGINE,
-               contour: ContourConfig = DEFAULT_CONTOUR) -> float:
+               cfg: ZetaEngineConfig = DEFAULT_ENGINE) -> float:
     """Smoothed square |zeta(1/2+it)|^2 from the approximate functional equation:
 
         2 * sum_{N < cap} (W(2*pi*N/t)/sqrt(N)) * Re[N^-it * sum_{d|N} d^2it].
@@ -272,7 +271,7 @@ def afe_square(t: float, cap: float | None = None,
     for dv in range(1, X + 1):
         sig[dv::dv] += z[dv - 1]
     N = np.arange(1, X + 1, dtype=float)
-    weight = w_many(_TWO_PI * N / t, contour) / np.sqrt(N)
+    weight = w_many(_TWO_PI * N / t) / np.sqrt(N)
     assembled = complex(np.sum(weight * np.exp(-1j * t * np.log(N)) * sig[1:]))
     if abs(assembled.imag) > 1e-8:
         raise ToleranceError(

@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, JSON/CSV shape, determinism."""
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -251,6 +254,17 @@ def test_csv_column_matches_cell():
     assert cli._csv_column(floats)[:4] == ["-0.0", "0.0", "1e+16", "5e-324"]
     mixed = (3, "none", 0.5)
     assert cli._csv_column(mixed) == ["3", "none", "0.5"]
+
+
+def test_cli_import_skips_scipy_interpolate():
+    # start-up cost: the kernels need scipy.special only
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, zetaprog.cli; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_version_flag(capsys):

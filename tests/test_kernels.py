@@ -1,13 +1,14 @@
-"""Contour-quadrature kernels W and H.
+"""Kernels W (closed form) and H (contour quadrature).
 
 The closed form W(x) = erfc(ln(x)/2)/2 is derivable by completing the square
 in the defining contour integral (shift the line to sigma = -ln(x)/2 and the
-Gaussian integral collapses); scipy's erfc is an independent oracle for the
-whole contour machinery.  H is tied to W through its defining series
-H(x) = sum over r of W(r^2/x)/r.
+Gaussian integral collapses); the package returns it directly, so the
+defining integral evaluated by mpmath.quad is its independent oracle.  H is
+tied to W through its defining series H(x) = sum over r of W(r^2/x)/r.
 """
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import erfc
@@ -56,26 +57,33 @@ def test_w_decay_is_gaussian_in_log_x():
     assert abs(eval_W(100.0) - 5.642785435506449e-4) < 1e-9
 
 
-def test_w_contour_shift_independence():
-    # the defining integral is contour-independent within the analyticity
-    # strip; sigma is only a numerical choice.
-    for x in (0.01, 0.5, 1.0, 7.0, 300.0):
-        ref = eval_W(x)
-        for sigma in (0.25, 0.5, 0.9):
-            cfg = ContourConfig(sigma=sigma)
-            assert abs(eval_W(x, cfg) - ref) < 1e-8
+@pytest.mark.parametrize("x", [1e-3, 0.05, 1.0, 30.0, 900.0])
+def test_w_against_defining_integral(x):
+    # (1/2*pi) * integral over the line w = 1/2 + iy of x^(-w) exp(w^2)/w dy;
+    # the integrand at -y is the conjugate of that at y, so the real part
+    # over y >= 0, doubled, is the whole integral.
+    with mpmath.workdps(30):
+        log_x = mpmath.log(x)
 
+        def integrand(y):
+            w = mpmath.mpc(0.5, y)
+            return (mpmath.exp(w * w - w * log_x) / w).real
 
-def test_w_self_convergence_under_refinement():
-    cfg2 = ContourConfig(height_cut=2 * DEFAULT_CONTOUR.height_cut,
-                         nodes_per_unit=2 * DEFAULT_CONTOUR.nodes_per_unit)
-    for x in (1.0, 0.1, 25.0):
-        assert abs(eval_W(x, cfg2) - eval_W(x)) < 1e-8
+        ref = mpmath.quad(integrand, [0, mpmath.inf]) / mpmath.pi
+    assert abs(eval_W(x) - float(ref)) < 1e-15
 
 
 def test_g_is_exp_w_squared():
     for w in (0.0, 0.3 + 0.1j, -1.2 + 2.5j):
         assert abs(eval_G(w) - np.exp(w * w)) < 1e-15 * max(1.0, abs(np.exp(w * w)))
+
+
+@pytest.mark.parametrize("fn", [eval_W, eval_H, w_many, h_many])
+@pytest.mark.parametrize("x", [math.nan, 0.0, -1.0])
+def test_kernels_reject_non_positive_and_nan(fn, x):
+    arg = x if fn in (eval_W, eval_H) else np.array([1.0, x])
+    with pytest.raises(ValueError):
+        fn(arg)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -122,6 +130,23 @@ def test_h_asymptotic_error_profile():
     assert gap(1000.0) < 1e-8
 
 
+def test_h_contour_shift_independence():
+    # the defining integral is contour-independent within the analyticity
+    # strip; sigma is only a numerical choice.
+    for x in (0.01, 0.5, 1.0, 7.0, 300.0):
+        ref = eval_H(x)
+        for sigma in (0.25, 0.5, 0.9):
+            cfg = ContourConfig(sigma=sigma)
+            assert abs(eval_H(x, cfg) - ref) < 1e-8
+
+
+def test_h_self_convergence_under_refinement():
+    cfg2 = ContourConfig(height_cut=2 * DEFAULT_CONTOUR.height_cut,
+                         nodes_per_unit=2 * DEFAULT_CONTOUR.nodes_per_unit)
+    for x in (1.0, 0.1, 25.0):
+        assert abs(eval_H(x, cfg2) - eval_H(x)) < 1e-8
+
+
 def test_h_positive_and_increasing():
     xs = np.exp(np.linspace(-2.0, 8.0, 40))
     vals = [eval_H(float(x)) for x in xs]
@@ -130,7 +155,7 @@ def test_h_positive_and_increasing():
 
 
 # ---------------------------------------------------------------------------
-# vectorized evaluators (spline-accelerated) against the scalar ones
+# vectorized evaluators (H by its Chebyshev table) against the scalar ones
 # ---------------------------------------------------------------------------
 
 def test_w_many_matches_scalar(rng):
@@ -148,7 +173,9 @@ def test_h_many_matches_scalar(rng):
 
 
 def test_many_cover_out_of_range_branches():
-    xs = np.array([1e-6, 3e-5, 2e4, 1e6])
+    # the Chebyshev table spans exp(-20) < x < 1e4; probe both of its edges
+    xs = np.array([1e-6, 3e-5, 2e4, 1e6,
+                   math.exp(-20.0) * (1.0 + 1e-9), 1e4 * (1.0 - 1e-9)])
     w = w_many(xs)
     h = h_many(xs)
     for x, wv, hv in zip(xs, w, h):
