@@ -30,9 +30,8 @@ from .resonance import (EulerPrediction, ExploratoryWarning, ExtremeReport, Resi
                         extreme_search, asymptotic_prime_window, ratio_R,
                         resonator_coeffs)
 from .window import SmoothWindow, eval_phi, phi_hat
-from .zeta import (DEFAULT_ENGINE, RS_MIN_T, ZetaEngineConfig, afe_square,
-                   main_sum, main_sum_grid, progression_sum, zeta_abs2_grid,
-                   zeta_critical, zeta_critical_grid, zeta_em)
+from .zeta import (RS_MIN_T, afe_square, main_sum, main_sum_grid, progression_sum,
+                   zeta_abs2_grid, zeta_critical, zeta_critical_grid, zeta_em)
 
 __all__ = [
     "__version__",
@@ -42,7 +41,7 @@ __all__ = [
     "ContourConfig", "DEFAULT_CONTOUR", "eval_G", "eval_W", "eval_H",
     "w_many", "h_many",
     # zeta engines
-    "ZetaEngineConfig", "DEFAULT_ENGINE", "RS_MIN_T", "zeta_em", "zeta_critical",
+    "RS_MIN_T", "zeta_em", "zeta_critical",
     "zeta_critical_grid", "zeta_abs2_grid", "afe_square", "main_sum", "main_sum_grid",
     "progression_sum",
     # progressions and diophantine machinery

@@ -35,11 +35,9 @@ SCHEMA_VERSION = 1
 
 def _versions():
     import mpmath
-    import scipy
     return {
         "zetaprog": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "mpmath": mpmath.__version__,
         "python": "%d.%d.%d" % sys.version_info[:3],
     }

@@ -422,18 +422,24 @@ def _required_ell_max(spec: ProgressionSpec, T: float) -> int:
     return math.ceil(spec.alpha / _TWO_PI * math.log(T ** 2))
 
 
+def _ell_max(spec: ProgressionSpec, T: float, poly: DirichletPoly,
+             ell_max: Optional[int]) -> int:
+    """ell_max, or its default when None; ValueError if it misses a contributing ell."""
+    if ell_max is None:
+        return _default_ell_max(spec, T, poly)
+    if ell_max < _required_ell_max(spec, T):
+        raise ValueError(
+            f"ell_max={ell_max} cannot cover all contributing ell "
+            f"(need >= {_required_ell_max(spec, T)})")
+    return ell_max
+
+
 def predict_E(spec: ProgressionSpec, window: SmoothWindow, T: float,
               poly: DirichletPoly, ell_max: Optional[int] = None,
               eps: float = DEFAULT_EPS) -> float:
     """Predicted discrete-minus-continuous correction: 4 * Re sum H(ell)."""
-    if ell_max is None:
-        ell_max = _default_ell_max(spec, T, poly)
-    elif ell_max < _required_ell_max(spec, T):
-        raise ValueError(
-            f"ell_max={ell_max} cannot cover all contributing ell "
-            f"(need >= {_required_ell_max(spec, T)})")
     total = 0j
-    for ell in range(1, ell_max + 1):
+    for ell in range(1, _ell_max(spec, T, poly, ell_max) + 1):
         total += H_ell(ell, spec, window, T, poly, eps)
     return 4.0 * total.real
 
@@ -449,14 +455,8 @@ def predict_E_prime(spec: ProgressionSpec, window: SmoothWindow, T: float,
     behind the prediction produces both T factors together, even though the
     compact display of the correction leaves the scaling implicit.
     """
-    if ell_max is None:
-        ell_max = _default_ell_max(spec, T, poly)
-    elif ell_max < _required_ell_max(spec, T):
-        raise ValueError(
-            f"ell_max={ell_max} cannot cover all contributing ell "
-            f"(need >= {_required_ell_max(spec, T)})")
     total = 0.0
-    for ell in range(1, ell_max + 1):
+    for ell in range(1, _ell_max(spec, T, poly, ell_max) + 1):
         tup = find_tuple(spec, ell, T, eps)
         if tup is None:
             continue

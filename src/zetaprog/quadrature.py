@@ -2,13 +2,12 @@
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 
 @lru_cache(maxsize=64)
 def _base_rule(deg: int):
-    x, w = roots_legendre(deg)
-    return x, w
+    return leggauss(deg)
 
 
 def gl_panels(a: float, b: float, panels: int, deg: int = 20):

@@ -6,7 +6,8 @@ The reference engine is Euler-Maclaurin with an adaptive cutoff,
               + sum_k B_2k/(2k)! * s(s+1)...(s+2k-2) * N^(-s-2k+1),
 
 valid for every complex s != 1, which is what lets the same engine serve the
-H-transform contour (s = 1+2w) and the critical line.  Scalar evaluations
+H-transform contour (s = 1+2w) and the critical line.  The Bernoulli numbers
+B_2k are exact rationals (mpmath) rounded once to float.  Scalar evaluations
 reduce the phases t*log n in 80-bit extended precision before taking cos/sin:
 at t = 1e5 the raw float64 product already carries ~1e-10 of phase error,
 which is exactly the target accuracy.
@@ -15,8 +16,10 @@ Grid scans (moment sums, resonance searches) go through a Riemann-Siegel
 accelerator behind the same contract: the main sum is grouped by
 m = floor(sqrt(t/2pi)) so each group is one cosine matrix, and the remainder
 terms C_0..C_4 are Chebyshev fits of the usual Psi-derivative combinations,
-built once per process from an FFT-Cauchy Taylor expansion of Psi.  EM/RS
-agreement to 1e-6 wherever both run is part of the contract and the suite.
+built once per process from an FFT-Cauchy Taylor expansion of Psi.  The
+phase theta(t) is its Stirling series through t^-5, whose next term is below
+2e-21 on the accelerator's range t >= 300.  EM/RS agreement to 1e-6
+wherever both run is part of the contract and the suite.
 
 Dirichlet sums sum_k c_k n_k^(-1/2-it) on an arithmetic progression of
 heights t = t0 + h*j go through progression_sum, a baby-step giant-step
@@ -31,22 +34,23 @@ reference); every such path works in blocks of at most _BLOCK_ELEMS points
 x terms, so memory stays bounded whatever the sizes.
 """
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
+import mpmath
 import numpy as np
-from scipy.special import bernoulli, loggamma
 
 from .errors import AccuracyError, CapError, PoleError, ToleranceError
 from .kernels import w_many
 
-__all__ = ["ZetaEngineConfig", "zeta_em", "zeta_critical", "zeta_critical_grid",
+__all__ = ["zeta_em", "zeta_critical", "zeta_critical_grid",
            "afe_square", "main_sum", "main_sum_grid", "progression_sum",
            "zeta_abs2_grid"]
 
 _TWO_PI = 2.0 * np.pi
 _TWO_PI_LD = np.longdouble(2) * np.arccos(np.longdouble(-1))
-_BERN = bernoulli(32)  # B_0 .. B_32; even indices are what the tail uses
+# B_0 .. B_32, each the float nearest the exact rational; even indices are
+# what the tail uses.
+_BERN = [float(mpmath.bernoulli(n)) for n in range(33)]
 
 # Above this height the grid path switches from Euler-Maclaurin matrices to
 # the Riemann-Siegel accelerator (agreement is ~1.5e-9 at the seam).
@@ -59,38 +63,28 @@ RS_FORCED_MIN_T = 300.0
 
 _EM_HARD_CAP = 4_000_000
 
+# Euler-Maclaurin: at least _EM_MIN_TERMS terms in the head sum, and the
+# Bernoulli correction through B_(2*_EM_ORDER) = B_24.
+_EM_MIN_TERMS = 50
+_EM_ORDER = 12
 
-@dataclass(frozen=True)
-class ZetaEngineConfig:
-    em_terms: int = 50
-    em_bernoulli_order: int = 12
-    afe_epsilon: float = 0.2
-
-    def __post_init__(self):
-        if self.em_terms < 10:
-            raise ValueError("em_terms must be >= 10")
-        if not (2 <= self.em_bernoulli_order <= 15):
-            raise ValueError("em_bernoulli_order must lie in [2, 15]")
-        if not (0.0 < self.afe_epsilon <= 0.5):
-            raise ValueError("afe_epsilon must lie in (0, 0.5]")
+# afe_square's default cutoff is t^(1 + _AFE_EPSILON).
+_AFE_EPSILON = 0.2
 
 
-DEFAULT_ENGINE = ZetaEngineConfig()
-
-
-def _em_tail(s, N, korder: int, head=0.0):
+def _em_tail(s, N, head=0.0):
     """head + N^-s/2 + N^(1-s)/(s-1) + the Bernoulli correction sum, for scalar
     or array s, added to head term by term (the rounding of in-place sums)."""
     Ns = np.exp(-s * np.log(N))
     tot = head + (0.5 * Ns + Ns * N / (s - 1.0))
     fac = s * Ns / N
-    for k in range(1, korder + 1):
+    for k in range(1, _EM_ORDER + 1):
         tot = tot + _BERN[2 * k] / math.factorial(2 * k) * fac
         fac = fac * (s + (2 * k - 1)) * (s + 2 * k) / (N * N)
     return tot
 
 
-def zeta_em(s, cfg: ZetaEngineConfig = DEFAULT_ENGINE) -> complex:
+def zeta_em(s) -> complex:
     """Euler-Maclaurin zeta(s), absolute error <= 1e-10 for |Im s| <= 1e5.
 
     Raises PoleError at s = 1 and AccuracyError if the adaptive cutoff
@@ -101,8 +95,8 @@ def zeta_em(s, cfg: ZetaEngineConfig = DEFAULT_ENGINE) -> complex:
     if s == 1.0:
         raise PoleError("zeta has a pole at s = 1")
     if s.imag < 0.0:
-        return np.conj(zeta_em(np.conj(s), cfg))
-    N = max(cfg.em_terms, 50, int(2.0 * abs(s.imag)) + 1)
+        return np.conj(zeta_em(np.conj(s)))
+    N = max(_EM_MIN_TERMS, int(2.0 * abs(s.imag)) + 1)
     if N > _EM_HARD_CAP:
         raise AccuracyError(f"Euler-Maclaurin cutoff {N} exceeds hard cap {_EM_HARD_CAP}")
     n = np.arange(1, N, dtype=np.int64)
@@ -111,20 +105,27 @@ def zeta_em(s, cfg: ZetaEngineConfig = DEFAULT_ENGINE) -> complex:
     mag = n.astype(np.float64) ** (-s.real)
     re = math.fsum(mag * np.cos(ph).astype(np.float64))
     im = -math.fsum(mag * np.sin(ph).astype(np.float64))
-    return _em_tail(s, float(N), cfg.em_bernoulli_order, complex(re, im))
+    return _em_tail(s, float(N), complex(re, im))
 
 
-def zeta_critical(t: float, cfg: ZetaEngineConfig = DEFAULT_ENGINE) -> complex:
+def zeta_critical(t: float) -> complex:
     """zeta(1/2 + it) through the reference engine."""
-    return zeta_em(0.5 + 1j * float(t), cfg)
+    return zeta_em(0.5 + 1j * float(t))
 
 
 # -- Riemann-Siegel accelerator ----------------------------------------------
 
 
 def _theta(t):
+    """Riemann-Siegel theta by its Stirling series,
+
+        t/2 ln(t/2pi) - t/2 - pi/8 + 1/(48 t) + 7/(5760 t^3) + 31/(80640 t^5);
+
+    from t = RS_FORCED_MIN_T up the next term is below 2e-21."""
     t = np.asarray(t, dtype=float)
-    return np.imag(loggamma(0.25 + 0.5j * t)) - 0.5 * t * np.log(np.pi)
+    r = 1.0 / (t * t)
+    return (0.5 * t * (np.log(t / _TWO_PI) - 1.0) - np.pi / 8.0
+            + (1.0 / 48.0 + r * (7.0 / 5760.0 + r * (31.0 / 80640.0))) / t)
 
 
 def _psi_on_circle(p, radius, M):
@@ -192,21 +193,19 @@ def _rs_grid(ts: np.ndarray) -> np.ndarray:
 _EM_GRID_CHUNK = 512
 
 
-def _em_grid(ts: np.ndarray, cfg: ZetaEngineConfig) -> np.ndarray:
+def _em_grid(ts: np.ndarray) -> np.ndarray:
     """Vectorized Euler-Maclaurin on the critical line (moderate heights)."""
     out = np.empty(len(ts), dtype=complex)
     for lo in range(0, len(ts), _EM_GRID_CHUNK):
         chunk = ts[lo:lo + _EM_GRID_CHUNK]
-        N = max(cfg.em_terms, 50, int(2.0 * np.max(np.abs(chunk))) + 1)
+        N = max(_EM_MIN_TERMS, int(2.0 * np.max(np.abs(chunk))) + 1)
         n = np.arange(1, N, dtype=float)
         terms = n[None, :] ** (-0.5) * np.exp(-1j * np.outer(chunk, np.log(n)))
-        out[lo:lo + _EM_GRID_CHUNK] = _em_tail(0.5 + 1j * chunk, N, cfg.em_bernoulli_order,
-                                               np.sum(terms, axis=1))
+        out[lo:lo + _EM_GRID_CHUNK] = _em_tail(0.5 + 1j * chunk, N, np.sum(terms, axis=1))
     return out
 
 
-def zeta_critical_grid(ts, cfg: ZetaEngineConfig = DEFAULT_ENGINE,
-                       engine: str = "auto") -> np.ndarray:
+def zeta_critical_grid(ts, engine: str = "auto") -> np.ndarray:
     """zeta(1/2+it) over an array of t, vectorized (negative t by conjugation).
 
     engine "auto" uses Riemann-Siegel for t >= RS_MIN_T and Euler-Maclaurin
@@ -216,7 +215,7 @@ def zeta_critical_grid(ts, cfg: ZetaEngineConfig = DEFAULT_ENGINE,
     ts = np.asarray(ts, dtype=float)
     neg = ts < 0.0
     if np.any(neg):
-        out = zeta_critical_grid(np.abs(ts), cfg, engine)
+        out = zeta_critical_grid(np.abs(ts), engine)
         out[neg] = np.conj(out[neg])
         return out
     out = np.empty(len(ts), dtype=complex)
@@ -233,22 +232,20 @@ def zeta_critical_grid(ts, cfg: ZetaEngineConfig = DEFAULT_ENGINE,
     if np.any(rs_mask):
         out[rs_mask] = _rs_grid(ts[rs_mask])
     if np.any(~rs_mask):
-        out[~rs_mask] = _em_grid(ts[~rs_mask], cfg)
+        out[~rs_mask] = _em_grid(ts[~rs_mask])
     return out
 
 
-def zeta_abs2_grid(ts, cfg: ZetaEngineConfig = DEFAULT_ENGINE,
-                   engine: str = "auto") -> np.ndarray:
+def zeta_abs2_grid(ts, engine: str = "auto") -> np.ndarray:
     """|zeta(1/2+it)|^2 over an array of t."""
-    z = zeta_critical_grid(ts, cfg, engine)
+    z = zeta_critical_grid(ts, engine)
     return (z * np.conj(z)).real
 
 
 # -- approximate functional equation ------------------------------------------
 
 
-def afe_square(t: float, cap: float | None = None,
-               cfg: ZetaEngineConfig = DEFAULT_ENGINE) -> float:
+def afe_square(t: float, cap: float | None = None) -> float:
     """Smoothed square |zeta(1/2+it)|^2 from the approximate functional equation:
 
         2 * sum_{N < cap} (W(2*pi*N/t)/sqrt(N)) * Re[N^-it * sum_{d|N} d^2it].
@@ -259,11 +256,11 @@ def afe_square(t: float, cap: float | None = None,
     t = float(t)
     if t < 10.0:
         raise ValueError("afe_square needs t >= 10")
-    need = t ** (1.0 + cfg.afe_epsilon)
+    need = t ** (1.0 + _AFE_EPSILON)
     if cap is None:
         cap = need
     if cap < need:
-        raise CapError(f"cap {cap:g} below t^(1+afe_epsilon) = {need:g}")
+        raise CapError(f"cap {cap:g} below t^{1.0 + _AFE_EPSILON:g} = {need:g}")
     X = int(np.floor(cap))
     d = np.arange(1, X + 1, dtype=float)
     z = np.exp(2j * t * np.log(d))
@@ -301,14 +298,14 @@ def _main_sum_via_zeta(ts, M: int) -> bool:
     return M >= 50 and M >= np.max(np.abs(ts)) / 3.0
 
 
-def _main_sum_from_zeta(ts, zs, M: int, cfg: ZetaEngineConfig = DEFAULT_ENGINE):
+def _main_sum_from_zeta(ts, zs, M: int):
     """sum_{n <= M} n^(-1/2-it) = zeta + M^-s/2 - M^(1-s)/(s-1) - C(M), from
     the values zs = zeta(1/2 + it) at ts (valid where _main_sum_via_zeta)."""
     s = 0.5 + 1j * np.asarray(ts, dtype=float)
-    return zs - _em_tail(s, M, cfg.em_bernoulli_order) + np.exp(-s * np.log(M))
+    return zs - _em_tail(s, M) + np.exp(-s * np.log(M))
 
 
-def main_sum_grid(ts, cutoff: int, cfg: ZetaEngineConfig = DEFAULT_ENGINE) -> np.ndarray:
+def main_sum_grid(ts, cutoff: int) -> np.ndarray:
     """Vectorized main_sum over a t-grid.
 
     When the cutoff is deep enough inside the Euler-Maclaurin zone
@@ -326,7 +323,7 @@ def main_sum_grid(ts, cutoff: int, cfg: ZetaEngineConfig = DEFAULT_ENGINE) -> np
     if M < 1:
         raise ValueError("cutoff must be >= 1")
     if _main_sum_via_zeta(ts, M):
-        return _main_sum_from_zeta(ts, zeta_critical_grid(ts, cfg), M, cfg)
+        return _main_sum_from_zeta(ts, zeta_critical_grid(ts), M)
     return _dirichlet_grid(np.arange(1, M + 1), np.ones(M), ts)
 
 

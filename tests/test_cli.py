@@ -256,15 +256,26 @@ def test_csv_column_matches_cell():
     assert cli._csv_column(mixed) == ["3", "none", "0.5"]
 
 
-def test_cli_import_skips_scipy_interpolate():
-    # start-up cost: the kernels need scipy.special only
+def test_cli_runs_without_scipy(tmp_path):
+    # The package needs numpy and mpmath only: with scipy unimportable the
+    # CLI still imports, passes its selftest and runs the main experiments.
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    probe = "import sys, zetaprog.cli; print('scipy.interpolate' in sys.modules)"
+    experiments = [["moment", "--alpha", "1", "--T", "300"],
+                   ["firstmoment", "--alpha", "1", "--T", "300", "--theta", "0.3"],
+                   ["resonate", "--alpha", "1", "--T", "300", "--N", "100", "--mode", "max"]]
+    runs = [["selftest", "--json", str(tmp_path / "selftest.json")]] + [
+        argv + ["--json", str(tmp_path / f"{i}.json"), "--csv", str(tmp_path / f"{i}.csv")]
+        for i, argv in enumerate(experiments)]
+    probe = ("import sys, warnings\n"
+             "sys.modules['scipy'] = None\n"
+             "from zetaprog.cli import main\n"
+             "warnings.simplefilter('ignore')\n"
+             f"print([main(argv) for argv in {runs!r}])\n")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[0, 0, 0, 0]"
 
 
 def test_version_flag(capsys):

@@ -6,6 +6,7 @@ ordinate) pin specific points.
 """
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -13,10 +14,10 @@ import pytest
 import scipy.optimize
 
 from zetaprog import (AccuracyError, CapError, DirichletPoly, PoleError, RS_MIN_T,
-                      ZetaEngineConfig, afe_square, eval_poly, eval_poly_grid,
-                      main_sum, main_sum_grid, mollifier_coeffs, progression_sum,
-                      resonator_coeffs, zeta_abs2_grid, zeta_critical,
-                      zeta_critical_grid, zeta_em)
+                      afe_square, eval_poly, eval_poly_grid, main_sum, main_sum_grid,
+                      mollifier_coeffs, progression_sum, resonator_coeffs,
+                      zeta_abs2_grid, zeta_critical, zeta_critical_grid, zeta_em)
+from zetaprog import zeta as zmod
 from zetaprog.zeta import RS_FORCED_MIN_T
 
 FIRST_ZERO = 14.134725141734693
@@ -61,13 +62,25 @@ def test_em_hard_cap():
         zeta_em(0.5 + 3e6j)
 
 
-def test_engine_config_validation():
-    with pytest.raises(ValueError):
-        ZetaEngineConfig(em_terms=5)
-    with pytest.raises(ValueError):
-        ZetaEngineConfig(em_bernoulli_order=1)
-    with pytest.raises(ValueError):
-        ZetaEngineConfig(afe_epsilon=0.0)
+def _exact_bernoulli(n_max: int) -> list:
+    # B_0 .. B_n_max as exact rationals, from sum_{k<=m} C(m+1, k) B_k = 0.
+    B = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        B.append(-sum(math.comb(m + 1, k) * B[k] for k in range(m)) / (m + 1))
+    return B
+
+
+def test_bernoulli_numbers_exact():
+    exact = _exact_bernoulli(32)
+    for k in range(1, 17):
+        assert zmod._BERN[2 * k] == float(exact[2 * k])
+
+
+@pytest.mark.parametrize("t", [300.0, 2000.0, 1e5, 1e6, 1e7])
+def test_theta_against_mpmath(t):
+    with mp.workdps(40):
+        want = float(mp.siegeltheta(t))
+    assert abs(float(zmod._theta(t)) - want) <= 1e-14 * abs(want)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +293,11 @@ def test_afe_rejects_tiny_t():
 
 
 def test_afe_epsilon_stability():
-    # the smoothed tail beyond t^(1+eps) moves the value only at the few-1e-3
-    # level at t=5000 (frozen from direct evaluation; the envelope below is
-    # deliberately loose because the cutoff change is not a no-op).
+    # the smoothed tail between the default cutoff t^1.2 and t^1.3 moves the
+    # value by under 1e-2 at t=5000 (frozen from direct evaluation; the
+    # envelope below is deliberately loose because the cutoff change is not a
+    # no-op).  A cap below t^1.2 is a CapError.
     t = 5000.0
-    a = afe_square(t, cfg=ZetaEngineConfig(afe_epsilon=0.1))
-    b = afe_square(t, cfg=ZetaEngineConfig(afe_epsilon=0.2))
+    a = afe_square(t)
+    b = afe_square(t, cap=t ** 1.3)
     assert abs(a - b) < 0.05
