@@ -31,7 +31,8 @@ from .resonance import (EulerPrediction, ExploratoryWarning, ExtremeReport, Resi
                         resonator_coeffs)
 from .window import SmoothWindow, eval_phi, phi_hat
 from .zeta import (RS_MIN_T, afe_square, main_sum, main_sum_grid, progression_sum,
-                   zeta_abs2_grid, zeta_critical, zeta_critical_grid, zeta_em)
+                   zeta_abs2_grid, zeta_critical, zeta_critical_grid, zeta_em,
+                   zeta_on_progression)
 
 __all__ = [
     "__version__",
@@ -43,7 +44,7 @@ __all__ = [
     # zeta engines
     "RS_MIN_T", "zeta_em", "zeta_critical",
     "zeta_critical_grid", "zeta_abs2_grid", "afe_square", "main_sum", "main_sum_grid",
-    "progression_sum",
+    "progression_sum", "zeta_on_progression",
     # progressions and diophantine machinery
     "ProgressionSpec", "RationalForm", "DiophantineTuple", "minimal_fraction",
     "detect_rational", "delta", "find_tuple", "rational_approximations",

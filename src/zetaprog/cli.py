@@ -334,6 +334,12 @@ def _selftest_checks(rng):
     direct = zmod._dirichlet_grid(ns, np.ones(400), t_first + h * np.arange(97))
     checks.append(("progression_sum_vs_direct", float(np.max(np.abs(bsgs - direct))) < 1e-10,
                    f"max diff {np.max(np.abs(bsgs - direct)):.2e}"))
+    # crosses RS_MIN_T and the m-group edge t = 2pi * 18^2
+    t_first, h = zmod.RS_MIN_T - 10.0 * math.pi, 0.37
+    prog = zmod.zeta_on_progression(t_first, h, 301)
+    grid = zmod.zeta_critical_grid(t_first + h * np.arange(301))
+    checks.append(("zeta_on_progression_vs_grid", float(np.max(np.abs(prog - grid))) < 1e-9,
+                   f"max diff {np.max(np.abs(prog - grid)):.2e}"))
 
     sp = dmod.ProgressionSpec.from_rational(1, 2, 1)
     dv = dmod.delta(sp)

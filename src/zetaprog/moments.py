@@ -191,24 +191,25 @@ class ProgressionSample:
         return complex(np.sum(w * vals))
 
 
-def _progression_dirichlet(spec: ProgressionSpec, ell: np.ndarray, ns, coeffs) -> np.ndarray:
-    """sum_k coeffs[k] ns[k]^(-1/2 - it) at t = alpha*ell + beta, through
-    zeta.progression_sum; ValueError unless the nodes ell are equally spaced."""
+def _progression_run(spec: ProgressionSpec, ell: np.ndarray):
+    """(first height, step, count) of t = alpha*ell + beta, the progression
+    arguments of zeta.progression_sum and zeta.zeta_on_progression;
+    ValueError unless the nodes ell are equally spaced."""
     step = ell[1] - ell[0] if len(ell) > 1 else 0.0
     if not np.all(np.diff(ell) == step):
         raise ValueError("progression nodes ell must be equally spaced")
     t0 = spec.alpha * ell[0] + spec.beta if len(ell) else spec.beta
-    return zmod.progression_sum(ns, coeffs, t0, spec.alpha * step, len(ell))
+    return t0, spec.alpha * step, len(ell)
 
 
 def sample_progression(spec: ProgressionSpec, window: SmoothWindow, T: float,
                        poly: DirichletPoly, ell: Optional[np.ndarray] = None
                        ) -> ProgressionSample:
     """Evaluate zeta and B once at every node ell (default: the integers in
-    [T, 2T]) of the progression 1/2 + i(alpha*ell + beta); B comes from
-    zeta.progression_sum.  Raises ValueError unless T is positive and finite
-    and the nodes are equally spaced, and CapError, before allocating, past
-    _SAMPLE_NODE_CAP nodes."""
+    [T, 2T]) of the progression 1/2 + i(alpha*ell + beta); zeta comes from
+    zeta.zeta_on_progression and B from zeta.progression_sum.  Raises
+    ValueError unless T is positive and finite and the nodes are equally
+    spaced, and CapError, before allocating, past _SAMPLE_NODE_CAP nodes."""
     _check_T(T)
     count = math.floor(2.0 * T) - math.ceil(T) + 1 if ell is None else len(ell)
     if count > _SAMPLE_NODE_CAP:
@@ -217,10 +218,12 @@ def sample_progression(spec: ProgressionSpec, window: SmoothWindow, T: float,
     if ell is None:
         ell = np.arange(math.ceil(T), math.floor(2.0 * T) + 1, dtype=np.int64)
     ell = np.asarray(ell)
-    B = _progression_dirichlet(spec, ell, *poly.nonzero())
+    run = _progression_run(spec, ell)
+    B = zmod.progression_sum(*poly.nonzero(), *run)
     t = spec.alpha * ell + spec.beta
     return ProgressionSample(spec=spec, window=window, T=T, poly=poly, ell=ell, t=t,
-                             phi=window.phi(ell / T), zeta=zmod.zeta_critical_grid(t), B=B)
+                             phi=window.phi(ell / T), zeta=zmod.zeta_on_progression(*run),
+                             B=B)
 
 
 # -- moments -------------------------------------------------------------------

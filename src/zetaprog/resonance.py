@@ -38,7 +38,7 @@ from . import zeta as zmod
 from .dioph import CF_PRECISION_BITS, DEFAULT_EPS, ProgressionSpec, _progression_x, \
     rational_approximations
 from .errors import CapError, DegenerateDenominatorError
-from .moments import DirichletPoly, ProgressionSample, _progression_dirichlet
+from .moments import DirichletPoly, ProgressionSample, _progression_run
 from .sieves import primes_in, smallest_prime_factor
 
 __all__ = ["Resonator", "EulerPrediction", "ExtremeReport", "ExploratoryWarning",
@@ -211,8 +211,8 @@ def _main_sum(sample: ProgressionSample, live: np.ndarray) -> np.ndarray:
     ts = sample.t[live]
     if zmod._main_sum_via_zeta(ts, M):
         return zmod._main_sum_from_zeta(ts, sample.zeta[live], M)
-    return _progression_dirichlet(sample.spec, sample.ell[live], np.arange(1, M + 1),
-                                  np.ones(M))
+    return zmod.progression_sum(np.arange(1, M + 1), np.ones(M),
+                                *_progression_run(sample.spec, sample.ell[live]))
 
 
 def _resonate(sample: ProgressionSample, resonator: Resonator, validity: str):

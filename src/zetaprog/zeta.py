@@ -12,11 +12,12 @@ reduce the phases t*log n in 80-bit extended precision before taking cos/sin:
 at t = 1e5 the raw float64 product already carries ~1e-10 of phase error,
 which is exactly the target accuracy.
 
-Grid scans (moment sums, resonance searches) go through a Riemann-Siegel
-accelerator behind the same contract: the main sum is grouped by
-m = floor(sqrt(t/2pi)) so each group is one cosine matrix, and the remainder
-terms C_0..C_4 are Chebyshev fits of the usual Psi-derivative combinations,
-built once per process from an FFT-Cauchy Taylor expansion of Psi.  The
+Arbitrary-t grids go through a Riemann-Siegel accelerator behind the same
+contract: the main sum is grouped by m = floor(sqrt(t/2pi)) so each group
+is a cosine matrix, and the remainder terms C_0..C_4 are Chebyshev fits of
+the usual Psi-derivative combinations, built once per process from an
+FFT-Cauchy Taylor expansion of Psi at degree 160, then each cut at the
+lowest degree whose dropped coefficients sum below 1e-13 (18 to 21).  The
 phase theta(t) is its Stirling series through t^-5, whose next term is below
 2e-21 on the accelerator's range t >= 300.  EM/RS agreement to 1e-6
 wherever both run is part of the contract and the suite.
@@ -27,11 +28,15 @@ factorisation (the Odlyzko-Schoenhage idea, with a matrix product in place
 of the FFT): writing j = K*q + r, K = ceil(sqrt(count)), the exponentials
 split into a giant matrix over q and a baby matrix over r, so about
 2*sqrt(count) exponentials per term and one complex matrix product replace
-count exponentials per term.  The progression sampler takes B from it and
-the resonator its main sum A.  main_sum_grid and the polynomial evaluator
-keep the direct exponentials for arbitrary t (and serve as the kernel's
-reference); every such path works in blocks of at most _BLOCK_ELEMS points
-x terms, so memory stays bounded whatever the sizes.
+count exponentials per term.  The progression sampler takes B from it, the
+resonator its main sum A, and zeta_on_progression every main sum of zeta
+on a progression: the Euler-Maclaurin head at one cutoff per run, and the
+Riemann-Siegel main sum once per m-group, which on a progression is a
+contiguous run of nodes.  The m-group cosine matrices and the EM exponential
+matrices serve arbitrary t only (zeta_critical_grid, also the oracle of
+zeta_on_progression), as do main_sum_grid and the polynomial evaluator
+(the kernel's reference); every such path works in blocks of at most
+_BLOCK_ELEMS points x terms, so memory stays bounded whatever the sizes.
 """
 import math
 from functools import lru_cache
@@ -44,7 +49,7 @@ from .kernels import w_many
 
 __all__ = ["zeta_em", "zeta_critical", "zeta_critical_grid",
            "afe_square", "main_sum", "main_sum_grid", "progression_sum",
-           "zeta_abs2_grid"]
+           "zeta_on_progression", "zeta_abs2_grid"]
 
 _TWO_PI = 2.0 * np.pi
 _TWO_PI_LD = np.longdouble(2) * np.arccos(np.longdouble(-1))
@@ -52,8 +57,9 @@ _TWO_PI_LD = np.longdouble(2) * np.arccos(np.longdouble(-1))
 # what the tail uses.
 _BERN = [float(mpmath.bernoulli(n)) for n in range(33)]
 
-# Above this height the grid path switches from Euler-Maclaurin matrices to
-# the Riemann-Siegel accelerator (agreement is ~1.5e-9 at the seam).
+# Above this height the grid and progression paths switch from
+# Euler-Maclaurin to the Riemann-Siegel accelerator (agreement is ~1.5e-9 at
+# the seam).
 RS_MIN_T = 2000.0
 
 # Lowest height engine="rs" accepts.  Against mpmath the accelerator's
@@ -96,7 +102,7 @@ def zeta_em(s) -> complex:
         raise PoleError("zeta has a pole at s = 1")
     if s.imag < 0.0:
         return np.conj(zeta_em(np.conj(s)))
-    N = max(_EM_MIN_TERMS, int(2.0 * abs(s.imag)) + 1)
+    N = _em_cutoff(s.imag)
     if N > _EM_HARD_CAP:
         raise AccuracyError(f"Euler-Maclaurin cutoff {N} exceeds hard cap {_EM_HARD_CAP}")
     n = np.arange(1, N, dtype=np.int64)
@@ -133,9 +139,15 @@ def _psi_on_circle(p, radius, M):
     return np.cos(2.0 * np.pi * (z * z - z - 1.0 / 16.0)) / np.cos(2.0 * np.pi * z)
 
 
+# Most the coefficients a truncated remainder fit drops may sum to in absolute
+# value; |T_k| <= 1 on [-1, 1], so it bounds the change of each C_j pointwise.
+_RS_TAIL = 1e-13
+
+
 @lru_cache(maxsize=1)
-def _rs_cheb():
-    """Chebyshev fits (on p in [0,1]) of the remainder coefficients C_0..C_4.
+def _rs_fit():
+    """Degree-160 Chebyshev fits (on p in [0,1]) of the remainder coefficients
+    C_0..C_4.
 
     The Psi derivatives come from Cauchy-integral Taylor coefficients on a
     radius-0.3 circle (FFT), assembled into the classical combinations; the
@@ -164,12 +176,36 @@ def _rs_cheb():
     return [np.polynomial.chebyshev.chebfit(xs, C[:, j], deg) for j in range(5)]
 
 
+@lru_cache(maxsize=1)
+def _rs_cheb():
+    """_rs_fit's series, each cut at the lowest degree whose dropped
+    coefficients sum below _RS_TAIL in absolute value (18 to 21 of 160)."""
+    out = []
+    for c in _rs_fit():
+        dropped = np.append(np.cumsum(np.abs(c[::-1]))[::-1][1:], 0.0)
+        out.append(c[:int(np.argmax(dropped < _RS_TAIL)) + 1])
+    return out
+
+
+def _rs_zeta(ts, tau, m, th, Z):
+    """zeta(1/2+it) from the Riemann-Siegel main sum Z (tau = sqrt(t/2pi), m =
+    floor(tau), th = theta(t)): the remainder (-1)^(m-1) tau^(-1/2) sum_j
+    C_j(tau - m) tau^-j is added and the sum rotated by exp(-i theta)."""
+    x = 2.0 * (tau - m) - 1.0
+    corr = np.zeros_like(ts)
+    for j, c in enumerate(_rs_cheb()):
+        corr += np.polynomial.chebyshev.chebval(x, c) * tau ** (-j)
+    Z = Z + np.where((m - 1) % 2 == 0, 1.0, -1.0) * tau ** (-0.5) * corr
+    return np.exp(-1j * th) * Z
+
+
 def _rs_grid(ts: np.ndarray) -> np.ndarray:
-    """zeta(1/2+it) via Riemann-Siegel, within 1e-6 for t >= RS_FORCED_MIN_T."""
+    """zeta(1/2+it) via Riemann-Siegel, within 1e-6 for t >= RS_FORCED_MIN_T:
+    the main sum of each group of equal m is a cosine matrix of at most
+    _BLOCK_ELEMS points x terms at a time."""
     ts = np.asarray(ts, dtype=float)
     tau = np.sqrt(ts / _TWO_PI)
     m = np.floor(tau).astype(np.int64)
-    p = tau - m
     th = _theta(ts)
     Z = np.zeros_like(ts)
     order = np.argsort(m, kind="stable")
@@ -177,31 +213,32 @@ def _rs_grid(ts: np.ndarray) -> np.ndarray:
     uniq, starts = np.unique(ms, return_index=True)
     bounds = np.append(starts, len(ms))
     for i, mv in enumerate(uniq):
-        sel = order[bounds[i]:bounds[i + 1]]
         n = np.arange(1, mv + 1, dtype=float)
-        ph = th[sel, None] - ts[sel, None] * np.log(n)[None, :]
-        Z[sel] = 2.0 * np.sum(np.cos(ph) / np.sqrt(n)[None, :], axis=1)
-    cheb = _rs_cheb()
-    x = 2.0 * p - 1.0
-    corr = np.zeros_like(ts)
-    for j in range(5):
-        corr += np.polynomial.chebyshev.chebval(x, cheb[j]) * tau ** (-j)
-    Z += np.where((m - 1) % 2 == 0, 1.0, -1.0) * tau ** (-0.5) * corr
-    return np.exp(-1j * th) * Z
+        lnn, mags = np.log(n), 2.0 / np.sqrt(n)
+        rows = max(1, _BLOCK_ELEMS // int(mv))
+        for lo in range(bounds[i], bounds[i + 1], rows):
+            sel = order[lo:min(lo + rows, bounds[i + 1])]
+            Z[sel] = np.cos(th[sel, None] - ts[sel, None] * lnn[None, :]) @ mags
+    return _rs_zeta(ts, tau, m, th, Z)
 
 
-_EM_GRID_CHUNK = 512
+def _em_cutoff(ts) -> int:
+    """The Euler-Maclaurin cutoff N = max(_EM_MIN_TERMS, floor(2 max|t|) + 1)."""
+    return max(_EM_MIN_TERMS, int(2.0 * np.max(np.abs(ts))) + 1)
 
 
 def _em_grid(ts: np.ndarray) -> np.ndarray:
-    """Vectorized Euler-Maclaurin on the critical line (moderate heights)."""
+    """Vectorized Euler-Maclaurin on the critical line (moderate heights), in
+    chunks of at most _BLOCK_ELEMS points x terms, each chunk at its own
+    cutoff."""
+    ts = np.asarray(ts, dtype=float)
     out = np.empty(len(ts), dtype=complex)
-    for lo in range(0, len(ts), _EM_GRID_CHUNK):
-        chunk = ts[lo:lo + _EM_GRID_CHUNK]
-        N = max(_EM_MIN_TERMS, int(2.0 * np.max(np.abs(chunk))) + 1)
-        n = np.arange(1, N, dtype=float)
-        terms = n[None, :] ** (-0.5) * np.exp(-1j * np.outer(chunk, np.log(n)))
-        out[lo:lo + _EM_GRID_CHUNK] = _em_tail(0.5 + 1j * chunk, N, np.sum(terms, axis=1))
+    rows = max(1, _BLOCK_ELEMS // _em_cutoff(ts))
+    for lo in range(0, len(ts), rows):
+        chunk = ts[lo:lo + rows]
+        N = _em_cutoff(chunk)
+        head = _dirichlet_grid(np.arange(1, N), np.ones(N - 1), chunk)
+        out[lo:lo + rows] = _em_tail(0.5 + 1j * chunk, N, head)
     return out
 
 
@@ -396,3 +433,56 @@ def progression_sum(ns, coeffs, t0: float, h: float, count: int) -> np.ndarray:
         E = np.exp(-1j * (r * baby[sl]))
         out += G @ E.T
     return out.ravel()[:count]
+
+
+def _em_run(ts, h: float) -> np.ndarray:
+    """Euler-Maclaurin zeta on the run ts = ts[0] + h*j, at one cutoff for the
+    whole run: the head sum through progression_sum, then _em_tail."""
+    N = _em_cutoff(ts)
+    head = progression_sum(np.arange(1, N), np.ones(N - 1), ts[0], h, len(ts))
+    return _em_tail(0.5 + 1j * ts, N, head)
+
+
+def _rs_run(ts, h: float) -> np.ndarray:
+    """Riemann-Siegel zeta on the run ts = ts[0] + h*j (t >= RS_MIN_T): m =
+    floor(sqrt(t/2pi)) is monotone along the run, so each m-group is a
+    contiguous sub-run, and its main sum is 2 Re(exp(i theta) S) with S =
+    progression_sum over n = 1..m."""
+    tau = np.sqrt(ts / _TWO_PI)
+    m = np.floor(tau).astype(np.int64)
+    th = _theta(ts)
+    Z = np.empty(len(ts))
+    edges = np.r_[0, np.flatnonzero(np.diff(m)) + 1, len(ts)]
+    for a, b in zip(edges[:-1], edges[1:]):
+        S = progression_sum(np.arange(1, m[a] + 1), np.ones(m[a]), ts[a], h, b - a)
+        Z[a:b] = 2.0 * (np.exp(1j * th[a:b]) * S).real
+    return _rs_zeta(ts, tau, m, th, Z)
+
+
+def zeta_on_progression(t0: float, h: float, count: int) -> np.ndarray:
+    """zeta(1/2 + i(t0 + h*j)) for j = 0 .. count-1, every Dirichlet sum
+    through progression_sum.
+
+    The run splits where zeta_critical_grid switches engine, into at most
+    three contiguous sub-runs: Euler-Maclaurin where |t| < RS_MIN_T,
+    Riemann-Siegel where t >= RS_MIN_T, and where t <= -RS_MIN_T the
+    conjugate of Riemann-Siegel on the mirrored run.  Raises ValueError for a
+    negative count or a non-finite height.
+    """
+    count = int(count)
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    t0, h = float(t0), float(h)
+    if not all(map(math.isfinite, (t0, h, t0 + h * max(count - 1, 0)))):
+        raise ValueError("progression heights must be finite")
+    ts = t0 + h * np.arange(count)
+    out = np.empty(count, dtype=complex)
+    pos, neg = ts >= RS_MIN_T, ts <= -RS_MIN_T
+    for mask, sign, run in ((~(pos | neg), 1.0, _em_run), (pos, 1.0, _rs_run),
+                            (neg, -1.0, _rs_run)):
+        j = np.flatnonzero(mask)
+        if len(j):
+            sub = slice(j[0], j[-1] + 1)
+            z = run(sign * ts[sub], sign * h)
+            out[sub] = z if sign > 0.0 else np.conj(z)
+    return out

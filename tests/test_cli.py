@@ -177,17 +177,17 @@ def test_node_budget_exit_code(subcommand, tmp_path, capsys):
 ], ids=["moment", "firstmoment", "nonvanish", "resonate", "resonate-direct"])
 def test_cli_samples_progression_once(argv, A_by_kernel, tmp_path, monkeypatch):
     # Every evaluation of zeta and of a Dirichlet sum (B, and the resonator's
-    # main sum A) on the progression, tagged by the caller it serves.  The
-    # continuous moment samples its own dyadic grid, which holds the
-    # integers too, and extreme_search computes A; both are tracked apart
-    # from the run's sample.
-    scopes = ("run", "continuous", "resonator")
-    seen = {name: {tag: [] for tag in scopes} for name in ("zeta", "kernel")}
+    # main sum A) on the progression, in call order, tagged by the caller it
+    # serves.  The continuous moment samples its own dyadic grid, which holds
+    # the integers too, and extreme_search computes A; both are tracked apart
+    # from the run's sample.  The kernel calls zeta_on_progression makes for
+    # its own Dirichlet sums are tagged "zeta", apart from the B and A calls.
+    calls = []
     scope = ["run"]
 
     def counting(name, fn, nodes):
         def wrapped(*args, **kwargs):
-            seen[name][scope[-1]].append(nodes(*args, **kwargs))
+            calls.append((name, scope[-1], nodes(*args, **kwargs)))
             return fn(*args, **kwargs)
         return wrapped
 
@@ -200,15 +200,20 @@ def test_cli_samples_progression_once(argv, A_by_kernel, tmp_path, monkeypatch):
                 scope.pop()
         return wrapped
 
-    def unreachable(*args, **kwargs):
-        raise AssertionError("a CLI run reached an arbitrary-t Dirichlet sum")
+    def seen(name, tag):
+        return [run for n, t, run in calls if (n, t) == (name, tag)]
 
-    monkeypatch.setattr(cli.zmod, "zeta_critical_grid",
-                        counting("zeta", cli.zmod.zeta_critical_grid,
-                                 lambda ts, *rest, **kw: np.array(ts, dtype=float)))
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a CLI run reached an arbitrary-t path")
+
+    # both see a progression as (first height, step, count)
+    monkeypatch.setattr(cli.zmod, "zeta_on_progression",
+                        counting("zeta", scoped("zeta", cli.zmod.zeta_on_progression),
+                                 lambda t0, h, count: (t0, h, count)))
     monkeypatch.setattr(cli.zmod, "progression_sum",
                         counting("kernel", cli.zmod.progression_sum,
                                  lambda ns, coeffs, t0, h, count: (t0, h, count)))
+    monkeypatch.setattr(cli.zmod, "zeta_critical_grid", unreachable)
     monkeypatch.setattr(cli.zmod, "main_sum_grid", unreachable)
     monkeypatch.setattr(cli.mmod, "eval_poly_grid", unreachable)
     monkeypatch.setattr(cli.mmod, "continuous_twisted_moment",
@@ -225,19 +230,29 @@ def test_cli_samples_progression_once(argv, A_by_kernel, tmp_path, monkeypatch):
     T = 300
     alpha = 1.0 if "--alpha" in argv else ProgressionSpec.from_rational(1, 2, 1).alpha
     nodes = alpha * np.arange(T, 2 * T + 1) + 0.25
-    # the kernel sees a progression as (first height, step, count)
-    assert np.array_equal(np.sort(np.concatenate(seen["zeta"]["run"])), nodes)
-    assert seen["kernel"]["run"] == [(nodes[0], alpha, len(nodes))]
-    levels = [seen["zeta"]["continuous"],
-              [t0 + h * np.arange(count) for t0, h, count in seen["kernel"]["continuous"]]]
+    assert seen("zeta", "run") == [(nodes[0], alpha, len(nodes))]
+    assert seen("kernel", "run") == [(nodes[0], alpha, len(nodes))]
+    # inside zeta_on_progression the kernel tiles the call's progression in
+    # order, one sub-run per engine and m-group, so each node is summed once
+    for i, (name, _, (t0, h, count)) in enumerate(calls):
+        if name == "zeta":
+            done = 0
+            for _, tag, (first, step, n) in calls[i + 1:]:
+                if tag != "zeta":
+                    break
+                assert (first, step) == (t0 + h * done, h)
+                done += n
+            assert done == count
+    levels = [[t0 + h * np.arange(count) for t0, h, count in seen(name, "continuous")]
+              for name in ("zeta", "kernel")]
     for level in levels:
         if level:
             level = np.concatenate(level)
             assert len(np.unique(level)) == len(level)
     # A reads the sample's zeta, or sums n <= T once over the phi > 0 nodes
-    assert seen["zeta"]["resonator"] == []
+    assert seen("zeta", "resonator") == []
     want_A = [(nodes[1], alpha, len(nodes) - 2)] if A_by_kernel else []
-    assert seen["kernel"]["resonator"] == want_A
+    assert seen("kernel", "resonator") == want_A
     if argv[0] != "nonvanish":
         header, *rows = csv.read_text().splitlines()
         assert len(rows) == math.floor(2 * T) - math.ceil(T) + 1

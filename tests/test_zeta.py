@@ -16,7 +16,8 @@ import scipy.optimize
 from zetaprog import (AccuracyError, CapError, DirichletPoly, PoleError, RS_MIN_T,
                       afe_square, eval_poly, eval_poly_grid, main_sum, main_sum_grid,
                       mollifier_coeffs, progression_sum, resonator_coeffs,
-                      zeta_abs2_grid, zeta_critical, zeta_critical_grid, zeta_em)
+                      zeta_abs2_grid, zeta_critical, zeta_critical_grid, zeta_em,
+                      zeta_on_progression)
 from zetaprog import zeta as zmod
 from zetaprog.zeta import RS_FORCED_MIN_T
 
@@ -204,13 +205,30 @@ def test_main_sum_grid_validation():
         main_sum_grid(np.array([100.0]), 0)
 
 
-@pytest.mark.parametrize("fn", ["main_sum_grid", "eval_poly_grid"])
-def test_arbitrary_t_sums_bounded_memory(fn, rng):
-    # 4000 points x 3000 terms: one unblocked exponential matrix is 192 MB.
-    ts = rng.uniform(1e4, 2e4, 4000)  # cutoff 3000 < max t / 3: the direct path
+def _bounded_memory_cases(rng):
+    # main sums: 4000 points x 3000 terms, one unblocked exponential matrix is
+    # 192 MB (cutoff 3000 < max t / 3: the direct path).  EM zeta: 4000
+    # points x a cutoff of 4000, 256 MB unblocked, 32 MB per array in chunks
+    # of 512.  RS zeta: 40000 points in the one m-group m = 300, whose
+    # unblocked phase matrix is 96 MB.
+    ts = rng.uniform(1e4, 2e4, 4000)
     poly = DirichletPoly(np.r_[0.0, np.ones(3000)])
-    run = {"main_sum_grid": lambda: main_sum_grid(ts, 3000),
-           "eval_poly_grid": lambda: eval_poly_grid(poly, ts)}[fn]
+    em = rng.uniform(1000.0, 1999.0, 4000)
+    rs = np.linspace(2 * np.pi * 300.5 ** 2, 2 * np.pi * 300.9 ** 2, 40000)
+    return {"main_sum_grid": (lambda: main_sum_grid(ts, 3000),
+                              main_sum(float(ts[0]), 3000), 1e-9),
+            "eval_poly_grid": (lambda: eval_poly_grid(poly, ts),
+                               main_sum(float(ts[0]), 3000), 1e-9),
+            "zeta_critical_grid-em": (lambda: zeta_critical_grid(em),
+                                      zeta_critical(float(em[0])), 1e-10),
+            "zeta_critical_grid-rs": (lambda: zeta_critical_grid(rs),
+                                      _mp_zeta(0.5 + 1j * float(rs[0])), 1e-6)}
+
+
+@pytest.mark.parametrize("fn", ["main_sum_grid", "eval_poly_grid", "zeta_critical_grid-em",
+                                "zeta_critical_grid-rs"])
+def test_arbitrary_t_sums_bounded_memory(fn, rng):
+    run, want, tol = _bounded_memory_cases(rng)[fn]
     tracemalloc.start()
     try:
         vals = run()
@@ -218,7 +236,7 @@ def test_arbitrary_t_sums_bounded_memory(fn, rng):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.0f} MB"
-    assert abs(vals[0] - main_sum(float(ts[0]), 3000)) < 1e-9
+    assert abs(vals[0] - want) < tol
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +282,74 @@ def test_progression_sum_against_scalar(poly, count, h):
 def test_progression_sum_validation():
     with pytest.raises(ValueError):
         progression_sum(np.arange(1, 5), np.ones(4), 100.0, 1.0, -1)
+
+
+# ---------------------------------------------------------------------------
+# zeta on a progression
+# ---------------------------------------------------------------------------
+
+_EDGE = 2 * np.pi * 20 ** 2  # an m-group edge: sqrt(t/2pi) = 20
+_ALPHA = 9.0647               # an exact form's slope
+
+_PROGRESSIONS = {
+    "em": (100.0, 0.25, 2001),
+    "em-wide": (10.0, 0.37, 5000),
+    "rs": (5000.0, 0.37, 3000),
+    "crossing": (1500.0, 0.37, 3000),
+    "crossing-on-node": (RS_MIN_T - 1.0, 0.25, 9),
+    "m-edges": (2400.0, 1.3, 2000),
+    "edge-on-node": (_EDGE - 1.25, 0.25, 11),
+    "count-0": (3000.0, 0.5, 0),
+    "count-1": (3000.0, 0.5, 1),
+    "count-2": (1999.75, 0.5, 2),
+    "dyadic-1": (_ALPHA * 300.25, _ALPHA / 2, 1201),
+    "dyadic-3": (_ALPHA * 300.25, _ALPHA / 8, 4801),
+    "dyadic-5": (_ALPHA * 300.25, _ALPHA / 32, 19201),
+    "negative": (-5000.0, 0.37, 3000),
+    "descending": (3000.0, -0.5, 3000),
+    "through-zero": (-2500.0, 1.3, 4000),
+    "em-through-zero": (-700.0, 0.5, 2801),
+}
+
+
+@pytest.mark.parametrize("case", list(_PROGRESSIONS))
+def test_zeta_on_progression_matches_grid(case):
+    t0, h, count = _PROGRESSIONS[case]
+    ts = t0 + h * np.arange(count)
+    if case == "edge-on-node":
+        assert ts[5] == _EDGE
+    if case == "crossing-on-node":
+        assert ts[4] == RS_MIN_T
+    got = zeta_on_progression(t0, h, count)
+    assert got.shape == (count,)
+    if count:
+        assert np.max(np.abs(got - zeta_critical_grid(ts))) < 1e-9
+    for j in sorted({0, count // 2, count - 1}) if count else []:
+        assert abs(got[j] - _mp_zeta(0.5 + 1j * ts[j])) < 1e-6, (j, ts[j])
+
+
+def test_zeta_on_progression_validation():
+    with pytest.raises(ValueError):
+        zeta_on_progression(3000.0, 1.0, -1)
+    for t0, h in ((math.nan, 1.0), (3000.0, math.inf), (math.inf, 0.0)):
+        with pytest.raises(ValueError):
+            zeta_on_progression(t0, h, 3)
+
+
+def test_rs_fit_truncated_at_tail():
+    # each remainder series stops at the lowest degree whose dropped
+    # coefficients sum below 1e-13 in absolute value
+    for full, cut in zip(zmod._rs_fit(), zmod._rs_cheb()):
+        assert np.array_equal(cut, full[:len(cut)])
+        assert np.sum(np.abs(full[len(cut):])) < 1e-13
+        assert np.sum(np.abs(full[len(cut) - 1:])) >= 1e-13
+
+
+def test_rs_grid_truncation_against_full_fit(rng, monkeypatch):
+    ts = rng.uniform(RS_FORCED_MIN_T, 1e6, 2000)
+    cut = zmod._rs_grid(ts)
+    monkeypatch.setattr(zmod, "_rs_cheb", zmod._rs_fit)
+    assert np.max(np.abs(cut - zmod._rs_grid(ts))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
