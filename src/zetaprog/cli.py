@@ -119,11 +119,8 @@ def _parse_rational(text):
 def _parse_ells(text):
     out = []
     for chunk in text.split(","):
-        if ".." in chunk:
-            lo, hi = chunk.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(chunk))
+        lo, dots, hi = chunk.partition("..")
+        out.extend(range(int(lo), int(hi if dots else lo) + 1))
     if not out or any(e < 1 for e in out):
         raise argparse.ArgumentTypeError(f"bad ell range {text!r}")
     return out
@@ -209,7 +206,7 @@ def _cmd_dioph(args, t0):
     spec = _spec_from(args)
     rows = []
     found = []
-    for ell in _parse_ells(args.ell):
+    for ell in args.ell:
         tup = dmod.find_tuple(spec, ell, args.T, args.eps)
         if tup is None:
             rows.append((ell, "none", "none", "none"))
@@ -218,7 +215,7 @@ def _cmd_dioph(args, t0):
             found.append({"ell": ell, "a": tup.a, "b": tup.b,
                           "quality": tup.quality})
     params = {**_spec_params(spec), "T": args.T, "eps": args.eps, "ell": args.ell}
-    _emit(args, "dioph", params, {"tuples": found, "searched": _parse_ells(args.ell)},
+    _emit(args, "dioph", params, {"tuples": found, "searched": args.ell},
           t0, ["ell", "a", "b", "quality"], list(zip(*rows)))
     return 0
 
@@ -413,7 +410,7 @@ def build_parser():
     p = sub.add_parser("dioph", help="diophantine tuples (a, b) per ell")
     _add_progression(p)
     p.add_argument("--T", type=_finite_float, required=True)
-    p.add_argument("--ell", type=str, required=True, help="e.g. 3 or 1..5 or 1,2,7")
+    p.add_argument("--ell", type=_parse_ells, required=True, help="e.g. 3 or 1..5 or 1,2,7")
     p.add_argument("--eps", type=_finite_float, default=dmod.DEFAULT_EPS)
     _add_outputs(p)
     p.set_defaults(fn=_cmd_dioph)

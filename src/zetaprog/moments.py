@@ -53,7 +53,6 @@ __all__ = ["DirichletPoly", "Mollifier", "MomentReport", "NonvanishingReport",
            "nonvanishing_bound", "empirical_nonvanishing", "CapWarning"]
 
 _TWO_PI = 2.0 * math.pi
-_TWO_PI_LD = np.longdouble(2) * np.arccos(np.longdouble(-1))
 
 _COEFF_MEMORY_CAP = 50_000_000
 
@@ -117,18 +116,15 @@ def mollifier_coeffs(T: float, theta: float) -> Mollifier:
 
 
 def eval_poly(poly: DirichletPoly, t: float) -> complex:
-    """B(1/2 + it) by compensated summation (phases reduced in 80-bit)."""
+    """B(1/2 + it) through zeta._dirichlet_sum: compensated summation, the
+    phases reduced in 80-bit."""
     t = float(t)
     if t < 0.0:
         return np.conj(eval_poly(poly, -t))
     ns, bs = poly.nonzero()
     if len(ns) == 0:
         return 0j
-    ph = np.mod(np.longdouble(t) * np.log(ns.astype(np.longdouble)), _TWO_PI_LD)
-    mag = bs * ns.astype(float) ** (-0.5)
-    re = math.fsum(mag * np.cos(ph).astype(float))
-    im = -math.fsum(mag * np.sin(ph).astype(float))
-    return complex(re, im)
+    return zmod._dirichlet_sum(ns, bs * ns.astype(float) ** (-0.5), t)
 
 
 def eval_poly_grid(poly: DirichletPoly, ts) -> np.ndarray:
@@ -207,9 +203,11 @@ def sample_progression(spec: ProgressionSpec, window: SmoothWindow, T: float,
                        ) -> ProgressionSample:
     """Evaluate zeta and B once at every node ell (default: the integers in
     [T, 2T]) of the progression 1/2 + i(alpha*ell + beta); zeta comes from
-    zeta.zeta_on_progression and B from zeta.progression_sum.  Raises
-    ValueError unless T is positive and finite and the nodes are equally
-    spaced, and CapError, before allocating, past _SAMPLE_NODE_CAP nodes."""
+    zeta.zeta_on_progression and B from zeta.progression_sum, in that order,
+    so heights the zeta engines refuse (AccuracyError) cost no Dirichlet sum.
+    Raises ValueError unless T is positive and finite and the nodes are
+    equally spaced, and CapError, before allocating, past _SAMPLE_NODE_CAP
+    nodes."""
     _check_T(T)
     count = math.floor(2.0 * T) - math.ceil(T) + 1 if ell is None else len(ell)
     if count > _SAMPLE_NODE_CAP:
@@ -219,11 +217,11 @@ def sample_progression(spec: ProgressionSpec, window: SmoothWindow, T: float,
         ell = np.arange(math.ceil(T), math.floor(2.0 * T) + 1, dtype=np.int64)
     ell = np.asarray(ell)
     run = _progression_run(spec, ell)
+    zeta = zmod.zeta_on_progression(*run)
     B = zmod.progression_sum(*poly.nonzero(), *run)
     t = spec.alpha * ell + spec.beta
     return ProgressionSample(spec=spec, window=window, T=T, poly=poly, ell=ell, t=t,
-                             phi=window.phi(ell / T), zeta=zmod.zeta_on_progression(*run),
-                             B=B)
+                             phi=window.phi(ell / T), zeta=zeta, B=B)
 
 
 # -- moments -------------------------------------------------------------------

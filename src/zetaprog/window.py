@@ -61,7 +61,9 @@ class SmoothWindow:
     def phi(self, x):
         """Evaluate phi pointwise; accepts scalars or arrays, returns the same shape."""
         x = np.asarray(x, dtype=float)
-        val = _ramp((x - 1.0) / self.edge) * _ramp((2.0 - x) / self.edge)
+        # a tiny edge overflows the ramp arguments to +-inf: _ramp gives 0 or 1
+        with np.errstate(over="ignore"):
+            val = _ramp((x - 1.0) / self.edge) * _ramp((2.0 - x) / self.edge)
         if val.ndim == 0:
             return float(val)
         return val

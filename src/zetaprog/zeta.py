@@ -7,36 +7,33 @@ The reference engine is Euler-Maclaurin with an adaptive cutoff,
 
 valid for every complex s != 1, which is what lets the same engine serve the
 H-transform contour (s = 1+2w) and the critical line.  The Bernoulli numbers
-B_2k are exact rationals (mpmath) rounded once to float.  Scalar evaluations
-reduce the phases t*log n in 80-bit extended precision before taking cos/sin:
-at t = 1e5 the raw float64 product already carries ~1e-10 of phase error,
-which is exactly the target accuracy.
+B_2k are exact rationals (mpmath) rounded once to float.  One scalar kernel,
+_dirichlet_sum, serves zeta_em's head, main_sum and moments.eval_poly: the
+phases t*log n reduced in 80-bit extended precision (at t = 1e5 a float64
+product carries ~1e-10 of phase error, the target accuracy), then math.fsum.
 
-Arbitrary-t grids go through a Riemann-Siegel accelerator behind the same
-contract: the main sum is grouped by m = floor(sqrt(t/2pi)) so each group
-is a cosine matrix, and the remainder terms C_0..C_4 are Chebyshev fits of
-the usual Psi-derivative combinations, built once per process from an
-FFT-Cauchy Taylor expansion of Psi at degree 160, then each cut at the
-lowest degree whose dropped coefficients sum below 1e-13 (18 to 21).  The
-phase theta(t) is its Stirling series through t^-5, whose next term is below
-2e-21 on the accelerator's range t >= 300.  EM/RS agreement to 1e-6
-wherever both run is part of the contract and the suite.
+The critical line has one engine per method, _euler_maclaurin (one cutoff
+per call) and _riemann_siegel, each serving both input shapes: heights on a
+progression ts[0] + h*j (zeta_on_progression) and arbitrary heights
+(zeta_critical_grid, also the oracle of zeta_on_progression).  The shape
+only picks the kernel of each head sum_{n<=M} n^(-1/2-it), in _head:
+progression_sum, or _dirichlet_grid in blocks of at most _BLOCK_ELEMS points
+x terms.  Riemann-Siegel sums each group of equal m = floor(sqrt(t/2pi)), a
+contiguous run on a progression or on sorted heights, and adds the remainder
+terms C_0..C_4: Chebyshev fits of the Psi-derivative combinations from an
+FFT-Cauchy Taylor expansion of Psi at degree 160, each cut at the lowest
+degree whose dropped coefficients sum below 1e-13 (18 to 21).  theta(t) is
+its Stirling series through t^-5, whose next term is below 2e-21 from t =
+300 up.  EM/RS agreement to 1e-6 wherever both run is part of the contract;
+each engine raises AccuracyError past its ceiling (RS_MAX_T for
+Riemann-Siegel, the cutoff cap _EM_HARD_CAP for Euler-Maclaurin).
 
-Dirichlet sums sum_k c_k n_k^(-1/2-it) on an arithmetic progression of
-heights t = t0 + h*j go through progression_sum, a baby-step giant-step
-factorisation (the Odlyzko-Schoenhage idea, with a matrix product in place
-of the FFT): writing j = K*q + r, K = ceil(sqrt(count)), the exponentials
-split into a giant matrix over q and a baby matrix over r, so about
-2*sqrt(count) exponentials per term and one complex matrix product replace
-count exponentials per term.  The progression sampler takes B from it, the
-resonator its main sum A, and zeta_on_progression every main sum of zeta
-on a progression: the Euler-Maclaurin head at one cutoff per run, and the
-Riemann-Siegel main sum once per m-group, which on a progression is a
-contiguous run of nodes.  The m-group cosine matrices and the EM exponential
-matrices serve arbitrary t only (zeta_critical_grid, also the oracle of
-zeta_on_progression), as do main_sum_grid and the polynomial evaluator
-(the kernel's reference); every such path works in blocks of at most
-_BLOCK_ELEMS points x terms, so memory stays bounded whatever the sizes.
+progression_sum is a baby-step giant-step factorisation (the
+Odlyzko-Schoenhage idea, with a matrix product in place of the FFT): with
+j = K*q + r, K = ceil(sqrt(count)), about 2*sqrt(count) exponentials per
+term and one complex matrix product replace count exponentials per term.
+It gives B to the progression sampler, the main sum A to the resonator and
+every head sum to zeta_on_progression; _dirichlet_grid is its reference.
 """
 import math
 from functools import lru_cache
@@ -67,6 +64,12 @@ RS_MIN_T = 2000.0
 # [200, 250]; from 300 up it stays below 3.6e-7, inside the 1e-6 contract.
 RS_FORCED_MIN_T = 300.0
 
+# Highest height Riemann-Siegel accepts (AccuracyError above).  The float64
+# rounding of theta(t) and of t grows with t: against mpmath, on random
+# heights of both input shapes, the largest error is 3.9e-7 on [1e7, 2e7],
+# 7.1e-7 on [2e7, 3e7], 9.1e-7 on [3e7, 4e7] and 1.3e-6 on [4e7, 5e7].
+RS_MAX_T = 2e7
+
 _EM_HARD_CAP = 4_000_000
 
 # Euler-Maclaurin: at least _EM_MIN_TERMS terms in the head sum, and the
@@ -90,6 +93,24 @@ def _em_tail(s, N, head=0.0):
     return tot
 
 
+def _dirichlet_sum(ns, mags, t: float) -> complex:
+    """sum_k mags[k] * ns[k]^(-it) at one height, by compensated summation
+    (math.fsum), the phases t ln n reduced mod 2pi in 80-bit extended
+    precision before taking cos/sin."""
+    ph = np.mod(np.longdouble(t) * np.log(ns.astype(np.longdouble)), _TWO_PI_LD)
+    return complex(math.fsum(mags * np.cos(ph).astype(float)),
+                   -math.fsum(mags * np.sin(ph).astype(float)))
+
+
+def _em_cutoff(ts) -> int:
+    """The Euler-Maclaurin cutoff N = max(_EM_MIN_TERMS, floor(2 max|t|) + 1);
+    AccuracyError past _EM_HARD_CAP."""
+    N = max(_EM_MIN_TERMS, int(2.0 * np.max(np.abs(ts))) + 1)
+    if N > _EM_HARD_CAP:
+        raise AccuracyError(f"Euler-Maclaurin cutoff {N} exceeds hard cap {_EM_HARD_CAP}")
+    return N
+
+
 def zeta_em(s) -> complex:
     """Euler-Maclaurin zeta(s), absolute error <= 1e-10 for |Im s| <= 1e5.
 
@@ -103,15 +124,8 @@ def zeta_em(s) -> complex:
     if s.imag < 0.0:
         return np.conj(zeta_em(np.conj(s)))
     N = _em_cutoff(s.imag)
-    if N > _EM_HARD_CAP:
-        raise AccuracyError(f"Euler-Maclaurin cutoff {N} exceeds hard cap {_EM_HARD_CAP}")
     n = np.arange(1, N, dtype=np.int64)
-    # Phases in 80-bit extended precision, then back to doubles per term.
-    ph = np.mod(np.longdouble(s.imag) * np.log(n.astype(np.longdouble)), _TWO_PI_LD)
-    mag = n.astype(np.float64) ** (-s.real)
-    re = math.fsum(mag * np.cos(ph).astype(np.float64))
-    im = -math.fsum(mag * np.sin(ph).astype(np.float64))
-    return _em_tail(s, float(N), complex(re, im))
+    return _em_tail(s, float(N), _dirichlet_sum(n, n.astype(np.float64) ** (-s.real), s.imag))
 
 
 def zeta_critical(t: float) -> complex:
@@ -132,11 +146,6 @@ def _theta(t):
     r = 1.0 / (t * t)
     return (0.5 * t * (np.log(t / _TWO_PI) - 1.0) - np.pi / 8.0
             + (1.0 / 48.0 + r * (7.0 / 5760.0 + r * (31.0 / 80640.0))) / t)
-
-
-def _psi_on_circle(p, radius, M):
-    z = p + radius * np.exp(2j * np.pi * np.arange(M) / M)
-    return np.cos(2.0 * np.pi * (z * z - z - 1.0 / 16.0)) / np.cos(2.0 * np.pi * z)
 
 
 # Most the coefficients a truncated remainder fit drops may sum to in absolute
@@ -161,7 +170,9 @@ def _rs_fit():
     D = np.empty((deg + 1, 13))
     fact = np.array([math.factorial(j) for j in range(13)], dtype=float)
     for i, p in enumerate(pts):
-        c = np.fft.fft(_psi_on_circle(p, radius, M)) / M
+        z = p + radius * np.exp(2j * np.pi * np.arange(M) / M)
+        psi = np.cos(2.0 * np.pi * (z * z - z - 1.0 / 16.0)) / np.cos(2.0 * np.pi * z)
+        c = np.fft.fft(psi) / M
         D[i] = (c[:13].real / radius ** np.arange(13)) * fact
     pi2, pi4, pi6, pi8 = np.pi ** 2, np.pi ** 4, np.pi ** 6, np.pi ** 8
     C = np.empty((deg + 1, 5))
@@ -187,10 +198,47 @@ def _rs_cheb():
     return out
 
 
-def _rs_zeta(ts, tau, m, th, Z):
-    """zeta(1/2+it) from the Riemann-Siegel main sum Z (tau = sqrt(t/2pi), m =
-    floor(tau), th = theta(t)): the remainder (-1)^(m-1) tau^(-1/2) sum_j
-    C_j(tau - m) tau^-j is added and the sum rotated by exp(-i theta)."""
+def _head(M: int, ts, h=None) -> np.ndarray:
+    """sum_{n <= M} n^(-1/2-it) at the heights ts: by progression_sum when ts
+    is the progression ts[0] + h*j, by _dirichlet_grid when h is None."""
+    ns, ones = np.arange(1, M + 1), np.ones(M)
+    if h is None:
+        return _dirichlet_grid(ns, ones, ts)
+    return progression_sum(ns, ones, ts[0], h, len(ts))
+
+
+def _euler_maclaurin(ts, h=None) -> np.ndarray:
+    """Euler-Maclaurin zeta(1/2+it) at one cutoff N = _em_cutoff(ts) for all
+    of ts (AccuracyError past _EM_HARD_CAP): the head _head(N - 1, ts, h),
+    then _em_tail."""
+    ts = np.asarray(ts, dtype=float)
+    N = _em_cutoff(ts)
+    return _em_tail(0.5 + 1j * ts, N, _head(N - 1, ts, h))
+
+
+def _riemann_siegel(ts, h=None) -> np.ndarray:
+    """Riemann-Siegel zeta(1/2+it), within 1e-6 for RS_FORCED_MIN_T <= t <=
+    RS_MAX_T (AccuracyError above, before any work).  Heights given without
+    h are sorted, so each group of equal m = floor(sqrt(t/2pi)) is a run with
+    main sum 2 Re(exp(i theta) _head(m, run, h)); the remainder (-1)^(m-1)
+    tau^(-1/2) sum_j C_j(tau - m) tau^-j (tau = sqrt(t/2pi)) is added and the
+    sum rotated by exp(-i theta)."""
+    ts = np.asarray(ts, dtype=float)
+    if not np.all(ts <= RS_MAX_T):
+        raise AccuracyError(f"Riemann-Siegel misses its 1e-6 accuracy above t = "
+                            f"{RS_MAX_T:g}; got t = {np.max(ts):g}")
+    if h is None and np.any(np.diff(ts) < 0.0):
+        order = np.argsort(ts, kind="stable")
+        out = np.empty(len(ts), dtype=complex)
+        out[order] = _riemann_siegel(ts[order])
+        return out
+    tau = np.sqrt(ts / _TWO_PI)
+    m = np.floor(tau).astype(np.int64)
+    th = _theta(ts)
+    Z = np.empty(len(ts))
+    edges = np.r_[0, np.flatnonzero(np.diff(m)) + 1, len(ts)]
+    for a, b in zip(edges[:-1], edges[1:]):
+        Z[a:b] = 2.0 * (np.exp(1j * th[a:b]) * _head(m[a], ts[a:b], h)).real
     x = 2.0 * (tau - m) - 1.0
     corr = np.zeros_like(ts)
     for j, c in enumerate(_rs_cheb()):
@@ -199,55 +247,12 @@ def _rs_zeta(ts, tau, m, th, Z):
     return np.exp(-1j * th) * Z
 
 
-def _rs_grid(ts: np.ndarray) -> np.ndarray:
-    """zeta(1/2+it) via Riemann-Siegel, within 1e-6 for t >= RS_FORCED_MIN_T:
-    the main sum of each group of equal m is a cosine matrix of at most
-    _BLOCK_ELEMS points x terms at a time."""
-    ts = np.asarray(ts, dtype=float)
-    tau = np.sqrt(ts / _TWO_PI)
-    m = np.floor(tau).astype(np.int64)
-    th = _theta(ts)
-    Z = np.zeros_like(ts)
-    order = np.argsort(m, kind="stable")
-    ms = m[order]
-    uniq, starts = np.unique(ms, return_index=True)
-    bounds = np.append(starts, len(ms))
-    for i, mv in enumerate(uniq):
-        n = np.arange(1, mv + 1, dtype=float)
-        lnn, mags = np.log(n), 2.0 / np.sqrt(n)
-        rows = max(1, _BLOCK_ELEMS // int(mv))
-        for lo in range(bounds[i], bounds[i + 1], rows):
-            sel = order[lo:min(lo + rows, bounds[i + 1])]
-            Z[sel] = np.cos(th[sel, None] - ts[sel, None] * lnn[None, :]) @ mags
-    return _rs_zeta(ts, tau, m, th, Z)
-
-
-def _em_cutoff(ts) -> int:
-    """The Euler-Maclaurin cutoff N = max(_EM_MIN_TERMS, floor(2 max|t|) + 1)."""
-    return max(_EM_MIN_TERMS, int(2.0 * np.max(np.abs(ts))) + 1)
-
-
-def _em_grid(ts: np.ndarray) -> np.ndarray:
-    """Vectorized Euler-Maclaurin on the critical line (moderate heights), in
-    chunks of at most _BLOCK_ELEMS points x terms, each chunk at its own
-    cutoff."""
-    ts = np.asarray(ts, dtype=float)
-    out = np.empty(len(ts), dtype=complex)
-    rows = max(1, _BLOCK_ELEMS // _em_cutoff(ts))
-    for lo in range(0, len(ts), rows):
-        chunk = ts[lo:lo + rows]
-        N = _em_cutoff(chunk)
-        head = _dirichlet_grid(np.arange(1, N), np.ones(N - 1), chunk)
-        out[lo:lo + rows] = _em_tail(0.5 + 1j * chunk, N, head)
-    return out
-
-
 def zeta_critical_grid(ts, engine: str = "auto") -> np.ndarray:
     """zeta(1/2+it) over an array of t, vectorized (negative t by conjugation).
 
     engine "auto" uses Riemann-Siegel for t >= RS_MIN_T and Euler-Maclaurin
-    matrices below; "em" / "rs" force one path (the suite uses that to check
-    the two engines against each other).
+    below; "em" / "rs" force one engine (the suite uses that to check the two
+    against each other), "rs" from RS_FORCED_MIN_T up.
     """
     ts = np.asarray(ts, dtype=float)
     neg = ts < 0.0
@@ -255,21 +260,17 @@ def zeta_critical_grid(ts, engine: str = "auto") -> np.ndarray:
         out = zeta_critical_grid(np.abs(ts), engine)
         out[neg] = np.conj(out[neg])
         return out
-    out = np.empty(len(ts), dtype=complex)
-    if engine == "em":
-        rs_mask = np.zeros(len(ts), dtype=bool)
-    elif engine == "rs":
-        if np.any(ts < RS_FORCED_MIN_T):
-            raise ValueError(f"Riemann-Siegel path needs t >= {RS_FORCED_MIN_T}")
-        rs_mask = np.ones(len(ts), dtype=bool)
-    elif engine == "auto":
-        rs_mask = ts >= RS_MIN_T
-    else:
+    floor = {"auto": RS_MIN_T, "em": math.inf, "rs": RS_FORCED_MIN_T}.get(engine)
+    if floor is None:
         raise ValueError(f"unknown engine {engine!r}")
+    if engine == "rs" and np.any(ts < floor):
+        raise ValueError(f"Riemann-Siegel path needs t >= {RS_FORCED_MIN_T}")
+    rs_mask = ts >= floor
+    out = np.empty(len(ts), dtype=complex)
     if np.any(rs_mask):
-        out[rs_mask] = _rs_grid(ts[rs_mask])
+        out[rs_mask] = _riemann_siegel(ts[rs_mask])
     if np.any(~rs_mask):
-        out[~rs_mask] = _em_grid(ts[~rs_mask])
+        out[~rs_mask] = _euler_maclaurin(ts[~rs_mask])
     return out
 
 
@@ -320,13 +321,8 @@ def main_sum(t: float, cutoff: int) -> complex:
     """sum_{n <= cutoff} n^(-1/2 - it), direct compensated summation."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    t = float(t)
     n = np.arange(1, int(cutoff) + 1, dtype=np.int64)
-    ph = np.mod(np.longdouble(t) * np.log(n.astype(np.longdouble)), _TWO_PI_LD)
-    mag = n.astype(np.float64) ** (-0.5)
-    re = math.fsum(mag * np.cos(ph).astype(np.float64))
-    im = -math.fsum(mag * np.sin(ph).astype(np.float64))
-    return complex(re, im)
+    return _dirichlet_sum(n, n.astype(np.float64) ** (-0.5), float(t))
 
 
 def _main_sum_via_zeta(ts, M: int) -> bool:
@@ -343,17 +339,14 @@ def _main_sum_from_zeta(ts, zs, M: int):
 
 
 def main_sum_grid(ts, cutoff: int) -> np.ndarray:
-    """Vectorized main_sum over a t-grid.
-
-    When the cutoff is deep enough inside the Euler-Maclaurin zone
-    (cutoff >= max|t|/3) the partial sum is recovered from the zeta engine by
-    removing the EM tail:
+    """Vectorized main_sum over a t-grid.  Where the cutoff M lies deep enough
+    in the Euler-Maclaurin zone (M >= max|t|/3) the partial sum is zeta with
+    the EM tail removed,
 
         sum_{n <= M} n^-s = zeta(s) + M^-s/2 - M^(1-s)/(s-1) - C(M),
 
-    otherwise it falls back to direct summation in blocks of at most
-    _BLOCK_ELEMS points x terms.  Agreement with the scalar main_sum to 1e-10
-    is part of the test suite.
+    else the direct sum _head(M, ts).  Agreement with the scalar main_sum to
+    1e-10 is part of the test suite.
     """
     ts = np.asarray(ts, dtype=float)
     M = int(cutoff)
@@ -361,7 +354,7 @@ def main_sum_grid(ts, cutoff: int) -> np.ndarray:
         raise ValueError("cutoff must be >= 1")
     if _main_sum_via_zeta(ts, M):
         return _main_sum_from_zeta(ts, zeta_critical_grid(ts), M)
-    return _dirichlet_grid(np.arange(1, M + 1), np.ones(M), ts)
+    return _head(M, ts)
 
 
 # -- Dirichlet sums sum_k c_k n_k^(-1/2 - it) ------------------------------------
@@ -394,21 +387,18 @@ def _dirichlet_grid(ns, coeffs, ts) -> np.ndarray:
 def progression_sum(ns, coeffs, t0: float, h: float, count: int) -> np.ndarray:
     """sum_k coeffs[k] * ns[k]^(-1/2 - i(t0 + h*j)) for j = 0 .. count-1.
 
-    Baby-step giant-step on the progression: with K = ceil(sqrt(count)) and
-    j = K*q + r, the exponential factors as
+    With K = ceil(sqrt(count)), Q = ceil(count/K) and j = K*q + r, the sums
+    are the entries of G @ E.T,
 
         G[q, k] = coeffs[k] ns[k]^(-1/2) e^(-i(t0 + h*K*q) ln ns[k]),
         E[r, k] = e^(-i h r ln ns[k]),
 
-    and the sums are the entries of G @ E.T, accumulated over blocks of
-    terms, each block at most _BLOCK_ELEMS entries of G and of E.  That is
-    (Q + K) * len(ns) exponentials and one complex matrix product (Q =
-    ceil(count/K)) in place of count * len(ns) exponentials.  The phases
-    t0 ln n, h K ln n and h ln n are reduced mod 2pi once per term in 80-bit
-    extended precision, so the only float64 phase error left is the
-    rounding of q * (h K ln n mod 2pi) and r * (h ln n mod 2pi), below 2e-12
-    rad up to count = 1e7, against about 1e-10 rad for a float64 t * ln n at
-    t = 1e5.
+    accumulated over blocks of terms of at most _BLOCK_ELEMS entries of G
+    and of E: (Q + K) * len(ns) exponentials in place of count * len(ns).
+    The phases t0 ln n, h K ln n and h ln n are reduced mod 2pi once per term
+    in 80-bit extended precision; the float64 rounding of q * (h K ln n mod
+    2pi) and r * (h ln n mod 2pi) left is below 2e-12 rad up to count = 1e7,
+    against about 1e-10 rad for a float64 t * ln n at t = 1e5.
     """
     count = int(count)
     if count < 0:
@@ -435,30 +425,6 @@ def progression_sum(ns, coeffs, t0: float, h: float, count: int) -> np.ndarray:
     return out.ravel()[:count]
 
 
-def _em_run(ts, h: float) -> np.ndarray:
-    """Euler-Maclaurin zeta on the run ts = ts[0] + h*j, at one cutoff for the
-    whole run: the head sum through progression_sum, then _em_tail."""
-    N = _em_cutoff(ts)
-    head = progression_sum(np.arange(1, N), np.ones(N - 1), ts[0], h, len(ts))
-    return _em_tail(0.5 + 1j * ts, N, head)
-
-
-def _rs_run(ts, h: float) -> np.ndarray:
-    """Riemann-Siegel zeta on the run ts = ts[0] + h*j (t >= RS_MIN_T): m =
-    floor(sqrt(t/2pi)) is monotone along the run, so each m-group is a
-    contiguous sub-run, and its main sum is 2 Re(exp(i theta) S) with S =
-    progression_sum over n = 1..m."""
-    tau = np.sqrt(ts / _TWO_PI)
-    m = np.floor(tau).astype(np.int64)
-    th = _theta(ts)
-    Z = np.empty(len(ts))
-    edges = np.r_[0, np.flatnonzero(np.diff(m)) + 1, len(ts)]
-    for a, b in zip(edges[:-1], edges[1:]):
-        S = progression_sum(np.arange(1, m[a] + 1), np.ones(m[a]), ts[a], h, b - a)
-        Z[a:b] = 2.0 * (np.exp(1j * th[a:b]) * S).real
-    return _rs_zeta(ts, tau, m, th, Z)
-
-
 def zeta_on_progression(t0: float, h: float, count: int) -> np.ndarray:
     """zeta(1/2 + i(t0 + h*j)) for j = 0 .. count-1, every Dirichlet sum
     through progression_sum.
@@ -478,8 +444,8 @@ def zeta_on_progression(t0: float, h: float, count: int) -> np.ndarray:
     ts = t0 + h * np.arange(count)
     out = np.empty(count, dtype=complex)
     pos, neg = ts >= RS_MIN_T, ts <= -RS_MIN_T
-    for mask, sign, run in ((~(pos | neg), 1.0, _em_run), (pos, 1.0, _rs_run),
-                            (neg, -1.0, _rs_run)):
+    for mask, sign, run in ((~(pos | neg), 1.0, _euler_maclaurin),
+                            (pos, 1.0, _riemann_siegel), (neg, -1.0, _riemann_siegel)):
         j = np.flatnonzero(mask)
         if len(j):
             sub = slice(j[0], j[-1] + 1)

@@ -147,6 +147,26 @@ def test_non_finite_option_exit_code(option, argv, capsys):
     assert f"argument {option}: must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ell", ["0", "3..1"])
+def test_bad_ell_range_exit_code(ell, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dioph", "--alpha", "1", "--T", "1e4", "--ell", ell])
+    assert exc.value.code == 2
+    assert f"argument --ell: bad ell range {ell!r}" in capsys.readouterr().err
+
+
+def test_rs_ceiling_exit_code(tmp_path, monkeypatch, capsys):
+    # heights from 1e5 * 300 = 3e7 > RS_MAX_T: zeta refuses them before the
+    # mollifier's Dirichlet sum B is taken
+    kernel = []
+    monkeypatch.setattr(cli.zmod, "progression_sum", lambda *args: kernel.append(args))
+    out = tmp_path / "x.json"
+    assert main(["nonvanish", "--alpha", "1e5", "--T", "300", "--json", str(out)]) == 1
+    assert "AccuracyError" in capsys.readouterr().err
+    assert not out.exists()
+    assert kernel == []
+
+
 def test_computation_failure_exit_code(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise QuadratureError("injected failure")

@@ -19,7 +19,7 @@ from zetaprog import (AccuracyError, CapError, DirichletPoly, PoleError, RS_MIN_
                       zeta_abs2_grid, zeta_critical, zeta_critical_grid, zeta_em,
                       zeta_on_progression)
 from zetaprog import zeta as zmod
-from zetaprog.zeta import RS_FORCED_MIN_T
+from zetaprog.zeta import RS_FORCED_MIN_T, RS_MAX_T
 
 FIRST_ZERO = 14.134725141734693
 
@@ -128,6 +128,27 @@ def test_forced_rs_floor():
         assert abs(v - _mp_zeta(0.5 + 1j * t)) < 1e-6
 
 
+def test_engines_refuse_heights_past_their_ceiling():
+    # Riemann-Siegel refuses t > RS_MAX_T on both input shapes before any
+    # work (unguarded, 1e30 asks for a 2.8 PiB array and 1e300 gives nan);
+    # Euler-Maclaurin refuses a cutoff past its hard cap before building it
+    for ts in ([RS_MAX_T * (1.0 + 1e-15)], [1e300], [-1e300], [math.inf], [5e3, 3e7]):
+        with pytest.raises(AccuracyError):
+            zeta_critical_grid(np.array(ts))
+    for t0, h in ((RS_MAX_T, 1.0), (1e30, 1.0), (1e300, 1.0), (-1e300, 1.0)):
+        with pytest.raises(AccuracyError):
+            zeta_on_progression(t0, h, 2)
+    with pytest.raises(AccuracyError):
+        zeta_critical_grid(np.array([1e9]), engine="em")
+
+
+def test_rs_just_below_ceiling():
+    t = RS_MAX_T - 0.25
+    want = _mp_zeta(0.5 + 1j * t)
+    assert abs(zeta_critical_grid(np.array([t]))[0] - want) < 1e-6
+    assert abs(zeta_on_progression(t - 0.5, 0.25, 3)[2] - want) < 1e-6
+
+
 def test_rs_against_mpmath_high():
     t = 1e5
     got = zeta_critical_grid(np.array([t]))[0]
@@ -135,10 +156,10 @@ def test_rs_against_mpmath_high():
 
 
 def test_grid_matches_scalar_both_regimes(rng):
-    low = rng.uniform(10, 1500, 20)          # chunked Euler-Maclaurin path
+    low = rng.uniform(10, 1500, 20)          # blocked Euler-Maclaurin path
     high = rng.uniform(3000, 8000, 15)       # Riemann-Siegel path
     for t, v in zip(low, zeta_critical_grid(low)):
-        # same EM engine, different accumulation order (fsum scalar vs chunked)
+        # same EM engine, different accumulation order (fsum scalar vs blocked)
         assert abs(v - zeta_critical(float(t))) < 1e-11
     for t, v in zip(high, zeta_critical_grid(high)):
         assert abs(v - zeta_critical(float(t))) < 1e-6
@@ -208,9 +229,8 @@ def test_main_sum_grid_validation():
 def _bounded_memory_cases(rng):
     # main sums: 4000 points x 3000 terms, one unblocked exponential matrix is
     # 192 MB (cutoff 3000 < max t / 3: the direct path).  EM zeta: 4000
-    # points x a cutoff of 4000, 256 MB unblocked, 32 MB per array in chunks
-    # of 512.  RS zeta: 40000 points in the one m-group m = 300, whose
-    # unblocked phase matrix is 96 MB.
+    # points x a cutoff of 4000, 256 MB unblocked.  RS zeta: 40000 points in
+    # the one m-group m = 300, whose unblocked phase matrix is 96 MB.
     ts = rng.uniform(1e4, 2e4, 4000)
     poly = DirichletPoly(np.r_[0.0, np.ones(3000)])
     em = rng.uniform(1000.0, 1999.0, 4000)
@@ -347,9 +367,9 @@ def test_rs_fit_truncated_at_tail():
 
 def test_rs_grid_truncation_against_full_fit(rng, monkeypatch):
     ts = rng.uniform(RS_FORCED_MIN_T, 1e6, 2000)
-    cut = zmod._rs_grid(ts)
+    cut = zmod._riemann_siegel(ts)
     monkeypatch.setattr(zmod, "_rs_cheb", zmod._rs_fit)
-    assert np.max(np.abs(cut - zmod._rs_grid(ts))) < 1e-12
+    assert np.max(np.abs(cut - zmod._riemann_siegel(ts))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
