@@ -18,7 +18,7 @@ from .dioph import (DiophantineTuple, ProgressionSpec, RationalForm, delta,
                     rational_approximations, waldschmidt_bound)
 from .errors import (AccuracyError, CapError, DegenerateDenominatorError,
                      PoleError, QuadratureError, ToleranceError, ZetaprogError)
-from .kernels import DEFAULT_CONTOUR, ContourConfig, eval_G, eval_H, eval_W, h_many, w_many
+from .kernels import eval_G, eval_H, eval_W, h_many, w_many
 from .moments import (CapWarning, DirichletPoly, Mollifier, MomentReport,
                       NonvanishingReport, ProgressionSample, F_func, F_func_series,
                       F_prime, H_ell, continuous_twisted_moment, discrete_twisted_moment,
@@ -39,7 +39,7 @@ __all__ = [
     # window
     "SmoothWindow", "eval_phi", "phi_hat",
     # kernels
-    "ContourConfig", "DEFAULT_CONTOUR", "eval_G", "eval_W", "eval_H",
+    "eval_G", "eval_W", "eval_H",
     "w_many", "h_many",
     # zeta engines
     "RS_MIN_T", "zeta_em", "zeta_critical",

@@ -22,12 +22,12 @@ sum forces even where display formulas leave it implicit.
 One sampler, sample_progression, evaluates zeta*B and phi(ell/T) at nodes
 ell of the progression; every consumer reduces a sample over its phi > 0
 nodes, and the discrete moments, the nonvanishing bound and the resonator
-search share one sample of the integers in [T, 2T].  The continuous moment
-samples the dyadic grid ell = j / 2^k, a trapezoid rule whose first alias
-frequency 2^k starts above every tuple frequency (the bound _default_ell_max
-that predict_E also sums to); each halving samples only the new midpoints,
-until two levels agree to 1e-4 relative (QuadratureError past the fourth).
-The same zeta engine feeds both sides, so engine error cancels in E.
+search share one sample of the integers in [T, 2T].  Every integral is the
+nested dyadic trapezoid of quadrature.py: the continuous moment samples the
+progression at ell = j / 2^k, from a 2^k above every tuple frequency (the
+bound _default_ell_max that predict_E also sums to); H_ell shares phi_hat's
+windowed transform.  The same zeta engine feeds both sides of E, so engine
+error cancels in it.
 """
 import math
 import warnings
@@ -38,11 +38,11 @@ import numpy as np
 
 from . import zeta as zmod
 from .dioph import DEFAULT_EPS, ProgressionSpec, find_tuple
-from .errors import CapError, QuadratureError
+from .errors import CapError
 from .kernels import h_many, w_many
-from .quadrature import gl_panels
+from .quadrature import NODE_CAP, nested_trapezoid
 from .sieves import mobius_table
-from .window import SmoothWindow
+from .window import SmoothWindow, _windowed_transform
 
 __all__ = ["DirichletPoly", "Mollifier", "MomentReport", "NonvanishingReport",
            "ProgressionSample", "sample_progression",
@@ -138,17 +138,6 @@ def eval_poly_grid(poly: DirichletPoly, ts) -> np.ndarray:
 # -- the progression sample ------------------------------------------------------
 
 
-# Most nodes the trapezoid's start level may hold.  The start density grows
-# with alpha, and the fourth level adds four times the start's nodes, each
-# holding a few hundred bytes of working arrays: past this a large alpha
-# would allocate gigabytes before the first sum.
-_TRAPEZOID_START_NODE_CAP = 1 << 21
-
-# Most nodes one sample may hold: the fourth trapezoid level's midpoints, the
-# largest node set the continuous moment can request.
-_SAMPLE_NODE_CAP = 4 * _TRAPEZOID_START_NODE_CAP
-
-
 def _check_power(power: int):
     if power not in (1, 2):
         raise ValueError("power must be 1 or 2")
@@ -206,13 +195,13 @@ def sample_progression(spec: ProgressionSpec, window: SmoothWindow, T: float,
     zeta.zeta_on_progression and B from zeta.progression_sum, in that order,
     so heights the zeta engines refuse (AccuracyError) cost no Dirichlet sum.
     Raises ValueError unless T is positive and finite and the nodes are
-    equally spaced, and CapError, before allocating, past _SAMPLE_NODE_CAP
-    nodes."""
+    equally spaced, and CapError, before allocating, past quadrature.NODE_CAP
+    nodes, the largest level the continuous moment can ask for."""
     _check_T(T)
     count = math.floor(2.0 * T) - math.ceil(T) + 1 if ell is None else len(ell)
-    if count > _SAMPLE_NODE_CAP:
+    if count > NODE_CAP:
         raise CapError(f"progression sample of {count} nodes exceeds the budget of "
-                       f"{_SAMPLE_NODE_CAP} nodes")
+                       f"{NODE_CAP} nodes")
     if ell is None:
         ell = np.arange(math.ceil(T), math.floor(2.0 * T) + 1, dtype=np.int64)
     ell = np.asarray(ell)
@@ -241,48 +230,30 @@ def continuous_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: fl
                               poly: DirichletPoly, power: int):
     """integral over ell in [T, 2T] of the same integrand, to 1e-4 relative.
 
-    The rule is the trapezoid on the dyadic grid ell = j / 2^k.  phi(ell/T)
-    vanishes with all its derivatives at both ends, so the rule needs no
-    endpoint weights and converges spectrally once the step 2^-k puts the
-    first alias frequency 2^k above every frequency the integrand carries.
-    In ell those are alpha*log(a/b)/(2*pi) for the ratios a/b the integrand
-    mixes, the diophantine tuple frequencies among them; _default_ell_max
-    (the bound predict_E sums to) lies above all of them, so 2^k is the
-    smallest power of two strictly above it.  The start step comes from that
-    bound, not from the refinement check: a frequency at an even multiple of
-    the step aliases on both levels a halving compares, so two agreeing
-    levels do not prove the step fine enough.
+    The rule is quadrature.nested_trapezoid on the dyadic grid ell = j / 2^k.
+    It converges spectrally once the step 2^-k puts the first alias frequency
+    2^k above every frequency the integrand carries.  In ell those are
+    alpha*log(a/b)/(2*pi) for the ratios a/b the integrand mixes, the
+    diophantine tuple frequencies among them; _default_ell_max (the bound
+    predict_E sums to) lies above all of them, so 2^k is the smallest power
+    of two strictly above it.  The start step comes from that bound, not from
+    the refinement check: a frequency at an even multiple of the step aliases
+    on both levels a halving compares, so two agreeing levels do not prove the
+    step fine enough.
 
-    Each level samples the progression at its phi > 0 nodes: the start level
-    at all of them, each halving of the step only at the new odd-j midpoints,
-    added to the running sum.  Two successive levels agreeing to 1e-4
-    relative are accepted; a fourth level that still disagrees raises
-    QuadratureError, as does a start step needing more than
-    _TRAPEZOID_START_NODE_CAP nodes.
+    Each level samples the progression at its phi > 0 nodes.  Two successive
+    levels agreeing to 1e-4 relative are accepted; QuadratureError when none
+    do, or when the start step exceeds the rule's node budget.
     """
     _check_power(power)
     _check_T(T)
-    per_unit = 1 << _default_ell_max(spec, T, poly).bit_length()
-    lo, hi = math.floor(T * per_unit), math.ceil(2.0 * T * per_unit)
-    if hi - lo + 1 > _TRAPEZOID_START_NODE_CAP:
-        raise QuadratureError(
-            f"continuous_twisted_moment needs {per_unit} nodes per unit ell over "
-            f"[{T!r}, {2.0 * T!r}], above the budget of {_TRAPEZOID_START_NODE_CAP} nodes")
 
     def level_sum(ell):  # the grid reaches past [T, 2T]; nodes with phi = 0 add nothing
         live = ell[window.phi(ell / T) > 0.0]
         return sample_progression(spec, window, T, poly, live).twisted_sum(power)
 
-    j = np.arange(lo, hi + 1, dtype=np.int64)
-    val = level_sum(j / per_unit) / per_unit
-    for _ in range(3):
-        per_unit, lo, hi = 2 * per_unit, 2 * lo, 2 * hi
-        mid = np.arange(lo + 1, hi, 2, dtype=np.int64)
-        new = 0.5 * val + level_sum(mid / per_unit) / per_unit
-        if abs(new - val) <= 1e-4 * max(abs(new), 1e-12):
-            return new
-        val = new
-    raise QuadratureError("continuous_twisted_moment did not converge at 1e-4 relative")
+    return nested_trapezoid(level_sum, T, 2.0 * T, _default_ell_max(spec, T, poly) + 1,
+                            lambda new, old: abs(new - old) <= 1e-4 * max(abs(new), 1e-12))
 
 
 # -- the correction machinery ---------------------------------------------------
@@ -392,25 +363,18 @@ def H_ell(ell: int, spec: ProgressionSpec, window: SmoothWindow, T: float,
         ((a/b)^(i*beta)/sqrt(ab)) * integral over [T,2T] of
             phi(t/T) * exp(-2*pi*i*t*nu) * F(a, b, t) dt.
 
-    The frequency nu is below T^(eps-1) by the tuple condition, so the
-    integrand is slowly modulated; a fixed-panel Gauss-Legendre rule with one
-    doubling check suffices.
+    With t = T*x this is T times the windowed transform of F(a, b, T*x) at
+    T*nu, by the trapezoid of phi_hat, to 1e-5 relative (floored at 1e-9).
     """
     tup = find_tuple(spec, ell, T, eps)
     if tup is None:
         return 0j
     nu = _tuple_frequency(spec, tup)
     pref = np.exp(1j * spec.beta * math.log(tup.a / tup.b)) / math.sqrt(tup.a * tup.b)
-    prev = None
-    for panels in (64, 128, 256):
-        t, wq = gl_panels(float(T), 2.0 * float(T), panels, 10)
-        integrand = (window.phi(t / T) * np.exp(-2j * np.pi * t * nu)
-                     * _F_batch(tup.a, tup.b, t, poly, spec))
-        val = complex(np.sum(wq * integrand))
-        if prev is not None and abs(val - prev) <= 1e-5 * max(abs(val), 1e-9 * T):
-            return pref * val
-        prev = val
-    raise QuadratureError(f"H_ell({ell}) quadrature did not stabilize")
+    val = _windowed_transform(window, T * nu,
+                              lambda x: _F_batch(tup.a, tup.b, T * x, poly, spec),
+                              lambda new, old: abs(new - old) <= 1e-5 * max(abs(new), 1e-9))
+    return pref * T * val
 
 
 def _default_ell_max(spec: ProgressionSpec, T: float, poly: DirichletPoly) -> int:

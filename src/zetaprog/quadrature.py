@@ -1,26 +1,50 @@
-"""Composite Gauss-Legendre panels, the one quadrature primitive everything shares."""
-from functools import lru_cache
+"""The nested dyadic trapezoid, the one quadrature rule of the package.
+
+Every integrand it serves carries the window phi, so it vanishes with all
+its derivatives at both ends of its interval; there the trapezoid needs no
+endpoint weights and converges faster than any power of its step
+(Trefethen & Weideman, SIAM Review 56, 2014).
+"""
+import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+
+from .errors import QuadratureError
+
+__all__ = ["NODE_CAP", "nested_trapezoid"]
+
+# Most nodes one level may evaluate.  The third and last halving evaluates
+# four times the start level's nodes, each holding a few hundred bytes of
+# working arrays.
+NODE_CAP = 1 << 23
 
 
-@lru_cache(maxsize=64)
-def _base_rule(deg: int):
-    return leggauss(deg)
+def nested_trapezoid(level_sum, a: float, b: float, density: float, agree):
+    """Integral over [a, b] by the trapezoid on x = j / 2^k, starting at the
+    smallest power of two per_unit >= density nodes per unit.
 
-
-def gl_panels(a: float, b: float, panels: int, deg: int = 20):
-    """Nodes and weights for `panels` equal Gauss-Legendre panels on [a, b].
-
-    Returns flat arrays (nodes, weights) with panels*deg entries each.  The
-    node layout is a pure function of the arguments, which keeps every
-    integral in the package bit-reproducible.
+    level_sum(x) sums the integrand over an array of nodes; the grid runs from
+    floor(a * per_unit) to ceil(b * per_unit), so the integrand must vanish
+    just outside [a, b].  Each of up to three halvings of the step evaluates
+    only the new midpoints, and the first level with agree(new, previous) is
+    returned.  QuadratureError when none is, and, before any evaluation, when
+    the start level would hold more than NODE_CAP / 4 nodes.
     """
-    x, w = _base_rule(deg)
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wts = (half[:, None] * w[None, :]).ravel()
-    return nodes, wts
+    cap = NODE_CAP // 4
+    refusal = QuadratureError(f"the trapezoid at {density!r} nodes per unit over "
+                              f"[{a!r}, {b!r}] exceeds the budget of {cap} start nodes")
+    if not density * (b - a) <= cap:  # an infinite density has no power of two
+        raise refusal
+    per_unit = 1 << (math.ceil(density) - 1).bit_length()
+    lo, hi = math.floor(a * per_unit), math.ceil(b * per_unit)
+    if hi - lo + 1 > cap:
+        raise refusal
+    val = level_sum(np.arange(lo, hi + 1, dtype=np.int64) / per_unit) / per_unit
+    for _ in range(3):
+        per_unit, lo, hi = 2 * per_unit, 2 * lo, 2 * hi
+        mid = np.arange(lo + 1, hi, 2, dtype=np.int64)
+        new = 0.5 * val + level_sum(mid / per_unit) / per_unit
+        if agree(new, val):
+            return new
+        val = new
+    raise QuadratureError(f"the trapezoid over [{a!r}, {b!r}] did not converge in three halvings")

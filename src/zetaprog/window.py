@@ -13,15 +13,16 @@ The Fourier transform uses the convention
 
     phi_hat(xi) = integral over [1, 2] of phi(t) * exp(-2*pi*i*xi*t) dt,
 
-evaluated by composite Gauss-Legendre panels whose length shrinks like
-1/(4|xi|) so that each panel sees at most a quarter oscillation.
+evaluated, like the correction integrals H_ell, by _windowed_transform: the
+nested trapezoid at max(64, 4|xi|, 16/edge) nodes per unit or more, i.e. four
+per oscillation and sixteen across each ramp.
 """
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import QuadratureError
-from .quadrature import gl_panels
+from .quadrature import nested_trapezoid
 
 __all__ = ["SmoothWindow", "eval_phi", "phi_hat"]
 
@@ -69,33 +70,36 @@ class SmoothWindow:
         return val
 
     def phi_hat(self, xi: float) -> complex:
-        """Fourier transform at xi, absolute accuracy 1e-10.
+        """Fourier transform at xi, once two trapezoid levels agree to 1e-12.
 
         phi_hat(-xi) = conj(phi_hat(xi)) is enforced exactly by evaluating at
         |xi| and conjugating, which is legitimate because phi is real.
+        ValueError for a non-finite xi; QuadratureError, before any work,
+        when |xi| or 1/edge asks for more nodes than the trapezoid's budget.
         """
         xi = float(xi)
+        if not math.isfinite(xi):
+            raise ValueError(f"phi_hat needs a finite frequency, got {xi}")
         if xi < 0.0:
             return np.conj(self.phi_hat(-xi))
         if xi == 0.0:
             # The zero frequency is the cached mass; quadrature agrees to 1e-14.
             return complex(self.plateau_mass)
+        return _windowed_transform(self, xi, lambda x: 1.0,
+                                   lambda new, old: abs(new - old) <= 1e-12)
 
-        base = min(0.25, self.edge / 2.0)
-        if xi > 1.0:
-            base = min(base, 1.0 / (4.0 * xi))
-        prev = None
-        for refine in range(5):
-            plen = base / (2.0 ** refine)
-            panels = int(np.ceil(1.0 / plen))
-            t, w = gl_panels(1.0, 2.0, panels, 16)
-            val = complex(np.sum(w * self.phi(t) * np.exp(-2j * np.pi * xi * t)))
-            if prev is not None and abs(val - prev) <= 1e-12:
-                return val
-            prev = val
-        raise QuadratureError(
-            f"phi_hat({xi}) did not converge to 1e-10 within the panel budget"
-        )
+
+def _windowed_transform(window: SmoothWindow, xi: float, g, agree) -> complex:
+    """integral over [1, 2] of phi(x) e^(-2*pi*i*xi*x) g(x) dx, g evaluated
+    at the phi > 0 nodes only; agree(new, previous) accepts a level."""
+    def level_sum(x):
+        phi = window.phi(x)
+        live = phi > 0.0
+        x = x[live]
+        return complex(np.sum(phi[live] * np.exp(-2j * np.pi * xi * x) * g(x)))
+
+    density = max(64.0, 4.0 * abs(xi), 16.0 / window.edge)
+    return nested_trapezoid(level_sum, 1.0, 2.0, density, agree)
 
 
 def eval_phi(w: SmoothWindow, x):

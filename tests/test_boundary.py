@@ -7,7 +7,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaprog import ProgressionSpec, SmoothWindow, ZetaprogError, zeta_on_progression
+from zetaprog import (DirichletPoly, ProgressionSpec, SmoothWindow, ZetaprogError,
+                      sample_progression, zeta_on_progression)
 from zetaprog.zeta import RS_MAX_T, RS_MIN_T
 
 _SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -48,3 +49,25 @@ def test_zeta_on_progression_boundary(t0, h, count):
     z = _typed_or_value(zeta_on_progression, t0, h, count)
     if z is not None:
         assert z.shape == (count,) and np.all(np.isfinite(z))
+
+
+@BOUNDARY
+@given(edge=FLOATS, xi=FLOATS)
+def test_phi_hat_boundary(edge, xi):
+    # few edges make a window, so every xi goes to the default window as well
+    for window in (SmoothWindow(), _typed_or_value(SmoothWindow, edge)):
+        val = None if window is None else _typed_or_value(window.phi_hat, xi)
+        if val is not None:
+            assert np.isfinite(val)
+
+
+@BOUNDARY
+@given(alpha=FLOATS, beta=FLOATS, T=FLOATS)
+def test_sample_progression_boundary(alpha, beta, T):
+    spec = _typed_or_value(ProgressionSpec, alpha, beta)
+    if spec is not None:
+        sample = _typed_or_value(sample_progression, spec, SmoothWindow(), T,
+                                 DirichletPoly.one())
+        if sample is not None:
+            for values in (sample.t, sample.phi, sample.zeta, sample.B):
+                assert np.all(np.isfinite(values))

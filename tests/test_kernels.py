@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from zetaprog import (ContourConfig, DEFAULT_CONTOUR, eval_G, eval_H, eval_W,
-                      h_many, w_many)
+from zetaprog import eval_G, eval_H, eval_W, h_many, kernels, w_many
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -86,14 +85,6 @@ def test_kernels_reject_non_positive_and_nan(fn, x):
         fn(arg)
 
 
-@pytest.mark.parametrize("kwargs", [
-    dict(sigma=0.0), dict(sigma=1.5), dict(height_cut=5.0), dict(nodes_per_unit=10),
-])
-def test_contour_config_validation(kwargs):
-    with pytest.raises(ValueError):
-        ContourConfig(**kwargs)
-
-
 # ---------------------------------------------------------------------------
 # H
 # ---------------------------------------------------------------------------
@@ -130,21 +121,37 @@ def test_h_asymptotic_error_profile():
     assert gap(1000.0) < 1e-8
 
 
-def test_h_contour_shift_independence():
+@pytest.fixture()
+def contour(monkeypatch):
+    """Set the H contour's module constants; the cached line is rebuilt from
+    them, and from the defaults again after the test."""
+    def set_contour(**constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(kernels, name, value)
+        kernels._zeta_line.cache_clear()
+
+    yield set_contour
+    monkeypatch.undo()
+    kernels._zeta_line.cache_clear()
+
+
+def test_h_contour_shift_independence(contour):
     # the defining integral is contour-independent within the analyticity
     # strip; sigma is only a numerical choice.
-    for x in (0.01, 0.5, 1.0, 7.0, 300.0):
-        ref = eval_H(x)
-        for sigma in (0.25, 0.5, 0.9):
-            cfg = ContourConfig(sigma=sigma)
-            assert abs(eval_H(x, cfg) - ref) < 1e-8
+    xs = (0.01, 0.5, 1.0, 7.0, 300.0)
+    refs = [eval_H(x) for x in xs]
+    for sigma in (0.25, 0.5, 0.9):
+        contour(_SIGMA=sigma)
+        for x, ref in zip(xs, refs):
+            assert abs(eval_H(x) - ref) < 1e-8
 
 
-def test_h_self_convergence_under_refinement():
-    cfg2 = ContourConfig(height_cut=2 * DEFAULT_CONTOUR.height_cut,
-                         nodes_per_unit=2 * DEFAULT_CONTOUR.nodes_per_unit)
-    for x in (1.0, 0.1, 25.0):
-        assert abs(eval_H(x, cfg2) - eval_H(x)) < 1e-8
+def test_h_self_convergence_under_refinement(contour):
+    xs = (1.0, 0.1, 25.0)
+    refs = [eval_H(x) for x in xs]
+    contour(_HEIGHT_CUT=2 * kernels._HEIGHT_CUT, _STEP=kernels._STEP / 2)
+    for x, ref in zip(xs, refs):
+        assert abs(eval_H(x) - ref) < 1e-8
 
 
 def test_h_positive_and_increasing():

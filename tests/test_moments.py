@@ -16,6 +16,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from gl_oracle import gl_panels
 
 from zetaprog import (CapWarning, DirichletPoly, F_func, F_func_series,
                       F_prime, H_ell, MomentReport, ProgressionSpec,
@@ -26,7 +27,6 @@ from zetaprog import (CapWarning, DirichletPoly, F_func, F_func_series,
                       predict_E, predict_E_prime, sample_progression,
                       zeta_critical_grid)
 from zetaprog.errors import QuadratureError
-from zetaprog.quadrature import gl_panels
 
 TWO_PI = 2.0 * math.pi
 EULER_GAMMA = 0.5772156649015329
@@ -391,7 +391,6 @@ def test_predict_e_prime_symbolic_matches_measurement(sym_spec, window):
     w = window.phi(ell / T)
     B = eval_poly_grid(moll, sym_spec.alpha * ell + sym_spec.beta)
     disc = float(np.sum(w * (B * np.conj(B)).real))
-    from zetaprog.quadrature import gl_panels
     t, wq = gl_panels(T, 2 * T, 4000, 10)
     Bq = eval_poly_grid(moll, sym_spec.alpha * t + sym_spec.beta)
     cont = float(np.sum(wq * window.phi(t / T) * (Bq * np.conj(Bq)).real))
@@ -409,7 +408,6 @@ def test_predict_e_prime_alpha_one_small(unit_spec, window):
     w = window.phi(ell / T)
     B = eval_poly_grid(moll, unit_spec.alpha * ell + unit_spec.beta)
     disc = float(np.sum(w * (B * np.conj(B)).real))
-    from zetaprog.quadrature import gl_panels
     t, wq = gl_panels(T, 2 * T, 4000, 10)
     Bq = eval_poly_grid(moll, unit_spec.alpha * t + unit_spec.beta)
     cont = float(np.sum(wq * window.phi(t / T) * (Bq * np.conj(Bq)).real))

@@ -1,0 +1,47 @@
+"""The nested dyadic trapezoid: its node layout, its budget and its refusal.
+
+The integrand phi(x) of the default window vanishes with all its derivatives
+at 1 and 2 and integrates to exactly 1 - edge, the oracle here.
+"""
+import numpy as np
+import pytest
+
+from zetaprog import QuadratureError
+from zetaprog.quadrature import NODE_CAP, nested_trapezoid
+
+
+def _recording(fn):
+    levels = []
+
+    def level_sum(x):
+        levels.append(x.copy())
+        return fn(x)
+
+    return level_sum, levels
+
+
+def test_trapezoid_integrates_window_mass(window):
+    level_sum, levels = _recording(lambda x: float(np.sum(window.phi(x))))
+    val = nested_trapezoid(level_sum, 1.0, 2.0, 300.0, lambda new, old: abs(new - old) <= 1e-12)
+    assert abs(val - window.plateau_mass) < 1e-14
+    # start at 512 nodes per unit, the smallest power of two >= 300; each
+    # halving adds only the new midpoints, so no node is evaluated twice
+    assert np.array_equal(levels[0], np.arange(512, 1025) / 512)
+    nodes = np.concatenate(levels)
+    per_unit = 512 << (len(levels) - 1)
+    assert np.array_equal(np.sort(nodes), np.arange(per_unit, 2 * per_unit + 1) / per_unit)
+
+
+def test_trapezoid_refuses_start_past_budget_unevaluated():
+    level_sum, levels = _recording(lambda x: 0.0)
+    for density in (NODE_CAP / 4 + 1, 1e300, np.inf, np.nan):
+        with pytest.raises(QuadratureError):
+            nested_trapezoid(level_sum, 1.0, 2.0, density, lambda new, old: True)
+    assert levels == []
+
+
+def test_trapezoid_raises_when_levels_never_agree():
+    level_sum, levels = _recording(lambda x: float(len(x)))
+    with pytest.raises(QuadratureError):
+        nested_trapezoid(level_sum, 1.0, 2.0, 64.0, lambda new, old: False)
+    assert len(levels) == 4  # the start level and three halvings

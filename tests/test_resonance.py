@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+from gl_oracle import gl_panels
 
 from zetaprog import (DegenerateDenominatorError, DirichletPoly,
                       ExploratoryWarning, ProgressionSpec, ResidualWarning,
@@ -19,7 +20,6 @@ from zetaprog import (DegenerateDenominatorError, DirichletPoly,
                       build_excluded_set, euler_product_prediction,
                       eval_poly_grid, extreme_search, main_sum_grid,
                       ratio_R, resonator_coeffs, sample_progression)
-from zetaprog.quadrature import gl_panels
 from zetaprog.sieves import primes_in
 
 

@@ -4,17 +4,20 @@ Oracles:
   * the plateau mass 1 - edge follows from the ramp symmetry S(u)+S(1-u)=1,
     and is re-derived here by quadrature;
   * phi_hat is cross-checked against scipy's oscillatory-weight quadrature
-    (QAWO), which shares no code with the Gauss-Legendre panel evaluator;
+    (QAWO) and against Gauss-Legendre panels, neither of which shares code
+    with the package's trapezoid;
   * Poisson summation ties the whole transform to a plain lattice sum.
 """
 import math
+import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
 import scipy.integrate
+from gl_oracle import gl_panels
 
-from zetaprog import SmoothWindow, eval_phi, phi_hat
+from zetaprog import QuadratureError, SmoothWindow, eval_phi, phi_hat
 
 
 def test_support_and_plateau(window):
@@ -121,6 +124,37 @@ def test_phi_hat_against_scipy_oscillatory(window):
         assert max(re_err, im_err) < 1e-7   # QAWO's own (conservative) estimate
         got = window.phi_hat(xi)
         assert abs(got - complex(re, -im)) < 1e-9
+
+
+@pytest.mark.parametrize("edge", [0.2, 0.05, 0.01])
+@pytest.mark.parametrize("xi", [0.3, 3.0, 40.0, 333.3, 500.0])
+def test_phi_hat_against_gauss_legendre(edge, xi):
+    # degree-20 panels a quarter oscillation or a quarter ramp wide: doubling
+    # them moves the reference by < 4e-15
+    w = SmoothWindow(edge)
+    x, wq = gl_panels(1.0, 2.0, math.ceil(4 * max(xi, 1.0 / edge)), 20)
+    ref = complex(np.sum(wq * w.phi(x) * np.exp(-2j * np.pi * xi * x)))
+    assert abs(w.phi_hat(xi) - ref) < 1e-12
+
+
+@pytest.mark.parametrize("xi", [math.inf, -math.inf, math.nan])
+def test_phi_hat_rejects_non_finite_frequency(window, xi):
+    with pytest.raises(ValueError):
+        window.phi_hat(xi)
+
+
+@pytest.mark.parametrize("edge, xi", [(1e-7, 3.0), (0.05, 1e300), (0.05, 1e7)])
+def test_phi_hat_refuses_past_node_budget_unallocated(edge, xi):
+    # 16/edge or 4*xi nodes per unit would put the start level past the
+    # trapezoid's budget: refused before any node array exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError):
+            SmoothWindow(edge).phi_hat(xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 def test_poisson_summation(window):
