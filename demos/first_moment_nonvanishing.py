@@ -40,13 +40,16 @@ print(f"sym:      I = {I2:.4f}   deviation = {abs(I2 - ref):.2f} "
 
 # the same 2-adic resonance shows up with no zeta at all: the pure
 # polynomial average sum phi |B|^2 acquires a discrete-minus-continuous
-# correction that predict_E_prime gives in closed form
+# correction that predict_E_prime gives in closed form.  Both the integers
+# and the trapezoid nodes t = T + h*j are progressions, so B comes from
+# progression_sum on each.
 ell = np.arange(math.ceil(T), math.floor(2 * T) + 1, dtype=float)
-disc = float(np.sum(window.phi(ell / T)
-                    * np.abs(zp.eval_poly_grid(moll, sym.alpha * ell)) ** 2))
-t = np.linspace(T, 2 * T, 2_000_001)
-cont = float(np.trapezoid(window.phi(t / T)
-                          * np.abs(zp.eval_poly_grid(moll, sym.alpha * t)) ** 2, t))
+B = zp.progression_sum(*moll.nonzero(), sym.alpha * ell[0], sym.alpha, len(ell))
+disc = float(np.sum(window.phi(ell / T) * np.abs(B) ** 2))
+h = T / 2_000_000
+t = T + h * np.arange(2_000_001)
+B = zp.progression_sum(*moll.nonzero(), sym.alpha * T, sym.alpha * h, len(t))
+cont = float(np.trapezoid(window.phi(t / T) * np.abs(B) ** 2, dx=h))
 print(f"\npolynomial-only closure at sym: measured {disc - cont:+.4f}   "
       f"predicted {zp.predict_E_prime(sym, window, T, moll):+.4f}")
 

@@ -4,8 +4,8 @@ The smooth window, the kernels, and the zeta engines
 
 Everything upstream of the moments: the C-infinity window phi and its
 transform, the W kernel in closed form and the H kernel by contour
-quadrature with its Chebyshev table, and the two zeta evaluation routes
-(Euler-Maclaurin and Riemann-Siegel).
+quadrature with its Chebyshev table, and the two zeta engines
+(Euler-Maclaurin and Riemann-Siegel) on a progression of heights.
 """
 import math
 
@@ -44,15 +44,17 @@ print("\nmax |h_many - eval_H| on a log grid:",
       np.max(np.abs(zp.h_many(xs) - [zp.eval_H(float(x)) for x in xs])))
 
 # --- zeta engines -----------------------------------------------------------
-# Euler-Maclaurin is the reference; the Riemann-Siegel grid takes over
-# above t = 2000 where the main sum would get expensive
+# Euler-Maclaurin is the reference; on a progression the Riemann-Siegel
+# engine takes over above t = 2000 where the main sum would get expensive
 t = 1000.0
 print("\nzeta(1/2 + 1000i):")
 print("  EM: ", zp.zeta_critical(t))
 
-ts = np.array([5000.0, 50000.0])
-print("grid (Riemann-Siegel above t=2000):", zp.zeta_critical_grid(ts))
-print("forced EM on the same points:      ", zp.zeta_critical_grid(ts, engine="em"))
+t0, h = 5000.0, 45000.0
+print("progression 5000, 50000 (Riemann-Siegel above t=2000):",
+      zp.zeta_on_progression(t0, h, 2))
+print("scalar EM at the same heights:                       ",
+      np.array([zp.zeta_em(0.5 + 1j * t) for t in (t0, t0 + h)]))
 
 # the approximate functional equation squared: cheap |zeta|^2, relative
 # error ~2% at the low end of [1e3, 1e4] and well under 1% above

@@ -318,17 +318,17 @@ def _selftest_checks(rng):
     checks.append(("zeta_em_2", close(z2.real, math.pi ** 2 / 6, 1e-10),
                    f"zeta(2)={z2.real!r}"))
     t_seam = 2500.0
-    em = zmod.zeta_critical_grid(np.array([t_seam]), engine="em")[0]
-    rs = zmod.zeta_critical_grid(np.array([t_seam]), engine="rs")[0]
+    em = zmod.zeta_em(0.5 + 1j * t_seam)
+    rs = zmod.zeta_critical_grid([t_seam])[0]
     checks.append(("zeta_em_vs_rs", abs(em - rs) < 1e-6, f"|em-rs|={abs(em - rs):.2e}"))
     ts = rng.uniform(100.0, 300.0, size=4)
-    ms_grid = zmod.main_sum_grid(ts, 400)
+    ms_grid = zmod._main_sum_from_zeta(ts, zmod.zeta_critical_grid(ts), 400)
     ms_scal = np.array([zmod.main_sum(t, 400) for t in ts])
     checks.append(("main_sum_grid_vs_scalar", float(np.max(np.abs(ms_grid - ms_scal))) < 1e-9,
                    f"max diff {np.max(np.abs(ms_grid - ms_scal)):.2e}"))
-    ns, t_first, h = np.arange(1, 401), rng.uniform(1000.0, 2000.0), 9.0647
-    bsgs = zmod.progression_sum(ns, np.ones(400), t_first, h, 97)
-    direct = zmod._dirichlet_grid(ns, np.ones(400), t_first + h * np.arange(97))
+    t_first, h = rng.uniform(1000.0, 2000.0), 9.0647
+    bsgs = zmod.progression_sum(np.arange(1, 401), np.ones(400), t_first, h, 97)
+    direct = np.array([zmod.main_sum(t, 400) for t in t_first + h * np.arange(97)])
     checks.append(("progression_sum_vs_direct", float(np.max(np.abs(bsgs - direct))) < 1e-10,
                    f"max diff {np.max(np.abs(bsgs - direct)):.2e}"))
     # crosses RS_MIN_T and the m-group edge t = 2pi * 18^2

@@ -20,14 +20,16 @@ visible T scaling on both factors, which dimensional analysis of the lattice
 sum forces even where display formulas leave it implicit.
 
 One sampler, sample_progression, evaluates zeta*B and phi(ell/T) at nodes
-ell of the progression; every consumer reduces a sample over its phi > 0
-nodes, and the discrete moments, the nonvanishing bound and the resonator
-search share one sample of the integers in [T, 2T].  Every integral is the
-nested dyadic trapezoid of quadrature.py: the continuous moment samples the
-progression at ell = j / 2^k, from a 2^k above every tuple frequency (the
-bound _default_ell_max that predict_E also sums to); H_ell shares phi_hat's
-windowed transform.  The same zeta engine feeds both sides of E, so engine
-error cancels in it.
+ell of the progression, through zeta.zeta_on_progression and
+zeta.progression_sum: zeta and B are only ever evaluated on a progression.
+Every consumer reduces a sample over its phi > 0 nodes, and the discrete
+moments, the nonvanishing bound and the resonator search share one sample
+of the integers in [T, 2T].  Every integral is the nested dyadic trapezoid
+of quadrature.py: the continuous moment samples the progression at ell =
+j / 2^k, from a 2^k above every tuple frequency (the bound _default_ell_max
+that predict_E also sums to) and with 16 nodes across each window ramp;
+H_ell shares phi_hat's windowed transform.  The same zeta engine feeds both
+sides of E, so engine error cancels in it.
 """
 import math
 import warnings
@@ -46,7 +48,7 @@ from .window import SmoothWindow, _windowed_transform
 
 __all__ = ["DirichletPoly", "Mollifier", "MomentReport", "NonvanishingReport",
            "ProgressionSample", "sample_progression",
-           "mollifier_coeffs", "eval_poly", "eval_poly_grid",
+           "mollifier_coeffs", "eval_poly",
            "discrete_twisted_moment", "continuous_twisted_moment",
            "F_func", "F_func_series", "F_prime", "H_ell",
            "predict_E", "predict_E_prime", "moment_report",
@@ -125,14 +127,6 @@ def eval_poly(poly: DirichletPoly, t: float) -> complex:
     if len(ns) == 0:
         return 0j
     return zmod._dirichlet_sum(ns, bs * ns.astype(float) ** (-0.5), t)
-
-
-def eval_poly_grid(poly: DirichletPoly, ts) -> np.ndarray:
-    """B(1/2 + it) over an arbitrary array of t, by direct exponentials in
-    bounded blocks (zeta._BLOCK_ELEMS points x terms); on a progression,
-    sample_progression uses zeta.progression_sum instead."""
-    ns, bs = poly.nonzero()
-    return zmod._dirichlet_grid(ns, bs, ts)
 
 
 # -- the progression sample ------------------------------------------------------
@@ -239,7 +233,8 @@ def continuous_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: fl
     of two strictly above it.  The start step comes from that bound, not from
     the refinement check: a frequency at an even multiple of the step aliases
     on both levels a halving compares, so two agreeing levels do not prove the
-    step fine enough.
+    step fine enough.  For the same reason the start step also puts 16 nodes
+    across each window ramp, which is edge * T wide in ell.
 
     Each level samples the progression at its phi > 0 nodes.  Two successive
     levels agreeing to 1e-4 relative are accepted; QuadratureError when none
@@ -252,7 +247,8 @@ def continuous_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: fl
         live = ell[window.phi(ell / T) > 0.0]
         return sample_progression(spec, window, T, poly, live).twisted_sum(power)
 
-    return nested_trapezoid(level_sum, T, 2.0 * T, _default_ell_max(spec, T, poly) + 1,
+    density = max(_default_ell_max(spec, T, poly) + 1, 16.0 / (window.edge * T))
+    return nested_trapezoid(level_sum, T, 2.0 * T, density,
                             lambda new, old: abs(new - old) <= 1e-4 * max(abs(new), 1e-12))
 
 
@@ -496,11 +492,17 @@ def empirical_nonvanishing(sample: ProgressionSample, threshold: float) -> float
     |zeta(1/2 + i(alpha*ell + beta))| > threshold * (log ell)^(-1/2).
 
     At threshold 0 this reports 1.0: exact vanishing at a sampled point is
-    undetectable in floating point.
+    undetectable in floating point.  At ell = 1 the bar is +inf for any
+    threshold > 0.  ValueError for nodes ell < 1, where log ell < 0.
     """
     if threshold < 0.0:
         raise ValueError("threshold must be >= 0")
     if len(sample.ell) == 0:
         raise ValueError("empty progression window")
-    cut = threshold * np.log(sample.ell.astype(float)) ** (-0.5)
+    if np.any(sample.ell < 1):
+        raise ValueError("empirical_nonvanishing needs nodes ell >= 1")
+    if threshold == 0.0:
+        return float(np.mean(np.abs(sample.zeta) > 0.0))
+    with np.errstate(divide="ignore"):  # (log 1)^(-1/2) = +inf
+        cut = threshold * np.log(sample.ell.astype(float)) ** (-0.5)
     return float(np.mean(np.abs(sample.zeta) > cut))

@@ -205,8 +205,8 @@ def _check_validity(N: int, T: float, validity: str):
 
 def _main_sum(sample: ProgressionSample, live: np.ndarray) -> np.ndarray:
     """A = sum_{n <= T} n^(-1/2-it) at the sample's live nodes: from the
-    sample's own zeta where main_sum_grid would invert the EM tail, else by
-    progression_sum over n = 1..floor(T)."""
+    sample's own zeta with the EM tail inverted where zeta._main_sum_via_zeta
+    allows it, else by progression_sum over n = 1..floor(T)."""
     M = int(np.floor(sample.T))
     ts = sample.t[live]
     if zmod._main_sum_via_zeta(ts, M):

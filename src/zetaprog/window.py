@@ -24,7 +24,7 @@ import numpy as np
 
 from .quadrature import nested_trapezoid
 
-__all__ = ["SmoothWindow", "eval_phi", "phi_hat"]
+__all__ = ["SmoothWindow"]
 
 
 def _ramp(u):
@@ -101,12 +101,3 @@ def _windowed_transform(window: SmoothWindow, xi: float, g, agree) -> complex:
     density = max(64.0, 4.0 * abs(xi), 16.0 / window.edge)
     return nested_trapezoid(level_sum, 1.0, 2.0, density, agree)
 
-
-def eval_phi(w: SmoothWindow, x):
-    """Functional form of SmoothWindow.phi."""
-    return w.phi(x)
-
-
-def phi_hat(w: SmoothWindow, xi: float) -> complex:
-    """Functional form of SmoothWindow.phi_hat."""
-    return w.phi_hat(xi)

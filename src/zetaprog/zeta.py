@@ -13,27 +13,26 @@ phases t*log n reduced in 80-bit extended precision (at t = 1e5 a float64
 product carries ~1e-10 of phase error, the target accuracy), then math.fsum.
 
 The critical line has one engine per method, _euler_maclaurin (one cutoff
-per call) and _riemann_siegel, each serving both input shapes: heights on a
-progression ts[0] + h*j (zeta_on_progression) and arbitrary heights
-(zeta_critical_grid, also the oracle of zeta_on_progression).  The shape
-only picks the kernel of each head sum_{n<=M} n^(-1/2-it), in _head:
-progression_sum, or _dirichlet_grid in blocks of at most _BLOCK_ELEMS points
-x terms.  Riemann-Siegel sums each group of equal m = floor(sqrt(t/2pi)), a
-contiguous run on a progression or on sorted heights, and adds the remainder
-terms C_0..C_4: Chebyshev fits of the Psi-derivative combinations from an
-FFT-Cauchy Taylor expansion of Psi at degree 160, each cut at the lowest
-degree whose dropped coefficients sum below 1e-13 (18 to 21).  theta(t) is
-its Stirling series through t^-5, whose next term is below 2e-21 from t =
-300 up.  EM/RS agreement to 1e-6 wherever both run is part of the contract;
-each engine raises AccuracyError past its ceiling (RS_MAX_T for
-Riemann-Siegel, the cutoff cap _EM_HARD_CAP for Euler-Maclaurin).
+per call) and _riemann_siegel, each taking heights on a progression ts[0] +
+h*j and summing every head sum_{n<=M} n^(-1/2-it) with progression_sum
+(_head).  zeta_on_progression splits a run between them; zeta_critical_grid
+is one such run per height.  Riemann-Siegel sums each contiguous group of
+equal m = floor(sqrt(t/2pi)) and adds the remainder terms C_0..C_4:
+Chebyshev fits of the Psi-derivative combinations from an FFT-Cauchy Taylor
+expansion of Psi at degree 160, each cut at the lowest degree whose dropped
+coefficients sum below 1e-13 (18 to 21).  theta(t) is its Stirling series
+through t^-5, whose next term is below 2e-21 from t = 300 up.  EM/RS
+agreement to 1e-6 wherever both run is part of the contract; each engine
+raises AccuracyError outside its range (below RS_FORCED_MIN_T and above
+RS_MAX_T for Riemann-Siegel, past the cutoff cap _EM_HARD_CAP for
+Euler-Maclaurin).
 
 progression_sum is a baby-step giant-step factorisation (the
 Odlyzko-Schoenhage idea, with a matrix product in place of the FFT): with
 j = K*q + r, K = ceil(sqrt(count)), about 2*sqrt(count) exponentials per
 term and one complex matrix product replace count exponentials per term.
 It gives B to the progression sampler, the main sum A to the resonator and
-every head sum to zeta_on_progression; _dirichlet_grid is its reference.
+every head sum to zeta_on_progression.
 """
 import math
 from functools import lru_cache
@@ -45,8 +44,7 @@ from .errors import AccuracyError, CapError, PoleError, ToleranceError
 from .kernels import w_many
 
 __all__ = ["zeta_em", "zeta_critical", "zeta_critical_grid",
-           "afe_square", "main_sum", "main_sum_grid", "progression_sum",
-           "zeta_on_progression", "zeta_abs2_grid"]
+           "afe_square", "main_sum", "progression_sum", "zeta_on_progression"]
 
 _TWO_PI = 2.0 * np.pi
 _TWO_PI_LD = np.longdouble(2) * np.arccos(np.longdouble(-1))
@@ -54,20 +52,20 @@ _TWO_PI_LD = np.longdouble(2) * np.arccos(np.longdouble(-1))
 # what the tail uses.
 _BERN = [float(mpmath.bernoulli(n)) for n in range(33)]
 
-# Above this height the grid and progression paths switch from
-# Euler-Maclaurin to the Riemann-Siegel accelerator (agreement is ~1.5e-9 at
-# the seam).
+# Above this height zeta_on_progression switches from Euler-Maclaurin to the
+# Riemann-Siegel accelerator (agreement is ~1.5e-9 at the seam).
 RS_MIN_T = 2000.0
 
-# Lowest height engine="rs" accepts.  Against mpmath the accelerator's
-# maximum error is 4.4e-6 on [100, 150], 1.6e-6 on [150, 200] and 7.1e-7 on
-# [200, 250]; from 300 up it stays below 3.6e-7, inside the 1e-6 contract.
+# Lowest height Riemann-Siegel accepts (AccuracyError below).  The package
+# runs it from RS_MIN_T up; this is the floor of its 1e-6 contract.  Against
+# mpmath its maximum error is 4.4e-6 on [100, 150], 1.6e-6 on [150, 200] and
+# 7.1e-7 on [200, 250]; from 300 up it stays below 3.6e-7.
 RS_FORCED_MIN_T = 300.0
 
 # Highest height Riemann-Siegel accepts (AccuracyError above).  The float64
 # rounding of theta(t) and of t grows with t: against mpmath, on random
-# heights of both input shapes, the largest error is 3.9e-7 on [1e7, 2e7],
-# 7.1e-7 on [2e7, 3e7], 9.1e-7 on [3e7, 4e7] and 1.3e-6 on [4e7, 5e7].
+# heights, the largest error is 3.9e-7 on [1e7, 2e7], 7.1e-7 on [2e7, 3e7],
+# 9.1e-7 on [3e7, 4e7] and 1.3e-6 on [4e7, 5e7].
 RS_MAX_T = 2e7
 
 _EM_HARD_CAP = 4_000_000
@@ -198,40 +196,31 @@ def _rs_cheb():
     return out
 
 
-def _head(M: int, ts, h=None) -> np.ndarray:
-    """sum_{n <= M} n^(-1/2-it) at the heights ts: by progression_sum when ts
-    is the progression ts[0] + h*j, by _dirichlet_grid when h is None."""
-    ns, ones = np.arange(1, M + 1), np.ones(M)
-    if h is None:
-        return _dirichlet_grid(ns, ones, ts)
-    return progression_sum(ns, ones, ts[0], h, len(ts))
+def _head(M: int, ts, h) -> np.ndarray:
+    """sum_{n <= M} n^(-1/2-it) at the progression ts = ts[0] + h*j, by
+    progression_sum."""
+    return progression_sum(np.arange(1, M + 1), np.ones(M), ts[0], h, len(ts))
 
 
-def _euler_maclaurin(ts, h=None) -> np.ndarray:
-    """Euler-Maclaurin zeta(1/2+it) at one cutoff N = _em_cutoff(ts) for all
-    of ts (AccuracyError past _EM_HARD_CAP): the head _head(N - 1, ts, h),
-    then _em_tail."""
-    ts = np.asarray(ts, dtype=float)
+def _euler_maclaurin(ts, h) -> np.ndarray:
+    """Euler-Maclaurin zeta(1/2+it) on the progression ts = ts[0] + h*j, at
+    one cutoff N = _em_cutoff(ts) (AccuracyError past _EM_HARD_CAP): the head
+    _head(N - 1, ts, h), then _em_tail."""
     N = _em_cutoff(ts)
     return _em_tail(0.5 + 1j * ts, N, _head(N - 1, ts, h))
 
 
-def _riemann_siegel(ts, h=None) -> np.ndarray:
-    """Riemann-Siegel zeta(1/2+it), within 1e-6 for RS_FORCED_MIN_T <= t <=
-    RS_MAX_T (AccuracyError above, before any work).  Heights given without
-    h are sorted, so each group of equal m = floor(sqrt(t/2pi)) is a run with
-    main sum 2 Re(exp(i theta) _head(m, run, h)); the remainder (-1)^(m-1)
-    tau^(-1/2) sum_j C_j(tau - m) tau^-j (tau = sqrt(t/2pi)) is added and the
-    sum rotated by exp(-i theta)."""
-    ts = np.asarray(ts, dtype=float)
-    if not np.all(ts <= RS_MAX_T):
-        raise AccuracyError(f"Riemann-Siegel misses its 1e-6 accuracy above t = "
-                            f"{RS_MAX_T:g}; got t = {np.max(ts):g}")
-    if h is None and np.any(np.diff(ts) < 0.0):
-        order = np.argsort(ts, kind="stable")
-        out = np.empty(len(ts), dtype=complex)
-        out[order] = _riemann_siegel(ts[order])
-        return out
+def _riemann_siegel(ts, h) -> np.ndarray:
+    """Riemann-Siegel zeta(1/2+it) on the progression ts = ts[0] + h*j,
+    within 1e-6 for RS_FORCED_MIN_T <= t <= RS_MAX_T (AccuracyError outside,
+    before any work).  Each run of equal m = floor(sqrt(t/2pi)) has main sum
+    2 Re(exp(i theta) _head(m, run, h)); the remainder (-1)^(m-1) tau^(-1/2)
+    sum_j C_j(tau - m) tau^-j (tau = sqrt(t/2pi)) is added and the sum
+    rotated by exp(-i theta)."""
+    if not np.all((ts >= RS_FORCED_MIN_T) & (ts <= RS_MAX_T)):
+        raise AccuracyError(f"Riemann-Siegel misses its 1e-6 accuracy outside t in "
+                            f"[{RS_FORCED_MIN_T:g}, {RS_MAX_T:g}]; got t in "
+                            f"[{np.min(ts):g}, {np.max(ts):g}]")
     tau = np.sqrt(ts / _TWO_PI)
     m = np.floor(tau).astype(np.int64)
     th = _theta(ts)
@@ -247,37 +236,12 @@ def _riemann_siegel(ts, h=None) -> np.ndarray:
     return np.exp(-1j * th) * Z
 
 
-def zeta_critical_grid(ts, engine: str = "auto") -> np.ndarray:
-    """zeta(1/2+it) over an array of t, vectorized (negative t by conjugation).
-
-    engine "auto" uses Riemann-Siegel for t >= RS_MIN_T and Euler-Maclaurin
-    below; "em" / "rs" force one engine (the suite uses that to check the two
-    against each other), "rs" from RS_FORCED_MIN_T up.
-    """
+def zeta_critical_grid(ts) -> np.ndarray:
+    """zeta(1/2+it) at each t of an array, as a one-node zeta_on_progression
+    per height (negative t by conjugation)."""
     ts = np.asarray(ts, dtype=float)
-    neg = ts < 0.0
-    if np.any(neg):
-        out = zeta_critical_grid(np.abs(ts), engine)
-        out[neg] = np.conj(out[neg])
-        return out
-    floor = {"auto": RS_MIN_T, "em": math.inf, "rs": RS_FORCED_MIN_T}.get(engine)
-    if floor is None:
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "rs" and np.any(ts < floor):
-        raise ValueError(f"Riemann-Siegel path needs t >= {RS_FORCED_MIN_T}")
-    rs_mask = ts >= floor
-    out = np.empty(len(ts), dtype=complex)
-    if np.any(rs_mask):
-        out[rs_mask] = _riemann_siegel(ts[rs_mask])
-    if np.any(~rs_mask):
-        out[~rs_mask] = _euler_maclaurin(ts[~rs_mask])
-    return out
-
-
-def zeta_abs2_grid(ts, engine: str = "auto") -> np.ndarray:
-    """|zeta(1/2+it)|^2 over an array of t."""
-    z = zeta_critical_grid(ts, engine)
-    return (z * np.conj(z)).real
+    z = np.array([zeta_on_progression(t, 0.0, 1)[0] for t in np.abs(ts)], dtype=complex)
+    return np.where(ts < 0.0, np.conj(z), z)
 
 
 # -- approximate functional equation ------------------------------------------
@@ -338,50 +302,12 @@ def _main_sum_from_zeta(ts, zs, M: int):
     return zs - _em_tail(s, M) + np.exp(-s * np.log(M))
 
 
-def main_sum_grid(ts, cutoff: int) -> np.ndarray:
-    """Vectorized main_sum over a t-grid.  Where the cutoff M lies deep enough
-    in the Euler-Maclaurin zone (M >= max|t|/3) the partial sum is zeta with
-    the EM tail removed,
+# -- Dirichlet sums sum_k c_k n_k^(-1/2 - it) on a progression -------------------
 
-        sum_{n <= M} n^-s = zeta(s) + M^-s/2 - M^(1-s)/(s-1) - C(M),
-
-    else the direct sum _head(M, ts).  Agreement with the scalar main_sum to
-    1e-10 is part of the test suite.
-    """
-    ts = np.asarray(ts, dtype=float)
-    M = int(cutoff)
-    if M < 1:
-        raise ValueError("cutoff must be >= 1")
-    if _main_sum_via_zeta(ts, M):
-        return _main_sum_from_zeta(ts, zeta_critical_grid(ts), M)
-    return _head(M, ts)
-
-
-# -- Dirichlet sums sum_k c_k n_k^(-1/2 - it) ------------------------------------
-
-# Most complex entries one block of a Dirichlet-sum evaluation holds (4 MiB):
-# the exponential matrices below never grow past a few blocks, whatever the
-# number of points or terms.
+# Most complex entries one block of G or E in progression_sum holds (4 MiB):
+# its exponential matrices never grow past a few blocks, whatever the number
+# of points or terms.
 _BLOCK_ELEMS = 1 << 18
-
-
-def _dirichlet_grid(ns, coeffs, ts) -> np.ndarray:
-    """sum_k coeffs[k] * ns[k]^(-1/2 - it) at every t of an arbitrary array,
-    by direct float64 exponentials in blocks of at most _BLOCK_ELEMS points x
-    terms.  The reference for progression_sum, and the path for t that are
-    not an arithmetic progression."""
-    ts = np.asarray(ts, dtype=float)
-    ns = np.asarray(ns, dtype=float)
-    mags = np.asarray(coeffs, dtype=float) * ns ** -0.5
-    lnn = np.log(ns)
-    out = np.zeros(len(ts), dtype=complex)
-    cols = max(1, min(len(ns), _BLOCK_ELEMS))
-    rows = max(1, _BLOCK_ELEMS // cols)
-    for lo in range(0, len(ts), rows):
-        for k in range(0, len(ns), cols):
-            ph = np.outer(ts[lo:lo + rows], lnn[k:k + cols])
-            out[lo:lo + rows] += np.exp(-1j * ph) @ mags[k:k + cols]
-    return out
 
 
 def progression_sum(ns, coeffs, t0: float, h: float, count: int) -> np.ndarray:
@@ -429,8 +355,7 @@ def zeta_on_progression(t0: float, h: float, count: int) -> np.ndarray:
     """zeta(1/2 + i(t0 + h*j)) for j = 0 .. count-1, every Dirichlet sum
     through progression_sum.
 
-    The run splits where zeta_critical_grid switches engine, into at most
-    three contiguous sub-runs: Euler-Maclaurin where |t| < RS_MIN_T,
+    The run splits into at most three contiguous sub-runs: Euler-Maclaurin where |t| < RS_MIN_T,
     Riemann-Siegel where t >= RS_MIN_T, and where t <= -RS_MIN_T the
     conjugate of Riemann-Siegel on the mirrored run.  Raises ValueError for a
     negative count or a non-finite height.

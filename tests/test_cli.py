@@ -224,7 +224,7 @@ def test_cli_samples_progression_once(argv, A_by_kernel, tmp_path, monkeypatch):
         return [run for n, t, run in calls if (n, t) == (name, tag)]
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("a CLI run reached an arbitrary-t path")
+        raise AssertionError("a CLI run reached zeta_critical_grid")
 
     # both see a progression as (first height, step, count)
     monkeypatch.setattr(cli.zmod, "zeta_on_progression",
@@ -234,8 +234,6 @@ def test_cli_samples_progression_once(argv, A_by_kernel, tmp_path, monkeypatch):
                         counting("kernel", cli.zmod.progression_sum,
                                  lambda ns, coeffs, t0, h, count: (t0, h, count)))
     monkeypatch.setattr(cli.zmod, "zeta_critical_grid", unreachable)
-    monkeypatch.setattr(cli.zmod, "main_sum_grid", unreachable)
-    monkeypatch.setattr(cli.mmod, "eval_poly_grid", unreachable)
     monkeypatch.setattr(cli.mmod, "continuous_twisted_moment",
                         scoped("continuous", cli.mmod.continuous_twisted_moment))
     monkeypatch.setattr(cli.rmod, "extreme_search",

@@ -17,15 +17,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 from gl_oracle import gl_panels
+from zeta_oracle import poly_grid, zeta_grid
 
 from zetaprog import (CapWarning, DirichletPoly, F_func, F_func_series,
                       F_prime, H_ell, MomentReport, ProgressionSpec,
                       SmoothWindow, continuous_twisted_moment, delta,
                       discrete_twisted_moment, empirical_nonvanishing,
-                      eval_H, eval_poly, eval_poly_grid, main_sum,
+                      eval_H, eval_poly, main_sum,
                       mollifier_coeffs, moment_report, nonvanishing_bound,
-                      predict_E, predict_E_prime, sample_progression,
-                      zeta_critical_grid)
+                      predict_E, predict_E_prime, sample_progression)
+from zetaprog import zeta as zmod
 from zetaprog.errors import QuadratureError
 
 TWO_PI = 2.0 * math.pi
@@ -132,14 +133,6 @@ def test_eval_poly_conjugation_exact():
         assert eval_poly(moll, -t) == np.conj(eval_poly(moll, t))
 
 
-def test_eval_poly_grid_matches_scalar(rng):
-    moll = mollifier_coeffs(5000.0, 0.35)
-    ts = rng.uniform(-1e4, 1e4, 50)
-    grid = eval_poly_grid(moll, ts)
-    for t, v in zip(ts, grid):
-        assert abs(v - eval_poly(moll, float(t))) < 1e-10
-
-
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------
@@ -154,10 +147,10 @@ def test_sample_rejects_unequally_spaced_nodes(unit_spec, window):
     with pytest.raises(ValueError, match="equally spaced"):
         sample_progression(unit_spec, window, 300.0, moll,
                            np.array([300.0, 301.0, 303.0, 304.0]))
-    # dyadic nodes are spaced exactly; B matches the arbitrary-t path there
+    # dyadic nodes are spaced exactly; B matches the direct sum there
     ell = np.arange(2400, 4801) / 8.0
     sample = sample_progression(unit_spec, window, 300.0, moll, ell)
-    assert np.max(np.abs(sample.B - eval_poly_grid(moll, sample.t))) < 1e-12
+    assert np.max(np.abs(sample.B - poly_grid(moll, sample.t))) < 1e-12
 
 
 def test_discrete_moment_power_validation(unit_spec, window):
@@ -199,7 +192,7 @@ def test_continuous_matches_dense_gl(window, spec, T, theta, panels_per_unit):
     poly = DirichletPoly.one() if theta is None else mollifier_coeffs(T, theta)
     t, wq = gl_panels(T, 2 * T, int(panels_per_unit * T), 10)
     ts = spec.alpha * t + spec.beta
-    vals = zeta_critical_grid(ts) * eval_poly_grid(poly, ts)
+    vals = zeta_grid(ts) * poly_grid(poly, ts)
     wq = wq * window.phi(t / T)
     refs = {1: complex(np.sum(wq * vals)), 2: float(np.sum(wq * (vals * np.conj(vals)).real))}
     for power, ref in refs.items():
@@ -207,12 +200,20 @@ def test_continuous_matches_dense_gl(window, spec, T, theta, panels_per_unit):
         assert abs(got - ref) <= 1e-10 * abs(ref), (power, got, ref)
 
 
-def test_continuous_refuses_start_step_past_budget(window):
+def test_continuous_refuses_start_step_past_budget(window, sym_spec, monkeypatch):
     # alpha = 1e6 mixes frequencies near 3e6 per unit ell, so the start step
-    # alone would need 4M nodes per unit ell: refused before any evaluation.
-    with pytest.raises(QuadratureError):
-        continuous_twisted_moment(ProgressionSpec(alpha=1e6), window, 300.0,
-                                  DirichletPoly.one(), power=2)
+    # alone would need 4M nodes per unit ell.  At edge = 1e-6 and T = 300 each
+    # window ramp is 3e-4 wide in ell, and 16 nodes across it ask for 5.3e4
+    # per unit ell; a start set by the tuple frequencies alone missed the
+    # ramps there and came out 1.25e-4 off.  Both are refused before any
+    # evaluation.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("zeta evaluated before the budget check")
+
+    monkeypatch.setattr(zmod, "zeta_on_progression", unreachable)
+    for spec, w in ((ProgressionSpec(alpha=1e6), window), (sym_spec, SmoothWindow(1e-6))):
+        with pytest.raises(QuadratureError):
+            continuous_twisted_moment(spec, w, 300.0, DirichletPoly.one(), power=2)
 
 
 def test_moment_T_validation(unit_spec, window):
@@ -389,10 +390,10 @@ def test_predict_e_prime_symbolic_matches_measurement(sym_spec, window):
     pred = predict_E_prime(sym_spec, window, T, moll)
     ell = np.arange(math.ceil(T), math.floor(2 * T) + 1, dtype=float)
     w = window.phi(ell / T)
-    B = eval_poly_grid(moll, sym_spec.alpha * ell + sym_spec.beta)
+    B = poly_grid(moll, sym_spec.alpha * ell + sym_spec.beta)
     disc = float(np.sum(w * (B * np.conj(B)).real))
     t, wq = gl_panels(T, 2 * T, 4000, 10)
-    Bq = eval_poly_grid(moll, sym_spec.alpha * t + sym_spec.beta)
+    Bq = poly_grid(moll, sym_spec.alpha * t + sym_spec.beta)
     cont = float(np.sum(wq * window.phi(t / T) * (Bq * np.conj(Bq)).real))
     measured = disc - cont
     assert measured == pytest.approx(pred, rel=0.01)
@@ -406,10 +407,10 @@ def test_predict_e_prime_alpha_one_small(unit_spec, window):
     assert pred == 0.0  # no tuples at desk scale
     ell = np.arange(math.ceil(T), math.floor(2 * T) + 1, dtype=float)
     w = window.phi(ell / T)
-    B = eval_poly_grid(moll, unit_spec.alpha * ell + unit_spec.beta)
+    B = poly_grid(moll, unit_spec.alpha * ell + unit_spec.beta)
     disc = float(np.sum(w * (B * np.conj(B)).real))
     t, wq = gl_panels(T, 2 * T, 4000, 10)
-    Bq = eval_poly_grid(moll, unit_spec.alpha * t + unit_spec.beta)
+    Bq = poly_grid(moll, unit_spec.alpha * t + unit_spec.beta)
     cont = float(np.sum(wq * window.phi(t / T) * (Bq * np.conj(Bq)).real))
     assert abs(disc - cont) <= 0.05 * T * math.log(T)
 
@@ -487,7 +488,19 @@ def test_empirical_nonvanishing_monotone(unit_spec, window):
     assert fracs[2] >= 1.0 / 3.0
 
 
+def test_empirical_nonvanishing_at_ell_one(unit_spec, window):
+    # log 1 = 0: the bar threshold * (log ell)^(-1/2) is +inf at ell = 1, so
+    # the node counts at threshold 0 only
+    sample = sample_progression(unit_spec, window, 1.0, DirichletPoly.one())
+    assert list(sample.ell) == [1, 2]
+    assert empirical_nonvanishing(sample, 0.0) == 1.0
+    assert empirical_nonvanishing(sample, 0.1) == 0.5
+
+
 def test_empirical_nonvanishing_validation(unit_spec, window):
     with pytest.raises(ValueError):
         empirical_nonvanishing(sample_progression(unit_spec, window, 500.0,
                                                   DirichletPoly.one()), -0.1)
+    with pytest.raises(ValueError):  # log ell < 0
+        empirical_nonvanishing(sample_progression(unit_spec, window, 1.0, DirichletPoly.one(),
+                                                  np.array([0.5, 1.0])), 0.0)

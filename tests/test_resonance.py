@@ -13,13 +13,13 @@ import warnings
 import numpy as np
 import pytest
 from gl_oracle import gl_panels
+from zeta_oracle import main_sum_grid, poly_grid
 
 from zetaprog import (DegenerateDenominatorError, DirichletPoly,
                       ExploratoryWarning, ProgressionSpec, ResidualWarning,
                       Resonator, SmoothWindow, asymptotic_prime_window,
                       build_excluded_set, euler_product_prediction,
-                      eval_poly_grid, extreme_search, main_sum_grid,
-                      ratio_R, resonator_coeffs, sample_progression)
+                      extreme_search, ratio_R, resonator_coeffs, sample_progression)
 from zetaprog.sieves import primes_in
 
 
@@ -274,10 +274,10 @@ def test_short_polynomial_moment_transfer(unit_spec, window):
     poly = DirichletPoly(np.array([0.0, 1.0, 0.5, -0.3, 0.0, 0.2]))
     ell = np.arange(math.ceil(T), math.floor(2 * T) + 1, dtype=float)
     phi_d = window.phi(ell / T)
-    B_d = eval_poly_grid(poly, ell)
+    B_d = poly_grid(poly, ell)
     tq, wq = gl_panels(T, 2 * T, int(T / 2), 20)
     phi_q = window.phi(tq / T)
-    B_q = eval_poly_grid(poly, tq)
+    B_q = poly_grid(poly, tq)
 
     disc_plain = float(np.sum(phi_d * np.abs(B_d) ** 2))
     cont_plain = float(np.sum(wq * phi_q * np.abs(B_q) ** 2))

@@ -17,7 +17,7 @@ import pytest
 import scipy.integrate
 from gl_oracle import gl_panels
 
-from zetaprog import QuadratureError, SmoothWindow, eval_phi, phi_hat
+from zetaprog import QuadratureError, SmoothWindow
 
 
 def test_support_and_plateau(window):
@@ -184,8 +184,3 @@ def test_phi_hat_alignment_zeros(window):
     # exactly; phi_hat vanishes identically there.
     for xi in (20.0, 40.0, 60.0):
         assert abs(window.phi_hat(xi)) < 1e-12
-
-
-def test_functional_wrappers(window):
-    assert eval_phi(window, 1.5) == window.phi(1.5)
-    assert phi_hat(window, 2.5) == window.phi_hat(2.5)

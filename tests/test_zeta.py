@@ -1,4 +1,4 @@
-"""Zeta engines: Euler-Maclaurin scalar, Riemann-Siegel grid, AFE square.
+"""Zeta engines: Euler-Maclaurin scalar, zeta on a progression, AFE square.
 
 mpmath.zeta is the primary independent oracle (arbitrary precision, entirely
 different algorithm); classical constants (pi^2/6, zeta(1/2), the first zero
@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from zetaprog import (AccuracyError, CapError, DirichletPoly, PoleError, RS_MIN_T,
-                      afe_square, eval_poly, eval_poly_grid, main_sum, main_sum_grid,
-                      mollifier_coeffs, progression_sum, resonator_coeffs,
-                      zeta_abs2_grid, zeta_critical, zeta_critical_grid, zeta_em,
+from zeta_oracle import zeta_grid
+
+from zetaprog import (AccuracyError, CapError, PoleError, RS_MIN_T, afe_square,
+                      eval_poly, main_sum, mollifier_coeffs, progression_sum,
+                      resonator_coeffs, zeta_critical, zeta_critical_grid, zeta_em,
                       zeta_on_progression)
 from zetaprog import zeta as zmod
 from zetaprog.zeta import RS_FORCED_MIN_T, RS_MAX_T
@@ -108,7 +109,7 @@ def test_critical_matches_em_below_switch():
 
 
 def test_rs_against_em_at_switchover(rng):
-    # the Riemann-Siegel grid path takes over at RS_MIN_T; just above it the
+    # the Riemann-Siegel path takes over at RS_MIN_T; just above it the
     # Euler-Maclaurin scalar is still cheap, giving a dual-route check.
     ts = rng.uniform(RS_MIN_T, RS_MIN_T + 100, 50)
     rs = zeta_critical_grid(ts)
@@ -117,29 +118,31 @@ def test_rs_against_em_at_switchover(rng):
 
 
 def test_forced_rs_floor():
-    # the forced Riemann-Siegel path refuses heights where it misses 1e-6
-    # (4.4e-6 at t ~ 100) and meets 1e-6 just above its floor, where the
-    # largest measured error is 3.6e-7 near t = 308.
-    with pytest.raises(ValueError):
-        zeta_critical_grid(np.array([RS_FORCED_MIN_T - 1.0]), engine="rs")
-    ts = np.linspace(RS_FORCED_MIN_T, RS_FORCED_MIN_T + 20.0, 81)
-    got = zeta_critical_grid(ts, engine="rs")
+    # Riemann-Siegel refuses heights where it misses 1e-6 (4.4e-6 at t ~ 100)
+    # and meets 1e-6 just above its floor, where the largest measured error
+    # is 3.6e-7 near t = 308.
+    with pytest.raises(AccuracyError):
+        zmod._riemann_siegel(np.array([RS_FORCED_MIN_T - 1.0, RS_FORCED_MIN_T]), 1.0)
+    ts = RS_FORCED_MIN_T + 0.25 * np.arange(81)
+    got = zmod._riemann_siegel(ts, 0.25)
     for t, v in zip(ts, got):
         assert abs(v - _mp_zeta(0.5 + 1j * t)) < 1e-6
 
 
 def test_engines_refuse_heights_past_their_ceiling():
-    # Riemann-Siegel refuses t > RS_MAX_T on both input shapes before any
-    # work (unguarded, 1e30 asks for a 2.8 PiB array and 1e300 gives nan);
-    # Euler-Maclaurin refuses a cutoff past its hard cap before building it
-    for ts in ([RS_MAX_T * (1.0 + 1e-15)], [1e300], [-1e300], [math.inf], [5e3, 3e7]):
+    # Riemann-Siegel refuses t > RS_MAX_T before any work (unguarded, 1e30
+    # asks for a 2.8 PiB array and 1e300 gives nan); Euler-Maclaurin refuses
+    # a cutoff past its hard cap before building it
+    for ts in ([RS_MAX_T * (1.0 + 1e-15)], [1e300], [-1e300], [5e3, 3e7]):
         with pytest.raises(AccuracyError):
             zeta_critical_grid(np.array(ts))
     for t0, h in ((RS_MAX_T, 1.0), (1e30, 1.0), (1e300, 1.0), (-1e300, 1.0)):
         with pytest.raises(AccuracyError):
             zeta_on_progression(t0, h, 2)
     with pytest.raises(AccuracyError):
-        zeta_critical_grid(np.array([1e9]), engine="em")
+        zmod._riemann_siegel(np.array([math.inf]), 1.0)
+    with pytest.raises(AccuracyError):
+        zmod._euler_maclaurin(np.array([1e9]), 1.0)
 
 
 def test_rs_just_below_ceiling():
@@ -156,10 +159,10 @@ def test_rs_against_mpmath_high():
 
 
 def test_grid_matches_scalar_both_regimes(rng):
-    low = rng.uniform(10, 1500, 20)          # blocked Euler-Maclaurin path
-    high = rng.uniform(3000, 8000, 15)       # Riemann-Siegel path
+    low = rng.uniform(10, 1500, 20)          # Euler-Maclaurin
+    high = rng.uniform(3000, 8000, 15)       # Riemann-Siegel
     for t, v in zip(low, zeta_critical_grid(low)):
-        # same EM engine, different accumulation order (fsum scalar vs blocked)
+        # same EM cutoff, different accumulation (fsum scalar vs matrix product)
         assert abs(v - zeta_critical(float(t))) < 1e-11
     for t, v in zip(high, zeta_critical_grid(high)):
         assert abs(v - zeta_critical(float(t))) < 1e-6
@@ -172,18 +175,10 @@ def test_grid_negative_t_by_conjugation(rng):
     assert np.array_equal(neg, np.conj(pos))
 
 
-def test_abs2_grid_consistency(rng):
-    ts = rng.uniform(100, 3000, 30)
-    a2 = zeta_abs2_grid(ts)
-    z = zeta_critical_grid(ts)
-    assert np.allclose(a2, np.abs(z) ** 2, rtol=1e-12, atol=0)
-
-
 def test_mean_square_on_integers():
     # classical mean value: the average of |zeta(1/2+i ell)|^2 over
     # ell in [T, 2T] grows like log T; at T=2000 the ratio sits near 0.95.
-    ell = np.arange(2000, 4001, dtype=float)
-    mean = float(np.mean(zeta_abs2_grid(ell)))
+    mean = float(np.mean(np.abs(zeta_on_progression(2000.0, 1.0, 2001)) ** 2))
     assert 0.8 * math.log(2000.0) < mean < 1.2 * math.log(2000.0)
 
 
@@ -201,54 +196,46 @@ def test_main_sum_long_cutoff_approximates_zeta():
     assert abs(main_sum(t, 2000) - zeta_critical(t)) < 5.0 / math.sqrt(t)
 
 
-def test_main_sum_grid_direct_regime(rng):
-    # cutoff far below max|t|/3: plain vectorized summation path
-    ts = rng.uniform(1000, 2000, 15)
-    grid = main_sum_grid(ts, 100)
-    for t, v in zip(ts, grid):
-        # scalar path uses fsum + 80-bit phases; grid path plain float64
-        assert abs(v - main_sum(float(t), 100)) < 1e-11
-
-
 def test_main_sum_grid_inversion_regime(rng):
-    # cutoff >= max|t|/3 flips to the Euler-Maclaurin tail inversion
+    # with the cutoff M >= max|t|/3 the resonator takes the main sum from zeta
+    # by the Euler-Maclaurin tail inversion
     # Sum_{n<=M} n^-s = zeta(s) + M^-s/2 - M^(1-s)/(s-1) - C(M); agreement
     # with the direct scalar sum validates both the formula and the zeta
     # engine behind it.
     ts = rng.uniform(1000, 2000, 15)
-    grid = main_sum_grid(ts, 1000)
+    assert zmod._main_sum_via_zeta(ts, 1000)
+    grid = zmod._main_sum_from_zeta(ts, zeta_critical_grid(ts), 1000)
     for t, v in zip(ts, grid):
         assert abs(v - main_sum(float(t), 1000)) < 1e-10
 
 
-def test_main_sum_grid_validation():
+def test_main_sum_validation():
     with pytest.raises(ValueError):
-        main_sum_grid(np.array([100.0]), 0)
+        main_sum(100.0, 0)
 
 
-def _bounded_memory_cases(rng):
-    # main sums: 4000 points x 3000 terms, one unblocked exponential matrix is
-    # 192 MB (cutoff 3000 < max t / 3: the direct path).  EM zeta: 4000
-    # points x a cutoff of 4000, 256 MB unblocked.  RS zeta: 40000 points in
-    # the one m-group m = 300, whose unblocked phase matrix is 96 MB.
-    ts = rng.uniform(1e4, 2e4, 4000)
-    poly = DirichletPoly(np.r_[0.0, np.ones(3000)])
-    em = rng.uniform(1000.0, 1999.0, 4000)
-    rs = np.linspace(2 * np.pi * 300.5 ** 2, 2 * np.pi * 300.9 ** 2, 40000)
-    return {"main_sum_grid": (lambda: main_sum_grid(ts, 3000),
-                              main_sum(float(ts[0]), 3000), 1e-9),
-            "eval_poly_grid": (lambda: eval_poly_grid(poly, ts),
-                               main_sum(float(ts[0]), 3000), 1e-9),
-            "zeta_critical_grid-em": (lambda: zeta_critical_grid(em),
-                                      zeta_critical(float(em[0])), 1e-10),
-            "zeta_critical_grid-rs": (lambda: zeta_critical_grid(rs),
-                                      _mp_zeta(0.5 + 1j * float(rs[0])), 1e-6)}
+def _bounded_memory_cases():
+    # a dense main sum of 3000 terms on 4000 nodes, whose unblocked
+    # exponential matrices would be 192 MB; EM zeta on 4000 nodes at a
+    # cutoff of 4000, 256 MB unblocked; RS zeta on 40000 nodes in the one
+    # m-group m = 300, whose unblocked phase matrix is 96 MB.
+    h = 2.5
+    em0, em_h = 1000.0, 999.0 / 3999
+    rs0 = 2 * np.pi * 300.5 ** 2
+    rs_h = (2 * np.pi * 300.9 ** 2 - rs0) / 39999
+    return {"progression_sum": (lambda: progression_sum(np.arange(1, 3001), np.ones(3000),
+                                                        1e4, h, 4000),
+                                main_sum(1e4, 3000), 1e-9),
+            "zeta_on_progression-em": (lambda: zeta_on_progression(em0, em_h, 4000),
+                                       zeta_critical(em0), 1e-10),
+            "zeta_on_progression-rs": (lambda: zeta_on_progression(rs0, rs_h, 40000),
+                                       _mp_zeta(0.5 + 1j * rs0), 1e-6)}
 
 
-@pytest.mark.parametrize("fn", ["main_sum_grid", "eval_poly_grid", "zeta_critical_grid-em",
-                                "zeta_critical_grid-rs"])
-def test_arbitrary_t_sums_bounded_memory(fn, rng):
-    run, want, tol = _bounded_memory_cases(rng)[fn]
+@pytest.mark.parametrize("fn", ["progression_sum", "zeta_on_progression-em",
+                                "zeta_on_progression-rs"])
+def test_progression_sums_bounded_memory(fn):
+    run, want, tol = _bounded_memory_cases()[fn]
     tracemalloc.start()
     try:
         vals = run()
@@ -343,7 +330,7 @@ def test_zeta_on_progression_matches_grid(case):
     got = zeta_on_progression(t0, h, count)
     assert got.shape == (count,)
     if count:
-        assert np.max(np.abs(got - zeta_critical_grid(ts))) < 1e-9
+        assert np.max(np.abs(got - zeta_grid(ts))) < 1e-9
     for j in sorted({0, count // 2, count - 1}) if count else []:
         assert abs(got[j] - _mp_zeta(0.5 + 1j * ts[j])) < 1e-6, (j, ts[j])
 
@@ -365,11 +352,12 @@ def test_rs_fit_truncated_at_tail():
         assert np.sum(np.abs(full[len(cut) - 1:])) >= 1e-13
 
 
-def test_rs_grid_truncation_against_full_fit(rng, monkeypatch):
-    ts = rng.uniform(RS_FORCED_MIN_T, 1e6, 2000)
-    cut = zmod._riemann_siegel(ts)
+def test_rs_grid_truncation_against_full_fit(monkeypatch):
+    h = (1e6 - RS_FORCED_MIN_T) / 1999
+    ts = RS_FORCED_MIN_T + h * np.arange(2000)
+    cut = zmod._riemann_siegel(ts, h)
     monkeypatch.setattr(zmod, "_rs_cheb", zmod._rs_fit)
-    assert np.max(np.abs(cut - zmod._riemann_siegel(ts))) < 1e-12
+    assert np.max(np.abs(cut - zmod._riemann_siegel(ts, h))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
