@@ -15,8 +15,8 @@ import scipy.optimize
 
 from zeta_oracle import zeta_grid
 
-from zetaprog import (AccuracyError, CapError, PoleError, RS_MIN_T, afe_square,
-                      eval_poly, main_sum, mollifier_coeffs, progression_sum,
+from zetaprog import (AccuracyError, CapError, DirichletPoly, PoleError, RS_MIN_T,
+                      afe_square, eval_poly, main_sum, mollifier_coeffs, progression_sum,
                       resonator_coeffs, zeta_critical, zeta_critical_grid, zeta_em,
                       zeta_on_progression)
 from zetaprog import zeta as zmod
@@ -216,24 +216,28 @@ def test_main_sum_validation():
 
 def _bounded_memory_cases():
     # a dense main sum of 3000 terms on 4000 nodes, whose unblocked
-    # exponential matrices would be 192 MB; EM zeta on 4000 nodes at a
-    # cutoff of 4000, 256 MB unblocked; RS zeta on 40000 nodes in the one
-    # m-group m = 300, whose unblocked phase matrix is 96 MB.
+    # exponential matrices would be 192 MB, taken once from its terms and once
+    # from the all-ones DirichletPoly as sample_progression takes B; EM zeta on
+    # 4000 nodes at a cutoff of 4000, 256 MB unblocked; RS zeta on 40000 nodes
+    # in the one m-group m = 300, whose unblocked phase matrix is 96 MB.
     h = 2.5
     em0, em_h = 1000.0, 999.0 / 3999
     rs0 = 2 * np.pi * 300.5 ** 2
     rs_h = (2 * np.pi * 300.9 ** 2 - rs0) / 39999
-    return {"progression_sum": (lambda: progression_sum(np.arange(1, 3001), np.ones(3000),
-                                                        1e4, h, 4000),
-                                main_sum(1e4, 3000), 1e-9),
+    ones = DirichletPoly(np.r_[0.0, np.ones(3000)])
+    return {"progression_sum-main_sum": (lambda: progression_sum(np.arange(1, 3001),
+                                                                 np.ones(3000), 1e4, h, 4000),
+                                         main_sum(1e4, 3000), 1e-9),
+            "progression_sum-poly": (lambda: progression_sum(*ones.nonzero(), 1e4, h, 4000),
+                                     main_sum(1e4, 3000), 1e-9),
             "zeta_on_progression-em": (lambda: zeta_on_progression(em0, em_h, 4000),
                                        zeta_critical(em0), 1e-10),
             "zeta_on_progression-rs": (lambda: zeta_on_progression(rs0, rs_h, 40000),
                                        _mp_zeta(0.5 + 1j * rs0), 1e-6)}
 
 
-@pytest.mark.parametrize("fn", ["progression_sum", "zeta_on_progression-em",
-                                "zeta_on_progression-rs"])
+@pytest.mark.parametrize("fn", ["progression_sum-main_sum", "progression_sum-poly",
+                                "zeta_on_progression-em", "zeta_on_progression-rs"])
 def test_progression_sums_bounded_memory(fn):
     run, want, tol = _bounded_memory_cases()[fn]
     tracemalloc.start()
