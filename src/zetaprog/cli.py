@@ -130,8 +130,6 @@ def _spec_from(args) -> dmod.ProgressionSpec:
     if args.alpha_rational is not None:
         ell0, m, n = args.alpha_rational
         return dmod.ProgressionSpec.from_rational(ell0, m, n, beta=args.beta)
-    if args.alpha is None:
-        raise ValueError("one of --alpha / --alpha-rational is required")
     return dmod.ProgressionSpec(alpha=args.alpha, beta=args.beta)
 
 
@@ -144,8 +142,8 @@ def _spec_params(spec: dmod.ProgressionSpec):
     return p
 
 
-def _add_progression(parser, required=True):
-    g = parser.add_mutually_exclusive_group(required=required)
+def _add_progression(parser):
+    g = parser.add_mutually_exclusive_group(required=True)
     g.add_argument("--alpha", type=_finite_float, help="progression slope (float)")
     g.add_argument("--alpha-rational", type=_parse_rational, metavar="L0:M:N",
                    help="exact form: exp(2*pi*L0/alpha) = M/N")
@@ -162,24 +160,20 @@ def _add_outputs(parser):
 
 
 def _poly_from(args, T):
-    if getattr(args, "theta", None) is not None:
+    if args.theta is not None:
         return mmod.mollifier_coeffs(T, args.theta)
     return mmod.DirichletPoly.one()
 
 
 def _cmd_moment(args, t0):
     spec = _spec_from(args)
+    mmod._check_sample_budget(args.T)
     sample = mmod.sample_progression(spec, SmoothWindow(edge=args.edge), args.T,
                                      _poly_from(args, args.T))
     report = mmod.moment_report(sample, predict=not args.no_predict, eps=args.eps)
-    results = asdict(report)
-    rf = spec.rational_form
-    if rf is None or rf.candidate:
-        results["delta"] = 0.0
-    else:
-        results["delta"] = dmod.delta(spec)
+    results = {**asdict(report), "delta": dmod.delta(spec)}
     params = {**_spec_params(spec), "T": args.T, "edge": args.edge,
-              "eps": args.eps, "theta": getattr(args, "theta", None),
+              "eps": args.eps, "theta": args.theta,
               "predict": not args.no_predict}
     _emit(args, "moment", params, results, t0, ["ell", "t", "phi", "abs_zeta_B_sq"],
           [sample.ell, sample.t, sample.phi, np.abs(sample.zeta * sample.B) ** 2])
@@ -222,6 +216,7 @@ def _cmd_dioph(args, t0):
 
 def _cmd_firstmoment(args, t0):
     spec = _spec_from(args)
+    mmod._check_sample_budget(args.T)
     window = SmoothWindow(edge=args.edge)
     poly = _poly_from(args, args.T)
     sample = mmod.sample_progression(spec, window, args.T, poly)
@@ -238,7 +233,7 @@ def _cmd_firstmoment(args, t0):
     }
     vals = sample.zeta * sample.B
     params = {**_spec_params(spec), "T": args.T, "edge": args.edge,
-              "eps": args.eps, "theta": getattr(args, "theta", None)}
+              "eps": args.eps, "theta": args.theta}
     _emit(args, "firstmoment", params, results, t0,
           ["ell", "t", "phi", "re_zeta_B", "im_zeta_B"],
           [sample.ell, sample.t, sample.phi, vals.real, vals.imag])
@@ -247,6 +242,7 @@ def _cmd_firstmoment(args, t0):
 
 def _cmd_nonvanish(args, t0):
     spec = _spec_from(args)
+    mmod._check_sample_budget(args.T)
     sample = mmod.sample_progression(spec, SmoothWindow(edge=args.edge), args.T,
                                      _poly_from(args, args.T))
     rep = mmod.nonvanishing_bound(sample)
@@ -261,6 +257,7 @@ def _cmd_nonvanish(args, t0):
 
 def _cmd_resonate(args, t0):
     spec = _spec_from(args)
+    mmod._check_sample_budget(args.T)
     excluded = rmod.build_excluded_set(spec, args.T, args.eps)
     res = rmod.resonator_coeffs(args.N, args.mode, excluded, window=args.prime_window)
     euler = rmod.euler_product_prediction(res)
@@ -288,7 +285,7 @@ def _cmd_resonate(args, t0):
 
 def _selftest_checks(rng):
     """Curated fast invariant checks; each yields (name, passed, detail)."""
-    from .kernels import eval_H, eval_W
+    from .kernels import eval_H, eval_W, w_many
 
     def close(a, b, tol):
         return abs(a - b) <= tol
@@ -307,7 +304,6 @@ def _selftest_checks(rng):
     comp = [abs(eval_W(x) + eval_W(1 / x) - 1.0) for x in xs]
     checks.append(("kernel_W_complement", max(comp) < 1e-8,
                    f"max |W(x)+W(1/x)-1| = {max(comp):.2e}"))
-    from .kernels import w_many
     hv = eval_H(50.0)
     r = np.arange(1, 5000)
     series = float(np.sum(w_many(r * r / 50.0) / r))

@@ -34,9 +34,7 @@ _TWO_PI = 2.0 * math.pi
 
 
 def _iroot(v: int, k: int) -> Optional[int]:
-    """Exact integer k-th root of v >= 1, or None if v is not a perfect power."""
-    if v < 1 or k < 1:
-        return None
+    """Exact integer k-th root of v >= 1 (k >= 1), or None if v is not a perfect power."""
     if v == 1:
         return 1
     if k == 1:
@@ -85,10 +83,6 @@ def minimal_fraction(form: RationalForm) -> RationalForm:
     The output's own power decomposition satisfies gcd(ell0', k') = 1.
     """
     m, n = form.m, form.n
-    if m == n:
-        raise ValueError("m/n must differ from 1")
-    if math.gcd(m, n) != 1:
-        raise ValueError("m/n must be reduced")
     top = max(m, n)
     for k in range(max(top.bit_length() - 1, 1), 0, -1):
         r = _iroot(m, k)
@@ -220,7 +214,7 @@ def rational_approximations(x, q_cap: int, rel_tol, p_cap: Optional[int] = None)
         if q_cap - q_lo > 1_000_000:
             raise OverflowError(
                 f"Legendre band [{q_lo}, {q_cap}] too wide for direct scan")
-        for q in range(max(q_lo, 1), q_cap + 1):
+        for q in range(q_lo, q_cap + 1):  # q_lo >= 1: floor(positive) + 1
             p = int(mp.nint(q * x))
             if p < 1 or (p_cap is not None and p > p_cap):
                 continue
@@ -332,7 +326,6 @@ def delta(spec: ProgressionSpec) -> float:
     rf = spec.rational_form
     if rf is None or rf.candidate:
         return 0.0
-    rf = minimal_fraction(rf)  # delta is invariant under power blowup
     mn = rf.m * rf.n
     c = math.cos(spec.beta * math.log(rf.m / rf.n))
     root = math.sqrt(mn)

@@ -106,9 +106,9 @@ def mollifier_coeffs(T: float, theta: float) -> Mollifier:
         raise ValueError("mollifier_coeffs requires T >= 100")
     if not (0.0 < theta < 0.5):
         raise ValueError("theta must lie in (0, 1/2)")
-    length = max(int(np.floor(T ** theta)), 1)
+    length = int(np.floor(T ** theta))  # T >= 100 and theta > 0 give T^theta > 1
     if length > _COEFF_MEMORY_CAP:
-        raise MemoryError(f"T^theta = {length} exceeds the coefficient memory cap")
+        raise CapError(f"T^theta = {length} exceeds the coefficient memory cap")
     mu = mobius_table(length)
     log_cap = theta * math.log(T)
     vals = np.zeros(length + 1)
@@ -140,6 +140,18 @@ def _check_power(power: int):
 def _check_T(T: float):
     if not (0.0 < T < math.inf):
         raise ValueError("T must be positive and finite")
+
+
+def _check_sample_budget(T: float, count: Optional[int] = None):
+    """ValueError unless T is positive and finite, and CapError when count nodes
+    (default: the integers in [T, 2T]) exceed NODE_CAP, the largest level the
+    continuous moment can ask for.  The CLI calls it before it builds anything."""
+    _check_T(T)
+    if count is None:
+        count = math.floor(2.0 * T) - math.ceil(T) + 1
+    if count > NODE_CAP:
+        raise CapError(f"progression sample of {count} nodes exceeds the budget of "
+                       f"{NODE_CAP} nodes")
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,14 +200,9 @@ def sample_progression(spec: ProgressionSpec, window: SmoothWindow, T: float,
     [T, 2T]) of the progression 1/2 + i(alpha*ell + beta); zeta comes from
     zeta.zeta_on_progression and B from zeta.progression_sum, in that order,
     so heights the zeta engines refuse (AccuracyError) cost no Dirichlet sum.
-    Raises ValueError unless T is positive and finite and the nodes are
-    equally spaced, and CapError, before allocating, past quadrature.NODE_CAP
-    nodes, the largest level the continuous moment can ask for."""
-    _check_T(T)
-    count = math.floor(2.0 * T) - math.ceil(T) + 1 if ell is None else len(ell)
-    if count > NODE_CAP:
-        raise CapError(f"progression sample of {count} nodes exceeds the budget of "
-                       f"{NODE_CAP} nodes")
+    Raises as _check_sample_budget does, before allocating, and ValueError
+    unless the nodes are equally spaced."""
+    _check_sample_budget(T, None if ell is None else len(ell))
     if ell is None:
         ell = np.arange(math.ceil(T), math.floor(2.0 * T) + 1, dtype=np.int64)
     ell = np.asarray(ell)
@@ -269,9 +276,9 @@ def _f_pair_tables(a: int, b: int, poly: DirichletPoly):
     return np.array(weights), np.array(consts)
 
 
-def _F_batch(a: int, b: int, ts, poly: DirichletPoly, spec: ProgressionSpec) -> np.ndarray:
+def _F_batch(weights, consts, ts, spec: ProgressionSpec) -> np.ndarray:
+    """F at every height of ts, from the _f_pair_tables of its (a, b)."""
     tt = spec.alpha * np.asarray(ts, dtype=float) + spec.beta
-    weights, consts = _f_pair_tables(a, b, poly)
     X = np.outer(consts, tt)
     H = h_many(X.ravel()).reshape(X.shape)
     return weights @ H
@@ -286,7 +293,7 @@ def F_func(a: int, b: int, t: float, poly: DirichletPoly, spec: ProgressionSpec)
     polynomial this is a single term H(tt/(2*pi*a*b))."""
     if math.gcd(a, b) != 1 or a * b <= 1:
         raise ValueError("need coprime (a, b) with a*b > 1")
-    return float(_F_batch(a, b, np.array([float(t)]), poly, spec)[0])
+    return float(_F_batch(*_f_pair_tables(a, b, poly), np.array([float(t)]), spec)[0])
 
 
 def F_func_series(a: int, b: int, t: float, poly: DirichletPoly,
@@ -315,13 +322,9 @@ def F_func_series(a: int, b: int, t: float, poly: DirichletPoly,
             h1 = h // math.gcd(b, h)
             step = k1 * h1 // math.gcd(k1, h1)
             rs = np.arange(step, r_cap + 1, step, dtype=np.int64)
-            if len(rs) == 0:
-                continue
             mn = (a * rs // k) * (b * rs // h)
             keep = mn <= mn_cap
             rs, mn = rs[keep], mn[keep]
-            if len(rs) == 0:
-                continue
             terms = bk * bh * w_many(_TWO_PI * mn / tt) / rs
             total += float(np.sum(terms))
             tail += float(np.sum(terms[rs > decade]))
@@ -342,14 +345,16 @@ def F_prime(a: int, b: int, poly: DirichletPoly) -> float:
                      for r in range(1, rmax + 1))
 
 
-def _tuple_frequency(spec: ProgressionSpec, tup) -> float:
-    """nu(ell) = alpha*log(a/b)/(2*pi) - ell; exactly 0 on the symbolic rational path."""
+def _tuple_phase(spec: ProgressionSpec, tup):
+    """(nu, (a/b)^(i*beta)/sqrt(ab)) of a tuple: nu(ell) = alpha*log(a/b)/(2*pi)
+    - ell, exactly 0 on the symbolic rational path."""
+    pref = np.exp(1j * spec.beta * math.log(tup.a / tup.b)) / math.sqrt(tup.a * tup.b)
     rf = spec.rational_form
     if (rf is not None and not rf.candidate and tup.ell % rf.ell0 == 0
             and tup.a == rf.m ** (tup.ell // rf.ell0)
             and tup.b == rf.n ** (tup.ell // rf.ell0)):
-        return 0.0
-    return spec.alpha * math.log(tup.a / tup.b) / _TWO_PI - tup.ell
+        return 0.0, pref
+    return spec.alpha * math.log(tup.a / tup.b) / _TWO_PI - tup.ell, pref
 
 
 def H_ell(ell: int, spec: ProgressionSpec, window: SmoothWindow, T: float,
@@ -365,49 +370,32 @@ def H_ell(ell: int, spec: ProgressionSpec, window: SmoothWindow, T: float,
     tup = find_tuple(spec, ell, T, eps)
     if tup is None:
         return 0j
-    nu = _tuple_frequency(spec, tup)
-    pref = np.exp(1j * spec.beta * math.log(tup.a / tup.b)) / math.sqrt(tup.a * tup.b)
+    nu, pref = _tuple_phase(spec, tup)
+    weights, consts = _f_pair_tables(tup.a, tup.b, poly)
     val = _windowed_transform(window, T * nu,
-                              lambda x: _F_batch(tup.a, tup.b, T * x, poly, spec),
+                              lambda x: _F_batch(weights, consts, T * x, spec),
                               lambda new, old: abs(new - old) <= 1e-5 * max(abs(new), 1e-9))
     return pref * T * val
 
 
 def _default_ell_max(spec: ProgressionSpec, T: float, poly: DirichletPoly) -> int:
-    theta_eff = math.log(max(poly.length, 1)) / math.log(T) if T > 1 else 0.0
+    """The last ell predict_E sums to (DirichletPoly holds b(1): length >= 1)."""
+    theta_eff = math.log(poly.length) / math.log(T) if T > 1 else 0.0
     per_spec = math.ceil(spec.alpha / _TWO_PI * math.log(2 * spec.alpha * T ** (1 + theta_eff))) + 1
-    return max(per_spec, _required_ell_max(spec, T))
-
-
-def _required_ell_max(spec: ProgressionSpec, T: float) -> int:
-    return math.ceil(spec.alpha / _TWO_PI * math.log(T ** 2))
-
-
-def _ell_max(spec: ProgressionSpec, T: float, poly: DirichletPoly,
-             ell_max: Optional[int]) -> int:
-    """ell_max, or its default when None; ValueError if it misses a contributing ell."""
-    if ell_max is None:
-        return _default_ell_max(spec, T, poly)
-    if ell_max < _required_ell_max(spec, T):
-        raise ValueError(
-            f"ell_max={ell_max} cannot cover all contributing ell "
-            f"(need >= {_required_ell_max(spec, T)})")
-    return ell_max
+    return max(per_spec, math.ceil(spec.alpha / _TWO_PI * math.log(T ** 2)))
 
 
 def predict_E(spec: ProgressionSpec, window: SmoothWindow, T: float,
-              poly: DirichletPoly, ell_max: Optional[int] = None,
-              eps: float = DEFAULT_EPS) -> float:
+              poly: DirichletPoly, eps: float = DEFAULT_EPS) -> float:
     """Predicted discrete-minus-continuous correction: 4 * Re sum H(ell)."""
     total = 0j
-    for ell in range(1, _ell_max(spec, T, poly, ell_max) + 1):
+    for ell in range(1, _default_ell_max(spec, T, poly) + 1):
         total += H_ell(ell, spec, window, T, poly, eps)
     return 4.0 * total.real
 
 
 def predict_E_prime(spec: ProgressionSpec, window: SmoothWindow, T: float,
-                    poly: DirichletPoly, ell_max: Optional[int] = None,
-                    eps: float = DEFAULT_EPS) -> float:
+                    poly: DirichletPoly, eps: float = DEFAULT_EPS) -> float:
     """Predicted correction for the Dirichlet-polynomial-only second moment:
 
         2 * Re sum over ell of ((a/b)^(i*beta)/sqrt(ab)) * T * phi_hat(T*nu) * F'(a,b).
@@ -417,15 +405,14 @@ def predict_E_prime(spec: ProgressionSpec, window: SmoothWindow, T: float,
     compact display of the correction leaves the scaling implicit.
     """
     total = 0.0
-    for ell in range(1, _ell_max(spec, T, poly, ell_max) + 1):
+    for ell in range(1, _default_ell_max(spec, T, poly) + 1):
         tup = find_tuple(spec, ell, T, eps)
         if tup is None:
             continue
         fp = F_prime(tup.a, tup.b, poly)
         if fp == 0.0:
             continue
-        nu = _tuple_frequency(spec, tup)
-        pref = np.exp(1j * spec.beta * math.log(tup.a / tup.b)) / math.sqrt(tup.a * tup.b)
+        nu, pref = _tuple_phase(spec, tup)
         total += 2.0 * (pref * T * window.phi_hat(T * nu) * fp).real
     return total
 

@@ -123,8 +123,8 @@ def build_excluded_set(spec: ProgressionSpec, T: float,
         if not hits:
             continue
         _, b, a = min(hits)
-        if a > 1:
-            out.add(smallest_prime_factor(a))
+        # a hit has alpha*ln(a/b)/(2*pi) >= ell - T^(eps-1) > 0, so a > b >= 1
+        out.add(smallest_prime_factor(a))
         if b > 1:
             out.add(smallest_prime_factor(b))
     return frozenset(out)
@@ -138,7 +138,7 @@ def resonator_coeffs(N: int, mode: str, excluded: FrozenSet[int] = frozenset(),
     where r is multiplicative with r(p) = L/(sqrt(p) log p) on admissible
     primes; equivalently each admissible prime contributes a factor
     +-L/log p, and the support is the squarefree products staying <= N
-    (enumerated depth-first over the sorted primes).
+    (enumerated depth-first over the sorted primes; all lie in {1..N}).
 
     window: "asymptotic" uses [L^2, exp((log L)^2)] literally (possibly
     empty), "extended" uses [L^2, N], "auto" falls back from asymptotic to
@@ -171,18 +171,13 @@ def resonator_coeffs(N: int, mode: str, excluded: FrozenSet[int] = frozenset(),
     factors = [sign * L / math.log(p) for p in ps]
     vals = np.zeros(N + 1)
     vals[1] = 1.0
-    count = 1
 
     def extend(start: int, n: int, v: float):
-        nonlocal count
         for i in range(start, len(ps)):
             m = n * ps[i]
             if m > N:
                 break
             vals[m] = v * factors[i]
-            count += 1
-            if count > _SUPPORT_CAP:
-                raise CapError("resonator support exceeds the memory cap")
             extend(i + 1, m, v * factors[i])
 
     extend(0, 1, 1.0)

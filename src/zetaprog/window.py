@@ -14,8 +14,8 @@ The Fourier transform uses the convention
     phi_hat(xi) = integral over [1, 2] of phi(t) * exp(-2*pi*i*xi*t) dt,
 
 evaluated, like the correction integrals H_ell, by _windowed_transform: the
-nested trapezoid at max(64, 4|xi|, 16/edge) nodes per unit or more, i.e. four
-per oscillation and sixteen across each ramp.
+nested trapezoid at max(4|xi|, 16/edge) > 32, so 64 or more, nodes per unit,
+i.e. four per oscillation and sixteen across each ramp.
 """
 import math
 from dataclasses import dataclass, field
@@ -98,6 +98,6 @@ def _windowed_transform(window: SmoothWindow, xi: float, g, agree) -> complex:
         x = x[live]
         return complex(np.sum(phi[live] * np.exp(-2j * np.pi * xi * x) * g(x)))
 
-    density = max(64.0, 4.0 * abs(xi), 16.0 / window.edge)
+    density = max(4.0 * abs(xi), 16.0 / window.edge)
     return nested_trapezoid(level_sum, 1.0, 2.0, density, agree)
 

@@ -1,4 +1,6 @@
 """Command-line interface: exit codes, JSON/CSV shape, determinism."""
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_boundary import FLOATS
 
 import zetaprog.cli as cli
 from zetaprog import ProgressionSpec
@@ -176,14 +181,69 @@ def test_computation_failure_exit_code(tmp_path, monkeypatch):
                  "--json", str(tmp_path / "x.json")]) == 1
 
 
-@pytest.mark.parametrize("subcommand", ["nonvanish", "moment"])
-def test_node_budget_exit_code(subcommand, tmp_path, capsys):
-    # 1e9 + 1 integer nodes: refused before any array is allocated.
+def _unreachable(*args, **kwargs):
+    raise AssertionError("reached past the node budget")
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["nonvanish", "--alpha", "1", "--T", "1e9"], 1000000001),
+    (["moment", "--alpha", "1", "--T", "1e9"], 1000000001),
+    (["nonvanish", "--alpha", "1", "--T", "1e14", "--theta", "0.49"], 100000000000001),
+    (["resonate", "--alpha", "1", "--T", "1e9", "--N", "2000000", "--mode", "max"], 1000000001),
+    (["moment", "--alpha", "1", "--T", "1e17", "--theta", "0.49"], 100000000000000001),
+], ids=["nonvanish", "moment", "nonvanish-mollified", "resonate", "moment-overlong-mollifier"])
+def test_node_budget_exit_code(argv, count, tmp_path, monkeypatch, capsys):
+    # Refused before any array is allocated, and before the mollifier, the
+    # excluded set or the resonator is built; the last mollifier would hold
+    # T^0.49 = 2.1e8 coefficients.
+    monkeypatch.setattr(cli.mmod, "mollifier_coeffs", _unreachable)
+    monkeypatch.setattr(cli.rmod, "build_excluded_set", _unreachable)
+    monkeypatch.setattr(cli.rmod, "resonator_coeffs", _unreachable)
     out = tmp_path / "x.json"
-    assert main([subcommand, "--alpha", "1", "--T", "1e9", "--json", str(out)]) == 1
+    assert main(argv + ["--json", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "CapError" in err and "1000000001 nodes" in err
+    assert "computation failed: CapError" in err and f"{count} nodes" in err
+    assert "Traceback" not in err
     assert not out.exists()
+
+
+# Per subcommand: its fixed arguments and its float options.  A run gives
+# any float of test_boundary.FLOATS to at most two options; of the others, T
+# and alpha come from bands where a sample holds several nodes and stays
+# cheap, and the rest keep their defaults, so that many runs get to compute.
+_FLOAT_OPTIONS = {
+    "moment": (["--no-predict"], ("alpha", "T", "beta", "theta", "edge", "eps")),
+    "firstmoment": ([], ("alpha", "T", "beta", "theta", "edge", "eps")),
+    "nonvanish": ([], ("alpha", "T", "beta", "theta", "edge", "threshold")),
+    "resonate": (["--N", "100", "--mode", "max"], ("alpha", "T", "beta", "eps", "edge")),
+}
+# T below 100 is refused by find_tuple, the mollifier and the excluded set.
+_BANDS = {"T": st.one_of(st.floats(1.0, 400.0), st.floats(100.0, 400.0)),
+          "alpha": st.floats(0.5, 20.0)}
+
+
+@pytest.mark.parametrize("subcommand", list(_FLOAT_OPTIONS))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_float_options_exit_cleanly(subcommand, data):
+    # Every float an option accepts ends in exit 0, 1 or 2 (argparse's exit
+    # included), never in an uncaught exception or a traceback on stderr.
+    fixed, options = _FLOAT_OPTIONS[subcommand]
+    wild = data.draw(st.sets(st.sampled_from(options), max_size=2), label="wild")
+    argv = [subcommand] + fixed + ["--json", os.devnull]
+    for name in options:
+        if name in wild or name in _BANDS:
+            value = data.draw(FLOATS if name in wild else _BANDS[name], label=name)
+            argv.append(f"--{name}={value!r}")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the package's own warnings
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("argv, A_by_kernel", [

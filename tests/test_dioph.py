@@ -78,6 +78,9 @@ def test_spec_validation():
     # float alpha inconsistent with the claimed symbolic form
     with pytest.raises(ValueError):
         ProgressionSpec(alpha=1.0, rational_form=RationalForm(1, 2, 1))
+    # a consistent but non-minimal form: delta relies on minimal forms only
+    with pytest.raises(ValueError, match="not minimal"):
+        ProgressionSpec(alpha=TWO_PI / math.log(2.0), rational_form=RationalForm(2, 4, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from zetaprog import (CapWarning, DirichletPoly, F_func, F_func_series,
                       mollifier_coeffs, moment_report, nonvanishing_bound,
                       predict_E, predict_E_prime, sample_progression)
 from zetaprog import zeta as zmod
-from zetaprog.errors import QuadratureError
+from zetaprog.errors import CapError, QuadratureError
 
 TWO_PI = 2.0 * math.pi
 EULER_GAMMA = 0.5772156649015329
@@ -104,6 +104,9 @@ def test_mollifier_validation():
         mollifier_coeffs(2000.0, 0.0)
     with pytest.raises(ValueError):
         mollifier_coeffs(2000.0, 0.5)
+    # T^0.49 = 2.1e8 coefficients: a typed refusal before any table is built
+    with pytest.raises(CapError, match="exceeds the coefficient memory cap"):
+        mollifier_coeffs(1e17, 0.49)
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +341,6 @@ def test_h_ell_first_term_midpoint_estimate(sym_spec, window):
     assert abs(val.real - est) <= 0.02 * est
     # frozen regression (deterministic quadrature)
     assert val.real == pytest.approx(5922.769829258416, rel=1e-8)
-
-
-def test_predict_e_ell_max_validation(sym_spec, window):
-    with pytest.raises(ValueError):
-        predict_E(sym_spec, window, 2000.0, DirichletPoly.one(), ell_max=1)
 
 
 def test_predict_e_alpha_one_negligible(unit_spec, window):

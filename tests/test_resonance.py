@@ -104,6 +104,14 @@ def test_support_is_squarefree_within_window():
             d += 1
 
 
+@pytest.mark.parametrize("mode", ["max", "min"])
+@pytest.mark.parametrize("N", [100, 1000, 30030, 100_000])
+def test_support_stays_within_length(N, mode):
+    # the support lies in {1..N}, so the N <= _SUPPORT_CAP check bounds it
+    ns, _ = _quiet(resonator_coeffs, N, mode).coeffs.nonzero()
+    assert len(ns) <= N and ns.max() <= N
+
+
 def test_excluded_primes_annihilate_support():
     r = _quiet(resonator_coeffs, 200, "max", excluded=frozenset({11}))
     assert r.coeffs.coeff(11) == 0.0

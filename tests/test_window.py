@@ -18,6 +18,8 @@ import scipy.integrate
 from gl_oracle import gl_panels
 
 from zetaprog import QuadratureError, SmoothWindow
+from zetaprog import window as window_module
+from zetaprog.quadrature import nested_trapezoid
 
 
 def test_support_and_plateau(window):
@@ -141,6 +143,23 @@ def test_phi_hat_against_gauss_legendre(edge, xi):
 def test_phi_hat_rejects_non_finite_frequency(window, xi):
     with pytest.raises(ValueError):
         window.phi_hat(xi)
+
+
+@pytest.mark.parametrize("edge", [0.3, 0.49])
+def test_phi_hat_starts_at_64_nodes_per_unit(edge, monkeypatch):
+    # 16/edge > 32 for every edge the window accepts, so the start level of
+    # a low frequency is the next power of two, 64 nodes per unit
+    levels = []
+
+    def recording(level_sum, *args):
+        def record(x):
+            levels.append(x.copy())
+            return level_sum(x)
+        return nested_trapezoid(record, *args)
+
+    monkeypatch.setattr(window_module, "nested_trapezoid", recording)
+    SmoothWindow(edge).phi_hat(0.3)
+    assert np.array_equal(levels[0], np.arange(64, 129) / 64)
 
 
 @pytest.mark.parametrize("edge, xi", [(1e-7, 3.0), (0.05, 1e300), (0.05, 1e7)])
