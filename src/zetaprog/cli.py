@@ -11,6 +11,7 @@ should strip run_meta first.  Exit codes: 0 ok, 1 failed check or
 computation error, 2 bad configuration.
 """
 import argparse
+import functools
 import json
 import math
 import sys
@@ -165,9 +166,24 @@ def _poly_from(args, T):
     return mmod.DirichletPoly.one()
 
 
+def _check_run(args, search=False):
+    """The checks of the builders a run will reach, in the order it reaches
+    them, then the node budget, all before any work: the mollifier's T and
+    theta when --theta is set, and find_tuple's T and eps when search.  Last,
+    ValueError when [T, 2T] holds no integer (T < 1/2): the library's empty
+    sum is 0, but a report over no node compares nothing."""
+    if args.theta is not None:
+        mmod._check_mollifier(args.T, args.theta)
+    if search:
+        dmod._check_search(args.T, args.eps)
+    mmod._check_sample_budget(args.T)
+    if math.floor(2.0 * args.T) < math.ceil(args.T):
+        raise ValueError(f"the window [T, 2T] holds no integer node at T = {args.T!r}")
+
+
 def _cmd_moment(args, t0):
     spec = _spec_from(args)
-    mmod._check_sample_budget(args.T)
+    _check_run(args, search=not args.no_predict)
     sample = mmod.sample_progression(spec, SmoothWindow(edge=args.edge), args.T,
                                      _poly_from(args, args.T))
     report = mmod.moment_report(sample, predict=not args.no_predict, eps=args.eps)
@@ -216,7 +232,7 @@ def _cmd_dioph(args, t0):
 
 def _cmd_firstmoment(args, t0):
     spec = _spec_from(args)
-    mmod._check_sample_budget(args.T)
+    _check_run(args, search=True)
     window = SmoothWindow(edge=args.edge)
     poly = _poly_from(args, args.T)
     sample = mmod.sample_progression(spec, window, args.T, poly)
@@ -242,7 +258,7 @@ def _cmd_firstmoment(args, t0):
 
 def _cmd_nonvanish(args, t0):
     spec = _spec_from(args)
-    mmod._check_sample_budget(args.T)
+    _check_run(args)
     sample = mmod.sample_progression(spec, SmoothWindow(edge=args.edge), args.T,
                                      _poly_from(args, args.T))
     rep = mmod.nonvanishing_bound(sample)
@@ -257,6 +273,8 @@ def _cmd_nonvanish(args, t0):
 
 def _cmd_resonate(args, t0):
     spec = _spec_from(args)
+    dmod._check_search(args.T, args.eps, "build_excluded_set")
+    rmod._check_resonator_length(args.N)
     mmod._check_sample_budget(args.T)
     excluded = rmod.build_excluded_set(spec, args.T, args.eps)
     res = rmod.resonator_coeffs(args.N, args.mode, excluded, window=args.prime_window)
@@ -375,7 +393,10 @@ def _cmd_selftest(args, t0):
 # -- entry point ----------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, and building it costs about 2 ms of every main call."""
     root = argparse.ArgumentParser(
         prog="zetaprog",
         description="Moments, diophantine corrections, and resonance extremes of "

@@ -238,6 +238,14 @@ def _progression_x(spec: ProgressionSpec, ell: int):
     return mp.exp(_TWO_PI * ell / mp.mpf(spec.alpha))
 
 
+def _check_search(T: float, eps: float, caller: str = "find_tuple"):
+    """ValueError, naming the caller, unless T >= 100 and eps lies in (0, 1/2)."""
+    if T < 100.0:
+        raise ValueError(f"{caller} requires T >= 100")
+    if not (0.0 < eps < 0.5):
+        raise ValueError("eps must lie in (0, 1/2)")
+
+
 def find_tuple(spec: ProgressionSpec, ell: int, T: float,
                eps: float = DEFAULT_EPS) -> Optional[DiophantineTuple]:
     """The unique coprime (a, b), a*b > 1, b < T^(1/2-eps)*exp(-pi*ell/alpha),
@@ -248,10 +256,7 @@ def find_tuple(spec: ProgressionSpec, ell: int, T: float,
     below K are separated by more than K^-2, which exceeds twice the quality
     tolerance whenever T^eps > 2.
     """
-    if T < 100.0:
-        raise ValueError("find_tuple requires T >= 100")
-    if not (0.0 < eps < 0.5):
-        raise ValueError("eps must lie in (0, 1/2)")
+    _check_search(T, eps)
     if ell < 1:
         raise ValueError("ell must be a positive integer")
     ln_bcap = (0.5 - eps) * math.log(T) - math.pi * ell / spec.alpha

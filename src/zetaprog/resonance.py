@@ -35,8 +35,8 @@ import mpmath as mp
 import numpy as np
 
 from . import zeta as zmod
-from .dioph import CF_PRECISION_BITS, DEFAULT_EPS, ProgressionSpec, _progression_x, \
-    rational_approximations
+from .dioph import CF_PRECISION_BITS, DEFAULT_EPS, ProgressionSpec, _check_search, \
+    _progression_x, rational_approximations
 from .errors import CapError, DegenerateDenominatorError
 from .moments import DirichletPoly, ProgressionSample, _progression_run
 from .sieves import primes_in, smallest_prime_factor
@@ -89,10 +89,7 @@ def build_excluded_set(spec: ProgressionSpec, T: float,
     of a and of b enter the set (b = 1 contributes nothing).  At most one
     tuple per ell qualifies in practice, so |S| <= 4 log T.
     """
-    if T < 100.0:
-        raise ValueError("build_excluded_set requires T >= 100")
-    if not (0.0 < eps < 0.5):
-        raise ValueError("eps must lie in (0, 1/2)")
+    _check_search(T, eps, "build_excluded_set")
     member_cap = (0.5 - eps) * math.log(T)
     freq_tol = T ** (eps - 1.0)
     out = set()
@@ -130,6 +127,12 @@ def build_excluded_set(spec: ProgressionSpec, T: float,
     return frozenset(out)
 
 
+def _check_resonator_length(N: int):
+    """ValueError unless N >= 100."""
+    if N < 100:
+        raise ValueError("resonator_coeffs requires N >= 100")
+
+
 def resonator_coeffs(N: int, mode: str, excluded: FrozenSet[int] = frozenset(),
                      window: str = "auto") -> Resonator:
     """Build the resonator of length N.
@@ -144,8 +147,7 @@ def resonator_coeffs(N: int, mode: str, excluded: FrozenSet[int] = frozenset(),
     empty), "extended" uses [L^2, N], "auto" falls back from asymptotic to
     extended with an ExploratoryWarning when the narrow window holds no primes.
     """
-    if N < 100:
-        raise ValueError("resonator_coeffs requires N >= 100")
+    _check_resonator_length(N)
     if mode not in ("max", "min"):
         raise ValueError("mode must be 'max' or 'min'")
     if N > _SUPPORT_CAP:

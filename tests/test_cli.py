@@ -182,29 +182,95 @@ def test_computation_failure_exit_code(tmp_path, monkeypatch):
 
 
 def _unreachable(*args, **kwargs):
-    raise AssertionError("reached past the node budget")
+    raise AssertionError("reached past the boundary checks")
 
 
-@pytest.mark.parametrize("argv, count", [
-    (["nonvanish", "--alpha", "1", "--T", "1e9"], 1000000001),
-    (["moment", "--alpha", "1", "--T", "1e9"], 1000000001),
-    (["nonvanish", "--alpha", "1", "--T", "1e14", "--theta", "0.49"], 100000000000001),
-    (["resonate", "--alpha", "1", "--T", "1e9", "--N", "2000000", "--mode", "max"], 1000000001),
-    (["moment", "--alpha", "1", "--T", "1e17", "--theta", "0.49"], 100000000000000001),
-], ids=["nonvanish", "moment", "nonvanish-mollified", "resonate", "moment-overlong-mollifier"])
-def test_node_budget_exit_code(argv, count, tmp_path, monkeypatch, capsys):
+_CAP = "computation failed: CapError: progression sample of "
+
+
+@pytest.mark.parametrize("argv, rc, message", [
+    (["nonvanish", "--alpha", "1", "--T", "1e9"], 1, _CAP + "1000000001 nodes"),
+    (["moment", "--alpha", "1", "--T", "1e9"], 1, _CAP + "1000000001 nodes"),
+    (["nonvanish", "--alpha", "1", "--T", "1e14", "--theta", "0.49"], 1,
+     _CAP + "100000000000001 nodes"),
+    (["resonate", "--alpha", "1", "--T", "1e9", "--N", "2000000", "--mode", "max"], 1,
+     _CAP + "1000000001 nodes"),
+    (["moment", "--alpha", "1", "--T", "1e17", "--theta", "0.49"], 1,
+     _CAP + "100000000000000001 nodes"),
+    (["resonate", "--alpha", "1", "--T", "1e9", "--N", "50", "--mode", "max"], 2,
+     "bad configuration: resonator_coeffs requires N >= 100"),
+    (["moment", "--alpha", "1", "--T", "1e9", "--theta", "0.7"], 2,
+     "bad configuration: theta must lie in (0, 1/2)"),
+    (["firstmoment", "--alpha", "1", "--T", "50"], 2,
+     "bad configuration: find_tuple requires T >= 100"),
+    (["moment", "--alpha", "1", "--T", "50"], 2,
+     "bad configuration: find_tuple requires T >= 100"),
+    (["moment", "--alpha", "1", "--T", "300", "--eps", "0.5"], 2,
+     "bad configuration: eps must lie in (0, 1/2)"),
+    (["nonvanish", "--alpha", "1", "--T", "50"], 2,
+     "bad configuration: mollifier_coeffs requires T >= 100"),
+    (["resonate", "--alpha", "1", "--T", "50", "--N", "100", "--mode", "max"], 2,
+     "bad configuration: build_excluded_set requires T >= 100"),
+], ids=["nonvanish", "moment", "nonvanish-mollified", "resonate", "moment-overlong-mollifier",
+        "resonate-short-N", "moment-theta", "firstmoment-small-T", "moment-small-T",
+        "moment-eps", "nonvanish-small-T", "resonate-small-T"])
+def test_node_budget_exit_code(argv, rc, message, tmp_path, monkeypatch, capsys):
     # Refused before any array is allocated, and before the mollifier, the
-    # excluded set or the resonator is built; the last mollifier would hold
-    # T^0.49 = 2.1e8 coefficients.
-    monkeypatch.setattr(cli.mmod, "mollifier_coeffs", _unreachable)
-    monkeypatch.setattr(cli.rmod, "build_excluded_set", _unreachable)
-    monkeypatch.setattr(cli.rmod, "resonator_coeffs", _unreachable)
+    # excluded set, the resonator or the sample is built; the mollifier of
+    # moment-overlong-mollifier would hold T^0.49 = 2.1e8 coefficients.  A
+    # builder's T, theta, N or eps check runs before the node budget, with
+    # the builder's own message.
+    for mod, name in ((cli.mmod, "mollifier_coeffs"), (cli.mmod, "sample_progression"),
+                      (cli.rmod, "build_excluded_set"), (cli.rmod, "resonator_coeffs")):
+        monkeypatch.setattr(mod, name, _unreachable)
     out = tmp_path / "x.json"
-    assert main(argv + ["--json", str(out)]) == 1
+    assert main(argv + ["--json", str(out)]) == rc
     err = capsys.readouterr().err
-    assert "computation failed: CapError" in err and f"{count} nodes" in err
+    assert message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("T", ["0.49", "1e-100", "1e-300", "5e-324"])
+def test_empty_window_exit_code(T, capsys):
+    # Below T = 1/2 the window [T, 2T] holds no integer node.  From T = 1.5e-162
+    # down, T**2 underflows to 0, where the bound on the integrand's
+    # frequencies once stopped the run with a bare "math domain error"; at
+    # 5e-324 the ramp width edge * T underflows too.
+    assert main(["moment", "--no-predict", "--alpha", "1", "--T", T,
+                 "--json", os.devnull]) == 2
+    err = capsys.readouterr().err
+    assert f"no integer node at T = {float(T)!r}" in err and "Traceback" not in err
+
+
+def test_parser_built_once_per_process(tmp_path):
+    # The parser is cached; one process runs a bad-argument call (argparse's
+    # exit 2) among three experiments, and each report, run_meta aside,
+    # equals that of a fresh process.
+    assert cli.build_parser() is cli.build_parser()
+    runs = [["firstmoment", "--alpha", "1", "--T", "300", "--theta", "0.3"],
+            ["moment", "--alpha", "1", "--alpha-rational", "1:2:1", "--T", "300"],
+            ["moment", "--alpha", "1", "--beta", "0.25", "--T", "300"],
+            ["resonate", "--alpha", "1", "--T", "300", "--N", "100", "--mode", "max"]]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for i, argv in enumerate(runs):
+        here, fresh = tmp_path / f"here{i}.json", tmp_path / f"fresh{i}.json"
+        with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("ignore")
+            try:
+                rc = main(argv + ["--json", str(here)])
+            except SystemExit as exc:
+                rc = exc.code
+        done = subprocess.run([sys.executable, "-W", "ignore", "-m", "zetaprog.cli", *argv,
+                               "--json", str(fresh)], env=env, capture_output=True)
+        assert rc == done.returncode == (2 if i == 1 else 0)
+        if rc == 0:
+            docs = [json.loads(path.read_text()) for path in (here, fresh)]
+            for doc in docs:
+                del doc["run_meta"]
+            assert docs[0] == docs[1]
 
 
 # Per subcommand: its fixed arguments and its float options.  A run gives

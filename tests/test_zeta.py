@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+import zeta_oracle
 from zeta_oracle import zeta_grid
 
 from zetaprog import (AccuracyError, CapError, DirichletPoly, PoleError, RS_MIN_T,
@@ -54,6 +55,10 @@ def test_conjugation_exact():
     0.5 + 99999.5j,
     2.0 + 5000.0j,
     0.75 + 333.3j,
+    # the largest errors per sigma of an mpmath (dps 30) scan of 306 heights
+    # up to 1e5: 2.8e-13 (at 99999.5 above), 2.5e-14 and 1.1e-15
+    0.75 + 76905.47510896383j,
+    2.0 + 95688.84101109565j,
 ])
 def test_em_against_mpmath(s):
     assert abs(zeta_em(s) - _mp_zeta(s)) < 1e-10
@@ -62,6 +67,30 @@ def test_em_against_mpmath(s):
 def test_em_hard_cap():
     with pytest.raises(AccuracyError):
         zeta_em(0.5 + 3e6j)
+
+
+def test_em_cutoff_at_half_height():
+    # N = floor(max|t|/2) + 1, at least 50; the 1e6-term cap refuses from
+    # |t| = 2e6 on, before any work
+    assert zmod._em_cutoff(np.array([10.0, -98.0])) == 50
+    assert zmod._em_cutoff(np.array([1500.0, -1999.5])) == 1000
+    assert zmod._em_cutoff(1.999e6) == 999_501
+    with pytest.raises(AccuracyError):
+        zmod._em_cutoff(2.0e6)
+
+
+@pytest.mark.parametrize("t0, h, count, j", [
+    (-1999.0, 9.0647, 441, 222),
+    (-1999.0, 1.3, 3000, 1594),
+])
+def test_em_progression_scan_worst(t0, h, count, j):
+    # The two largest errors of an mpmath (dps 30) scan of 614 nodes of 123
+    # progression runs below RS_MIN_T, 1.4e-12 and 6.0e-13.  Both runs reach
+    # |t| near 2000, so their cutoff is near 1000; at the small heights
+    # t = 13.36 and 73.2 the rounding of that many terms is what is left.
+    with mp.workdps(30):
+        want = complex(mp.zeta(mp.mpc(0.5, mp.mpf(t0) + mp.mpf(h) * j)))
+    assert abs(zeta_on_progression(t0, h, count)[j] - want) <= 1e-11
 
 
 def _exact_bernoulli(n_max: int) -> list:
@@ -354,6 +383,22 @@ def test_rs_fit_truncated_at_tail():
         assert np.array_equal(cut, full[:len(cut)])
         assert np.sum(np.abs(full[len(cut):])) < 1e-13
         assert np.sum(np.abs(full[len(cut) - 1:])) >= 1e-13
+
+
+def test_rs_blocked_matches_per_series_oracle(monkeypatch):
+    # 20000 nodes in three blocks of _RS_BLOCK; the block edges at 8192 and
+    # 16384 fall inside the m-groups m = 30 and m = 32.  With the heads made
+    # equal, the blocked remainder, theta and rotation match the oracle's
+    # whole-array chebval per series.
+    t0, h, count = 5000.0, 0.1, 20000
+    ts = t0 + h * np.arange(count)
+    m = np.floor(np.sqrt(ts / (2 * np.pi)))
+    assert zmod._RS_BLOCK == 8192 and count > 2 * zmod._RS_BLOCK
+    for edge in (zmod._RS_BLOCK, 2 * zmod._RS_BLOCK):
+        assert m[edge - 1] == m[edge]
+    monkeypatch.setattr(zeta_oracle, "_direct_sum", lambda M, run: zmod._head(M, run, h))
+    got = zmod._riemann_siegel(ts, h)
+    assert np.max(np.abs(got - zeta_oracle._riemann_siegel(ts))) <= 1e-13
 
 
 def test_rs_grid_truncation_against_full_fit(monkeypatch):
