@@ -11,7 +11,6 @@ should strip run_meta first.  Exit codes: 0 ok, 1 failed check or
 computation error, 2 bad configuration.
 """
 import argparse
-import functools
 import json
 import math
 import sys
@@ -166,16 +165,19 @@ def _poly_from(args, T):
     return mmod.DirichletPoly.one()
 
 
-def _check_run(args, search=False):
+def _check_run(args, search=None, resonator=False):
     """The checks of the builders a run will reach, in the order it reaches
     them, then the node budget, all before any work: the mollifier's T and
-    theta when --theta is set, and find_tuple's T and eps when search.  Last,
-    ValueError when [T, 2T] holds no integer (T < 1/2): the library's empty
-    sum is 0, but a report over no node compares nothing."""
-    if args.theta is not None:
+    theta when --theta is set, the T and eps check of the search named by
+    search (find_tuple or build_excluded_set), and the resonator's N when
+    resonator.  Last, ValueError when [T, 2T] holds no integer (T < 1/2): the
+    library's empty sum is 0, but a report over no node compares nothing."""
+    if getattr(args, "theta", None) is not None:  # resonate has no --theta
         mmod._check_mollifier(args.T, args.theta)
-    if search:
-        dmod._check_search(args.T, args.eps)
+    if search is not None:
+        dmod._check_search(args.T, args.eps, search)
+    if resonator:
+        rmod._check_resonator_length(args.N)
     mmod._check_sample_budget(args.T)
     if math.floor(2.0 * args.T) < math.ceil(args.T):
         raise ValueError(f"the window [T, 2T] holds no integer node at T = {args.T!r}")
@@ -183,7 +185,7 @@ def _check_run(args, search=False):
 
 def _cmd_moment(args, t0):
     spec = _spec_from(args)
-    _check_run(args, search=not args.no_predict)
+    _check_run(args, search=None if args.no_predict else "find_tuple")
     sample = mmod.sample_progression(spec, SmoothWindow(edge=args.edge), args.T,
                                      _poly_from(args, args.T))
     report = mmod.moment_report(sample, predict=not args.no_predict, eps=args.eps)
@@ -232,7 +234,7 @@ def _cmd_dioph(args, t0):
 
 def _cmd_firstmoment(args, t0):
     spec = _spec_from(args)
-    _check_run(args, search=True)
+    _check_run(args, search="find_tuple")
     window = SmoothWindow(edge=args.edge)
     poly = _poly_from(args, args.T)
     sample = mmod.sample_progression(spec, window, args.T, poly)
@@ -273,9 +275,7 @@ def _cmd_nonvanish(args, t0):
 
 def _cmd_resonate(args, t0):
     spec = _spec_from(args)
-    dmod._check_search(args.T, args.eps, "build_excluded_set")
-    rmod._check_resonator_length(args.N)
-    mmod._check_sample_budget(args.T)
+    _check_run(args, search="build_excluded_set", resonator=True)
     excluded = rmod.build_excluded_set(spec, args.T, args.eps)
     res = rmod.resonator_coeffs(args.N, args.mode, excluded, window=args.prime_window)
     euler = rmod.euler_product_prediction(res)
@@ -393,10 +393,7 @@ def _cmd_selftest(args, t0):
 # -- entry point ----------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1)
 def build_parser():
-    """The argument parser, built once per process: parse_args leaves it
-    unchanged, and building it costs about 2 ms of every main call."""
     root = argparse.ArgumentParser(
         prog="zetaprog",
         description="Moments, diophantine corrections, and resonance extremes of "

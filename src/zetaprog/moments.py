@@ -40,7 +40,7 @@ import numpy as np
 
 from . import zeta as zmod
 from .dioph import DEFAULT_EPS, ProgressionSpec, find_tuple
-from .errors import CapError, QuadratureError
+from .errors import CapError
 from .kernels import h_many, w_many
 from .quadrature import NODE_CAP, nested_trapezoid
 from .sieves import mobius_table
@@ -250,20 +250,16 @@ def continuous_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: fl
 
     Each level samples the progression at its phi > 0 nodes.  Two successive
     levels agreeing to 1e-4 relative are accepted; QuadratureError when none
-    do, when the start step exceeds the rule's node budget, or when the ramp
-    width edge * T underflows to 0.
+    do, or when the start step exceeds the rule's node budget.
     """
     _check_power(power)
     _check_T(T)
-    ramp = window.edge * T
-    if ramp == 0.0:
-        raise QuadratureError(f"the window ramp edge * T underflows to 0 at T = {T!r}")
 
     def level_sum(ell):  # the grid reaches past [T, 2T]; nodes with phi = 0 add nothing
         live = ell[window.phi(ell / T) > 0.0]
         return sample_progression(spec, window, T, poly, live).twisted_sum(power)
 
-    density = max(_default_ell_max(spec, T, poly) + 1, 16.0 / ramp)
+    density = max(_default_ell_max(spec, T, poly) + 1, 16.0 / (window.edge * T))
     return nested_trapezoid(level_sum, T, 2.0 * T, density,
                             lambda new, old: abs(new - old) <= 1e-4 * max(abs(new), 1e-12))
 
@@ -387,21 +383,11 @@ def H_ell(ell: int, spec: ProgressionSpec, window: SmoothWindow, T: float,
     return pref * T * val
 
 
-def _log_or(value: float, log_form: float) -> float:
-    """math.log(value), or log_form where value underflowed to 0.  The log
-    form is not always bit-equal to math.log(value), and a ceil of it could
-    flip, so it is taken only where the value is lost."""
-    return math.log(value) if value > 0.0 else log_form
-
-
 def _default_ell_max(spec: ProgressionSpec, T: float, poly: DirichletPoly) -> int:
     """The last ell predict_E sums to (DirichletPoly holds b(1): length >= 1)."""
-    log_T = math.log(T)
-    theta_eff = math.log(poly.length) / log_T if T > 1 else 0.0
-    per_spec = math.ceil(spec.alpha / _TWO_PI * _log_or(
-        2 * spec.alpha * T ** (1 + theta_eff),
-        math.log(2 * spec.alpha) + (1 + theta_eff) * log_T)) + 1
-    return max(per_spec, math.ceil(spec.alpha / _TWO_PI * _log_or(T ** 2, 2 * log_T)))
+    theta_eff = math.log(poly.length) / math.log(T) if T > 1 else 0.0
+    per_spec = math.ceil(spec.alpha / _TWO_PI * math.log(2 * spec.alpha * T ** (1 + theta_eff))) + 1
+    return max(per_spec, math.ceil(spec.alpha / _TWO_PI * math.log(T ** 2)))
 
 
 def predict_E(spec: ProgressionSpec, window: SmoothWindow, T: float,

@@ -233,44 +233,14 @@ def test_node_budget_exit_code(argv, rc, message, tmp_path, monkeypatch, capsys)
 
 @pytest.mark.parametrize("T", ["0.49", "1e-100", "1e-300", "5e-324"])
 def test_empty_window_exit_code(T, capsys):
-    # Below T = 1/2 the window [T, 2T] holds no integer node.  From T = 1.5e-162
-    # down, T**2 underflows to 0, where the bound on the integrand's
-    # frequencies once stopped the run with a bare "math domain error"; at
-    # 5e-324 the ramp width edge * T underflows too.
+    # Below T = 1/2 the window [T, 2T] holds no integer node, and the run is
+    # refused before any work.  From T = 1.5e-162 down, T**2 underflows to 0,
+    # where the bound on the integrand's frequencies once stopped the run
+    # with a bare "math domain error".
     assert main(["moment", "--no-predict", "--alpha", "1", "--T", T,
                  "--json", os.devnull]) == 2
     err = capsys.readouterr().err
     assert f"no integer node at T = {float(T)!r}" in err and "Traceback" not in err
-
-
-def test_parser_built_once_per_process(tmp_path):
-    # The parser is cached; one process runs a bad-argument call (argparse's
-    # exit 2) among three experiments, and each report, run_meta aside,
-    # equals that of a fresh process.
-    assert cli.build_parser() is cli.build_parser()
-    runs = [["firstmoment", "--alpha", "1", "--T", "300", "--theta", "0.3"],
-            ["moment", "--alpha", "1", "--alpha-rational", "1:2:1", "--T", "300"],
-            ["moment", "--alpha", "1", "--beta", "0.25", "--T", "300"],
-            ["resonate", "--alpha", "1", "--T", "300", "--N", "100", "--mode", "max"]]
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    for i, argv in enumerate(runs):
-        here, fresh = tmp_path / f"here{i}.json", tmp_path / f"fresh{i}.json"
-        with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
-            warnings.simplefilter("ignore")
-            try:
-                rc = main(argv + ["--json", str(here)])
-            except SystemExit as exc:
-                rc = exc.code
-        done = subprocess.run([sys.executable, "-W", "ignore", "-m", "zetaprog.cli", *argv,
-                               "--json", str(fresh)], env=env, capture_output=True)
-        assert rc == done.returncode == (2 if i == 1 else 0)
-        if rc == 0:
-            docs = [json.loads(path.read_text()) for path in (here, fresh)]
-            for doc in docs:
-                del doc["run_meta"]
-            assert docs[0] == docs[1]
 
 
 # Per subcommand: its fixed arguments and its float options.  A run gives

@@ -245,26 +245,6 @@ def test_moment_report_consistency(unit_spec, window):
     assert rep.predicted_E is not None
 
 
-def test_default_ell_max_where_the_powers_underflow():
-    # The log form is taken only where T**2 or 2 alpha T^(1 + theta_eff)
-    # underflows to 0.  Elsewhere the power form stands: at alpha = 2pi/ln 2,
-    # T = 1024 it reads log2(T^2) = 20.000000000000004, so the bound is 21.
-    from zetaprog.moments import _default_ell_max
-    one = DirichletPoly.one()
-    assert _default_ell_max(ProgressionSpec(alpha=2 * math.pi / math.log(2)), 1024.0, one) == 21
-    # T**2 underflows: ceil((ln 2 + ln T) / 2pi) + 1 = -108 and ceil(2 ln T / 2pi) = -219
-    assert _default_ell_max(ProgressionSpec(alpha=1.0), 1e-300, one) == -108
-    # both powers underflow; alpha/2pi times either log is a tiny negative number
-    tiny = 3.972278869732006e-252
-    assert _default_ell_max(ProgressionSpec(alpha=tiny), tiny, one) == 1
-    # so the continuous moment runs at such T, and refuses a ramp edge * T
-    # that underflows to 0 with a typed error
-    spec, window = ProgressionSpec(alpha=1.0), SmoothWindow()
-    assert continuous_twisted_moment(spec, window, 1e-300, one, 2) > 0.0
-    with pytest.raises(QuadratureError, match="at T = 5e-324"):
-        continuous_twisted_moment(spec, window, 5e-324, one, 2)
-
-
 # ---------------------------------------------------------------------------
 # the F transform: closed H-kernel form vs W-series form
 # ---------------------------------------------------------------------------

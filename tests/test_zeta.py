@@ -64,6 +64,17 @@ def test_em_against_mpmath(s):
     assert abs(zeta_em(s) - _mp_zeta(s)) < 1e-10
 
 
+def test_em_left_of_critical_line_refused():
+    # Left of the critical line the error grows like N^-sigma: at
+    # s = -1 + 1e4 i the cutoff |Im s|/2 reads 5.0e-9 against mpmath (dps 30),
+    # over the 1e-10 contract (the cutoff 2|Im s| reads 3.2e-7 there, the
+    # rounding of a value of size 6e4), so zeta_em refuses Re s < 1/2.
+    assert abs(zeta_em(0.5 + 1e4j) - _mp_zeta(0.5 + 1e4j)) < 1e-10
+    for s in (-1.0 + 1e4j, 0.4999 + 0j, -1.0 - 5.0j):
+        with pytest.raises(AccuracyError, match="left of Re s = 1/2"):
+            zeta_em(s)
+
+
 def test_em_hard_cap():
     with pytest.raises(AccuracyError):
         zeta_em(0.5 + 3e6j)
