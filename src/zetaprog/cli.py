@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -77,8 +78,7 @@ def _emit(args, subcommand, params, results, t0, csv_header=None, csv_columns=No
     if csv_columns is not None and args.csv:
         cells = [_csv_column(col) for col in csv_columns]
         with open(args.csv, "w", newline="") as fh:
-            fh.write(",".join(csv_header) + "\n")
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+            fh.write("\n".join(map(",".join, [csv_header, *zip(*cells)])) + "\n")
 
 
 def _csv_cell(c):
@@ -170,8 +170,10 @@ def _check_run(args, search=None, resonator=False):
     them, then the node budget, all before any work: the mollifier's T and
     theta when --theta is set, the T and eps check of the search named by
     search (find_tuple or build_excluded_set), and the resonator's N when
-    resonator.  Last, ValueError when [T, 2T] holds no integer (T < 1/2): the
-    library's empty sum is 0, but a report over no node compares nothing."""
+    resonator.  Then ValueError when [T, 2T] holds no integer (T < 1/2): the
+    library's empty sum is 0, but a report over no node compares nothing.
+    Last, for resonator, extreme_search's validity check: ValueError when N >
+    T^(1/6) in paper-strict mode, else the run's one ExploratoryWarning."""
     if getattr(args, "theta", None) is not None:  # resonate has no --theta
         mmod._check_mollifier(args.T, args.theta)
     if search is not None:
@@ -181,6 +183,8 @@ def _check_run(args, search=None, resonator=False):
     mmod._check_sample_budget(args.T)
     if math.floor(2.0 * args.T) < math.ceil(args.T):
         raise ValueError(f"the window [T, 2T] holds no integer node at T = {args.T!r}")
+    if resonator:
+        rmod._check_validity(args.N, args.T, args.validity)
 
 
 def _cmd_moment(args, t0):
@@ -280,7 +284,9 @@ def _cmd_resonate(args, t0):
     res = rmod.resonator_coeffs(args.N, args.mode, excluded, window=args.prime_window)
     euler = rmod.euler_product_prediction(res)
     sample = mmod.sample_progression(spec, SmoothWindow(edge=args.edge), args.T, res.coeffs)
-    rep = rmod.extreme_search(sample, res, validity=args.validity)
+    with warnings.catch_warnings():  # _check_run raised it, before any work
+        warnings.simplefilter("ignore", rmod.ExploratoryWarning)
+        rep = rmod.extreme_search(sample, res, validity=args.validity)
     results = {
         "excluded_primes": excluded,
         "resonator": {"N": res.N, "L": res.L, "prime_lo": res.prime_lo,

@@ -18,6 +18,7 @@ where the quality tolerance can exceed that threshold, is scanned directly,
 making the search provably equivalent to an exhaustive Farey scan.
 """
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -190,21 +191,42 @@ def _cf_candidates(x, q_cap: int, include_semis: bool, max_terms: int = 400):
 def rational_approximations(x, q_cap: int, rel_tol, p_cap: Optional[int] = None):
     """All reduced fractions p/q, q <= q_cap, with |p/q - x|/x <= rel_tol.
 
-    x must be an mpf/mpq at working precision.  Combines the continued
+    x must be an mpf at working precision (or a float).  Combines the continued
     fraction (convergents + semiconvergents) with a direct scan of the top
     denominator band where rel_tol exceeds the Legendre threshold 1/(2q^2),
     so the result equals an exhaustive Farey scan.
     Returns a sorted list of (p, q, quality).
+
+    A float prefilter skips a candidate before its working-precision quality
+    when |p/q/float(x) - 1| > rel_tol*(1 + 1e-9) + 1e-15.  The three float
+    roundings move that ratio by at most 3.4e-16 when x and p/q are normal
+    floats, so the margin drops no fraction the exact test keeps.  When x
+    lies outside the normal float range, or p/q overflows a float, every
+    candidate goes to the exact test.
     """
     if q_cap < 1:
         return []
     rel_tol = mp.mpf(rel_tol)
+    xf = float(x)
+    far = float(rel_tol) * (1.0 + 1e-9) + 1e-15
+    prefilter = sys.float_info.min <= xf < math.inf
+
+    def quality(p, q):
+        """|p/q/x - 1| at working precision, or None when p/q is far from x."""
+        if prefilter:
+            try:
+                if abs(p / q / xf - 1.0) > far:
+                    return None
+            except OverflowError:  # p/q beyond the float range
+                pass
+        return abs(mp.mpf(p) / q / x - 1)
+
     seen = {}
     for p, q in _cf_candidates(x, q_cap, include_semis=True):
         if p_cap is not None and p > p_cap:
             continue
-        qual = abs(mp.mpf(p) / q / x - 1)
-        if qual <= rel_tol:
+        qual = quality(p, q)
+        if qual is not None and qual <= rel_tol:
             seen[(p, q)] = qual
     # Legendre band: fractions with |x - p/q| >= 1/(2q^2) need not be
     # semiconvergents; that is possible once q >= 1/sqrt(2*x*rel_tol).
@@ -220,8 +242,8 @@ def rational_approximations(x, q_cap: int, rel_tol, p_cap: Optional[int] = None)
                 continue
             if math.gcd(p, q) != 1:
                 continue
-            qual = abs(mp.mpf(p) / q / x - 1)
-            if qual <= rel_tol:
+            qual = quality(p, q)
+            if qual is not None and qual <= rel_tol:
                 seen.setdefault((p, q), qual)
     return sorted((p, q, qual) for (p, q), qual in seen.items())
 

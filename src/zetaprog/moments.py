@@ -30,6 +30,13 @@ j / 2^k, from a 2^k above every tuple frequency (the bound _default_ell_max
 that predict_E also sums to) and with 16 nodes across each window ramp;
 H_ell shares phi_hat's windowed transform.  The same zeta engine feeds both
 sides of E, so engine error cancels in it.
+
+F(a, b, T*x) is smooth on [1, 2] (each of its H terms is entire in log tt),
+so H_ell resolves it once per tuple by a Chebyshev interpolant: the first of
+degree 16, 32 or 64 whose coefficients above half its degree are all within
+1e-12 of its largest.  Where none is (heights that start near 0 put F's pole
+at tt = 0 just left of x = 1), or where the heights reach 0 inside [1, 2],
+F itself is evaluated at every trapezoid node.
 """
 import math
 import warnings
@@ -57,6 +64,11 @@ __all__ = ["DirichletPoly", "Mollifier", "MomentReport", "NonvanishingReport",
 _TWO_PI = 2.0 * math.pi
 
 _COEFF_MEMORY_CAP = 50_000_000
+
+# H_ell's interpolant of F on [1, 2]: the degrees tried, in order, and the
+# largest coefficient above half the degree, relative to the largest overall.
+_F_CHEB_DEGREES = (16, 32, 64)
+_F_CHEB_TAIL = 1e-12
 
 
 class CapWarning(UserWarning):
@@ -371,16 +383,37 @@ def H_ell(ell: int, spec: ProgressionSpec, window: SmoothWindow, T: float,
 
     With t = T*x this is T times the windowed transform of F(a, b, T*x) at
     T*nu, by the trapezoid of phi_hat, to 1e-5 relative (floored at 1e-9).
+    The trapezoid reads F(a, b, T*x) from a Chebyshev interpolant on [1, 2]:
+    the first of degree 16, 32 or 64 whose coefficients above half its degree
+    are all within 1e-12 of its largest.  When none is, or when the heights
+    alpha*T*x + beta reach 0 inside [1, 2], it evaluates F itself at every
+    node.
     """
     tup = find_tuple(spec, ell, T, eps)
     if tup is None:
         return 0j
     nu, pref = _tuple_phase(spec, tup)
     weights, consts = _f_pair_tables(tup.a, tup.b, poly)
-    val = _windowed_transform(window, T * nu,
-                              lambda x: _F_batch(weights, consts, T * x, spec),
+    val = _windowed_transform(window, T * nu, _F_on_window(weights, consts, T, spec),
                               lambda new, old: abs(new - old) <= 1e-5 * max(abs(new), 1e-9))
     return pref * T * val
+
+
+def _F_on_window(weights, consts, T: float, spec: ProgressionSpec):
+    """x -> F(a, b, T*x) on [1, 2], interpolated or direct as H_ell describes."""
+    def F(x):
+        return _F_batch(weights, consts, T * x, spec)
+
+    if spec.alpha * T + spec.beta <= 0.0:
+        # the heights reach 0 inside [1, 2], where the interpolation nodes
+        # come closer to x = 1 than the trapezoid's, and F is not smooth
+        return F
+    for deg in _F_CHEB_DEGREES:
+        cheb = np.polynomial.Chebyshev.interpolate(F, deg, domain=[1.0, 2.0])
+        c = np.abs(cheb.coef)
+        if np.max(c[deg // 2 + 1:]) <= _F_CHEB_TAIL * np.max(c):
+            return cheb
+    return F
 
 
 def _default_ell_max(spec: ProgressionSpec, T: float, poly: DirichletPoly) -> int:

@@ -133,6 +133,30 @@ def test_resonate_paper_strict_is_config_error(tmp_path):
     assert rc == 2
 
 
+def test_resonate_exploratory_warning_once(tmp_path, monkeypatch):
+    # N = 100 > T^(1/6) in exploratory mode: the boundary check warns once,
+    # before the sample is built, and extreme_search does not warn again.
+    real = cli.mmod.sample_progression
+    warned_before_sample = []
+
+    def validity_warnings():
+        return [w for w in caught if issubclass(w.category, cli.rmod.ExploratoryWarning)
+                and "T^(1/6)" in str(w.message)]
+
+    def sample(*args, **kwargs):
+        warned_before_sample.append(len(validity_warnings()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli.mmod, "sample_progression", sample)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["resonate", "--alpha", "1", "--T", "1000", "--N", "100",
+                   "--mode", "max", "--json", str(tmp_path / "x.json")])
+    assert rc == 0
+    assert warned_before_sample == [1]
+    assert len(validity_warnings()) == 1
+
+
 def test_bad_configuration_exit_code(tmp_path):
     assert main(["moment", "--alpha", "-3", "--T", "300",
                  "--json", str(tmp_path / "x.json")]) == 2
@@ -211,9 +235,12 @@ _CAP = "computation failed: CapError: progression sample of "
      "bad configuration: mollifier_coeffs requires T >= 100"),
     (["resonate", "--alpha", "1", "--T", "50", "--N", "100", "--mode", "max"], 2,
      "bad configuration: build_excluded_set requires T >= 100"),
+    (["resonate", "--alpha", "1", "--T", "1e5", "--N", "100", "--mode", "max",
+      "--validity", "paper-strict"], 2,
+     "bad configuration: resonator length N=100 exceeds T^(1/6)=6.81 (paper-strict mode)"),
 ], ids=["nonvanish", "moment", "nonvanish-mollified", "resonate", "moment-overlong-mollifier",
         "resonate-short-N", "moment-theta", "firstmoment-small-T", "moment-small-T",
-        "moment-eps", "nonvanish-small-T", "resonate-small-T"])
+        "moment-eps", "nonvanish-small-T", "resonate-small-T", "resonate-paper-strict"])
 def test_node_budget_exit_code(argv, rc, message, tmp_path, monkeypatch, capsys):
     # Refused before any array is allocated, and before the mollifier, the
     # excluded set, the resonator or the sample is built; the mollifier of

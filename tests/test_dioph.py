@@ -266,6 +266,8 @@ def _brute_approximations(x_frac, q_cap, rel_tol):
     (Fraction(23, 50), 60, Fraction(1, 1000)),
     (Fraction(355, 113), 120, Fraction(1, 100000)),
     (Fraction(7, 1), 25, Fraction(1, 50)),
+    (Fraction(100003, 7), 40, Fraction(1, 10 ** 5)),
+    (Fraction(3, 2 ** 40), 8, Fraction(1, 4)),
 ])
 def test_rational_approximations_equal_brute_force(x, q_cap, tol):
     with mp.workprec(300):
@@ -287,6 +289,37 @@ def test_rational_approximations_irrational_target():
             if p >= 1 and math.gcd(p, q) == 1 and abs(mp.mpf(p) / q - x) / x <= mp.mpf("1e-3"):
                 brute.append((p, q))
     assert got_pairs == sorted(brute)
+
+
+# For each fraction the float ratio |p/q/float(x) - 1| reads above its
+# quality, so a float filter without margin would drop it: by 5.7e-17 at
+# quality 5.1e-5; by 1.6e-16 at quality 1.7e-16, which only the 1e-15 floor
+# covers; and by one ulp, 3.6e-15, at quality 23.8, where the floor rounds
+# away and only the relative 1e-9 covers it.
+@pytest.mark.parametrize("x, p, q", [
+    (lambda: mp.sqrt(2), 99, 70),
+    (lambda: mp.sqrt(2), 54608393, 38613965),
+    (lambda: mp.sqrt(2) / 23 ** 1.5 * mp.pi, 1, 1),
+], ids=["relative", "below-float", "large-quality"])
+def test_rational_approximations_tolerance_edge(x, p, q):
+    # rel_tol equal to a fraction's working-precision quality keeps it, and one
+    # part in 1e12 less drops it: the float prefilter decides neither.
+    with mp.workprec(256):
+        x = x()
+        qual = abs(mp.mpf(p) / q / x - 1)
+        assert (p, q, qual) in rational_approximations(x, q, qual)
+        assert (p, q) not in [h[:2] for h in rational_approximations(x, q, qual * (1 - 1e-12))]
+
+
+@pytest.mark.parametrize("scale", [-1100, -1060], ids=["float-zero", "subnormal"])
+def test_rational_approximations_outside_float_range(scale):
+    # float(x) reads 0 or a subnormal: every candidate goes to the exact test.
+    # The tolerance admits every 1/j; the band's nearest numerators are 0.
+    with mp.workprec(1300):
+        x = mp.mpf(2) ** scale
+        rel_tol = 2 / x
+        got = rational_approximations(x, 6, rel_tol)
+        assert got == [(1, j, abs(mp.mpf(1) / j / x - 1)) for j in range(1, 7)]
 
 
 # ---------------------------------------------------------------------------

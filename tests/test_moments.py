@@ -23,9 +23,10 @@ from zetaprog import (CapWarning, DirichletPoly, F_func, F_func_series,
                       F_prime, H_ell, MomentReport, ProgressionSpec,
                       SmoothWindow, continuous_twisted_moment, delta,
                       discrete_twisted_moment, empirical_nonvanishing,
-                      eval_H, eval_poly, main_sum,
+                      eval_H, eval_poly, find_tuple, main_sum,
                       mollifier_coeffs, moment_report, nonvanishing_bound,
                       predict_E, predict_E_prime, sample_progression)
+from zetaprog import moments as mmod
 from zetaprog import zeta as zmod
 from zetaprog.errors import CapError, QuadratureError
 
@@ -341,6 +342,53 @@ def test_h_ell_first_term_midpoint_estimate(sym_spec, window):
     assert abs(val.real - est) <= 0.02 * est
     # frozen regression (deterministic quadrature)
     assert val.real == pytest.approx(5922.769829258416, rel=1e-8)
+
+
+def _h_ell_oracle(ell, spec, window, T, poly):
+    # composite Gauss-Legendre on [1, 2] of phi(x) e^(-2 pi i T nu x) F(a, b, T x),
+    # with F from F_func at each node, and nu and the prefactor from their formulas
+    tup = find_tuple(spec, ell, T)
+    ratio = tup.a / tup.b
+    nu = spec.alpha * math.log(ratio) / TWO_PI - ell
+    pref = np.exp(1j * spec.beta * math.log(ratio)) / math.sqrt(tup.a * tup.b)
+    x, w = gl_panels(1.0, 2.0, 100)
+    F = np.array([F_func(tup.a, tup.b, T * xi, poly, spec) for xi in x])
+    return pref * T * np.sum(w * window.phi(x) * np.exp(-2j * math.pi * T * nu * x) * F)
+
+
+_SYM_ALPHA = TWO_PI / math.log(2.0)
+
+
+@pytest.mark.parametrize("spec, T, theta, ell, interpolated", [
+    (ProgressionSpec.from_rational(1, 2, 1), 2000.0, 0.3, 1, True),
+    (ProgressionSpec.from_rational(1, 2, 1), 2000.0, 0.3, 2, True),
+    # a tuple (2, 1) off resonance: nu = 1e-4, T*nu = 0.2
+    (ProgressionSpec(alpha=_SYM_ALPHA * (1 + 1e-4), beta=3.0), 2000.0, 0.3, 1, True),
+    # heights start at 1e-6 * alpha*T: F's pole at tt = 0 sits just left of
+    # x = 1, and no interpolant of degree <= 64 resolves F
+    (ProgressionSpec.from_rational(1, 2, 1, beta=-(1 - 1e-6) * _SYM_ALPHA * 300.0),
+     300.0, None, 1, False),
+], ids=["sym-mollified-1", "sym-mollified-2", "off-resonance", "heights-near-0"])
+def test_h_ell_against_gauss_legendre(spec, T, theta, ell, interpolated, window):
+    poly = DirichletPoly.one() if theta is None else mollifier_coeffs(T, theta)
+    tup = find_tuple(spec, ell, T)
+    g = mmod._F_on_window(*mmod._f_pair_tables(tup.a, tup.b, poly), T, spec)
+    assert isinstance(g, np.polynomial.Chebyshev) == interpolated
+    want = _h_ell_oracle(ell, spec, window, T, poly)
+    assert abs(H_ell(ell, spec, window, T, poly) - want) <= 1e-10 * abs(want)
+
+
+def test_h_ell_heights_reaching_zero_in_window(window):
+    # alpha*T*x + beta = 0 at x = 1 + 3e-4: the trapezoid's nodes all lie
+    # right of it, the interpolation nodes would not, so F is taken directly
+    # (frozen value of the direct path)
+    T = 300.0
+    spec = ProgressionSpec.from_rational(1, 2, 1, beta=-(1 + 3e-4) * _SYM_ALPHA * T)
+    one = DirichletPoly.one()
+    g = mmod._F_on_window(*mmod._f_pair_tables(2, 1, one), T, spec)
+    assert not isinstance(g, np.polynomial.Chebyshev)
+    val = H_ell(1, spec, window, T, one)
+    assert val == pytest.approx(476.41024689518025 - 302.3391362274615j, rel=1e-12)
 
 
 def test_predict_e_alpha_one_negligible(unit_spec, window):
