@@ -190,8 +190,9 @@ def _check_run(args, search=None, resonator=False):
 def _cmd_moment(args, t0):
     spec = _spec_from(args)
     _check_run(args, search=None if args.no_predict else "find_tuple")
-    sample = mmod.sample_progression(spec, SmoothWindow(edge=args.edge), args.T,
-                                     _poly_from(args, args.T))
+    window, poly = SmoothWindow(edge=args.edge), _poly_from(args, args.T)
+    mmod._check_continuous_budget(spec, window, args.T, poly)
+    sample = mmod.sample_progression(spec, window, args.T, poly)
     report = mmod.moment_report(sample, predict=not args.no_predict, eps=args.eps)
     results = {**asdict(report), "delta": dmod.delta(spec)}
     params = {**_spec_params(spec), "T": args.T, "edge": args.edge,
@@ -239,8 +240,8 @@ def _cmd_dioph(args, t0):
 def _cmd_firstmoment(args, t0):
     spec = _spec_from(args)
     _check_run(args, search="find_tuple")
-    window = SmoothWindow(edge=args.edge)
-    poly = _poly_from(args, args.T)
+    window, poly = SmoothWindow(edge=args.edge), _poly_from(args, args.T)
+    mmod._check_continuous_budget(spec, window, args.T, poly)
     sample = mmod.sample_progression(spec, window, args.T, poly)
     disc = sample.twisted_sum(1)
     cont = mmod.continuous_twisted_moment(spec, window, args.T, poly, power=1)

@@ -155,29 +155,36 @@ class DiophantineTuple:
             raise ValueError("need a*b > 1")
 
 
-def _cf_candidates(x, q_cap: int, include_semis: bool, max_terms: int = 400):
-    """Reduced convergents (and semiconvergents) p/q of x with q <= q_cap.
+def _cf_candidates(x, q_cap: int, rel_tol=None, max_terms: int = 400):
+    """Reduced convergents p/q of x with q <= q_cap and, when rel_tol is
+    given, the semiconvergents that may lie within rel_tol of x (relative).
 
-    Any semiconvergent (p_{k-1} + j*p_k)/(q_{k-1} + j*q_k) is reduced because
-    p_{k-1} q_k - p_k q_{k-1} = +-1.
+    Any semiconvergent (p_{k-1}*j + p_{k-2})/(q_{k-1}*j + q_{k-2}) is reduced
+    because p_{k-1} q_k - p_k q_{k-1} = +-1.  Those of one step, j = 1..a_k,
+    approach x from one side, |p - x*q| = |d_{k-2}| - j*|d_{k-1}| with d = p -
+    x*q, so the j within rel_tol form one range up to a_k; its start is solved
+    at working precision and widened by one, and the caller's exact quality
+    test decides.  The work is linear in the number of partial quotients.
     """
     out = []
+    if q_cap < 1:
+        return out
     pm2, qm2 = 0, 1
     pm1, qm1 = 1, 0
     frac = x
     for _ in range(max_terms):
         a = int(mp.floor(frac))
-        top_j = range(1, a + 1) if include_semis else range(a, a + 1)
-        done = False
-        for j in top_j:
-            p, q = j * pm1 + pm2, j * qm1 + qm2
-            if q > q_cap:
-                done = True
-                break
-            if q >= 1 and p >= 1:
-                out.append((p, q))
-        if done:
-            break
+        j_lo = a
+        if rel_tol is not None:  # |d_{k-2}| - j*slope <= rel_tol*x*q_{k-2}
+            slope = abs(pm1 - x * qm1) + rel_tol * x * qm1
+            if slope > 0:  # 0 only when rel_tol = 0 and x is the last convergent
+                j_lo = max(1, int(mp.ceil((abs(pm2 - x * qm2) - rel_tol * x * qm2)
+                                          / slope)) - 1)
+        j_hi = a if qm1 == 0 else min(a, (q_cap - qm2) // qm1)
+        for j in range(j_lo, j_hi + 1):
+            p = j * pm1 + pm2
+            if p >= 1:
+                out.append((p, j * qm1 + qm2))
         pm2, qm2, pm1, qm1 = pm1, qm1, a * pm1 + pm2, a * qm1 + qm2
         if qm1 > q_cap:
             break
@@ -222,7 +229,7 @@ def rational_approximations(x, q_cap: int, rel_tol, p_cap: Optional[int] = None)
         return abs(mp.mpf(p) / q / x - 1)
 
     seen = {}
-    for p, q in _cf_candidates(x, q_cap, include_semis=True):
+    for p, q in _cf_candidates(x, q_cap, rel_tol):
         if p_cap is not None and p > p_cap:
             continue
         qual = quality(p, q)
@@ -338,7 +345,7 @@ def detect_rational(spec: ProgressionSpec, ell_max: int,
         with mp.workprec(need):
             tol0 = mp.mpf("1e-12")
             x = mp.exp(_TWO_PI * ell / mp.mpf(spec.alpha))
-            for p, q in _cf_candidates(x, den_max, include_semis=False):
+            for p, q in _cf_candidates(x, den_max):
                 if p == q:
                     continue
                 if abs(x - mp.mpf(p) / q) <= tol0 / (q * q):

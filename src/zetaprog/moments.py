@@ -26,10 +26,14 @@ Every consumer reduces a sample over its phi > 0 nodes, and the discrete
 moments, the nonvanishing bound and the resonator search share one sample
 of the integers in [T, 2T].  Every integral is the nested dyadic trapezoid
 of quadrature.py: the continuous moment samples the progression at ell =
-j / 2^k, from a 2^k above every tuple frequency (the bound _default_ell_max
-that predict_E also sums to) and with 16 nodes across each window ramp;
-H_ell shares phi_hat's windowed transform.  The same zeta engine feeds both
-sides of E, so engine error cancels in it.
+j / 2^k, from a 2^k above the integrand's top frequency alpha/2pi *
+log(t_max * len(B) / 2pi) plus 16 nodes across each window ramp, where the
+trapezoid of a band-limited integrand under a smooth window is exact; where
+the heights pass through 0, zeta's pole at s = 1 narrows the strip of
+analyticity, and the start stays above every tuple frequency (the bound
+_default_ell_max that predict_E also sums to).  H_ell shares phi_hat's
+windowed transform.  The same zeta engine feeds both sides of E, so engine
+error cancels in it.
 
 F(a, b, T*x) is smooth on [1, 2] (each of its H terms is entire in log tt),
 so H_ell resolves it once per tuple by a Chebyshev interpolant: the first of
@@ -49,7 +53,7 @@ from . import zeta as zmod
 from .dioph import DEFAULT_EPS, ProgressionSpec, find_tuple
 from .errors import CapError
 from .kernels import h_many, w_many
-from .quadrature import NODE_CAP, nested_trapezoid
+from .quadrature import NODE_CAP, nested_trapezoid, start_level
 from .sieves import mobius_table
 from .window import SmoothWindow, _windowed_transform
 
@@ -248,17 +252,14 @@ def continuous_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: fl
                               poly: DirichletPoly, power: int):
     """integral over ell in [T, 2T] of the same integrand, to 1e-4 relative.
 
-    The rule is quadrature.nested_trapezoid on the dyadic grid ell = j / 2^k.
-    It converges spectrally once the step 2^-k puts the first alias frequency
-    2^k above every frequency the integrand carries.  In ell those are
-    alpha*log(a/b)/(2*pi) for the ratios a/b the integrand mixes, the
-    diophantine tuple frequencies among them; _default_ell_max (the bound
-    predict_E sums to) lies above all of them, so 2^k is the smallest power
-    of two strictly above it.  The start step comes from that bound, not from
-    the refinement check: a frequency at an even multiple of the step aliases
-    on both levels a halving compares, so two agreeing levels do not prove the
-    step fine enough.  For the same reason the start step also puts 16 nodes
-    across each window ramp, which is edge * T wide in ell.
+    The rule is quadrature.nested_trapezoid on the dyadic grid ell = j / 2^k,
+    from the start density of _continuous_density.  The trapezoid integrates
+    a band-limited integrand under a smooth window exactly once the step 2^-k
+    puts the first alias frequency 2^k above the integrand's top frequency
+    plus the window's.  The start step comes from that bound, not from the
+    refinement check: a frequency at an even multiple of the step aliases on
+    both levels a halving compares, so two agreeing levels do not prove the
+    step fine enough.
 
     Each level samples the progression at its phi > 0 nodes.  Two successive
     levels agreeing to 1e-4 relative are accepted; QuadratureError when none
@@ -271,9 +272,37 @@ def continuous_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: fl
         live = ell[window.phi(ell / T) > 0.0]
         return sample_progression(spec, window, T, poly, live).twisted_sum(power)
 
-    density = max(_default_ell_max(spec, T, poly) + 1, 16.0 / (window.edge * T))
-    return nested_trapezoid(level_sum, T, 2.0 * T, density,
+    return nested_trapezoid(level_sum, T, 2.0 * T, _continuous_density(spec, window, T, poly),
                             lambda new, old: abs(new - old) <= 1e-4 * max(abs(new), 1e-12))
+
+
+def _continuous_density(spec: ProgressionSpec, window: SmoothWindow, T: float,
+                        poly: DirichletPoly) -> float:
+    """Start nodes per unit ell of the continuous moment's trapezoid.
+
+    Where the heights t = alpha*ell + beta keep one sign over [T, 2T], zeta*B
+    carries frequencies up to log(|t| * len(B) / 2pi) / 2pi per unit t (the
+    Dirichlet side, and the rotation of chi at theta'(t) = log(t/2pi)/2), and
+    so does |zeta*B|^2 = Z^2 |B|^2; per unit ell that is alpha/2pi times it,
+    taken at the largest |t|.  The window's ramps, edge * T wide in ell, add
+    16 nodes across each.  Where the heights pass through 0, the pole of zeta
+    at s = 1 narrows the strip of analyticity, and the start stays above every
+    tuple frequency (_default_ell_max + 1, the bound predict_E sums to) or at
+    16 nodes across each ramp, whichever is finer.
+    """
+    ramp = 16.0 / (window.edge * T)
+    first, last = spec.alpha * T + spec.beta, 2.0 * spec.alpha * T + spec.beta
+    if first > 0.0 or last < 0.0:
+        t_max = max(abs(first), abs(last))
+        return max(0.0, spec.alpha / _TWO_PI * math.log(t_max * poly.length / _TWO_PI)) + ramp
+    return max(_default_ell_max(spec, T, poly) + 1, ramp)
+
+
+def _check_continuous_budget(spec: ProgressionSpec, window: SmoothWindow, T: float,
+                             poly: DirichletPoly):
+    """QuadratureError when the continuous moment's start level exceeds the
+    trapezoid's budget; the CLI calls it before any zeta evaluation."""
+    start_level(T, 2.0 * T, _continuous_density(spec, window, T, poly))
 
 
 # -- the correction machinery ---------------------------------------------------

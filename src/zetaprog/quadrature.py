@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import QuadratureError
 
-__all__ = ["NODE_CAP", "nested_trapezoid"]
+__all__ = ["NODE_CAP", "nested_trapezoid", "start_level"]
 
 # Most nodes one level may evaluate.  The third and last halving evaluates
 # four times the start level's nodes, each holding a few hundred bytes of
@@ -19,16 +19,12 @@ __all__ = ["NODE_CAP", "nested_trapezoid"]
 NODE_CAP = 1 << 23
 
 
-def nested_trapezoid(level_sum, a: float, b: float, density: float, agree):
-    """Integral over [a, b] by the trapezoid on x = j / 2^k, starting at the
-    smallest power of two per_unit >= density nodes per unit.
-
-    level_sum(x) sums the integrand over an array of nodes; the grid runs from
-    floor(a * per_unit) to ceil(b * per_unit), so the integrand must vanish
-    just outside [a, b].  Each of up to three halvings of the step evaluates
-    only the new midpoints, and the first level with agree(new, previous) is
-    returned.  QuadratureError when none is, and, before any evaluation, when
-    the start level would hold more than NODE_CAP / 4 nodes.
+def start_level(a: float, b: float, density: float):
+    """(per_unit, lo, hi) of the trapezoid's start level over [a, b]: per_unit
+    is the smallest power of two >= density, and the nodes are j / per_unit
+    for j from lo = floor(a * per_unit) to hi = ceil(b * per_unit).
+    QuadratureError when that level would hold more than NODE_CAP / 4 nodes;
+    this is all arithmetic, so a caller can check the budget before any work.
     """
     cap = NODE_CAP // 4
     refusal = QuadratureError(f"the trapezoid at {density!r} nodes per unit over "
@@ -39,6 +35,21 @@ def nested_trapezoid(level_sum, a: float, b: float, density: float, agree):
     lo, hi = math.floor(a * per_unit), math.ceil(b * per_unit)
     if hi - lo + 1 > cap:
         raise refusal
+    return per_unit, lo, hi
+
+
+def nested_trapezoid(level_sum, a: float, b: float, density: float, agree):
+    """Integral over [a, b] by the trapezoid on x = j / 2^k, starting at the
+    start_level of density nodes per unit.
+
+    level_sum(x) sums the integrand over an array of nodes; the grid runs from
+    floor(a * per_unit) to ceil(b * per_unit), so the integrand must vanish
+    just outside [a, b].  Each of up to three halvings of the step evaluates
+    only the new midpoints, and the first level with agree(new, previous) is
+    returned.  QuadratureError when none is, and, before any evaluation, when
+    start_level refuses.
+    """
+    per_unit, lo, hi = start_level(a, b, density)
     val = level_sum(np.arange(lo, hi + 1, dtype=np.int64) / per_unit) / per_unit
     for _ in range(3):
         per_unit, lo, hi = 2 * per_unit, 2 * lo, 2 * hi

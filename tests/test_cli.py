@@ -210,6 +210,9 @@ def _unreachable(*args, **kwargs):
 
 
 _CAP = "computation failed: CapError: progression sample of "
+# the continuous moment's start level at 2.0169 per unit rounds up to 4 nodes
+# per unit, 4e6 nodes over [1e6, 2e6]: past the trapezoid's 2^21
+_QUAD = "computation failed: QuadratureError: the trapezoid at 2.0169"
 
 
 @pytest.mark.parametrize("argv, rc, message", [
@@ -238,15 +241,19 @@ _CAP = "computation failed: CapError: progression sample of "
     (["resonate", "--alpha", "1", "--T", "1e5", "--N", "100", "--mode", "max",
       "--validity", "paper-strict"], 2,
      "bad configuration: resonator length N=100 exceeds T^(1/6)=6.81 (paper-strict mode)"),
+    (["moment", "--alpha", "1", "--T", "1e6", "--no-predict"], 1, _QUAD),
+    (["firstmoment", "--alpha", "1", "--T", "1e6"], 1, _QUAD),
 ], ids=["nonvanish", "moment", "nonvanish-mollified", "resonate", "moment-overlong-mollifier",
         "resonate-short-N", "moment-theta", "firstmoment-small-T", "moment-small-T",
-        "moment-eps", "nonvanish-small-T", "resonate-small-T", "resonate-paper-strict"])
+        "moment-eps", "nonvanish-small-T", "resonate-small-T", "resonate-paper-strict",
+        "moment-continuous-start", "firstmoment-continuous-start"])
 def test_node_budget_exit_code(argv, rc, message, tmp_path, monkeypatch, capsys):
     # Refused before any array is allocated, and before the mollifier, the
     # excluded set, the resonator or the sample is built; the mollifier of
     # moment-overlong-mollifier would hold T^0.49 = 2.1e8 coefficients.  A
     # builder's T, theta, N or eps check runs before the node budget, with
-    # the builder's own message.
+    # the builder's own message.  The continuous moment's start level is
+    # checked before the sample too.
     for mod, name in ((cli.mmod, "mollifier_coeffs"), (cli.mmod, "sample_progression"),
                       (cli.rmod, "build_excluded_set"), (cli.rmod, "resonator_coeffs")):
         monkeypatch.setattr(mod, name, _unreachable)

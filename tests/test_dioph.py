@@ -14,6 +14,7 @@ import pytest
 from zetaprog import (DiophantineTuple, ProgressionSpec, RationalForm, delta,
                       detect_rational, find_tuple, minimal_fraction,
                       rational_approximations, waldschmidt_bound)
+from zetaprog.dioph import _cf_candidates
 
 TWO_PI = 2.0 * math.pi
 
@@ -262,12 +263,18 @@ def _brute_approximations(x_frac, q_cap, rel_tol):
     return sorted(out, key=lambda t: (t[1], t[0]))
 
 
+# 1e6 + sqrt(2)/7 to 34 digits: its first partial quotient is 10^6, and
+# listing every semiconvergent j/1 of that step took 0.26 s.
+X_SQRT2 = 10 ** 6 + Fraction("1.414213562373095048801688724209698") / 7
+
+
 @pytest.mark.parametrize("x,q_cap,tol", [
     (Fraction(23, 50), 60, Fraction(1, 1000)),
     (Fraction(355, 113), 120, Fraction(1, 100000)),
     (Fraction(7, 1), 25, Fraction(1, 50)),
     (Fraction(100003, 7), 40, Fraction(1, 10 ** 5)),
     (Fraction(3, 2 ** 40), 8, Fraction(1, 4)),
+    (X_SQRT2, 10, Fraction(1, 10 ** 8)),
 ])
 def test_rational_approximations_equal_brute_force(x, q_cap, tol):
     with mp.workprec(300):
@@ -276,6 +283,27 @@ def test_rational_approximations_equal_brute_force(x, q_cap, tol):
     got_pairs = sorted((int(p), int(q)) for p, q, _ in got)
     want = sorted(_brute_approximations(x, q_cap, tol))
     assert got_pairs == want
+
+
+def test_cf_candidates_only_near_semiconvergents():
+    # Of the 10^6 semiconvergents j/1 of the first step only those within
+    # rel_tol of x are listed, widened by one; the rest of the steps add a
+    # few convergents, so the list stays short.
+    with mp.workprec(300):
+        x = mp.mpf(X_SQRT2.numerator) / X_SQRT2.denominator
+        cands = _cf_candidates(x, 10, mp.mpf(10) ** -8)
+    assert (10 ** 6, 1) in cands and len(cands) <= 8
+
+
+def test_rational_approximations_at_two_to_the_1100():
+    # The first partial quotient is 2^1100, so listing every semiconvergent
+    # never returned.  1200 bits hold 2^1100 - 1 exactly, so the quality test
+    # tells it from 2^1100; at rel_tol 2^-1105 only x itself qualifies.
+    x, tol = Fraction(2 ** 1100), Fraction(1, 2 ** 1105)
+    with mp.workprec(1200):
+        got = rational_approximations(mp.mpf(2) ** 1100, 10, mp.mpf(2) ** -1105)
+    assert [(int(p), int(q)) for p, q, _ in got] == _brute_approximations(x, 10, tol)
+    assert _brute_approximations(x, 10, tol) == [(2 ** 1100, 1)]
 
 
 def test_rational_approximations_irrational_target():

@@ -29,6 +29,7 @@ from zetaprog import (CapWarning, DirichletPoly, F_func, F_func_series,
 from zetaprog import moments as mmod
 from zetaprog import zeta as zmod
 from zetaprog.errors import CapError, QuadratureError
+from zetaprog.quadrature import start_level
 
 TWO_PI = 2.0 * math.pi
 EULER_GAMMA = 0.5772156649015329
@@ -178,21 +179,32 @@ def test_continuous_matches_classical_mean(unit_spec, window):
     assert abs(cont - bench) < 0.01 * bench
 
 
+SYM_ALPHA = TWO_PI / math.log(2.0)
+
+
 @pytest.mark.parametrize("spec, T, theta, panels_per_unit", [
     (ProgressionSpec.from_rational(1, 2, 1), 2000.0, None, 8),
     (ProgressionSpec.from_rational(1, 2, 1), 2000.0, 0.3, 8),
     (ProgressionSpec(alpha=math.sqrt(2.0)), 2000.0, None, 4),
     (ProgressionSpec(alpha=1.0), 500.0, None, 4),
     (ProgressionSpec.from_rational(2, 2, 1), 1000.0, None, 16),
-], ids=["sym-bare", "sym-mollified", "sqrt2-bare", "unit-T500-bare", "even-bare"])
+    (ProgressionSpec.from_rational(1, 2, 1, beta=-1.5 * SYM_ALPHA * 300.0), 300.0, None, 16),
+    (ProgressionSpec(alpha=7.3157), 45.68, None, 16),
+], ids=["sym-bare", "sym-mollified", "sqrt2-bare", "unit-T500-bare", "even-bare",
+        "sym-through-zero", "alpha7-T45"])
 def test_continuous_matches_dense_gl(window, spec, T, theta, panels_per_unit):
     # Independent integration route: Gauss-Legendre panels of degree 10,
     # fine enough for every frequency of the integrand (doubling the panels
     # moves these references by < 3e-13).  The trapezoid is exact only once
     # its step resolves every frequency of the integrand: at 1:2:1, T=2000,
     # bare, it is off by 364%, 142%, 41% and 5.5% at 1, 2, 4 and 8 nodes per
-    # unit ell, and exact from 16; at 2:2:1 (tuple frequencies 2, 4, 6, ...)
-    # only from 32.  A start of 4 or fewer nodes per unit ell fails here.
+    # unit ell, and exact from 16, where the top frequency is 12.5; at 2:2:1
+    # only from 32.  A start of 4 or fewer nodes per unit ell fails here.  On
+    # sym-through-zero the heights run from -alpha*T/2 to alpha*T/2: the pole
+    # of zeta at s = 1 narrows the strip of analyticity, and a start at the
+    # top frequency (16 per unit, not 32) is 3.7e-8 (power 1) and 6.8e-9 off.
+    # On alpha7-T45 the top frequency (5.4) and the ramps (7.0) each fit in 8
+    # nodes per unit but their sum does not: a start at 8 is 1.3e-8 off.
     poly = DirichletPoly.one() if theta is None else mollifier_coeffs(T, theta)
     t, wq = gl_panels(T, 2 * T, int(panels_per_unit * T), 10)
     ts = spec.alpha * t + spec.beta
@@ -202,6 +214,30 @@ def test_continuous_matches_dense_gl(window, spec, T, theta, panels_per_unit):
     for power, ref in refs.items():
         got = continuous_twisted_moment(spec, window, T, poly, power=power)
         assert abs(got - ref) <= 1e-10 * abs(ref), (power, got, ref)
+
+
+@pytest.mark.parametrize("k, per_unit", [(0.0, 16), (-1.5, 32)], ids=["one-sign", "through-zero"])
+def test_continuous_start_level(window, k, per_unit, monkeypatch):
+    # At 1:2:1, T = 2000, bare, beta = 0, the integrand's top frequency is
+    # alpha/2pi * log(2*alpha*T/2pi) = 12.5 per unit ell and the ramps add
+    # 16/(edge*T) = 0.16: the start is 16 nodes per unit.  With beta = -1.5 *
+    # alpha*T the heights pass through 0, and the start stays above every
+    # tuple frequency, _default_ell_max + 1 = 23: 32 nodes per unit.
+    densities = []
+
+    def recording(level_sum, a, b, density, agree):
+        densities.append(density)
+        return 0.0
+
+    monkeypatch.setattr(mmod, "nested_trapezoid", recording)
+    spec = ProgressionSpec.from_rational(1, 2, 1, beta=k * SYM_ALPHA * 2000.0)
+    one = DirichletPoly.one()
+    continuous_twisted_moment(spec, window, 2000.0, one, power=2)
+    assert start_level(2000.0, 4000.0, densities[0])[0] == per_unit
+    if k == 0.0:
+        assert densities[0] == pytest.approx(12.49 + 0.16, abs=0.01)
+    else:
+        assert densities[0] == mmod._default_ell_max(spec, 2000.0, one) + 1 == 23
 
 
 def test_continuous_refuses_start_step_past_budget(window, sym_spec, monkeypatch):

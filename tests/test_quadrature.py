@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from zetaprog import QuadratureError
-from zetaprog.quadrature import NODE_CAP, nested_trapezoid
+from zetaprog.quadrature import NODE_CAP, nested_trapezoid, start_level
 
 
 def _recording(fn):
@@ -37,7 +37,19 @@ def test_trapezoid_refuses_start_past_budget_unevaluated():
     for density in (NODE_CAP / 4 + 1, 1e300, np.inf, np.nan):
         with pytest.raises(QuadratureError):
             nested_trapezoid(level_sum, 1.0, 2.0, density, lambda new, old: True)
+        with pytest.raises(QuadratureError):
+            start_level(1.0, 2.0, density)
     assert levels == []
+
+
+def test_start_level_is_the_first_level_evaluated():
+    # start_level is the trapezoid's own node arithmetic, so a caller can
+    # check the budget of the level before any evaluation
+    level_sum, levels = _recording(lambda x: 0.0)
+    nested_trapezoid(level_sum, 1.5, 3.0, 12.65, lambda new, old: True)
+    per_unit, lo, hi = start_level(1.5, 3.0, 12.65)
+    assert (per_unit, lo, hi) == (16, 24, 48)
+    assert np.array_equal(levels[0], np.arange(lo, hi + 1) / per_unit)
 
 
 def test_trapezoid_raises_when_levels_never_agree():
