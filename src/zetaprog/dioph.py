@@ -18,7 +18,6 @@ where the quality tolerance can exceed that threshold, is scanned directly,
 making the search provably equivalent to an exhaustive Farey scan.
 """
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,6 +29,9 @@ __all__ = ["RationalForm", "ProgressionSpec", "DiophantineTuple",
 
 CF_PRECISION_BITS = 256
 DEFAULT_EPS = 0.05
+
+# Most partial quotients _cf_candidates expands.
+_CF_MAX_TERMS = 400
 
 _TWO_PI = 2.0 * math.pi
 
@@ -155,7 +157,7 @@ class DiophantineTuple:
             raise ValueError("need a*b > 1")
 
 
-def _cf_candidates(x, q_cap: int, rel_tol=None, max_terms: int = 400):
+def _cf_candidates(x, q_cap: int, rel_tol=None):
     """Reduced convergents p/q of x with q <= q_cap and, when rel_tol is
     given, the semiconvergents that may lie within rel_tol of x (relative).
 
@@ -172,7 +174,7 @@ def _cf_candidates(x, q_cap: int, rel_tol=None, max_terms: int = 400):
     pm2, qm2 = 0, 1
     pm1, qm1 = 1, 0
     frac = x
-    for _ in range(max_terms):
+    for _ in range(_CF_MAX_TERMS):
         a = int(mp.floor(frac))
         j_lo = a
         if rel_tol is not None:  # |d_{k-2}| - j*slope <= rel_tol*x*q_{k-2}
@@ -204,36 +206,23 @@ def rational_approximations(x, q_cap: int, rel_tol, p_cap: Optional[int] = None)
     so the result equals an exhaustive Farey scan.
     Returns a sorted list of (p, q, quality).
 
-    A float prefilter skips a candidate before its working-precision quality
-    when |p/q/float(x) - 1| > rel_tol*(1 + 1e-9) + 1e-15.  The three float
-    roundings move that ratio by at most 3.4e-16 when x and p/q are normal
-    floats, so the margin drops no fraction the exact test keeps.  When x
-    lies outside the normal float range, or p/q overflows a float, every
-    candidate goes to the exact test.
+    A candidate's quality |p/q/x - 1| is computed at the working precision,
+    raised where p or q has more bits than it, so that both enter exactly.
     """
     if q_cap < 1:
         return []
     rel_tol = mp.mpf(rel_tol)
-    xf = float(x)
-    far = float(rel_tol) * (1.0 + 1e-9) + 1e-15
-    prefilter = sys.float_info.min <= xf < math.inf
 
     def quality(p, q):
-        """|p/q/x - 1| at working precision, or None when p/q is far from x."""
-        if prefilter:
-            try:
-                if abs(p / q / xf - 1.0) > far:
-                    return None
-            except OverflowError:  # p/q beyond the float range
-                pass
-        return abs(mp.mpf(p) / q / x - 1)
+        with mp.workprec(max(mp.mp.prec, p.bit_length(), q.bit_length())):
+            return abs(mp.mpf(p) / q / x - 1)
 
     seen = {}
     for p, q in _cf_candidates(x, q_cap, rel_tol):
         if p_cap is not None and p > p_cap:
             continue
         qual = quality(p, q)
-        if qual is not None and qual <= rel_tol:
+        if qual <= rel_tol:
             seen[(p, q)] = qual
     # Legendre band: fractions with |x - p/q| >= 1/(2q^2) need not be
     # semiconvergents; that is possible once q >= 1/sqrt(2*x*rel_tol).
@@ -250,7 +239,7 @@ def rational_approximations(x, q_cap: int, rel_tol, p_cap: Optional[int] = None)
             if math.gcd(p, q) != 1:
                 continue
             qual = quality(p, q)
-            if qual is not None and qual <= rel_tol:
+            if qual <= rel_tol:
                 seen.setdefault((p, q), qual)
     return sorted((p, q, qual) for (p, q), qual in seen.items())
 

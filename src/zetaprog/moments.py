@@ -37,7 +37,7 @@ error cancels in it.
 
 F(a, b, T*x) is smooth on [1, 2] (each of its H terms is entire in log tt),
 so H_ell resolves it once per tuple by a Chebyshev interpolant: the first of
-degree 16, 32 or 64 whose coefficients above half its degree are all within
+degree 32 or 64 whose coefficients above half its degree are all within
 1e-12 of its largest.  Where none is (heights that start near 0 put F's pole
 at tt = 0 just left of x = 1), or where the heights reach 0 inside [1, 2],
 F itself is evaluated at every trapezoid node.
@@ -71,7 +71,7 @@ _COEFF_MEMORY_CAP = 50_000_000
 
 # H_ell's interpolant of F on [1, 2]: the degrees tried, in order, and the
 # largest coefficient above half the degree, relative to the largest overall.
-_F_CHEB_DEGREES = (16, 32, 64)
+_F_CHEB_DEGREES = (32, 64)
 _F_CHEB_TAIL = 1e-12
 
 
@@ -413,7 +413,7 @@ def H_ell(ell: int, spec: ProgressionSpec, window: SmoothWindow, T: float,
     With t = T*x this is T times the windowed transform of F(a, b, T*x) at
     T*nu, by the trapezoid of phi_hat, to 1e-5 relative (floored at 1e-9).
     The trapezoid reads F(a, b, T*x) from a Chebyshev interpolant on [1, 2]:
-    the first of degree 16, 32 or 64 whose coefficients above half its degree
+    the first of degree 32 or 64 whose coefficients above half its degree
     are all within 1e-12 of its largest.  When none is, or when the heights
     alpha*T*x + beta reach 0 inside [1, 2], it evaluates F itself at every
     node.

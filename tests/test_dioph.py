@@ -297,13 +297,16 @@ def test_cf_candidates_only_near_semiconvergents():
 
 def test_rational_approximations_at_two_to_the_1100():
     # The first partial quotient is 2^1100, so listing every semiconvergent
-    # never returned.  1200 bits hold 2^1100 - 1 exactly, so the quality test
-    # tells it from 2^1100; at rel_tol 2^-1105 only x itself qualifies.
-    x, tol = Fraction(2 ** 1100), Fraction(1, 2 ** 1105)
-    with mp.workprec(1200):
-        got = rational_approximations(mp.mpf(2) ** 1100, 10, mp.mpf(2) ** -1105)
-    assert [(int(p), int(q)) for p, q, _ in got] == _brute_approximations(x, 10, tol)
-    assert _brute_approximations(x, 10, tol) == [(2 ** 1100, 1)]
+    # never returned.  The candidates are 2^1100 and 2^1100 - 1 over 1; at
+    # rel_tol 2^-1105 only x itself qualifies.  300 bits round 2^1100 - 1 to
+    # 2^1100, where its quality would read 0: it must be taken at a precision
+    # that holds the numerator exactly.
+    want = _brute_approximations(Fraction(2 ** 1100), 10, Fraction(1, 2 ** 1105))
+    assert want == [(2 ** 1100, 1)]
+    for bits in (1200, 300):
+        with mp.workprec(bits):
+            got = rational_approximations(mp.mpf(2) ** 1100, 10, mp.mpf(2) ** -1105)
+        assert [(int(p), int(q)) for p, q, _ in got] == want, bits
 
 
 def test_rational_approximations_irrational_target():
@@ -320,10 +323,8 @@ def test_rational_approximations_irrational_target():
 
 
 # For each fraction the float ratio |p/q/float(x) - 1| reads above its
-# quality, so a float filter without margin would drop it: by 5.7e-17 at
-# quality 5.1e-5; by 1.6e-16 at quality 1.7e-16, which only the 1e-15 floor
-# covers; and by one ulp, 3.6e-15, at quality 23.8, where the floor rounds
-# away and only the relative 1e-9 covers it.
+# quality, so a float test would drop it: by 5.7e-17 at quality 5.1e-5; by
+# 1.6e-16 at quality 1.7e-16; and by one ulp, 3.6e-15, at quality 23.8.
 @pytest.mark.parametrize("x, p, q", [
     (lambda: mp.sqrt(2), 99, 70),
     (lambda: mp.sqrt(2), 54608393, 38613965),
@@ -331,7 +332,7 @@ def test_rational_approximations_irrational_target():
 ], ids=["relative", "below-float", "large-quality"])
 def test_rational_approximations_tolerance_edge(x, p, q):
     # rel_tol equal to a fraction's working-precision quality keeps it, and one
-    # part in 1e12 less drops it: the float prefilter decides neither.
+    # part in 1e12 less drops it.
     with mp.workprec(256):
         x = x()
         qual = abs(mp.mpf(p) / q / x - 1)
@@ -341,8 +342,9 @@ def test_rational_approximations_tolerance_edge(x, p, q):
 
 @pytest.mark.parametrize("scale", [-1100, -1060], ids=["float-zero", "subnormal"])
 def test_rational_approximations_outside_float_range(scale):
-    # float(x) reads 0 or a subnormal: every candidate goes to the exact test.
-    # The tolerance admits every 1/j; the band's nearest numerators are 0.
+    # float(x) reads 0 or a subnormal, where no float test could tell the
+    # candidates apart.  The tolerance admits every 1/j; the band's nearest
+    # numerators are 0.
     with mp.workprec(1300):
         x = mp.mpf(2) ** scale
         rel_tol = 2 / x

@@ -387,20 +387,23 @@ def test_zeta_on_progression_validation():
             zeta_on_progression(t0, h, 3)
 
 
-def test_rs_fit_truncated_at_tail():
-    # each remainder series stops at the lowest degree whose dropped
-    # coefficients sum below 1e-13 in absolute value
-    for full, cut in zip(zmod._rs_fit(), zmod._rs_cheb()):
-        assert np.array_equal(cut, full[:len(cut)])
-        assert np.sum(np.abs(full[len(cut):])) < 1e-13
-        assert np.sum(np.abs(full[len(cut) - 1:])) >= 1e-13
+def test_rs_remainder_matrix_matches_pointwise(rng):
+    # The degree-21 fit of C_0..C_4 against _rs_coeffs at 4096 random p.  On
+    # 400001 equally spaced p the largest difference reads 9.5e-14 (C_4: the
+    # fit's own error, the pointwise values being within 1.1e-14 of mpmath);
+    # a fit of degree 20 reads 3.9e-13 and one of degree 15 1.3e-9.
+    M = zmod._rs_remainder_matrix()
+    assert M.shape == (22, 5)
+    p = rng.random(4096)
+    fit = np.polynomial.chebyshev.chebvander(2.0 * p - 1.0, len(M) - 1) @ M
+    assert np.max(np.abs(fit - zmod._rs_coeffs(p))) < 1e-13
 
 
 def test_rs_blocked_matches_per_series_oracle(monkeypatch):
     # 20000 nodes in three blocks of _RS_BLOCK; the block edges at 8192 and
     # 16384 fall inside the m-groups m = 30 and m = 32.  With the heads made
-    # equal, the blocked remainder, theta and rotation match the oracle's
-    # whole-array chebval per series.
+    # equal, the blocked remainder, theta and rotation match the oracle's,
+    # whose C_0..C_4 come pointwise from _rs_coeffs.
     t0, h, count = 5000.0, 0.1, 20000
     ts = t0 + h * np.arange(count)
     m = np.floor(np.sqrt(ts / (2 * np.pi)))
@@ -410,14 +413,6 @@ def test_rs_blocked_matches_per_series_oracle(monkeypatch):
     monkeypatch.setattr(zeta_oracle, "_direct_sum", lambda M, run: zmod._head(M, run, h))
     got = zmod._riemann_siegel(ts, h)
     assert np.max(np.abs(got - zeta_oracle._riemann_siegel(ts))) <= 1e-13
-
-
-def test_rs_grid_truncation_against_full_fit(monkeypatch):
-    h = (1e6 - RS_FORCED_MIN_T) / 1999
-    ts = RS_FORCED_MIN_T + h * np.arange(2000)
-    cut = zmod._riemann_siegel(ts, h)
-    monkeypatch.setattr(zmod, "_rs_cheb", zmod._rs_fit)
-    assert np.max(np.abs(cut - zmod._riemann_siegel(ts, h))) < 1e-12
 
 
 # ---------------------------------------------------------------------------

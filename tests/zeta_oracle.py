@@ -6,12 +6,15 @@ not the package's baby-step giant-step kernel."""
 import numpy as np
 
 from zetaprog.zeta import (RS_MIN_T, _em_tail, _main_sum_from_zeta, _main_sum_via_zeta,
-                           _rs_cheb, _theta)
+                           _rs_coeffs, _theta)
 
 _TWO_PI = 2.0 * np.pi
 
 # Most complex entries one block of dirichlet_grid holds (4 MiB).
 _BLOCK_ELEMS = 1 << 18
+
+# Heights per call of _rs_coeffs (each takes 64 complex samples: 8 MiB).
+_RS_POINTS = 8192
 
 
 def dirichlet_grid(ns, coeffs, ts) -> np.ndarray:
@@ -50,9 +53,10 @@ def _euler_maclaurin(ts) -> np.ndarray:
 
 
 def _riemann_siegel(ts) -> np.ndarray:
-    """Riemann-Siegel with the package's theta and remainder fits, each series
-    summed by its own chebval over the whole array; the heights are sorted so
-    that each group of equal m = floor(sqrt(t/2pi)) is a run."""
+    """Riemann-Siegel with the package's theta and the remainder coefficients
+    C_0..C_4 taken pointwise from _rs_coeffs (not from the package's fit),
+    in blocks of _RS_POINTS heights; the heights are sorted so that each
+    group of equal m = floor(sqrt(t/2pi)) is a run."""
     order = np.argsort(ts, kind="stable")
     t = ts[order]
     tau = np.sqrt(t / _TWO_PI)
@@ -62,10 +66,12 @@ def _riemann_siegel(ts) -> np.ndarray:
     edges = np.r_[0, np.flatnonzero(np.diff(m)) + 1, len(t)]
     for a, b in zip(edges[:-1], edges[1:]):
         Z[a:b] = 2.0 * (np.exp(1j * th[a:b]) * _direct_sum(m[a], t[a:b])).real
-    x = 2.0 * (tau - m) - 1.0
+    p = tau - m
+    C = np.concatenate([_rs_coeffs(p[lo:lo + _RS_POINTS])
+                        for lo in range(0, len(p), _RS_POINTS)])
     corr = np.zeros_like(t)
-    for j, c in enumerate(_rs_cheb()):
-        corr += np.polynomial.chebyshev.chebval(x, c) * tau ** (-j)
+    for j in range(C.shape[1]):
+        corr += C[:, j] * tau ** (-j)
     Z = Z + np.where((m - 1) % 2 == 0, 1.0, -1.0) * tau ** (-0.5) * corr
     out = np.empty(len(ts), dtype=complex)
     out[order] = np.exp(-1j * th) * Z
