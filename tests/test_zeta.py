@@ -399,6 +399,32 @@ def test_rs_remainder_matrix_matches_pointwise(rng):
     assert np.max(np.abs(fit - zmod._rs_coeffs(p))) < 1e-13
 
 
+def _rs_full_fit(degree=40):
+    # the Chebyshev interpolant of _rs_coeffs at a degree far past _RS_DEGREE
+    x = np.polynomial.chebyshev.chebpts1(degree + 1)
+    return np.polynomial.chebyshev.chebfit(x, zmod._rs_coeffs((x + 1.0) / 2.0), degree)
+
+
+def test_rs_fit_truncated_at_tail():
+    # Against a degree-40 interpolant, each series of the degree-21 fit drops
+    # coefficients summing below 1e-13 in absolute value (the largest, C_4,
+    # reads 7.6e-14), and degree 21 is the lowest such: dropping from degree 21
+    # on leaves 3.6e-13 in C_3.  The kept coefficients agree within 1e-13.
+    M = zmod._rs_remainder_matrix()
+    full = _rs_full_fit()
+    assert np.all(np.sum(np.abs(full[len(M):]), axis=0) < 1e-13)
+    assert np.any(np.sum(np.abs(full[len(M) - 1:]), axis=0) >= 1e-13)
+    assert np.max(np.abs(M - full[:len(M)])) < 1e-13
+
+
+def test_rs_grid_truncation_against_full_fit(monkeypatch):
+    h = (1e6 - RS_FORCED_MIN_T) / 1999
+    ts = RS_FORCED_MIN_T + h * np.arange(2000)
+    cut = zmod._riemann_siegel(ts, h)
+    monkeypatch.setattr(zmod, "_rs_remainder_matrix", _rs_full_fit)
+    assert np.max(np.abs(cut - zmod._riemann_siegel(ts, h))) < 1e-12
+
+
 def test_rs_blocked_matches_per_series_oracle(monkeypatch):
     # 20000 nodes in three blocks of _RS_BLOCK; the block edges at 8192 and
     # 16384 fall inside the m-groups m = 30 and m = 32.  With the heads made
