@@ -169,15 +169,18 @@ def _check_run(args, search=None, resonator=False):
     """The checks of the builders a run will reach, in the order it reaches
     them, then the node budget, all before any work: the mollifier's T and
     theta when --theta is set, the T and eps check of the search named by
-    search (find_tuple or build_excluded_set), and the resonator's N when
-    resonator.  Then ValueError when [T, 2T] holds no integer (T < 1/2): the
-    library's empty sum is 0, but a report over no node compares nothing.
+    search (find_tuple or build_excluded_set), predict_E's height check for
+    moment without --no-predict, and the resonator's N when resonator.
+    Then ValueError when [T, 2T] holds no integer (T < 1/2): the library's
+    empty sum is 0, but a report over no node compares nothing.
     Last, for resonator, extreme_search's validity check: ValueError when N >
     T^(1/6) in paper-strict mode, else the run's one ExploratoryWarning."""
     if getattr(args, "theta", None) is not None:  # resonate has no --theta
         mmod._check_mollifier(args.T, args.theta)
     if search is not None:
         dmod._check_search(args.T, args.eps, search)
+    if not getattr(args, "no_predict", True):  # only moment has --no-predict
+        mmod._check_heights(_spec_from(args), args.T)
     if resonator:
         rmod._check_resonator_length(args.N)
     mmod._check_sample_budget(args.T)

@@ -206,41 +206,40 @@ def rational_approximations(x, q_cap: int, rel_tol, p_cap: Optional[int] = None)
     so the result equals an exhaustive Farey scan.
     Returns a sorted list of (p, q, quality).
 
-    A candidate's quality |p/q/x - 1| is computed at the working precision,
-    raised where p or q has more bits than it, so that both enter exactly.
+    The work runs at the working precision, raised where it falls short to
+    32 bits below the unit of q_cap*x and below rel_tol: p and q enter
+    exactly, q*x rounds to the true nearest numerator, and a candidate's
+    quality |p/q/x - 1| resolves rel_tol.
     """
     if q_cap < 1:
         return []
-    rel_tol = mp.mpf(rel_tol)
-
-    def quality(p, q):
-        with mp.workprec(max(mp.mp.prec, p.bit_length(), q.bit_length())):
-            return abs(mp.mpf(p) / q / x - 1)
-
-    seen = {}
-    for p, q in _cf_candidates(x, q_cap, rel_tol):
-        if p_cap is not None and p > p_cap:
-            continue
-        qual = quality(p, q)
-        if qual <= rel_tol:
-            seen[(p, q)] = qual
-    # Legendre band: fractions with |x - p/q| >= 1/(2q^2) need not be
-    # semiconvergents; that is possible once q >= 1/sqrt(2*x*rel_tol).
-    abs_tol = x * rel_tol
-    if abs_tol > 0:
-        q_lo = int(mp.floor(1 / mp.sqrt(2 * abs_tol))) + 1
-        if q_cap - q_lo > 1_000_000:
-            raise OverflowError(
-                f"Legendre band [{q_lo}, {q_cap}] too wide for direct scan")
-        for q in range(q_lo, q_cap + 1):  # q_lo >= 1: floor(positive) + 1
-            p = int(mp.nint(q * x))
-            if p < 1 or (p_cap is not None and p > p_cap):
+    with mp.workprec(max(mp.mp.prec, mp.mag(x) + q_cap.bit_length() + 32,
+                         32 - mp.mag(rel_tol) if rel_tol > 0 else 0)):
+        rel_tol = mp.mpf(rel_tol)
+        seen = {}
+        for p, q in _cf_candidates(x, q_cap, rel_tol):
+            if p_cap is not None and p > p_cap:
                 continue
-            if math.gcd(p, q) != 1:
-                continue
-            qual = quality(p, q)
+            qual = abs(mp.mpf(p) / q / x - 1)
             if qual <= rel_tol:
-                seen.setdefault((p, q), qual)
+                seen[(p, q)] = qual
+        # Legendre band: fractions with |x - p/q| >= 1/(2q^2) need not be
+        # semiconvergents; that is possible once q >= 1/sqrt(2*x*rel_tol).
+        abs_tol = x * rel_tol
+        if abs_tol > 0:
+            q_lo = int(mp.floor(1 / mp.sqrt(2 * abs_tol))) + 1
+            if q_cap - q_lo > 1_000_000:
+                raise OverflowError(
+                    f"Legendre band [{q_lo}, {q_cap}] too wide for direct scan")
+            for q in range(q_lo, q_cap + 1):  # q_lo >= 1: floor(positive) + 1
+                p = int(mp.nint(q * x))
+                if p < 1 or (p_cap is not None and p > p_cap):
+                    continue
+                if math.gcd(p, q) != 1:
+                    continue
+                qual = abs(mp.mpf(p) / q / x - 1)
+                if qual <= rel_tol:
+                    seen.setdefault((p, q), qual)
     return sorted((p, q, qual) for (p, q), qual in seen.items())
 
 

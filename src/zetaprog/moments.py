@@ -39,8 +39,9 @@ F(a, b, T*x) is smooth on [1, 2] (each of its H terms is entire in log tt),
 so H_ell resolves it once per tuple by a Chebyshev interpolant: the first of
 degree 32 or 64 whose coefficients above half its degree are all within
 1e-12 of its largest.  Where none is (heights that start near 0 put F's pole
-at tt = 0 just left of x = 1), or where the heights reach 0 inside [1, 2],
-F itself is evaluated at every trapezoid node.
+at tt = 0 just left of x = 1), F itself is evaluated at every trapezoid
+node.  Heights that reach 0 on [T, 2T] (alpha*T + beta <= 0) have no
+prediction: H_ell and predict_E refuse them.
 """
 import math
 import warnings
@@ -130,11 +131,8 @@ def mollifier_coeffs(T: float, theta: float) -> Mollifier:
     length = int(np.floor(T ** theta))  # T >= 100 and theta > 0 give T^theta > 1
     if length > _COEFF_MEMORY_CAP:
         raise CapError(f"T^theta = {length} exceeds the coefficient memory cap")
-    mu = mobius_table(length)
-    log_cap = theta * math.log(T)
-    vals = np.zeros(length + 1)
-    n = np.arange(1, length + 1)
-    vals[1:] = mu[1:] * (1.0 - np.log(n) / log_cap)
+    vals = mobius_table(length)
+    vals[1:] *= 1.0 - np.log(np.arange(1, length + 1)) / (theta * math.log(T))
     return Mollifier(values=vals, theta=theta, T=T)
 
 
@@ -403,6 +401,13 @@ def _tuple_phase(spec: ProgressionSpec, tup):
     return spec.alpha * math.log(tup.a / tup.b) / _TWO_PI - tup.ell, pref
 
 
+def _check_heights(spec: ProgressionSpec, T: float):
+    """ValueError unless every height alpha*t + beta on [T, 2T] is positive."""
+    if spec.alpha * T + spec.beta <= 0.0:
+        raise ValueError(f"predict_E requires heights alpha*T + beta > 0, got "
+                         f"{spec.alpha * T + spec.beta!r}; run with --no-predict")
+
+
 def H_ell(ell: int, spec: ProgressionSpec, window: SmoothWindow, T: float,
           poly: DirichletPoly, eps: float = DEFAULT_EPS) -> complex:
     """The ell-th correction integral (0 when no tuple exists):
@@ -414,10 +419,11 @@ def H_ell(ell: int, spec: ProgressionSpec, window: SmoothWindow, T: float,
     T*nu, by the trapezoid of phi_hat, to 1e-5 relative (floored at 1e-9).
     The trapezoid reads F(a, b, T*x) from a Chebyshev interpolant on [1, 2]:
     the first of degree 32 or 64 whose coefficients above half its degree
-    are all within 1e-12 of its largest.  When none is, or when the heights
-    alpha*T*x + beta reach 0 inside [1, 2], it evaluates F itself at every
-    node.
+    are all within 1e-12 of its largest.  When none is, it evaluates F
+    itself at every node.  ValueError when the heights alpha*T*x + beta
+    reach 0 on [1, 2], before the tuple search.
     """
+    _check_heights(spec, T)
     tup = find_tuple(spec, ell, T, eps)
     if tup is None:
         return 0j
@@ -433,10 +439,6 @@ def _F_on_window(weights, consts, T: float, spec: ProgressionSpec):
     def F(x):
         return _F_batch(weights, consts, T * x, spec)
 
-    if spec.alpha * T + spec.beta <= 0.0:
-        # the heights reach 0 inside [1, 2], where the interpolation nodes
-        # come closer to x = 1 than the trapezoid's, and F is not smooth
-        return F
     for deg in _F_CHEB_DEGREES:
         cheb = np.polynomial.Chebyshev.interpolate(F, deg, domain=[1.0, 2.0])
         c = np.abs(cheb.coef)

@@ -14,17 +14,18 @@ the search reduce one moments.ProgressionSample over its phi > 0 nodes.
 
 The multiplicative coefficients r(p) = L/(sqrt(p) log p), L = sqrt(log N
 log log N), live on primes in [L^2, exp((log L)^2)] minus an excluded set S.
-S removes the primes that would couple the resonator to the diophantine
-tuples of the progression (the same tuples that drive the moment
-corrections): with those primes gone, b(a_ell) = 0 for every tuple, and the
-resonated moments stay tuple-free.
+S holds the smallest prime factors of a and b > 1, for each ell <= 2 log T,
+of the best coprime pair with both members below T^(1/2-eps) and log-defect
+|alpha*log(a/b)/(2*pi) - ell| at most T^(eps-1).  That is not find_tuple's
+search, whose tuples drive the moment corrections: at 1:3:2 and T = 3100, S
+is {2, 3}, while those tuples' smallest prime factors are {2, 3, 173}.
 
 Desk-scale note: both the narrow asymptotic prime window and the length rule
 N = T^(1/6) are asymptotic; at reachable N the window [L^2, exp((log L)^2)]
-is empty and T^(1/6) is single digits.  The exploratory mode (default)
-widens the window to [L^2, N] and only warns when N exceeds T^(1/6), because
-exhibiting the mechanism at desk scale requires it; "paper-strict" enforces
-both restrictions literally.
+is empty and T^(1/6) is single digits.  The default prime window widens it
+to [L^2, N], and the exploratory validity mode (default) only warns when N
+exceeds T^(1/6), because exhibiting the mechanism at desk scale requires
+both; "paper-strict" enforces the length rule literally.
 """
 import math
 import warnings
@@ -39,7 +40,7 @@ from .dioph import CF_PRECISION_BITS, DEFAULT_EPS, ProgressionSpec, _check_searc
     _progression_x, rational_approximations
 from .errors import CapError, DegenerateDenominatorError
 from .moments import DirichletPoly, ProgressionSample, _progression_run
-from .sieves import primes_in, smallest_prime_factor
+from .sieves import primes_in, smallest_prime_factor, squarefree_products
 
 __all__ = ["Resonator", "EulerPrediction", "ExtremeReport", "ExploratoryWarning",
            "ResidualWarning",
@@ -141,11 +142,12 @@ def resonator_coeffs(N: int, mode: str, excluded: FrozenSet[int] = frozenset(),
     where r is multiplicative with r(p) = L/(sqrt(p) log p) on admissible
     primes; equivalently each admissible prime contributes a factor
     +-L/log p, and the support is the squarefree products staying <= N
-    (enumerated depth-first over the sorted primes; all lie in {1..N}).
+    (sieves.squarefree_products).
 
-    window: "asymptotic" uses [L^2, exp((log L)^2)] literally (possibly
-    empty), "extended" uses [L^2, N], "auto" falls back from asymptotic to
-    extended with an ExploratoryWarning when the narrow window holds no primes.
+    window: "asymptotic" uses [L^2, exp((log L)^2)] literally, "extended"
+    uses [L^2, N].  The narrow window is empty whenever log N log log N <
+    e^4, which holds for every N up to _SUPPORT_CAP, so "auto" is
+    "extended" with an ExploratoryWarning.
     """
     _check_resonator_length(N)
     if mode not in ("max", "min"):
@@ -153,36 +155,16 @@ def resonator_coeffs(N: int, mode: str, excluded: FrozenSet[int] = frozenset(),
     if N > _SUPPORT_CAP:
         raise CapError(f"resonator length {N} exceeds the memory cap {_SUPPORT_CAP}")
     L, lo, hi_narrow = asymptotic_prime_window(N)
-    if window == "asymptotic":
-        hi, kind = hi_narrow, "asymptotic"
-    elif window == "extended":
-        hi, kind = float(N), "extended"
-    elif window == "auto":
-        if hi_narrow >= lo and len(primes_in(int(math.ceil(lo)), int(hi_narrow))) > 0:
-            hi, kind = hi_narrow, "asymptotic"
-        else:
-            hi, kind = float(N), "extended"
-            warnings.warn(
-                f"narrow prime window [{lo:.2f}, {hi_narrow:.2f}] holds no primes at "
-                f"N={N}; extending to [{lo:.2f}, {N}]", ExploratoryWarning)
-    else:
+    if window not in ("asymptotic", "extended", "auto"):
         raise ValueError("window must be 'asymptotic', 'extended' or 'auto'")
-    ps = [p for p in primes_in(int(math.ceil(lo)), int(math.floor(min(hi, N))))
-          if p not in excluded]
+    if window == "auto":
+        warnings.warn(f"narrow prime window [{lo:.2f}, {hi_narrow:.2f}] holds no primes "
+                      f"at N={N}; extending to [{lo:.2f}, {N}]", ExploratoryWarning)
+    kind = "asymptotic" if window == "asymptotic" else "extended"
+    hi = hi_narrow if window == "asymptotic" else float(N)
+    ps = [p for p in primes_in(lo, min(hi, N)) if p not in excluded]
     sign = 1.0 if mode == "max" else -1.0
-    factors = [sign * L / math.log(p) for p in ps]
-    vals = np.zeros(N + 1)
-    vals[1] = 1.0
-
-    def extend(start: int, n: int, v: float):
-        for i in range(start, len(ps)):
-            m = n * ps[i]
-            if m > N:
-                break
-            vals[m] = v * factors[i]
-            extend(i + 1, m, v * factors[i])
-
-    extend(0, 1, 1.0)
+    vals = squarefree_products(N, ps, [sign * L / math.log(p) for p in ps])
     return Resonator(N=N, L=L, prime_lo=lo, prime_hi=hi,
                      excluded=frozenset(excluded), mode=mode,
                      coeffs=DirichletPoly(values=vals), window_kind=kind)
@@ -254,18 +236,15 @@ class EulerPrediction:
 
 
 def euler_product_prediction(resonator: Resonator) -> EulerPrediction:
-    """First-order prediction for R: prod (1 + b(p)/p) over the support primes,
-    accumulated in the log domain, with the asymptotic envelope
-    exp(+-sqrt(log N / log log N)) for scale."""
+    """First-order prediction for R: prod (1 + b(p)/p) over the support primes
+    (the primes p <= N with b(p) != 0), accumulated in the log domain, with
+    the asymptotic envelope exp(+-sqrt(log N / log log N)) for scale."""
     vals = resonator.coeffs.values
+    ps = np.array(primes_in(2, resonator.N))
+    ps = ps[vals[ps] != 0.0]
     ln_pred = 0.0
-    for p in primes_in(int(math.ceil(resonator.prime_lo)),
-                       int(math.floor(min(resonator.prime_hi, resonator.N)))):
-        if p in resonator.excluded:
-            continue
-        bp = vals[p] if p < len(vals) else 0.0
-        if bp != 0.0:
-            ln_pred += math.log1p(bp / p)
+    for x in vals[ps] / ps:
+        ln_pred += math.log1p(x)
     half_width = math.sqrt(math.log(resonator.N) / math.log(math.log(resonator.N)))
     return EulerPrediction(prediction=math.exp(ln_pred),
                            envelope_low=math.exp(-half_width),

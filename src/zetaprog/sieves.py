@@ -1,29 +1,9 @@
-"""Small integer sieves: smallest prime factors, Moebius function, primes."""
+"""Small integer sieves: primes by Eratosthenes, and the tables of the
+multiplicative functions on squarefree products (the Moebius function of the
+mollifier, the resonator's coefficients) that one product sieve builds."""
+import math
+
 import numpy as np
-
-
-def spf_table(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table for 0..limit (spf[0] = spf[1] = 0)."""
-    if limit < 1:
-        return np.zeros(max(limit + 1, 1), dtype=np.int64)
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
-        if spf[p] == 0:
-            spf[p::p][spf[p::p] == 0] = p
-    return spf
-
-
-def mobius_table(limit: int) -> np.ndarray:
-    """mu(n) for 0..limit via the smallest-prime-factor sieve."""
-    spf = spf_table(limit)
-    mu = np.zeros(limit + 1, dtype=np.int64)
-    if limit >= 1:
-        mu[1] = 1
-    for n in range(2, limit + 1):
-        p = spf[n]
-        m = n // p
-        mu[n] = 0 if m % p == 0 else -mu[m]
-    return mu
 
 
 def primes_in(lo: float, hi: float) -> list:
@@ -31,8 +11,35 @@ def primes_in(lo: float, hi: float) -> list:
     top = int(np.floor(hi))
     if top < 2:
         return []
-    spf = spf_table(top)
-    return [p for p in range(max(2, int(np.ceil(lo))), top + 1) if spf[p] == p]
+    sieve = np.ones(top + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(top) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    start = max(2, int(np.ceil(lo)))
+    return (np.flatnonzero(sieve[start:]) + start).tolist()
+
+
+def squarefree_products(limit: int, primes, factors) -> np.ndarray:
+    """f(n) for 0..limit: on the squarefree products of primes (ascending, each
+    <= limit) the product over n's primes, in ascending order, of factors (one
+    per prime, or one for all); f(1) = 1 and 0 elsewhere."""
+    f = np.zeros(limit + 1)
+    f[1] = 1.0
+    primes = np.asarray(primes, dtype=np.int64)
+    factors = np.broadcast_to(np.asarray(factors, dtype=float), primes.shape)
+    # past limit / primes[0], a prime extends only the product 1
+    k = int(np.searchsorted(primes, limit // primes[0], side="right")) if len(primes) else 0
+    for p, fp in zip(primes[:k].tolist(), factors[:k]):
+        ms = np.flatnonzero(f[:limit // p + 1])
+        f[p * ms] = f[ms] * fp
+    f[primes[k:]] = factors[k:]
+    return f
+
+
+def mobius_table(limit: int) -> np.ndarray:
+    """mu(n) for 0..limit, as floats."""
+    return squarefree_products(limit, primes_in(2, limit), -1.0)
 
 
 def smallest_prime_factor(n: int) -> int:

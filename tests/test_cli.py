@@ -213,6 +213,8 @@ _CAP = "computation failed: CapError: progression sample of "
 # the continuous moment's start level at 2.0169 per unit rounds up to 4 nodes
 # per unit, 4e6 nodes over [1e6, 2e6]: past the trapezoid's 2^21
 _QUAD = "computation failed: QuadratureError: the trapezoid at 2.0169"
+# heights alpha*t + beta that reach 0 on [T, 2T] have no predicted E
+_HEIGHTS = "bad configuration: predict_E requires heights alpha*T + beta > 0"
 
 
 @pytest.mark.parametrize("argv, rc, message", [
@@ -243,10 +245,14 @@ _QUAD = "computation failed: QuadratureError: the trapezoid at 2.0169"
      "bad configuration: resonator length N=100 exceeds T^(1/6)=6.81 (paper-strict mode)"),
     (["moment", "--alpha", "1", "--T", "1e6", "--no-predict"], 1, _QUAD),
     (["firstmoment", "--alpha", "1", "--T", "1e6"], 1, _QUAD),
+    (["moment", "--alpha-rational", "1:2:1", "--T", "300", "--beta", "-9000"], 2, _HEIGHTS),
+    (["moment", "--alpha-rational", "1:2:1", "--T", "300", "--beta", "-4000"], 2, _HEIGHTS),
+    (["moment", "--alpha", "2.3", "--T", "1000", "--beta", "-20000"], 2, _HEIGHTS),
 ], ids=["nonvanish", "moment", "nonvanish-mollified", "resonate", "moment-overlong-mollifier",
         "resonate-short-N", "moment-theta", "firstmoment-small-T", "moment-small-T",
         "moment-eps", "nonvanish-small-T", "resonate-small-T", "resonate-paper-strict",
-        "moment-continuous-start", "firstmoment-continuous-start"])
+        "moment-continuous-start", "firstmoment-continuous-start",
+        "moment-negative-heights", "moment-heights-through-0", "moment-float-negative-heights"])
 def test_node_budget_exit_code(argv, rc, message, tmp_path, monkeypatch, capsys):
     # Refused before any array is allocated, and before the mollifier, the
     # excluded set, the resonator or the sample is built; the mollifier of

@@ -6,6 +6,7 @@ x*b to the nearest integer and keeps qualifying fractions.  find_tuple must
 reproduce it exactly on every progression tried.
 """
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -307,6 +308,21 @@ def test_rational_approximations_at_two_to_the_1100():
         with mp.workprec(bits):
             got = rational_approximations(mp.mpf(2) ** 1100, 10, mp.mpf(2) ** -1105)
         assert [(int(p), int(q)) for p, q, _ in got] == want, bits
+
+
+def test_rational_approximations_below_working_resolution():
+    # At 64 bits, q*x (to 3e21) and a quality against rel_tol near 1e-23 both
+    # need more bits than the caller's precision holds; 38 of these 40 calls
+    # once differed from the exact test.
+    rng = random.Random(18)
+    for _ in range(40):
+        with mp.workprec(64):
+            x = mp.mpf(rng.uniform(1e17, 3e18)) + mp.sqrt(2) * rng.uniform(0, 1000)
+            rel_tol = math.exp(rng.uniform(math.log(1e-24), math.log(1e-21)))
+            got = rational_approximations(x, 1436, rel_tol)
+        want = _brute_approximations(Fraction(int(x.man)) * Fraction(2) ** int(x.exp),
+                                     1436, Fraction(rel_tol))
+        assert sorted((p, q) for p, q, _ in got) == sorted(want)
 
 
 def test_rational_approximations_irrational_target():

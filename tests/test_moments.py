@@ -414,17 +414,19 @@ def test_h_ell_against_gauss_legendre(spec, T, theta, ell, interpolated, window)
     assert abs(H_ell(ell, spec, window, T, poly) - want) <= 1e-10 * abs(want)
 
 
-def test_h_ell_heights_reaching_zero_in_window(window):
-    # alpha*T*x + beta = 0 at x = 1 + 3e-4: the trapezoid's nodes all lie
-    # right of it, the interpolation nodes would not, so F is taken directly
-    # (frozen value of the direct path)
+def test_h_ell_heights_reaching_zero_in_window(window, monkeypatch):
+    # alpha*T*x + beta = 0 at x = 1 + 3e-4, and at x = 1 exactly: the
+    # correction formula holds for positive heights only, so H_ell and
+    # predict_E refuse before the tuple search, naming the CLI's way out
     T = 300.0
-    spec = ProgressionSpec.from_rational(1, 2, 1, beta=-(1 + 3e-4) * _SYM_ALPHA * T)
     one = DirichletPoly.one()
-    g = mmod._F_on_window(*mmod._f_pair_tables(2, 1, one), T, spec)
-    assert not isinstance(g, np.polynomial.Chebyshev)
-    val = H_ell(1, spec, window, T, one)
-    assert val == pytest.approx(476.41024689518025 - 302.3391362274615j, rel=1e-12)
+    monkeypatch.setattr(mmod, "find_tuple", None)  # a call raises TypeError
+    for beta in (-(1 + 3e-4) * _SYM_ALPHA * T, -_SYM_ALPHA * T):
+        spec = ProgressionSpec.from_rational(1, 2, 1, beta=beta)
+        with pytest.raises(ValueError, match="alpha\\*T \\+ beta > 0.*--no-predict"):
+            H_ell(1, spec, window, T, one)
+        with pytest.raises(ValueError, match="--no-predict"):
+            predict_E(spec, window, T, one)
 
 
 def test_predict_e_alpha_one_negligible(unit_spec, window):

@@ -20,6 +20,7 @@ from zetaprog import (DegenerateDenominatorError, DirichletPoly,
                       Resonator, SmoothWindow, asymptotic_prime_window,
                       build_excluded_set, euler_product_prediction,
                       extreme_search, ratio_R, resonator_coeffs, sample_progression)
+from zetaprog.resonance import _SUPPORT_CAP
 from zetaprog.sieves import primes_in
 
 
@@ -38,9 +39,12 @@ def _sample(spec, window, T, resonator):
 # ---------------------------------------------------------------------------
 
 def test_asymptotic_window_is_empty_at_desk_scale():
-    L, lo, hi = asymptotic_prime_window(100)
-    assert L == pytest.approx(math.sqrt(math.log(100.0) * math.log(math.log(100.0))), rel=1e-14)
-    assert hi < lo  # exp((ln L)^2) < L^2 for small L: no primes at all
+    # exp((ln L)^2) < L^2 while ln L < 2, that is up to N = 1.2e8: no primes
+    # at all, from the shortest resonator to the longest resonator_coeffs takes
+    for N in (100, _SUPPORT_CAP):
+        L, lo, hi = asymptotic_prime_window(N)
+        assert L == pytest.approx(math.sqrt(math.log(N) * math.log(math.log(N))), rel=1e-14)
+        assert hi < lo
 
 
 def test_auto_window_falls_back_with_warning():
@@ -84,10 +88,40 @@ def test_min_mode_flips_sign():
 
 def test_multiplicative_on_squarefree_products():
     r = _quiet(resonator_coeffs, 200, "max")
-    # 143 = 11*13 fits under 200; the DFS multiplies the prime factors once
-    # each, so the equality is exact
+    # 143 = 11*13 fits under 200; its coefficient is the product of its
+    # primes' factors, taken once each, so the equality is exact
     assert r.coeffs.coeff(143) == r.coeffs.coeff(11) * r.coeffs.coeff(13)
     assert r.coeffs.coeff(1) == 1.0
+
+
+@pytest.mark.parametrize("mode", ["max", "min"])
+def test_coefficients_against_factorization(mode):
+    # At N = 1e5 the window starts at 29, so the excluded 29 and 31 remove
+    # three-prime products such as 29*31*37 = 33263, while 37*41*43 = 65231
+    # stays.  Each coefficient is the product, in ascending prime order, of
+    # +-L/ln p over its prime factors, or 0 off the squarefree products of
+    # admissible primes.
+    N, excluded = 100_000, frozenset({29, 31, 101})
+    r = _quiet(resonator_coeffs, N, mode, excluded=excluded)
+    sign = 1.0 if mode == "max" else -1.0
+    want = np.zeros(N + 1)
+    for n in range(1, N + 1):
+        m, ps, d = n, [], 2
+        while d * d <= m:
+            while m % d == 0:
+                ps.append(d)
+                m //= d
+            d += 1
+        if m > 1:
+            ps.append(m)
+        if len(set(ps)) < len(ps) or any(p < r.prime_lo or p in excluded for p in ps):
+            continue
+        v = 1.0
+        for p in ps:
+            v *= sign * r.L / math.log(p)
+        want[n] = v
+    assert np.array_equal(r.coeffs.values, want)
+    assert want[33263] == 0.0 and want[65231] != 0.0
 
 
 def test_support_is_squarefree_within_window():

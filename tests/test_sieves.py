@@ -1,7 +1,7 @@
 """Sieve utilities against brute-force factorization oracles."""
 import math
 
-from zetaprog.sieves import mobius_table, primes_in, smallest_prime_factor, spf_table
+from zetaprog.sieves import mobius_table, primes_in, smallest_prime_factor
 
 
 def _factor(n):
@@ -26,13 +26,6 @@ def _mu(n):
     return -1 if len(fs) % 2 else 1
 
 
-def test_spf_table_against_trial_division():
-    spf = spf_table(500)
-    for n in range(2, 501):
-        assert spf[n] == min(_factor(n))
-    assert spf[1] == 0  # no prime factor; sentinel
-
-
 def test_mobius_table_against_brute_force():
     mu = mobius_table(500)
     for n in range(1, 501):
@@ -44,6 +37,8 @@ def test_primes_in():
     assert primes_in(2, 2) == [2]
     assert primes_in(24, 28) == []
     assert primes_in(50, 10) == []
+    assert len(primes_in(2, 10 ** 5)) == 9592  # pi(10^5)
+    assert primes_in(1000.5, 1100) == [n for n in range(1001, 1101) if _factor(n) == {n: 1}]
 
 
 def test_smallest_prime_factor():
