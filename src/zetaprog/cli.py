@@ -170,7 +170,7 @@ def _check_run(args, search=None, resonator=False):
     them, then the node budget, all before any work: the mollifier's T and
     theta when --theta is set, the T and eps check of the search named by
     search (find_tuple or build_excluded_set), predict_E's height check for
-    moment without --no-predict, and the resonator's N when resonator.
+    moment without --no-predict, the resonator's N and nonvanish's threshold.
     Then ValueError when [T, 2T] holds no integer (T < 1/2): the library's
     empty sum is 0, but a report over no node compares nothing.
     Last, for resonator, extreme_search's validity check: ValueError when N >
@@ -183,6 +183,8 @@ def _check_run(args, search=None, resonator=False):
         mmod._check_heights(_spec_from(args), args.T)
     if resonator:
         rmod._check_resonator_length(args.N)
+    if getattr(args, "threshold", None) is not None:  # only nonvanish has --threshold
+        mmod._check_threshold(args.threshold)
     mmod._check_sample_budget(args.T)
     if math.floor(2.0 * args.T) < math.ceil(args.T):
         raise ValueError(f"the window [T, 2T] holds no integer node at T = {args.T!r}")
@@ -283,11 +285,12 @@ def _cmd_nonvanish(args, t0):
 
 def _cmd_resonate(args, t0):
     spec = _spec_from(args)
+    window = SmoothWindow(edge=args.edge)  # a bad edge is refused before _check_run warns
     _check_run(args, search="build_excluded_set", resonator=True)
     excluded = rmod.build_excluded_set(spec, args.T, args.eps)
     res = rmod.resonator_coeffs(args.N, args.mode, excluded, window=args.prime_window)
     euler = rmod.euler_product_prediction(res)
-    sample = mmod.sample_progression(spec, SmoothWindow(edge=args.edge), args.T, res.coeffs)
+    sample = mmod.sample_progression(spec, window, args.T, res.coeffs)
     with warnings.catch_warnings():  # _check_run raised it, before any work
         warnings.simplefilter("ignore", rmod.ExploratoryWarning)
         rep = rmod.extreme_search(sample, res, validity=args.validity)

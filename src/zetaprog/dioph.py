@@ -280,12 +280,7 @@ def find_tuple(spec: ProgressionSpec, ell: int, T: float,
     if ln_bcap <= 0.0:
         return None  # no admissible denominator (b >= 1 is already too big)
     with mp.workprec(CF_PRECISION_BITS):
-        bcap = mp.exp(ln_bcap)
-        q_cap = int(mp.floor(bcap))
-        if q_cap == bcap:
-            q_cap -= 1
-        if q_cap < 1:
-            return None
+        q_cap = int(mp.ceil(mp.exp(ln_bcap))) - 1  # the largest integer below the cap
         x = _progression_x(spec, ell)
         if x > mp.mpf(2) ** CF_PRECISION_BITS:
             raise OverflowError(

@@ -25,23 +25,23 @@ zeta.progression_sum: zeta and B are only ever evaluated on a progression.
 Every consumer reduces a sample over its phi > 0 nodes, and the discrete
 moments, the nonvanishing bound and the resonator search share one sample
 of the integers in [T, 2T].  Every integral is the nested dyadic trapezoid
-of quadrature.py: the continuous moment samples the progression at ell =
-j / 2^k, from a 2^k above the integrand's top frequency alpha/2pi *
-log(t_max * len(B) / 2pi) plus 16 nodes across each window ramp, where the
-trapezoid of a band-limited integrand under a smooth window is exact; where
-the heights pass through 0, zeta's pole at s = 1 narrows the strip of
-analyticity, and the start stays above every tuple frequency (the bound
-_default_ell_max that predict_E also sums to).  H_ell shares phi_hat's
-windowed transform.  The same zeta engine feeds both sides of E, so engine
-error cancels in it.
+of quadrature.py: the continuous moment samples the progression at the
+points ell = j / 2^k of [T, 2T], from a 2^k above the integrand's top
+frequency alpha/2pi * log(t_max * len(B) / 2pi) plus 16 nodes across each
+window ramp, where the trapezoid of a band-limited integrand under a smooth
+window is exact; where the heights pass through 0, zeta's pole at s = 1
+narrows the strip of analyticity, and the start stays above every tuple
+frequency (the bound _default_ell_max that predict_E also sums to).  H_ell
+shares phi_hat's windowed transform.  The same zeta engine feeds both sides
+of E, so engine error cancels in it.
 
 F(a, b, T*x) is smooth on [1, 2] (each of its H terms is entire in log tt),
-so H_ell resolves it once per tuple by a Chebyshev interpolant: the first of
-degree 32 or 64 whose coefficients above half its degree are all within
-1e-12 of its largest.  Where none is (heights that start near 0 put F's pole
-at tt = 0 just left of x = 1), F itself is evaluated at every trapezoid
-node.  Heights that reach 0 on [T, 2T] (alpha*T + beta <= 0) have no
-prediction: H_ell and predict_E refuse them.
+so H_ell resolves it once per tuple by a Chebyshev interpolant of degree 32,
+kept when its coefficients above degree 16 are all within 1e-12 of its
+largest.  Where they are not (heights that start near 0 put F's pole at
+tt = 0 just left of x = 1), F itself is evaluated at every trapezoid node.
+Heights that reach 0 on [T, 2T] (alpha*T + beta <= 0) have no prediction:
+H_ell and predict_E refuse them.
 """
 import math
 import warnings
@@ -70,9 +70,9 @@ _TWO_PI = 2.0 * math.pi
 
 _COEFF_MEMORY_CAP = 50_000_000
 
-# H_ell's interpolant of F on [1, 2]: the degrees tried, in order, and the
-# largest coefficient above half the degree, relative to the largest overall.
-_F_CHEB_DEGREES = (32, 64)
+# H_ell's interpolant of F on [1, 2]: its degree, and the largest coefficient
+# above half the degree, relative to the largest overall.
+_F_CHEB_DEGREE = 32
 _F_CHEB_TAIL = 1e-12
 
 
@@ -250,25 +250,24 @@ def continuous_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: fl
                               poly: DirichletPoly, power: int):
     """integral over ell in [T, 2T] of the same integrand, to 1e-4 relative.
 
-    The rule is quadrature.nested_trapezoid on the dyadic grid ell = j / 2^k,
-    from the start density of _continuous_density.  The trapezoid integrates
-    a band-limited integrand under a smooth window exactly once the step 2^-k
-    puts the first alias frequency 2^k above the integrand's top frequency
-    plus the window's.  The start step comes from that bound, not from the
-    refinement check: a frequency at an even multiple of the step aliases on
-    both levels a halving compares, so two agreeing levels do not prove the
-    step fine enough.
+    The rule is quadrature.nested_trapezoid on the dyadic points ell = j / 2^k
+    of [T, 2T], from the start density of _continuous_density.  The
+    trapezoid integrates a band-limited integrand under a smooth window
+    exactly once the step 2^-k puts the first alias frequency 2^k above the
+    integrand's top frequency plus the window's.  The start step comes from
+    that bound, not from the refinement check: a frequency at an even
+    multiple of the step aliases on both levels a halving compares, so two
+    agreeing levels do not prove the step fine enough.
 
-    Each level samples the progression at its phi > 0 nodes.  Two successive
-    levels agreeing to 1e-4 relative are accepted; QuadratureError when none
-    do, or when the start step exceeds the rule's node budget.
+    Each level is one sample of the progression.  Two successive levels
+    agreeing to 1e-4 relative are accepted; QuadratureError when none do,
+    or when the start step exceeds the rule's node budget.
     """
     _check_power(power)
     _check_T(T)
 
-    def level_sum(ell):  # the grid reaches past [T, 2T]; nodes with phi = 0 add nothing
-        live = ell[window.phi(ell / T) > 0.0]
-        return sample_progression(spec, window, T, poly, live).twisted_sum(power)
+    def level_sum(ell):
+        return sample_progression(spec, window, T, poly, ell).twisted_sum(power)
 
     return nested_trapezoid(level_sum, T, 2.0 * T, _continuous_density(spec, window, T, poly),
                             lambda new, old: abs(new - old) <= 1e-4 * max(abs(new), 1e-12))
@@ -417,11 +416,11 @@ def H_ell(ell: int, spec: ProgressionSpec, window: SmoothWindow, T: float,
 
     With t = T*x this is T times the windowed transform of F(a, b, T*x) at
     T*nu, by the trapezoid of phi_hat, to 1e-5 relative (floored at 1e-9).
-    The trapezoid reads F(a, b, T*x) from a Chebyshev interpolant on [1, 2]:
-    the first of degree 32 or 64 whose coefficients above half its degree
-    are all within 1e-12 of its largest.  When none is, it evaluates F
-    itself at every node.  ValueError when the heights alpha*T*x + beta
-    reach 0 on [1, 2], before the tuple search.
+    The trapezoid reads F(a, b, T*x) from a Chebyshev interpolant of degree
+    32 on [1, 2], kept when its coefficients above degree 16 are all within
+    1e-12 of its largest.  When they are not, it evaluates F itself at every
+    node.  ValueError when the heights alpha*T*x + beta reach 0 on [1, 2],
+    before the tuple search.
     """
     _check_heights(spec, T)
     tup = find_tuple(spec, ell, T, eps)
@@ -439,11 +438,10 @@ def _F_on_window(weights, consts, T: float, spec: ProgressionSpec):
     def F(x):
         return _F_batch(weights, consts, T * x, spec)
 
-    for deg in _F_CHEB_DEGREES:
-        cheb = np.polynomial.Chebyshev.interpolate(F, deg, domain=[1.0, 2.0])
-        c = np.abs(cheb.coef)
-        if np.max(c[deg // 2 + 1:]) <= _F_CHEB_TAIL * np.max(c):
-            return cheb
+    cheb = np.polynomial.Chebyshev.interpolate(F, _F_CHEB_DEGREE, domain=[1.0, 2.0])
+    c = np.abs(cheb.coef)
+    if np.max(c[_F_CHEB_DEGREE // 2 + 1:]) <= _F_CHEB_TAIL * np.max(c):
+        return cheb
     return F
 
 
@@ -543,6 +541,12 @@ def nonvanishing_bound(sample: ProgressionSample) -> NonvanishingReport:
                               moment_first=first, moment_second=second)
 
 
+def _check_threshold(threshold: float):
+    """ValueError unless threshold >= 0; the CLI calls it before the sample."""
+    if threshold < 0.0:
+        raise ValueError("threshold must be >= 0")
+
+
 def empirical_nonvanishing(sample: ProgressionSample, threshold: float) -> float:
     """Fraction of the sample's nodes ell (all of them, phi = 0 included) with
     |zeta(1/2 + i(alpha*ell + beta))| > threshold * (log ell)^(-1/2).
@@ -551,8 +555,7 @@ def empirical_nonvanishing(sample: ProgressionSample, threshold: float) -> float
     undetectable in floating point.  At ell = 1 the bar is +inf for any
     threshold > 0.  ValueError for nodes ell < 1, where log ell < 0.
     """
-    if threshold < 0.0:
-        raise ValueError("threshold must be >= 0")
+    _check_threshold(threshold)
     if len(sample.ell) == 0:
         raise ValueError("empty progression window")
     if np.any(sample.ell < 1):

@@ -3,7 +3,8 @@
 Every integrand it serves carries the window phi, so it vanishes with all
 its derivatives at both ends of its interval; there the trapezoid needs no
 endpoint weights and converges faster than any power of its step
-(Trefethen & Weideman, SIAM Review 56, 2014).
+(Trefethen & Weideman, SIAM Review 56, 2014).  Its levels hold the lattice
+points j / 2^k inside [a, b] and no others.
 """
 import math
 
@@ -14,17 +15,19 @@ from .errors import QuadratureError
 __all__ = ["NODE_CAP", "nested_trapezoid", "start_level"]
 
 # Most nodes one level may evaluate.  The third and last halving evaluates
-# four times the start level's nodes, each holding a few hundred bytes of
-# working arrays.
+# at most four times the start level's budget, each node holding a few
+# hundred bytes of working arrays.
 NODE_CAP = 1 << 23
 
 
 def start_level(a: float, b: float, density: float):
     """(per_unit, lo, hi) of the trapezoid's start level over [a, b]: per_unit
     is the smallest power of two >= density, and the nodes are j / per_unit
-    for j from lo = floor(a * per_unit) to hi = ceil(b * per_unit).
-    QuadratureError when that level would hold more than NODE_CAP / 4 nodes;
-    this is all arithmetic, so a caller can check the budget before any work.
+    for j from lo = ceil(a * per_unit) to hi = floor(b * per_unit).
+    QuadratureError when (b - a) * per_unit + 1, the most nodes a level of
+    [a, b] can hold at that step, exceeds NODE_CAP / 4, so that the third
+    halving adds fewer than NODE_CAP nodes whether or not a and b are lattice
+    points; all arithmetic, so a caller can check it before any work.
     """
     cap = NODE_CAP // 4
     refusal = QuadratureError(f"the trapezoid at {density!r} nodes per unit over "
@@ -32,29 +35,29 @@ def start_level(a: float, b: float, density: float):
     if not density * (b - a) <= cap:  # an infinite density has no power of two
         raise refusal
     per_unit = 1 << (math.ceil(density) - 1).bit_length()
-    lo, hi = math.floor(a * per_unit), math.ceil(b * per_unit)
-    if hi - lo + 1 > cap:
+    if (b - a) * per_unit + 1 > cap:
         raise refusal
-    return per_unit, lo, hi
+    return per_unit, math.ceil(a * per_unit), math.floor(b * per_unit)
 
 
 def nested_trapezoid(level_sum, a: float, b: float, density: float, agree):
     """Integral over [a, b] by the trapezoid on x = j / 2^k, starting at the
-    start_level of density nodes per unit.
+    start_level of density nodes per unit; the integrand must vanish at a
+    and b.
 
-    level_sum(x) sums the integrand over an array of nodes; the grid runs from
-    floor(a * per_unit) to ceil(b * per_unit), so the integrand must vanish
-    just outside [a, b].  Each of up to three halvings of the step evaluates
-    only the new midpoints, and the first level with agree(new, previous) is
-    returned.  QuadratureError when none is, and, before any evaluation, when
-    start_level refuses.
+    level_sum(x) sums the integrand over an array of nodes, all inside
+    [a, b].  Each of up to three halvings of the step evaluates only the new
+    nodes, the odd j in [ceil(a * 2^k), floor(b * 2^k)], and the first level
+    with agree(new, previous) is returned.  QuadratureError when none is,
+    and, before any evaluation, when start_level refuses.
     """
     per_unit, lo, hi = start_level(a, b, density)
     val = level_sum(np.arange(lo, hi + 1, dtype=np.int64) / per_unit) / per_unit
     for _ in range(3):
-        per_unit, lo, hi = 2 * per_unit, 2 * lo, 2 * hi
-        mid = np.arange(lo + 1, hi, 2, dtype=np.int64)
-        new = 0.5 * val + level_sum(mid / per_unit) / per_unit
+        per_unit *= 2
+        lo, hi = math.ceil(a * per_unit), math.floor(b * per_unit)
+        new = 0.5 * val + level_sum(np.arange(lo | 1, hi + 1, 2, dtype=np.int64)
+                                    / per_unit) / per_unit
         if agree(new, val):
             return new
         val = new

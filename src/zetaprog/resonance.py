@@ -106,13 +106,10 @@ def build_excluded_set(spec: ProgressionSpec, T: float,
             # half-width exp(tau) - 1 (the wider side).
             tau = mp.mpf(_TWO_PI) / spec.alpha * freq_tol
             search_tol = mp.expm1(tau)
-            cap = int(mp.floor(mp.exp(member_cap)))
-            if mp.mpf(cap) == mp.exp(member_cap):
-                cap -= 1
-            q_cap = int(mp.floor(cap / x)) + 1
+            cap = int(mp.ceil(mp.exp(member_cap))) - 1  # the largest integer below the cap
             hits = []
-            for p, q, _qual in rational_approximations(x, min(q_cap, cap), search_tol,
-                                                       p_cap=cap):
+            for p, q, _qual in rational_approximations(x, int(mp.floor(cap / x)) + 1,
+                                                       search_tol, p_cap=cap):
                 if p * q <= 1:
                     continue
                 defect = abs(spec.alpha * mp.log(mp.mpf(p) / q) / _TWO_PI - ell)
@@ -129,9 +126,11 @@ def build_excluded_set(spec: ProgressionSpec, T: float,
 
 
 def _check_resonator_length(N: int):
-    """ValueError unless N >= 100."""
+    """ValueError unless N >= 100, CapError when N exceeds _SUPPORT_CAP."""
     if N < 100:
         raise ValueError("resonator_coeffs requires N >= 100")
+    if N > _SUPPORT_CAP:
+        raise CapError(f"resonator length {N} exceeds the memory cap {_SUPPORT_CAP}")
 
 
 def resonator_coeffs(N: int, mode: str, excluded: FrozenSet[int] = frozenset(),
@@ -152,8 +151,6 @@ def resonator_coeffs(N: int, mode: str, excluded: FrozenSet[int] = frozenset(),
     _check_resonator_length(N)
     if mode not in ("max", "min"):
         raise ValueError("mode must be 'max' or 'min'")
-    if N > _SUPPORT_CAP:
-        raise CapError(f"resonator length {N} exceeds the memory cap {_SUPPORT_CAP}")
     L, lo, hi_narrow = asymptotic_prime_window(N)
     if window not in ("asymptotic", "extended", "auto"):
         raise ValueError("window must be 'asymptotic', 'extended' or 'auto'")

@@ -14,8 +14,8 @@ The Fourier transform uses the convention
     phi_hat(xi) = integral over [1, 2] of phi(t) * exp(-2*pi*i*xi*t) dt,
 
 evaluated, like the correction integrals H_ell, by _windowed_transform: the
-nested trapezoid at max(4|xi|, 16/edge) > 32, so 64 or more, nodes per unit,
-i.e. four per oscillation and sixteen across each ramp.
+nested trapezoid at max(4|xi|, 16/edge) > 32, so 64 or more, nodes per unit
+of [1, 2], i.e. four per oscillation and sixteen across each ramp.
 """
 import math
 from dataclasses import dataclass, field
@@ -91,12 +91,9 @@ class SmoothWindow:
 
 def _windowed_transform(window: SmoothWindow, xi: float, g, agree) -> complex:
     """integral over [1, 2] of phi(x) e^(-2*pi*i*xi*x) g(x) dx, g evaluated
-    at the phi > 0 nodes only; agree(new, previous) accepts a level."""
+    at every node, all in [1, 2]; agree(new, previous) accepts a level."""
     def level_sum(x):
-        phi = window.phi(x)
-        live = phi > 0.0
-        x = x[live]
-        return complex(np.sum(phi[live] * np.exp(-2j * np.pi * xi * x) * g(x)))
+        return complex(np.sum(window.phi(x) * np.exp(-2j * np.pi * xi * x) * g(x)))
 
     density = max(4.0 * abs(xi), 16.0 / window.edge)
     return nested_trapezoid(level_sum, 1.0, 2.0, density, agree)

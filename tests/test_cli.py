@@ -248,18 +248,26 @@ _HEIGHTS = "bad configuration: predict_E requires heights alpha*T + beta > 0"
     (["moment", "--alpha-rational", "1:2:1", "--T", "300", "--beta", "-9000"], 2, _HEIGHTS),
     (["moment", "--alpha-rational", "1:2:1", "--T", "300", "--beta", "-4000"], 2, _HEIGHTS),
     (["moment", "--alpha", "2.3", "--T", "1000", "--beta", "-20000"], 2, _HEIGHTS),
+    (["nonvanish", "--alpha", "1", "--T", "300", "--threshold", "-1"], 2,
+     "bad configuration: threshold must be >= 0"),
+    (["resonate", "--alpha", "1", "--T", "1e5", "--N", "100", "--mode", "max",
+      "--edge", "0.7"], 2, "bad configuration: edge must lie in (0, 1/2), got 0.7"),
+    (["resonate", "--alpha", "1", "--T", "1e5", "--N", "6000000", "--mode", "max"], 1,
+     "computation failed: CapError: resonator length 6000000 exceeds the memory cap"),
 ], ids=["nonvanish", "moment", "nonvanish-mollified", "resonate", "moment-overlong-mollifier",
         "resonate-short-N", "moment-theta", "firstmoment-small-T", "moment-small-T",
         "moment-eps", "nonvanish-small-T", "resonate-small-T", "resonate-paper-strict",
         "moment-continuous-start", "firstmoment-continuous-start",
-        "moment-negative-heights", "moment-heights-through-0", "moment-float-negative-heights"])
+        "moment-negative-heights", "moment-heights-through-0", "moment-float-negative-heights",
+        "nonvanish-threshold", "resonate-edge", "resonate-overlong-N"])
 def test_node_budget_exit_code(argv, rc, message, tmp_path, monkeypatch, capsys):
     # Refused before any array is allocated, and before the mollifier, the
     # excluded set, the resonator or the sample is built; the mollifier of
     # moment-overlong-mollifier would hold T^0.49 = 2.1e8 coefficients.  A
     # builder's T, theta, N or eps check runs before the node budget, with
-    # the builder's own message.  The continuous moment's start level is
-    # checked before the sample too.
+    # the builder's own message, and so do nonvanish's threshold check, the
+    # resonator's support cap and resonate's window edge.  The continuous
+    # moment's start level is checked before the sample too.
     for mod, name in ((cli.mmod, "mollifier_coeffs"), (cli.mmod, "sample_progression"),
                       (cli.rmod, "build_excluded_set"), (cli.rmod, "resonator_coeffs")):
         monkeypatch.setattr(mod, name, _unreachable)

@@ -186,6 +186,14 @@ def test_find_tuple_matches_oracle_grid(alpha, ell, T):
         assert got is not None and (got.a, got.b) == want
 
 
+def test_find_tuple_fractional_exact_power():
+    # at 2:5:1 and odd ell the exact form gives x = 5^(ell/2), a fractional
+    # power of 5/1, and the search must land where the oracle's scan does
+    spec = ProgressionSpec.from_rational(2, 5, 1)
+    got = find_tuple(spec, 1, 5e4, 0.05)
+    assert got is not None and (got.a, got.b) == _farey_oracle(spec, 1, 5e4)
+
+
 def test_find_tuple_rational_alpha_with_larger_denominator():
     # alpha built from 10/3: the oracle and the search must both land on the
     # exact power (10, 3) at ell = 1.

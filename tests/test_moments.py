@@ -401,15 +401,26 @@ _SYM_ALPHA = TWO_PI / math.log(2.0)
     # a tuple (2, 1) off resonance: nu = 1e-4, T*nu = 0.2
     (ProgressionSpec(alpha=_SYM_ALPHA * (1 + 1e-4), beta=3.0), 2000.0, 0.3, 1, True),
     # heights start at 1e-6 * alpha*T: F's pole at tt = 0 sits just left of
-    # x = 1, and no interpolant of degree <= 64 resolves F
+    # x = 1, and the interpolant of degree 32 does not resolve F
     (ProgressionSpec.from_rational(1, 2, 1, beta=-(1 - 1e-6) * _SYM_ALPHA * 300.0),
      300.0, None, 1, False),
 ], ids=["sym-mollified-1", "sym-mollified-2", "off-resonance", "heights-near-0"])
-def test_h_ell_against_gauss_legendre(spec, T, theta, ell, interpolated, window):
+def test_h_ell_against_gauss_legendre(spec, T, theta, ell, interpolated, window,
+                                      monkeypatch):
     poly = DirichletPoly.one() if theta is None else mollifier_coeffs(T, theta)
     tup = find_tuple(spec, ell, T)
+    nodes = []
+    F_batch = mmod._F_batch
+
+    def counted(weights, consts, ts, spec):
+        nodes.append(len(ts))
+        return F_batch(weights, consts, ts, spec)
+
+    monkeypatch.setattr(mmod, "_F_batch", counted)
     g = mmod._F_on_window(*mmod._f_pair_tables(tup.a, tup.b, poly), T, spec)
     assert isinstance(g, np.polynomial.Chebyshev) == interpolated
+    # one interpolant decides, kept or not: F at its 33 Chebyshev points
+    assert nodes == [33]
     want = _h_ell_oracle(ell, spec, window, T, poly)
     assert abs(H_ell(ell, spec, window, T, poly) - want) <= 1e-10 * abs(want)
 
@@ -588,3 +599,7 @@ def test_empirical_nonvanishing_validation(unit_spec, window):
     with pytest.raises(ValueError):  # log ell < 0
         empirical_nonvanishing(sample_progression(unit_spec, window, 1.0, DirichletPoly.one(),
                                                   np.array([0.5, 1.0])), 0.0)
+    empty = sample_progression(unit_spec, window, 0.4, DirichletPoly.one())  # [0.4, 0.8]
+    assert len(empty.ell) == 0
+    with pytest.raises(ValueError, match="empty progression window"):
+        empirical_nonvanishing(empty, 0.1)

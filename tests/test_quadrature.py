@@ -3,6 +3,8 @@
 The integrand phi(x) of the default window vanishes with all its derivatives
 at 1 and 2 and integrates to exactly 1 - edge, the oracle here.
 """
+import math
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,23 @@ def test_trapezoid_integrates_window_mass(window):
     assert np.array_equal(np.sort(nodes), np.arange(per_unit, 2 * per_unit + 1) / per_unit)
 
 
+def test_levels_hold_the_lattice_points_inside_ends_off_the_lattice():
+    # 1.32 * 32 = 42.24 and 2.72 * 32 = 87.04: the second level's first and
+    # last nodes, 43/32 and 87/32, are odd j next to an end that is not a
+    # lattice point
+    a, b = 1.32, 2.72
+    level_sum, levels = _recording(lambda x: float(len(x)))
+    with pytest.raises(QuadratureError):
+        nested_trapezoid(level_sum, a, b, 12.65, lambda new, old: False)
+    assert len(levels) == 4
+    assert all(np.all((a <= x) & (x <= b)) for x in levels)
+    assert levels[1][0] == 43 / 32 and levels[1][-1] == 87 / 32
+    nodes = np.concatenate(levels)
+    per_unit = 16 << 3
+    want = np.arange(math.ceil(a * per_unit), math.floor(b * per_unit) + 1) / per_unit
+    assert len(nodes) == len(want) and np.array_equal(np.sort(nodes), want)
+
+
 def test_trapezoid_refuses_start_past_budget_unevaluated():
     level_sum, levels = _recording(lambda x: 0.0)
     for density in (NODE_CAP / 4 + 1, 1e300, np.inf, np.nan):
@@ -39,6 +58,11 @@ def test_trapezoid_refuses_start_past_budget_unevaluated():
             nested_trapezoid(level_sum, 1.0, 2.0, density, lambda new, old: True)
         with pytest.raises(QuadratureError):
             start_level(1.0, 2.0, density)
+    # ends off the lattice: the start level would hold exactly NODE_CAP / 4
+    # lattice points, but the third halving NODE_CAP + 2 new odd j
+    a = NODE_CAP / 4 + 0.45
+    with pytest.raises(QuadratureError):
+        nested_trapezoid(level_sum, a, 2.0 * a, 0.9, lambda new, old: True)
     assert levels == []
 
 
