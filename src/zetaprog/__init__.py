@@ -28,8 +28,7 @@ from .moments import (CapWarning, DirichletPoly, Mollifier, MomentReport,
                       sample_progression)
 from .resonance import (EulerPrediction, ExploratoryWarning, ExtremeReport, ResidualWarning,
                         Resonator, build_excluded_set, euler_product_prediction,
-                        extreme_search, asymptotic_prime_window, ratio_R,
-                        resonator_coeffs)
+                        extreme_search, ratio_R, resonator_coeffs)
 from .window import SmoothWindow
 from .zeta import (RS_MIN_T, afe_square, main_sum, progression_sum, zeta_critical,
                    zeta_critical_grid, zeta_em, zeta_on_progression)
@@ -59,7 +58,7 @@ __all__ = [
     # resonance
     "Resonator", "EulerPrediction", "ExtremeReport", "ExploratoryWarning",
     "ResidualWarning", "build_excluded_set", "resonator_coeffs", "ratio_R",
-    "euler_product_prediction", "extreme_search", "asymptotic_prime_window",
+    "euler_product_prediction", "extreme_search",
     # errors
     "ZetaprogError", "PoleError", "AccuracyError", "ToleranceError",
     "QuadratureError", "CapError", "DegenerateDenominatorError",

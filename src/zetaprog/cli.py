@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import time
-import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -28,7 +27,7 @@ from . import zeta as zmod
 from .errors import ZetaprogError
 from .window import SmoothWindow
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # -- plumbing ------------------------------------------------------------------
@@ -171,10 +170,8 @@ def _check_run(args, search=None, resonator=False):
     theta when --theta is set, the T and eps check of the search named by
     search (find_tuple or build_excluded_set), predict_E's height check for
     moment without --no-predict, the resonator's N and nonvanish's threshold.
-    Then ValueError when [T, 2T] holds no integer (T < 1/2): the library's
-    empty sum is 0, but a report over no node compares nothing.
-    Last, for resonator, extreme_search's validity check: ValueError when N >
-    T^(1/6) in paper-strict mode, else the run's one ExploratoryWarning."""
+    Last, ValueError when [T, 2T] holds no integer (T < 1/2): the library's
+    empty sum is 0, but a report over no node compares nothing."""
     if getattr(args, "theta", None) is not None:  # resonate has no --theta
         mmod._check_mollifier(args.T, args.theta)
     if search is not None:
@@ -188,8 +185,6 @@ def _check_run(args, search=None, resonator=False):
     mmod._check_sample_budget(args.T)
     if math.floor(2.0 * args.T) < math.ceil(args.T):
         raise ValueError(f"the window [T, 2T] holds no integer node at T = {args.T!r}")
-    if resonator:
-        rmod._check_validity(args.N, args.T, args.validity)
 
 
 def _cmd_moment(args, t0):
@@ -285,27 +280,22 @@ def _cmd_nonvanish(args, t0):
 
 def _cmd_resonate(args, t0):
     spec = _spec_from(args)
-    window = SmoothWindow(edge=args.edge)  # a bad edge is refused before _check_run warns
+    window = SmoothWindow(edge=args.edge)  # a bad edge is refused before any work
     _check_run(args, search="build_excluded_set", resonator=True)
     excluded = rmod.build_excluded_set(spec, args.T, args.eps)
-    res = rmod.resonator_coeffs(args.N, args.mode, excluded, window=args.prime_window)
+    res = rmod.resonator_coeffs(args.N, args.mode, excluded)
     euler = rmod.euler_product_prediction(res)
     sample = mmod.sample_progression(spec, window, args.T, res.coeffs)
-    with warnings.catch_warnings():  # _check_run raised it, before any work
-        warnings.simplefilter("ignore", rmod.ExploratoryWarning)
-        rep = rmod.extreme_search(sample, res, validity=args.validity)
+    rep = rmod.extreme_search(sample, res)
     results = {
         "excluded_primes": excluded,
-        "resonator": {"N": res.N, "L": res.L, "prime_lo": res.prime_lo,
-                      "prime_hi": res.prime_hi, "mode": res.mode,
-                      "window_kind": res.window_kind,
+        "resonator": {"N": res.N, "L": res.L, "prime_lo": res.prime_lo, "mode": res.mode,
                       "support_size": int(np.count_nonzero(res.coeffs.values))},
         "euler_prediction": asdict(euler),
         "extreme": asdict(rep),
     }
     params = {**_spec_params(spec), "T": args.T, "N": args.N, "mode": args.mode,
-              "eps": args.eps, "edge": args.edge,
-              "prime_window": args.prime_window, "validity": args.validity}
+              "eps": args.eps, "edge": args.edge}
     _emit(args, "resonate", params, results, t0, ["ell", "t", "abs_zeta", "resonator_mass"],
           [sample.ell, sample.t, np.abs(sample.zeta), sample.phi * np.abs(sample.B) ** 2])
     return 0
@@ -381,7 +371,7 @@ def _selftest_checks(rng):
                    close(f_closed, f_series, 1e-4 * abs(f_closed)),
                    f"closed={f_closed!r} series={f_series!r}"))
 
-    res = rmod.resonator_coeffs(200, "max", window="extended")
+    res = rmod.resonator_coeffs(200, "max")
     checks.append(("resonator_b1", res.coeffs.coeff(1) == 1.0,
                    f"b(1)={res.coeffs.coeff(1)!r}"))
     S = rmod.build_excluded_set(sp, 1e4)
@@ -469,10 +459,6 @@ def build_parser():
     p.add_argument("--mode", choices=("max", "min"), required=True)
     p.add_argument("--eps", type=_finite_float, default=dmod.DEFAULT_EPS)
     p.add_argument("--edge", type=_finite_float, default=0.05)
-    p.add_argument("--prime-window", choices=("auto", "asymptotic", "extended"),
-                   default="auto")
-    p.add_argument("--validity", choices=("exploratory", "paper-strict"),
-                   default="exploratory")
     _add_outputs(p)
     p.set_defaults(fn=_cmd_resonate)
 

@@ -7,25 +7,27 @@ points 1/2 + i(alpha*ell + beta).  The weighted average
     R = sum_ell A |B|^2 phi(ell/T) / sum_ell |B|^2 phi(ell/T),
     A(s) = sum_{n <= T} n^(-s),
 
-is then sandwiched between the extreme |zeta| values over the window, so a
-computed R far from 1 certifies that an extreme value exists, and the
-top-weighted progression points are where to look for the witness.  R and
-the search reduce one moments.ProgressionSample over its phi > 0 nodes.
+is a mean with nonnegative weights, so min Re A <= R <= max Re A over the
+window holds exactly.  The top-weighted progression points are where to look
+for an extreme |zeta|; extreme_search compares it with |R| against a constant
+slack, which is no proof where the slack is below max|A - zeta| (see
+ExtremeReport).  R and the search reduce one moments.ProgressionSample over
+its phi > 0 nodes.
 
 The multiplicative coefficients r(p) = L/(sqrt(p) log p), L = sqrt(log N
-log log N), live on primes in [L^2, exp((log L)^2)] minus an excluded set S.
+log log N), live on primes in [L^2, N] minus an excluded set S.
 S holds the smallest prime factors of a and b > 1, for each ell <= 2 log T,
 of the best coprime pair with both members below T^(1/2-eps) and log-defect
 |alpha*log(a/b)/(2*pi) - ell| at most T^(eps-1).  That is not find_tuple's
 search, whose tuples drive the moment corrections: at 1:3:2 and T = 3100, S
 is {2, 3}, while those tuples' smallest prime factors are {2, 3, 173}.
 
-Desk-scale note: both the narrow asymptotic prime window and the length rule
-N = T^(1/6) are asymptotic; at reachable N the window [L^2, exp((log L)^2)]
-is empty and T^(1/6) is single digits.  The default prime window widens it
-to [L^2, N], and the exploratory validity mode (default) only warns when N
-exceeds T^(1/6), because exhibiting the mechanism at desk scale requires
-both; "paper-strict" enforces the length rule literally.
+Desk-scale note: the paper takes primes in [L^2, exp((log L)^2)] and a
+length N <= T^(1/6), both asymptotic.  That window is empty exactly when
+log N log log N < e^4, which holds for every N up to _SUPPORT_CAP, hence
+[L^2, N]; and N >= 100 exceeds T^(1/6) < 14.3 at every T the 2^23-node
+sample budget admits, so ratio_R and extreme_search warn with an
+ExploratoryWarning.
 """
 import math
 import warnings
@@ -45,7 +47,7 @@ from .sieves import primes_in, smallest_prime_factor, squarefree_products
 __all__ = ["Resonator", "EulerPrediction", "ExtremeReport", "ExploratoryWarning",
            "ResidualWarning",
            "build_excluded_set", "resonator_coeffs", "ratio_R",
-           "euler_product_prediction", "extreme_search", "asymptotic_prime_window"]
+           "euler_product_prediction", "extreme_search"]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -62,22 +64,14 @@ class ResidualWarning(UserWarning):
 
 @dataclass(frozen=True)
 class Resonator:
-    """Resonator data: length N, scale L, prime window, excluded set, coefficients."""
+    """Resonator data: length N, scale L, lowest prime L^2, excluded set, coefficients."""
 
     N: int
     L: float
     prime_lo: float
-    prime_hi: float
     excluded: FrozenSet[int]
     mode: str                # "max" or "min"
     coeffs: DirichletPoly
-    window_kind: str         # "asymptotic" or "extended"
-
-
-def asymptotic_prime_window(N: int):
-    """The literal admissible prime window ([L^2, exp((log L)^2)]) for length N."""
-    L = math.sqrt(math.log(N) * math.log(math.log(N)))
-    return L, L * L, math.exp(math.log(L) ** 2)
 
 
 def build_excluded_set(spec: ProgressionSpec, T: float,
@@ -133,50 +127,32 @@ def _check_resonator_length(N: int):
         raise CapError(f"resonator length {N} exceeds the memory cap {_SUPPORT_CAP}")
 
 
-def resonator_coeffs(N: int, mode: str, excluded: FrozenSet[int] = frozenset(),
-                     window: str = "auto") -> Resonator:
+def resonator_coeffs(N: int, mode: str, excluded: FrozenSet[int] = frozenset()) -> Resonator:
     """Build the resonator of length N.
 
     Coefficients are b(n) = sqrt(n) r(n) (max) or mu(n) sqrt(n) r(n) (min)
-    where r is multiplicative with r(p) = L/(sqrt(p) log p) on admissible
-    primes; equivalently each admissible prime contributes a factor
-    +-L/log p, and the support is the squarefree products staying <= N
-    (sieves.squarefree_products).
-
-    window: "asymptotic" uses [L^2, exp((log L)^2)] literally, "extended"
-    uses [L^2, N].  The narrow window is empty whenever log N log log N <
-    e^4, which holds for every N up to _SUPPORT_CAP, so "auto" is
-    "extended" with an ExploratoryWarning.
+    where r is multiplicative with r(p) = L/(sqrt(p) log p) on the admissible
+    primes, those in [L^2, N] outside excluded; equivalently each admissible
+    prime contributes a factor +-L/log p, and the support is the squarefree
+    products staying <= N (sieves.squarefree_products).
     """
     _check_resonator_length(N)
     if mode not in ("max", "min"):
         raise ValueError("mode must be 'max' or 'min'")
-    L, lo, hi_narrow = asymptotic_prime_window(N)
-    if window not in ("asymptotic", "extended", "auto"):
-        raise ValueError("window must be 'asymptotic', 'extended' or 'auto'")
-    if window == "auto":
-        warnings.warn(f"narrow prime window [{lo:.2f}, {hi_narrow:.2f}] holds no primes "
-                      f"at N={N}; extending to [{lo:.2f}, {N}]", ExploratoryWarning)
-    kind = "asymptotic" if window == "asymptotic" else "extended"
-    hi = hi_narrow if window == "asymptotic" else float(N)
-    ps = [p for p in primes_in(lo, min(hi, N)) if p not in excluded]
+    L = math.sqrt(math.log(N) * math.log(math.log(N)))
+    lo = L * L
+    ps = [p for p in primes_in(lo, N) if p not in excluded]
     sign = 1.0 if mode == "max" else -1.0
     vals = squarefree_products(N, ps, [sign * L / math.log(p) for p in ps])
-    return Resonator(N=N, L=L, prime_lo=lo, prime_hi=hi,
-                     excluded=frozenset(excluded), mode=mode,
-                     coeffs=DirichletPoly(values=vals), window_kind=kind)
+    return Resonator(N=N, L=L, prime_lo=lo, excluded=frozenset(excluded), mode=mode,
+                     coeffs=DirichletPoly(values=vals))
 
 
-def _check_validity(N: int, T: float, validity: str):
+def _warn_length(N: int, T: float):
     cap = T ** (1.0 / 6.0)
-    if N <= cap:
-        return
-    if validity == "paper-strict":
-        raise ValueError(f"resonator length N={N} exceeds T^(1/6)={cap:.2f} "
-                         "(paper-strict mode)")
-    warnings.warn(
-        f"resonator length N={N} exceeds T^(1/6)={cap:.2f}; the moment-transfer "
-        "lemma is asymptotic there (exploratory mode)", ExploratoryWarning)
+    if N > cap:
+        warnings.warn(f"resonator length N={N} exceeds T^(1/6)={cap:.2f}; the "
+                      "moment-transfer lemma is asymptotic there", ExploratoryWarning)
 
 
 def _main_sum(sample: ProgressionSample, live: np.ndarray) -> np.ndarray:
@@ -191,9 +167,9 @@ def _main_sum(sample: ProgressionSample, live: np.ndarray) -> np.ndarray:
                                 *_progression_run(sample.spec, sample.ell[live]))
 
 
-def _resonate(sample: ProgressionSample, resonator: Resonator, validity: str):
+def _resonate(sample: ProgressionSample, resonator: Resonator):
     """The live-node mask, the resonator mass |B|^2 phi on it, and R."""
-    _check_validity(resonator.N, sample.T, validity)
+    _warn_length(resonator.N, sample.T)
     if not np.array_equal(sample.poly.values, resonator.coeffs.values):
         raise ValueError("the sample's polynomial is not the resonator's coefficients")
     live = sample.phi > 0.0
@@ -211,8 +187,7 @@ def _resonate(sample: ProgressionSample, resonator: Resonator, validity: str):
     return live, mass, ratio.real
 
 
-def ratio_R(sample: ProgressionSample, resonator: Resonator,
-            validity: str = "exploratory") -> float:
+def ratio_R(sample: ProgressionSample, resonator: Resonator) -> float:
     """The resonated average R = sum A|B|^2 phi / sum |B|^2 phi over the
     sample's phi > 0 nodes, A = main_sum with cutoff floor(T).  The sample
     must hold B = the resonator's coefficients (ValueError otherwise).
@@ -222,7 +197,7 @@ def ratio_R(sample: ProgressionSample, resonator: Resonator,
     a weighted average of Im A, which the weights do not cancel: the max-mode
     resonator of length 100 at alpha = 1, T = 1e4 leaves 1.5e-2.
     """
-    return _resonate(sample, resonator, validity)[2]
+    return _resonate(sample, resonator)[2]
 
 
 @dataclass(frozen=True)
@@ -234,10 +209,10 @@ class EulerPrediction:
 
 def euler_product_prediction(resonator: Resonator) -> EulerPrediction:
     """First-order prediction for R: prod (1 + b(p)/p) over the support primes
-    (the primes p <= N with b(p) != 0), accumulated in the log domain, with
-    the asymptotic envelope exp(+-sqrt(log N / log log N)) for scale."""
+    (the primes up to the coefficients' length with b(p) != 0), accumulated in
+    the log domain, with the envelope exp(+-sqrt(log N / log log N)) for scale."""
     vals = resonator.coeffs.values
-    ps = np.array(primes_in(2, resonator.N))
+    ps = np.array(primes_in(2, resonator.coeffs.length), dtype=np.int64)
     ps = ps[vals[ps] != 0.0]
     ln_pred = 0.0
     for x in vals[ps] / ps:
@@ -250,6 +225,12 @@ def euler_product_prediction(resonator: Resonator) -> EulerPrediction:
 
 @dataclass(frozen=True)
 class ExtremeReport:
+    """certified compares the global extremum with |R| against the constant
+    slack: max|zeta| >= |R| - slack (max mode), min|zeta| <= |R| + slack (min
+    mode).  That proves the max-mode bound only where slack bounds max|A - zeta|
+    over the live nodes (1.83 at 1:2:1, T = 1e4), and nothing in min mode;
+    what holds exactly is min Re A <= R <= max Re A."""
+
     ell_star: int         # witness point among the resonator's top-decile mass
     t_star: float
     zeta_star: complex
@@ -259,20 +240,21 @@ class ExtremeReport:
     median_abs: float
     ratio: float          # the resonated average R
     slack: float          # 2/sqrt(T) + engine tolerance
-    certified: bool       # max >= |R| - slack (max mode); min <= |R| + slack (min)
+    certified: bool       # the slack comparison above, not a proof
 
 
-def extreme_search(sample: ProgressionSample, resonator: Resonator,
-                   validity: str = "exploratory") -> ExtremeReport:
+def extreme_search(sample: ProgressionSample, resonator: Resonator) -> ExtremeReport:
     """Locate the extreme-|zeta| witness the resonator points at.
 
     Candidate points carry the top decile of the resonator mass |B|^2 phi;
     the witness is the |zeta| extremum among them (per mode), reported next
-    to the global extremum over the sample's phi > 0 nodes and the sandwich
-    certificate |R| - slack <= max |zeta| (resp. min |zeta| <= |R| + slack).
-    R comes from the same sample, as in ratio_R.
+    to the global extremum over the sample's phi > 0 nodes and the flag
+    certified: max |zeta| >= |R| - slack (resp. min |zeta| <= |R| + slack)
+    with the constant slack 2/sqrt(T) + 1e-6, which is no proof where it
+    falls below max |A - zeta| (see ExtremeReport).  R comes from the same
+    sample, as in ratio_R.
     """
-    live, mass, ratio = _resonate(sample, resonator, validity)
+    live, mass, ratio = _resonate(sample, resonator)
     ell, ts, Z = sample.ell[live], sample.t[live], sample.zeta[live]
     absZ = np.abs(Z)
     cut = np.quantile(mass, 0.9)

@@ -29,7 +29,7 @@ def _run_json(argv, tmp_path, name="out.json"):
 def test_delta_symbolic(tmp_path):
     rc, doc = _run_json(["delta", "--alpha-rational", "1:2:1", "--beta", "0"], tmp_path)
     assert rc == 0
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["subcommand"] == "delta"
     assert doc["results"]["exact"] is True
     assert abs(doc["results"]["delta"] - (2.0 + 2.0 * math.sqrt(2.0))) < 1e-12
@@ -124,37 +124,16 @@ def test_resonate(tmp_path):
     assert res["extreme"]["certified"] is True
 
 
-def test_resonate_paper_strict_is_config_error(tmp_path):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rc = main(["resonate", "--alpha", "1", "--T", "1000", "--N", "100",
-                   "--mode", "max", "--validity", "paper-strict",
-                   "--json", str(tmp_path / "x.json")])
-    assert rc == 2
-
-
-def test_resonate_exploratory_warning_once(tmp_path, monkeypatch):
-    # N = 100 > T^(1/6) in exploratory mode: the boundary check warns once,
-    # before the sample is built, and extreme_search does not warn again.
-    real = cli.mmod.sample_progression
-    warned_before_sample = []
-
-    def validity_warnings():
-        return [w for w in caught if issubclass(w.category, cli.rmod.ExploratoryWarning)
-                and "T^(1/6)" in str(w.message)]
-
-    def sample(*args, **kwargs):
-        warned_before_sample.append(len(validity_warnings()))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cli.mmod, "sample_progression", sample)
+def test_resonate_exploratory_warning_once(tmp_path):
+    # N = 100 > T^(1/6): a run raises one ExploratoryWarning, the length rule's
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = main(["resonate", "--alpha", "1", "--T", "1000", "--N", "100",
                    "--mode", "max", "--json", str(tmp_path / "x.json")])
     assert rc == 0
-    assert warned_before_sample == [1]
-    assert len(validity_warnings()) == 1
+    exploratory = [str(w.message) for w in caught
+                   if issubclass(w.category, cli.rmod.ExploratoryWarning)]
+    assert len(exploratory) == 1 and "T^(1/6)" in exploratory[0]
 
 
 def test_bad_configuration_exit_code(tmp_path):
@@ -240,9 +219,6 @@ _HEIGHTS = "bad configuration: predict_E requires heights alpha*T + beta > 0"
      "bad configuration: mollifier_coeffs requires T >= 100"),
     (["resonate", "--alpha", "1", "--T", "50", "--N", "100", "--mode", "max"], 2,
      "bad configuration: build_excluded_set requires T >= 100"),
-    (["resonate", "--alpha", "1", "--T", "1e5", "--N", "100", "--mode", "max",
-      "--validity", "paper-strict"], 2,
-     "bad configuration: resonator length N=100 exceeds T^(1/6)=6.81 (paper-strict mode)"),
     (["moment", "--alpha", "1", "--T", "1e6", "--no-predict"], 1, _QUAD),
     (["firstmoment", "--alpha", "1", "--T", "1e6"], 1, _QUAD),
     (["moment", "--alpha-rational", "1:2:1", "--T", "300", "--beta", "-9000"], 2, _HEIGHTS),
@@ -256,7 +232,7 @@ _HEIGHTS = "bad configuration: predict_E requires heights alpha*T + beta > 0"
      "computation failed: CapError: resonator length 6000000 exceeds the memory cap"),
 ], ids=["nonvanish", "moment", "nonvanish-mollified", "resonate", "moment-overlong-mollifier",
         "resonate-short-N", "moment-theta", "firstmoment-small-T", "moment-small-T",
-        "moment-eps", "nonvanish-small-T", "resonate-small-T", "resonate-paper-strict",
+        "moment-eps", "nonvanish-small-T", "resonate-small-T",
         "moment-continuous-start", "firstmoment-continuous-start",
         "moment-negative-heights", "moment-heights-through-0", "moment-float-negative-heights",
         "nonvanish-threshold", "resonate-edge", "resonate-overlong-N"])

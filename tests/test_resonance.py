@@ -1,11 +1,11 @@
 """Resonator construction, excluded primes, resonated averages, extremes.
 
-The sandwich min|A| <= Re(R) <= max|A| is exact by convexity (R is a
-weighted mean with nonnegative weights), and the Euler product gives an
+The bounds min Re A <= R <= max Re A are exact by convexity (R is the real
+part of a mean with nonnegative weights), and the Euler product gives an
 independent multiplicative prediction for R.  Desk-scale caveat: the
-narrow admissible prime window [L^2, exp((ln L)^2)] is empty for every
-reachable N, so the extended window (with its ExploratoryWarning) does the
-actual resonating; the tests pin both behaviours.
+paper's prime window [L^2, exp((ln L)^2)] is empty for every reachable N, so
+the resonator takes the primes in [L^2, N], and the trivial resonator b(1) = 1
+is built by hand.
 """
 import math
 import warnings
@@ -17,9 +17,9 @@ from zeta_oracle import main_sum_grid, poly_grid
 
 from zetaprog import (DegenerateDenominatorError, DirichletPoly,
                       ExploratoryWarning, ProgressionSpec, ResidualWarning,
-                      Resonator, SmoothWindow, asymptotic_prime_window,
-                      build_excluded_set, euler_product_prediction,
+                      Resonator, SmoothWindow, build_excluded_set, euler_product_prediction,
                       extreme_search, ratio_R, resonator_coeffs, sample_progression)
+from zetaprog.quadrature import NODE_CAP
 from zetaprog.resonance import _SUPPORT_CAP
 from zetaprog.sieves import primes_in
 
@@ -34,34 +34,31 @@ def _sample(spec, window, T, resonator):
     return sample_progression(spec, window, T, resonator.coeffs)
 
 
+def _trivial(N=100):
+    """The resonator b(1) = 1 with the scale and lowest prime of length N."""
+    L = math.sqrt(math.log(N) * math.log(math.log(N)))
+    return Resonator(N=N, L=L, prime_lo=L * L, excluded=frozenset(), mode="max",
+                     coeffs=DirichletPoly.one())
+
+
 # ---------------------------------------------------------------------------
 # prime window and coefficients
 # ---------------------------------------------------------------------------
 
 def test_asymptotic_window_is_empty_at_desk_scale():
-    # exp((ln L)^2) < L^2 while ln L < 2, that is up to N = 1.2e8: no primes
-    # at all, from the shortest resonator to the longest resonator_coeffs takes
+    # The paper's window [L^2, exp((ln L)^2)] is empty while ln L < 2, that is
+    # up to N = 1.2e8: no primes at all, from the shortest resonator to the
+    # longest resonator_coeffs takes, which is why it takes [L^2, N].  And
+    # N >= 100 exceeds T^(1/6) at every T whose integers in [T, 2T] fit the
+    # node budget (T < NODE_CAP), which is why ratio_R and extreme_search warn.
     for N in (100, _SUPPORT_CAP):
-        L, lo, hi = asymptotic_prime_window(N)
-        assert L == pytest.approx(math.sqrt(math.log(N) * math.log(math.log(N))), rel=1e-14)
-        assert hi < lo
-
-
-def test_auto_window_falls_back_with_warning():
-    with pytest.warns(ExploratoryWarning):
-        r = resonator_coeffs(100, "max", window="auto")
-    assert r.window_kind == "extended"
-
-
-def test_asymptotic_window_yields_trivial_resonator():
-    r = resonator_coeffs(100, "max", window="asymptotic")
-    ns, bs = r.coeffs.nonzero()
-    assert ns.tolist() == [1]
-    assert bs.tolist() == [1.0]
+        L = math.sqrt(math.log(N) * math.log(math.log(N)))
+        assert math.exp(math.log(L) ** 2) < L * L
+    assert NODE_CAP ** (1.0 / 6.0) < 14.3
 
 
 def test_coefficients_on_primes():
-    r = _quiet(resonator_coeffs, 100, "max")
+    r = resonator_coeffs(100, "max")
     L = math.sqrt(math.log(100.0) * math.log(math.log(100.0)))
     assert r.L == pytest.approx(L, rel=1e-14)
     ns, _ = r.coeffs.nonzero()
@@ -77,8 +74,8 @@ def test_coefficients_on_primes():
 
 
 def test_min_mode_flips_sign():
-    rmax = _quiet(resonator_coeffs, 100, "max")
-    rmin = _quiet(resonator_coeffs, 100, "min")
+    rmax = resonator_coeffs(100, "max")
+    rmin = resonator_coeffs(100, "min")
     ns, _ = rmax.coeffs.nonzero()
     for n in ns.tolist():
         if n == 1:
@@ -87,7 +84,7 @@ def test_min_mode_flips_sign():
 
 
 def test_multiplicative_on_squarefree_products():
-    r = _quiet(resonator_coeffs, 200, "max")
+    r = resonator_coeffs(200, "max")
     # 143 = 11*13 fits under 200; its coefficient is the product of its
     # primes' factors, taken once each, so the equality is exact
     assert r.coeffs.coeff(143) == r.coeffs.coeff(11) * r.coeffs.coeff(13)
@@ -102,7 +99,7 @@ def test_coefficients_against_factorization(mode):
     # +-L/ln p over its prime factors, or 0 off the squarefree products of
     # admissible primes.
     N, excluded = 100_000, frozenset({29, 31, 101})
-    r = _quiet(resonator_coeffs, N, mode, excluded=excluded)
+    r = resonator_coeffs(N, mode, excluded=excluded)
     sign = 1.0 if mode == "max" else -1.0
     want = np.zeros(N + 1)
     for n in range(1, N + 1):
@@ -125,7 +122,7 @@ def test_coefficients_against_factorization(mode):
 
 
 def test_support_is_squarefree_within_window():
-    r = _quiet(resonator_coeffs, 200, "max")
+    r = resonator_coeffs(200, "max")
     ns, _ = r.coeffs.nonzero()
     for n in ns.tolist():
         if n == 1:
@@ -142,12 +139,12 @@ def test_support_is_squarefree_within_window():
 @pytest.mark.parametrize("N", [100, 1000, 30030, 100_000])
 def test_support_stays_within_length(N, mode):
     # the support lies in {1..N}, so the N <= _SUPPORT_CAP check bounds it
-    ns, _ = _quiet(resonator_coeffs, N, mode).coeffs.nonzero()
+    ns, _ = resonator_coeffs(N, mode).coeffs.nonzero()
     assert len(ns) <= N and ns.max() <= N
 
 
 def test_excluded_primes_annihilate_support():
-    r = _quiet(resonator_coeffs, 200, "max", excluded=frozenset({11}))
+    r = resonator_coeffs(200, "max", excluded=frozenset({11}))
     assert r.coeffs.coeff(11) == 0.0
     assert r.coeffs.coeff(143) == 0.0
     assert r.coeffs.coeff(13) != 0.0
@@ -157,9 +154,7 @@ def test_resonator_validation():
     with pytest.raises(ValueError):
         resonator_coeffs(50, "max")
     with pytest.raises(ValueError):
-        _quiet(resonator_coeffs, 100, "sideways")
-    with pytest.raises(ValueError):
-        resonator_coeffs(100, "max", window="bogus")
+        resonator_coeffs(100, "sideways")
 
 
 # ---------------------------------------------------------------------------
@@ -192,16 +187,16 @@ def test_excluded_set_validation(unit_spec):
 # ---------------------------------------------------------------------------
 
 def test_trivial_resonator_gives_unit_ratio(unit_spec, window):
-    triv = resonator_coeffs(100, "max", window="asymptotic")
+    triv = _trivial()
     r = _quiet(ratio_R, _sample(unit_spec, window, 1e4, triv), triv)
     assert abs(r - 1.0) < 0.01
 
 
 def test_resonated_ordering(unit_spec, window):
     T = 1e4
-    rmax = _quiet(resonator_coeffs, 100, "max")
-    rmin = _quiet(resonator_coeffs, 100, "min")
-    triv = resonator_coeffs(100, "max", window="asymptotic")
+    rmax = resonator_coeffs(100, "max")
+    rmin = resonator_coeffs(100, "min")
+    triv = _trivial()
     with pytest.warns(ResidualWarning):
         vmax = _quiet(ratio_R, _sample(unit_spec, window, T, rmax), rmax)
     vmin = _quiet(ratio_R, _sample(unit_spec, window, T, rmin), rmin)
@@ -214,7 +209,7 @@ def test_ratio_is_a_convex_average(unit_spec, window):
     # R = sum(A * mass)/sum(mass) with mass >= 0, so Re R lies between the
     # extreme Re A values over the live window -- exactly, no slack needed.
     T = 1e4
-    rmax = _quiet(resonator_coeffs, 100, "max")
+    rmax = resonator_coeffs(100, "max")
     with pytest.warns(ResidualWarning):
         r = _quiet(ratio_R, _sample(unit_spec, window, T, rmax), rmax)
     ell = np.arange(math.ceil(T), math.floor(2 * T) + 1, dtype=float)
@@ -224,26 +219,28 @@ def test_ratio_is_a_convex_average(unit_spec, window):
 
 
 def test_degenerate_resonator_rejected(unit_spec, window):
-    dead = Resonator(N=1, L=1.0, prime_lo=0.0, prime_hi=0.0,
-                     excluded=frozenset(), mode="max",
-                     coeffs=DirichletPoly(np.array([0.0, 0.0])),
-                     window_kind="asymptotic")
+    dead = Resonator(N=1, L=1.0, prime_lo=0.0, excluded=frozenset(), mode="max",
+                     coeffs=DirichletPoly(np.array([0.0, 0.0])))
     with pytest.raises(DegenerateDenominatorError):
         _quiet(ratio_R, _sample(unit_spec, window, 1e3, dead), dead)
 
 
-def test_paper_strict_validity_enforced(unit_spec, window):
-    rmax = _quiet(resonator_coeffs, 100, "max")
+def test_length_rule_warns_once_per_call(unit_spec, window):
+    # N = 100 > T^(1/6) = 4.64: each call warns once; N = 4 stays silent
+    rmax = resonator_coeffs(100, "max")
     sample = _sample(unit_spec, window, 1e4, rmax)
-    with pytest.raises(ValueError):
-        ratio_R(sample, rmax, validity="paper-strict")
-    with pytest.warns(ResidualWarning), pytest.warns(ExploratoryWarning):
-        ratio_R(sample, rmax, validity="exploratory")
+    for fn in (ratio_R, extreme_search):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fn(sample, rmax)
+        assert [w.category for w in caught].count(ExploratoryWarning) == 1
+    short = _trivial(4)
+    ratio_R(_sample(unit_spec, window, 1e4, short), short)
 
 
 def test_sample_of_another_polynomial_rejected(unit_spec, window):
-    rmax = _quiet(resonator_coeffs, 100, "max")
-    rmin = _quiet(resonator_coeffs, 100, "min")
+    rmax = resonator_coeffs(100, "max")
+    rmin = resonator_coeffs(100, "min")
     sample = _sample(unit_spec, window, 1e3, rmin)
     for fn in (ratio_R, extreme_search):
         with pytest.raises(ValueError, match="resonator's coefficients"):
@@ -255,14 +252,13 @@ def test_sample_of_another_polynomial_rejected(unit_spec, window):
 # ---------------------------------------------------------------------------
 
 def test_euler_prediction_trivial_is_one():
-    triv = resonator_coeffs(100, "max", window="asymptotic")
-    ep = euler_product_prediction(triv)
+    ep = euler_product_prediction(_trivial())
     assert ep.prediction == 1.0
 
 
 def test_euler_prediction_brackets_ratio(unit_spec, window):
     T = 1e4
-    rmax = _quiet(resonator_coeffs, 100, "max")
+    rmax = resonator_coeffs(100, "max")
     with pytest.warns(ResidualWarning):
         vmax = _quiet(ratio_R, _sample(unit_spec, window, T, rmax), rmax)
     ep = euler_product_prediction(rmax)
@@ -271,7 +267,7 @@ def test_euler_prediction_brackets_ratio(unit_spec, window):
 
 
 def test_euler_min_mode_below_one():
-    rmin = _quiet(resonator_coeffs, 100, "min")
+    rmin = resonator_coeffs(100, "min")
     ep = euler_product_prediction(rmin)
     assert 0.0 < ep.prediction < 1.0
 
@@ -279,8 +275,8 @@ def test_euler_min_mode_below_one():
 def test_euler_first_order_on_small_terms():
     # for primes with x_p = L/(p ln p) < 0.01 the log expansion should match
     # the first-order sum to about the size of the quadratic remainder.
-    r = _quiet(resonator_coeffs, 10_000, "min")
-    ps = primes_in(r.prime_lo, min(r.prime_hi, 10_000.0))
+    r = resonator_coeffs(10_000, "min")
+    ps = primes_in(r.prime_lo, 10_000.0)
     xs = np.array([r.L / (p * math.log(p)) for p in ps])
     small = xs[xs < 0.01]
     assert len(small) > 100
@@ -293,8 +289,8 @@ def test_excluded_set_correction_is_negligible(sym_spec, window):
     # the excluded set for the symbolic progression is {2}, which sits below
     # the admissible prime window: removing it changes nothing at all.
     s = build_excluded_set(sym_spec, 1e4)
-    r_plain = _quiet(resonator_coeffs, 1000, "max")
-    r_excl = _quiet(resonator_coeffs, 1000, "max", excluded=s)
+    r_plain = resonator_coeffs(1000, "max")
+    r_excl = resonator_coeffs(1000, "max", excluded=s)
     assert np.array_equal(r_plain.coeffs.values, r_excl.coeffs.values)
     ep, eq = euler_product_prediction(r_plain), euler_product_prediction(r_excl)
     assert ep.prediction == eq.prediction
@@ -340,7 +336,7 @@ def test_short_polynomial_moment_transfer(unit_spec, window):
 
 def test_extreme_search_max_mode(unit_spec, window):
     T = 1e4
-    rmax = _quiet(resonator_coeffs, 100, "max")
+    rmax = resonator_coeffs(100, "max")
     with pytest.warns(ResidualWarning):
         rep = _quiet(extreme_search, _sample(unit_spec, window, T, rmax), rmax)
     assert T <= rep.ell_star <= 2 * T
@@ -355,7 +351,7 @@ def test_extreme_search_max_mode(unit_spec, window):
 
 def test_extreme_search_min_mode(unit_spec, window):
     T = 1e4
-    rmin = _quiet(resonator_coeffs, 100, "min")
+    rmin = resonator_coeffs(100, "min")
     rep = _quiet(extreme_search, _sample(unit_spec, window, T, rmin), rmin)
     assert rep.witness_abs <= 0.5 * rep.median_abs
     assert rep.certified
@@ -363,14 +359,8 @@ def test_extreme_search_min_mode(unit_spec, window):
     assert rep.global_abs <= rep.witness_abs
 
 
-def test_extreme_search_strict_validity(unit_spec, window):
-    rmax = _quiet(resonator_coeffs, 100, "max")
-    with pytest.raises(ValueError):
-        extreme_search(_sample(unit_spec, window, 1e4, rmax), rmax, validity="paper-strict")
-
-
 def test_extreme_search_deterministic(unit_spec, window):
-    rmax = _quiet(resonator_coeffs, 100, "max")
+    rmax = resonator_coeffs(100, "max")
     with pytest.warns(ResidualWarning):
         a = _quiet(extreme_search, _sample(unit_spec, window, 1e4, rmax), rmax)
     with pytest.warns(ResidualWarning):

@@ -302,7 +302,7 @@ _T_FIRST = {1.0: 1000.0, 9.0647: 1.45e5 - 9.0647 * _DENSE_M, 2.0 / 32.0: 2.4e4}
 
 def _kernel_cases():
     moll = mollifier_coeffs(1e4, 0.4)
-    res = resonator_coeffs(400, "max", window="extended").coeffs
+    res = resonator_coeffs(400, "max").coeffs
     return {
         "dense": (np.arange(1, _DENSE_M + 1), np.ones(_DENSE_M),
                   lambda t: main_sum(t, _DENSE_M)),
