@@ -13,6 +13,7 @@ computation error, 2 bad configuration.
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -44,10 +45,15 @@ def _versions():
 
 
 def _jsonable(obj):
+    """obj with numpy scalars as Python numbers, complex as {"re", "im"}, and
+    every non-finite float as None (JSON null: RFC 8259 has no NaN or
+    Infinity)."""
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _jsonable(obj.item())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     if isinstance(obj, frozenset):
         return sorted(obj)
     if isinstance(obj, dict):
@@ -68,7 +74,7 @@ def _emit(args, subcommand, params, results, t0, csv_header=None, csv_columns=No
             "versions": _versions(),
         },
     }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(text)
@@ -470,10 +476,24 @@ def build_parser():
     return root
 
 
+def _check_outputs(args):
+    """ValueError for a --json or --csv path that cannot be written: a
+    directory, a file without write permission, or a new file in a missing
+    or unwritable directory.  Checked before any work, so that a run never
+    fails after it, nor after writing the other report."""
+    for path in (getattr(args, "json", None), getattr(args, "csv", None)):
+        if not path:
+            continue
+        target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path) or not os.access(target, os.W_OK):
+            raise ValueError(f"cannot write a report to {path!r}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.monotonic()
     try:
+        _check_outputs(args)
         return args.fn(args, t0)
     except (ValueError, OverflowError) as exc:
         print(f"zetaprog {args.subcommand}: bad configuration: {exc}", file=sys.stderr)

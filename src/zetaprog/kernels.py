@@ -84,13 +84,21 @@ def w_many(x) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _zeta_line():
     """Nodes w = _SIGMA + i*h of the truncated line, with trapezoid weights
-    and zeta(1 + 2w) cached at the nodes."""
+    and zeta(1 + 2w) cached at the nodes.
+
+    The nodes s = 1 + 2w are a progression of heights on Re s = 1 + 2 _SIGMA,
+    so zeta_em's Euler-Maclaurin sum is taken for all of them at once: the
+    head sum_{n<N} n^-s by progression_sum at the cutoff N of the highest
+    node, then the tail."""
     from . import zeta  # deferred: zeta's AFE path imports this module
 
     count = round(_HEIGHT_CUT / _STEP)
     w = _SIGMA + 1j * _STEP * np.arange(-count, count + 1)
-    zv = np.array([zeta.zeta_em(1.0 + 2.0 * wi) for wi in w])
-    return w, _STEP, zv
+    s = 1.0 + 2.0 * w
+    N = zeta._em_cutoff(s.imag)
+    n = np.arange(1, N)
+    head = zeta.progression_sum(n, n ** (0.5 - s[0].real), s[0].imag, 2.0 * _STEP, len(s))
+    return w, _STEP, zeta._em_tail(s, float(N), head)
 
 
 def _h_contour(u: np.ndarray) -> np.ndarray:

@@ -39,10 +39,11 @@ past the cutoff cap _EM_HARD_CAP for Euler-Maclaurin).
 
 progression_sum is a baby-step giant-step factorisation (the
 Odlyzko-Schoenhage idea, with a matrix product in place of the FFT): with
-j = K*q + r, K = ceil(sqrt(count)), about 2*sqrt(count) exponentials per
-term and one complex matrix product replace count exponentials per term.
-It gives B to the progression sampler, the main sum A to the resonator and
-every head sum to zeta_on_progression.
+j = K*q + r, K = ceil(sqrt(count)), three exponentials per term, about
+2*sqrt(count) complex multiplications per term to fill the step tables, and
+one complex matrix product replace count exponentials per term.  It gives B
+to the progression sampler, the main sum A to the resonator, every head sum
+to zeta_on_progression and zeta(1 + 2w) on the H contour (kernels).
 """
 import math
 from functools import lru_cache
@@ -352,11 +353,16 @@ def progression_sum(ns, coeffs, t0: float, h: float, count: int) -> np.ndarray:
         E[r, k] = e^(-i h r ln ns[k]),
 
     accumulated over blocks of terms of at most _BLOCK_ELEMS entries of G
-    and of E: (Q + K) * len(ns) exponentials in place of count * len(ns).
-    The phases t0 ln n, h K ln n and h ln n are reduced mod 2pi once per term
-    in 80-bit extended precision; the float64 rounding of q * (h K ln n mod
-    2pi) and r * (h ln n mod 2pi) left is below 2e-12 rad up to count = 1e7,
-    against about 1e-10 rad for a float64 t * ln n at t = 1e5.
+    and of E.  Each block takes three exponentials per term, the first rows
+    and the ratios of G[q] = G[q-1] e^(-i h K ln n) and E[r] = E[r-1]
+    e^(-i h ln n), in place of count exponentials per term.  The phases
+    t0 ln n, h K ln n and h ln n are reduced mod 2pi once per term in 80-bit
+    extended precision.  Against mpmath at count = 1e7 (on single terms n
+    from 2 to 99991, the last four giant rows and 3000 random nodes), the
+    entries of G @ E.T stay within 5e-12 rad of the exact phases for h <= 1
+    and heights to 2e7; at h = 9.0647 (heights to 9e7) they read 3.5e-11,
+    the 80-bit rounding of h K ln n times q.  A float64 t * ln n at t = 1e5
+    is off by about 1e-10 rad.
     """
     count = int(count)
     if count < 0:
@@ -371,16 +377,25 @@ def progression_sum(ns, coeffs, t0: float, h: float, count: int) -> np.ndarray:
     phase0 = np.mod(np.longdouble(t0) * lnn, _TWO_PI_LD).astype(float)
     giant = np.mod(np.longdouble(h) * K * lnn, _TWO_PI_LD).astype(float)
     baby = np.mod(np.longdouble(h) * lnn, _TWO_PI_LD).astype(float)
-    q = np.arange(Q, dtype=float)[:, None]
-    r = np.arange(K, dtype=float)[:, None]
     out = np.zeros((Q, K), dtype=complex)
     step = max(1, _BLOCK_ELEMS // max(Q, K))
     for lo in range(0, len(ns), step):
         sl = slice(lo, lo + step)
-        G = mags[sl] * np.exp(-1j * (phase0[sl] + q * giant[sl]))
-        E = np.exp(-1j * (r * baby[sl]))
+        G = _powers(mags[sl] * np.exp(-1j * phase0[sl]), np.exp(-1j * giant[sl]), Q)
+        E = _powers(np.ones(len(baby[sl]), dtype=complex), np.exp(-1j * baby[sl]), K)
         out += G @ E.T
     return out.ravel()[:count]
+
+
+def _powers(first, ratio, rows: int) -> np.ndarray:
+    """The rows x len(first) matrix whose row q is first * ratio^q, each row
+    the one before it times ratio, in place (np.cumprod along axis 0 read
+    13x slower on 58 x 3400)."""
+    out = np.empty((rows, len(first)), dtype=complex)
+    out[0] = first
+    for q in range(1, rows):
+        np.multiply(out[q - 1], ratio, out=out[q])
+    return out
 
 
 def zeta_on_progression(t0: float, h: float, count: int) -> np.ndarray:

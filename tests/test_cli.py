@@ -103,6 +103,25 @@ def test_firstmoment_complex_serialization(tmp_path):
     assert ref == pytest.approx(500.0 * 0.95, rel=1e-12)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def test_report_is_strict_json(tmp_path):
+    # Without a prediction predicted_E is NaN, which the report writes as
+    # null: RFC 8259 parsers (jq, JSON.parse) refuse NaN and Infinity, and
+    # parse_constant makes json.loads refuse them too.
+    path = tmp_path / "x.json"
+    assert main(["moment", "--alpha", "1", "--T", "300", "--no-predict",
+                 "--json", str(path)]) == 0
+    doc = json.loads(path.read_text(), parse_constant=_refuse_constant)
+    assert doc["results"]["predicted_E"] is None
+    assert doc["results"]["discrete"] > 0.0
+    nan, inf = float("nan"), float("inf")
+    assert cli._jsonable([np.float64(nan), -inf, complex(inf, 2.0), 1.5]) == \
+        [None, None, {"re": None, "im": 2.0}, 1.5]
+
+
 def test_nonvanish(tmp_path):
     rc, doc = _run_json(["nonvanish", "--alpha", "1", "--T", "500",
                          "--theta", "0.4"], tmp_path)
@@ -141,6 +160,30 @@ def test_bad_configuration_exit_code(tmp_path):
                  "--json", str(tmp_path / "x.json")]) == 2
     assert main(["dioph", "--alpha", "1", "--T", "50", "--ell", "1",
                  "--json", str(tmp_path / "y.json")]) == 2
+
+
+@pytest.mark.parametrize("subcommand", [
+    ["moment", "--alpha", "1", "--T", "300", "--no-predict"],
+    ["resonate", "--alpha", "1", "--T", "300", "--N", "100", "--mode", "max"],
+], ids=["moment", "resonate"])
+@pytest.mark.parametrize("bad", ["json", "csv", "dir"])
+def test_unwritable_output_refused_before_work(subcommand, bad, tmp_path, monkeypatch,
+                                               capsys):
+    # A --json or --csv path in a missing directory, or a path that is a
+    # directory, is refused with exit 2 before the sample is taken, and the
+    # other report is not written either.
+    calls = []
+    monkeypatch.setattr(cli.mmod, "sample_progression",
+                        lambda *args, **kwargs: calls.append(args))
+    missing = str(tmp_path / "missing" / "r")
+    paths = {"json": str(tmp_path / "x.json"), "csv": str(tmp_path / "x.csv")}
+    paths.update({"json": missing + ".json"} if bad == "json" else
+                 {"csv": missing + ".csv"} if bad == "csv" else {"csv": str(tmp_path)})
+    assert main(subcommand + ["--json", paths["json"], "--csv", paths["csv"]]) == 2
+    err = capsys.readouterr().err
+    assert "bad configuration: cannot write a report to" in err and "Traceback" not in err
+    assert calls == []
+    assert not any(os.path.isfile(p) for p in paths.values())
 
 
 @pytest.mark.parametrize("option, argv", [

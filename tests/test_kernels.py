@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from zetaprog import eval_G, eval_H, eval_W, h_many, kernels, w_many
+from zetaprog import eval_G, eval_H, eval_W, h_many, kernels, w_many, zeta_em
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -152,6 +152,18 @@ def test_h_self_convergence_under_refinement(contour):
     contour(_HEIGHT_CUT=2 * kernels._HEIGHT_CUT, _STEP=kernels._STEP / 2)
     for x, ref in zip(xs, refs):
         assert abs(eval_H(x) - ref) < 1e-8
+
+
+@pytest.mark.parametrize("constants", [{}, {"_SIGMA": 0.25}, {"_HEIGHT_CUT": 120.0}],
+                         ids=["default", "sigma-0.25", "cutoff-121"])
+def test_zeta_line_matches_zeta_em(contour, constants):
+    # The contour's zeta(1 + 2w) is one progression_sum head and the
+    # Euler-Maclaurin tail at the cutoff of the highest node; the reference
+    # is zeta_em at each node.  At |Im s| = 240 the cutoff is 121, not 50.
+    contour(**constants)
+    w, _, zv = kernels._zeta_line()
+    ref = np.array([zeta_em(1.0 + 2.0 * wi) for wi in w])
+    assert np.max(np.abs(zv - ref) / np.abs(ref)) < 1e-14
 
 
 def test_h_positive_and_increasing():

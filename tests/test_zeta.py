@@ -330,6 +330,18 @@ def test_progression_sum_against_scalar(poly, count, h):
         assert abs(got[j] - scalar(t)) < tol, (j, t)
 
 
+@pytest.mark.parametrize("poly", ["resonator", "mollifier"])
+def test_progression_sum_far_corner(poly):
+    # count = 2^20: K = 1024 baby and 1024 giant steps, so the last row of
+    # each table is 1023 multiplications from its first.  The heights
+    # 1000 + j/64 are exact in float64 and stay below 2.5e4.
+    ns, coeffs, scalar = _kernel_cases()[poly]
+    count, t0, h = 1 << 20, 1000.0, 1.0 / 64
+    got = progression_sum(ns, coeffs, t0, h, count)
+    for j in np.r_[count - 1, np.random.default_rng(count).integers(0, count, 12)]:
+        assert abs(got[j] - scalar(t0 + h * j)) < 1e-10, j
+
+
 def test_progression_sum_validation():
     with pytest.raises(ValueError):
         progression_sum(np.arange(1, 5), np.ones(4), 100.0, 1.0, -1)
