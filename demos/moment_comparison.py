@@ -7,7 +7,8 @@ compared against its continuous counterpart.  At alpha = 1 they track
 each other; at the symmetric point the discrete sum is inflated, and
 predict_E reproduces the measured excess from the diophantine tuples.
 
-Runtime: ~5 s on 2 cores (the T=2000 grids run through the Riemann-Siegel engine).
+Runtime: ~0.5 s on 2 cores, import included (the T=2000 grids run through the
+Riemann-Siegel engine).
 """
 import math
 import time

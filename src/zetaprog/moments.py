@@ -31,15 +31,21 @@ frequency alpha/2pi * log(t_max * len(B) / 2pi) plus 16 nodes across each
 window ramp, where the trapezoid of a band-limited integrand under a smooth
 window is exact; where the heights pass through 0, zeta's pole at s = 1
 narrows the strip of analyticity, and the start stays above every tuple
-frequency (the bound _default_ell_max that predict_E also sums to).  H_ell
-shares phi_hat's windowed transform.  The same zeta engine feeds both sides
-of E, so engine error cancels in it.
+frequency (the bound _default_ell_max that predict_E also sums to).  The
+same zeta engine feeds both sides of E, so engine error cancels in it.
 
-F(a, b, T*x) is smooth on [1, 2] (each of its H terms is entire in log tt),
-so H_ell resolves it once per tuple by a Chebyshev interpolant of degree 32,
-kept when its coefficients above degree 16 are all within 1e-12 of its
-largest.  Where they are not (heights that start near 0 put F's pole at
-tt = 0 just left of x = 1), F itself is evaluated at every trapezoid node.
+The correction integrals share phi_hat's windowed transform
+(window._windowed_transform), which takes an array of frequencies and
+integrates them on one nested trapezoid, a level accepted only when every
+frequency agrees: predict_E passes every tuple of ell = 1 .. _default_ell_max
+at once, predict_E_prime every phi_hat(T*nu) at once, and H_ell is the
+one-tuple case.  F(a, b, T*x) is smooth on [1, 2] (each of its H terms is
+entire in log tt), so it is resolved once per tuple by a Chebyshev
+interpolant of degree 32, every tuple's from one h_many call at the
+Chebyshev points, kept when its coefficients above degree 16 are all
+within 1e-12 of its largest.  Where they are not (heights that start near
+0 put F's pole at tt = 0 just left of x = 1), F itself is evaluated at every
+trapezoid node.
 Heights that reach 0 on [T, 2T] (alpha*T + beta <= 0) have no prediction:
 H_ell and predict_E refuse them.
 """
@@ -56,7 +62,7 @@ from .errors import CapError
 from .kernels import h_many, w_many
 from .quadrature import NODE_CAP, nested_trapezoid, start_level
 from .sieves import mobius_table
-from .window import SmoothWindow, _windowed_transform
+from .window import SmoothWindow, _phi_hats, _windowed_transform
 
 __all__ = ["DirichletPoly", "Mollifier", "MomentReport", "NonvanishingReport",
            "ProgressionSample", "sample_progression",
@@ -306,25 +312,39 @@ def _check_continuous_budget(spec: ProgressionSpec, window: SmoothWindow, T: flo
 
 
 def _f_pair_tables(a: int, b: int, poly: DirichletPoly):
-    """Constants of the (m, n) double sum: weights b(m)b(n)g/(mn) and the
-    factors g^2/(2*pi*m*a*n*b) multiplying alpha*t+beta inside H."""
+    """Constants of the (m, n) double sum, raveled m-major: weights
+    b(m)b(n)g/(mn) and the factors g^2/(2*pi*m*a*n*b) multiplying
+    alpha*t+beta inside H.
+
+    With g0 = gcd(m, n), m = g0 m' and n = g0 n', coprime (a, b) give
+    g = gcd(m*a, n*b) = g0 gcd(m', b) gcd(n', a) (a prime of m' divides
+    neither n' nor, when it divides b, a), and gcd(m', b) = gcd(m',
+    gcd(m, b)): every factor divides m or n, so no product m*a is formed
+    and nothing wraps, whatever the size of a and b."""
     ns, bs = poly.nonzero()
-    weights = []
-    consts = []
-    for m, bm in zip(ns, bs):
-        for n, bn in zip(ns, bs):
-            g = math.gcd(int(m) * a, int(n) * b)
-            weights.append(bm * bn * g / (m * n))
-            consts.append(g * g / (_TWO_PI * m * a * n * b))
-    return np.array(weights), np.array(consts)
+    m, n = ns[:, None], ns[None, :]
+    g0 = np.gcd(m, n)
+    gb = np.array([math.gcd(int(k), b) for k in ns])
+    ga = np.array([math.gcd(int(k), a) for k in ns])
+    g = g0 * np.gcd(m // g0, gb[:, None]) * np.gcd(n // g0, ga[None, :])
+    weights = bs[:, None] * bs[None, :] * g / (m * n)
+    consts = g.astype(float) ** 2 / (_TWO_PI * m * float(a) * n * float(b))
+    return weights.ravel(), consts.ravel()
 
 
-def _F_batch(weights, consts, ts, spec: ProgressionSpec) -> np.ndarray:
-    """F at every height of ts, from the _f_pair_tables of its (a, b)."""
+def _F_many(tables, ts, spec: ProgressionSpec) -> np.ndarray:
+    """F at every height of ts for each (weights, consts) of tables (the
+    _f_pair_tables of a tuple), as the rows of an array, from one h_many
+    call."""
     tt = spec.alpha * np.asarray(ts, dtype=float) + spec.beta
-    X = np.outer(consts, tt)
-    H = h_many(X.ravel()).reshape(X.shape)
-    return weights @ H
+    consts = np.concatenate([c for _, c in tables])
+    H = h_many(np.outer(consts, tt).ravel()).reshape(len(consts), len(tt))
+    out = np.empty((len(tables), len(tt)))
+    lo = 0
+    for i, (weights, _) in enumerate(tables):
+        out[i] = weights @ H[lo:lo + len(weights)]
+        lo += len(weights)
+    return out
 
 
 def F_func(a: int, b: int, t: float, poly: DirichletPoly, spec: ProgressionSpec) -> float:
@@ -336,7 +356,7 @@ def F_func(a: int, b: int, t: float, poly: DirichletPoly, spec: ProgressionSpec)
     polynomial this is a single term H(tt/(2*pi*a*b))."""
     if math.gcd(a, b) != 1 or a * b <= 1:
         raise ValueError("need coprime (a, b) with a*b > 1")
-    return float(_F_batch(*_f_pair_tables(a, b, poly), np.array([float(t)]), spec)[0])
+    return float(_F_many([_f_pair_tables(a, b, poly)], [float(t)], spec)[0, 0])
 
 
 def F_func_series(a: int, b: int, t: float, poly: DirichletPoly,
@@ -412,36 +432,55 @@ def H_ell(ell: int, spec: ProgressionSpec, window: SmoothWindow, T: float,
     """The ell-th correction integral (0 when no tuple exists):
 
         ((a/b)^(i*beta)/sqrt(ab)) * integral over [T,2T] of
-            phi(t/T) * exp(-2*pi*i*t*nu) * F(a, b, t) dt.
+            phi(t/T) * exp(-2*pi*i*t*nu) * F(a, b, t) dt,
 
-    With t = T*x this is T times the windowed transform of F(a, b, T*x) at
-    T*nu, by the trapezoid of phi_hat, to 1e-5 relative (floored at 1e-9).
-    The trapezoid reads F(a, b, T*x) from a Chebyshev interpolant of degree
-    32 on [1, 2], kept when its coefficients above degree 16 are all within
-    1e-12 of its largest.  When they are not, it evaluates F itself at every
-    node.  ValueError when the heights alpha*T*x + beta reach 0 on [1, 2],
-    before the tuple search.
+    the one-tuple case of _correction_integrals.  ValueError when the
+    heights alpha*T*x + beta reach 0 on [1, 2], before the tuple search.
     """
     _check_heights(spec, T)
     tup = find_tuple(spec, ell, T, eps)
     if tup is None:
         return 0j
-    nu, pref = _tuple_phase(spec, tup)
-    weights, consts = _f_pair_tables(tup.a, tup.b, poly)
-    val = _windowed_transform(window, T * nu, _F_on_window(weights, consts, T, spec),
-                              lambda new, old: abs(new - old) <= 1e-5 * max(abs(new), 1e-9))
-    return pref * T * val
+    return complex(_correction_integrals([tup], spec, window, T, poly)[0])
 
 
-def _F_on_window(weights, consts, T: float, spec: ProgressionSpec):
-    """x -> F(a, b, T*x) on [1, 2], interpolated or direct as H_ell describes."""
-    def F(x):
-        return _F_batch(weights, consts, T * x, spec)
+def _correction_integrals(tuples, spec: ProgressionSpec, window: SmoothWindow, T: float,
+                          poly: DirichletPoly) -> np.ndarray:
+    """H of each tuple, all from one _windowed_transform.  With t = T*x, H
+    is T times the windowed transform of F(a, b, T*x) at T*nu, each to 1e-5
+    relative (floored at 1e-9), F as _F_on_window gives it."""
+    phases = [_tuple_phase(spec, tup) for tup in tuples]
+    F = _F_on_window([_f_pair_tables(tup.a, tup.b, poly) for tup in tuples], T, spec)
+    vals = _windowed_transform(window, T * np.array([nu for nu, _ in phases]), F,
+                               lambda new, old: np.abs(new - old)
+                               <= 1e-5 * np.maximum(np.abs(new), 1e-9))
+    return np.array([pref for _, pref in phases]) * T * vals
 
-    cheb = np.polynomial.Chebyshev.interpolate(F, _F_CHEB_DEGREE, domain=[1.0, 2.0])
-    c = np.abs(cheb.coef)
-    if np.max(c[_F_CHEB_DEGREE // 2 + 1:]) <= _F_CHEB_TAIL * np.max(c):
-        return cheb
+
+def _F_on_window(tables, T: float, spec: ProgressionSpec):
+    """F(x, rows): F(a, b, T*x) at the nodes x in [1, 2] for the tuples whose
+    _f_pair_tables are tables[rows], as the rows of an array.
+
+    Each tuple's F is read from its Chebyshev interpolant of degree
+    _F_CHEB_DEGREE on [1, 2], kept where its coefficients above half the
+    degree are all within _F_CHEB_TAIL of its largest; elsewhere F itself
+    is evaluated at every node.  Every tuple's interpolant comes from one
+    _F_many call at the Chebyshev points."""
+    cheb = np.polynomial.chebyshev
+    coef = cheb.chebinterpolate(lambda u: _F_many(tables, T * (1.5 + 0.5 * u), spec).T,
+                                _F_CHEB_DEGREE)
+    c = np.abs(coef)
+    kept = np.max(c[_F_CHEB_DEGREE // 2 + 1:], axis=0) <= _F_CHEB_TAIL * np.max(c, axis=0)
+
+    def F(x, rows):
+        idx = np.arange(len(tables))[rows]
+        out = np.empty((len(idx), len(x)))
+        fit = kept[idx]
+        out[fit] = cheb.chebval(-3.0 + 2.0 * x, coef[:, idx[fit]])
+        if not np.all(fit):
+            out[~fit] = _F_many([tables[i] for i in idx[~fit]], T * x, spec)
+        return out
+
     return F
 
 
@@ -452,13 +491,22 @@ def _default_ell_max(spec: ProgressionSpec, T: float, poly: DirichletPoly) -> in
     return max(per_spec, math.ceil(spec.alpha / _TWO_PI * math.log(T ** 2)))
 
 
+def _tuples(spec: ProgressionSpec, T: float, poly: DirichletPoly, eps: float):
+    """The tuples of ell = 1 .. _default_ell_max in order, where one exists."""
+    found = (find_tuple(spec, ell, T, eps)
+             for ell in range(1, _default_ell_max(spec, T, poly) + 1))
+    return [tup for tup in found if tup is not None]
+
+
 def predict_E(spec: ProgressionSpec, window: SmoothWindow, T: float,
               poly: DirichletPoly, eps: float = DEFAULT_EPS) -> float:
-    """Predicted discrete-minus-continuous correction: 4 * Re sum H(ell)."""
-    total = 0j
-    for ell in range(1, _default_ell_max(spec, T, poly) + 1):
-        total += H_ell(ell, spec, window, T, poly, eps)
-    return 4.0 * total.real
+    """Predicted discrete-minus-continuous correction: 4 * Re sum H(ell),
+    every tuple's H from one _correction_integrals call."""
+    _check_heights(spec, T)
+    tuples = _tuples(spec, T, poly, eps)
+    if not tuples:
+        return 0.0
+    return 4.0 * float(sum(_correction_integrals(tuples, spec, window, T, poly).real))
 
 
 def predict_E_prime(spec: ProgressionSpec, window: SmoothWindow, T: float,
@@ -469,18 +517,17 @@ def predict_E_prime(spec: ProgressionSpec, window: SmoothWindow, T: float,
 
     The transform is evaluated as T * phi_hat(T * nu): the Poisson summation
     behind the prediction produces both T factors together, even though the
-    compact display of the correction leaves the scaling implicit.
+    compact display of the correction leaves the scaling implicit.  Every
+    phi_hat comes from one window._phi_hats call.
     """
+    terms = [(tup, F_prime(tup.a, tup.b, poly)) for tup in _tuples(spec, T, poly, eps)]
+    terms = [(_tuple_phase(spec, tup), fp) for tup, fp in terms if fp != 0.0]
+    if not terms:
+        return 0.0
+    hats = _phi_hats(window, [T * nu for (nu, _), _ in terms])
     total = 0.0
-    for ell in range(1, _default_ell_max(spec, T, poly) + 1):
-        tup = find_tuple(spec, ell, T, eps)
-        if tup is None:
-            continue
-        fp = F_prime(tup.a, tup.b, poly)
-        if fp == 0.0:
-            continue
-        nu, pref = _tuple_phase(spec, tup)
-        total += 2.0 * (pref * T * window.phi_hat(T * nu) * fp).real
+    for ((_, pref), fp), hat in zip(terms, hats):
+        total += 2.0 * (pref * T * hat * fp).real
     return total
 
 

@@ -46,9 +46,11 @@ def nested_trapezoid(level_sum, a: float, b: float, density: float, agree):
     and b.
 
     level_sum(x) sums the integrand over an array of nodes, all inside
-    [a, b].  Each of up to three halvings of the step evaluates only the new
-    nodes, the odd j in [ceil(a * 2^k), floor(b * 2^k)], and the first level
-    with agree(new, previous) is returned.  QuadratureError when none is,
+    [a, b]; it may return an array, the sums of several integrands on the
+    same nodes, which agree then compares as a whole.  Each of up to three
+    halvings of the step evaluates only the new nodes, the odd j in
+    [ceil(a * 2^k), floor(b * 2^k)], and the first level with agree(new,
+    previous) is returned.  QuadratureError when none is,
     and, before any evaluation, when start_level refuses.
     """
     per_unit, lo, hi = start_level(a, b, density)

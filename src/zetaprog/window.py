@@ -15,14 +15,18 @@ The Fourier transform uses the convention
 
 evaluated, like the correction integrals H_ell, by _windowed_transform: the
 nested trapezoid at max(4|xi|, 16/edge) > 32, so 64 or more, nodes per unit
-of [1, 2], i.e. four per oscillation and sixteen across each ramp.
+of [1, 2], i.e. four per oscillation and sixteen across each ramp.  The
+transform takes an array of frequencies and integrates them all on the same
+levels, one sum over the nodes per frequency; phi_hat at one xi, H_ell's
+one tuple, predict_E's tuples and predict_E_prime's frequencies are all
+calls of it.
 """
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import nested_trapezoid
+from .quadrature import nested_trapezoid, start_level
 
 __all__ = ["SmoothWindow"]
 
@@ -70,31 +74,65 @@ class SmoothWindow:
         return val
 
     def phi_hat(self, xi: float) -> complex:
-        """Fourier transform at xi, once two trapezoid levels agree to 1e-12.
+        """Fourier transform at xi, once two trapezoid levels agree to 1e-12:
+        the one-element case of _phi_hats.
 
         phi_hat(-xi) = conj(phi_hat(xi)) is enforced exactly by evaluating at
         |xi| and conjugating, which is legitimate because phi is real.
         ValueError for a non-finite xi; QuadratureError, before any work,
         when |xi| or 1/edge asks for more nodes than the trapezoid's budget.
         """
-        xi = float(xi)
-        if not math.isfinite(xi):
-            raise ValueError(f"phi_hat needs a finite frequency, got {xi}")
-        if xi < 0.0:
-            return np.conj(self.phi_hat(-xi))
-        if xi == 0.0:
-            # The zero frequency is the cached mass; quadrature agrees to 1e-14.
-            return complex(self.plateau_mass)
-        return _windowed_transform(self, xi, lambda x: 1.0,
-                                   lambda new, old: abs(new - old) <= 1e-12)
+        return complex(_phi_hats(self, [xi])[0])
 
 
-def _windowed_transform(window: SmoothWindow, xi: float, g, agree) -> complex:
-    """integral over [1, 2] of phi(x) e^(-2*pi*i*xi*x) g(x) dx, g evaluated
-    at every node, all in [1, 2]; agree(new, previous) accepts a level."""
-    def level_sum(x):
-        return complex(np.sum(window.phi(x) * np.exp(-2j * np.pi * xi * x) * g(x)))
+def _phi_hats(window: SmoothWindow, xis) -> np.ndarray:
+    """phi_hat at every xi of an array, as phi_hat describes, the nonzero |xi|
+    by one _windowed_transform whose levels must agree to 1e-12 at every xi;
+    the zero frequency is the cached mass (quadrature agrees to 1e-14).
+    QuadratureError, before any work, when the largest |xi| asks for more
+    nodes than the trapezoid's budget."""
+    xis = np.asarray(xis, dtype=float)
+    if not np.all(np.isfinite(xis)):
+        raise ValueError(f"phi_hat needs a finite frequency, got {xis[~np.isfinite(xis)][0]}")
+    out = np.full(len(xis), complex(window.plateau_mass))
+    live = xis != 0.0
+    if np.any(live):
+        out[live] = _windowed_transform(window, np.abs(xis[live]), lambda x, rows: 1.0,
+                                        lambda new, old: np.abs(new - old) <= 1e-12)
+    return np.where(xis < 0.0, np.conj(out), out)
 
-    density = max(4.0 * abs(xi), 16.0 / window.edge)
-    return nested_trapezoid(level_sum, 1.0, 2.0, density, agree)
 
+# Most complex entries one level of _windowed_transform holds per array
+# (4 MiB): a level of n new nodes integrates _TRANSFORM_ELEMS // n
+# frequencies at once.
+_TRANSFORM_ELEMS = 1 << 18
+
+
+def _windowed_transform(window: SmoothWindow, xis, g, agree) -> np.ndarray:
+    """integral over [1, 2] of phi(x) e^(-2*pi*i*xi*x) g(x, rows)[i] dx for
+    every xi = xis[rows][i], as one nested trapezoid per block of rows.
+
+    g(x, rows) gives the integrand's other factor at every node x (all in
+    [1, 2]) for the frequencies xis[rows], as an array of shape
+    (len(xis[rows]), len(x)) or one that broadcasts to it.  The start level
+    is max(4 max|xi|, 16/edge) nodes per unit for every row, and a block
+    holds as many rows as keep its largest level (four times the start
+    level's nodes) within _TRANSFORM_ELEMS entries.  agree(new, previous)
+    compares the levels entry by entry, and a level is accepted only when
+    every entry agrees.  QuadratureError, before any work, when the start
+    level exceeds the trapezoid's budget.
+    """
+    xis = np.asarray(xis, dtype=float)
+    density = max(4.0 * float(np.max(np.abs(xis))), 16.0 / window.edge)
+    step = max(1, _TRANSFORM_ELEMS // (4 * start_level(1.0, 2.0, density)[0]))
+    out = np.empty(len(xis), dtype=complex)
+    for lo in range(0, len(xis), step):
+        rows = slice(lo, lo + step)
+
+        def level_sum(x):
+            wave = np.exp((-2j * np.pi * xis[rows])[:, None] * x)
+            return np.sum(window.phi(x) * wave * g(x, rows), axis=-1)
+
+        out[rows] = nested_trapezoid(level_sum, 1.0, 2.0, density,
+                                     lambda new, old: bool(np.all(agree(new, old))))
+    return out

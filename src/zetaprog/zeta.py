@@ -22,16 +22,17 @@ line the error grows like N^-sigma: at |Im s| = 99999.5 it reads 6.0e-11 at
 sigma = 0 and 1.4e-8 at sigma = -1/2.
 
 The critical line has one engine per method, _euler_maclaurin (one cutoff
-per call) and _riemann_siegel, each taking heights on a progression ts[0] +
-h*j and summing every head sum_{n<=M} n^(-1/2-it) with progression_sum
-(_head).  zeta_on_progression splits a run between them; zeta_critical_grid
-is one such run per height.  Riemann-Siegel sums each contiguous group of
-equal m = floor(sqrt(t/2pi)) and adds the remainder terms C_0..C_4, the
-Psi-derivative combinations from an FFT-Cauchy Taylor expansion of Psi
-(_rs_coeffs), interpolated once at degree 21 to within 1e-13.  The five
-series are the columns of one 22 x 5 matrix, evaluated per block of 8192
-nodes as a Chebyshev-Vandermonde product, with theta and the rotation in
-the same blocks.  theta(t) is its Stirling series through t^-5, whose next
+per call) and _riemann_siegel, each taking heights on an ascending
+progression ts[0] + h*j and summing its heads sum_{n<=M} n^(-1/2-it) in one
+progression_sum call.  zeta_on_progression splits a run between them;
+zeta_critical_grid is one such run per height.  Riemann-Siegel takes the
+main sums of the whole run in one pass (_rs_heads: term n enters from the
+first node where m = floor(sqrt(t/2pi)) >= n) and adds the remainder terms
+C_0..C_4, the Psi-derivative combinations from an FFT-Cauchy Taylor
+expansion of Psi (_rs_coeffs), interpolated once at degree 21 to within
+1e-13.  The five series are the columns of one 22 x 5 matrix, evaluated per
+block of 8192 nodes as a Chebyshev-Vandermonde product, with theta and the
+rotation in the same blocks.  theta(t) is its Stirling series through t^-5, whose next
 term is below 2e-21 from t = 300 up.  EM/RS agreement to 1e-6 wherever
 both run is part of the contract; each engine raises AccuracyError outside
 its range (below RS_FORCED_MIN_T and above RS_MAX_T for Riemann-Siegel,
@@ -209,18 +210,13 @@ def _rs_coeffs(p) -> np.ndarray:
          + D[..., 8] / (5898240 * pi6) + D[..., 12] / (2038431744 * pi8))], axis=-1)
 
 
-def _head(M: int, ts, h) -> np.ndarray:
-    """sum_{n <= M} n^(-1/2-it) at the progression ts = ts[0] + h*j, by
-    progression_sum."""
-    return progression_sum(np.arange(1, M + 1), np.ones(M), ts[0], h, len(ts))
-
-
 def _euler_maclaurin(ts, h) -> np.ndarray:
     """Euler-Maclaurin zeta(1/2+it) on the progression ts = ts[0] + h*j, at
     one cutoff N = _em_cutoff(ts) (AccuracyError past _EM_HARD_CAP): the head
-    _head(N - 1, ts, h), then _em_tail."""
+    sum_{n < N} n^(-1/2-it) by progression_sum, then _em_tail."""
     N = _em_cutoff(ts)
-    return _em_tail(0.5 + 1j * ts, N, _head(N - 1, ts, h))
+    head = progression_sum(np.arange(1, N), np.ones(N - 1), ts[0], h, len(ts))
+    return _em_tail(0.5 + 1j * ts, N, head)
 
 
 @lru_cache(maxsize=1)
@@ -232,25 +228,32 @@ def _rs_remainder_matrix() -> np.ndarray:
     return np.polynomial.chebyshev.chebfit(x, _rs_coeffs((x + 1.0) / 2.0), _RS_DEGREE)
 
 
+def _rs_heads(ts, h, m) -> np.ndarray:
+    """The Riemann-Siegel main sums sum_{n <= m[j]} n^(-1/2-it) at every node
+    of the ascending progression ts = ts[0] + h*j, as one progression_sum
+    over n = 1 .. m[-1]: term n starts at the first node where m >= n."""
+    n = np.arange(1, m[-1] + 1)
+    return progression_sum(n, np.ones(len(n)), ts[0], h, len(ts), np.searchsorted(m, n))
+
+
 def _riemann_siegel(ts, h) -> np.ndarray:
     """Riemann-Siegel zeta(1/2+it) on the progression ts = ts[0] + h*j,
     within 1e-6 for RS_FORCED_MIN_T <= t <= RS_MAX_T (AccuracyError outside,
-    before any work).  Each run of equal m = floor(sqrt(t/2pi)) has main sum
-    2 Re(exp(i theta) _head(m, run, h)); the remainder (-1)^(m-1) tau^(-1/2)
-    sum_j C_j(tau - m) tau^-j (tau = sqrt(t/2pi)) is added and the sum
-    rotated by exp(-i theta).  Theta, the rotation and the remainder run in
-    blocks of _RS_BLOCK nodes, the remainder as one Chebyshev-Vandermonde
-    product with _rs_remainder_matrix() and Horner in 1/tau."""
+    before any work).  The main sum at every node is 2 Re(exp(i theta)
+    head), all heads of the run from one _rs_heads call, with m = floor(tau)
+    and tau = sqrt(t/2pi); the remainder (-1)^(m-1) tau^(-1/2) sum_j
+    C_j(tau - m) tau^-j is added and the sum rotated by exp(-i theta).
+    Theta, the rotation and the remainder run in blocks of _RS_BLOCK nodes,
+    the remainder as one Chebyshev-Vandermonde product with
+    _rs_remainder_matrix() and Horner in 1/tau.  The run must ascend (h >=
+    0), as zeta_on_progression hands it."""
     if not np.all((ts >= RS_FORCED_MIN_T) & (ts <= RS_MAX_T)):
         raise AccuracyError(f"Riemann-Siegel misses its 1e-6 accuracy outside t in "
                             f"[{RS_FORCED_MIN_T:g}, {RS_MAX_T:g}]; got t in "
                             f"[{np.min(ts):g}, {np.max(ts):g}]")
     tau = np.sqrt(ts / _TWO_PI)
     m = np.floor(tau).astype(np.int64)
-    heads = np.empty(len(ts), dtype=complex)
-    edges = np.r_[0, np.flatnonzero(np.diff(m)) + 1, len(ts)]
-    for a, b in zip(edges[:-1], edges[1:]):
-        heads[a:b] = _head(m[a], ts[a:b], h)
+    heads = _rs_heads(ts, h, m)
     M = _rs_remainder_matrix()
     out = np.empty(len(ts), dtype=complex)
     for lo in range(0, len(ts), _RS_BLOCK):
@@ -343,8 +346,21 @@ def _main_sum_from_zeta(ts, zs, M: int):
 _BLOCK_ELEMS = 1 << 18
 
 
-def progression_sum(ns, coeffs, t0: float, h: float, count: int) -> np.ndarray:
-    """sum_k coeffs[k] * ns[k]^(-1/2 - i(t0 + h*j)) for j = 0 .. count-1.
+def _check_progression(t0, h, count):
+    """(t0, h, count) as floats and an int; ValueError for a negative count
+    or a non-finite height t0 + h*j."""
+    count = int(count)
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    t0, h = float(t0), float(h)
+    if not all(map(math.isfinite, (t0, h, t0 + h * max(count - 1, 0)))):
+        raise ValueError("progression heights must be finite")
+    return t0, h, count
+
+
+def progression_sum(ns, coeffs, t0: float, h: float, count: int, starts=None) -> np.ndarray:
+    """sum_k coeffs[k] * ns[k]^(-1/2 - i(t0 + h*j)) for j = 0 .. count-1,
+    term k summed only at the nodes j >= starts[k] (default: at every node).
 
     With K = ceil(sqrt(count)), Q = ceil(count/K) and j = K*q + r, the sums
     are the entries of G @ E.T,
@@ -363,14 +379,31 @@ def progression_sum(ns, coeffs, t0: float, h: float, count: int) -> np.ndarray:
     and heights to 2e7; at h = 9.0647 (heights to 9e7) they read 3.5e-11,
     the 80-bit rounding of h K ln n times q.  A float64 t * ln n at t = 1e5
     is off by about 1e-10 rad.
+
+    A term that starts at node s = K*q_s + r_s is masked out of the rows of
+    G before q_s; on row q_s the product still counts it at the baby steps
+    r < r_s, and one correction product per term takes those out.  A term
+    with starts[k] = count is never summed.  ValueError for a negative
+    count, a non-finite height, ns that are not all >= 1, coeffs (or
+    starts) of another length than ns, or starts outside [0, count].
     """
-    count = int(count)
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    t0, h, count = _check_progression(t0, h, count)
+    ns = np.asarray(ns)
+    coeffs = np.asarray(coeffs, dtype=float)
+    if ns.ndim != 1 or coeffs.shape != ns.shape:
+        raise ValueError(f"ns and coeffs must be 1-d of one length, got shapes "
+                         f"{ns.shape} and {coeffs.shape}")
+    if not np.all(ns >= 1):
+        raise ValueError("progression_sum needs every n >= 1")
+    if starts is not None:
+        starts = np.asarray(starts)
+        if starts.shape != ns.shape or not np.all((starts >= 0) & (starts <= count)):
+            raise ValueError("starts must hold one node index in [0, count] per term")
+        live = starts < count
+        ns, coeffs, starts = ns[live], coeffs[live], starts[live].astype(np.int64)
     if count == 0:
         return np.zeros(0, dtype=complex)
-    ns = np.asarray(ns)
-    mags = np.asarray(coeffs, dtype=float) * ns.astype(float) ** -0.5
+    mags = coeffs * ns.astype(float) ** -0.5
     K = math.isqrt(count - 1) + 1
     Q = -(-count // K)
     lnn = np.log(ns.astype(np.longdouble))
@@ -383,8 +416,28 @@ def progression_sum(ns, coeffs, t0: float, h: float, count: int) -> np.ndarray:
         sl = slice(lo, lo + step)
         G = _powers(mags[sl] * np.exp(-1j * phase0[sl]), np.exp(-1j * giant[sl]), Q)
         E = _powers(np.ones(len(baby[sl]), dtype=complex), np.exp(-1j * baby[sl]), K)
+        if starts is not None:
+            _start_terms(G, E, starts[sl], out)
         out += G @ E.T
     return out.ravel()[:count]
+
+
+def _start_terms(G, E, starts, out):
+    """Restrict each term k of the tables G (Q x n) and E (K x n) to the
+    nodes j = K*q + r >= starts[k]: zero its rows q < q_s of G, and take
+    G[q_s, k] E[r, k] for r < r_s off row q_s of out, in place."""
+    K = len(E)
+    q_s, r_s = np.divmod(starts, K)
+    G[np.arange(len(G))[:, None] < q_s] = 0.0
+    cut = np.flatnonzero(r_s)
+    if len(cut) == 0:
+        return
+    rows = q_s[cut]
+    corr = (G[rows, cut][:, None] * E[:, cut].T) * (np.arange(K) < r_s[cut, None])
+    order = np.argsort(rows, kind="stable")
+    rows, corr = rows[order], corr[order]
+    first = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    out[rows[first]] -= np.add.reduceat(corr, first, axis=0)
 
 
 def _powers(first, ratio, rows: int) -> np.ndarray:
@@ -404,15 +457,12 @@ def zeta_on_progression(t0: float, h: float, count: int) -> np.ndarray:
 
     The run splits into at most three contiguous sub-runs: Euler-Maclaurin where |t| < RS_MIN_T,
     Riemann-Siegel where t >= RS_MIN_T, and where t <= -RS_MIN_T the
-    conjugate of Riemann-Siegel on the mirrored run.  Raises ValueError for a
-    negative count or a non-finite height.
+    conjugate of Riemann-Siegel on the mirrored run.  Each engine gets its
+    sub-run ascending (reversed where its step is negative), so that m =
+    floor(sqrt(t/2pi)) never falls along a Riemann-Siegel run.  Raises
+    ValueError for a negative count or a non-finite height.
     """
-    count = int(count)
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    t0, h = float(t0), float(h)
-    if not all(map(math.isfinite, (t0, h, t0 + h * max(count - 1, 0)))):
-        raise ValueError("progression heights must be finite")
+    t0, h, count = _check_progression(t0, h, count)
     ts = t0 + h * np.arange(count)
     out = np.empty(count, dtype=complex)
     pos, neg = ts >= RS_MIN_T, ts <= -RS_MIN_T
@@ -421,6 +471,7 @@ def zeta_on_progression(t0: float, h: float, count: int) -> np.ndarray:
         j = np.flatnonzero(mask)
         if len(j):
             sub = slice(j[0], j[-1] + 1)
-            z = run(sign * ts[sub], sign * h)
+            order = slice(None, None, -1 if sign * h < 0.0 else 1)
+            z = run(sign * ts[sub][order], abs(h))[order]
             out[sub] = z if sign > 0.0 else np.conj(z)
     return out

@@ -2,13 +2,14 @@
 included, either raises a typed error (ValueError or a ZetaprogError) or
 gives only finite values."""
 import math
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaprog import (DirichletPoly, ProgressionSpec, SmoothWindow, ZetaprogError,
-                      sample_progression, zeta_on_progression)
+                      progression_sum, sample_progression, zeta_on_progression)
 from zetaprog.zeta import RS_MAX_T, RS_MIN_T
 
 _SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -47,6 +48,20 @@ def test_smooth_window_boundary(edge):
 @given(t0=FLOATS, h=FLOATS, count=st.integers(0, 64))
 def test_zeta_on_progression_boundary(t0, h, count):
     z = _typed_or_value(zeta_on_progression, t0, h, count)
+    if z is not None:
+        assert z.shape == (count,) and np.all(np.isfinite(z))
+
+
+@BOUNDARY
+@given(t0=FLOATS, h=FLOATS, count=st.integers(0, 64),
+       ns=st.lists(st.integers(-2, 50), max_size=8), extra=st.integers(-1, 1))
+def test_progression_sum_boundary(t0, h, count, ns, extra):
+    # terms n <= 0 and coefficient arrays of another length included; a
+    # RuntimeWarning (nan or inf reaching numpy) fails the test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        z = _typed_or_value(progression_sum, np.array(ns, dtype=np.int64),
+                            np.ones(max(len(ns) + extra, 0)), t0, h, count)
     if z is not None:
         assert z.shape == (count,) and np.all(np.isfinite(z))
 

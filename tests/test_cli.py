@@ -395,7 +395,7 @@ def test_cli_samples_progression_once(argv, A_by_kernel, tmp_path, monkeypatch):
                                  lambda t0, h, count: (t0, h, count)))
     monkeypatch.setattr(cli.zmod, "progression_sum",
                         counting("kernel", cli.zmod.progression_sum,
-                                 lambda ns, coeffs, t0, h, count: (t0, h, count)))
+                                 lambda ns, coeffs, t0, h, count, starts=None: (t0, h, count)))
     monkeypatch.setattr(cli.zmod, "zeta_critical_grid", unreachable)
     monkeypatch.setattr(cli.mmod, "continuous_twisted_moment",
                         scoped("continuous", cli.mmod.continuous_twisted_moment))
@@ -414,16 +414,19 @@ def test_cli_samples_progression_once(argv, A_by_kernel, tmp_path, monkeypatch):
     assert seen("zeta", "run") == [(nodes[0], alpha, len(nodes))]
     assert seen("kernel", "run") == [(nodes[0], alpha, len(nodes))]
     # inside zeta_on_progression the kernel tiles the call's progression in
-    # order, one sub-run per engine and m-group, so each node is summed once
+    # order, one call per engine sub-run, so each node is summed once and
+    # no call makes more than three kernel calls
     for i, (name, _, (t0, h, count)) in enumerate(calls):
         if name == "zeta":
-            done = 0
+            done = kernel_calls = 0
             for _, tag, (first, step, n) in calls[i + 1:]:
                 if tag != "zeta":
                     break
                 assert (first, step) == (t0 + h * done, h)
                 done += n
+                kernel_calls += 1
             assert done == count
+            assert kernel_calls <= 3
     levels = [[t0 + h * np.arange(count) for t0, h, count in seen(name, "continuous")]
               for name in ("zeta", "kernel")]
     for level in levels:

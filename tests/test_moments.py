@@ -342,6 +342,31 @@ def test_f_series_default_caps_do_not_warn(unit_spec):
         F_func_series(9, 4, 1e4, moll, unit_spec)
 
 
+def _f_pair_reference(a, b, poly):
+    # the double sum's constants from Python ints, pair by pair
+    ns, bs = poly.nonzero()
+    weights, consts = [], []
+    for m, bm in zip(ns, bs):
+        for n, bn in zip(ns, bs):
+            g = math.gcd(int(m) * a, int(n) * b)
+            weights.append(bm * bn * g / (m * n))
+            consts.append(g * g / (TWO_PI * m * a * n * b))
+    return np.array(weights), np.array(consts)
+
+
+@pytest.mark.parametrize("a, b", [(2, 1), (3, 2), (9, 4), (25, 1), (7, 30),
+                                  (2 ** 62 - 57, 2 ** 40 * 3 ** 5 * 5 ** 3),
+                                  (2 ** 61 * 5, 2 ** 62 - 1)])
+def test_f_pair_tables_exact(a, b):
+    # g = gcd(m*a, n*b) without forming m*a: exact where m*a is far past
+    # int64, and equal to the pair-by-pair Python-int constants bit for bit
+    assert math.gcd(a, b) == 1
+    poly = mollifier_coeffs(1e5, 0.45)
+    weights, consts = mmod._f_pair_tables(a, b, poly)
+    want_w, want_c = _f_pair_reference(a, b, poly)
+    assert np.array_equal(weights, want_w) and np.array_equal(consts, want_c)
+
+
 def test_f_prime_trivial_poly_vanishes():
     # b(a*r) b(b*r) = 0 for all r >= 1 when only b(1) = 1 and a*b > 1
     assert F_prime(2, 1, DirichletPoly.one()) == 0.0
@@ -410,17 +435,19 @@ def test_h_ell_against_gauss_legendre(spec, T, theta, ell, interpolated, window,
     poly = DirichletPoly.one() if theta is None else mollifier_coeffs(T, theta)
     tup = find_tuple(spec, ell, T)
     nodes = []
-    F_batch = mmod._F_batch
+    F_many = mmod._F_many
 
-    def counted(weights, consts, ts, spec):
-        nodes.append(len(ts))
-        return F_batch(weights, consts, ts, spec)
+    def counted(tables, ts, spec):
+        nodes.append((len(tables), len(ts)))
+        return F_many(tables, ts, spec)
 
-    monkeypatch.setattr(mmod, "_F_batch", counted)
-    g = mmod._F_on_window(*mmod._f_pair_tables(tup.a, tup.b, poly), T, spec)
-    assert isinstance(g, np.polynomial.Chebyshev) == interpolated
-    # one interpolant decides, kept or not: F at its 33 Chebyshev points
-    assert nodes == [33]
+    monkeypatch.setattr(mmod, "_F_many", counted)
+    F = mmod._F_on_window([mmod._f_pair_tables(tup.a, tup.b, poly)], T, spec)
+    # one interpolant decides, kept or not: F of one tuple at its 33
+    # Chebyshev points; a kept one serves every further node
+    assert nodes == [(1, 33)]
+    F(np.linspace(1.0, 2.0, 5), slice(None))
+    assert nodes[1:] == ([] if interpolated else [(1, 5)])
     want = _h_ell_oracle(ell, spec, window, T, poly)
     assert abs(H_ell(ell, spec, window, T, poly) - want) <= 1e-10 * abs(want)
 
@@ -438,6 +465,21 @@ def test_h_ell_heights_reaching_zero_in_window(window, monkeypatch):
             H_ell(1, spec, window, T, one)
         with pytest.raises(ValueError, match="--no-predict"):
             predict_E(spec, window, T, one)
+
+
+@pytest.mark.parametrize("spec, T, theta", [
+    (ProgressionSpec.from_rational(1, 3, 2), 2000.0, 0.4),
+    (ProgressionSpec(alpha=5.3, beta=0.3), 1000.0, None),
+], ids=["1:3:2-mollified", "generic-alpha"])
+def test_predict_e_sums_h_ell(spec, T, theta, window):
+    # predict_E integrates all its tuples in one trapezoid; H_ell takes each
+    # alone at its own start level.  Both agree to 1e-12 relative.
+    poly = DirichletPoly.one() if theta is None else mollifier_coeffs(T, theta)
+    ells = range(1, mmod._default_ell_max(spec, T, poly) + 1)
+    H = [H_ell(ell, spec, window, T, poly) for ell in ells]
+    assert sum(h != 0j for h in H) >= 2
+    want = 4.0 * sum(H).real
+    assert abs(predict_E(spec, window, T, poly) - want) <= 1e-12 * abs(want)
 
 
 def test_predict_e_alpha_one_negligible(unit_spec, window):

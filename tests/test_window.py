@@ -19,7 +19,7 @@ from gl_oracle import gl_panels
 
 from zetaprog import QuadratureError, SmoothWindow
 from zetaprog import window as window_module
-from zetaprog.quadrature import nested_trapezoid
+from zetaprog.quadrature import nested_trapezoid, start_level
 
 
 def test_support_and_plateau(window):
@@ -137,6 +137,20 @@ def test_phi_hat_against_gauss_legendre(edge, xi):
     x, wq = gl_panels(1.0, 2.0, math.ceil(4 * max(xi, 1.0 / edge)), 20)
     ref = complex(np.sum(wq * w.phi(x) * np.exp(-2j * np.pi * xi * x)))
     assert abs(w.phi_hat(xi) - ref) < 1e-12
+
+
+def test_phi_hats_batch_matches_phi_hat(window):
+    # 301 frequencies, 0 and negative ones among them, take three blocks of
+    # the batched transform; each agrees with its own one-element phi_hat
+    # to phi_hat's 1e-12 (a block halves until all its rows agree, a single
+    # frequency may stop a level earlier)
+    xis = np.arange(-150, 151) * (40.0 / 150)
+    per_unit = start_level(1.0, 2.0, max(4 * 40.0, 16 / window.edge))[0]
+    assert len(xis) > 2 * (window_module._TRANSFORM_ELEMS // (4 * per_unit))
+    got = window_module._phi_hats(window, xis)
+    want = np.array([window.phi_hat(xi) for xi in xis])
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert got[150] == window.plateau_mass and np.all(got[:150] == np.conj(got[:150:-1]))
 
 
 @pytest.mark.parametrize("xi", [math.inf, -math.inf, math.nan])

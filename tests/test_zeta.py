@@ -343,8 +343,51 @@ def test_progression_sum_far_corner(poly):
 
 
 def test_progression_sum_validation():
+    ns, ones = np.arange(1, 5), np.ones(4)
     with pytest.raises(ValueError):
-        progression_sum(np.arange(1, 5), np.ones(4), 100.0, 1.0, -1)
+        progression_sum(ns, ones, 100.0, 1.0, -1)
+    for t0, h in ((math.nan, 1.0), (100.0, math.inf), (math.inf, 0.0), (1e308, 1e308)):
+        with pytest.raises(ValueError, match="finite"):
+            progression_sum(ns, ones, t0, h, 3)
+    for bad_ns in (np.arange(0, 4), np.r_[1.0, math.nan, 3.0, 4.0], -ns):
+        with pytest.raises(ValueError, match="n >= 1"):
+            progression_sum(bad_ns, ones, 100.0, 1.0, 3)
+    for bad in (np.ones(3), np.ones((4, 1))):
+        with pytest.raises(ValueError, match="one length"):
+            progression_sum(ns, bad, 100.0, 1.0, 3)
+    for starts in ([0, 1, 2], [0, 1, 2, 4], [-1, 0, 0, 0]):
+        with pytest.raises(ValueError, match="starts"):
+            progression_sum(ns, ones, 100.0, 1.0, 3, starts)
+
+
+@pytest.mark.parametrize("count", [1, 97, 2000])
+@pytest.mark.parametrize("poly", ["dense", "mollifier"])
+def test_progression_sum_term_starts(poly, count):
+    # Term k counts at the nodes j >= starts[k] only.  The starts cycle
+    # through node 0, mid-row, a giant-step row boundary (K = 10 at count =
+    # 97: nodes 15 and 20), the last node and never (start = count); at
+    # every node the masked sum is eval_poly of the terms that have started.
+    ns, coeffs, _ = _kernel_cases()[poly]
+    ns, coeffs = ns[:400], coeffs[:400]
+    t0, h = 1000.0, 1.0
+    K = math.isqrt(count - 1) + 1
+    cycle = [0, K + K // 2, 2 * K, count - 1, count]
+    starts = np.minimum([cycle[k % len(cycle)] for k in range(len(ns))], count)
+    got = progression_sum(ns, coeffs, t0, h, count, starts)
+    assert got.shape == (count,)
+    for j in range(count):
+        values = np.zeros(ns[-1] + 1)
+        values[ns[starts <= j]] = coeffs[starts <= j]
+        want = eval_poly(DirichletPoly(values), t0 + h * j) if np.any(values) else 0j
+        assert abs(got[j] - want) < 1e-10, j
+    assert np.array_equal(progression_sum(ns, coeffs, t0, h, count, np.zeros(len(ns), int)),
+                          progression_sum(ns, coeffs, t0, h, count))
+    if poly == "dense":
+        # the Riemann-Siegel heads: term n from the first node where m >= n
+        m = 1 + np.arange(count) * len(ns) // count
+        heads = progression_sum(ns, coeffs, t0, h, count, np.searchsorted(m, ns))
+        for j in range(count):
+            assert abs(heads[j] - main_sum(t0 + h * j, m[j])) < 1e-10, j
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +482,24 @@ def test_rs_grid_truncation_against_full_fit(monkeypatch):
 
 def test_rs_blocked_matches_per_series_oracle(monkeypatch):
     # 20000 nodes in three blocks of _RS_BLOCK; the block edges at 8192 and
-    # 16384 fall inside the m-groups m = 30 and m = 32.  With the heads made
-    # equal, the blocked remainder, theta and rotation match the oracle's,
-    # whose C_0..C_4 come pointwise from _rs_coeffs.
+    # 16384 fall inside the m-groups m = 30 and m = 32.  With the oracle's
+    # per-group heads replaced by the package's one-pass heads, the blocked
+    # remainder, theta and rotation match the oracle's, whose C_0..C_4 come
+    # pointwise from _rs_coeffs.
     t0, h, count = 5000.0, 0.1, 20000
     ts = t0 + h * np.arange(count)
-    m = np.floor(np.sqrt(ts / (2 * np.pi)))
+    m = np.floor(np.sqrt(ts / (2 * np.pi))).astype(np.int64)
     assert zmod._RS_BLOCK == 8192 and count > 2 * zmod._RS_BLOCK
     for edge in (zmod._RS_BLOCK, 2 * zmod._RS_BLOCK):
         assert m[edge - 1] == m[edge]
-    monkeypatch.setattr(zeta_oracle, "_direct_sum", lambda M, run: zmod._head(M, run, h))
+    heads = zmod._rs_heads(ts, h, m)
+
+    def one_pass(M, run):
+        lo = int(np.flatnonzero(ts == run[0])[0])
+        assert np.all(m[lo:lo + len(run)] == M)
+        return heads[lo:lo + len(run)]
+
+    monkeypatch.setattr(zeta_oracle, "_direct_sum", one_pass)
     got = zmod._riemann_siegel(ts, h)
     assert np.max(np.abs(got - zeta_oracle._riemann_siegel(ts))) <= 1e-13
 
