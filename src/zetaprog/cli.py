@@ -2,8 +2,15 @@
 
 Subcommands: moment, delta, dioph, firstmoment, nonvanish, resonate, selftest.
 Every run emits a versioned JSON report (schema_version at top level, full
-parameter echo, results, run_meta with wall time and engine versions) and,
-where a per-ell/per-t table makes sense, a CSV with a frozen header row.
+parameter echo, results, run_meta with wall time and engine versions).
+moment, dioph, firstmoment and resonate, the subcommands with a per-ell
+table, also take --csv and write that table with a frozen header row; the
+others refuse --csv.  The argument parser is built once per process, so a
+caller that runs main many times pays only for parsing.
+
+moment and firstmoment evaluate zeta*B once per node: their integer sample
+is cut from the continuous moment's start level, which holds every integer
+in [T, 2T] (moments._continuous_moment).
 
 Reports are byte-deterministic for a fixed configuration and seed except for
 the run_meta block (wall time cannot be replayed); consumers comparing runs
@@ -11,6 +18,7 @@ should strip run_meta first.  Exit codes: 0 ok, 1 failed check or
 computation error, 2 bad configuration.
 """
 import argparse
+import functools
 import json
 import math
 import os
@@ -155,10 +163,11 @@ def _add_progression(parser):
     parser.add_argument("--beta", type=_finite_float, default=0.0, help="progression offset")
 
 
-def _add_outputs(parser):
+def _add_outputs(parser, table=False):
     parser.add_argument("--json", metavar="PATH", help="write the JSON report here "
                         "(default: stdout)")
-    parser.add_argument("--csv", metavar="PATH", help="write the per-sample CSV here")
+    if table:
+        parser.add_argument("--csv", metavar="PATH", help="write the per-ell table here")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -197,9 +206,9 @@ def _cmd_moment(args, t0):
     spec = _spec_from(args)
     _check_run(args, search=None if args.no_predict else "find_tuple")
     window, poly = SmoothWindow(edge=args.edge), _poly_from(args, args.T)
-    mmod._check_continuous_budget(spec, window, args.T, poly)
-    sample = mmod.sample_progression(spec, window, args.T, poly)
-    report = mmod.moment_report(sample, predict=not args.no_predict, eps=args.eps)
+    cont, sample = mmod._continuous_moment(spec, window, args.T, poly, power=2)
+    report = mmod.moment_report(sample, predict=not args.no_predict, eps=args.eps,
+                                continuous=cont)
     results = {**asdict(report), "delta": dmod.delta(spec)}
     params = {**_spec_params(spec), "T": args.T, "edge": args.edge,
               "eps": args.eps, "theta": args.theta,
@@ -247,10 +256,8 @@ def _cmd_firstmoment(args, t0):
     spec = _spec_from(args)
     _check_run(args, search="find_tuple")
     window, poly = SmoothWindow(edge=args.edge), _poly_from(args, args.T)
-    mmod._check_continuous_budget(spec, window, args.T, poly)
-    sample = mmod.sample_progression(spec, window, args.T, poly)
+    cont, sample = mmod._continuous_moment(spec, window, args.T, poly, power=1)
     disc = sample.twisted_sum(1)
-    cont = mmod.continuous_twisted_moment(spec, window, args.T, poly, power=1)
     pred = mmod.predict_E_prime(spec, window, args.T, poly, eps=args.eps)
     ref = args.T * window.phi_hat(0.0).real
     results = {
@@ -402,6 +409,7 @@ def _cmd_selftest(args, t0):
 # -- entry point ----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
     root = argparse.ArgumentParser(
         prog="zetaprog",
@@ -418,7 +426,7 @@ def build_parser():
     p.add_argument("--edge", type=_finite_float, default=0.05)
     p.add_argument("--eps", type=_finite_float, default=dmod.DEFAULT_EPS)
     p.add_argument("--no-predict", action="store_true")
-    _add_outputs(p)
+    _add_outputs(p, table=True)
     p.set_defaults(fn=_cmd_moment)
 
     p = sub.add_parser("delta", help="the rational-case correction delta(alpha, beta)")
@@ -435,7 +443,7 @@ def build_parser():
     p.add_argument("--T", type=_finite_float, required=True)
     p.add_argument("--ell", type=_parse_ells, required=True, help="e.g. 3 or 1..5 or 1,2,7")
     p.add_argument("--eps", type=_finite_float, default=dmod.DEFAULT_EPS)
-    _add_outputs(p)
+    _add_outputs(p, table=True)
     p.set_defaults(fn=_cmd_dioph)
 
     p = sub.add_parser("firstmoment", help="discrete first moment vs its references")
@@ -444,7 +452,7 @@ def build_parser():
     p.add_argument("--theta", type=_finite_float)
     p.add_argument("--edge", type=_finite_float, default=0.05)
     p.add_argument("--eps", type=_finite_float, default=dmod.DEFAULT_EPS)
-    _add_outputs(p)
+    _add_outputs(p, table=True)
     p.set_defaults(fn=_cmd_firstmoment)
 
     p = sub.add_parser("nonvanish", help="mollified nonvanishing lower bound")
@@ -465,7 +473,7 @@ def build_parser():
     p.add_argument("--mode", choices=("max", "min"), required=True)
     p.add_argument("--eps", type=_finite_float, default=dmod.DEFAULT_EPS)
     p.add_argument("--edge", type=_finite_float, default=0.05)
-    _add_outputs(p)
+    _add_outputs(p, table=True)
     p.set_defaults(fn=_cmd_resonate)
 
     p = sub.add_parser("selftest", help="run the curated invariant checks")

@@ -26,7 +26,9 @@ Every consumer reduces a sample over its phi > 0 nodes, and the discrete
 moments, the nonvanishing bound and the resonator search share one sample
 of the integers in [T, 2T].  Every integral is the nested dyadic trapezoid
 of quadrature.py: the continuous moment samples the progression at the
-points ell = j / 2^k of [T, 2T], from a 2^k above the integrand's top
+points ell = j / 2^k of [T, 2T] (its start level holds the integers, and
+_continuous_moment cuts the integer sample from it, so a run that needs
+both evaluates each node once), from a 2^k above the integrand's top
 frequency alpha/2pi * log(t_max * len(B) / 2pi) plus 16 nodes across each
 window ramp, where the trapezoid of a band-limited integrand under a smooth
 window is exact; where the heights pass through 0, zeta's pole at s = 1
@@ -228,15 +230,25 @@ def sample_progression(spec: ProgressionSpec, window: SmoothWindow, T: float,
     Raises as _check_sample_budget does, before allocating, and ValueError
     unless the nodes are equally spaced."""
     _check_sample_budget(T, None if ell is None else len(ell))
-    if ell is None:
-        ell = np.arange(math.ceil(T), math.floor(2.0 * T) + 1, dtype=np.int64)
-    ell = np.asarray(ell)
+    ell = _integers(T) if ell is None else np.asarray(ell)
     run = _progression_run(spec, ell)
     zeta = zmod.zeta_on_progression(*run)
     B = zmod.progression_sum(*poly.nonzero(), *run)
-    t = spec.alpha * ell + spec.beta
-    return ProgressionSample(spec=spec, window=window, T=T, poly=poly, ell=ell, t=t,
-                             phi=window.phi(ell / T), zeta=zeta, B=B)
+    return _sample_at(spec, window, T, poly, ell, zeta, B)
+
+
+def _integers(T: float) -> np.ndarray:
+    """The integers in [T, 2T], as int64."""
+    return np.arange(math.ceil(T), math.floor(2.0 * T) + 1, dtype=np.int64)
+
+
+def _sample_at(spec: ProgressionSpec, window: SmoothWindow, T: float, poly: DirichletPoly,
+               ell: np.ndarray, zeta: np.ndarray, B: np.ndarray) -> ProgressionSample:
+    """The sample at nodes ell whose zeta and B are given: t and phi follow
+    from ell."""
+    return ProgressionSample(spec=spec, window=window, T=T, poly=poly, ell=ell,
+                             t=spec.alpha * ell + spec.beta, phi=window.phi(ell / T),
+                             zeta=zeta, B=B)
 
 
 # -- moments -------------------------------------------------------------------
@@ -267,16 +279,42 @@ def continuous_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: fl
 
     Each level is one sample of the progression.  Two successive levels
     agreeing to 1e-4 relative are accepted; QuadratureError when none do,
-    or when the start step exceeds the rule's node budget.
+    or, before any evaluation, when the start step exceeds the rule's node
+    budget.  The start level holds every integer in [T, 2T];
+    _continuous_moment also returns the sample there, and the CLI's moment
+    and firstmoment take their discrete moment from it.
+    """
+    return _continuous_moment(spec, window, T, poly, power)[0]
+
+
+def _continuous_moment(spec: ProgressionSpec, window: SmoothWindow, T: float,
+                       poly: DirichletPoly, power: int):
+    """(continuous_twisted_moment, the sample of the integers in [T, 2T]),
+    every node evaluated once.
+
+    The start level's step is 1 / per_unit with per_unit a power of two >= 1,
+    so the integer ell is its node j = per_unit * ell.  Only those rows of
+    zeta and B are copied, with ell, t and phi built as sample_progression
+    builds them, so the rest of the level is freed once its sum is taken.
     """
     _check_power(power)
     _check_T(T)
+    density = _continuous_density(spec, window, T, poly)
+    per_unit, lo, _ = start_level(T, 2.0 * T, density)
+    integers = []  # the integer sample, cut from the first level evaluated
 
     def level_sum(ell):
-        return sample_progression(spec, window, T, poly, ell).twisted_sum(power)
+        sample = sample_progression(spec, window, T, poly, ell)
+        if not integers:
+            ints = _integers(T)
+            rows = per_unit * ints - lo
+            integers.append(_sample_at(spec, window, T, poly, ints,
+                                       sample.zeta[rows], sample.B[rows]))
+        return sample.twisted_sum(power)
 
-    return nested_trapezoid(level_sum, T, 2.0 * T, _continuous_density(spec, window, T, poly),
-                            lambda new, old: abs(new - old) <= 1e-4 * max(abs(new), 1e-12))
+    value = nested_trapezoid(level_sum, T, 2.0 * T, density,
+                             lambda new, old: abs(new - old) <= 1e-4 * max(abs(new), 1e-12))
+    return value, integers[0] if integers else None
 
 
 def _continuous_density(spec: ProgressionSpec, window: SmoothWindow, T: float,
@@ -299,13 +337,6 @@ def _continuous_density(spec: ProgressionSpec, window: SmoothWindow, T: float,
         t_max = max(abs(first), abs(last))
         return max(0.0, spec.alpha / _TWO_PI * math.log(t_max * poly.length / _TWO_PI)) + ramp
     return max(_default_ell_max(spec, T, poly) + 1, ramp)
-
-
-def _check_continuous_budget(spec: ProgressionSpec, window: SmoothWindow, T: float,
-                             poly: DirichletPoly):
-    """QuadratureError when the continuous moment's start level exceeds the
-    trapezoid's budget; the CLI calls it before any zeta evaluation."""
-    start_level(T, 2.0 * T, _continuous_density(spec, window, T, poly))
 
 
 # -- the correction machinery ---------------------------------------------------
@@ -545,13 +576,17 @@ class MomentReport:
 
 
 def moment_report(sample: ProgressionSample, predict: bool = True,
-                  eps: float = DEFAULT_EPS) -> MomentReport:
+                  eps: float = DEFAULT_EPS, continuous: Optional[float] = None
+                  ) -> MomentReport:
     """Second-moment comparison bundle for the integer sample: measured
     discrete and continuous moments, their difference E, and (optionally)
-    the tuple-machinery prediction for E."""
+    the tuple-machinery prediction for E.  continuous is the continuous
+    second moment where the caller holds it already (the CLI takes it with
+    the sample from _continuous_moment); when None it is computed here."""
     spec, window, T, poly = sample.spec, sample.window, sample.T, sample.poly
     disc = sample.twisted_sum(2)
-    cont = continuous_twisted_moment(spec, window, T, poly, power=2)
+    cont = (continuous_twisted_moment(spec, window, T, poly, power=2)
+            if continuous is None else continuous)
     pred = predict_E(spec, window, T, poly, eps=eps) if predict else float("nan")
     params = {
         "alpha": spec.alpha, "beta": spec.beta, "T": T, "edge": window.edge,

@@ -22,17 +22,20 @@ NODE_CAP = 1 << 23
 
 def start_level(a: float, b: float, density: float):
     """(per_unit, lo, hi) of the trapezoid's start level over [a, b]: per_unit
-    is the smallest power of two >= density, and the nodes are j / per_unit
-    for j from lo = ceil(a * per_unit) to hi = floor(b * per_unit).
-    QuadratureError when (b - a) * per_unit + 1, the most nodes a level of
-    [a, b] can hold at that step, exceeds NODE_CAP / 4, so that the third
-    halving adds fewer than NODE_CAP nodes whether or not a and b are lattice
-    points; all arithmetic, so a caller can check it before any work.
+    is the smallest power of two >= density (at least 1), and the nodes are
+    j / per_unit for j from lo = ceil(a * per_unit) to hi = floor(b * per_unit).
+    ValueError unless density is finite and positive.  QuadratureError when
+    (b - a) * per_unit + 1, the most nodes a level of [a, b] can hold at that
+    step, exceeds NODE_CAP / 4, so that the third halving adds fewer than
+    NODE_CAP nodes whether or not a and b are lattice points; all
+    arithmetic, so a caller can check it before any work.
     """
+    if not (math.isfinite(density) and density > 0.0):
+        raise ValueError(f"the trapezoid needs a finite positive density, got {density!r}")
     cap = NODE_CAP // 4
     refusal = QuadratureError(f"the trapezoid at {density!r} nodes per unit over "
                               f"[{a!r}, {b!r}] exceeds the budget of {cap} start nodes")
-    if not density * (b - a) <= cap:  # an infinite density has no power of two
+    if not density * (b - a) <= cap:
         raise refusal
     per_unit = 1 << (math.ceil(density) - 1).bit_length()
     if (b - a) * per_unit + 1 > cap:
@@ -50,8 +53,8 @@ def nested_trapezoid(level_sum, a: float, b: float, density: float, agree):
     same nodes, which agree then compares as a whole.  Each of up to three
     halvings of the step evaluates only the new nodes, the odd j in
     [ceil(a * 2^k), floor(b * 2^k)], and the first level with agree(new,
-    previous) is returned.  QuadratureError when none is,
-    and, before any evaluation, when start_level refuses.
+    previous) is returned.  QuadratureError when none is; before any
+    evaluation, it raises as start_level does.
     """
     per_unit, lo, hi = start_level(a, b, density)
     val = level_sum(np.arange(lo, hi + 1, dtype=np.int64) / per_unit) / per_unit

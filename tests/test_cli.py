@@ -162,6 +162,41 @@ def test_bad_configuration_exit_code(tmp_path):
                  "--json", str(tmp_path / "y.json")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["nonvanish", "--alpha", "1", "--T", "300"],
+    ["delta", "--alpha-rational", "1:2:1"],
+    ["selftest"],
+], ids=["nonvanish", "delta", "selftest"])
+def test_csv_refused_without_a_table(argv, tmp_path, capsys):
+    # only moment, dioph, firstmoment and resonate have a table to write;
+    # elsewhere --csv once exited 0 and wrote nothing
+    csv = tmp_path / "rows.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--json", str(tmp_path / "x.json"), "--csv", str(csv)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --csv" in capsys.readouterr().err
+    assert not csv.exists() and not (tmp_path / "x.json").exists()
+
+
+def test_parser_built_once_keeps_no_state(tmp_path, capsys):
+    # main parses with one parser per process; a call's options and a
+    # rejected call leave nothing behind for the next call
+    assert cli.build_parser() is cli.build_parser()
+    first = ["moment", "--alpha", "1", "--T", "300", "--theta", "0.3", "--no-predict",
+             "--beta", "0.25"]
+    assert _run_json(first, tmp_path, "first.json")[1]["params"]["theta"] == 0.3
+    rc, doc = _run_json(["moment", "--alpha", "1", "--T", "300"], tmp_path, "second.json")
+    assert rc == 0
+    assert (doc["params"]["theta"], doc["params"]["predict"], doc["params"]["beta"]) == \
+        (None, True, 0.0)
+    with pytest.raises(SystemExit) as exc:
+        main(["moment", "--alpha", "1", "--T", "300", "--bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    rc, doc = _run_json(["firstmoment", "--alpha", "1", "--T", "300"], tmp_path, "third.json")
+    assert rc == 0 and doc["subcommand"] == "firstmoment"
+
+
 @pytest.mark.parametrize("subcommand", [
     ["moment", "--alpha", "1", "--T", "300", "--no-predict"],
     ["resonate", "--alpha", "1", "--T", "300", "--N", "100", "--mode", "max"],
@@ -365,6 +400,8 @@ def test_cli_samples_progression_once(argv, A_by_kernel, tmp_path, monkeypatch):
     # the integers too, and extreme_search computes A; both are tracked apart
     # from the run's sample.  The kernel calls zeta_on_progression makes for
     # its own Dirichlet sums are tagged "zeta", apart from the B and A calls.
+    # moment and firstmoment cut their integer sample from the continuous
+    # moment's start level, so their run scope evaluates nothing itself.
     calls = []
     scope = ["run"]
 
@@ -397,12 +434,14 @@ def test_cli_samples_progression_once(argv, A_by_kernel, tmp_path, monkeypatch):
                         counting("kernel", cli.zmod.progression_sum,
                                  lambda ns, coeffs, t0, h, count, starts=None: (t0, h, count)))
     monkeypatch.setattr(cli.zmod, "zeta_critical_grid", unreachable)
-    monkeypatch.setattr(cli.mmod, "continuous_twisted_moment",
-                        scoped("continuous", cli.mmod.continuous_twisted_moment))
+    monkeypatch.setattr(cli.mmod, "_continuous_moment",
+                        scoped("continuous", cli.mmod._continuous_moment))
     monkeypatch.setattr(cli.rmod, "extreme_search",
                         scoped("resonator", cli.rmod.extreme_search))
     csv = tmp_path / "rows.csv"
-    run = argv + ["--json", str(tmp_path / "x.json"), "--csv", str(csv)]
+    run = argv + ["--json", str(tmp_path / "x.json")]
+    if argv[0] != "nonvanish":  # nonvanish writes no table
+        run += ["--csv", str(csv)]
     with warnings.catch_warnings():
         if argv[0] == "resonate":  # exploratory at this T, as in test_resonate
             warnings.simplefilter("ignore")
@@ -411,8 +450,10 @@ def test_cli_samples_progression_once(argv, A_by_kernel, tmp_path, monkeypatch):
     T = 300
     alpha = 1.0 if "--alpha" in argv else ProgressionSpec.from_rational(1, 2, 1).alpha
     nodes = alpha * np.arange(T, 2 * T + 1) + 0.25
-    assert seen("zeta", "run") == [(nodes[0], alpha, len(nodes))]
-    assert seen("kernel", "run") == [(nodes[0], alpha, len(nodes))]
+    by_level = argv[0] in ("moment", "firstmoment")
+    want_run = [] if by_level else [(nodes[0], alpha, len(nodes))]
+    assert seen("zeta", "run") == want_run
+    assert seen("kernel", "run") == want_run
     # inside zeta_on_progression the kernel tiles the call's progression in
     # order, one call per engine sub-run, so each node is summed once and
     # no call makes more than three kernel calls
@@ -427,12 +468,14 @@ def test_cli_samples_progression_once(argv, A_by_kernel, tmp_path, monkeypatch):
                 kernel_calls += 1
             assert done == count
             assert kernel_calls <= 3
-    levels = [[t0 + h * np.arange(count) for t0, h, count in seen(name, "continuous")]
-              for name in ("zeta", "kernel")]
-    for level in levels:
-        if level:
-            level = np.concatenate(level)
-            assert len(np.unique(level)) == len(level)
+    # across the run and the continuous moment, no height is evaluated
+    # twice, and the integer heights are among the continuous moment's
+    for name in ("zeta", "kernel"):
+        runs = seen(name, "run") + seen(name, "continuous")
+        assert bool(seen(name, "continuous")) == by_level
+        heights = np.sort(np.concatenate([t0 + h * np.arange(count) for t0, h, count in runs]))
+        assert np.all(np.diff(heights) > 1e-6)
+        assert np.all(np.min(np.abs(heights[:, None] - nodes), axis=0) < 1e-9)
     # A reads the sample's zeta, or sums n <= T once over the phi > 0 nodes
     assert seen("zeta", "resonator") == []
     want_A = [(nodes[1], alpha, len(nodes) - 2)] if A_by_kernel else []

@@ -256,6 +256,42 @@ def test_continuous_refuses_start_step_past_budget(window, sym_spec, monkeypatch
             continuous_twisted_moment(spec, w, 300.0, DirichletPoly.one(), power=2)
 
 
+@pytest.mark.parametrize("spec, T, theta, power, per_unit", [
+    (ProgressionSpec(alpha=1.0), 150.0, 0.3, 2, 4),
+    (ProgressionSpec.from_rational(1, 2, 1), 1600.0, None, 2, 16),
+    (ProgressionSpec(alpha=1.0, beta=-4000.0), 2500.0, None, 1, 4),
+    (ProgressionSpec(alpha=0.5, beta=0.3), 2000.0, 0.3, 1, 1),
+], ids=["euler-maclaurin", "riemann-siegel-exact-form", "through-zero", "one-per-unit"])
+def test_continuous_moment_cuts_the_integer_sample(window, spec, T, theta, power, per_unit):
+    # The start level's step is 1/per_unit, so its every per_unit-th node is
+    # an integer; the sample cut there has sample_progression's ell, t and
+    # phi bit for bit, and zeta and B from a run of per_unit times the
+    # step, equal to the last digits (exactly, at one node per unit).
+    poly = mollifier_coeffs(T, theta) if theta is not None else DirichletPoly.one()
+    assert start_level(T, 2.0 * T, mmod._continuous_density(spec, window, T, poly))[0] == per_unit
+    value, cut = mmod._continuous_moment(spec, window, T, poly, power)
+    assert value == continuous_twisted_moment(spec, window, T, poly, power)
+    direct = sample_progression(spec, window, T, poly)
+    for name in ("ell", "t", "phi"):
+        got, want = getattr(cut, name), getattr(direct, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert (cut.spec, cut.window, cut.T, cut.poly) == (spec, window, T, poly)
+    # copies of the integer rows: the level they came from is not kept alive
+    assert cut.zeta.base is None and cut.B.base is None
+    if per_unit == 1:
+        assert np.array_equal(cut.zeta, direct.zeta) and np.array_equal(cut.B, direct.B)
+    assert np.max(np.abs(cut.zeta - direct.zeta)) <= 1e-12
+    assert np.max(np.abs(cut.B - direct.B)) <= 1e-12 * np.max(np.abs(direct.B))
+
+
+def test_moment_report_takes_the_callers_continuous(unit_spec, window):
+    # the CLI passes the continuous moment it computed with the sample; the
+    # report is the one moment_report computes itself
+    one = DirichletPoly.one()
+    value, sample = mmod._continuous_moment(unit_spec, window, 300.0, one, power=2)
+    assert moment_report(sample, continuous=value) == moment_report(sample)
+
+
 def test_moment_T_validation(unit_spec, window):
     for T in (0.0, -1.0, math.nan, math.inf):
         for moment in (discrete_twisted_moment, continuous_twisted_moment):

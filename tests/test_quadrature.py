@@ -53,7 +53,7 @@ def test_levels_hold_the_lattice_points_inside_ends_off_the_lattice():
 
 def test_trapezoid_refuses_start_past_budget_unevaluated():
     level_sum, levels = _recording(lambda x: 0.0)
-    for density in (NODE_CAP / 4 + 1, 1e300, np.inf, np.nan):
+    for density in (NODE_CAP / 4 + 1, 1e300):
         with pytest.raises(QuadratureError):
             nested_trapezoid(level_sum, 1.0, 2.0, density, lambda new, old: True)
         with pytest.raises(QuadratureError):
@@ -64,6 +64,25 @@ def test_trapezoid_refuses_start_past_budget_unevaluated():
     with pytest.raises(QuadratureError):
         nested_trapezoid(level_sum, a, 2.0 * a, 0.9, lambda new, old: True)
     assert levels == []
+
+
+@pytest.mark.parametrize("density", [0.0, -0.0, -3.0, -5e-324, np.nan, np.inf, -np.inf])
+def test_start_level_refuses_bad_density_unevaluated(density):
+    # a density of 0 or -3 once started at 2 or 8 nodes per unit, and nan or
+    # inf got the budget's message; each is a bad argument, not a budget
+    level_sum, levels = _recording(lambda x: 0.0)
+    with pytest.raises(ValueError, match="finite positive density"):
+        start_level(1.0, 2.0, density)
+    with pytest.raises(ValueError, match="finite positive density"):
+        nested_trapezoid(level_sum, 1.0, 2.0, density, lambda new, old: True)
+    assert levels == []
+
+
+def test_start_level_rounds_up_to_a_power_of_two():
+    # the smallest power of two >= density, and never below 1
+    for density, per_unit in ((5e-324, 1), (0.5, 1), (1.0, 1), (1.5, 2), (2.0, 2),
+                              (2.0000001, 4), (300.0, 512), (512.0, 512)):
+        assert start_level(1.0, 2.0, density)[0] == per_unit
 
 
 def test_start_level_is_the_first_level_evaluated():
