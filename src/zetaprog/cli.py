@@ -8,6 +8,13 @@ table, also take --csv and write that table with a frozen header row; the
 others refuse --csv.  The argument parser is built once per process, so a
 caller that runs main many times pays only for parsing.
 
+CSV cells are written as Python writes them: integers by str, floats by
+repr (the shortest text that reads back to the same double).  float64 and
+integer columns go through one orjson call each, whose text equals repr's
+except for NaN, +-inf and nonzero magnitudes outside [1e-4, 1e16); those
+cells are written by repr.  orjson is imported by the first run that writes
+a table, so import and runs without --csv do not load it.
+
 moment and firstmoment evaluate zeta*B once per node: their integer sample
 is cut from the continuous moment's start level, which holds every integer
 in [T, 2T] (moments._continuous_moment).
@@ -101,11 +108,27 @@ def _csv_cell(c):
 
 
 def _csv_column(col):
-    """_csv_cell of every entry of a CSV column.  A numpy column is converted
-    once by tolist() and formatted by repr (floats) or str (integers)."""
-    if isinstance(col, np.ndarray):
-        return list(map(repr if col.dtype.kind == "f" else str, col.tolist()))
-    return [_csv_cell(c) for c in col]
+    """_csv_cell of every entry of a CSV column.
+
+    A float64 or integer numpy column in native byte order is written by one
+    orjson call: its shortest round-trip floats spell every value as repr
+    does except NaN and +-inf (null) and nonzero magnitudes below 1e-4 or
+    from 1e16 up (0.00001, 1e16 for 1e-05, 1e+16), whose cells are redone by
+    repr.  Any other numpy column is converted once by tolist()."""
+    if not isinstance(col, np.ndarray):
+        return [_csv_cell(c) for c in col]
+    if not (col.dtype == np.float64 or col.dtype.kind in "iu" and col.dtype.isnative):
+        return _csv_column(col.tolist())
+    if not col.size:
+        return []
+    import orjson  # only a run that writes a table pays for the import
+    text = orjson.dumps(np.ascontiguousarray(col), option=orjson.OPT_SERIALIZE_NUMPY)
+    cells = text[1:-1].decode().split(",")
+    if col.dtype.kind == "f":
+        mag = np.abs(col)
+        for i in np.flatnonzero((mag < 1e-4) & (mag != 0) | ~(mag < 1e16)).tolist():
+            cells[i] = repr(float(col[i]))
+    return cells
 
 
 def _finite_float(text):
@@ -160,7 +183,9 @@ def _add_progression(parser):
     g.add_argument("--alpha", type=_finite_float, help="progression slope (float)")
     g.add_argument("--alpha-rational", type=_parse_rational, metavar="L0:M:N",
                    help="exact form: exp(2*pi*L0/alpha) = M/N")
-    parser.add_argument("--beta", type=_finite_float, default=0.0, help="progression offset")
+    parser.add_argument("--beta", type=_finite_float, default=0.0,
+                        help="progression offset; write a negative value in exponent "
+                             "form with '=', as --beta=-1e3")
 
 
 def _add_outputs(parser, table=False):
@@ -181,18 +206,25 @@ def _poly_from(args, T):
 
 def _check_run(args, search=None, resonator=False):
     """The checks of the builders a run will reach, in the order it reaches
-    them, then the node budget, all before any work: the mollifier's T and
-    theta when --theta is set, the T and eps check of the search named by
-    search (find_tuple or build_excluded_set), predict_E's height check for
-    moment without --no-predict, the resonator's N and nonvanish's threshold.
-    Last, ValueError when [T, 2T] holds no integer (T < 1/2): the library's
-    empty sum is 0, but a report over no node compares nothing."""
+    them, then the node budget, all before any work.  First, ValueError when
+    the heights alpha*T + beta or 2*alpha*T + beta overflow, which every
+    builder would meet as inf.  Then the mollifier's T and theta when --theta
+    is set, the T and eps check of the search named by search (find_tuple or
+    build_excluded_set), predict_E's height check for moment without
+    --no-predict, the resonator's N and nonvanish's threshold.  Last,
+    ValueError when [T, 2T] holds no integer (T < 1/2): the library's empty
+    sum is 0, but a report over no node compares nothing."""
+    spec = _spec_from(args)
+    lo, hi = spec.alpha * args.T + spec.beta, 2.0 * spec.alpha * args.T + spec.beta
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"the heights alpha*T + beta = {lo!r} and 2*alpha*T + beta = "
+                         f"{hi!r} must be finite; lower --alpha, --beta or --T")
     if getattr(args, "theta", None) is not None:  # resonate has no --theta
         mmod._check_mollifier(args.T, args.theta)
     if search is not None:
         dmod._check_search(args.T, args.eps, search)
     if not getattr(args, "no_predict", True):  # only moment has --no-predict
-        mmod._check_heights(_spec_from(args), args.T)
+        mmod._check_heights(spec, args.T)
     if resonator:
         rmod._check_resonator_length(args.N)
     if getattr(args, "threshold", None) is not None:  # only nonvanish has --threshold

@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, JSON/CSV shape, determinism."""
+import argparse
 import contextlib
 import io
 import json
@@ -253,6 +254,24 @@ def test_rs_ceiling_exit_code(tmp_path, monkeypatch, capsys):
     assert kernel == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["moment", "--alpha", "1e308", "--T", "300", "--no-predict"],
+    ["firstmoment", "--alpha", "1e308", "--T", "300"],
+    ["nonvanish", "--alpha", "1e308", "--T", "300"],
+    ["resonate", "--alpha", "1e308", "--T", "300", "--N", "100", "--mode", "max"],
+], ids=["moment", "firstmoment", "nonvanish", "resonate"])
+def test_overflowing_heights_exit_code(argv, tmp_path, capsys):
+    # alpha*T overflows to inf: refused by the options that make it, before
+    # any builder meets inf or numpy warns of an overflow
+    out = tmp_path / "x.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + ["--json", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "bad configuration" in err and "--alpha" in err and "--T" in err
+    assert not out.exists()
+
+
 def test_computation_failure_exit_code(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise QuadratureError("injected failure")
@@ -489,18 +508,68 @@ def test_cli_samples_progression_once(argv, A_by_kernel, tmp_path, monkeypatch):
 
 
 def test_csv_column_matches_cell():
-    floats = np.array([-0.0, 0.0, 1e16, 5e-324, 0.1, -2.5e-300, 1.0 / 3.0])
-    ints = np.array([0, -7, 2 ** 62], dtype=np.int64)
-    for col in (floats, ints):
+    # 1e-4 and 1e16, where repr's and orjson's spellings part, each with its
+    # neighbours on both sides, in both signs
+    edges = [x for v in (1e-4, 1e16)
+             for x in (math.nextafter(v, 0.0), v, math.nextafter(v, math.inf))]
+    floats = np.array([-0.0, 0.0, 1e16, 5e-324, 0.1, -2.5e-300, 1.0 / 3.0,
+                       math.nan, math.inf, -math.inf, 1e-5, 123456789012345.6,
+                       *edges, *(-x for x in edges)])
+    ints = np.array([0, -7, 2 ** 62, -2 ** 63, 2 ** 63 - 1], dtype=np.int64)
+    unsigned = np.array([0, 2 ** 64 - 1], dtype=np.uint64)
+    for col in (floats, ints, unsigned, ints[:3].astype(np.int32), ints.astype(">i8")):
         assert cli._csv_column(col) == [cli._csv_cell(c) for c in col.tolist()]
     assert cli._csv_column(floats)[:4] == ["-0.0", "0.0", "1e+16", "5e-324"]
+    assert cli._csv_column(floats)[7:11] == ["nan", "inf", "-inf", "1e-05"]
+    assert cli._csv_column(ints)[3:] == ["-9223372036854775808", "9223372036854775807"]
     mixed = (3, "none", 0.5)
     assert cli._csv_column(mixed) == ["3", "none", "0.5"]
 
 
+def test_csv_column_shapes():
+    # firstmoment passes the .real and .imag views of a complex array, which
+    # are not contiguous; an empty column has no cell; a float32 column is
+    # written by repr of its float64 value, not by float32's shortest text
+    vals = np.array([0.1 + 1e-5j, -3e17 + 2.5j, complex(1e-300, -0.0)])
+    assert not vals.real.flags.c_contiguous
+    assert cli._csv_column(vals.real) == ["0.1", "-3e+17", "1e-300"]
+    assert cli._csv_column(vals.imag) == ["1e-05", "2.5", "-0.0"]
+    for dtype in (np.float64, np.int64):
+        assert cli._csv_column(np.array([], dtype=dtype)) == []
+    single = np.array([0.1, 1e-5, math.nan], dtype=np.float32)
+    assert cli._csv_column(single) == ["0.10000000149011612", "9.999999747378752e-06", "nan"]
+    byteswapped = np.array([0.1, 1e16], dtype=">f8")
+    assert cli._csv_column(byteswapped) == ["0.1", "1e+16"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(xs=st.lists(st.floats(), max_size=40))
+def test_csv_column_is_repr(xs):
+    # every float64, NaN, +-inf and subnormals included, is written as repr
+    col = np.array(xs, dtype=np.float64)
+    assert cli._csv_column(col) == [repr(x) for x in xs]
+
+
+def test_emit_csv_is_the_repr_join(tmp_path):
+    t = np.array([300.0, 300.5, 1e16, 2.5e-7])
+    vals = np.array([1 + 1e-5j, complex(math.nan, math.inf), complex(-0.0, 0.25), 3e-310 + 2j])
+    ell = np.arange(300, 304)
+    columns = [ell, t, vals.real, vals.imag, ("none", 2, 0.5, "none")]
+    args = argparse.Namespace(json=str(tmp_path / "x.json"), csv=str(tmp_path / "x.csv"))
+    cli._emit(args, "moment", {}, {}, 0.0, ["ell", "t", "re", "im", "q"], columns)
+    rows = [["ell", "t", "re", "im", "q"]] + [
+        [str(e), repr(a), repr(b), repr(c), d if isinstance(d, str) else
+         repr(d) if isinstance(d, float) else str(d)]
+        for e, a, b, c, d in zip(ell.tolist(), t.tolist(), vals.real.tolist(),
+                                 vals.imag.tolist(), columns[-1])]
+    want = "".join(",".join(row) + "\n" for row in rows)
+    assert (tmp_path / "x.csv").read_text() == want
+    assert want.splitlines()[3] == "302,1e+16,-0.0,0.25,0.5"
+
+
 def test_cli_runs_without_scipy(tmp_path):
-    # The package needs numpy and mpmath only: with scipy unimportable the
-    # CLI still imports, passes its selftest and runs the main experiments.
+    # The package needs numpy, mpmath and orjson only: with scipy unimportable
+    # the CLI still imports, passes its selftest and runs the main experiments.
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -518,6 +587,23 @@ def test_cli_runs_without_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[0, 0, 0, 0]"
+
+
+def test_orjson_loaded_only_to_write_a_table(tmp_path):
+    # importing the CLI and a run without --csv leave orjson unloaded
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = ("import sys\n"
+             "from zetaprog.cli import main\n"
+             "seen = ['orjson' in sys.modules]\n"
+             f"main(['delta', '--alpha-rational', '1:2:1', '--json', {str(tmp_path / 'd.json')!r}])\n"
+             "seen.append('orjson' in sys.modules)\n"
+             f"main(['moment', '--alpha', '1', '--T', '300', '--no-predict', '--json', "
+             f"{str(tmp_path / 'x.json')!r}, '--csv', {str(tmp_path / 'x.csv')!r}])\n"
+             "seen.append('orjson' in sys.modules)\n"
+             "print(seen)\n")
+    out = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[False, False, True]"
 
 
 def test_version_flag(capsys):
