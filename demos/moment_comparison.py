@@ -60,7 +60,9 @@ for spec, label in ((spec1, "alpha=1"), (sym, "sym")):
                   f"predicted={pred:9.2f}")
 
 # moment_report bundles the same numbers with run metadata; it reduces one
-# sample of the progression for the discrete side
-rep = zp.moment_report(zp.sample_progression(sym, window, T, one))
+# sample of the progression for the discrete side and takes the continuous
+# moment from its caller
+rep = zp.moment_report(zp.sample_progression(sym, window, T, one),
+                       zp.continuous_twisted_moment(sym, window, T, one, power=2))
 print("\nmoment_report:", rep)
 print(f"\ntotal {time.time() - t0:.1f} s")

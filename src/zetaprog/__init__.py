@@ -19,7 +19,7 @@ from .dioph import (DiophantineTuple, ProgressionSpec, RationalForm, delta,
                     rational_approximations, waldschmidt_bound)
 from .errors import (AccuracyError, CapError, DegenerateDenominatorError,
                      PoleError, QuadratureError, ToleranceError, ZetaprogError)
-from .kernels import eval_G, eval_H, eval_W, h_many, w_many
+from .kernels import afe_square, eval_G, eval_H, eval_W, h_many, w_many
 from .moments import (CapWarning, DirichletPoly, Mollifier, MomentReport,
                       NonvanishingReport, ProgressionSample, F_func, F_func_series,
                       F_prime, H_ell, continuous_twisted_moment, discrete_twisted_moment,
@@ -30,8 +30,8 @@ from .resonance import (EulerPrediction, ExploratoryWarning, ExtremeReport, Resi
                         Resonator, build_excluded_set, euler_product_prediction,
                         extreme_search, ratio_R, resonator_coeffs)
 from .window import SmoothWindow
-from .zeta import (RS_MIN_T, afe_square, main_sum, progression_sum, zeta_critical,
-                   zeta_critical_grid, zeta_em, zeta_on_progression)
+from .zeta import (RS_MIN_T, main_sum, progression_sum, zeta_critical, zeta_critical_grid,
+                   zeta_em, zeta_on_progression)
 
 __all__ = [
     "__version__",
@@ -39,10 +39,10 @@ __all__ = [
     "SmoothWindow",
     # kernels
     "eval_G", "eval_W", "eval_H",
-    "w_many", "h_many",
+    "w_many", "h_many", "afe_square",
     # zeta engines
     "RS_MIN_T", "zeta_em", "zeta_critical",
-    "zeta_critical_grid", "afe_square", "main_sum", "progression_sum",
+    "zeta_critical_grid", "main_sum", "progression_sum",
     "zeta_on_progression",
     # progressions and diophantine machinery
     "ProgressionSpec", "RationalForm", "DiophantineTuple", "minimal_fraction",

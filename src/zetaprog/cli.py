@@ -239,8 +239,7 @@ def _cmd_moment(args, t0):
     _check_run(args, search=None if args.no_predict else "find_tuple")
     window, poly = SmoothWindow(edge=args.edge), _poly_from(args, args.T)
     cont, sample = mmod._continuous_moment(spec, window, args.T, poly, power=2)
-    report = mmod.moment_report(sample, predict=not args.no_predict, eps=args.eps,
-                                continuous=cont)
+    report = mmod.moment_report(sample, cont, predict=not args.no_predict, eps=args.eps)
     results = {**asdict(report), "delta": dmod.delta(spec)}
     params = {**_spec_params(spec), "T": args.T, "edge": args.edge,
               "eps": args.eps, "theta": args.theta,
@@ -383,8 +382,9 @@ def _selftest_checks(rng):
     em = zmod.zeta_em(0.5 + 1j * t_seam)
     rs = zmod.zeta_critical_grid([t_seam])[0]
     checks.append(("zeta_em_vs_rs", abs(em - rs) < 1e-6, f"|em-rs|={abs(em - rs):.2e}"))
-    ts = rng.uniform(100.0, 300.0, size=4)
-    ms_grid = zmod._main_sum_from_zeta(ts, zmod.zeta_critical_grid(ts), 400)
+    t_first, h = rng.uniform(100.0, 200.0), 25.0
+    ts = t_first + h * np.arange(4)
+    ms_grid = zmod._main_sum_on_progression(ts, h, zmod.zeta_on_progression(t_first, h, 4), 400)
     ms_scal = np.array([zmod.main_sum(t, 400) for t in ts])
     checks.append(("main_sum_grid_vs_scalar", float(np.max(np.abs(ms_grid - ms_scal))) < 1e-9,
                    f"max diff {np.max(np.abs(ms_grid - ms_scal)):.2e}"))

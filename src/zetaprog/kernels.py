@@ -1,4 +1,5 @@
-"""Kernel G, smoothing weight W in closed form, and arithmetic transform H.
+"""Kernel G, smoothing weight W in closed form, the AFE square it weights,
+and arithmetic transform H.
 
 The two transforms are defined on a vertical line Re w = sigma:
 
@@ -8,9 +9,14 @@ The two transforms are defined on a vertical line Re w = sigma:
 with G(w) = exp(w^2).  Completing the square in W's integrand gives the
 closed form W(x) = erfc(ln(x)/2)/2, which both `eval_W` and `w_many` return.
 
+afe_square is the smoothed |zeta(1/2+it)|^2 of the approximate functional
+equation, each term weighted by W.
+
 H is computed by the trapezoid rule at a uniform step on the truncated line
-Re w = 1/2, |Im w| <= 12.  The Gaussian decay of G makes the height cut of 12
-already overkill (truncation below 1e-12 of the peak), and on an analytic
+Re w = 1/2, |Im w| <= 12, with zeta(1+2w) from zeta's Euler-Maclaurin
+progression engine (this module imports zeta, never the reverse).  The
+Gaussian decay of G makes the height cut of 12 already overkill
+(truncation below 1e-12 of the peak), and on an analytic
 integrand with that decay the trapezoid error falls like exp(-2*pi*d/step),
 where d = 1/2 is the distance from the line to the pole at w = 0 (Trefethen &
 Weideman, SIAM Review 56, 2014).  The imaginary part of the result is a pure
@@ -33,9 +39,10 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.chebyshev import chebpts1
 
-from .errors import ToleranceError
+from .errors import CapError, ToleranceError
+from .zeta import _euler_maclaurin
 
-__all__ = ["eval_G", "eval_W", "eval_H", "w_many", "h_many", "X_HI"]
+__all__ = ["eval_G", "eval_W", "eval_H", "w_many", "h_many", "afe_square", "X_HI"]
 
 log = logging.getLogger(__name__)
 
@@ -53,6 +60,9 @@ X_HI = 1e4
 _SIGMA = 0.5
 _HEIGHT_CUT = 12.0
 _STEP = 1.0 / 16.0
+
+# afe_square's default cutoff is t^(1 + _AFE_EPSILON).
+_AFE_EPSILON = 0.2
 
 
 def _positive(x, name: str) -> np.ndarray:
@@ -78,27 +88,48 @@ def w_many(x) -> np.ndarray:
     return 0.5 * _erfc(np.log(_positive(x, "w_many")) / 2.0)
 
 
+def afe_square(t: float, cap: float | None = None) -> float:
+    """Smoothed square |zeta(1/2+it)|^2 from the approximate functional equation:
+
+        2 * sum_{N < cap} (W(2*pi*N/t)/sqrt(N)) * Re[N^-it * sum_{d|N} d^2it].
+
+    The double sum over mn = N is regrouped through the divisor sums
+    sigma_2it(N), filled by a d -> multiples sieve in O(cap log cap).
+    """
+    t = float(t)
+    if t < 10.0:
+        raise ValueError("afe_square needs t >= 10")
+    need = t ** (1.0 + _AFE_EPSILON)
+    if cap is None:
+        cap = need
+    if cap < need:
+        raise CapError(f"cap {cap:g} below t^{1.0 + _AFE_EPSILON:g} = {need:g}")
+    X = int(np.floor(cap))
+    d = np.arange(1, X + 1, dtype=float)
+    z = np.exp(2j * t * np.log(d))
+    sig = np.zeros(X + 1, dtype=complex)
+    for dv in range(1, X + 1):
+        sig[dv::dv] += z[dv - 1]
+    N = np.arange(1, X + 1, dtype=float)
+    weight = w_many(2.0 * np.pi * N / t) / np.sqrt(N)
+    assembled = complex(np.sum(weight * np.exp(-1j * t * np.log(N)) * sig[1:]))
+    if abs(assembled.imag) > 1e-8:
+        raise ToleranceError(
+            f"afe_square({t}): imaginary residual {assembled.imag:.3e} exceeds 1e-8")
+    return 2.0 * assembled.real
+
+
 # -- H(x) ---------------------------------------------------------------------
 
 
 @lru_cache(maxsize=1)
 def _zeta_line():
     """Nodes w = _SIGMA + i*h of the truncated line, with trapezoid weights
-    and zeta(1 + 2w) cached at the nodes.
-
-    The nodes s = 1 + 2w are a progression of heights on Re s = 1 + 2 _SIGMA,
-    so zeta_em's Euler-Maclaurin sum is taken for all of them at once: the
-    head sum_{n<N} n^-s by progression_sum at the cutoff N of the highest
-    node, then the tail."""
-    from . import zeta  # deferred: zeta's AFE path imports this module
-
+    and zeta(1 + 2w) cached at the nodes: the heights of s = 1 + 2w are a
+    progression on Re s = 1 + 2 _SIGMA, one zeta._euler_maclaurin run."""
     count = round(_HEIGHT_CUT / _STEP)
     w = _SIGMA + 1j * _STEP * np.arange(-count, count + 1)
-    s = 1.0 + 2.0 * w
-    N = zeta._em_cutoff(s.imag)
-    n = np.arange(1, N)
-    head = zeta.progression_sum(n, n ** (0.5 - s[0].real), s[0].imag, 2.0 * _STEP, len(s))
-    return w, _STEP, zeta._em_tail(s, float(N), head)
+    return w, _STEP, _euler_maclaurin(2.0 * w.imag, 2.0 * _STEP, 1.0 + 2.0 * _SIGMA)
 
 
 def _h_contour(u: np.ndarray) -> np.ndarray:

@@ -15,9 +15,11 @@ with (a, b) the diophantine tuple of the ell-th resonance, nu(ell) its tiny
 frequency defect, and F assembled from the arithmetic transform H(x).  The
 companion first-moment and Dirichlet-polynomial-only corrections (predict_E
 and predict_E_prime) follow the Poisson-summation convention: the transform
-of the lattice comb contributes T * phi_hat(T * frequency) -- note the
-visible T scaling on both factors, which dimensional analysis of the lattice
-sum forces even where display formulas leave it implicit.
+of the lattice comb contributes T * phi_hat at T times the frequency -- note
+the visible T scaling on both factors, which dimensional analysis of the
+lattice sum forces even where display formulas leave it implicit.
+predict_E_prime takes the pair (a, b) at T * phi_hat(-T * nu), the sign
+Poisson summation fixes.
 
 One sampler, sample_progression, evaluates zeta*B and phi(ell/T) at nodes
 ell of the progression, through zeta.zeta_on_progression and
@@ -544,18 +546,18 @@ def predict_E_prime(spec: ProgressionSpec, window: SmoothWindow, T: float,
                     poly: DirichletPoly, eps: float = DEFAULT_EPS) -> float:
     """Predicted correction for the Dirichlet-polynomial-only second moment:
 
-        2 * Re sum over ell of ((a/b)^(i*beta)/sqrt(ab)) * T * phi_hat(T*nu) * F'(a,b).
+        2 * Re sum over ell of ((a/b)^(i*beta)/sqrt(ab)) * T * phi_hat(-T*nu) * F'(a,b).
 
-    The transform is evaluated as T * phi_hat(T * nu): the Poisson summation
-    behind the prediction produces both T factors together, even though the
-    compact display of the correction leaves the scaling implicit.  Every
-    phi_hat comes from one window._phi_hats call.
+    Poisson summation gives the pair (a, b) the share (a/b)^(i*beta)/sqrt(ab)
+    * T * phi_hat(-T * nu), both T factors together, even though the compact
+    display of the correction leaves the scaling implicit.  Every phi_hat
+    comes from one window._phi_hats call.
     """
     terms = [(tup, F_prime(tup.a, tup.b, poly)) for tup in _tuples(spec, T, poly, eps)]
     terms = [(_tuple_phase(spec, tup), fp) for tup, fp in terms if fp != 0.0]
     if not terms:
         return 0.0
-    hats = _phi_hats(window, [T * nu for (nu, _), _ in terms])
+    hats = _phi_hats(window, [-T * nu for (nu, _), _ in terms])
     total = 0.0
     for ((_, pref), fp), hat in zip(terms, hats):
         total += 2.0 * (pref * T * hat * fp).real
@@ -575,18 +577,14 @@ class MomentReport:
     params: dict
 
 
-def moment_report(sample: ProgressionSample, predict: bool = True,
-                  eps: float = DEFAULT_EPS, continuous: Optional[float] = None
-                  ) -> MomentReport:
-    """Second-moment comparison bundle for the integer sample: measured
-    discrete and continuous moments, their difference E, and (optionally)
-    the tuple-machinery prediction for E.  continuous is the continuous
-    second moment where the caller holds it already (the CLI takes it with
-    the sample from _continuous_moment); when None it is computed here."""
+def moment_report(sample: ProgressionSample, continuous: float, predict: bool = True,
+                  eps: float = DEFAULT_EPS) -> MomentReport:
+    """Second-moment comparison bundle for the integer sample: the measured
+    discrete moment, the caller's continuous second moment (the CLI takes
+    both from _continuous_moment), their difference E, and (optionally) the
+    tuple-machinery prediction for E."""
     spec, window, T, poly = sample.spec, sample.window, sample.T, sample.poly
     disc = sample.twisted_sum(2)
-    cont = (continuous_twisted_moment(spec, window, T, poly, power=2)
-            if continuous is None else continuous)
     pred = predict_E(spec, window, T, poly, eps=eps) if predict else float("nan")
     params = {
         "alpha": spec.alpha, "beta": spec.beta, "T": T, "edge": window.edge,
@@ -595,8 +593,8 @@ def moment_report(sample: ProgressionSample, predict: bool = True,
     }
     if isinstance(poly, Mollifier):
         params["theta"] = poly.theta
-    return MomentReport(discrete=disc, continuous=cont, E=disc - cont,
-                        predicted_E=pred, ratio=disc / cont, params=params)
+    return MomentReport(discrete=disc, continuous=continuous, E=disc - continuous,
+                        predicted_E=pred, ratio=disc / continuous, params=params)
 
 
 @dataclass(frozen=True)

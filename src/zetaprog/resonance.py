@@ -12,7 +12,9 @@ window holds exactly.  The top-weighted progression points are where to look
 for an extreme |zeta|; extreme_search compares it with |R| against a constant
 slack, which is no proof where the slack is below max|A - zeta| (see
 ExtremeReport).  R and the search reduce one moments.ProgressionSample over
-its phi > 0 nodes.
+its phi > 0 nodes.  A is zeta._main_sum_on_progression of that sample: its
+own zeta with the Euler-Maclaurin tail at cutoff floor(T) inverted where
+floor(T) >= max|t|/3, else one progression_sum.
 
 The multiplicative coefficients r(p) = L/(sqrt(p) log p), L = sqrt(log N
 log log N), live on primes in [L^2, N] minus an excluded set S.
@@ -155,18 +157,6 @@ def _warn_length(N: int, T: float):
                       "moment-transfer lemma is asymptotic there", ExploratoryWarning)
 
 
-def _main_sum(sample: ProgressionSample, live: np.ndarray) -> np.ndarray:
-    """A = sum_{n <= T} n^(-1/2-it) at the sample's live nodes: from the
-    sample's own zeta with the EM tail inverted where zeta._main_sum_via_zeta
-    allows it, else by progression_sum over n = 1..floor(T)."""
-    M = int(np.floor(sample.T))
-    ts = sample.t[live]
-    if zmod._main_sum_via_zeta(ts, M):
-        return zmod._main_sum_from_zeta(ts, sample.zeta[live], M)
-    return zmod.progression_sum(np.arange(1, M + 1), np.ones(M),
-                                *_progression_run(sample.spec, sample.ell[live]))
-
-
 def _resonate(sample: ProgressionSample, resonator: Resonator):
     """The live-node mask, the resonator mass |B|^2 phi on it, and R."""
     _warn_length(resonator.N, sample.T)
@@ -179,7 +169,9 @@ def _resonate(sample: ProgressionSample, resonator: Resonator):
     if den < 1e-12:
         raise DegenerateDenominatorError(
             f"resonator mass sum {den:.3e} below 1e-12; no usable weight")
-    A = _main_sum(sample, live)
+    h = _progression_run(sample.spec, sample.ell[live])[1]
+    A = zmod._main_sum_on_progression(sample.t[live], h, sample.zeta[live],
+                                      int(np.floor(sample.T)))
     ratio = complex(np.sum(mass * A)) / den
     if abs(ratio.imag) > 1e-2 * abs(ratio):
         warnings.warn(f"resonated average R: imaginary residual {ratio.imag:.3e} above "

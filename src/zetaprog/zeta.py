@@ -1,13 +1,16 @@
-"""Reference evaluation of zeta(s) and the smoothed square |zeta(1/2+it)|^2.
+"""Evaluation of zeta(s): the reference engine and the progression engines.
 
 The reference engine is Euler-Maclaurin with an adaptive cutoff,
 
     zeta(s) = sum_{n<N} n^-s + N^-s/2 + N^(1-s)/(s-1)
               + sum_k B_2k/(2k)! * s(s+1)...(s+2k-2) * N^(-s-2k+1),
 
-valid for every complex s != 1, which is what lets the same engine serve the
-H-transform contour (s = 1+2w, Re s = 2) and the critical line; zeta_em
-keeps its 1e-10 contract from Re s = 1/2 rightwards and refuses the rest.
+valid for every complex s != 1; zeta_em keeps its 1e-10 contract from
+Re s = 1/2 rightwards and refuses the rest.  This module is the only one
+that knows the formula -- its cutoff, its tail, and when the tail can be
+inverted: one progression routine, _euler_maclaurin, serves both the
+critical line (Re s = 1/2) and the H-transform contour (kernels, s = 1+2w,
+Re s = 2), and _main_sum_on_progression gives the resonator its main sum.
 The Bernoulli numbers B_2k are exact rationals (mpmath) rounded once to
 float.  One scalar kernel,
 _dirichlet_sum, serves zeta_em's head, main_sum and moments.eval_poly: the
@@ -43,8 +46,10 @@ Odlyzko-Schoenhage idea, with a matrix product in place of the FFT): with
 j = K*q + r, K = ceil(sqrt(count)), three exponentials per term, about
 2*sqrt(count) complex multiplications per term to fill the step tables, and
 one complex matrix product replace count exponentials per term.  It gives B
-to the progression sampler, the main sum A to the resonator, every head sum
-to zeta_on_progression and zeta(1 + 2w) on the H contour (kernels).
+to the progression sampler, every head sum to the two engines (and so
+zeta(1 + 2w) to the H contour), and the main sum A to the resonator where
+the Euler-Maclaurin tail cannot be inverted.  The module imports no other
+module of the package but errors.
 """
 import math
 from functools import lru_cache
@@ -52,11 +57,10 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from .errors import AccuracyError, CapError, PoleError, ToleranceError
-from .kernels import w_many
+from .errors import AccuracyError, PoleError
 
 __all__ = ["zeta_em", "zeta_critical", "zeta_critical_grid",
-           "afe_square", "main_sum", "progression_sum", "zeta_on_progression"]
+           "main_sum", "progression_sum", "zeta_on_progression"]
 
 _TWO_PI = 2.0 * np.pi
 _TWO_PI_LD = np.longdouble(2) * np.arccos(np.longdouble(-1))
@@ -88,9 +92,6 @@ _EM_HARD_CAP = 1_000_000
 # Bernoulli correction through B_(2*_EM_ORDER) = B_24.
 _EM_MIN_TERMS = 50
 _EM_ORDER = 12
-
-# afe_square's default cutoff is t^(1 + _AFE_EPSILON).
-_AFE_EPSILON = 0.2
 
 
 def _em_tail(s, N, head=0.0):
@@ -210,13 +211,16 @@ def _rs_coeffs(p) -> np.ndarray:
          + D[..., 8] / (5898240 * pi6) + D[..., 12] / (2038431744 * pi8))], axis=-1)
 
 
-def _euler_maclaurin(ts, h) -> np.ndarray:
-    """Euler-Maclaurin zeta(1/2+it) on the progression ts = ts[0] + h*j, at
-    one cutoff N = _em_cutoff(ts) (AccuracyError past _EM_HARD_CAP): the head
-    sum_{n < N} n^(-1/2-it) by progression_sum, then _em_tail."""
+def _euler_maclaurin(ts, h, sigma: float = 0.5) -> np.ndarray:
+    """Euler-Maclaurin zeta(sigma + it) on the progression ts = ts[0] + h*j,
+    at one cutoff N = _em_cutoff(ts) (AccuracyError past _EM_HARD_CAP): the
+    head sum_{n < N} n^(-sigma-it) by progression_sum, its coefficients
+    n^(1/2 - sigma) (exactly 1 on the critical line), then _em_tail.  The
+    critical line takes sigma = 1/2, the H contour (kernels) sigma = 2."""
     N = _em_cutoff(ts)
-    head = progression_sum(np.arange(1, N), np.ones(N - 1), ts[0], h, len(ts))
-    return _em_tail(0.5 + 1j * ts, N, head)
+    n = np.arange(1, N)
+    head = progression_sum(n, n ** (0.5 - sigma), ts[0], h, len(ts))
+    return _em_tail(sigma + 1j * ts, N, head)
 
 
 @lru_cache(maxsize=1)
@@ -280,40 +284,6 @@ def zeta_critical_grid(ts) -> np.ndarray:
     return np.where(ts < 0.0, np.conj(z), z)
 
 
-# -- approximate functional equation ------------------------------------------
-
-
-def afe_square(t: float, cap: float | None = None) -> float:
-    """Smoothed square |zeta(1/2+it)|^2 from the approximate functional equation:
-
-        2 * sum_{N < cap} (W(2*pi*N/t)/sqrt(N)) * Re[N^-it * sum_{d|N} d^2it].
-
-    The double sum over mn = N is regrouped through the divisor sums
-    sigma_2it(N), filled by a d -> multiples sieve in O(cap log cap).
-    """
-    t = float(t)
-    if t < 10.0:
-        raise ValueError("afe_square needs t >= 10")
-    need = t ** (1.0 + _AFE_EPSILON)
-    if cap is None:
-        cap = need
-    if cap < need:
-        raise CapError(f"cap {cap:g} below t^{1.0 + _AFE_EPSILON:g} = {need:g}")
-    X = int(np.floor(cap))
-    d = np.arange(1, X + 1, dtype=float)
-    z = np.exp(2j * t * np.log(d))
-    sig = np.zeros(X + 1, dtype=complex)
-    for dv in range(1, X + 1):
-        sig[dv::dv] += z[dv - 1]
-    N = np.arange(1, X + 1, dtype=float)
-    weight = w_many(_TWO_PI * N / t) / np.sqrt(N)
-    assembled = complex(np.sum(weight * np.exp(-1j * t * np.log(N)) * sig[1:]))
-    if abs(assembled.imag) > 1e-8:
-        raise ToleranceError(
-            f"afe_square({t}): imaginary residual {assembled.imag:.3e} exceeds 1e-8")
-    return 2.0 * assembled.real
-
-
 # -- partial sums --------------------------------------------------------------
 
 
@@ -325,17 +295,16 @@ def main_sum(t: float, cutoff: int) -> complex:
     return _dirichlet_sum(n, n.astype(np.float64) ** (-0.5), float(t))
 
 
-def _main_sum_via_zeta(ts, M: int) -> bool:
-    """Whether the cutoff M lies deep enough inside the Euler-Maclaurin zone
-    (M >= max|t|/3, M >= 50) for sum_{n <= M} n^-s to come from zeta."""
-    return M >= 50 and M >= np.max(np.abs(ts)) / 3.0
-
-
-def _main_sum_from_zeta(ts, zs, M: int):
-    """sum_{n <= M} n^(-1/2-it) = zeta + M^-s/2 - M^(1-s)/(s-1) - C(M), from
-    the values zs = zeta(1/2 + it) at ts (valid where _main_sum_via_zeta)."""
-    s = 0.5 + 1j * np.asarray(ts, dtype=float)
-    return zs - _em_tail(s, M) + np.exp(-s * np.log(M))
+def _main_sum_on_progression(ts, h, zs, M: int) -> np.ndarray:
+    """sum_{n <= M} n^(-1/2-it) on the progression ts = ts[0] + h*j, where
+    zs = zeta(1/2 + it).  Deep inside the Euler-Maclaurin zone (M >= max|t|/3
+    and M >= _EM_MIN_TERMS) it is zs with the tail at cutoff M inverted,
+    zeta + M^-s/2 - M^(1-s)/(s-1) - C(M); elsewhere one progression_sum over
+    n = 1 .. M."""
+    if M >= _EM_MIN_TERMS and M >= np.max(np.abs(ts)) / 3.0:
+        s = 0.5 + 1j * ts
+        return zs - _em_tail(s, M) + np.exp(-s * np.log(M))
+    return progression_sum(np.arange(1, M + 1), np.ones(M), ts[0], h, len(ts))
 
 
 # -- Dirichlet sums sum_k c_k n_k^(-1/2 - it) on a progression -------------------

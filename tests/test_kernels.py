@@ -6,7 +6,9 @@ Gaussian integral collapses); the package returns it directly, so the
 defining integral evaluated by mpmath.quad is its independent oracle.  H is
 tied to W through its defining series H(x) = sum over r of W(r^2/x)/r.
 """
+import ast
 import math
+import pathlib
 
 import mpmath
 import numpy as np
@@ -164,6 +166,27 @@ def test_zeta_line_matches_zeta_em(contour, constants):
     w, _, zv = kernels._zeta_line()
     ref = np.array([zeta_em(1.0 + 2.0 * wi) for wi in w])
     assert np.max(np.abs(zv - ref) / np.abs(ref)) < 1e-14
+
+
+def _relative_imports(node):
+    """The sibling modules named by the relative imports under node."""
+    return {imp.module.split(".")[0] if imp.module else alias.name
+            for imp in ast.walk(node) if isinstance(imp, ast.ImportFrom) and imp.level
+            for alias in imp.names}
+
+
+def test_import_direction():
+    # zeta imports no sibling but errors, and kernels imports zeta at its top:
+    # no import is deferred to break a cycle
+    src = pathlib.Path(kernels.__file__).parent
+    zeta_tree = ast.parse((src / "zeta.py").read_text())
+    kernels_tree = ast.parse((src / "kernels.py").read_text())
+    assert _relative_imports(zeta_tree) == {"errors"}
+    assert "zeta" in _relative_imports(kernels_tree)
+    deferred = [imp.lineno for fn in ast.walk(kernels_tree)
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for imp in ast.walk(fn) if isinstance(imp, (ast.Import, ast.ImportFrom))]
+    assert deferred == []
 
 
 def test_h_positive_and_increasing():

@@ -284,14 +284,6 @@ def test_continuous_moment_cuts_the_integer_sample(window, spec, T, theta, power
     assert np.max(np.abs(cut.B - direct.B)) <= 1e-12 * np.max(np.abs(direct.B))
 
 
-def test_moment_report_takes_the_callers_continuous(unit_spec, window):
-    # the CLI passes the continuous moment it computed with the sample; the
-    # report is the one moment_report computes itself
-    one = DirichletPoly.one()
-    value, sample = mmod._continuous_moment(unit_spec, window, 300.0, one, power=2)
-    assert moment_report(sample, continuous=value) == moment_report(sample)
-
-
 def test_moment_T_validation(unit_spec, window):
     for T in (0.0, -1.0, math.nan, math.inf):
         for moment in (discrete_twisted_moment, continuous_twisted_moment):
@@ -311,7 +303,9 @@ def test_discrete_near_continuous_alpha_one(unit_spec, window):
 
 
 def test_moment_report_consistency(unit_spec, window):
-    rep = moment_report(sample_progression(unit_spec, window, 300.0, DirichletPoly.one()))
+    one = DirichletPoly.one()
+    rep = moment_report(sample_progression(unit_spec, window, 300.0, one),
+                        continuous_twisted_moment(unit_spec, window, 300.0, one, power=2))
     assert isinstance(rep, MomentReport)
     assert rep.E == rep.discrete - rep.continuous
     assert rep.ratio == rep.discrete / rep.continuous
@@ -557,20 +551,25 @@ def test_predict_e_prime_trivial_poly(unit_spec, sym_spec, window):
 
 def test_predict_e_prime_symbolic_matches_measurement(sym_spec, window):
     # the central polynomial-only closure: measured discrete-minus-continuous
-    # for |B|^2 against 2 Re sum of T*phi_hat(T nu)*F'(a,b)/sqrt(ab).
-    T = 2000.0
-    moll = mollifier_coeffs(T, 0.3)
-    pred = predict_E_prime(sym_spec, window, T, moll)
-    ell = np.arange(math.ceil(T), math.floor(2 * T) + 1, dtype=float)
-    w = window.phi(ell / T)
-    B = poly_grid(moll, sym_spec.alpha * ell + sym_spec.beta)
-    disc = float(np.sum(w * (B * np.conj(B)).real))
-    t, wq = gl_panels(T, 2 * T, 4000, 10)
-    Bq = poly_grid(moll, sym_spec.alpha * t + sym_spec.beta)
-    cont = float(np.sum(wq * window.phi(t / T) * (Bq * np.conj(Bq)).real))
-    measured = disc - cont
-    assert measured == pytest.approx(pred, rel=0.01)
-    assert abs(measured) > 100.0  # the correction is macroscopic, not noise
+    # for |B|^2 against 2 Re sum of T*phi_hat(-T nu)*F'(a,b)/sqrt(ab).  The
+    # second case, B = 1 + 0.8 * 3^-s just off the rational alpha = 2pi/ln 3
+    # with beta != 0, has the tuple (3, 1) at ell = 1 with nu != 0: only
+    # phi_hat(-T nu) gives its measured sign and size.
+    near3 = ProgressionSpec(alpha=TWO_PI * (1 + 1.5e-4) / math.log(3), beta=-4.0)
+    cases = [(sym_spec, 2000.0, mollifier_coeffs(2000.0, 0.3)),
+             (near3, 5000.0, DirichletPoly(np.array([0.0, 1.0, 0.0, 0.8])))]
+    for spec, T, poly in cases:
+        pred = predict_E_prime(spec, window, T, poly)
+        ell = np.arange(math.ceil(T), math.floor(2 * T) + 1, dtype=float)
+        w = window.phi(ell / T)
+        B = poly_grid(poly, spec.alpha * ell + spec.beta)
+        disc = float(np.sum(w * (B * np.conj(B)).real))
+        t, wq = gl_panels(T, 2 * T, 4000, 10)
+        Bq = poly_grid(poly, spec.alpha * t + spec.beta)
+        cont = float(np.sum(wq * window.phi(t / T) * (Bq * np.conj(Bq)).real))
+        measured = disc - cont
+        assert measured == pytest.approx(pred, rel=0.01)
+        assert abs(measured) > 100.0  # the correction is macroscopic, not noise
 
 
 def test_predict_e_prime_alpha_one_small(unit_spec, window):

@@ -237,16 +237,18 @@ def test_main_sum_long_cutoff_approximates_zeta():
 
 
 def test_main_sum_grid_inversion_regime(rng):
-    # with the cutoff M >= max|t|/3 the resonator takes the main sum from zeta
-    # by the Euler-Maclaurin tail inversion
+    # with the cutoff M >= max|t|/3 the main sum on a progression comes from
+    # zeta by the Euler-Maclaurin tail inversion
     # Sum_{n<=M} n^-s = zeta(s) + M^-s/2 - M^(1-s)/(s-1) - C(M); agreement
     # with the direct scalar sum validates both the formula and the zeta
-    # engine behind it.
-    ts = rng.uniform(1000, 2000, 15)
-    assert zmod._main_sum_via_zeta(ts, 1000)
-    grid = zmod._main_sum_from_zeta(ts, zeta_critical_grid(ts), 1000)
-    for t, v in zip(ts, grid):
-        assert abs(v - main_sum(float(t), 1000)) < 1e-10
+    # engine behind it.  With M < max|t|/3 it is one progression_sum.
+    t0, h = rng.uniform(1000.0, 1400.0), 37.0
+    ts = t0 + h * np.arange(15)
+    for M, inverted in ((1000, True), (300, False)):
+        assert (M >= np.max(np.abs(ts)) / 3.0) == inverted
+        grid = zmod._main_sum_on_progression(ts, h, zeta_on_progression(t0, h, 15), M)
+        for t, v in zip(ts, grid):
+            assert abs(v - main_sum(float(t), M)) < 1e-10
 
 
 def test_main_sum_validation():

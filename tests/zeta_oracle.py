@@ -5,8 +5,7 @@ at random heights.  Their Dirichlet sums use plain float64 exponentials,
 not the package's baby-step giant-step kernel."""
 import numpy as np
 
-from zetaprog.zeta import (RS_MIN_T, _em_tail, _main_sum_from_zeta, _main_sum_via_zeta,
-                           _rs_coeffs, _theta)
+from zetaprog.zeta import RS_MIN_T, _em_tail, _rs_coeffs, _theta
 
 _TWO_PI = 2.0 * np.pi
 
@@ -97,6 +96,7 @@ def main_sum_grid(ts, M: int) -> np.ndarray:
     Euler-Maclaurin tail removed where the package's resonator would do so
     (M >= max|t|/3), else the direct sum."""
     ts = np.asarray(ts, dtype=float)
-    if _main_sum_via_zeta(ts, M):
-        return _main_sum_from_zeta(ts, zeta_grid(ts), M)
+    if M >= 50 and M >= np.max(np.abs(ts)) / 3.0:
+        s = 0.5 + 1j * ts
+        return zeta_grid(ts) - _em_tail(s, M) + np.exp(-s * np.log(M))
     return _direct_sum(M, ts)
