@@ -24,7 +24,7 @@ ns, bs = moll.nonzero()
 for n, b in zip(ns, bs):
     print(f"  b({n}) = {b:+.6f}")
 
-I = zp.discrete_twisted_moment(spec1, window, T, moll, power=1)
+I = zp.sample_progression(spec1, window, T, moll).twisted_sum(1)
 ref = T * window.phi_hat(0.0).real
 print(f"\nalpha=1:  I = {I:.4f}   T*phi_hat(0) = {ref:.2f}   "
       f"|deviation| = {abs(I - ref):.2f}")
@@ -34,7 +34,7 @@ print(f"\nalpha=1:  I = {I:.4f}   T*phi_hat(0) = {ref:.2f}   "
 # only like 1/ln T.  The deviation is ~0.83*T here and crosses 0.25*T
 # around T ~ 2e9 -- visible structure, not noise.
 sym = zp.ProgressionSpec.from_rational(1, 2, 1)
-I2 = zp.discrete_twisted_moment(sym, window, T, moll, power=1)
+I2 = zp.sample_progression(sym, window, T, moll).twisted_sum(1)
 print(f"sym:      I = {I2:.4f}   deviation = {abs(I2 - ref):.2f} "
       f"(~{abs(I2 - ref) / T:.2f}*T; decays like 1/ln T)")
 

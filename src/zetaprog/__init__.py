@@ -22,10 +22,9 @@ from .errors import (AccuracyError, CapError, DegenerateDenominatorError,
 from .kernels import afe_square, eval_G, eval_H, eval_W, h_many, w_many
 from .moments import (CapWarning, DirichletPoly, Mollifier, MomentReport,
                       NonvanishingReport, ProgressionSample, F_func, F_func_series,
-                      F_prime, H_ell, continuous_twisted_moment, discrete_twisted_moment,
-                      empirical_nonvanishing, eval_poly, moment_report,
-                      mollifier_coeffs, nonvanishing_bound, predict_E, predict_E_prime,
-                      sample_progression)
+                      F_prime, H_ell, continuous_twisted_moment, empirical_nonvanishing,
+                      eval_poly, moment_report, mollifier_coeffs, nonvanishing_bound,
+                      predict_E, predict_E_prime, sample_progression)
 from .resonance import (EulerPrediction, ExploratoryWarning, ExtremeReport, ResidualWarning,
                         Resonator, build_excluded_set, euler_product_prediction,
                         extreme_search, ratio_R, resonator_coeffs)
@@ -51,8 +50,7 @@ __all__ = [
     # moments
     "DirichletPoly", "Mollifier", "MomentReport", "NonvanishingReport",
     "ProgressionSample", "sample_progression", "mollifier_coeffs", "eval_poly",
-    "discrete_twisted_moment", "continuous_twisted_moment", "F_func",
-    "F_func_series", "F_prime", "H_ell",
+    "continuous_twisted_moment", "F_func", "F_func_series", "F_prime", "H_ell",
     "predict_E", "predict_E_prime", "moment_report", "nonvanishing_bound",
     "empirical_nonvanishing", "CapWarning",
     # resonance

@@ -16,8 +16,8 @@ cells are written by repr.  orjson is imported by the first run that writes
 a table, so import and runs without --csv do not load it.
 
 moment and firstmoment evaluate zeta*B once per node: their integer sample
-is cut from the continuous moment's start level, which holds every integer
-in [T, 2T] (moments._continuous_moment).
+is the one moments.continuous_twisted_moment returns, cut from its start
+level, which holds every integer in [T, 2T].
 
 Reports are byte-deterministic for a fixed configuration and seed except for
 the run_meta block (wall time cannot be replayed); consumers comparing runs
@@ -238,7 +238,7 @@ def _cmd_moment(args, t0):
     spec = _spec_from(args)
     _check_run(args, search=None if args.no_predict else "find_tuple")
     window, poly = SmoothWindow(edge=args.edge), _poly_from(args, args.T)
-    cont, sample = mmod._continuous_moment(spec, window, args.T, poly, power=2)
+    cont, sample = mmod.continuous_twisted_moment(spec, window, args.T, poly, power=2)
     report = mmod.moment_report(sample, cont, predict=not args.no_predict, eps=args.eps)
     results = {**asdict(report), "delta": dmod.delta(spec)}
     params = {**_spec_params(spec), "T": args.T, "edge": args.edge,
@@ -287,7 +287,7 @@ def _cmd_firstmoment(args, t0):
     spec = _spec_from(args)
     _check_run(args, search="find_tuple")
     window, poly = SmoothWindow(edge=args.edge), _poly_from(args, args.T)
-    cont, sample = mmod._continuous_moment(spec, window, args.T, poly, power=1)
+    cont, sample = mmod.continuous_twisted_moment(spec, window, args.T, poly, power=1)
     disc = sample.twisted_sum(1)
     pred = mmod.predict_E_prime(spec, window, args.T, poly, eps=args.eps)
     ref = args.T * window.phi_hat(0.0).real

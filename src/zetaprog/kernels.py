@@ -171,12 +171,17 @@ _H_PANEL_WIDTH = (_HU_HI - _HU_LO) / _H_PANELS
 @lru_cache(maxsize=1)
 def _h_table() -> np.ndarray:
     """Interpolants of H(exp(u)) at each panel's Chebyshev points: row k holds
-    every panel's coefficient of s^(_H_DEG - k), s in [-1, 1] across the panel."""
+    every panel's coefficient of s^(_H_DEG - k), s in [-1, 1] across the panel.
+    ToleranceError when the contour's imaginary residual at a node exceeds
+    1e-8, as in eval_H."""
     s = chebpts1(_H_DEG + 1)
     mids = _HU_LO + _H_PANEL_WIDTH * (np.arange(_H_PANELS) + 0.5)
     u = np.add.outer(mids, 0.5 * _H_PANEL_WIDTH * s)
-    vals = _h_contour(u.ravel()).real.reshape(u.shape)
-    return np.linalg.solve(np.vander(s), vals.T)
+    vals = _h_contour(u.ravel())
+    residual = float(np.max(np.abs(vals.imag)))
+    if residual > 1e-8:
+        raise ToleranceError(f"H table: imaginary residual {residual:.3e} exceeds 1e-8")
+    return np.linalg.solve(np.vander(s), vals.real.reshape(u.shape).T)
 
 
 def h_many(x) -> np.ndarray:

@@ -29,14 +29,15 @@ moments, the nonvanishing bound and the resonator search share one sample
 of the integers in [T, 2T].  Every integral is the nested dyadic trapezoid
 of quadrature.py: the continuous moment samples the progression at the
 points ell = j / 2^k of [T, 2T] (its start level holds the integers, and
-_continuous_moment cuts the integer sample from it, so a run that needs
-both evaluates each node once), from a 2^k above the integrand's top
-frequency alpha/2pi * log(t_max * len(B) / 2pi) plus 16 nodes across each
-window ramp, where the trapezoid of a band-limited integrand under a smooth
-window is exact; where the heights pass through 0, zeta's pole at s = 1
-narrows the strip of analyticity, and the start stays above every tuple
-frequency (the bound _default_ell_max that predict_E also sums to).  The
-same zeta engine feeds both sides of E, so engine error cancels in it.
+continuous_twisted_moment returns the integer sample cut from it, so the
+discrete moment costs no evaluation of its own), from a 2^k above the
+integrand's top frequency alpha/2pi * log(t_max * len(B) / 2pi) plus 16
+nodes across each window ramp, where the trapezoid of a band-limited
+integrand under a smooth window is exact; where the heights pass through 0,
+zeta's pole at s = 1 narrows the strip of analyticity, and the start stays
+above every tuple frequency (the bound _default_ell_max that predict_E also
+sums to).  The same zeta engine feeds both sides of E, so engine error
+cancels in it.
 
 The correction integrals share phi_hat's windowed transform
 (window._windowed_transform), which takes an array of frequencies and
@@ -62,7 +63,7 @@ import numpy as np
 
 from . import zeta as zmod
 from .dioph import DEFAULT_EPS, ProgressionSpec, find_tuple
-from .errors import CapError
+from .errors import CapError, DegenerateDenominatorError
 from .kernels import h_many, w_many
 from .quadrature import NODE_CAP, nested_trapezoid, start_level
 from .sieves import mobius_table
@@ -71,7 +72,7 @@ from .window import SmoothWindow, _phi_hats, _windowed_transform
 __all__ = ["DirichletPoly", "Mollifier", "MomentReport", "NonvanishingReport",
            "ProgressionSample", "sample_progression",
            "mollifier_coeffs", "eval_poly",
-           "discrete_twisted_moment", "continuous_twisted_moment",
+           "continuous_twisted_moment",
            "F_func", "F_func_series", "F_prime", "H_ell",
            "predict_E", "predict_E_prime", "moment_report",
            "nonvanishing_bound", "empirical_nonvanishing", "CapWarning"]
@@ -256,19 +257,13 @@ def _sample_at(spec: ProgressionSpec, window: SmoothWindow, T: float, poly: Diri
 # -- moments -------------------------------------------------------------------
 
 
-def discrete_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: float,
-                            poly: DirichletPoly, power: int):
-    """sum over integers ell in [T, 2T] of (zeta*B)(1/2+i(alpha*ell+beta)) weighted:
-
-    power=2 gives the real sum of |zeta*B|^2 * phi(ell/T); power=1 the complex
-    sum of zeta*B*phi(ell/T).
-    """
-    return sample_progression(spec, window, T, poly).twisted_sum(power)
-
-
 def continuous_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: float,
                               poly: DirichletPoly, power: int):
-    """integral over ell in [T, 2T] of the same integrand, to 1e-4 relative.
+    """(value, integers): value is the integral over ell in [T, 2T] of
+    phi(ell/T) * |zeta*B|^2 (power=2, real) or of phi(ell/T) * zeta*B
+    (power=1, complex), to 1e-4 relative; integers is the sample of the
+    integers in [T, 2T], cut from the rule's start level, so every node is
+    evaluated once.  integers.twisted_sum(power) is the discrete moment.
 
     The rule is quadrature.nested_trapezoid on the dyadic points ell = j / 2^k
     of [T, 2T], from the start density of _continuous_density.  The
@@ -282,22 +277,11 @@ def continuous_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: fl
     Each level is one sample of the progression.  Two successive levels
     agreeing to 1e-4 relative are accepted; QuadratureError when none do,
     or, before any evaluation, when the start step exceeds the rule's node
-    budget.  The start level holds every integer in [T, 2T];
-    _continuous_moment also returns the sample there, and the CLI's moment
-    and firstmoment take their discrete moment from it.
-    """
-    return _continuous_moment(spec, window, T, poly, power)[0]
-
-
-def _continuous_moment(spec: ProgressionSpec, window: SmoothWindow, T: float,
-                       poly: DirichletPoly, power: int):
-    """(continuous_twisted_moment, the sample of the integers in [T, 2T]),
-    every node evaluated once.
-
-    The start level's step is 1 / per_unit with per_unit a power of two >= 1,
-    so the integer ell is its node j = per_unit * ell.  Only those rows of
-    zeta and B are copied, with ell, t and phi built as sample_progression
-    builds them, so the rest of the level is freed once its sum is taken.
+    budget.  The start level's step is 1 / per_unit with per_unit a power of
+    two >= 1, so the integer ell is its node j = per_unit * ell.  Only those
+    rows of zeta and B are copied, with ell, t and phi built as
+    sample_progression builds them, so the rest of the level is freed once
+    its sum is taken.
     """
     _check_power(power)
     _check_T(T)
@@ -581,8 +565,11 @@ def moment_report(sample: ProgressionSample, continuous: float, predict: bool = 
                   eps: float = DEFAULT_EPS) -> MomentReport:
     """Second-moment comparison bundle for the integer sample: the measured
     discrete moment, the caller's continuous second moment (the CLI takes
-    both from _continuous_moment), their difference E, and (optionally) the
-    tuple-machinery prediction for E."""
+    both from continuous_twisted_moment), their difference E, and (optionally)
+    the tuple-machinery prediction for E.  DegenerateDenominatorError when the
+    continuous moment is 0."""
+    if continuous == 0.0:
+        raise DegenerateDenominatorError("the continuous moment is 0: the ratio is undefined")
     spec, window, T, poly = sample.spec, sample.window, sample.T, sample.poly
     disc = sample.twisted_sum(2)
     pred = predict_E(spec, window, T, poly, eps=eps) if predict else float("nan")
@@ -609,12 +596,16 @@ def nonvanishing_bound(sample: ProgressionSample) -> NonvanishingReport:
     """Cauchy-Schwarz lower bound |I|^2/(T*J) on the proportion of sampled
     points where zeta * mollifier does not vanish, with the asymptotic
     target reported alongside.  I and J are the first and second twisted
-    sums of the sample, whose polynomial must be a Mollifier."""
+    sums of the sample, whose polynomial must be a Mollifier;
+    DegenerateDenominatorError when J is 0, as where no node has phi > 0."""
     moll = sample.poly
     if not isinstance(moll, Mollifier):
         raise ValueError("nonvanishing_bound needs a sample of a Mollifier")
     first = sample.twisted_sum(1)
     second = sample.twisted_sum(2)
+    if second == 0.0:
+        raise DegenerateDenominatorError("the second moment J is 0: the bound "
+                                         "|I|^2 / (T*J) is undefined")
     bound = abs(first) ** 2 / (sample.T * second)
     target = moll.theta / (moll.theta + 1.0) * sample.window.plateau_mass
     return NonvanishingReport(bound=bound, target=target,

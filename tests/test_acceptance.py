@@ -39,8 +39,8 @@ def test_acceptance_1_delta_ratio(sym_spec, window):
     t0 = time.time()
     T = 2000.0
     one = zp.DirichletPoly.one()
-    disc = zp.discrete_twisted_moment(sym_spec, window, T, one, power=2)
-    cont = zp.continuous_twisted_moment(sym_spec, window, T, one, power=2)
+    disc = zp.sample_progression(sym_spec, window, T, one).twisted_sum(2)
+    cont = zp.continuous_twisted_moment(sym_spec, window, T, one, power=2)[0]
     ratio = disc / cont
     target = 3.0 + 2.0 * math.sqrt(2.0)
     lo, hi = 0.8 * target, 1.2 * target
@@ -63,8 +63,8 @@ def test_acceptance_1_delta_ratio(sym_spec, window):
 def test_acceptance_2_integer_sampling(unit_spec, window):
     T = 2000.0
     for poly in (zp.mollifier_coeffs(T, 0.3), zp.DirichletPoly.one()):
-        disc = zp.discrete_twisted_moment(unit_spec, window, T, poly, power=2)
-        cont = zp.continuous_twisted_moment(unit_spec, window, T, poly, power=2)
+        disc = zp.sample_progression(unit_spec, window, T, poly).twisted_sum(2)
+        cont = zp.continuous_twisted_moment(unit_spec, window, T, poly, power=2)[0]
         ok = abs(disc - cont) <= 0.1 * cont
         _line(ok, "criterion-2",
               f"poly length {poly.length}: |disc-cont|/cont="
@@ -86,8 +86,8 @@ def test_acceptance_3_closure_grid(window):
     ]
     for spec in specs:
         for poly in (zp.DirichletPoly.one(), zp.mollifier_coeffs(T, 0.3)):
-            disc = zp.discrete_twisted_moment(spec, window, T, poly, power=2)
-            cont = zp.continuous_twisted_moment(spec, window, T, poly, power=2)
+            disc = zp.sample_progression(spec, window, T, poly).twisted_sum(2)
+            cont = zp.continuous_twisted_moment(spec, window, T, poly, power=2)[0]
             E = disc - cont
             pred = zp.predict_E(spec, window, T, poly)
             tol = max(0.1 * abs(E), 0.05 * cont)
@@ -136,7 +136,7 @@ def test_acceptance_5_first_moment_alpha_one(window):
     T = 500.0
     spec = zp.ProgressionSpec(alpha=1.0)
     moll = zp.mollifier_coeffs(T, 0.3)
-    I = zp.discrete_twisted_moment(spec, window, T, moll, power=1)
+    I = zp.sample_progression(spec, window, T, moll).twisted_sum(1)
     dev = abs(I - T * window.phi_hat(0.0).real)
     ok = dev <= 0.25 * T
     _line(ok, "criterion-5 (alpha=1)", f"deviation {dev:.2f} (<= {0.25 * T:.0f})")
@@ -149,7 +149,7 @@ def test_acceptance_5_first_moment_symbolic(window):
     T = 500.0
     spec = zp.ProgressionSpec.from_rational(1, 2, 1)
     moll = zp.mollifier_coeffs(T, 0.3)
-    I = zp.discrete_twisted_moment(spec, window, T, moll, power=1)
+    I = zp.sample_progression(spec, window, T, moll).twisted_sum(1)
     dev = abs(I - T * window.phi_hat(0.0).real)
     ok = dev <= 0.25 * T
     _line(ok, "criterion-5 (alpha=2pi/ln2)", f"deviation {dev:.2f} (<= {0.25 * T:.0f})")

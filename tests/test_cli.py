@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, JSON/CSV shape, determinism."""
 import argparse
+import ast
 import contextlib
 import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -453,8 +455,8 @@ def test_cli_samples_progression_once(argv, A_by_kernel, tmp_path, monkeypatch):
                         counting("kernel", cli.zmod.progression_sum,
                                  lambda ns, coeffs, t0, h, count, starts=None: (t0, h, count)))
     monkeypatch.setattr(cli.zmod, "zeta_critical_grid", unreachable)
-    monkeypatch.setattr(cli.mmod, "_continuous_moment",
-                        scoped("continuous", cli.mmod._continuous_moment))
+    monkeypatch.setattr(cli.mmod, "continuous_twisted_moment",
+                        scoped("continuous", cli.mmod.continuous_twisted_moment))
     monkeypatch.setattr(cli.rmod, "extreme_search",
                         scoped("resonator", cli.rmod.extreme_search))
     csv = tmp_path / "rows.csv"
@@ -505,6 +507,18 @@ def test_cli_samples_progression_once(argv, A_by_kernel, tmp_path, monkeypatch):
         # the first row is ell = T, where phi (and so the resonator mass) is 0
         col = header.split(",").index("resonator_mass" if argv[0] == "resonate" else "phi")
         assert float(rows[0].split(",")[col]) == 0.0
+
+
+def test_cli_reads_public_moments_and_prechecks():
+    # of moments' private names the CLI reads only the _check_* pre-checks,
+    # which refuse a configuration before any work; every computation goes
+    # through a public name
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    private = {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id == "mmod" and node.attr.startswith("_")}
+    assert "_check_sample_budget" in private
+    assert {name for name in private if not name.startswith("_check_")} == set()
 
 
 def test_csv_column_matches_cell():

@@ -16,6 +16,7 @@ import pytest
 from scipy.special import erfc
 
 from zetaprog import eval_G, eval_H, eval_W, h_many, kernels, w_many, zeta_em
+from zetaprog.errors import ToleranceError
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -212,6 +213,19 @@ def test_h_many_matches_scalar(rng):
     vals = h_many(xs)
     for x, v in zip(xs, vals):
         assert abs(v - eval_H(float(x))) < 1e-9
+
+
+def test_h_table_checks_imaginary_residual(monkeypatch):
+    # every h_many value comes from the table, so the contour's imaginary
+    # residual is checked where the table is built, at eval_H's 1e-8
+    contour = kernels._h_contour
+    monkeypatch.setattr(kernels, "_h_contour", lambda u: contour(u) + 1e-6j)
+    kernels._h_table.cache_clear()
+    try:
+        with pytest.raises(ToleranceError, match="imaginary residual"):
+            h_many(np.array([0.5, 5.0]))
+    finally:
+        kernels._h_table.cache_clear()
 
 
 def test_many_cover_out_of_range_branches():

@@ -22,13 +22,12 @@ from zeta_oracle import poly_grid, zeta_grid
 from zetaprog import (CapWarning, DirichletPoly, F_func, F_func_series,
                       F_prime, H_ell, MomentReport, ProgressionSpec,
                       SmoothWindow, continuous_twisted_moment, delta,
-                      discrete_twisted_moment, empirical_nonvanishing,
-                      eval_H, eval_poly, find_tuple, main_sum,
+                      empirical_nonvanishing, eval_H, eval_poly, find_tuple, main_sum,
                       mollifier_coeffs, moment_report, nonvanishing_bound,
                       predict_E, predict_E_prime, sample_progression)
 from zetaprog import moments as mmod
 from zetaprog import zeta as zmod
-from zetaprog.errors import CapError, QuadratureError
+from zetaprog.errors import CapError, DegenerateDenominatorError, QuadratureError
 from zetaprog.quadrature import start_level
 
 TWO_PI = 2.0 * math.pi
@@ -144,7 +143,7 @@ def test_eval_poly_conjugation_exact():
 
 def test_discrete_moment_empty_window_is_zero(unit_spec, window):
     # no integer ell lies in (0.4, 0.8): the sampled moment is empty
-    assert discrete_twisted_moment(unit_spec, window, 0.4, DirichletPoly.one(), power=2) == 0.0
+    assert sample_progression(unit_spec, window, 0.4, DirichletPoly.one()).twisted_sum(2) == 0.0
 
 
 def test_sample_rejects_unequally_spaced_nodes(unit_spec, window):
@@ -160,20 +159,21 @@ def test_sample_rejects_unequally_spaced_nodes(unit_spec, window):
 
 def test_discrete_moment_power_validation(unit_spec, window):
     with pytest.raises(ValueError):
-        discrete_twisted_moment(unit_spec, window, 500.0, DirichletPoly.one(), power=3)
+        sample_progression(unit_spec, window, 500.0, DirichletPoly.one()).twisted_sum(3)
 
 
 def test_second_moments_are_nonnegative(unit_spec, window):
     one = DirichletPoly.one()
-    assert discrete_twisted_moment(unit_spec, window, 300.0, one, power=2) > 0.0
-    assert continuous_twisted_moment(unit_spec, window, 300.0, one, power=2) > 0.0
+    cont, sample = continuous_twisted_moment(unit_spec, window, 300.0, one, power=2)
+    assert sample.twisted_sum(2) > 0.0
+    assert cont > 0.0
 
 
 def test_continuous_matches_classical_mean(unit_spec, window):
     # the continuous second moment integrates |zeta|^2 against phi(t/T);
     # the classical law gives integrand density ln(t/2pi) + 2*gamma.
     T = 2000.0
-    cont = continuous_twisted_moment(unit_spec, window, T, DirichletPoly.one(), power=2)
+    cont = continuous_twisted_moment(unit_spec, window, T, DirichletPoly.one(), power=2)[0]
     t, w = gl_panels(T, 2 * T, 4000, 10)
     bench = float(np.sum(w * window.phi(t / T) * (np.log(t / TWO_PI) + 2 * EULER_GAMMA)))
     assert abs(cont - bench) < 0.01 * bench
@@ -212,7 +212,7 @@ def test_continuous_matches_dense_gl(window, spec, T, theta, panels_per_unit):
     wq = wq * window.phi(t / T)
     refs = {1: complex(np.sum(wq * vals)), 2: float(np.sum(wq * (vals * np.conj(vals)).real))}
     for power, ref in refs.items():
-        got = continuous_twisted_moment(spec, window, T, poly, power=power)
+        got = continuous_twisted_moment(spec, window, T, poly, power=power)[0]
         assert abs(got - ref) <= 1e-10 * abs(ref), (power, got, ref)
 
 
@@ -266,11 +266,11 @@ def test_continuous_moment_cuts_the_integer_sample(window, spec, T, theta, power
     # The start level's step is 1/per_unit, so its every per_unit-th node is
     # an integer; the sample cut there has sample_progression's ell, t and
     # phi bit for bit, and zeta and B from a run of per_unit times the
-    # step, equal to the last digits (exactly, at one node per unit).
+    # step, equal to the last digits (exactly, at one node per unit); its
+    # twisted_sum is the discrete moment.
     poly = mollifier_coeffs(T, theta) if theta is not None else DirichletPoly.one()
     assert start_level(T, 2.0 * T, mmod._continuous_density(spec, window, T, poly))[0] == per_unit
-    value, cut = mmod._continuous_moment(spec, window, T, poly, power)
-    assert value == continuous_twisted_moment(spec, window, T, poly, power)
+    _, cut = continuous_twisted_moment(spec, window, T, poly, power)
     direct = sample_progression(spec, window, T, poly)
     for name in ("ell", "t", "phi"):
         got, want = getattr(cut, name), getattr(direct, name)
@@ -282,13 +282,16 @@ def test_continuous_moment_cuts_the_integer_sample(window, spec, T, theta, power
         assert np.array_equal(cut.zeta, direct.zeta) and np.array_equal(cut.B, direct.B)
     assert np.max(np.abs(cut.zeta - direct.zeta)) <= 1e-12
     assert np.max(np.abs(cut.B - direct.B)) <= 1e-12 * np.max(np.abs(direct.B))
+    want = direct.twisted_sum(power)
+    assert abs(cut.twisted_sum(power) - want) <= 1e-12 * abs(want)
 
 
 def test_moment_T_validation(unit_spec, window):
     for T in (0.0, -1.0, math.nan, math.inf):
-        for moment in (discrete_twisted_moment, continuous_twisted_moment):
-            with pytest.raises(ValueError):
-                moment(unit_spec, window, T, DirichletPoly.one(), power=2)
+        with pytest.raises(ValueError):
+            sample_progression(unit_spec, window, T, DirichletPoly.one()).twisted_sum(2)
+        with pytest.raises(ValueError):
+            continuous_twisted_moment(unit_spec, window, T, DirichletPoly.one(), power=2)
 
 
 def test_discrete_near_continuous_alpha_one(unit_spec, window):
@@ -297,19 +300,27 @@ def test_discrete_near_continuous_alpha_one(unit_spec, window):
     # T=500.
     T = 500.0
     one = DirichletPoly.one()
-    disc = discrete_twisted_moment(unit_spec, window, T, one, power=2)
-    cont = continuous_twisted_moment(unit_spec, window, T, one, power=2)
-    assert abs(disc - cont) <= 0.25 * cont
+    cont, sample = continuous_twisted_moment(unit_spec, window, T, one, power=2)
+    assert abs(sample.twisted_sum(2) - cont) <= 0.25 * cont
 
 
 def test_moment_report_consistency(unit_spec, window):
     one = DirichletPoly.one()
-    rep = moment_report(sample_progression(unit_spec, window, 300.0, one),
-                        continuous_twisted_moment(unit_spec, window, 300.0, one, power=2))
+    cont, sample = continuous_twisted_moment(unit_spec, window, 300.0, one, power=2)
+    rep = moment_report(sample, cont)
     assert isinstance(rep, MomentReport)
     assert rep.E == rep.discrete - rep.continuous
     assert rep.ratio == rep.discrete / rep.continuous
     assert rep.predicted_E is not None
+
+
+def test_moment_report_refuses_zero_continuous(unit_spec, window):
+    # B = 0 makes the continuous moment exactly 0, and the ratio undefined
+    cont, sample = continuous_twisted_moment(unit_spec, window, 300.0,
+                                             DirichletPoly(values=[0.0, 0.0, 0.0]), power=2)
+    assert cont == 0.0
+    with pytest.raises(DegenerateDenominatorError):
+        moment_report(sample, cont, predict=False)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +526,7 @@ def test_predict_e_sums_h_ell(spec, T, theta, window):
 def test_predict_e_alpha_one_negligible(unit_spec, window):
     T = 2000.0
     pred = predict_E(unit_spec, window, T, DirichletPoly.one())
-    cont = continuous_twisted_moment(unit_spec, window, T, DirichletPoly.one(), power=2)
+    cont = continuous_twisted_moment(unit_spec, window, T, DirichletPoly.one(), power=2)[0]
     assert pred == 0.0
     assert abs(pred) <= 0.05 * cont
 
@@ -528,7 +539,7 @@ def test_predict_e_symbolic_tracks_delta(sym_spec, window):
     T = 2000.0
     one = DirichletPoly.one()
     pred = predict_E(sym_spec, window, T, one)
-    cont = continuous_twisted_moment(sym_spec, window, T, one, power=2)
+    cont = continuous_twisted_moment(sym_spec, window, T, one, power=2)[0]
     d = delta(sym_spec)
     assert abs(pred / cont - d) <= 0.30 * d
 
@@ -602,8 +613,8 @@ def test_mollifier_damping(unit_spec, window):
     T = 1e4
     moll = mollifier_coeffs(T, 0.3)
     one = DirichletPoly.one()
-    num = discrete_twisted_moment(unit_spec, window, T, moll, power=2)
-    den = discrete_twisted_moment(unit_spec, window, T, one, power=2)
+    num = sample_progression(unit_spec, window, T, moll).twisted_sum(2)
+    den = sample_progression(unit_spec, window, T, one).twisted_sum(2)
     assert num / den <= 5.0 / math.log(T)
 
 
@@ -616,7 +627,7 @@ def test_first_moment_near_plateau_mass(unit_spec, window):
     # mollifier inverts zeta on average and the plateau carries the mass.
     T = 2000.0
     moll = mollifier_coeffs(T, 0.3)
-    I = discrete_twisted_moment(unit_spec, window, T, moll, power=1)
+    I = sample_progression(unit_spec, window, T, moll).twisted_sum(1)
     ref = T * window.phi_hat(0.0).real
     dev = abs(I - ref)
     assert dev <= FIRST_MOMENT_DEV_CONST * T / math.log(T)
@@ -627,7 +638,7 @@ def test_first_moment_regression_scaling(unit_spec, window):
     # deviations were 79.3 at T=2000 and 37.7 at T=1000).
     T = 1000.0
     moll = mollifier_coeffs(T, 0.3)
-    I = discrete_twisted_moment(unit_spec, window, T, moll, power=1)
+    I = sample_progression(unit_spec, window, T, moll).twisted_sum(1)
     dev = abs(I - T * window.phi_hat(0.0).real)
     assert dev <= FIRST_MOMENT_DEV_CONST * T / math.log(T)
 
@@ -641,6 +652,16 @@ def test_nonvanishing_bound_report(unit_spec, window):
     assert rep.target == pytest.approx(0.4 / 1.4 * window.plateau_mass, abs=1e-15)
     assert rep.bound == pytest.approx(abs(rep.moment_first) ** 2 / (T * rep.moment_second),
                                       rel=1e-12)
+
+
+@pytest.mark.parametrize("T", [0.4, 1.0], ids=["no-node", "phi-zero-nodes"])
+def test_nonvanishing_refuses_zero_second_moment(unit_spec, window, T):
+    # [0.4, 0.8] holds no integer; [1, 2] holds 1 and 2, both at phi = 0:
+    # either way J = 0 and |I|^2 / (T*J) is undefined
+    sample = sample_progression(unit_spec, window, T, mollifier_coeffs(100.0, 0.3))
+    assert sample.twisted_sum(2) == 0.0
+    with pytest.raises(DegenerateDenominatorError):
+        nonvanishing_bound(sample)
 
 
 def test_nonvanishing_theta_validation(unit_spec, window):
