@@ -9,11 +9,13 @@ others refuse --csv.  The argument parser is built once per process, so a
 caller that runs main many times pays only for parsing.
 
 CSV cells are written as Python writes them: integers by str, floats by
-repr (the shortest text that reads back to the same double).  float64 and
-integer columns go through one orjson call each, whose text equals repr's
-except for NaN, +-inf and nonzero magnitudes outside [1e-4, 1e16); those
-cells are written by repr.  orjson is imported by the first run that writes
-a table, so import and runs without --csv do not load it.
+repr (the shortest text that reads back to the same double).  A table of
+float64 and integer columns is one orjson call over its rows, whose text
+equals repr's except for NaN, +-inf and nonzero magnitudes outside [1e-4,
+1e16); those cells are written by repr.  Any other table, such as dioph's
+with its "none" cells, is joined cell by cell.  orjson is imported by the
+first run that writes a table, so import and runs without --csv do not load
+it.
 
 moment and firstmoment evaluate zeta*B once per node: their integer sample
 is the one moments.continuous_twisted_moment returns, cut from its start
@@ -90,15 +92,17 @@ def _emit(args, subcommand, params, results, t0, csv_header=None, csv_columns=No
         },
     }
     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    table = None
+    if csv_columns is not None and args.csv:  # first, so a refused table writes no report
+        table = _csv_table(csv_header, csv_columns)
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if csv_columns is not None and args.csv:
-        cells = [_csv_column(col) for col in csv_columns]
-        with open(args.csv, "w", newline="") as fh:
-            fh.write("\n".join(map(",".join, [csv_header, *zip(*cells)])) + "\n")
+    if table is not None:
+        with open(args.csv, "wb") as fh:
+            fh.write(table)
 
 
 def _csv_cell(c):
@@ -107,28 +111,70 @@ def _csv_cell(c):
     return str(c)
 
 
-def _csv_column(col):
-    """_csv_cell of every entry of a CSV column.
+def _csv_table(header, columns):
+    """The CSV text, as bytes, of a header and equal-length columns: one row
+    per index, each cell _csv_cell of its entry (ValueError for columns of
+    unequal length).
 
-    A float64 or integer numpy column in native byte order is written by one
-    orjson call: its shortest round-trip floats spell every value as repr
-    does except NaN and +-inf (null) and nonzero magnitudes below 1e-4 or
-    from 1e16 up (0.00001, 1e16 for 1e-05, 1e+16), whose cells are redone by
-    repr.  Any other numpy column is converted once by tolist()."""
-    if not isinstance(col, np.ndarray):
-        return [_csv_cell(c) for c in col]
-    if not (col.dtype == np.float64 or col.dtype.kind in "iu" and col.dtype.isnative):
-        return _csv_column(col.tolist())
-    if not col.size:
-        return []
+    A table whose every column is a native-order float64 ndarray or an
+    integer ndarray strictly inside (-2**53, 2**53) is written by one
+    orjson call over its row-major float64 block: its shortest round-trip
+    floats spell every value as repr does except NaN and +-inf (null) and
+    nonzero magnitudes below 1e-4 or from 1e16 up (0.00001, 1e16 for 1e-05,
+    1e+16), whose cells are redone by repr.  The dump's every k-th comma
+    ends a row, and an integer cell drops the ".0" it gains as a float.
+    Any other table is converted by tolist() and joined cell by cell."""
+    lengths = [len(col) for col in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"CSV columns differ in length: {lengths}")
+    head = (",".join(header) + "\n").encode()
+    if not columns or not lengths[0]:
+        return head
+    if not all(map(_fits_orjson, columns)):
+        rows = zip(*(col.tolist() if isinstance(col, np.ndarray) else col for col in columns))
+        return head + "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows).encode()
     import orjson  # only a run that writes a table pays for the import
-    text = orjson.dumps(np.ascontiguousarray(col), option=orjson.OPT_SERIALIZE_NUMPY)
-    cells = text[1:-1].decode().split(",")
-    if col.dtype.kind == "f":
-        mag = np.abs(col)
-        for i in np.flatnonzero((mag < 1e-4) & (mag != 0) | ~(mag < 1e16)).tolist():
-            cells[i] = repr(float(col[i]))
-    return cells
+    n, k = lengths[0], len(columns)
+    block = np.empty((n, k))
+    for j, col in enumerate(columns):
+        block[:, j] = col
+    flat = block.reshape(-1)
+    body = np.frombuffer(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY),
+                         np.uint8)[1:].copy()
+    # cell i spans (edges[i], edges[i + 1]); the closing "]" ends the last row
+    edges = np.concatenate(([-1], np.flatnonzero(body == ord(",")), [len(body) - 1]))
+    body[edges[k::k]] = ord("\n")
+    ints = np.array([j for j, col in enumerate(columns) if col.dtype.kind in "iu"], dtype=int)
+    if ints.size:
+        keep = np.ones(len(body), dtype=bool)
+        dot = edges[1:].reshape(n, k)[:, ints] - 2
+        keep[dot], keep[dot + 1] = False, False
+        body = body[keep]
+    mag = np.abs(flat)
+    redo = np.flatnonzero((mag < 1e-4) & (mag != 0) | ~(mag < 1e16))
+    if not redo.size:
+        return head + body.tobytes()
+    # a redone cell's place in the compacted body: two bytes fewer for each
+    # integer cell before it
+    row, j = np.divmod(redo, k)
+    shift = 2 * (row * ints.size + np.searchsorted(ints, j))
+    starts, stops = edges[redo] + 1 - shift, edges[redo + 1] - shift
+    text, pieces, last = body.tobytes(), [head], 0
+    for start, stop, x in zip(starts.tolist(), stops.tolist(), flat[redo].tolist()):
+        pieces += [text[last:start], repr(x).encode()]
+        last = stop
+    pieces.append(text[last:])
+    return b"".join(pieces)
+
+
+def _fits_orjson(col):
+    """Whether orjson's text of col as float64 is its _csv_cell text, but
+    for the cells _csv_table redoes by repr."""
+    if not isinstance(col, np.ndarray) or not col.dtype.isnative:
+        return False
+    if col.dtype == np.float64:
+        return True
+    return col.dtype.kind in "iu" and -2 ** 53 < int(col.min()) and int(col.max()) < 2 ** 53
 
 
 def _finite_float(text):

@@ -249,8 +249,9 @@ def _riemann_siegel(ts, h) -> np.ndarray:
     C_j(tau - m) tau^-j is added and the sum rotated by exp(-i theta).
     Theta, the rotation and the remainder run in blocks of _RS_BLOCK nodes,
     the remainder as one Chebyshev-Vandermonde product with
-    _rs_remainder_matrix() and Horner in 1/tau.  The run must ascend (h >=
-    0), as zeta_on_progression hands it."""
+    _rs_remainder_matrix() (the table T_i(x) filled in place, one buffer per
+    block) and Horner in 1/tau.  The run must ascend (h >= 0), as
+    zeta_on_progression hands it."""
     if not np.all((ts >= RS_FORCED_MIN_T) & (ts <= RS_MAX_T)):
         raise AccuracyError(f"Riemann-Siegel misses its 1e-6 accuracy outside t in "
                             f"[{RS_FORCED_MIN_T:g}, {RS_MAX_T:g}]; got t in "
@@ -265,8 +266,14 @@ def _riemann_siegel(ts, h) -> np.ndarray:
         th = _theta(ts[sl])
         cos, sin = np.cos(th), np.sin(th)
         inv = 1.0 / tau[sl]
-        C = np.polynomial.chebyshev.chebvander(2.0 * (tau[sl] - m[sl]) - 1.0,
-                                               len(M) - 1) @ M
+        x = 2.0 * (tau[sl] - m[sl]) - 1.0
+        x2 = 2.0 * x
+        V = np.empty((len(M), len(x)))  # T_i(x) in row i, by the recurrence
+        V[0], V[1] = 1.0, x
+        for i in range(2, len(M)):
+            np.multiply(V[i - 1], x2, out=V[i])
+            np.subtract(V[i], V[i - 2], out=V[i])
+        C = V.T @ M
         corr = C[:, -1]
         for j in range(C.shape[1] - 2, -1, -1):
             corr = corr * inv + C[:, j]

@@ -521,6 +521,25 @@ def test_cli_reads_public_moments_and_prechecks():
     assert {name for name in private if not name.startswith("_check_")} == set()
 
 
+def _table(*columns):
+    """cli._csv_table of the columns under the header c0, c1, ..., as text."""
+    return cli._csv_table([f"c{j}" for j in range(len(columns))], list(columns)).decode()
+
+
+def _cells(col):
+    """The cells of a one-column table."""
+    return _table(col).splitlines()[1:]
+
+
+def _joined(*columns):
+    """The oracle: the header, then _csv_cell of every entry of every row,
+    joined by "," and ended by a newline."""
+    rows = zip(*(col.tolist() if isinstance(col, np.ndarray) else col for col in columns))
+    lines = [",".join(f"c{j}" for j in range(len(columns)))]
+    lines += [",".join(map(cli._csv_cell, row)) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
 def test_csv_column_matches_cell():
     # 1e-4 and 1e16, where repr's and orjson's spellings part, each with its
     # neighbours on both sides, in both signs
@@ -532,12 +551,12 @@ def test_csv_column_matches_cell():
     ints = np.array([0, -7, 2 ** 62, -2 ** 63, 2 ** 63 - 1], dtype=np.int64)
     unsigned = np.array([0, 2 ** 64 - 1], dtype=np.uint64)
     for col in (floats, ints, unsigned, ints[:3].astype(np.int32), ints.astype(">i8")):
-        assert cli._csv_column(col) == [cli._csv_cell(c) for c in col.tolist()]
-    assert cli._csv_column(floats)[:4] == ["-0.0", "0.0", "1e+16", "5e-324"]
-    assert cli._csv_column(floats)[7:11] == ["nan", "inf", "-inf", "1e-05"]
-    assert cli._csv_column(ints)[3:] == ["-9223372036854775808", "9223372036854775807"]
+        assert _cells(col) == [cli._csv_cell(c) for c in col.tolist()]
+    assert _cells(floats)[:4] == ["-0.0", "0.0", "1e+16", "5e-324"]
+    assert _cells(floats)[7:11] == ["nan", "inf", "-inf", "1e-05"]
+    assert _cells(ints)[3:] == ["-9223372036854775808", "9223372036854775807"]
     mixed = (3, "none", 0.5)
-    assert cli._csv_column(mixed) == ["3", "none", "0.5"]
+    assert _cells(mixed) == ["3", "none", "0.5"]
 
 
 def test_csv_column_shapes():
@@ -546,14 +565,15 @@ def test_csv_column_shapes():
     # written by repr of its float64 value, not by float32's shortest text
     vals = np.array([0.1 + 1e-5j, -3e17 + 2.5j, complex(1e-300, -0.0)])
     assert not vals.real.flags.c_contiguous
-    assert cli._csv_column(vals.real) == ["0.1", "-3e+17", "1e-300"]
-    assert cli._csv_column(vals.imag) == ["1e-05", "2.5", "-0.0"]
+    assert _cells(vals.real) == ["0.1", "-3e+17", "1e-300"]
+    assert _cells(vals.imag) == ["1e-05", "2.5", "-0.0"]
+    assert _table(vals.real, vals.imag) == "c0,c1\n0.1,1e-05\n-3e+17,2.5\n1e-300,-0.0\n"
     for dtype in (np.float64, np.int64):
-        assert cli._csv_column(np.array([], dtype=dtype)) == []
+        assert _cells(np.array([], dtype=dtype)) == []
     single = np.array([0.1, 1e-5, math.nan], dtype=np.float32)
-    assert cli._csv_column(single) == ["0.10000000149011612", "9.999999747378752e-06", "nan"]
+    assert _cells(single) == ["0.10000000149011612", "9.999999747378752e-06", "nan"]
     byteswapped = np.array([0.1, 1e16], dtype=">f8")
-    assert cli._csv_column(byteswapped) == ["0.1", "1e+16"]
+    assert _cells(byteswapped) == ["0.1", "1e+16"]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -561,7 +581,79 @@ def test_csv_column_shapes():
 def test_csv_column_is_repr(xs):
     # every float64, NaN, +-inf and subnormals included, is written as repr
     col = np.array(xs, dtype=np.float64)
-    assert cli._csv_column(col) == [repr(x) for x in xs]
+    assert _cells(col) == [repr(x) for x in xs]
+
+
+def test_csv_table_integer_bounds():
+    # orjson writes an integer column as float64, exact only strictly inside
+    # (-2**53, 2**53); from 2**53 on a column is joined cell by cell.  Each
+    # sits next to a float column whose cells orjson and repr spell apart.
+    floats = np.array([1e-5, math.nan, 0.5, -1e16, 2.5])
+    inside = [2 ** 53 - 1, -(2 ** 53 - 1)]
+    for ends, fits in ((inside, True), ([2 ** 53, 0], False), ([0, -2 ** 53], False),
+                       ([-2 ** 63, 1], False)):
+        col = np.array([*ends, 0, -1, 7], dtype=np.int64)
+        assert cli._fits_orjson(col) is fits
+        for table in ((floats, col), (col, floats), (floats, col, floats)):
+            assert _table(*table) == _joined(*table)
+    assert _table(floats, np.array([*inside, 0, 1, 2])).splitlines()[1:3] == [
+        "1e-05,9007199254740991", "nan,-9007199254740991"]
+    unsigned = np.array([2 ** 53 - 1, 2 ** 53, 0, 1, 2], dtype=np.uint64)
+    assert not cli._fits_orjson(unsigned)
+    assert _table(floats, unsigned) == _joined(floats, unsigned)
+
+
+def test_csv_table_integer_column_not_first():
+    # an integer cell drops its ".0" wherever it stands in the row, and a
+    # cell redone by repr after it lands in the compacted text
+    ell = np.arange(-2, 3)
+    a = np.array([1e-7, 0.25, math.inf, -0.0, 3e20])
+    b = np.array([-1e-300, 1e16, 0.125, math.nan, 7.0])
+    for table in ((a, ell, b), (a, b, ell), (ell, a, ell.astype(np.int32), b)):
+        assert _table(*table) == _joined(*table)
+    assert _table(a, ell, b).splitlines()[1:3] == ["1e-07,-2,-1e-300", "0.25,-1,1e+16"]
+
+
+def test_csv_table_degenerate_shapes():
+    # one column is one cell per row; a table without rows, or without
+    # columns (dioph with no ell), is its header line
+    col = np.array([3.0, 1e-9, -4.5])
+    assert _table(col) == "c0\n3.0\n1e-09\n-4.5\n"
+    assert _table(np.arange(3)) == "c0\n0\n1\n2\n"
+    empty = np.array([])
+    assert _table(empty, empty.astype(np.int64), ()) == "c0,c1,c2\n"
+    assert cli._csv_table(["ell", "a"], []) == b"ell,a\n"
+
+
+def test_csv_table_refuses_unequal_columns(tmp_path):
+    # zip once cut every column to the shortest, dropping rows unseen; a
+    # mismatch is refused before either report is written
+    with pytest.raises(ValueError, match=r"\[3, 2\]"):
+        cli._csv_table(["a", "b"], [np.zeros(3), np.arange(2)])
+    with pytest.raises(ValueError, match=r"\[2, 2, 1\]"):
+        cli._csv_table(["a", "b", "c"], [np.zeros(2), (1, "none"), ("none",)])
+    args = argparse.Namespace(json=str(tmp_path / "x.json"), csv=str(tmp_path / "x.csv"))
+    with pytest.raises(ValueError, match="differ in length"):
+        cli._emit(args, "moment", {}, {}, 0.0, ["a", "b"], [np.zeros(3), np.zeros(4)])
+    assert not (tmp_path / "x.json").exists() and not (tmp_path / "x.csv").exists()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), k=st.integers(1, 4), n=st.integers(0, 12))
+def test_csv_table_is_repr(data, k, n):
+    # whole tables: 1-4 float columns, every float64 among them, and one
+    # int64 column at a drawn position, against the repr/str join
+    floats = [data.draw(st.lists(st.floats(), min_size=n, max_size=n)) for _ in range(k)]
+    ints = data.draw(st.lists(st.integers(-2 ** 53 + 1, 2 ** 53 - 1), min_size=n, max_size=n))
+    at = data.draw(st.integers(0, k))
+    columns = [np.array(xs, dtype=np.float64) for xs in floats]
+    columns.insert(at, np.array(ints, dtype=np.int64))
+    lists = [*floats]
+    lists.insert(at, ints)
+    want = [",".join(f"c{j}" for j in range(k + 1))] + [
+        ",".join(str(c) if j == at else repr(c) for j, c in enumerate(row))
+        for row in zip(*lists)]
+    assert _table(*columns) == "".join(line + "\n" for line in want)
 
 
 def test_emit_csv_is_the_repr_join(tmp_path):
@@ -570,15 +662,18 @@ def test_emit_csv_is_the_repr_join(tmp_path):
     ell = np.arange(300, 304)
     columns = [ell, t, vals.real, vals.imag, ("none", 2, 0.5, "none")]
     args = argparse.Namespace(json=str(tmp_path / "x.json"), csv=str(tmp_path / "x.csv"))
-    cli._emit(args, "moment", {}, {}, 0.0, ["ell", "t", "re", "im", "q"], columns)
     rows = [["ell", "t", "re", "im", "q"]] + [
         [str(e), repr(a), repr(b), repr(c), d if isinstance(d, str) else
          repr(d) if isinstance(d, float) else str(d)]
         for e, a, b, c, d in zip(ell.tolist(), t.tolist(), vals.real.tolist(),
                                  vals.imag.tolist(), columns[-1])]
     want = "".join(",".join(row) + "\n" for row in rows)
-    assert (tmp_path / "x.csv").read_text() == want
     assert want.splitlines()[3] == "302,1e+16,-0.0,0.25,0.5"
+    cli._emit(args, "moment", {}, {}, 0.0, rows[0], columns)
+    assert (tmp_path / "x.csv").read_text() == want
+    # without the tuple column every column is an ndarray: one orjson dump
+    cli._emit(args, "moment", {}, {}, 0.0, rows[0][:4], columns[:4])
+    assert (tmp_path / "x.csv").read_text() == "".join(",".join(row[:4]) + "\n" for row in rows)
 
 
 def test_cli_runs_without_scipy(tmp_path):
