@@ -26,18 +26,19 @@ ell of the progression, through zeta.zeta_on_progression and
 zeta.progression_sum: zeta and B are only ever evaluated on a progression.
 Every consumer reduces a sample over its phi > 0 nodes, and the discrete
 moments, the nonvanishing bound and the resonator search share one sample
-of the integers in [T, 2T].  Every integral is the nested dyadic trapezoid
-of quadrature.py: the continuous moment samples the progression at the
-points ell = j / 2^k of [T, 2T] (its start level holds the integers, and
-continuous_twisted_moment returns the integer sample cut from it, so the
-discrete moment costs no evaluation of its own), from a 2^k above the
+of the integers in [T, 2T].  Every integral is the nested trapezoid of
+quadrature.py: the continuous moment samples the progression at the points
+ell = j / p of [T, 2T], each level's run built from the integers j and p
+(its start level holds the integers, and continuous_twisted_moment returns
+the integer sample cut from it, so the discrete moment costs no evaluation
+of its own), from a start of p = ceil(density) nodes per unit, the
 integrand's top frequency alpha/2pi * log(t_max * len(B) / 2pi) plus 16
 nodes across each window ramp, where the trapezoid of a band-limited
 integrand under a smooth window is exact; where the heights pass through 0,
 zeta's pole at s = 1 narrows the strip of analyticity, and the start stays
-above every tuple frequency (the bound _default_ell_max that predict_E also
-sums to).  The same zeta engine feeds both sides of E, so engine error
-cancels in it.
+at the power of two above every tuple frequency (the bound _default_ell_max
+that predict_E also sums to).  The same zeta engine feeds both sides of E,
+so engine error cancels in it.
 
 The correction integrals share phi_hat's windowed transform
 (window._windowed_transform), which takes an array of frequencies and
@@ -65,7 +66,7 @@ from . import zeta as zmod
 from .dioph import DEFAULT_EPS, ProgressionSpec, find_tuple
 from .errors import CapError, DegenerateDenominatorError
 from .kernels import h_many, w_many
-from .quadrature import NODE_CAP, nested_trapezoid, start_level
+from .quadrature import NODE_CAP, nested_trapezoid
 from .sieves import mobius_table
 from .window import SmoothWindow, _phi_hats, _windowed_transform
 
@@ -212,15 +213,18 @@ class ProgressionSample:
         return complex(np.sum(w * vals))
 
 
-def _progression_run(spec: ProgressionSpec, ell: np.ndarray):
-    """(first height, step, count) of t = alpha*ell + beta, the progression
-    arguments of zeta.progression_sum and zeta.zeta_on_progression;
-    ValueError unless the nodes ell are equally spaced."""
-    step = ell[1] - ell[0] if len(ell) > 1 else 0.0
-    if not np.all(np.diff(ell) == step):
+def _progression_run(spec: ProgressionSpec, j: np.ndarray, p: int = 1):
+    """(first height, step, count) of t = alpha*ell + beta at the nodes ell
+    = j / p, the progression arguments of zeta.progression_sum and
+    zeta.zeta_on_progression, taken from j and p themselves: t0 = alpha *
+    (j[0]/p) + beta and step alpha * ((j[1] - j[0])/p), so no step is
+    recovered from rounded nodes.  ValueError unless the j are equally
+    spaced."""
+    step = j[1] - j[0] if len(j) > 1 else 0.0
+    if not np.all(np.diff(j) == step):
         raise ValueError("progression nodes ell must be equally spaced")
-    t0 = spec.alpha * ell[0] + spec.beta if len(ell) else spec.beta
-    return t0, spec.alpha * step, len(ell)
+    t0 = spec.alpha * (j[0] / p) + spec.beta if len(j) else spec.beta
+    return t0, spec.alpha * (step / p), len(j)
 
 
 def sample_progression(spec: ProgressionSpec, window: SmoothWindow, T: float,
@@ -234,7 +238,13 @@ def sample_progression(spec: ProgressionSpec, window: SmoothWindow, T: float,
     unless the nodes are equally spaced."""
     _check_sample_budget(T, None if ell is None else len(ell))
     ell = _integers(T) if ell is None else np.asarray(ell)
-    run = _progression_run(spec, ell)
+    return _sample_run(spec, window, T, poly, ell, _progression_run(spec, ell))
+
+
+def _sample_run(spec: ProgressionSpec, window: SmoothWindow, T: float, poly: DirichletPoly,
+                ell: np.ndarray, run) -> ProgressionSample:
+    """sample_progression's body: zeta and B on the run (t0, h, count) of the
+    heights at the nodes ell, zeta first."""
     zeta = zmod.zeta_on_progression(*run)
     B = zmod.progression_sum(*poly.nonzero(), *run)
     return _sample_at(spec, window, T, poly, ell, zeta, B)
@@ -265,42 +275,43 @@ def continuous_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: fl
     integers in [T, 2T], cut from the rule's start level, so every node is
     evaluated once.  integers.twisted_sum(power) is the discrete moment.
 
-    The rule is quadrature.nested_trapezoid on the dyadic points ell = j / 2^k
-    of [T, 2T], from the start density of _continuous_density.  The
-    trapezoid integrates a band-limited integrand under a smooth window
-    exactly once the step 2^-k puts the first alias frequency 2^k above the
-    integrand's top frequency plus the window's.  The start step comes from
-    that bound, not from the refinement check: a frequency at an even
-    multiple of the step aliases on both levels a halving compares, so two
-    agreeing levels do not prove the step fine enough.
+    The rule is quadrature.nested_trapezoid on the points ell = j / p of
+    [T, 2T], p = per_unit * 2^k, from the start density of
+    _continuous_density.  The trapezoid integrates a band-limited integrand
+    under a smooth window exactly once the step 1/p puts the first alias
+    frequency p above the integrand's top frequency plus the window's.  The
+    start step comes from that bound, not from the refinement check: a
+    frequency at an even multiple of the step aliases on both levels a
+    halving compares, so two agreeing levels do not prove the step fine
+    enough.
 
-    Each level is one sample of the progression.  Two successive levels
-    agreeing to 1e-4 relative are accepted; QuadratureError when none do,
-    or, before any evaluation, when the start step exceeds the rule's node
-    budget.  The start level's step is 1 / per_unit with per_unit a power of
-    two >= 1, so the integer ell is its node j = per_unit * ell.  Only those
-    rows of zeta and B are copied, with ell, t and phi built as
+    Each level is one sample of the progression, through sample_progression's
+    body, its run (t0, h) built from the integers j and p.  Two successive
+    levels agreeing to 1e-4 relative are accepted; QuadratureError when none
+    do, or, before any evaluation, when the start step exceeds the rule's
+    node budget.  The start level's step is 1 / per_unit with per_unit an
+    integer >= 1, so the integer ell is its node j = per_unit * ell.  Only
+    those rows of zeta and B are copied, with ell, t and phi built as
     sample_progression builds them, so the rest of the level is freed once
     its sum is taken.
     """
     _check_power(power)
     _check_T(T)
-    density = _continuous_density(spec, window, T, poly)
-    per_unit, lo, _ = start_level(T, 2.0 * T, density)
     integers = []  # the integer sample, cut from the first level evaluated
 
-    def level_sum(ell):
-        sample = sample_progression(spec, window, T, poly, ell)
+    def level_sum(j, p):
+        sample = _sample_run(spec, window, T, poly, j / p, _progression_run(spec, j, p))
         if not integers:
             ints = _integers(T)
-            rows = per_unit * ints - lo
+            rows = p * ints - j[0]
             integers.append(_sample_at(spec, window, T, poly, ints,
                                        sample.zeta[rows], sample.B[rows]))
         return sample.twisted_sum(power)
 
+    density = _continuous_density(spec, window, T, poly)
     value = nested_trapezoid(level_sum, T, 2.0 * T, density,
                              lambda new, old: abs(new - old) <= 1e-4 * max(abs(new), 1e-12))
-    return value, integers[0] if integers else None
+    return value, integers[0]
 
 
 def _continuous_density(spec: ProgressionSpec, window: SmoothWindow, T: float,
@@ -313,16 +324,19 @@ def _continuous_density(spec: ProgressionSpec, window: SmoothWindow, T: float,
     so does |zeta*B|^2 = Z^2 |B|^2; per unit ell that is alpha/2pi times it,
     taken at the largest |t|.  The window's ramps, edge * T wide in ell, add
     16 nodes across each.  Where the heights pass through 0, the pole of zeta
-    at s = 1 narrows the strip of analyticity, and the start stays above every
-    tuple frequency (_default_ell_max + 1, the bound predict_E sums to) or at
-    16 nodes across each ramp, whichever is finer.
+    at s = 1 narrows the strip of analyticity, and the start is the power of
+    two at or above every tuple frequency (_default_ell_max + 1, the bound
+    predict_E sums to) and 16 nodes across each ramp: on 1:2:1 through 0 at
+    T = 300, a start at the bound itself (18 per unit, not 32) is 9.3e-9
+    relative off a dense Gauss-Legendre reference.
     """
     ramp = 16.0 / (window.edge * T)
     first, last = spec.alpha * T + spec.beta, 2.0 * spec.alpha * T + spec.beta
     if first > 0.0 or last < 0.0:
         t_max = max(abs(first), abs(last))
         return max(0.0, spec.alpha / _TWO_PI * math.log(t_max * poly.length / _TWO_PI)) + ramp
-    return max(_default_ell_max(spec, T, poly) + 1, ramp)
+    bound = max(_default_ell_max(spec, T, poly) + 1, ramp)
+    return float(1 << (math.ceil(bound) - 1).bit_length())
 
 
 # -- the correction machinery ---------------------------------------------------

@@ -1,10 +1,14 @@
-"""The nested dyadic trapezoid, the one quadrature rule of the package.
+"""The nested trapezoid, the one quadrature rule of the package.
 
 Every integrand it serves carries the window phi, so it vanishes with all
 its derivatives at both ends of its interval; there the trapezoid needs no
 endpoint weights and converges faster than any power of its step
-(Trefethen & Weideman, SIAM Review 56, 2014).  Its levels hold the lattice
-points j / 2^k inside [a, b] and no others.
+(Trefethen & Weideman, SIAM Review 56, 2014).  Its start level takes
+per_unit = ceil(density) nodes per unit, and each halving doubles it: the
+levels hold the lattice points j / (per_unit * 2^k) inside [a, b] and no
+others; where per_unit is not a power of two, the rounding of a and b
+times the denominator can put an end node an ulp outside, where the
+integrand vanishes.
 """
 import math
 
@@ -22,47 +26,49 @@ NODE_CAP = 1 << 23
 
 def start_level(a: float, b: float, density: float):
     """(per_unit, lo, hi) of the trapezoid's start level over [a, b]: per_unit
-    is the smallest power of two >= density (at least 1), and the nodes are
-    j / per_unit for j from lo = ceil(a * per_unit) to hi = floor(b * per_unit).
-    ValueError unless density is finite and positive.  QuadratureError when
-    (b - a) * per_unit + 1, the most nodes a level of [a, b] can hold at that
-    step, exceeds NODE_CAP / 4, so that the third halving adds fewer than
-    NODE_CAP nodes whether or not a and b are lattice points; all
-    arithmetic, so a caller can check it before any work.
+    = max(1, ceil(density)), and the nodes are j / per_unit for j from lo =
+    ceil(a * per_unit) to hi = floor(b * per_unit).  ValueError unless density
+    is finite and positive.  QuadratureError when (b - a) * per_unit + 1, the
+    most nodes a level of [a, b] can hold at that step, exceeds NODE_CAP / 4,
+    so that the third halving adds fewer than NODE_CAP nodes whether or not a
+    and b are lattice points; the message names per_unit and that count.
+    All arithmetic, so a caller can check it before any work.
     """
     if not (math.isfinite(density) and density > 0.0):
         raise ValueError(f"the trapezoid needs a finite positive density, got {density!r}")
     cap = NODE_CAP // 4
-    refusal = QuadratureError(f"the trapezoid at {density!r} nodes per unit over "
-                              f"[{a!r}, {b!r}] exceeds the budget of {cap} start nodes")
     if not density * (b - a) <= cap:
-        raise refusal
-    per_unit = 1 << (math.ceil(density) - 1).bit_length()
+        raise QuadratureError(f"the trapezoid at {density!r} nodes per unit over "
+                              f"[{a!r}, {b!r}] exceeds the budget of {cap} start nodes")
+    per_unit = max(1, math.ceil(density))
     if (b - a) * per_unit + 1 > cap:
-        raise refusal
+        raise QuadratureError(f"the trapezoid at {density!r} nodes per unit over "
+                              f"[{a!r}, {b!r}] starts at {per_unit} per unit, "
+                              f"{(b - a) * per_unit + 1:.0f} start nodes against the "
+                              f"budget of {cap}")
     return per_unit, math.ceil(a * per_unit), math.floor(b * per_unit)
 
 
 def nested_trapezoid(level_sum, a: float, b: float, density: float, agree):
-    """Integral over [a, b] by the trapezoid on x = j / 2^k, starting at the
-    start_level of density nodes per unit; the integrand must vanish at a
-    and b.
+    """Integral over [a, b] by the trapezoid on x = j / (per_unit * 2^k),
+    starting at the start_level of density nodes per unit; the integrand
+    must vanish at a and b.
 
-    level_sum(x) sums the integrand over an array of nodes, all inside
-    [a, b]; it may return an array, the sums of several integrands on the
-    same nodes, which agree then compares as a whole.  Each of up to three
-    halvings of the step evaluates only the new nodes, the odd j in
-    [ceil(a * 2^k), floor(b * 2^k)], and the first level with agree(new,
-    previous) is returned.  QuadratureError when none is; before any
-    evaluation, it raises as start_level does.
+    level_sum(j, p) sums the integrand over the nodes x = j / p, j an int64
+    array of ascending, equally spaced numerators and p their denominator,
+    all inside [a, b]; it may return an array, the sums of several
+    integrands on the same nodes, which agree then compares as a whole.
+    Each of up to three halvings of the step evaluates only the new nodes,
+    the odd j in [ceil(a * p), floor(b * p)], and the first level with
+    agree(new, previous) is returned.  QuadratureError when none is; before
+    any evaluation, it raises as start_level does.
     """
-    per_unit, lo, hi = start_level(a, b, density)
-    val = level_sum(np.arange(lo, hi + 1, dtype=np.int64) / per_unit) / per_unit
+    p, lo, hi = start_level(a, b, density)
+    val = level_sum(np.arange(lo, hi + 1, dtype=np.int64), p) / p
     for _ in range(3):
-        per_unit *= 2
-        lo, hi = math.ceil(a * per_unit), math.floor(b * per_unit)
-        new = 0.5 * val + level_sum(np.arange(lo | 1, hi + 1, 2, dtype=np.int64)
-                                    / per_unit) / per_unit
+        p *= 2
+        lo, hi = math.ceil(a * p), math.floor(b * p)
+        new = 0.5 * val + level_sum(np.arange(lo | 1, hi + 1, 2, dtype=np.int64), p) / p
         if agree(new, val):
             return new
         val = new

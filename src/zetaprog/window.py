@@ -14,7 +14,7 @@ The Fourier transform uses the convention
     phi_hat(xi) = integral over [1, 2] of phi(t) * exp(-2*pi*i*xi*t) dt,
 
 evaluated, like the correction integrals H_ell, by _windowed_transform: the
-nested trapezoid at max(4|xi|, 16/edge) > 32, so 64 or more, nodes per unit
+nested trapezoid at max(4|xi|, 16/edge) > 32, so 33 or more, nodes per unit
 of [1, 2], i.e. four per oscillation and sixteen across each ramp.  The
 transform takes an array of frequencies and integrates them all on the same
 levels, one sum over the nodes per frequency; phi_hat at one xi, H_ell's
@@ -115,12 +115,12 @@ def _windowed_transform(window: SmoothWindow, xis, g, agree) -> np.ndarray:
     g(x, rows) gives the integrand's other factor at every node x (all in
     [1, 2]) for the frequencies xis[rows], as an array of shape
     (len(xis[rows]), len(x)) or one that broadcasts to it.  The start level
-    is max(4 max|xi|, 16/edge) nodes per unit for every row, and a block
-    holds as many rows as keep its largest level (four times the start
-    level's nodes) within _TRANSFORM_ELEMS entries.  agree(new, previous)
-    compares the levels entry by entry, and a level is accepted only when
-    every entry agrees.  QuadratureError, before any work, when the start
-    level exceeds the trapezoid's budget.
+    is max(4 max|xi|, 16/edge) nodes per unit, rounded up, for every row,
+    and a block holds as many rows as keep its largest level (four times
+    the start level's nodes) within _TRANSFORM_ELEMS entries.
+    agree(new, previous) compares the levels entry by entry, and a level is
+    accepted only when every entry agrees.  QuadratureError, before any
+    work, when the start level exceeds the trapezoid's budget.
     """
     xis = np.asarray(xis, dtype=float)
     density = max(4.0 * float(np.max(np.abs(xis))), 16.0 / window.edge)
@@ -129,7 +129,8 @@ def _windowed_transform(window: SmoothWindow, xis, g, agree) -> np.ndarray:
     for lo in range(0, len(xis), step):
         rows = slice(lo, lo + step)
 
-        def level_sum(x):
+        def level_sum(j, p):
+            x = j / p
             wave = np.exp((-2j * np.pi * xis[rows])[:, None] * x)
             return np.sum(window.phi(x) * wave * g(x, rows), axis=-1)
 

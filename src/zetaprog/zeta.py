@@ -34,9 +34,10 @@ first node where m = floor(sqrt(t/2pi)) >= n) and adds the remainder terms
 C_0..C_4, the Psi-derivative combinations from an FFT-Cauchy Taylor
 expansion of Psi (_rs_coeffs), interpolated once at degree 21 to within
 1e-13.  The five series are the columns of one 22 x 5 matrix, evaluated per
-block of 8192 nodes as a Chebyshev-Vandermonde product, with theta and the
-rotation in the same blocks.  theta(t) is its Stirling series through t^-5, whose next
-term is below 2e-21 from t = 300 up.  EM/RS agreement to 1e-6 wherever
+block of 8192 nodes as a Chebyshev-Vandermonde product (one table per call,
+filled block by block), with theta and the rotation in the same blocks.
+theta(t) is its Stirling series through t^-5, whose next term is below
+2e-21 from t = 300 up.  EM/RS agreement to 1e-6 wherever
 both run is part of the contract; each engine raises AccuracyError outside
 its range (below RS_FORCED_MIN_T and above RS_MAX_T for Riemann-Siegel,
 past the cutoff cap _EM_HARD_CAP for Euler-Maclaurin).
@@ -173,7 +174,7 @@ def _theta(t):
 
 
 # Nodes per block of _riemann_siegel's per-node work: its Chebyshev-Vandermonde
-# block (8192 x 22 floats, 1.4 MB) stays in cache.
+# table (22 x 8192 floats, 1.4 MB, allocated once per call) stays in cache.
 _RS_BLOCK = 8192
 
 # Degree of the Chebyshev fit of C_0..C_4, the lowest within 1e-13 of
@@ -249,8 +250,9 @@ def _riemann_siegel(ts, h) -> np.ndarray:
     C_j(tau - m) tau^-j is added and the sum rotated by exp(-i theta).
     Theta, the rotation and the remainder run in blocks of _RS_BLOCK nodes,
     the remainder as one Chebyshev-Vandermonde product with
-    _rs_remainder_matrix() (the table T_i(x) filled in place, one buffer per
-    block) and Horner in 1/tau.  The run must ascend (h >= 0), as
+    _rs_remainder_matrix() (the table T_i(x) filled in place by the
+    recurrence, in one buffer per call that each block fills a slice of) and
+    Horner in 1/tau.  The run must ascend (h >= 0), as
     zeta_on_progression hands it."""
     if not np.all((ts >= RS_FORCED_MIN_T) & (ts <= RS_MAX_T)):
         raise AccuracyError(f"Riemann-Siegel misses its 1e-6 accuracy outside t in "
@@ -261,6 +263,7 @@ def _riemann_siegel(ts, h) -> np.ndarray:
     heads = _rs_heads(ts, h, m)
     M = _rs_remainder_matrix()
     out = np.empty(len(ts), dtype=complex)
+    table = np.empty((len(M), min(len(ts), _RS_BLOCK)))  # T_i(x) in row i, per block
     for lo in range(0, len(ts), _RS_BLOCK):
         sl = slice(lo, lo + _RS_BLOCK)
         th = _theta(ts[sl])
@@ -268,7 +271,7 @@ def _riemann_siegel(ts, h) -> np.ndarray:
         inv = 1.0 / tau[sl]
         x = 2.0 * (tau[sl] - m[sl]) - 1.0
         x2 = 2.0 * x
-        V = np.empty((len(M), len(x)))  # T_i(x) in row i, by the recurrence
+        V = table[:, :len(x)]
         V[0], V[1] = 1.0, x
         for i in range(2, len(M)):
             np.multiply(V[i - 1], x2, out=V[i])

@@ -288,8 +288,8 @@ def _unreachable(*args, **kwargs):
 
 
 _CAP = "computation failed: CapError: progression sample of "
-# the continuous moment's start level at 2.0169 per unit rounds up to 4 nodes
-# per unit, 4e6 nodes over [1e6, 2e6]: past the trapezoid's 2^21
+# the continuous moment's start level at 2.0169 per unit rounds up to 3 nodes
+# per unit, 3e6 + 1 nodes over [1e6, 2e6]: past the trapezoid's 2^21
 _QUAD = "computation failed: QuadratureError: the trapezoid at 2.0169"
 # heights alpha*t + beta that reach 0 on [T, 2T] have no predicted E
 _HEIGHTS = "bad configuration: predict_E requires heights alpha*T + beta > 0"
@@ -351,6 +351,18 @@ def test_node_budget_exit_code(argv, rc, message, tmp_path, monkeypatch, capsys)
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_continuous_start_refusal_names_its_cost(tmp_path, capsys):
+    # the refusal names the rounded start and its node count against the
+    # budget, so a reader sees how far past it the run is
+    out = tmp_path / "x.json"
+    assert main(["moment", "--alpha", "1.0", "--T", "1e6", "--no-predict",
+                 "--json", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert ("starts at 3 per unit, 3000001 start nodes against the budget of 2097152"
+            in err), err
     assert not out.exists()
 
 
@@ -417,7 +429,7 @@ def test_float_options_exit_cleanly(subcommand, data):
 def test_cli_samples_progression_once(argv, A_by_kernel, tmp_path, monkeypatch):
     # Every evaluation of zeta and of a Dirichlet sum (B, and the resonator's
     # main sum A) on the progression, in call order, tagged by the caller it
-    # serves.  The continuous moment samples its own dyadic grid, which holds
+    # serves.  The continuous moment samples its own grid j / p, which holds
     # the integers too, and extreme_search computes A; both are tracked apart
     # from the run's sample.  The kernel calls zeta_on_progression makes for
     # its own Dirichlet sums are tagged "zeta", apart from the B and A calls.

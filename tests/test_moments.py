@@ -24,7 +24,9 @@ from zetaprog import (CapWarning, DirichletPoly, F_func, F_func_series,
                       SmoothWindow, continuous_twisted_moment, delta,
                       empirical_nonvanishing, eval_H, eval_poly, find_tuple, main_sum,
                       mollifier_coeffs, moment_report, nonvanishing_bound,
-                      predict_E, predict_E_prime, sample_progression)
+                      predict_E, predict_E_prime, sample_progression,
+                      zeta_on_progression)
+from zetaprog import cli
 from zetaprog import moments as mmod
 from zetaprog import zeta as zmod
 from zetaprog.errors import CapError, DegenerateDenominatorError, QuadratureError
@@ -216,28 +218,34 @@ def test_continuous_matches_dense_gl(window, spec, T, theta, panels_per_unit):
         assert abs(got - ref) <= 1e-10 * abs(ref), (power, got, ref)
 
 
-@pytest.mark.parametrize("k, per_unit", [(0.0, 16), (-1.5, 32)], ids=["one-sign", "through-zero"])
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("k, per_unit", [(0.0, 13), (-1.5, 32)], ids=["one-sign", "through-zero"])
 def test_continuous_start_level(window, k, per_unit, monkeypatch):
     # At 1:2:1, T = 2000, bare, beta = 0, the integrand's top frequency is
     # alpha/2pi * log(2*alpha*T/2pi) = 12.5 per unit ell and the ramps add
-    # 16/(edge*T) = 0.16: the start is 16 nodes per unit.  With beta = -1.5 *
-    # alpha*T the heights pass through 0, and the start stays above every
-    # tuple frequency, _default_ell_max + 1 = 23: 32 nodes per unit.
+    # 16/(edge*T) = 0.16: the start is 13 nodes per unit.  With beta = -1.5 *
+    # alpha*T the heights pass through 0, and the start is the power of two
+    # above every tuple frequency, _default_ell_max + 1 = 23: 32 nodes per
+    # unit.
     densities = []
 
     def recording(level_sum, a, b, density, agree):
         densities.append(density)
-        return 0.0
+        raise _Stop
 
     monkeypatch.setattr(mmod, "nested_trapezoid", recording)
     spec = ProgressionSpec.from_rational(1, 2, 1, beta=k * SYM_ALPHA * 2000.0)
     one = DirichletPoly.one()
-    continuous_twisted_moment(spec, window, 2000.0, one, power=2)
+    with pytest.raises(_Stop):
+        continuous_twisted_moment(spec, window, 2000.0, one, power=2)
     assert start_level(2000.0, 4000.0, densities[0])[0] == per_unit
     if k == 0.0:
         assert densities[0] == pytest.approx(12.49 + 0.16, abs=0.01)
     else:
-        assert densities[0] == mmod._default_ell_max(spec, 2000.0, one) + 1 == 23
+        assert mmod._default_ell_max(spec, 2000.0, one) + 1 == 23 and densities[0] == 32
 
 
 def test_continuous_refuses_start_step_past_budget(window, sym_spec, monkeypatch):
@@ -256,18 +264,58 @@ def test_continuous_refuses_start_step_past_budget(window, sym_spec, monkeypatch
             continuous_twisted_moment(spec, w, 300.0, DirichletPoly.one(), power=2)
 
 
+# Most ulp(|alpha|*ell + |beta|) by which a node's heights in a level's run
+# and in the direct run can differ, derived in the test that uses it.
+_CUT_HEIGHT_ULPS = 16
+
+
+def _lipschitz_zeta(t):
+    """An upper bound on |d zeta(1/2 + it) / dt| from the approximate
+    functional equation zeta = exp(-i theta) Z, Z = 2 sum_{n <= m} n^(-1/2)
+    cos(theta - t log n) + O(|t|^(-1/4)), m = floor(sqrt(|t|/2pi)): |Z'| <= 2
+    sum n^(-1/2) (theta' + log n) and |theta' Z| <= 2 theta' sum n^(-1/2),
+    with theta'(t) = log(|t|/2pi)/2.  Twice their sum also covers the
+    remainder's derivative and the engines' own rounding (products of
+    sqrt(count) factors per term in progression_sum, about 1e-13 here).
+    Below |t| = 2pi e^2, where the expansion has no terms to speak of, the
+    bound at 2pi e^2 (15.6) stands in; |zeta'| is below 4 there."""
+    t = np.maximum(np.abs(t), TWO_PI * math.e ** 2)
+    m = np.floor(np.sqrt(t / TWO_PI)).astype(np.int64)
+    n = np.arange(1, np.max(m) + 1)
+    inv, logs = np.cumsum(n ** -0.5), np.cumsum(np.log(n) * n ** -0.5)
+    return 4.0 * (np.log(t / TWO_PI) * inv[m - 1] + logs[m - 1])
+
+
 @pytest.mark.parametrize("spec, T, theta, power, per_unit", [
-    (ProgressionSpec(alpha=1.0), 150.0, 0.3, 2, 4),
-    (ProgressionSpec.from_rational(1, 2, 1), 1600.0, None, 2, 16),
+    (ProgressionSpec(alpha=1.0), 150.0, 0.3, 2, 3),
+    (ProgressionSpec.from_rational(1, 2, 1), 1600.0, None, 2, 13),
     (ProgressionSpec(alpha=1.0, beta=-4000.0), 2500.0, None, 1, 4),
     (ProgressionSpec(alpha=0.5, beta=0.3), 2000.0, 0.3, 1, 1),
-], ids=["euler-maclaurin", "riemann-siegel-exact-form", "through-zero", "one-per-unit"])
+    (ProgressionSpec(alpha=1.0), 150.5, 0.3, 2, 3),
+    (ProgressionSpec.from_rational(1, 2, 1), 1600.37, None, 2, 13),
+    (ProgressionSpec(alpha=2.3456, beta=0.41), 1234.56, None, 2, 3),
+], ids=["euler-maclaurin", "riemann-siegel-exact-form", "through-zero", "one-per-unit",
+        "euler-maclaurin-off-integer-T", "riemann-siegel-off-integer-T", "float-alpha-off-integer-T"])
 def test_continuous_moment_cuts_the_integer_sample(window, spec, T, theta, power, per_unit):
     # The start level's step is 1/per_unit, so its every per_unit-th node is
     # an integer; the sample cut there has sample_progression's ell, t and
-    # phi bit for bit, and zeta and B from a run of per_unit times the
-    # step, equal to the last digits (exactly, at one node per unit); its
-    # twisted_sum is the discrete moment.
+    # phi bit for bit, and zeta and B from the level's run, exactly equal at
+    # one node per unit; its twisted_sum is the discrete moment.
+    #
+    # Elsewhere the two runs reach a node's height by different roundings.
+    # Each correctly rounded operation errs by at most ulp(S)/2 at heights
+    # formed from magnitudes up to S = |alpha|*ell + |beta|.  The level's
+    # start alpha*(lo/p) + beta takes three (the quotient, the product, the
+    # sum), its step alpha*(1/p) two relative ones, at most 2 ulp(S) once
+    # multiplied by the row, and the engine's float height column two more:
+    # 5 ulp(S).  The direct run's start takes two and its column two: 2
+    # ulp(S).  theta, evaluated in float64 from each run's column, adds a
+    # few ulp(theta) ~ t theta' each, at most 4 ulp(t) of height per side.
+    # So the heights differ by at most _CUT_HEIGHT_ULPS = 16 ulp(S), and zeta
+    # by at most that times an upper bound on |dzeta/dt| (_lipschitz_zeta),
+    # B by that times sum |b(n)| log n / sqrt(n) >= |dB/dt|.  A constant does
+    # not scale: 1e-12 held only where lo/p = ceil(T) (integer T); at T =
+    # 1600.37 the cut is 7.9e-10 off.
     poly = mollifier_coeffs(T, theta) if theta is not None else DirichletPoly.one()
     assert start_level(T, 2.0 * T, mmod._continuous_density(spec, window, T, poly))[0] == per_unit
     _, cut = continuous_twisted_moment(spec, window, T, poly, power)
@@ -280,10 +328,39 @@ def test_continuous_moment_cuts_the_integer_sample(window, spec, T, theta, power
     assert cut.zeta.base is None and cut.B.base is None
     if per_unit == 1:
         assert np.array_equal(cut.zeta, direct.zeta) and np.array_equal(cut.B, direct.B)
-    assert np.max(np.abs(cut.zeta - direct.zeta)) <= 1e-12
-    assert np.max(np.abs(cut.B - direct.B)) <= 1e-12 * np.max(np.abs(direct.B))
+    heights = _CUT_HEIGHT_ULPS * np.spacing(abs(spec.alpha) * direct.ell + abs(spec.beta))
+    ns, bs = poly.nonzero()
+    dz = heights * _lipschitz_zeta(direct.t)
+    dB = heights * float(np.sum(np.abs(bs) * np.log(ns) / np.sqrt(ns)))
+    assert np.all(np.abs(cut.zeta - direct.zeta) <= dz)
+    assert np.all(np.abs(cut.B - direct.B) <= dB)
+    # the moments, from the per-node bounds: |delta(zeta B)| <= dz |B| + |zeta| dB
+    # (plus dz dB), and |delta |v|^2| <= |delta v| (2|v| + |delta v|)
+    v = direct.zeta * direct.B
+    dv = dz * np.abs(direct.B) + np.abs(direct.zeta) * dB + dz * dB
+    if power == 2:
+        dv = dv * (2.0 * np.abs(v) + dv)
+    live = direct.phi > 0.0
     want = direct.twisted_sum(power)
-    assert abs(cut.twisted_sum(power) - want) <= 1e-12 * abs(want)
+    assert abs(cut.twisted_sum(power) - want) <= np.sum(direct.phi[live] * dv[live])
+
+
+def test_moment_evaluates_the_start_level_and_one_halving(tmp_path, monkeypatch):
+    # 1:2:1 at T = 2000, bare: the top frequency 12.5 plus the ramps' 0.16
+    # start at 13 nodes per unit ell, 26001 nodes on [2000, 4000], and the
+    # first halving, 26000 new nodes, agrees.  The next power of two, 16 per
+    # unit, would send 64001 nodes.
+    counts = []
+
+    def counting(t0, h, count):
+        counts.append(count)
+        return zeta_on_progression(t0, h, count)
+
+    monkeypatch.setattr(zmod, "zeta_on_progression", counting)
+    argv = ["moment", "--alpha-rational", "1:2:1", "--T", "2000", "--no-predict",
+            "--json", str(tmp_path / "m.json")]
+    assert cli.main(argv) == 0
+    assert counts == [13 * 2000 + 1, 13 * 2000]
 
 
 def test_moment_T_validation(unit_spec, window):

@@ -140,17 +140,18 @@ def test_phi_hat_against_gauss_legendre(edge, xi):
 
 
 def test_phi_hats_batch_matches_phi_hat(window):
-    # 301 frequencies, 0 and negative ones among them, take three blocks of
-    # the batched transform; each agrees with its own one-element phi_hat
-    # to phi_hat's 1e-12 (a block halves until all its rows agree, a single
-    # frequency may stop a level earlier)
-    xis = np.arange(-150, 151) * (40.0 / 150)
+    # 421 frequencies, 0 and negative ones among them, take three blocks of
+    # the batched transform (204 rows each at 320 nodes per unit); each
+    # agrees with its own one-element phi_hat to phi_hat's 1e-12 (a block
+    # halves until all its rows agree, a single frequency may stop a level
+    # earlier)
+    xis = np.arange(-210, 211) * (40.0 / 210)
     per_unit = start_level(1.0, 2.0, max(4 * 40.0, 16 / window.edge))[0]
     assert len(xis) > 2 * (window_module._TRANSFORM_ELEMS // (4 * per_unit))
     got = window_module._phi_hats(window, xis)
     want = np.array([window.phi_hat(xi) for xi in xis])
     assert np.max(np.abs(got - want)) < 1e-12
-    assert got[150] == window.plateau_mass and np.all(got[:150] == np.conj(got[:150:-1]))
+    assert got[210] == window.plateau_mass and np.all(got[:210] == np.conj(got[:210:-1]))
 
 
 @pytest.mark.parametrize("xi", [math.inf, -math.inf, math.nan])
@@ -159,21 +160,21 @@ def test_phi_hat_rejects_non_finite_frequency(window, xi):
         window.phi_hat(xi)
 
 
-@pytest.mark.parametrize("edge", [0.3, 0.49])
-def test_phi_hat_starts_at_64_nodes_per_unit(edge, monkeypatch):
+@pytest.mark.parametrize("edge, per_unit", [(0.3, 54), (0.49, 33)], ids=["0.3", "0.49"])
+def test_phi_hat_starts_at_16_nodes_across_a_ramp(edge, per_unit, monkeypatch):
     # 16/edge > 32 for every edge the window accepts, so the start level of
-    # a low frequency is the next power of two, 64 nodes per unit
+    # a low frequency holds ceil(16/edge) > 32 nodes per unit
     levels = []
 
     def recording(level_sum, *args):
-        def record(x):
-            levels.append(x.copy())
-            return level_sum(x)
+        def record(j, p):
+            levels.append(j / p)
+            return level_sum(j, p)
         return nested_trapezoid(record, *args)
 
     monkeypatch.setattr(window_module, "nested_trapezoid", recording)
     SmoothWindow(edge).phi_hat(0.3)
-    assert np.array_equal(levels[0], np.arange(64, 129) / 64)
+    assert np.array_equal(levels[0], np.arange(per_unit, 2 * per_unit + 1) / per_unit)
 
 
 @pytest.mark.parametrize("edge, xi", [(1e-7, 3.0), (0.05, 1e300), (0.05, 1e7)])
