@@ -39,12 +39,12 @@ for k in range(9):
 print("\ndelta(alpha=1) =", zp.delta(zp.ProgressionSpec(alpha=1.0)))
 print("delta(alpha=pi) =", zp.delta(zp.ProgressionSpec(alpha=math.pi)))
 
-# detect_rational recovers the form from the float alpha alone.  The result
-# is marked candidate=True: a float cannot certify exact rationality, so
-# delta() ignores candidate forms and returns the generic value 0.
-found = zp.detect_rational(zp.ProgressionSpec(alpha=sym.alpha), ell_max=4, den_max=50)
+# detect_rational recovers (ell0, m, n) from the float alpha alone.  A float
+# cannot certify exact rationality, so the result is a plain triple, not a
+# RationalForm: the float spec keeps delta = 0, and trusting the detection
+# is the explicit step ProgressionSpec.from_rational(*found).
+float_spec = zp.ProgressionSpec(alpha=sym.alpha)
+found = zp.detect_rational(float_spec, ell_max=4, den_max=50)
 print("\ndetected from float alpha:", found)
-print("delta with the candidate form:",
-      zp.delta(zp.ProgressionSpec(alpha=sym.alpha, rational_form=found)),
-      " (candidates never feed delta)")
-print("delta with the certified form:", zp.delta(sym))
+print("delta of the float spec:", zp.delta(float_spec))
+print("delta once trusted:", zp.delta(zp.ProgressionSpec.from_rational(*found)))

@@ -43,6 +43,7 @@ from . import moments as mmod
 from . import resonance as rmod
 from . import zeta as zmod
 from .errors import ZetaprogError
+from .quadrature import NODE_CAP, nested_trapezoid
 from .window import SmoothWindow
 
 SCHEMA_VERSION = 2
@@ -199,10 +200,14 @@ def _parse_rational(text):
 
 
 def _parse_ells(text):
-    out = []
+    ends = []
     for chunk in text.split(","):
         lo, dots, hi = chunk.partition("..")
-        out.extend(range(int(lo), int(hi if dots else lo) + 1))
+        ends.append((int(lo), int(hi if dots else lo)))
+    count = sum(max(0, hi - lo + 1) for lo, hi in ends)  # before building any list
+    if count > NODE_CAP:
+        raise argparse.ArgumentTypeError(f"{count} values exceed the budget of {NODE_CAP}")
+    out = [e for lo, hi in ends for e in range(lo, hi + 1)]
     if not out or any(e < 1 for e in out):
         raise argparse.ArgumentTypeError(f"bad ell range {text!r}")
     return out
@@ -220,7 +225,7 @@ def _spec_params(spec: dmod.ProgressionSpec):
     if spec.rational_form is not None:
         rf = spec.rational_form
         p["alpha_rational"] = {"ell0": rf.ell0, "m": rf.m, "n": rf.n,
-                               "candidate": rf.candidate}
+                               "candidate": False}
     return p
 
 
@@ -299,12 +304,11 @@ def _cmd_delta(args, t0):
     spec = _spec_from(args)
     results = {}
     if spec.rational_form is None and args.detect:
-        cand = dmod.detect_rational(spec, args.ell_max, args.den_max)
-        if cand is not None:
-            results["detected_form"] = {"ell0": cand.ell0, "m": cand.m,
-                                        "n": cand.n, "candidate": True}
+        found = dmod.detect_rational(spec, args.ell_max, args.den_max)
+        if found is not None:
+            results["detected_form"] = dict(zip(("ell0", "m", "n"), found), candidate=True)
     results["delta"] = dmod.delta(spec)
-    results["exact"] = spec.rational_form is not None and not spec.rational_form.candidate
+    results["exact"] = spec.rational_form is not None
     params = {**_spec_params(spec), "detect": args.detect,
               "ell_max": args.ell_max, "den_max": args.den_max}
     _emit(args, "delta", params, results, t0)
@@ -405,9 +409,11 @@ def _selftest_checks(rng):
 
     w = SmoothWindow()
     checks.append(("window_plateau", float(w.phi(1.5)) == 1.0, f"phi(1.5)={w.phi(1.5)}"))
-    ph0 = w.phi_hat(0.0)
-    checks.append(("window_phihat0", close(ph0.real, w.plateau_mass, 1e-9),
-                   f"phi_hat(0)={ph0.real!r} vs plateau_mass={w.plateau_mass!r}"))
+    ph0 = w.phi_hat(0.0).real
+    mass = nested_trapezoid(lambda j, p: float(np.sum(w.phi(j / p))), 1.0, 2.0,
+                            16.0 / w.edge, lambda new, old: abs(new - old) <= 1e-12)
+    checks.append(("window_phihat0", close(mass, 1.0 - w.edge, 1e-9) and close(ph0, mass, 1e-9),
+                   f"phi_hat(0)={ph0!r}, trapezoid mass={mass!r}, 1 - edge={1.0 - w.edge!r}"))
 
     wv = eval_W(1e-8)
     checks.append(("kernel_W_small_x", close(wv, 1.0, 1e-7), f"W(1e-8)={wv!r}"))

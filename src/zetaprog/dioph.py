@@ -18,7 +18,7 @@ where the quality tolerance can exceed that threshold, is scanned directly,
 making the search provably equivalent to an exhaustive Farey scan.
 """
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional
 
 import mpmath as mp
@@ -60,15 +60,14 @@ def _iroot(v: int, k: int) -> Optional[int]:
 class RationalForm:
     """Assertion that exp(2*pi*ell0/alpha) = m/n exactly.
 
-    candidate=True marks a float-level detection (from detect_rational):
-    such forms are never fed into delta, since a floating alpha cannot
-    certify exact rationality.
+    A float alpha cannot certify that, so a float-level detection is a plain
+    triple (detect_rational), and only ProgressionSpec.from_rational turns
+    one into a form.
     """
 
     ell0: int
     m: int
     n: int
-    candidate: bool = False
 
     def __post_init__(self):
         if self.ell0 < 1 or self.m < 1 or self.n < 1:
@@ -94,15 +93,14 @@ def minimal_fraction(form: RationalForm) -> RationalForm:
             d = math.gcd(form.ell0, k)
             if d == 1:
                 return form
-            return RationalForm(form.ell0 // d, r ** (k // d), s ** (k // d),
-                                candidate=form.candidate)
+            return RationalForm(form.ell0 // d, r ** (k // d), s ** (k // d))
     return form
 
 
 @dataclass(frozen=True)
 class ProgressionSpec:
     """The progression parameters: finite alpha > 0, finite beta, and an
-    optional exact rational form."""
+    optional exact rational form, a RationalForm (TypeError otherwise)."""
 
     alpha: float
     beta: float = 0.0
@@ -114,6 +112,9 @@ class ProgressionSpec:
         if not math.isfinite(self.beta):
             raise ValueError(f"beta must be finite, got {self.beta!r}")
         rf = self.rational_form
+        if rf is not None and not isinstance(rf, RationalForm):
+            raise TypeError(f"rational_form must be a RationalForm, got {rf!r}; trust a "
+                            f"detected (ell0, m, n) by ProgressionSpec.from_rational(*found)")
         if rf is not None:
             implied = _TWO_PI * rf.ell0 / math.log(rf.m / rf.n)
             if not abs(self.alpha - implied) <= 1e-12 * self.alpha:
@@ -246,7 +247,7 @@ def rational_approximations(x, q_cap: int, rel_tol, p_cap: Optional[int] = None)
 def _progression_x(spec: ProgressionSpec, ell: int):
     """exp(2*pi*ell/alpha) at working precision; exact power when symbolic."""
     rf = spec.rational_form
-    if rf is not None and not rf.candidate:
+    if rf is not None:
         k, rem = divmod(ell, rf.ell0)
         base = mp.mpf(rf.m) / rf.n
         if rem == 0:
@@ -298,7 +299,7 @@ def find_tuple(spec: ProgressionSpec, ell: int, T: float,
 
 
 def detect_rational(spec: ProgressionSpec, ell_max: int,
-                    den_max: int) -> Optional[RationalForm]:
+                    den_max: int) -> Optional[tuple[int, int, int]]:
     """Float-level rationality scan: the first (ell, p, q), q <= den_max, with
 
         |exp(2*pi*ell/alpha) - p/q| <= 1e-12 / q^2.
@@ -310,9 +311,9 @@ def detect_rational(spec: ProgressionSpec, ell_max: int,
     instead (or to x/q^2) cannot work: every irrational eventually meets
     it -- generic convergents once 1e-12*x exceeds 1/q^2, and bare integers
     once x is large enough that the integer spacing is below 1e-12*x --
-    which would contradict the intended "none" outcome for alpha = 1.  A
-    returned form is a CANDIDATE: a float-level identity, never a
-    certificate.
+    which would contradict the intended "none" outcome for alpha = 1.  The
+    result, minimal_fraction's (ell0, m, n) as a plain triple, is a float-level
+    identity, never a certificate: trusting it is from_rational(*found).
     """
     if spec.rational_form is not None:
         raise ValueError("spec already carries a rational_form")
@@ -332,16 +333,16 @@ def detect_rational(spec: ProgressionSpec, ell_max: int,
                 if p == q:
                     continue
                 if abs(x - mp.mpf(p) / q) <= tol0 / (q * q):
-                    return minimal_fraction(RationalForm(ell, p, q, candidate=True))
+                    return astuple(minimal_fraction(RationalForm(ell, p, q)))
     return None
 
 
 def delta(spec: ProgressionSpec) -> float:
-    """The rational-case moment correction delta(alpha, beta); 0 when
-    exp(2*pi*ell/alpha) is irrational for all ell > 0 (and for candidate-only
-    forms, which are never trusted as exact)."""
+    """The rational-case moment correction delta(alpha, beta) of the spec's
+    exact form; 0 when it has none, i.e. exp(2*pi*ell/alpha) is taken to be
+    irrational for all ell > 0, whatever a float alpha approximates."""
     rf = spec.rational_form
-    if rf is None or rf.candidate:
+    if rf is None:
         return 0.0
     mn = rf.m * rf.n
     c = math.cos(spec.beta * math.log(rf.m / rf.n))

@@ -444,8 +444,7 @@ def _tuple_phase(spec: ProgressionSpec, tup):
     - ell, exactly 0 on the symbolic rational path."""
     pref = np.exp(1j * spec.beta * math.log(tup.a / tup.b)) / math.sqrt(tup.a * tup.b)
     rf = spec.rational_form
-    if (rf is not None and not rf.candidate and tup.ell % rf.ell0 == 0
-            and tup.a == rf.m ** (tup.ell // rf.ell0)
+    if (rf is not None and tup.ell % rf.ell0 == 0 and tup.a == rf.m ** (tup.ell // rf.ell0)
             and tup.b == rf.n ** (tup.ell // rf.ell0)):
         return 0.0, pref
     return spec.alpha * math.log(tup.a / tup.b) / _TWO_PI - tup.ell, pref

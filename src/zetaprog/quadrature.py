@@ -37,11 +37,8 @@ def start_level(a: float, b: float, density: float):
     if not (math.isfinite(density) and density > 0.0):
         raise ValueError(f"the trapezoid needs a finite positive density, got {density!r}")
     cap = NODE_CAP // 4
-    if not density * (b - a) <= cap:
-        raise QuadratureError(f"the trapezoid at {density!r} nodes per unit over "
-                              f"[{a!r}, {b!r}] exceeds the budget of {cap} start nodes")
     per_unit = max(1, math.ceil(density))
-    if (b - a) * per_unit + 1 > cap:
+    if not (b - a) * per_unit + 1 <= cap:
         raise QuadratureError(f"the trapezoid at {density!r} nodes per unit over "
                               f"[{a!r}, {b!r}] starts at {per_unit} per unit, "
                               f"{(b - a) * per_unit + 1:.0f} start nodes against the "

@@ -37,9 +37,9 @@ expansion of Psi (_rs_coeffs), interpolated once at degree 21 to within
 block of 8192 nodes as a Chebyshev-Vandermonde product (one table per call,
 filled block by block), with theta and the rotation in the same blocks.
 theta(t) is its Stirling series through t^-5, whose next term is below
-2e-21 from t = 300 up.  EM/RS agreement to 1e-6 wherever
+2e-27 from t = RS_MIN_T up.  EM/RS agreement to 1e-6 wherever
 both run is part of the contract; each engine raises AccuracyError outside
-its range (below RS_FORCED_MIN_T and above RS_MAX_T for Riemann-Siegel,
+its range (below RS_MIN_T and above RS_MAX_T for Riemann-Siegel,
 past the cutoff cap _EM_HARD_CAP for Euler-Maclaurin).
 
 progression_sum is a baby-step giant-step factorisation (the
@@ -69,15 +69,9 @@ _TWO_PI_LD = np.longdouble(2) * np.arccos(np.longdouble(-1))
 # what the tail uses.
 _BERN = [float(mpmath.bernoulli(n)) for n in range(33)]
 
-# Above this height zeta_on_progression switches from Euler-Maclaurin to the
-# Riemann-Siegel accelerator (agreement is ~1.5e-9 at the seam).
+# zeta_on_progression switches from Euler-Maclaurin to Riemann-Siegel at this
+# height (agreement ~1.5e-9 at the seam); below it Riemann-Siegel refuses.
 RS_MIN_T = 2000.0
-
-# Lowest height Riemann-Siegel accepts (AccuracyError below).  The package
-# runs it from RS_MIN_T up; this is the floor of its 1e-6 contract.  Against
-# mpmath its maximum error is 4.4e-6 on [100, 150], 1.6e-6 on [150, 200] and
-# 7.1e-7 on [200, 250]; from 300 up it stays below 3.6e-7.
-RS_FORCED_MIN_T = 300.0
 
 # Highest height Riemann-Siegel accepts (AccuracyError above).  The float64
 # rounding of theta(t) and of t grows with t: against mpmath, on random
@@ -166,7 +160,7 @@ def _theta(t):
 
         t/2 ln(t/2pi) - t/2 - pi/8 + 1/(48 t) + 7/(5760 t^3) + 31/(80640 t^5);
 
-    from t = RS_FORCED_MIN_T up the next term is below 2e-21."""
+    from t = RS_MIN_T up the next term is below 2e-27."""
     t = np.asarray(t, dtype=float)
     r = 1.0 / (t * t)
     return (0.5 * t * (np.log(t / _TWO_PI) - 1.0) - np.pi / 8.0
@@ -243,7 +237,7 @@ def _rs_heads(ts, h, m) -> np.ndarray:
 
 def _riemann_siegel(ts, h) -> np.ndarray:
     """Riemann-Siegel zeta(1/2+it) on the progression ts = ts[0] + h*j,
-    within 1e-6 for RS_FORCED_MIN_T <= t <= RS_MAX_T (AccuracyError outside,
+    within 1e-6 for RS_MIN_T <= t <= RS_MAX_T (AccuracyError outside,
     before any work).  The main sum at every node is 2 Re(exp(i theta)
     head), all heads of the run from one _rs_heads call, with m = floor(tau)
     and tau = sqrt(t/2pi); the remainder (-1)^(m-1) tau^(-1/2) sum_j
@@ -252,11 +246,11 @@ def _riemann_siegel(ts, h) -> np.ndarray:
     the remainder as one Chebyshev-Vandermonde product with
     _rs_remainder_matrix() (the table T_i(x) filled in place by the
     recurrence, in one buffer per call that each block fills a slice of) and
-    Horner in 1/tau.  The run must ascend (h >= 0), as
-    zeta_on_progression hands it."""
-    if not np.all((ts >= RS_FORCED_MIN_T) & (ts <= RS_MAX_T)):
-        raise AccuracyError(f"Riemann-Siegel misses its 1e-6 accuracy outside t in "
-                            f"[{RS_FORCED_MIN_T:g}, {RS_MAX_T:g}]; got t in "
+    Horner in 1/tau.  The run must ascend (h >= 0): zeta_on_progression,
+    the one caller, hands it ascending runs from RS_MIN_T up."""
+    if not np.all((ts >= RS_MIN_T) & (ts <= RS_MAX_T)):
+        raise AccuracyError(f"Riemann-Siegel runs only on t in "
+                            f"[{RS_MIN_T:g}, {RS_MAX_T:g}]; got t in "
                             f"[{np.min(ts):g}, {np.max(ts):g}]")
     tau = np.sqrt(ts / _TWO_PI)
     m = np.floor(tau).astype(np.int64)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from test_boundary import FLOATS
 
 import zetaprog.cli as cli
-from zetaprog import ProgressionSpec
+from zetaprog import ProgressionSpec, SmoothWindow
 from zetaprog.cli import main
 from zetaprog.errors import QuadratureError
 
@@ -242,6 +242,16 @@ def test_bad_ell_range_exit_code(ell, capsys):
         main(["dioph", "--alpha", "1", "--T", "1e4", "--ell", ell])
     assert exc.value.code == 2
     assert f"argument --ell: bad ell range {ell!r}" in capsys.readouterr().err
+
+
+def test_ell_range_past_budget_exit_code(monkeypatch, capsys):
+    # counted from its ends before any list is built or any tuple searched
+    monkeypatch.setattr(cli.dmod, "find_tuple", lambda *args: pytest.fail("searched"))
+    with pytest.raises(SystemExit) as exc:
+        main(["dioph", "--alpha", "1", "--T", "1e4", "--ell", "1..8388609"])
+    assert exc.value.code == 2
+    assert ("argument --ell: 8388609 values exceed the budget of 8388608"
+            in capsys.readouterr().err)
 
 
 def test_rs_ceiling_exit_code(tmp_path, monkeypatch, capsys):
@@ -738,3 +748,25 @@ def test_selftest_passes(tmp_path):
     rc, doc = _run_json(["selftest"], tmp_path)
     assert rc == 0
     assert all(c["passed"] for c in doc["results"]["checks"])
+
+
+class _WiderRamps(SmoothWindow):
+    # phi's ramps 1e-6 wider, so its mass is 1e-6 below 1 - edge
+    def phi(self, x):
+        return SmoothWindow(edge=self.edge + 1e-6).phi(x)
+
+
+class _HeavierMass(SmoothWindow):
+    # the cached mass, and with it phi_hat(0), 1e-6 above phi's
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "plateau_mass", self.plateau_mass + 1e-6)
+
+
+@pytest.mark.parametrize("window", [_WiderRamps, _HeavierMass])
+def test_selftest_fails_on_a_window_mass_off_by_1e_6(window, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "SmoothWindow", window)
+    rc, doc = _run_json(["selftest"], tmp_path)
+    assert rc == 1
+    failed = [c["name"] for c in doc["results"]["checks"] if not c["passed"]]
+    assert failed == ["window_phihat0"]

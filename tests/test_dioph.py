@@ -46,11 +46,6 @@ def test_minimal_fraction_rejects_bad_forms():
         RationalForm(0, 2, 1)     # ell0 must be positive
 
 
-def test_minimal_fraction_keeps_candidate_flag():
-    got = minimal_fraction(RationalForm(2, 4, 1, candidate=True))
-    assert got.candidate is True
-
-
 # ---------------------------------------------------------------------------
 # ProgressionSpec
 # ---------------------------------------------------------------------------
@@ -119,9 +114,18 @@ def test_candidate_form_never_feeds_delta():
     spec = ProgressionSpec(alpha=TWO_PI / math.log(2.0))
     assert spec.rational_form is None
     assert delta(spec) == 0.0
-    found = detect_rational(spec, 3, 10 ** 6)
-    assert found is not None and found.candidate
+    assert detect_rational(spec, 3, 10 ** 6) == (1, 2, 1)
     assert delta(spec) == 0.0  # detection does not mutate the spec
+
+
+def test_detection_is_trusted_only_through_from_rational():
+    # a detected triple is not a RationalForm: passing it as one is refused
+    # by name, and from_rational(*found) is the one way to trust it
+    alpha = TWO_PI / math.log(2.0)
+    found = detect_rational(ProgressionSpec(alpha=alpha), 3, 10 ** 6)
+    with pytest.raises(TypeError, match="from_rational"):
+        ProgressionSpec(alpha=alpha, rational_form=found)
+    assert abs(delta(ProgressionSpec.from_rational(*found)) - (2.0 + 2.0 * math.sqrt(2.0))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -382,23 +386,19 @@ def test_rational_approximations_outside_float_range(scale):
 
 def test_detect_symbolic_power_of_two():
     spec = ProgressionSpec(alpha=TWO_PI / math.log(2.0))
-    form = detect_rational(spec, 3, 10 ** 6)
-    assert (form.ell0, form.m, form.n) == (1, 2, 1)
-    assert form.candidate
+    assert detect_rational(spec, 3, 10 ** 6) == (1, 2, 1)
 
 
 def test_detect_nine_fourths():
     spec = ProgressionSpec(alpha=TWO_PI / math.log(9.0 / 4.0))
-    form = detect_rational(spec, 2, 10 ** 6)
-    assert (form.ell0, form.m, form.n) == (1, 9, 4)
+    assert detect_rational(spec, 2, 10 ** 6) == (1, 9, 4)
 
 
 def test_detect_power_reduction():
     # alpha from ln 4: e^{2 pi/alpha} = 4 = 2^2, but gcd(ell0=1, k=2) = 1 so
     # the minimal representation keeps (1, 4, 1).
     spec = ProgressionSpec(alpha=TWO_PI / math.log(4.0))
-    form = detect_rational(spec, 3, 10 ** 6)
-    assert (form.ell0, form.m, form.n) == (1, 4, 1)
+    assert detect_rational(spec, 3, 10 ** 6) == (1, 4, 1)
 
 
 def test_detect_alpha_one_finds_nothing_deep():
@@ -411,10 +411,9 @@ def test_detect_alpha_one_finds_nothing_deep():
 
 def test_detect_float_perturbation_still_candidate():
     # 1e-13 relative off the symbolic value is indistinguishable at float
-    # level -- by design the result is only ever a CANDIDATE.
+    # level -- by design the result is only ever a candidate triple.
     spec = ProgressionSpec(alpha=TWO_PI / math.log(2.0) + 1e-13)
-    form = detect_rational(spec, 3, 10 ** 6)
-    assert form is not None and form.candidate
+    assert detect_rational(spec, 3, 10 ** 6) == (1, 2, 1)
 
 
 def test_detect_requires_formless_spec(sym_spec):

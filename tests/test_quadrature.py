@@ -54,9 +54,9 @@ def test_levels_hold_the_lattice_points_inside_ends_off_the_lattice():
 def test_trapezoid_refuses_start_past_budget_unevaluated():
     level_sum, levels = _recording(lambda x: 0.0)
     for density in (NODE_CAP / 4 + 1, 1e300):
-        with pytest.raises(QuadratureError):
+        with pytest.raises(QuadratureError, match=r"starts at \d+ per unit"):
             nested_trapezoid(level_sum, 1.0, 2.0, density, lambda new, old: True)
-        with pytest.raises(QuadratureError):
+        with pytest.raises(QuadratureError, match=r"starts at \d+ per unit"):
             start_level(1.0, 2.0, density)
     # ends off the lattice: the start level would hold exactly NODE_CAP / 4
     # lattice points, but the third halving NODE_CAP + 2 new odd j

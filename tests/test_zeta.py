@@ -21,7 +21,7 @@ from zetaprog import (AccuracyError, CapError, DirichletPoly, PoleError, RS_MIN_
                       resonator_coeffs, zeta_critical, zeta_critical_grid, zeta_em,
                       zeta_on_progression)
 from zetaprog import zeta as zmod
-from zetaprog.zeta import RS_FORCED_MIN_T, RS_MAX_T
+from zetaprog.zeta import RS_MAX_T
 
 FIRST_ZERO = 14.134725141734693
 
@@ -158,12 +158,13 @@ def test_rs_against_em_at_switchover(rng):
 
 
 def test_forced_rs_floor():
-    # Riemann-Siegel refuses heights where it misses 1e-6 (4.4e-6 at t ~ 100)
-    # and meets 1e-6 just above its floor, where the largest measured error
-    # is 3.6e-7 near t = 308.
-    with pytest.raises(AccuracyError):
-        zmod._riemann_siegel(np.array([RS_FORCED_MIN_T - 1.0, RS_FORCED_MIN_T]), 1.0)
-    ts = RS_FORCED_MIN_T + 0.25 * np.arange(81)
+    # Riemann-Siegel runs from the seam RS_MIN_T up, the only heights
+    # zeta_on_progression hands it: it refuses any height below, and meets
+    # 1e-6 from the seam on (1.5e-9 on these nodes).
+    for ts in ([RS_MIN_T - 1.0], [math.nextafter(RS_MIN_T, 0.0), RS_MIN_T]):
+        with pytest.raises(AccuracyError, match="Riemann-Siegel runs only on t in"):
+            zmod._riemann_siegel(np.array(ts), 1.0)
+    ts = RS_MIN_T + 0.25 * np.arange(81)
     got = zmod._riemann_siegel(ts, 0.25)
     for t, v in zip(ts, got):
         assert abs(v - _mp_zeta(0.5 + 1j * t)) < 1e-6
@@ -475,8 +476,8 @@ def test_rs_fit_truncated_at_tail():
 
 
 def test_rs_grid_truncation_against_full_fit(monkeypatch):
-    h = (1e6 - RS_FORCED_MIN_T) / 1999
-    ts = RS_FORCED_MIN_T + h * np.arange(2000)
+    h = (1e6 - RS_MIN_T) / 1999
+    ts = RS_MIN_T + h * np.arange(2000)
     cut = zmod._riemann_siegel(ts, h)
     monkeypatch.setattr(zmod, "_rs_remainder_matrix", _rs_full_fit)
     assert np.max(np.abs(cut - zmod._riemann_siegel(ts, h))) < 1e-12
