@@ -207,7 +207,7 @@ def _parse_ells(text):
     count = sum(max(0, hi - lo + 1) for lo, hi in ends)  # before building any list
     if count > NODE_CAP:
         raise argparse.ArgumentTypeError(f"{count} values exceed the budget of {NODE_CAP}")
-    out = [e for lo, hi in ends for e in range(lo, hi + 1)]
+    out = list(dict.fromkeys(e for lo, hi in ends for e in range(lo, hi + 1)))
     if not out or any(e < 1 for e in out):
         raise argparse.ArgumentTypeError(f"bad ell range {text!r}")
     return out
@@ -255,17 +255,16 @@ def _poly_from(args, T):
     return mmod.DirichletPoly.one()
 
 
-def _check_run(args, search=None, resonator=False):
-    """The checks of the builders a run will reach, in the order it reaches
-    them, then the node budget, all before any work.  First, ValueError when
-    the heights alpha*T + beta or 2*alpha*T + beta overflow, which every
-    builder would meet as inf.  Then the mollifier's T and theta when --theta
-    is set, the T and eps check of the search named by search (find_tuple or
-    build_excluded_set), predict_E's height check for moment without
-    --no-predict, the resonator's N and nonvanish's threshold.  Last,
+def _check_run(args, spec, search=None, resonator=False):
+    """The checks of the builders a run on spec will reach, in the order it
+    reaches them, then the node budget, all before any work.  First,
+    ValueError when the heights alpha*T + beta or 2*alpha*T + beta overflow,
+    which every builder would meet as inf.  Then the mollifier's T and theta
+    when --theta is set, the T and eps check of the search named by search
+    (find_tuple or build_excluded_set), predict_E's height check for moment
+    without --no-predict, the resonator's N and nonvanish's threshold.  Last,
     ValueError when [T, 2T] holds no integer (T < 1/2): the library's empty
     sum is 0, but a report over no node compares nothing."""
-    spec = _spec_from(args)
     lo, hi = spec.alpha * args.T + spec.beta, 2.0 * spec.alpha * args.T + spec.beta
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"the heights alpha*T + beta = {lo!r} and 2*alpha*T + beta = "
@@ -287,7 +286,7 @@ def _check_run(args, search=None, resonator=False):
 
 def _cmd_moment(args, t0):
     spec = _spec_from(args)
-    _check_run(args, search=None if args.no_predict else "find_tuple")
+    _check_run(args, spec, search=None if args.no_predict else "find_tuple")
     window, poly = SmoothWindow(edge=args.edge), _poly_from(args, args.T)
     cont, sample = mmod.continuous_twisted_moment(spec, window, args.T, poly, power=2)
     report = mmod.moment_report(sample, cont, predict=not args.no_predict, eps=args.eps)
@@ -335,7 +334,7 @@ def _cmd_dioph(args, t0):
 
 def _cmd_firstmoment(args, t0):
     spec = _spec_from(args)
-    _check_run(args, search="find_tuple")
+    _check_run(args, spec, search="find_tuple")
     window, poly = SmoothWindow(edge=args.edge), _poly_from(args, args.T)
     cont, sample = mmod.continuous_twisted_moment(spec, window, args.T, poly, power=1)
     disc = sample.twisted_sum(1)
@@ -359,7 +358,7 @@ def _cmd_firstmoment(args, t0):
 
 def _cmd_nonvanish(args, t0):
     spec = _spec_from(args)
-    _check_run(args)
+    _check_run(args, spec)
     sample = mmod.sample_progression(spec, SmoothWindow(edge=args.edge), args.T,
                                      _poly_from(args, args.T))
     rep = mmod.nonvanishing_bound(sample)
@@ -375,7 +374,7 @@ def _cmd_nonvanish(args, t0):
 def _cmd_resonate(args, t0):
     spec = _spec_from(args)
     window = SmoothWindow(edge=args.edge)  # a bad edge is refused before any work
-    _check_run(args, search="build_excluded_set", resonator=True)
+    _check_run(args, spec, search="build_excluded_set", resonator=True)
     excluded = rmod.build_excluded_set(spec, args.T, args.eps)
     res = rmod.resonator_coeffs(args.N, args.mode, excluded)
     euler = rmod.euler_product_prediction(res)
@@ -571,14 +570,17 @@ def build_parser():
 def _check_outputs(args):
     """ValueError for a --json or --csv path that cannot be written: a
     directory, a file without write permission, or a new file in a missing
-    or unwritable directory.  Checked before any work, so that a run never
-    fails after it, nor after writing the other report."""
-    for path in (getattr(args, "json", None), getattr(args, "csv", None)):
-        if not path:
-            continue
+    or unwritable directory; and for --json and --csv naming one file, where
+    the second report would overwrite the first.  Checked before any work,
+    so that a run never fails after it, nor after writing the other report."""
+    paths = [p for p in (getattr(args, "json", None), getattr(args, "csv", None)) if p]
+    for path in paths:
         target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
         if os.path.isdir(path) or not os.access(target, os.W_OK):
             raise ValueError(f"cannot write a report to {path!r}")
+    if len(paths) == 2 and (os.path.samefile(*paths) if all(map(os.path.exists, paths))
+                            else os.path.realpath(paths[0]) == os.path.realpath(paths[1])):
+        raise ValueError(f"--json and --csv name the same file {paths[0]!r}")
 
 
 def main(argv=None) -> int:

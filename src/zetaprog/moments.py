@@ -21,14 +21,15 @@ lattice sum forces even where display formulas leave it implicit.
 predict_E_prime takes the pair (a, b) at T * phi_hat(-T * nu), the sign
 Poisson summation fixes.
 
-One sampler, sample_progression, evaluates zeta*B and phi(ell/T) at nodes
-ell of the progression, through zeta.zeta_on_progression and
-zeta.progression_sum: zeta and B are only ever evaluated on a progression.
-Every consumer reduces a sample over its phi > 0 nodes, and the discrete
-moments, the nonvanishing bound and the resonator search share one sample
-of the integers in [T, 2T].  Every integral is the nested trapezoid of
-quadrature.py: the continuous moment samples the progression at the points
-ell = j / p of [T, 2T], each level's run built from the integers j and p
+One level sampler evaluates zeta*B and phi(ell/T) at the nodes ell = j / p
+of the progression, its run of heights built from the integers j and p,
+through zeta.zeta_on_progression and zeta.progression_sum: zeta and B are
+only ever evaluated on a progression.  The public sample,
+sample_progression, is the integers in [T, 2T] (p = 1); every consumer
+reduces it over its phi > 0 nodes, and the discrete moments, the
+nonvanishing bound and the resonator search share it.  Every integral is
+the nested trapezoid of quadrature.py: the continuous moment samples the
+progression at the points ell = j / p of [T, 2T], one level at a time
 (its start level holds the integers, and continuous_twisted_moment returns
 the integer sample cut from it, so the discrete moment costs no evaluation
 of its own), from a start of p = ceil(density) nodes per unit, the
@@ -58,7 +59,6 @@ H_ell and predict_E refuse them.
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -173,13 +173,12 @@ def _check_T(T: float):
         raise ValueError("T must be positive and finite")
 
 
-def _check_sample_budget(T: float, count: Optional[int] = None):
-    """ValueError unless T is positive and finite, and CapError when count nodes
-    (default: the integers in [T, 2T]) exceed NODE_CAP, the largest level the
-    continuous moment can ask for.  The CLI calls it before it builds anything."""
+def _check_sample_budget(T: float):
+    """ValueError unless T is positive and finite, and CapError when the
+    integers in [T, 2T] exceed NODE_CAP, the largest level the continuous
+    moment can ask for.  The CLI calls it before it builds anything."""
     _check_T(T)
-    if count is None:
-        count = math.floor(2.0 * T) - math.ceil(T) + 1
+    count = math.floor(2.0 * T) - math.ceil(T) + 1
     if count > NODE_CAP:
         raise CapError(f"progression sample of {count} nodes exceeds the budget of "
                        f"{NODE_CAP} nodes")
@@ -189,7 +188,9 @@ def _check_sample_budget(T: float, count: Optional[int] = None):
 class ProgressionSample:
     """Per node ell of a progression, phi = 0 nodes included: t = alpha*ell +
     beta, phi = phi(ell/T), zeta = zeta(1/2 + it) and B = B(1/2 + it).
-    Every reduction sums over the phi > 0 nodes only."""
+    The public samples (sample_progression, continuous_twisted_moment) hold
+    the integers in [T, 2T].  Every reduction sums over the phi > 0 nodes
+    only."""
 
     spec: ProgressionSpec
     window: SmoothWindow
@@ -213,41 +214,29 @@ class ProgressionSample:
         return complex(np.sum(w * vals))
 
 
-def _progression_run(spec: ProgressionSpec, j: np.ndarray, p: int = 1):
-    """(first height, step, count) of t = alpha*ell + beta at the nodes ell
-    = j / p, the progression arguments of zeta.progression_sum and
-    zeta.zeta_on_progression, taken from j and p themselves: t0 = alpha *
-    (j[0]/p) + beta and step alpha * ((j[1] - j[0])/p), so no step is
-    recovered from rounded nodes.  ValueError unless the j are equally
-    spaced."""
-    step = j[1] - j[0] if len(j) > 1 else 0.0
-    if not np.all(np.diff(j) == step):
-        raise ValueError("progression nodes ell must be equally spaced")
-    t0 = spec.alpha * (j[0] / p) + spec.beta if len(j) else spec.beta
-    return t0, spec.alpha * (step / p), len(j)
-
-
 def sample_progression(spec: ProgressionSpec, window: SmoothWindow, T: float,
-                       poly: DirichletPoly, ell: Optional[np.ndarray] = None
-                       ) -> ProgressionSample:
-    """Evaluate zeta and B once at every node ell (default: the integers in
-    [T, 2T]) of the progression 1/2 + i(alpha*ell + beta); zeta comes from
-    zeta.zeta_on_progression and B from zeta.progression_sum, in that order,
-    so heights the zeta engines refuse (AccuracyError) cost no Dirichlet sum.
-    Raises as _check_sample_budget does, before allocating, and ValueError
-    unless the nodes are equally spaced."""
-    _check_sample_budget(T, None if ell is None else len(ell))
-    ell = _integers(T) if ell is None else np.asarray(ell)
-    return _sample_run(spec, window, T, poly, ell, _progression_run(spec, ell))
+                       poly: DirichletPoly) -> ProgressionSample:
+    """Evaluate zeta and B once at every integer ell in [T, 2T] of the
+    progression 1/2 + i(alpha*ell + beta), through _sample_level.  Raises as
+    _check_sample_budget does, before allocating."""
+    _check_sample_budget(T)
+    return _sample_level(spec, window, T, poly, _integers(T), 1)
 
 
-def _sample_run(spec: ProgressionSpec, window: SmoothWindow, T: float, poly: DirichletPoly,
-                ell: np.ndarray, run) -> ProgressionSample:
-    """sample_progression's body: zeta and B on the run (t0, h, count) of the
-    heights at the nodes ell, zeta first."""
+def _sample_level(spec: ProgressionSpec, window: SmoothWindow, T: float,
+                  poly: DirichletPoly, j: np.ndarray, p: int) -> ProgressionSample:
+    """The sample at the nodes ell = j / p, j an np.arange of int64: zeta from
+    zeta.zeta_on_progression and B from zeta.progression_sum on the run of
+    heights t0 = alpha * (j[0]/p) + beta, step alpha * ((j[1] - j[0])/p),
+    built from j and p so that no step is recovered from rounded nodes.  zeta
+    comes first, so heights the zeta engines refuse (AccuracyError) cost no
+    Dirichlet sum."""
+    step = j[1] - j[0] if len(j) > 1 else 0.0
+    t0 = spec.alpha * (j[0] / p) + spec.beta if len(j) else spec.beta
+    run = t0, spec.alpha * (step / p), len(j)
     zeta = zmod.zeta_on_progression(*run)
     B = zmod.progression_sum(*poly.nonzero(), *run)
-    return _sample_at(spec, window, T, poly, ell, zeta, B)
+    return _sample_at(spec, window, T, poly, j if p == 1 else j / p, zeta, B)
 
 
 def _integers(T: float) -> np.ndarray:
@@ -285,22 +274,22 @@ def continuous_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: fl
     halving compares, so two agreeing levels do not prove the step fine
     enough.
 
-    Each level is one sample of the progression, through sample_progression's
-    body, its run (t0, h) built from the integers j and p.  Two successive
-    levels agreeing to 1e-4 relative are accepted; QuadratureError when none
-    do, or, before any evaluation, when the start step exceeds the rule's
-    node budget.  The start level's step is 1 / per_unit with per_unit an
-    integer >= 1, so the integer ell is its node j = per_unit * ell.  Only
-    those rows of zeta and B are copied, with ell, t and phi built as
-    sample_progression builds them, so the rest of the level is freed once
-    its sum is taken.
+    Each level is one sample of the progression, through the level sampler
+    that sample_progression calls with the integers and p = 1, its run
+    (t0, h) built from the integers j and p.  Two successive levels agreeing
+    to 1e-4 relative are accepted; QuadratureError when none do, or, before
+    any evaluation, when the start step exceeds the rule's node budget.  The
+    start level's step is 1 / per_unit with per_unit an integer >= 1, so the
+    integer ell is its node j = per_unit * ell.  Only those rows of zeta and
+    B are copied, with ell, t and phi built as sample_progression builds
+    them, so the rest of the level is freed once its sum is taken.
     """
     _check_power(power)
     _check_T(T)
     integers = []  # the integer sample, cut from the first level evaluated
 
     def level_sum(j, p):
-        sample = _sample_run(spec, window, T, poly, j / p, _progression_run(spec, j, p))
+        sample = _sample_level(spec, window, T, poly, j, p)
         if not integers:
             ints = _integers(T)
             rows = p * ints - j[0]

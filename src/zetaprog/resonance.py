@@ -12,9 +12,10 @@ window holds exactly.  The top-weighted progression points are where to look
 for an extreme |zeta|; extreme_search compares it with |R| against a constant
 slack, which is no proof where the slack is below max|A - zeta| (see
 ExtremeReport).  R and the search reduce one moments.ProgressionSample over
-its phi > 0 nodes.  A is zeta._main_sum_on_progression of that sample: its
-own zeta with the Euler-Maclaurin tail at cutoff floor(T) inverted where
-floor(T) >= max|t|/3, else one progression_sum.
+its phi > 0 nodes.  A is zeta._main_sum_on_progression of that sample, whose
+live nodes are consecutive integers, so its run steps by alpha: its own zeta
+with the Euler-Maclaurin tail at cutoff floor(T) inverted where floor(T) >=
+max|t|/3, else one progression_sum.
 
 The multiplicative coefficients r(p) = L/(sqrt(p) log p), L = sqrt(log N
 log log N), live on primes in [L^2, N] minus an excluded set S.
@@ -43,7 +44,7 @@ from . import zeta as zmod
 from .dioph import CF_PRECISION_BITS, DEFAULT_EPS, ProgressionSpec, _check_search, \
     _progression_x, rational_approximations
 from .errors import CapError, DegenerateDenominatorError
-from .moments import DirichletPoly, ProgressionSample, _progression_run
+from .moments import DirichletPoly, ProgressionSample
 from .sieves import primes_in, smallest_prime_factor, squarefree_products
 
 __all__ = ["Resonator", "EulerPrediction", "ExtremeReport", "ExploratoryWarning",
@@ -169,8 +170,7 @@ def _resonate(sample: ProgressionSample, resonator: Resonator):
     if den < 1e-12:
         raise DegenerateDenominatorError(
             f"resonator mass sum {den:.3e} below 1e-12; no usable weight")
-    h = _progression_run(sample.spec, sample.ell[live])[1]
-    A = zmod._main_sum_on_progression(sample.t[live], h, sample.zeta[live],
+    A = zmod._main_sum_on_progression(sample.t[live], sample.spec.alpha, sample.zeta[live],
                                       int(np.floor(sample.T)))
     ratio = complex(np.sum(mass * A)) / den
     if abs(ratio.imag) > 1e-2 * abs(ratio):

@@ -224,6 +224,29 @@ def test_unwritable_output_refused_before_work(subcommand, bad, tmp_path, monkey
     assert not any(os.path.isfile(p) for p in paths.values())
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotted", "symlink", "hardlink"])
+def test_json_and_csv_on_one_file_refused_before_work(spelling, tmp_path, monkeypatch,
+                                                      capsys):
+    # the CSV written second once replaced the JSON report, with exit 0
+    calls = []
+    monkeypatch.setattr(cli.mmod, "continuous_twisted_moment",
+                        lambda *args, **kwargs: calls.append(args))
+    path = tmp_path / "r.out"
+    other = {"same": path, "dotted": tmp_path / "." / "r.out",
+             "symlink": tmp_path / "link.out", "hardlink": tmp_path / "link.out"}[spelling]
+    if spelling == "symlink":
+        other.symlink_to(path)
+    if spelling == "hardlink":
+        path.touch()
+        os.link(path, other)
+    assert main(["moment", "--alpha", "1", "--T", "300", "--no-predict",
+                 "--json", str(path), "--csv", str(other)]) == 2
+    err = capsys.readouterr().err
+    assert "bad configuration: --json and --csv name the same file" in err
+    assert calls == []
+    assert not path.exists() or path.read_text() == ""
+
+
 @pytest.mark.parametrize("option, argv", [
     ("--T", ["moment", "--alpha", "1", "--T", "nan"]),
     ("--beta", ["moment", "--alpha", "1", "--beta", "nan", "--T", "300"]),
@@ -242,6 +265,24 @@ def test_bad_ell_range_exit_code(ell, capsys):
         main(["dioph", "--alpha", "1", "--T", "1e4", "--ell", ell])
     assert exc.value.code == 2
     assert f"argument --ell: bad ell range {ell!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ell, searched", [("1..2,2", [1, 2]), ("3,1,3", [3, 1])])
+def test_repeated_ell_searched_once(ell, searched, tmp_path, monkeypatch):
+    # each value is searched and reported once, at its first occurrence
+    calls = []
+    find_tuple = cli.dmod.find_tuple
+    monkeypatch.setattr(cli.dmod, "find_tuple",
+                        lambda spec, e, *args: calls.append(e) or find_tuple(spec, e, *args))
+    csv = tmp_path / "t.csv"
+    rc, doc = _run_json(["dioph", "--alpha-rational", "1:2:1", "--T", "1e4", "--ell", ell,
+                         "--csv", str(csv)], tmp_path)
+    assert rc == 0
+    assert calls == searched
+    assert doc["results"]["searched"] == searched
+    assert [t["ell"] for t in doc["results"]["tuples"]] == searched
+    assert [row.split(",")[0] for row in csv.read_text().splitlines()[1:]] == \
+        [str(e) for e in searched]
 
 
 def test_ell_range_past_budget_exit_code(monkeypatch, capsys):

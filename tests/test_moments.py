@@ -10,6 +10,7 @@ Independent oracles used here:
   * the first-moment deviation |I - T*phi_hat(0)| frozen as a regression
     constant after first measurement.
 """
+import dataclasses
 import math
 import warnings
 
@@ -148,14 +149,13 @@ def test_discrete_moment_empty_window_is_zero(unit_spec, window):
     assert sample_progression(unit_spec, window, 0.4, DirichletPoly.one()).twisted_sum(2) == 0.0
 
 
-def test_sample_rejects_unequally_spaced_nodes(unit_spec, window):
+def test_level_sampler_matches_direct_sum_on_dyadic_nodes(unit_spec, window):
+    # the level sampler builds its run from the numerators j and the
+    # denominator p; at ell = j / 8, B matches the direct sum
     moll = mollifier_coeffs(1e4, 0.4)
-    with pytest.raises(ValueError, match="equally spaced"):
-        sample_progression(unit_spec, window, 300.0, moll,
-                           np.array([300.0, 301.0, 303.0, 304.0]))
-    # dyadic nodes are spaced exactly; B matches the direct sum there
-    ell = np.arange(2400, 4801) / 8.0
-    sample = sample_progression(unit_spec, window, 300.0, moll, ell)
+    sample = mmod._sample_level(unit_spec, window, 300.0, moll,
+                                np.arange(2400, 4801, dtype=np.int64), 8)
+    assert np.array_equal(sample.ell, np.arange(2400, 4801) / 8.0)
     assert np.max(np.abs(sample.B - poly_grid(moll, sample.t))) < 1e-12
 
 
@@ -771,9 +771,11 @@ def test_empirical_nonvanishing_validation(unit_spec, window):
     with pytest.raises(ValueError):
         empirical_nonvanishing(sample_progression(unit_spec, window, 500.0,
                                                   DirichletPoly.one()), -0.1)
-    with pytest.raises(ValueError):  # log ell < 0
-        empirical_nonvanishing(sample_progression(unit_spec, window, 1.0, DirichletPoly.one(),
-                                                  np.array([0.5, 1.0])), 0.0)
+    # a hand-built sample can hold nodes ell < 1, where log ell < 0
+    low = dataclasses.replace(sample_progression(unit_spec, window, 1.0, DirichletPoly.one()),
+                              ell=np.array([0.5, 1.0]))
+    with pytest.raises(ValueError, match="nodes ell >= 1"):
+        empirical_nonvanishing(low, 0.0)
     empty = sample_progression(unit_spec, window, 0.4, DirichletPoly.one())  # [0.4, 0.8]
     assert len(empty.ell) == 0
     with pytest.raises(ValueError, match="empty progression window"):
