@@ -2,7 +2,9 @@
 
 Subcommands: moment, delta, dioph, firstmoment, nonvanish, resonate, selftest.
 Every run emits a versioned JSON report (schema_version at top level, full
-parameter echo, results, run_meta with wall time and engine versions).
+parameter echo, results, run_meta with wall time and engine versions).  The
+echo is the parsed options, the progression's as its spec holds them, and the
+pre-checks are keyed on the options, so a new option needs no edit to either.
 moment, dioph, firstmoment and resonate, the subcommands with a per-ell
 table, also take --csv and write that table with a frozen header row; the
 others refuse --csv.  The argument parser is built once per process, so a
@@ -81,10 +83,15 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(args, subcommand, params, results, t0, csv_header=None, csv_columns=None):
+def _emit(args, spec, results, t0, csv_header=None, csv_columns=None):
+    """Write the report, and the table with --csv; params echo the parsed options."""
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("fn", "subcommand", "json", "csv", "alpha", "alpha_rational", "beta")}
+    if spec is not None:
+        params.update(_spec_params(spec))
     report = {
         "schema_version": SCHEMA_VERSION,
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "params": _jsonable(params),
         "results": _jsonable(results),
         "run_meta": {
@@ -188,6 +195,16 @@ def _finite_float(text):
     return value
 
 
+def _int_at_least(lo):
+    """The argparse type of an integer option that refuses values below lo."""
+    def parse(text):
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text!r}")
+        return int(text)
+    parse.__name__ = "int"  # argparse's "invalid int value" for a non-integer
+    return parse
+
+
 def _parse_rational(text):
     parts = text.split(":")
     if len(parts) != 3:
@@ -249,33 +266,33 @@ def _add_outputs(parser, table=False):
 # -- subcommands ---------------------------------------------------------------
 
 
-def _poly_from(args, T):
+def _poly_from(args):
     if args.theta is not None:
-        return mmod.mollifier_coeffs(T, args.theta)
+        return mmod.mollifier_coeffs(args.T, args.theta)
     return mmod.DirichletPoly.one()
 
 
-def _check_run(args, spec, search=None, resonator=False):
+def _check_run(args, spec):
     """The checks of the builders a run on spec will reach, in the order it
-    reaches them, then the node budget, all before any work.  First,
-    ValueError when the heights alpha*T + beta or 2*alpha*T + beta overflow,
-    which every builder would meet as inf.  Then the mollifier's T and theta
-    when --theta is set, the T and eps check of the search named by search
-    (find_tuple or build_excluded_set), predict_E's height check for moment
-    without --no-predict, the resonator's N and nonvanish's threshold.  Last,
-    ValueError when [T, 2T] holds no integer (T < 1/2): the library's empty
-    sum is 0, but a report over no node compares nothing."""
+    reaches them, each keyed on the option that carries it, then the node
+    budget, all before any work: finite heights alpha*T + beta and 2*alpha*T
+    + beta, which every builder would meet as inf; the mollifier's T and
+    theta (--theta); the search's T and eps where the run has --eps and
+    predicts (build_excluded_set with --N, else find_tuple); predict_E's
+    heights (moment's predict); the resonator's N (--N); --threshold; and an
+    integer in [T, 2T], for a report over no node compares nothing."""
     lo, hi = spec.alpha * args.T + spec.beta, 2.0 * spec.alpha * args.T + spec.beta
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"the heights alpha*T + beta = {lo!r} and 2*alpha*T + beta = "
                          f"{hi!r} must be finite; lower --alpha, --beta or --T")
     if getattr(args, "theta", None) is not None:  # resonate has no --theta
         mmod._check_mollifier(args.T, args.theta)
-    if search is not None:
-        dmod._check_search(args.T, args.eps, search)
-    if not getattr(args, "no_predict", True):  # only moment has --no-predict
+    if hasattr(args, "eps") and getattr(args, "predict", True):  # only moment may not predict
+        dmod._check_search(args.T, args.eps,
+                           "build_excluded_set" if hasattr(args, "N") else "find_tuple")
+    if getattr(args, "predict", False):  # only moment has --no-predict
         mmod._check_heights(spec, args.T)
-    if resonator:
+    if hasattr(args, "N"):  # only resonate has --N
         rmod._check_resonator_length(args.N)
     if getattr(args, "threshold", None) is not None:  # only nonvanish has --threshold
         mmod._check_threshold(args.threshold)
@@ -286,15 +303,12 @@ def _check_run(args, spec, search=None, resonator=False):
 
 def _cmd_moment(args, t0):
     spec = _spec_from(args)
-    _check_run(args, spec, search=None if args.no_predict else "find_tuple")
-    window, poly = SmoothWindow(edge=args.edge), _poly_from(args, args.T)
+    _check_run(args, spec)
+    window, poly = SmoothWindow(edge=args.edge), _poly_from(args)
     cont, sample = mmod.continuous_twisted_moment(spec, window, args.T, poly, power=2)
-    report = mmod.moment_report(sample, cont, predict=not args.no_predict, eps=args.eps)
+    report = mmod.moment_report(sample, cont, predict=args.predict, eps=args.eps)
     results = {**asdict(report), "delta": dmod.delta(spec)}
-    params = {**_spec_params(spec), "T": args.T, "edge": args.edge,
-              "eps": args.eps, "theta": args.theta,
-              "predict": not args.no_predict}
-    _emit(args, "moment", params, results, t0, ["ell", "t", "phi", "abs_zeta_B_sq"],
+    _emit(args, spec, results, t0, ["ell", "t", "phi", "abs_zeta_B_sq"],
           [sample.ell, sample.t, sample.phi, np.abs(sample.zeta * sample.B) ** 2])
     return 0
 
@@ -308,9 +322,7 @@ def _cmd_delta(args, t0):
             results["detected_form"] = dict(zip(("ell0", "m", "n"), found), candidate=True)
     results["delta"] = dmod.delta(spec)
     results["exact"] = spec.rational_form is not None
-    params = {**_spec_params(spec), "detect": args.detect,
-              "ell_max": args.ell_max, "den_max": args.den_max}
-    _emit(args, "delta", params, results, t0)
+    _emit(args, spec, results, t0)
     return 0
 
 
@@ -326,20 +338,19 @@ def _cmd_dioph(args, t0):
             rows.append((ell, tup.a, tup.b, float(tup.quality)))
             found.append({"ell": ell, "a": tup.a, "b": tup.b,
                           "quality": tup.quality})
-    params = {**_spec_params(spec), "T": args.T, "eps": args.eps, "ell": args.ell}
-    _emit(args, "dioph", params, {"tuples": found, "searched": args.ell},
+    _emit(args, spec, {"tuples": found, "searched": args.ell},
           t0, ["ell", "a", "b", "quality"], list(zip(*rows)))
     return 0
 
 
 def _cmd_firstmoment(args, t0):
     spec = _spec_from(args)
-    _check_run(args, spec, search="find_tuple")
-    window, poly = SmoothWindow(edge=args.edge), _poly_from(args, args.T)
+    _check_run(args, spec)
+    window, poly = SmoothWindow(edge=args.edge), _poly_from(args)
     cont, sample = mmod.continuous_twisted_moment(spec, window, args.T, poly, power=1)
     disc = sample.twisted_sum(1)
     pred = mmod.predict_E_prime(spec, window, args.T, poly, eps=args.eps)
-    ref = args.T * window.phi_hat(0.0).real
+    ref = args.T * window.plateau_mass
     results = {
         "discrete": disc, "continuous": cont,
         "discrete_minus_continuous": disc - cont,
@@ -348,10 +359,7 @@ def _cmd_firstmoment(args, t0):
         "abs_deviation_from_reference": abs(disc - ref),
     }
     vals = sample.zeta * sample.B
-    params = {**_spec_params(spec), "T": args.T, "edge": args.edge,
-              "eps": args.eps, "theta": args.theta}
-    _emit(args, "firstmoment", params, results, t0,
-          ["ell", "t", "phi", "re_zeta_B", "im_zeta_B"],
+    _emit(args, spec, results, t0, ["ell", "t", "phi", "re_zeta_B", "im_zeta_B"],
           [sample.ell, sample.t, sample.phi, vals.real, vals.imag])
     return 0
 
@@ -359,22 +367,19 @@ def _cmd_firstmoment(args, t0):
 def _cmd_nonvanish(args, t0):
     spec = _spec_from(args)
     _check_run(args, spec)
-    sample = mmod.sample_progression(spec, SmoothWindow(edge=args.edge), args.T,
-                                     _poly_from(args, args.T))
+    sample = mmod.sample_progression(spec, SmoothWindow(edge=args.edge), args.T, _poly_from(args))
     rep = mmod.nonvanishing_bound(sample)
     emp = mmod.empirical_nonvanishing(sample, args.threshold)
     results = {**asdict(rep), "empirical_fraction": emp,
                "threshold": args.threshold}
-    params = {**_spec_params(spec), "T": args.T, "theta": args.theta,
-              "edge": args.edge, "threshold": args.threshold}
-    _emit(args, "nonvanish", params, results, t0)
+    _emit(args, spec, results, t0)
     return 0
 
 
 def _cmd_resonate(args, t0):
     spec = _spec_from(args)
     window = SmoothWindow(edge=args.edge)  # a bad edge is refused before any work
-    _check_run(args, spec, search="build_excluded_set", resonator=True)
+    _check_run(args, spec)
     excluded = rmod.build_excluded_set(spec, args.T, args.eps)
     res = rmod.resonator_coeffs(args.N, args.mode, excluded)
     euler = rmod.euler_product_prediction(res)
@@ -387,9 +392,7 @@ def _cmd_resonate(args, t0):
         "euler_prediction": asdict(euler),
         "extreme": asdict(rep),
     }
-    params = {**_spec_params(spec), "T": args.T, "N": args.N, "mode": args.mode,
-              "eps": args.eps, "edge": args.edge}
-    _emit(args, "resonate", params, results, t0, ["ell", "t", "abs_zeta", "resonator_mass"],
+    _emit(args, spec, results, t0, ["ell", "t", "abs_zeta", "resonator_mass"],
           [sample.ell, sample.t, np.abs(sample.zeta), sample.phi * np.abs(sample.B) ** 2])
     return 0
 
@@ -485,7 +488,7 @@ def _cmd_selftest(args, t0):
         "n_passed": sum(1 for _, p, _ in checks if p),
         "n_total": len(checks),
     }
-    _emit(args, "selftest", {"seed": args.seed}, results, t0)
+    _emit(args, None, results, t0)
     return 0 if results["n_passed"] == results["n_total"] else 1
 
 
@@ -508,7 +511,7 @@ def build_parser():
     p.add_argument("--theta", type=_finite_float, help="mollify with exponent theta")
     p.add_argument("--edge", type=_finite_float, default=0.05)
     p.add_argument("--eps", type=_finite_float, default=dmod.DEFAULT_EPS)
-    p.add_argument("--no-predict", action="store_true")
+    p.add_argument("--no-predict", dest="predict", action="store_false")
     _add_outputs(p, table=True)
     p.set_defaults(fn=_cmd_moment)
 
@@ -516,8 +519,8 @@ def build_parser():
     _add_progression(p)
     p.add_argument("--detect", action="store_true",
                    help="scan a float alpha for candidate rational structure")
-    p.add_argument("--ell-max", type=int, default=40)
-    p.add_argument("--den-max", type=int, default=100_000)
+    p.add_argument("--ell-max", type=_int_at_least(1), default=40)
+    p.add_argument("--den-max", type=_int_at_least(1), default=100_000)
     _add_outputs(p)
     p.set_defaults(fn=_cmd_delta)
 
@@ -560,7 +563,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_resonate)
 
     p = sub.add_parser("selftest", help="run the curated invariant checks")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_outputs(p)
     p.set_defaults(fn=_cmd_selftest)
 

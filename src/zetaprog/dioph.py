@@ -86,7 +86,7 @@ def minimal_fraction(form: RationalForm) -> RationalForm:
     """
     m, n = form.m, form.n
     top = max(m, n)
-    for k in range(max(top.bit_length() - 1, 1), 0, -1):
+    for k in range(top.bit_length() - 1, 1, -1):
         r = _iroot(m, k)
         s = _iroot(n, k)
         if r is not None and s is not None:

@@ -153,7 +153,7 @@ def eval_poly(poly: DirichletPoly, t: float) -> complex:
     phases reduced in 80-bit."""
     t = float(t)
     if t < 0.0:
-        return np.conj(eval_poly(poly, -t))
+        return eval_poly(poly, -t).conjugate()
     ns, bs = poly.nonzero()
     if len(ns) == 0:
         return 0j

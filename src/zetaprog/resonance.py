@@ -81,11 +81,14 @@ def build_excluded_set(spec: ProgressionSpec, T: float,
                        eps: float = DEFAULT_EPS) -> FrozenSet[int]:
     """Primes to remove from the resonator support.
 
-    For each ell <= 2 log T, if a coprime pair (a, b) with a*b > 1 and both
-    members below T^(1/2-eps) has frequency defect
-    |alpha*log(a/b)/(2*pi) - ell| <= T^(-1+eps), the smallest prime factors
-    of a and of b enter the set (b = 1 contributes nothing).  At most one
-    tuple per ell qualifies in practice, so |S| <= 4 log T.
+    For each ell <= 2 log T, if a coprime pair (a, b) with both members
+    below C = T^(1/2-eps) has frequency defect |alpha*log(a/b)/(2*pi) - ell|
+    <= T^(-1+eps), the smallest prime factors of a and of b enter the set
+    (b = 1 contributes nothing).  At most one pair per ell qualifies, so
+    |S| <= 4 log T: with u = 2*pi/alpha and tau = u*T^(eps-1), a/b lies in
+    [x e^-tau, x e^tau], x = e^(u*ell) >= e^u, narrower than the gap
+    x^2 e^(-2 tau)/C^2 between two such fractions, as 2u T^(-eps) e^(3 tau -
+    u) < 1 for T >= 100 and eps in (0, 1/2); 1/1 needs ell <= T^(eps-1) < 1.
     """
     _check_search(T, eps, "build_excluded_set")
     member_cap = (0.5 - eps) * math.log(T)
@@ -104,17 +107,12 @@ def build_excluded_set(spec: ProgressionSpec, T: float,
             tau = mp.mpf(_TWO_PI) / spec.alpha * freq_tol
             search_tol = mp.expm1(tau)
             cap = int(mp.ceil(mp.exp(member_cap))) - 1  # the largest integer below the cap
-            hits = []
-            for p, q, _qual in rational_approximations(x, int(mp.floor(cap / x)) + 1,
-                                                       search_tol, p_cap=cap):
-                if p * q <= 1:
-                    continue
-                defect = abs(spec.alpha * mp.log(mp.mpf(p) / q) / _TWO_PI - ell)
-                if defect <= freq_tol:
-                    hits.append((float(defect), q, p))
+            hits = [(p, q) for p, q, _qual in rational_approximations(
+                        x, int(mp.floor(cap / x)) + 1, search_tol, p_cap=cap)
+                    if abs(spec.alpha * mp.log(mp.mpf(p) / q) / _TWO_PI - ell) <= freq_tol]
         if not hits:
             continue
-        _, b, a = min(hits)
+        (a, b), = hits
         # a hit has alpha*ln(a/b)/(2*pi) >= ell - T^(eps-1) > 0, so a > b >= 1
         out.add(smallest_prime_factor(a))
         if b > 1:

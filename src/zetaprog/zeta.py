@@ -8,21 +8,21 @@ The reference engine is Euler-Maclaurin with an adaptive cutoff,
 valid for every complex s != 1; zeta_em keeps its 1e-10 contract from
 Re s = 1/2 rightwards and refuses the rest.  This module is the only one
 that knows the formula -- its cutoff, its tail, and when the tail can be
-inverted: one progression routine, _euler_maclaurin, serves both the
-critical line (Re s = 1/2) and the H-transform contour (kernels, s = 1+2w,
-Re s = 2), and _main_sum_on_progression gives the resonator its main sum.
-The Bernoulli numbers B_2k are exact rationals (mpmath) rounded once to
-float.  One scalar kernel,
-_dirichlet_sum, serves zeta_em's head, main_sum and moments.eval_poly: the
+inverted: one progression routine, _euler_maclaurin, serves the critical
+line (Re s = 1/2), the H-transform contour (kernels, s = 1+2w, Re s = 2) and
+zeta_em (one node at sigma = Re s); _main_sum_on_progression gives the
+resonator its main sum.  The Bernoulli numbers B_2k are exact rationals
+(mpmath) rounded once to float.  One scalar kernel, _dirichlet_sum, serves
+main_sum and moments.eval_poly, the direct oracles of progression_sum: the
 phases t*log n reduced in 80-bit extended precision (at t = 1e5 a float64
 product carries ~1e-10 of phase error, the target accuracy), then math.fsum.
 
 The cutoff N = max|t|/2 + 1 (_em_cutoff) keeps the B_24 tail below its
 1e-10 contract with room: against mpmath (dps 30) the largest error read
-1.4e-12 on 614 nodes of progression runs below RS_MIN_T and 2.8e-13 for
-zeta_em up to |Im s| = 1e5 at sigma in {0.5, 0.75, 2}.  Left of the critical
-line the error grows like N^-sigma: at |Im s| = 99999.5 it reads 6.0e-11 at
-sigma = 0 and 1.4e-8 at sigma = -1/2.
+1.4e-12 on 614 nodes of progression runs below RS_MIN_T and 3.7e-13 for
+zeta_em on 102 heights up to |Im s| = 1e5 at sigma in {0.5, 0.75, 2}.
+Left of the critical line the error grows like N^-sigma: at |Im s| = 99999.5
+it reads 6.0e-11 at sigma = 0 and 1.4e-8 at sigma = -1/2.
 
 The critical line has one engine per method, _euler_maclaurin (one cutoff
 per call) and _riemann_siegel, each taking heights on an ascending
@@ -104,7 +104,7 @@ def _em_tail(s, N, head=0.0):
 def _dirichlet_sum(ns, mags, t: float) -> complex:
     """sum_k mags[k] * ns[k]^(-it) at one height, by compensated summation
     (math.fsum), the phases t ln n reduced mod 2pi in 80-bit extended
-    precision before taking cos/sin."""
+    precision: the direct sum of main_sum and moments.eval_poly."""
     ph = np.mod(np.longdouble(t) * np.log(ns.astype(np.longdouble)), _TWO_PI_LD)
     return complex(math.fsum(mags * np.cos(ph).astype(float)),
                    -math.fsum(mags * np.sin(ph).astype(float)))
@@ -118,7 +118,7 @@ def _em_cutoff(ts) -> int:
     each of the _EM_ORDER orders gains (1/pi)^2.  Against mpmath (dps 30) the
     largest error read 1.4e-12 on 614 nodes of progression runs below RS_MIN_T
     (at t = 13.4 on a run that reaches |t| = 2000: the rounding of its 1000
-    head terms) and 2.8e-13 for zeta_em on 306 heights up to |Im s| = 1e5 at
+    head terms) and 3.7e-13 for zeta_em on 102 heights up to |Im s| = 1e5 at
     sigma in {0.5, 0.75, 2}.  At N = |t|/3 the same scan reads 3.8e-10 and
     5.1e-10."""
     N = max(_EM_MIN_TERMS, int(0.5 * np.max(np.abs(ts))) + 1)
@@ -132,8 +132,8 @@ def zeta_em(s) -> complex:
     |Im s| <= 1e5.
 
     Raises PoleError at s = 1, and AccuracyError for Re s < 1/2 or if the
-    adaptive cutoff |Im s|/2 would exceed the hard cap.  Conjugation symmetry is exact: the
-    lower half plane is evaluated as conj(zeta(conj s)).
+    adaptive cutoff |Im s|/2 would exceed the hard cap.  It is one node of
+    _euler_maclaurin; the lower half plane is conj(zeta(conj s)), exactly.
     """
     s = complex(s)
     if s == 1.0:
@@ -141,10 +141,8 @@ def zeta_em(s) -> complex:
     if not s.real >= 0.5:
         raise AccuracyError(f"zeta_em misses its 1e-10 accuracy left of Re s = 1/2; got s = {s}")
     if s.imag < 0.0:
-        return np.conj(zeta_em(np.conj(s)))
-    N = _em_cutoff(s.imag)
-    n = np.arange(1, N, dtype=np.int64)
-    return _em_tail(s, float(N), _dirichlet_sum(n, n.astype(np.float64) ** (-s.real), s.imag))
+        return zeta_em(s.conjugate()).conjugate()
+    return complex(_euler_maclaurin(np.array([s.imag]), 0.0, s.real)[0])
 
 
 def zeta_critical(t: float) -> complex:

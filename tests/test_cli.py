@@ -200,6 +200,41 @@ def test_parser_built_once_keeps_no_state(tmp_path, capsys):
     assert rc == 0 and doc["subcommand"] == "firstmoment"
 
 
+@pytest.mark.parametrize("argv", [
+    ["moment", "--alpha", "1", "--T", "300", "--no-predict"],
+    ["delta", "--alpha-rational", "1:2:1", "--detect"],
+    ["dioph", "--alpha-rational", "1:3:2", "--T", "1e4", "--ell", "1..2"],
+    ["firstmoment", "--alpha", "1", "--T", "300", "--theta", "0.3"],
+    ["nonvanish", "--alpha", "2", "--T", "300", "--beta", "0.5"],
+    ["resonate", "--alpha", "1", "--T", "300", "--N", "100", "--mode", "min"],
+    ["selftest", "--seed", "3"],
+], ids=lambda argv: argv[0])
+def test_params_echo_every_parsed_option(argv, tmp_path):
+    # a report's params are its subparser's destinations but the output
+    # paths, with the progression as the spec holds it
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[argv[0]]
+    dests = {a.dest for a in sub._actions} - {"help", "json", "csv"}
+    args = sub.parse_args(argv[1:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the package's own warnings
+        rc, doc = _run_json(argv, tmp_path)
+    assert rc == 0
+    params = doc["params"]
+    if argv[0] == "selftest":
+        assert params == {"seed": 3}
+        return
+    spec = cli._spec_from(args)
+    if spec.rational_form is None:
+        dests.discard("alpha_rational")
+    assert set(params) == dests
+    assert (params["alpha"], params["beta"]) == (spec.alpha, spec.beta)
+    assert {k: params[k] for k in dests - {"alpha", "alpha_rational", "beta"}} == \
+        {k: getattr(args, k) for k in dests - {"alpha", "alpha_rational", "beta"}}
+    if argv[0] == "moment":
+        assert params["predict"] is False
+
+
 @pytest.mark.parametrize("subcommand", [
     ["moment", "--alpha", "1", "--T", "300", "--no-predict"],
     ["resonate", "--alpha", "1", "--T", "300", "--N", "100", "--mode", "max"],
@@ -257,6 +292,22 @@ def test_non_finite_option_exit_code(option, argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {option}: must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, argv", [
+    ("--den-max", ["delta", "--alpha", "9.064720283654388", "--detect", "--den-max", "0"]),
+    ("--ell-max", ["delta", "--alpha", "9.064720283654388", "--detect", "--ell-max", "0"]),
+    ("--seed", ["selftest", "--seed", "-1"]),
+], ids=["den-max", "ell-max", "seed"])
+def test_bad_integer_option_exit_code(option, argv, monkeypatch, capsys):
+    # a detection bound below 1 once exited 0 with no detected_form, and a
+    # negative seed exited 2 with numpy's message, naming no option
+    monkeypatch.setattr(cli.dmod, "detect_rational", _unreachable)
+    monkeypatch.setattr(cli, "_selftest_checks", _unreachable)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {option}: must be >= " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("ell", ["0", "3..1"])
@@ -380,12 +431,15 @@ _HEIGHTS = "bad configuration: predict_E requires heights alpha*T + beta > 0"
       "--edge", "0.7"], 2, "bad configuration: edge must lie in (0, 1/2), got 0.7"),
     (["resonate", "--alpha", "1", "--T", "1e5", "--N", "6000000", "--mode", "max"], 1,
      "computation failed: CapError: resonator length 6000000 exceeds the memory cap"),
+    # find_tuple would refuse T = 50; a moment that predicts nothing never asks it
+    (["moment", "--alpha", "1", "--T", "50", "--no-predict"], 0, ""),
 ], ids=["nonvanish", "moment", "nonvanish-mollified", "resonate", "moment-overlong-mollifier",
         "resonate-short-N", "moment-theta", "firstmoment-small-T", "moment-small-T",
         "moment-eps", "nonvanish-small-T", "resonate-small-T",
         "moment-continuous-start", "firstmoment-continuous-start",
         "moment-negative-heights", "moment-heights-through-0", "moment-float-negative-heights",
-        "nonvanish-threshold", "resonate-edge", "resonate-overlong-N"])
+        "nonvanish-threshold", "resonate-edge", "resonate-overlong-N",
+        "moment-no-predict-small-T"])
 def test_node_budget_exit_code(argv, rc, message, tmp_path, monkeypatch, capsys):
     # Refused before any array is allocated, and before the mollifier, the
     # excluded set, the resonator or the sample is built; the mollifier of
@@ -393,7 +447,8 @@ def test_node_budget_exit_code(argv, rc, message, tmp_path, monkeypatch, capsys)
     # builder's T, theta, N or eps check runs before the node budget, with
     # the builder's own message, and so do nonvanish's threshold check, the
     # resonator's support cap and resonate's window edge.  The continuous
-    # moment's start level is checked before the sample too.
+    # moment's start level is checked before the sample too.  A check runs
+    # only where the run reaches its builder.
     for mod, name in ((cli.mmod, "mollifier_coeffs"), (cli.mmod, "sample_progression"),
                       (cli.rmod, "build_excluded_set"), (cli.rmod, "resonator_coeffs")):
         monkeypatch.setattr(mod, name, _unreachable)
@@ -402,7 +457,7 @@ def test_node_budget_exit_code(argv, rc, message, tmp_path, monkeypatch, capsys)
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
-    assert not out.exists()
+    assert out.exists() == (rc == 0)
 
 
 def test_continuous_start_refusal_names_its_cost(tmp_path, capsys):
@@ -695,9 +750,10 @@ def test_csv_table_refuses_unequal_columns(tmp_path):
         cli._csv_table(["a", "b"], [np.zeros(3), np.arange(2)])
     with pytest.raises(ValueError, match=r"\[2, 2, 1\]"):
         cli._csv_table(["a", "b", "c"], [np.zeros(2), (1, "none"), ("none",)])
-    args = argparse.Namespace(json=str(tmp_path / "x.json"), csv=str(tmp_path / "x.csv"))
+    args = argparse.Namespace(subcommand="moment", json=str(tmp_path / "x.json"),
+                              csv=str(tmp_path / "x.csv"))
     with pytest.raises(ValueError, match="differ in length"):
-        cli._emit(args, "moment", {}, {}, 0.0, ["a", "b"], [np.zeros(3), np.zeros(4)])
+        cli._emit(args, None, {}, 0.0, ["a", "b"], [np.zeros(3), np.zeros(4)])
     assert not (tmp_path / "x.json").exists() and not (tmp_path / "x.csv").exists()
 
 
@@ -724,7 +780,8 @@ def test_emit_csv_is_the_repr_join(tmp_path):
     vals = np.array([1 + 1e-5j, complex(math.nan, math.inf), complex(-0.0, 0.25), 3e-310 + 2j])
     ell = np.arange(300, 304)
     columns = [ell, t, vals.real, vals.imag, ("none", 2, 0.5, "none")]
-    args = argparse.Namespace(json=str(tmp_path / "x.json"), csv=str(tmp_path / "x.csv"))
+    args = argparse.Namespace(subcommand="moment", json=str(tmp_path / "x.json"),
+                              csv=str(tmp_path / "x.csv"))
     rows = [["ell", "t", "re", "im", "q"]] + [
         [str(e), repr(a), repr(b), repr(c), d if isinstance(d, str) else
          repr(d) if isinstance(d, float) else str(d)]
@@ -732,10 +789,10 @@ def test_emit_csv_is_the_repr_join(tmp_path):
                                  vals.imag.tolist(), columns[-1])]
     want = "".join(",".join(row) + "\n" for row in rows)
     assert want.splitlines()[3] == "302,1e+16,-0.0,0.25,0.5"
-    cli._emit(args, "moment", {}, {}, 0.0, rows[0], columns)
+    cli._emit(args, None, {}, 0.0, rows[0], columns)
     assert (tmp_path / "x.csv").read_text() == want
     # without the tuple column every column is an ndarray: one orjson dump
-    cli._emit(args, "moment", {}, {}, 0.0, rows[0][:4], columns[:4])
+    cli._emit(args, None, {}, 0.0, rows[0][:4], columns[:4])
     assert (tmp_path / "x.csv").read_text() == "".join(",".join(row[:4]) + "\n" for row in rows)
 
 

@@ -542,3 +542,11 @@ def test_afe_epsilon_stability():
     a = afe_square(t)
     b = afe_square(t, cap=t ** 1.3)
     assert abs(a - b) < 0.05
+
+
+def test_scalar_api_returns_python_complex():
+    # zeta_em, zeta_critical and eval_poly at t < 0 once returned
+    # numpy.complex128, and selftest's report read zeta(2)=np.float64(...)
+    poly = mollifier_coeffs(1e4, 0.3)
+    for z in (zeta_em(2), zeta_em(0.5 - 3j), zeta_critical(5.0), eval_poly(poly, -3.0)):
+        assert type(z) is complex
