@@ -5,10 +5,12 @@ Every run emits a versioned JSON report (schema_version at top level, full
 parameter echo, results, run_meta with wall time and engine versions).  The
 echo is the parsed options, the progression's as its spec holds them, and the
 pre-checks are keyed on the options, so a new option needs no edit to either.
-moment, dioph, firstmoment and resonate, the subcommands with a per-ell
-table, also take --csv and write that table with a frozen header row; the
-others refuse --csv.  The argument parser is built once per process, so a
-caller that runs main many times pays only for parsing.
+The results hold what the run computed: no option the echo states, and no
+field that can take one value only.  moment, dioph, firstmoment and
+resonate, the subcommands with a per-ell table, also take --csv and write
+that table with a frozen header row; the others refuse --csv.  The argument
+parser is built once per process, so a caller that runs main many times pays
+only for parsing.
 
 CSV cells are written as Python writes them: integers by str, floats by
 repr (the shortest text that reads back to the same double).  A table of
@@ -48,7 +50,7 @@ from .errors import ZetaprogError
 from .quadrature import NODE_CAP, nested_trapezoid
 from .window import SmoothWindow
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 # -- plumbing ------------------------------------------------------------------
@@ -241,8 +243,7 @@ def _spec_params(spec: dmod.ProgressionSpec):
     p = {"alpha": spec.alpha, "beta": spec.beta}
     if spec.rational_form is not None:
         rf = spec.rational_form
-        p["alpha_rational"] = {"ell0": rf.ell0, "m": rf.m, "n": rf.n,
-                               "candidate": False}
+        p["alpha_rational"] = {"ell0": rf.ell0, "m": rf.m, "n": rf.n}
     return p
 
 
@@ -319,7 +320,7 @@ def _cmd_delta(args, t0):
     if spec.rational_form is None and args.detect:
         found = dmod.detect_rational(spec, args.ell_max, args.den_max)
         if found is not None:
-            results["detected_form"] = dict(zip(("ell0", "m", "n"), found), candidate=True)
+            results["detected_form"] = dict(zip(("ell0", "m", "n"), found))
     results["delta"] = dmod.delta(spec)
     results["exact"] = spec.rational_form is not None
     _emit(args, spec, results, t0)
@@ -338,8 +339,7 @@ def _cmd_dioph(args, t0):
             rows.append((ell, tup.a, tup.b, float(tup.quality)))
             found.append({"ell": ell, "a": tup.a, "b": tup.b,
                           "quality": tup.quality})
-    _emit(args, spec, {"tuples": found, "searched": args.ell},
-          t0, ["ell", "a", "b", "quality"], list(zip(*rows)))
+    _emit(args, spec, {"tuples": found}, t0, ["ell", "a", "b", "quality"], list(zip(*rows)))
     return 0
 
 
@@ -370,8 +370,7 @@ def _cmd_nonvanish(args, t0):
     sample = mmod.sample_progression(spec, SmoothWindow(edge=args.edge), args.T, _poly_from(args))
     rep = mmod.nonvanishing_bound(sample)
     emp = mmod.empirical_nonvanishing(sample, args.threshold)
-    results = {**asdict(rep), "empirical_fraction": emp,
-               "threshold": args.threshold}
+    results = {**asdict(rep), "empirical_fraction": emp}
     _emit(args, spec, results, t0)
     return 0
 
@@ -387,7 +386,7 @@ def _cmd_resonate(args, t0):
     rep = rmod.extreme_search(sample, res)
     results = {
         "excluded_primes": excluded,
-        "resonator": {"N": res.N, "L": res.L, "prime_lo": res.prime_lo, "mode": res.mode,
+        "resonator": {"L": res.L, "prime_lo": res.prime_lo,
                       "support_size": int(np.count_nonzero(res.coeffs.values))},
         "euler_prediction": asdict(euler),
         "extreme": asdict(rep),
@@ -509,7 +508,7 @@ def build_parser():
     _add_progression(p)
     p.add_argument("--T", type=_finite_float, required=True)
     p.add_argument("--theta", type=_finite_float, help="mollify with exponent theta")
-    p.add_argument("--edge", type=_finite_float, default=0.05)
+    p.add_argument("--edge", type=_finite_float, default=SmoothWindow.edge)
     p.add_argument("--eps", type=_finite_float, default=dmod.DEFAULT_EPS)
     p.add_argument("--no-predict", dest="predict", action="store_false")
     _add_outputs(p, table=True)
@@ -536,7 +535,7 @@ def build_parser():
     _add_progression(p)
     p.add_argument("--T", type=_finite_float, required=True)
     p.add_argument("--theta", type=_finite_float)
-    p.add_argument("--edge", type=_finite_float, default=0.05)
+    p.add_argument("--edge", type=_finite_float, default=SmoothWindow.edge)
     p.add_argument("--eps", type=_finite_float, default=dmod.DEFAULT_EPS)
     _add_outputs(p, table=True)
     p.set_defaults(fn=_cmd_firstmoment)
@@ -545,7 +544,7 @@ def build_parser():
     _add_progression(p)
     p.add_argument("--T", type=_finite_float, required=True)
     p.add_argument("--theta", type=_finite_float, default=0.3)
-    p.add_argument("--edge", type=_finite_float, default=0.05)
+    p.add_argument("--edge", type=_finite_float, default=SmoothWindow.edge)
     p.add_argument("--threshold", type=_finite_float, default=1e-3,
                    help="|zeta| cutoff (in units of (log ell)^-1/2) for the "
                         "empirical fraction")
@@ -558,7 +557,7 @@ def build_parser():
     p.add_argument("--N", type=int, required=True, help="resonator length")
     p.add_argument("--mode", choices=("max", "min"), required=True)
     p.add_argument("--eps", type=_finite_float, default=dmod.DEFAULT_EPS)
-    p.add_argument("--edge", type=_finite_float, default=0.05)
+    p.add_argument("--edge", type=_finite_float, default=SmoothWindow.edge)
     _add_outputs(p, table=True)
     p.set_defaults(fn=_cmd_resonate)
 

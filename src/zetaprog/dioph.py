@@ -37,11 +37,9 @@ _TWO_PI = 2.0 * math.pi
 
 
 def _iroot(v: int, k: int) -> Optional[int]:
-    """Exact integer k-th root of v >= 1 (k >= 1), or None if v is not a perfect power."""
+    """Exact integer k-th root of v >= 1 (k >= 2), or None if v is not a perfect power."""
     if v == 1:
         return 1
-    if k == 1:
-        return v
     r = int(round(v ** (1.0 / k)))
     # Newton in exact integers to repair the float seed, then verify.
     r = max(r, 1)

@@ -555,35 +555,31 @@ def predict_E_prime(spec: ProgressionSpec, window: SmoothWindow, T: float,
 
 @dataclass(frozen=True)
 class MomentReport:
+    """moment_report's computed values; the inputs are the caller's to state
+    (the CLI's report echoes them once, as its params)."""
+
     discrete: float
     continuous: float
     E: float
     predicted_E: float
     ratio: float
-    params: dict
 
 
 def moment_report(sample: ProgressionSample, continuous: float, predict: bool = True,
                   eps: float = DEFAULT_EPS) -> MomentReport:
     """Second-moment comparison bundle for the integer sample: the measured
     discrete moment, the caller's continuous second moment (the CLI takes
-    both from continuous_twisted_moment), their difference E, and (optionally)
-    the tuple-machinery prediction for E.  DegenerateDenominatorError when the
-    continuous moment is 0."""
+    both from continuous_twisted_moment), their difference E and ratio, and
+    the tuple-machinery prediction for E (NaN without predict); none of the
+    sample's inputs.  DegenerateDenominatorError when the continuous moment
+    is 0."""
     if continuous == 0.0:
         raise DegenerateDenominatorError("the continuous moment is 0: the ratio is undefined")
-    spec, window, T, poly = sample.spec, sample.window, sample.T, sample.poly
     disc = sample.twisted_sum(2)
-    pred = predict_E(spec, window, T, poly, eps=eps) if predict else float("nan")
-    params = {
-        "alpha": spec.alpha, "beta": spec.beta, "T": T, "edge": window.edge,
-        "poly_length": poly.length,
-        "poly_kind": type(poly).__name__,
-    }
-    if isinstance(poly, Mollifier):
-        params["theta"] = poly.theta
+    pred = (predict_E(sample.spec, sample.window, sample.T, sample.poly, eps=eps)
+            if predict else float("nan"))
     return MomentReport(discrete=disc, continuous=continuous, E=disc - continuous,
-                        predicted_E=pred, ratio=disc / continuous, params=params)
+                        predicted_E=pred, ratio=disc / continuous)
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,9 @@ def _run_json(argv, tmp_path, name="out.json"):
 def test_delta_symbolic(tmp_path):
     rc, doc = _run_json(["delta", "--alpha-rational", "1:2:1", "--beta", "0"], tmp_path)
     assert rc == 0
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["subcommand"] == "delta"
+    assert doc["params"]["alpha_rational"] == {"ell0": 1, "m": 2, "n": 1}
     assert doc["results"]["exact"] is True
     assert abs(doc["results"]["delta"] - (2.0 + 2.0 * math.sqrt(2.0))) < 1e-12
 
@@ -45,7 +46,18 @@ def test_delta_detection(tmp_path):
     res = doc["results"]
     assert res["delta"] == 0.0          # candidates never feed the formula
     assert res["exact"] is False
-    assert res["detected_form"] == {"ell0": 1, "m": 2, "n": 1, "candidate": True}
+    assert res["detected_form"] == {"ell0": 1, "m": 2, "n": 1}
+
+
+def test_report_to_stdout_is_the_json_report(tmp_path, capsys):
+    # without --json the same report goes to stdout
+    argv = ["delta", "--alpha-rational", "1:2:1", "--beta", "0.5"]
+    assert main(argv) == 0
+    printed = json.loads(capsys.readouterr().out)
+    rc, doc = _run_json(argv, tmp_path)
+    assert rc == 0
+    del printed["run_meta"], doc["run_meta"]
+    assert printed == doc
 
 
 def test_dioph_csv_golden(tmp_path):
@@ -200,7 +212,8 @@ def test_parser_built_once_keeps_no_state(tmp_path, capsys):
     assert rc == 0 and doc["subcommand"] == "firstmoment"
 
 
-@pytest.mark.parametrize("argv", [
+# one run of each subcommand
+_EVERY_SUBCOMMAND = [
     ["moment", "--alpha", "1", "--T", "300", "--no-predict"],
     ["delta", "--alpha-rational", "1:2:1", "--detect"],
     ["dioph", "--alpha-rational", "1:3:2", "--T", "1e4", "--ell", "1..2"],
@@ -208,7 +221,16 @@ def test_parser_built_once_keeps_no_state(tmp_path, capsys):
     ["nonvanish", "--alpha", "2", "--T", "300", "--beta", "0.5"],
     ["resonate", "--alpha", "1", "--T", "300", "--N", "100", "--mode", "min"],
     ["selftest", "--seed", "3"],
-], ids=lambda argv: argv[0])
+]
+
+
+def _run_quiet(argv, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the package's own warnings
+        return _run_json(argv, tmp_path)
+
+
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
 def test_params_echo_every_parsed_option(argv, tmp_path):
     # a report's params are its subparser's destinations but the output
     # paths, with the progression as the spec holds it
@@ -216,9 +238,7 @@ def test_params_echo_every_parsed_option(argv, tmp_path):
                if isinstance(a, argparse._SubParsersAction)).choices[argv[0]]
     dests = {a.dest for a in sub._actions} - {"help", "json", "csv"}
     args = sub.parse_args(argv[1:])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # the package's own warnings
-        rc, doc = _run_json(argv, tmp_path)
+    rc, doc = _run_quiet(argv, tmp_path)
     assert rc == 0
     params = doc["params"]
     if argv[0] == "selftest":
@@ -233,6 +253,25 @@ def test_params_echo_every_parsed_option(argv, tmp_path):
         {k: getattr(args, k) for k in dests - {"alpha", "alpha_rational", "beta"}}
     if argv[0] == "moment":
         assert params["predict"] is False
+    if "edge" in dests:  # the window's own default, not a copy of it
+        assert params["edge"] == SmoothWindow.edge
+
+
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
+def test_results_repeat_no_parsed_option(argv, tmp_path):
+    # params are the one place a report states an option, and no field holds
+    # a value it could not vary (a "candidate" flag was always one value)
+    rc, doc = _run_quiet(argv, tmp_path)
+    assert rc == 0
+
+    def keys(node):
+        if isinstance(node, dict):
+            for k, v in node.items():
+                yield k
+                yield from keys(v)
+
+    assert not set(keys(doc["results"])) & set(doc["params"])
+    assert '"candidate":' not in json.dumps(doc)
 
 
 @pytest.mark.parametrize("subcommand", [
@@ -310,6 +349,18 @@ def test_bad_integer_option_exit_code(option, argv, monkeypatch, capsys):
     assert f"argument {option}: must be >= " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["delta", "--alpha", "abc"], "argument --alpha: not a number: 'abc'"),
+    (["delta", "--alpha-rational", "1:2"], "--alpha-rational expects ell0:m:n"),
+    (["delta", "--alpha-rational", "1:x:1"], "bad --alpha-rational '1:x:1'"),
+], ids=["alpha-not-a-number", "rational-arity", "rational-not-int"])
+def test_malformed_option_exit_code(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("ell", ["0", "3..1"])
 def test_bad_ell_range_exit_code(ell, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -330,7 +381,8 @@ def test_repeated_ell_searched_once(ell, searched, tmp_path, monkeypatch):
                          "--csv", str(csv)], tmp_path)
     assert rc == 0
     assert calls == searched
-    assert doc["results"]["searched"] == searched
+    assert doc["params"]["ell"] == searched
+    assert "searched" not in doc["results"]
     assert [t["ell"] for t in doc["results"]["tuples"]] == searched
     assert [row.split(",")[0] for row in csv.read_text().splitlines()[1:]] == \
         [str(e) for e in searched]
