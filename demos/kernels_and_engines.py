@@ -48,7 +48,7 @@ print("\nmax |h_many - eval_H| on a log grid:",
 # engine takes over above t = 2000 where the main sum would get expensive
 t = 1000.0
 print("\nzeta(1/2 + 1000i):")
-print("  EM: ", zp.zeta_critical(t))
+print("  EM: ", zp.zeta_em(0.5 + 1j * t))
 
 t0, h = 5000.0, 45000.0
 print("progression 5000, 50000 (Riemann-Siegel above t=2000):",
@@ -61,12 +61,12 @@ print("scalar EM at the same heights:                       ",
 print("\nAFE |zeta|^2 vs direct:")
 for t in (1500.0, 5000.0, 9000.0):
     afe = zp.afe_square(t)
-    direct = abs(zp.zeta_critical(t)) ** 2
+    direct = abs(zp.zeta_em(0.5 + 1j * t)) ** 2
     print(f"  t={t:7.0f}   afe={afe:9.5f}   direct={direct:9.5f}   "
           f"rel {abs(afe - direct) / (1 + direct):.2e}")
 
 # hard accuracy cap: the engines refuse t where the error budget breaks
 try:
-    zp.zeta_critical(3e6)
+    zp.zeta_em(0.5 + 3e6j)
 except zp.AccuracyError as e:
-    print("\nzeta_critical(3e6) raises AccuracyError:", e)
+    print("\nzeta_em(0.5 + 3e6 i) raises AccuracyError:", e)

@@ -50,7 +50,7 @@ from .errors import ZetaprogError
 from .quadrature import NODE_CAP, nested_trapezoid
 from .window import SmoothWindow
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 # -- plumbing ------------------------------------------------------------------
@@ -281,7 +281,9 @@ def _check_run(args, spec):
     theta (--theta); the search's T and eps where the run has --eps and
     predicts (build_excluded_set with --N, else find_tuple); predict_E's
     heights (moment's predict); the resonator's N (--N); --threshold; and an
-    integer in [T, 2T], for a report over no node compares nothing."""
+    integer in [T, 2T], for a report over no node compares nothing.  Every
+    caller builds its SmoothWindow first, so a bad --edge is refused before
+    any of these."""
     lo, hi = spec.alpha * args.T + spec.beta, 2.0 * spec.alpha * args.T + spec.beta
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"the heights alpha*T + beta = {lo!r} and 2*alpha*T + beta = "
@@ -303,9 +305,9 @@ def _check_run(args, spec):
 
 
 def _cmd_moment(args, t0):
-    spec = _spec_from(args)
+    spec, window = _spec_from(args), SmoothWindow(edge=args.edge)
     _check_run(args, spec)
-    window, poly = SmoothWindow(edge=args.edge), _poly_from(args)
+    poly = _poly_from(args)
     cont, sample = mmod.continuous_twisted_moment(spec, window, args.T, poly, power=2)
     report = mmod.moment_report(sample, cont, predict=args.predict, eps=args.eps)
     results = {**asdict(report), "delta": dmod.delta(spec)}
@@ -322,7 +324,6 @@ def _cmd_delta(args, t0):
         if found is not None:
             results["detected_form"] = dict(zip(("ell0", "m", "n"), found))
     results["delta"] = dmod.delta(spec)
-    results["exact"] = spec.rational_form is not None
     _emit(args, spec, results, t0)
     return 0
 
@@ -344,9 +345,9 @@ def _cmd_dioph(args, t0):
 
 
 def _cmd_firstmoment(args, t0):
-    spec = _spec_from(args)
+    spec, window = _spec_from(args), SmoothWindow(edge=args.edge)
     _check_run(args, spec)
-    window, poly = SmoothWindow(edge=args.edge), _poly_from(args)
+    poly = _poly_from(args)
     cont, sample = mmod.continuous_twisted_moment(spec, window, args.T, poly, power=1)
     disc = sample.twisted_sum(1)
     pred = mmod.predict_E_prime(spec, window, args.T, poly, eps=args.eps)
@@ -365,9 +366,9 @@ def _cmd_firstmoment(args, t0):
 
 
 def _cmd_nonvanish(args, t0):
-    spec = _spec_from(args)
+    spec, window = _spec_from(args), SmoothWindow(edge=args.edge)
     _check_run(args, spec)
-    sample = mmod.sample_progression(spec, SmoothWindow(edge=args.edge), args.T, _poly_from(args))
+    sample = mmod.sample_progression(spec, window, args.T, _poly_from(args))
     rep = mmod.nonvanishing_bound(sample)
     emp = mmod.empirical_nonvanishing(sample, args.threshold)
     results = {**asdict(rep), "empirical_fraction": emp}
@@ -376,8 +377,7 @@ def _cmd_nonvanish(args, t0):
 
 
 def _cmd_resonate(args, t0):
-    spec = _spec_from(args)
-    window = SmoothWindow(edge=args.edge)  # a bad edge is refused before any work
+    spec, window = _spec_from(args), SmoothWindow(edge=args.edge)
     _check_run(args, spec)
     excluded = rmod.build_excluded_set(spec, args.T, args.eps)
     res = rmod.resonator_coeffs(args.N, args.mode, excluded)
@@ -463,8 +463,9 @@ def _selftest_checks(rng):
 
     moll = mmod.mollifier_coeffs(1e4, 0.4)
     checks.append(("mollifier_b1", moll.coeff(1) == 1.0, f"b(1)={moll.coeff(1)!r}"))
+    # F(2, 1, t) for b = 1 is H(tt/4pi), tt = alpha*t + beta: its W series
     f_closed = mmod.F_func(2, 1, 1e4, mmod.DirichletPoly.one(), sp)
-    f_series = mmod.F_func_series(2, 1, 1e4, mmod.DirichletPoly.one(), sp)
+    f_series = float(np.sum(w_many(4.0 * math.pi * r * r / (sp.alpha * 1e4 + sp.beta)) / r))
     checks.append(("F_transform_identity",
                    close(f_closed, f_series, 1e-4 * abs(f_closed)),
                    f"closed={f_closed!r} series={f_series!r}"))

@@ -1,5 +1,8 @@
 """Exception types shared across the toolkit."""
 
+__all__ = ["ZetaprogError", "PoleError", "AccuracyError", "ToleranceError",
+           "QuadratureError", "CapError", "DegenerateDenominatorError"]
+
 
 class ZetaprogError(Exception):
     """Base class for all toolkit errors."""

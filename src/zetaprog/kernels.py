@@ -1,13 +1,14 @@
-"""Kernel G, smoothing weight W in closed form, the AFE square it weights,
-and arithmetic transform H.
+"""Smoothing weight W in closed form, the AFE square it weights, and
+arithmetic transform H: the two transforms of the kernel G(w) = exp(w^2).
 
-The two transforms are defined on a vertical line Re w = sigma:
+They are defined on a vertical line Re w = sigma:
 
     W(x) = (1/2*pi*i) * integral of x^(-w) G(w) dw / w,
     H(x) = (1/2*pi*i) * integral of zeta(1+2w) x^w G(w) dw / w,
 
-with G(w) = exp(w^2).  Completing the square in W's integrand gives the
-closed form W(x) = erfc(ln(x)/2)/2, which both `eval_W` and `w_many` return.
+G appears only inside these integrands, and _h_contour writes it as
+exp(w*w).  Completing the square in W's integrand gives the closed form
+W(x) = erfc(ln(x)/2)/2, which both `eval_W` and `w_many` return.
 
 afe_square is the smoothed |zeta(1/2+it)|^2 of the approximate functional
 equation, each term weighted by W.
@@ -42,7 +43,7 @@ from numpy.polynomial.chebyshev import chebpts1
 from .errors import CapError, ToleranceError
 from .zeta import _euler_maclaurin
 
-__all__ = ["eval_G", "eval_W", "eval_H", "w_many", "h_many", "afe_square", "X_HI"]
+__all__ = ["eval_W", "eval_H", "w_many", "h_many", "afe_square"]
 
 log = logging.getLogger(__name__)
 
@@ -71,11 +72,6 @@ def _positive(x, name: str) -> np.ndarray:
     if not np.all(x > 0.0):
         raise ValueError(f"{name} requires x > 0")
     return x
-
-
-def eval_G(w):
-    """The kernel G(w) = exp(w^2); entire, even, real on both axes' squares."""
-    return np.exp(np.asarray(w) ** 2) if np.ndim(w) else complex(np.exp(complex(w) ** 2))
 
 
 def eval_W(x: float) -> float:

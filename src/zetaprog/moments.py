@@ -45,19 +45,17 @@ The correction integrals share phi_hat's windowed transform
 (window._windowed_transform), which takes an array of frequencies and
 integrates them on one nested trapezoid, a level accepted only when every
 frequency agrees: predict_E passes every tuple of ell = 1 .. _default_ell_max
-at once, predict_E_prime every phi_hat(T*nu) at once, and H_ell is the
-one-tuple case.  F(a, b, T*x) is smooth on [1, 2] (each of its H terms is
-entire in log tt), so it is resolved once per tuple by a Chebyshev
-interpolant of degree 32, every tuple's from one h_many call at the
-Chebyshev points, kept when its coefficients above degree 16 are all
-within 1e-12 of its largest.  Where they are not (heights that start near
-0 put F's pole at tt = 0 just left of x = 1), F itself is evaluated at every
-trapezoid node.
+at once, and predict_E_prime every phi_hat(T*nu) at once.  F(a, b, T*x) is
+smooth on [1, 2] (each of its H terms is entire in log tt), so it is
+resolved once per tuple by a Chebyshev interpolant of degree 32, every
+tuple's from one h_many call at the Chebyshev points, kept when its
+coefficients above degree 16 are all within 1e-12 of its largest.  Where
+they are not (heights that start near 0 put F's pole at tt = 0 just left of
+x = 1), F itself is evaluated at every trapezoid node.
 Heights that reach 0 on [T, 2T] (alpha*T + beta <= 0) have no prediction:
-H_ell and predict_E refuse them.
+predict_E refuses them.
 """
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,31 +63,25 @@ import numpy as np
 from . import zeta as zmod
 from .dioph import DEFAULT_EPS, ProgressionSpec, find_tuple
 from .errors import CapError, DegenerateDenominatorError
-from .kernels import h_many, w_many
+from .kernels import h_many
 from .quadrature import NODE_CAP, nested_trapezoid
 from .sieves import mobius_table
 from .window import SmoothWindow, _phi_hats, _windowed_transform
 
 __all__ = ["DirichletPoly", "Mollifier", "MomentReport", "NonvanishingReport",
-           "ProgressionSample", "sample_progression",
-           "mollifier_coeffs", "eval_poly",
-           "continuous_twisted_moment",
-           "F_func", "F_func_series", "F_prime", "H_ell",
+           "ProgressionSample", "sample_progression", "mollifier_coeffs",
+           "continuous_twisted_moment", "F_func", "F_prime",
            "predict_E", "predict_E_prime", "moment_report",
-           "nonvanishing_bound", "empirical_nonvanishing", "CapWarning"]
+           "nonvanishing_bound", "empirical_nonvanishing"]
 
 _TWO_PI = 2.0 * math.pi
 
 _COEFF_MEMORY_CAP = 50_000_000
 
-# H_ell's interpolant of F on [1, 2]: its degree, and the largest coefficient
-# above half the degree, relative to the largest overall.
+# _F_on_window's interpolant of F on [1, 2]: its degree, and the largest
+# coefficient above half the degree, relative to the largest overall.
 _F_CHEB_DEGREE = 32
 _F_CHEB_TAIL = 1e-12
-
-
-class CapWarning(UserWarning):
-    """A truncated series' tail contribution is not provably negligible."""
 
 
 @dataclass(eq=False)
@@ -146,18 +138,6 @@ def mollifier_coeffs(T: float, theta: float) -> Mollifier:
     vals = mobius_table(length)
     vals[1:] *= 1.0 - np.log(np.arange(1, length + 1)) / (theta * math.log(T))
     return Mollifier(values=vals, theta=theta, T=T)
-
-
-def eval_poly(poly: DirichletPoly, t: float) -> complex:
-    """B(1/2 + it) through zeta._dirichlet_sum: compensated summation, the
-    phases reduced in 80-bit."""
-    t = float(t)
-    if t < 0.0:
-        return eval_poly(poly, -t).conjugate()
-    ns, bs = poly.nonzero()
-    if len(ns) == 0:
-        return 0j
-    return zmod._dirichlet_sum(ns, bs * ns.astype(float) ** (-0.5), t)
 
 
 # -- the progression sample ------------------------------------------------------
@@ -379,46 +359,6 @@ def F_func(a: int, b: int, t: float, poly: DirichletPoly, spec: ProgressionSpec)
     return float(_F_many([_f_pair_tables(a, b, poly)], [float(t)], spec)[0, 0])
 
 
-def F_func_series(a: int, b: int, t: float, poly: DirichletPoly,
-                  spec: ProgressionSpec, r_cap: int = 10_000,
-                  mn_cap: int = 1_000_000) -> float:
-    """The untransformed series for F (the W-side of the identity):
-
-        sum_{r>=1} (1/r) sum_{h,k} b(k) b(h) sum_{mk=ar, nh=br} W(2*pi*m*n/tt),
-
-    truncated at r <= r_cap and m*n <= mn_cap.  Intended as the independent
-    oracle for F_func; warns if the last decade of r still contributes more
-    than 1e-6 relative (caps insufficient).
-    """
-    if math.gcd(a, b) != 1 or a * b <= 1:
-        raise ValueError("need coprime (a, b) with a*b > 1")
-    tt = spec.alpha * float(t) + spec.beta
-    ns, bs = poly.nonzero()
-    total = 0.0
-    tail = 0.0
-    decade = r_cap // 10
-    for k, bk in zip(ns, bs):
-        k = int(k)
-        k1 = k // math.gcd(a, k)
-        for h, bh in zip(ns, bs):
-            h = int(h)
-            h1 = h // math.gcd(b, h)
-            step = k1 * h1 // math.gcd(k1, h1)
-            rs = np.arange(step, r_cap + 1, step, dtype=np.int64)
-            mn = (a * rs // k) * (b * rs // h)
-            keep = mn <= mn_cap
-            rs, mn = rs[keep], mn[keep]
-            terms = bk * bh * w_many(_TWO_PI * mn / tt) / rs
-            total += float(np.sum(terms))
-            tail += float(np.sum(terms[rs > decade]))
-    if abs(tail) > 1e-6 * max(abs(total), 1e-30):
-        warnings.warn(
-            f"F_func_series caps (r<={r_cap}, mn<={mn_cap}) may be insufficient: "
-            f"last r-decade contributes {tail:.3e} against total {total:.3e}",
-            CapWarning)
-    return total
-
-
 def F_prime(a: int, b: int, poly: DirichletPoly) -> float:
     """F'(a, b) = sum_{r >= 1} b(a*r) b(b*r) / r (finite: b vanishes past length)."""
     if math.gcd(a, b) != 1:
@@ -444,23 +384,6 @@ def _check_heights(spec: ProgressionSpec, T: float):
     if spec.alpha * T + spec.beta <= 0.0:
         raise ValueError(f"predict_E requires heights alpha*T + beta > 0, got "
                          f"{spec.alpha * T + spec.beta!r}; run with --no-predict")
-
-
-def H_ell(ell: int, spec: ProgressionSpec, window: SmoothWindow, T: float,
-          poly: DirichletPoly, eps: float = DEFAULT_EPS) -> complex:
-    """The ell-th correction integral (0 when no tuple exists):
-
-        ((a/b)^(i*beta)/sqrt(ab)) * integral over [T,2T] of
-            phi(t/T) * exp(-2*pi*i*t*nu) * F(a, b, t) dt,
-
-    the one-tuple case of _correction_integrals.  ValueError when the
-    heights alpha*T*x + beta reach 0 on [1, 2], before the tuple search.
-    """
-    _check_heights(spec, T)
-    tup = find_tuple(spec, ell, T, eps)
-    if tup is None:
-        return 0j
-    return complex(_correction_integrals([tup], spec, window, T, poly)[0])
 
 
 def _correction_integrals(tuples, spec: ProgressionSpec, window: SmoothWindow, T: float,

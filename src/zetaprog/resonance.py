@@ -29,8 +29,9 @@ Desk-scale note: the paper takes primes in [L^2, exp((log L)^2)] and a
 length N <= T^(1/6), both asymptotic.  That window is empty exactly when
 log N log log N < e^4, which holds for every N up to _SUPPORT_CAP, hence
 [L^2, N]; and N >= 100 exceeds T^(1/6) < 14.3 at every T the 2^23-node
-sample budget admits, so ratio_R and extreme_search warn with an
-ExploratoryWarning.
+sample budget admits.  So every resonator built here lies outside the regime
+where the paper's moment-transfer lemma is proven, and R and the extreme
+search are exploratory at desk scale.
 """
 import math
 import warnings
@@ -47,18 +48,13 @@ from .errors import CapError, DegenerateDenominatorError
 from .moments import DirichletPoly, ProgressionSample
 from .sieves import primes_in, smallest_prime_factor, squarefree_products
 
-__all__ = ["Resonator", "EulerPrediction", "ExtremeReport", "ExploratoryWarning",
-           "ResidualWarning",
+__all__ = ["Resonator", "EulerPrediction", "ExtremeReport", "ResidualWarning",
            "build_excluded_set", "resonator_coeffs", "ratio_R",
            "euler_product_prediction", "extreme_search"]
 
 _TWO_PI = 2.0 * math.pi
 
 _SUPPORT_CAP = 5_000_000
-
-
-class ExploratoryWarning(UserWarning):
-    """A parameter choice leaves the asymptotically-proven regime."""
 
 
 class ResidualWarning(UserWarning):
@@ -149,16 +145,8 @@ def resonator_coeffs(N: int, mode: str, excluded: FrozenSet[int] = frozenset()) 
                      coeffs=DirichletPoly(values=vals))
 
 
-def _warn_length(N: int, T: float):
-    cap = T ** (1.0 / 6.0)
-    if N > cap:
-        warnings.warn(f"resonator length N={N} exceeds T^(1/6)={cap:.2f}; the "
-                      "moment-transfer lemma is asymptotic there", ExploratoryWarning)
-
-
 def _resonate(sample: ProgressionSample, resonator: Resonator):
     """The live-node mask, the resonator mass |B|^2 phi on it, and R."""
-    _warn_length(resonator.N, sample.T)
     if not np.array_equal(sample.poly.values, resonator.coeffs.values):
         raise ValueError("the sample's polynomial is not the resonator's coefficients")
     live = sample.phi > 0.0

@@ -13,15 +13,13 @@ The Fourier transform uses the convention
 
     phi_hat(xi) = integral over [1, 2] of phi(t) * exp(-2*pi*i*xi*t) dt,
 
-evaluated, like the correction integrals H_ell, by _windowed_transform: the
-nested trapezoid at max(4|xi|, 16/edge) > 32, so 33 or more, nodes per unit
-of [1, 2], i.e. four per oscillation and sixteen across each ramp.  The
-transform takes an array of frequencies and integrates them all on the same
-levels, one sum over the nodes per frequency; phi_hat at one xi, H_ell's
-one tuple, predict_E's tuples and predict_E_prime's frequencies are all
-calls of it.
+evaluated, like the correction integrals H(ell), by _windowed_transform:
+the nested trapezoid at max(4|xi|, 16/edge) > 32, so 33 or more, nodes per
+unit of [1, 2], i.e. four per oscillation and sixteen across each ramp.
+The transform takes an array of frequencies and integrates them all on the
+same levels, one sum over the nodes per frequency; phi_hat at one xi,
+predict_E's tuples and predict_E_prime's frequencies are all calls of it.
 """
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

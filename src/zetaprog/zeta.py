@@ -13,9 +13,9 @@ line (Re s = 1/2), the H-transform contour (kernels, s = 1+2w, Re s = 2) and
 zeta_em (one node at sigma = Re s); _main_sum_on_progression gives the
 resonator its main sum.  The Bernoulli numbers B_2k are exact rationals
 (mpmath) rounded once to float.  One scalar kernel, _dirichlet_sum, serves
-main_sum and moments.eval_poly, the direct oracles of progression_sum: the
-phases t*log n reduced in 80-bit extended precision (at t = 1e5 a float64
-product carries ~1e-10 of phase error, the target accuracy), then math.fsum.
+main_sum, the direct oracle of progression_sum: the phases t*log n reduced
+in 80-bit extended precision (at t = 1e5 a float64 product carries ~1e-10
+of phase error, the target accuracy), then math.fsum.
 
 The cutoff N = max|t|/2 + 1 (_em_cutoff) keeps the B_24 tail below its
 1e-10 contract with room: against mpmath (dps 30) the largest error read
@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import AccuracyError, PoleError
 
-__all__ = ["zeta_em", "zeta_critical", "zeta_critical_grid",
+__all__ = ["RS_MIN_T", "zeta_em", "zeta_critical_grid",
            "main_sum", "progression_sum", "zeta_on_progression"]
 
 _TWO_PI = 2.0 * np.pi
@@ -104,7 +104,7 @@ def _em_tail(s, N, head=0.0):
 def _dirichlet_sum(ns, mags, t: float) -> complex:
     """sum_k mags[k] * ns[k]^(-it) at one height, by compensated summation
     (math.fsum), the phases t ln n reduced mod 2pi in 80-bit extended
-    precision: the direct sum of main_sum and moments.eval_poly."""
+    precision: main_sum's direct sum."""
     ph = np.mod(np.longdouble(t) * np.log(ns.astype(np.longdouble)), _TWO_PI_LD)
     return complex(math.fsum(mags * np.cos(ph).astype(float)),
                    -math.fsum(mags * np.sin(ph).astype(float)))
@@ -143,11 +143,6 @@ def zeta_em(s) -> complex:
     if s.imag < 0.0:
         return zeta_em(s.conjugate()).conjugate()
     return complex(_euler_maclaurin(np.array([s.imag]), 0.0, s.real)[0])
-
-
-def zeta_critical(t: float) -> complex:
-    """zeta(1/2 + it) through the reference engine."""
-    return zeta_em(0.5 + 1j * float(t))
 
 
 # -- Riemann-Siegel accelerator ----------------------------------------------

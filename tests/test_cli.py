@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from test_boundary import FLOATS
 
 import zetaprog.cli as cli
-from zetaprog import ProgressionSpec, SmoothWindow
+from zetaprog import ProgressionSpec, ResidualWarning, SmoothWindow
 from zetaprog.cli import main
 from zetaprog.errors import QuadratureError
 
@@ -32,10 +32,11 @@ def _run_json(argv, tmp_path, name="out.json"):
 def test_delta_symbolic(tmp_path):
     rc, doc = _run_json(["delta", "--alpha-rational", "1:2:1", "--beta", "0"], tmp_path)
     assert rc == 0
-    assert doc["schema_version"] == 3
+    assert doc["schema_version"] == 4
     assert doc["subcommand"] == "delta"
+    # the exact form is stated once, in params
     assert doc["params"]["alpha_rational"] == {"ell0": 1, "m": 2, "n": 1}
-    assert doc["results"]["exact"] is True
+    assert "exact" not in doc["results"]
     assert abs(doc["results"]["delta"] - (2.0 + 2.0 * math.sqrt(2.0))) < 1e-12
 
 
@@ -45,7 +46,7 @@ def test_delta_detection(tmp_path):
     assert rc == 0
     res = doc["results"]
     assert res["delta"] == 0.0          # candidates never feed the formula
-    assert res["exact"] is False
+    assert "alpha_rational" not in doc["params"] and "exact" not in res
     assert res["detected_form"] == {"ell0": 1, "m": 2, "n": 1}
 
 
@@ -147,8 +148,7 @@ def test_nonvanish(tmp_path):
 
 
 def test_resonate(tmp_path):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with pytest.warns(ResidualWarning):  # Im R is 2.7e-2 of R at this T
         rc, doc = _run_json(["resonate", "--alpha", "1", "--T", "1000",
                              "--N", "100", "--mode", "max"], tmp_path)
     assert rc == 0
@@ -156,18 +156,6 @@ def test_resonate(tmp_path):
     assert res["extreme"]["ratio"] > 1.0
     assert res["excluded_primes"] == []
     assert res["extreme"]["certified"] is True
-
-
-def test_resonate_exploratory_warning_once(tmp_path):
-    # N = 100 > T^(1/6): a run raises one ExploratoryWarning, the length rule's
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = main(["resonate", "--alpha", "1", "--T", "1000", "--N", "100",
-                   "--mode", "max", "--json", str(tmp_path / "x.json")])
-    assert rc == 0
-    exploratory = [str(w.message) for w in caught
-                   if issubclass(w.category, cli.rmod.ExploratoryWarning)]
-    assert len(exploratory) == 1 and "T^(1/6)" in exploratory[0]
 
 
 def test_bad_configuration_exit_code(tmp_path):
@@ -447,6 +435,7 @@ _CAP = "computation failed: CapError: progression sample of "
 _QUAD = "computation failed: QuadratureError: the trapezoid at 2.0169"
 # heights alpha*t + beta that reach 0 on [T, 2T] have no predicted E
 _HEIGHTS = "bad configuration: predict_E requires heights alpha*T + beta > 0"
+_EDGE = "bad configuration: edge must lie in (0, 1/2), got 0.7"
 
 
 @pytest.mark.parametrize("argv, rc, message", [
@@ -480,7 +469,11 @@ _HEIGHTS = "bad configuration: predict_E requires heights alpha*T + beta > 0"
     (["nonvanish", "--alpha", "1", "--T", "300", "--threshold", "-1"], 2,
      "bad configuration: threshold must be >= 0"),
     (["resonate", "--alpha", "1", "--T", "1e5", "--N", "100", "--mode", "max",
-      "--edge", "0.7"], 2, "bad configuration: edge must lie in (0, 1/2), got 0.7"),
+      "--edge", "0.7"], 2, _EDGE),
+    # the window is built before the node budget, as resonate builds it
+    (["moment", "--alpha", "1", "--T", "1e9", "--edge", "0.7"], 2, _EDGE),
+    (["firstmoment", "--alpha", "1", "--T", "1e9", "--edge", "0.7"], 2, _EDGE),
+    (["nonvanish", "--alpha", "1", "--T", "1e9", "--edge", "0.7"], 2, _EDGE),
     (["resonate", "--alpha", "1", "--T", "1e5", "--N", "6000000", "--mode", "max"], 1,
      "computation failed: CapError: resonator length 6000000 exceeds the memory cap"),
     # find_tuple would refuse T = 50; a moment that predicts nothing never asks it
@@ -490,17 +483,17 @@ _HEIGHTS = "bad configuration: predict_E requires heights alpha*T + beta > 0"
         "moment-eps", "nonvanish-small-T", "resonate-small-T",
         "moment-continuous-start", "firstmoment-continuous-start",
         "moment-negative-heights", "moment-heights-through-0", "moment-float-negative-heights",
-        "nonvanish-threshold", "resonate-edge", "resonate-overlong-N",
-        "moment-no-predict-small-T"])
+        "nonvanish-threshold", "resonate-edge", "moment-edge", "firstmoment-edge",
+        "nonvanish-edge", "resonate-overlong-N", "moment-no-predict-small-T"])
 def test_node_budget_exit_code(argv, rc, message, tmp_path, monkeypatch, capsys):
     # Refused before any array is allocated, and before the mollifier, the
     # excluded set, the resonator or the sample is built; the mollifier of
     # moment-overlong-mollifier would hold T^0.49 = 2.1e8 coefficients.  A
     # builder's T, theta, N or eps check runs before the node budget, with
     # the builder's own message, and so do nonvanish's threshold check, the
-    # resonator's support cap and resonate's window edge.  The continuous
-    # moment's start level is checked before the sample too.  A check runs
-    # only where the run reaches its builder.
+    # resonator's support cap and every subcommand's window edge.  The
+    # continuous moment's start level is checked before the sample too.  A
+    # check runs only where the run reaches its builder.
     for mod, name in ((cli.mmod, "mollifier_coeffs"), (cli.mmod, "sample_progression"),
                       (cli.rmod, "build_excluded_set"), (cli.rmod, "resonator_coeffs")):
         monkeypatch.setattr(mod, name, _unreachable)
@@ -634,8 +627,8 @@ def test_cli_samples_progression_once(argv, A_by_kernel, tmp_path, monkeypatch):
     if argv[0] != "nonvanish":  # nonvanish writes no table
         run += ["--csv", str(csv)]
     with warnings.catch_warnings():
-        if argv[0] == "resonate":  # exploratory at this T, as in test_resonate
-            warnings.simplefilter("ignore")
+        if argv[0] == "resonate":  # R's imaginary residual at this T, as in test_resonate
+            warnings.simplefilter("ignore", ResidualWarning)
         assert main(run) == 0
 
     T = 300

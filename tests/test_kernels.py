@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from zetaprog import eval_G, eval_H, eval_W, h_many, kernels, w_many, zeta_em
+from zetaprog import eval_H, eval_W, h_many, kernels, w_many, zeta_em
 from zetaprog.errors import ToleranceError
 
 EULER_GAMMA = 0.5772156649015329
@@ -73,11 +73,6 @@ def test_w_against_defining_integral(x):
 
         ref = mpmath.quad(integrand, [0, mpmath.inf]) / mpmath.pi
     assert abs(eval_W(x) - float(ref)) < 1e-15
-
-
-def test_g_is_exp_w_squared():
-    for w in (0.0, 0.3 + 0.1j, -1.2 + 2.5j):
-        assert abs(eval_G(w) - np.exp(w * w)) < 1e-15 * max(1.0, abs(np.exp(w * w)))
 
 
 @pytest.mark.parametrize("fn", [eval_W, eval_H, w_many, h_many])

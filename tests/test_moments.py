@@ -3,10 +3,11 @@
 Independent oracles used here:
   * mollifier coefficients recomputed from scratch (trial-division Moebius,
     explicit log damping);
-  * eval_poly cross-checked against a 50-digit mpmath summation;
+  * eval_poly (moments_oracle: zeta._dirichlet_sum at one height)
+    cross-checked against a 50-digit mpmath summation;
   * the F transform tied to the H kernel in closed form for poly = 1;
-  * F_func vs F_func_series: two routes to the same object, one through the
-    H kernel with gcd regrouping, one through the W series;
+  * F_func vs moments_oracle.F_func_series: two routes to the same object,
+    one through the H kernel with gcd regrouping, one through the W series;
   * the first-moment deviation |I - T*phi_hat(0)| frozen as a regression
     constant after first measurement.
 """
@@ -20,10 +21,12 @@ import pytest
 from gl_oracle import gl_panels
 from zeta_oracle import poly_grid, zeta_grid
 
-from zetaprog import (CapWarning, DirichletPoly, F_func, F_func_series,
-                      F_prime, H_ell, MomentReport, ProgressionSpec,
+import moments_oracle
+from moments_oracle import CapWarning, F_func_series, H_ell, eval_poly
+
+from zetaprog import (DirichletPoly, F_func, F_prime, MomentReport, ProgressionSpec,
                       SmoothWindow, continuous_twisted_moment, delta,
-                      empirical_nonvanishing, eval_H, eval_poly, find_tuple, main_sum,
+                      empirical_nonvanishing, eval_H, find_tuple,
                       mollifier_coeffs, moment_report, nonvanishing_bound,
                       predict_E, predict_E_prime, sample_progression,
                       zeta_on_progression)
@@ -576,7 +579,8 @@ def test_h_ell_heights_reaching_zero_in_window(window, monkeypatch):
     # predict_E refuse before the tuple search, naming the CLI's way out
     T = 300.0
     one = DirichletPoly.one()
-    monkeypatch.setattr(mmod, "find_tuple", None)  # a call raises TypeError
+    for mod in (mmod, moments_oracle):
+        monkeypatch.setattr(mod, "find_tuple", None)  # a call raises TypeError
     for beta in (-(1 + 3e-4) * _SYM_ALPHA * T, -_SYM_ALPHA * T):
         spec = ProgressionSpec.from_rational(1, 2, 1, beta=beta)
         with pytest.raises(ValueError, match="alpha\\*T \\+ beta > 0.*--no-predict"):

@@ -15,19 +15,12 @@ import pytest
 from gl_oracle import gl_panels
 from zeta_oracle import main_sum_grid, poly_grid
 
-from zetaprog import (DegenerateDenominatorError, DirichletPoly,
-                      ExploratoryWarning, ProgressionSpec, ResidualWarning,
-                      Resonator, SmoothWindow, build_excluded_set, euler_product_prediction,
+from zetaprog import (DegenerateDenominatorError, DirichletPoly, ProgressionSpec,
+                      ResidualWarning, Resonator, build_excluded_set, euler_product_prediction,
                       extreme_search, ratio_R, resonator_coeffs, sample_progression)
 from zetaprog.quadrature import NODE_CAP
 from zetaprog.resonance import _SUPPORT_CAP
 from zetaprog.sieves import primes_in
-
-
-def _quiet(fn, *args, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ExploratoryWarning)
-        return fn(*args, **kwargs)
 
 
 def _sample(spec, window, T, resonator):
@@ -50,7 +43,7 @@ def test_asymptotic_window_is_empty_at_desk_scale():
     # up to N = 1.2e8: no primes at all, from the shortest resonator to the
     # longest resonator_coeffs takes, which is why it takes [L^2, N].  And
     # N >= 100 exceeds T^(1/6) at every T whose integers in [T, 2T] fit the
-    # node budget (T < NODE_CAP), which is why ratio_R and extreme_search warn.
+    # node budget (T < NODE_CAP): every resonator is exploratory at desk scale.
     for N in (100, _SUPPORT_CAP):
         L = math.sqrt(math.log(N) * math.log(math.log(N)))
         assert math.exp(math.log(L) ** 2) < L * L
@@ -188,7 +181,7 @@ def test_excluded_set_validation(unit_spec):
 
 def test_trivial_resonator_gives_unit_ratio(unit_spec, window):
     triv = _trivial()
-    r = _quiet(ratio_R, _sample(unit_spec, window, 1e4, triv), triv)
+    r = ratio_R(_sample(unit_spec, window, 1e4, triv), triv)
     assert abs(r - 1.0) < 0.01
 
 
@@ -198,9 +191,9 @@ def test_resonated_ordering(unit_spec, window):
     rmin = resonator_coeffs(100, "min")
     triv = _trivial()
     with pytest.warns(ResidualWarning):
-        vmax = _quiet(ratio_R, _sample(unit_spec, window, T, rmax), rmax)
-    vmin = _quiet(ratio_R, _sample(unit_spec, window, T, rmin), rmin)
-    vtriv = _quiet(ratio_R, _sample(unit_spec, window, T, triv), triv)
+        vmax = ratio_R(_sample(unit_spec, window, T, rmax), rmax)
+    vmin = ratio_R(_sample(unit_spec, window, T, rmin), rmin)
+    vtriv = ratio_R(_sample(unit_spec, window, T, triv), triv)
     assert vmin < vtriv < vmax
     assert vmin < 1.0 < vmax
 
@@ -211,7 +204,7 @@ def test_ratio_is_a_convex_average(unit_spec, window):
     T = 1e4
     rmax = resonator_coeffs(100, "max")
     with pytest.warns(ResidualWarning):
-        r = _quiet(ratio_R, _sample(unit_spec, window, T, rmax), rmax)
+        r = ratio_R(_sample(unit_spec, window, T, rmax), rmax)
     ell = np.arange(math.ceil(T), math.floor(2 * T) + 1, dtype=float)
     live = window.phi(ell / T) > 0.0
     A = main_sum_grid(ell[live], int(T))
@@ -222,18 +215,20 @@ def test_degenerate_resonator_rejected(unit_spec, window):
     dead = Resonator(N=1, L=1.0, prime_lo=0.0, excluded=frozenset(), mode="max",
                      coeffs=DirichletPoly(np.array([0.0, 0.0])))
     with pytest.raises(DegenerateDenominatorError):
-        _quiet(ratio_R, _sample(unit_spec, window, 1e3, dead), dead)
+        ratio_R(_sample(unit_spec, window, 1e3, dead), dead)
 
 
 def test_length_rule_warns_once_per_call(unit_spec, window):
-    # N = 100 > T^(1/6) = 4.64: each call warns once; N = 4 stays silent
+    # N = 100 > T^(1/6) = 4.64 raises no warning of its own: each call warns
+    # once, with the max-mode residual (Im R = 1.5e-2 at R = 1.36 at this T);
+    # N = 4 stays silent
     rmax = resonator_coeffs(100, "max")
     sample = _sample(unit_spec, window, 1e4, rmax)
     for fn in (ratio_R, extreme_search):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             fn(sample, rmax)
-        assert [w.category for w in caught].count(ExploratoryWarning) == 1
+        assert [w.category for w in caught] == [ResidualWarning]
     short = _trivial(4)
     ratio_R(_sample(unit_spec, window, 1e4, short), short)
 
@@ -244,7 +239,7 @@ def test_sample_of_another_polynomial_rejected(unit_spec, window):
     sample = _sample(unit_spec, window, 1e3, rmin)
     for fn in (ratio_R, extreme_search):
         with pytest.raises(ValueError, match="resonator's coefficients"):
-            _quiet(fn, sample, rmax)
+            fn(sample, rmax)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +255,7 @@ def test_euler_prediction_brackets_ratio(unit_spec, window):
     T = 1e4
     rmax = resonator_coeffs(100, "max")
     with pytest.warns(ResidualWarning):
-        vmax = _quiet(ratio_R, _sample(unit_spec, window, T, rmax), rmax)
+        vmax = ratio_R(_sample(unit_spec, window, T, rmax), rmax)
     ep = euler_product_prediction(rmax)
     assert abs(vmax - ep.prediction) <= 0.30 * vmax
     assert ep.envelope_low < ep.prediction < ep.envelope_high
@@ -338,7 +333,7 @@ def test_extreme_search_max_mode(unit_spec, window):
     T = 1e4
     rmax = resonator_coeffs(100, "max")
     with pytest.warns(ResidualWarning):
-        rep = _quiet(extreme_search, _sample(unit_spec, window, T, rmax), rmax)
+        rep = extreme_search(_sample(unit_spec, window, T, rmax), rmax)
     assert T <= rep.ell_star <= 2 * T
     assert rep.t_star == unit_spec.alpha * rep.ell_star + unit_spec.beta
     assert rep.witness_abs == pytest.approx(abs(rep.zeta_star), rel=1e-12)
@@ -352,7 +347,7 @@ def test_extreme_search_max_mode(unit_spec, window):
 def test_extreme_search_min_mode(unit_spec, window):
     T = 1e4
     rmin = resonator_coeffs(100, "min")
-    rep = _quiet(extreme_search, _sample(unit_spec, window, T, rmin), rmin)
+    rep = extreme_search(_sample(unit_spec, window, T, rmin), rmin)
     assert rep.witness_abs <= 0.5 * rep.median_abs
     assert rep.certified
     assert rep.global_abs <= abs(rep.ratio) + rep.slack
@@ -362,7 +357,7 @@ def test_extreme_search_min_mode(unit_spec, window):
 def test_extreme_search_deterministic(unit_spec, window):
     rmax = resonator_coeffs(100, "max")
     with pytest.warns(ResidualWarning):
-        a = _quiet(extreme_search, _sample(unit_spec, window, 1e4, rmax), rmax)
+        a = extreme_search(_sample(unit_spec, window, 1e4, rmax), rmax)
     with pytest.warns(ResidualWarning):
-        b = _quiet(extreme_search, _sample(unit_spec, window, 1e4, rmax), rmax)
+        b = extreme_search(_sample(unit_spec, window, 1e4, rmax), rmax)
     assert a == b

@@ -14,12 +14,12 @@ import pytest
 import scipy.optimize
 
 import zeta_oracle
+from moments_oracle import eval_poly
 from zeta_oracle import zeta_grid
 
 from zetaprog import (AccuracyError, CapError, DirichletPoly, PoleError, RS_MIN_T,
-                      afe_square, eval_poly, main_sum, mollifier_coeffs, progression_sum,
-                      resonator_coeffs, zeta_critical, zeta_critical_grid, zeta_em,
-                      zeta_on_progression)
+                      afe_square, main_sum, mollifier_coeffs, progression_sum,
+                      resonator_coeffs, zeta_critical_grid, zeta_em, zeta_on_progression)
 from zetaprog import zeta as zmod
 from zetaprog.zeta import RS_MAX_T
 
@@ -130,22 +130,24 @@ def test_theta_against_mpmath(t):
 # ---------------------------------------------------------------------------
 
 def test_first_zero_modulus():
-    assert abs(zeta_critical(FIRST_ZERO)) < 1e-6
+    assert abs(zeta_em(0.5 + 1j * FIRST_ZERO)) < 1e-6
 
 
 def test_first_zero_located_independently():
     # locate the |zeta| minimum with a bracketing optimizer that never sees
     # the known ordinate, then compare.
     res = scipy.optimize.minimize_scalar(
-        lambda t: abs(zeta_critical(t)), bounds=(14.0, 14.3), method="bounded",
+        lambda t: abs(zeta_em(0.5 + 1j * t)), bounds=(14.0, 14.3), method="bounded",
         options={"xatol": 1e-10})
     assert abs(res.x - FIRST_ZERO) < 1e-6
     assert res.fun < 1e-7
 
 
 def test_critical_matches_em_below_switch():
+    # below RS_MIN_T a height of the grid is one node of the reference
+    # engine's Euler-Maclaurin run, bit for bit
     t = 500.0
-    assert zeta_critical(t) == zeta_em(0.5 + 1j * t)
+    assert zeta_critical_grid([t])[0] == zeta_em(0.5 + 1j * t)
 
 
 def test_rs_against_em_at_switchover(rng):
@@ -204,9 +206,9 @@ def test_grid_matches_scalar_both_regimes(rng):
     high = rng.uniform(3000, 8000, 15)       # Riemann-Siegel
     for t, v in zip(low, zeta_critical_grid(low)):
         # same EM cutoff, different accumulation (fsum scalar vs matrix product)
-        assert abs(v - zeta_critical(float(t))) < 1e-11
+        assert abs(v - zeta_em(0.5 + 1j * float(t))) < 1e-11
     for t, v in zip(high, zeta_critical_grid(high)):
-        assert abs(v - zeta_critical(float(t))) < 1e-6
+        assert abs(v - zeta_em(0.5 + 1j * float(t))) < 1e-6
 
 
 def test_grid_negative_t_by_conjugation(rng):
@@ -234,7 +236,7 @@ def test_main_sum_small_case():
 
 def test_main_sum_long_cutoff_approximates_zeta():
     t = 500.0
-    assert abs(main_sum(t, 2000) - zeta_critical(t)) < 5.0 / math.sqrt(t)
+    assert abs(main_sum(t, 2000) - zeta_em(0.5 + 1j * t)) < 5.0 / math.sqrt(t)
 
 
 def test_main_sum_grid_inversion_regime(rng):
@@ -274,7 +276,7 @@ def _bounded_memory_cases():
             "progression_sum-poly": (lambda: progression_sum(*ones.nonzero(), 1e4, h, 4000),
                                      main_sum(1e4, 3000), 1e-9),
             "zeta_on_progression-em": (lambda: zeta_on_progression(em0, em_h, 4000),
-                                       zeta_critical(em0), 1e-10),
+                                       zeta_em(0.5 + 1j * em0), 1e-10),
             "zeta_on_progression-rs": (lambda: zeta_on_progression(rs0, rs_h, 40000),
                                        _mp_zeta(0.5 + 1j * rs0), 1e-6)}
 
@@ -513,7 +515,7 @@ def test_rs_blocked_matches_per_series_oracle(monkeypatch):
 
 def test_afe_matches_abs_square_midrange():
     t = 1000.0
-    truth = abs(zeta_critical(t)) ** 2
+    truth = abs(zeta_em(0.5 + 1j * t)) ** 2
     assert abs(afe_square(t) - truth) < 1e-2
 
 
@@ -545,8 +547,7 @@ def test_afe_epsilon_stability():
 
 
 def test_scalar_api_returns_python_complex():
-    # zeta_em, zeta_critical and eval_poly at t < 0 once returned
-    # numpy.complex128, and selftest's report read zeta(2)=np.float64(...)
-    poly = mollifier_coeffs(1e4, 0.3)
-    for z in (zeta_em(2), zeta_em(0.5 - 3j), zeta_critical(5.0), eval_poly(poly, -3.0)):
+    # zeta_em once returned numpy.complex128, and selftest's report read
+    # zeta(2)=np.float64(...)
+    for z in (zeta_em(2), zeta_em(0.5 - 3j), zeta_em(0.5 + 5j), main_sum(-3.0, 40)):
         assert type(z) is complex
