@@ -10,13 +10,15 @@ otherwise delta = 0.  The tuple machinery hunts, for each ell, the unique
 coprime pair (a, b) with b below T^(1/2-eps)*exp(-pi*ell/alpha) approximating
 x to relative quality T^(-1+eps).
 
-Continued fractions run at 256-bit working precision so convergent
-denominators up to ~1e30 are trustworthy; all arithmetic after the expansion
-is exact integer work.  Convergents and semiconvergents cover every fraction
+x is taken at 256 bits, and the continued fraction and the band scan below
+are exact integer work on that value; only the qualities are taken at
+working precision.  Convergents and semiconvergents cover every fraction
 with |x - a/b| < 1/(2b^2) (Legendre); the residual top band of denominators,
 where the quality tolerance can exceed that threshold, is scanned directly,
 making the search provably equivalent to an exhaustive Farey scan.
 """
+import functools
+import itertools
 import math
 from dataclasses import astuple, dataclass
 from typing import Optional
@@ -156,44 +158,62 @@ class DiophantineTuple:
             raise ValueError("need a*b > 1")
 
 
+def _ratio(v):
+    """(N, D) with v = N/D exactly: an mpf at its own bits, a float or an int."""
+    if not isinstance(v, mp.mpf):
+        return v.as_integer_ratio()
+    man, exp = v.man_exp
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+
+
 def _cf_candidates(x, q_cap: int, rel_tol=None):
     """Reduced convergents p/q of x with q <= q_cap and, when rel_tol is
     given, the semiconvergents that may lie within rel_tol of x (relative).
 
-    Any semiconvergent (p_{k-1}*j + p_{k-2})/(q_{k-1}*j + q_{k-2}) is reduced
+    x and rel_tol are taken at their exact values N/D and tN/tD (_ratio),
+    and everything below is integer work on them: the expansion is divmod
+    on (N, D) until the remainder is 0 or q exceeds q_cap.  Any
+    semiconvergent (p_{k-1}*j + p_{k-2})/(q_{k-1}*j + q_{k-2}) is reduced
     because p_{k-1} q_k - p_k q_{k-1} = +-1.  Those of one step, j = 1..a_k,
     approach x from one side, |p - x*q| = |d_{k-2}| - j*|d_{k-1}| with d = p -
-    x*q, so the j within rel_tol form one range up to a_k; its start is solved
-    at working precision and widened by one, and the caller's exact quality
-    test decides.  The work is linear in the number of partial quotients.
+    x*q, so the j within rel_tol form one range up to a_k; its start is an
+    exact ceiling, widened by one, and the caller's quality test decides.
+    The work is linear in the number of partial quotients.
     """
     out = []
     if q_cap < 1:
         return out
+    N, D = _ratio(x)
+    if rel_tol is not None:
+        tN, tD = _ratio(rel_tol)
     pm2, qm2 = 0, 1
     pm1, qm1 = 1, 0
-    frac = x
+    num, den = N, D
     for _ in range(_CF_MAX_TERMS):
-        a = int(mp.floor(frac))
+        a, rem = divmod(num, den)
         j_lo = a
-        if rel_tol is not None:  # |d_{k-2}| - j*slope <= rel_tol*x*q_{k-2}
-            slope = abs(pm1 - x * qm1) + rel_tol * x * qm1
+        if rel_tol is not None:  # |d_{k-2}| - j*slope <= rel_tol*x*q_{k-2}, times D*tD
+            slope = abs(pm1 * D - N * qm1) * tD + tN * N * qm1
             if slope > 0:  # 0 only when rel_tol = 0 and x is the last convergent
-                j_lo = max(1, int(mp.ceil((abs(pm2 - x * qm2) - rel_tol * x * qm2)
-                                          / slope)) - 1)
+                j_lo = max(1, -((tN * N * qm2 - abs(pm2 * D - N * qm2) * tD) // slope) - 1)
         j_hi = a if qm1 == 0 else min(a, (q_cap - qm2) // qm1)
         for j in range(j_lo, j_hi + 1):
             p = j * pm1 + pm2
             if p >= 1:
                 out.append((p, j * qm1 + qm2))
         pm2, qm2, pm1, qm1 = pm1, qm1, a * pm1 + pm2, a * qm1 + qm2
-        if qm1 > q_cap:
+        if qm1 > q_cap or rem == 0:
             break
-        rem = frac - a
-        if rem == 0:
-            break
-        frac = 1 / rem
+        num, den = den, rem
     return out
+
+
+def _band(N: int, D: int, q_lo: int, q_cap: int):
+    """(p, q) for q = q_lo .. q_cap, p the integer nearest q*N/D, ties to
+    even as mp.nint rounds."""
+    for q in range(q_lo, q_cap + 1):
+        p, r = divmod(q * N, D)
+        yield p + (2 * r + (p & 1) > D), q
 
 
 def rational_approximations(x, q_cap: int, rel_tol, p_cap: Optional[int] = None):
@@ -205,40 +225,39 @@ def rational_approximations(x, q_cap: int, rel_tol, p_cap: Optional[int] = None)
     so the result equals an exhaustive Farey scan.
     Returns a sorted list of (p, q, quality).
 
-    The work runs at the working precision, raised where it falls short to
-    32 bits below the unit of q_cap*x and below rel_tol: p and q enter
-    exactly, q*x rounds to the true nearest numerator, and a candidate's
-    quality |p/q/x - 1| resolves rel_tol.
+    Both run in exact integers on x = N/D and rel_tol = tN/tD, which also
+    screen each candidate: |p*D - q*N| * tD <= tN * q * N, with a slack of
+    2^-20.  The quality of a survivor, |p/q/x - 1|, is taken at the working
+    precision, raised where it falls short to 32 bits below the unit of
+    q_cap*x and below rel_tol, and decides against rel_tol there.
     """
     if q_cap < 1:
         return []
+    N, D = _ratio(x)
     with mp.workprec(max(mp.mp.prec, mp.mag(x) + q_cap.bit_length() + 32,
                          32 - mp.mag(rel_tol) if rel_tol > 0 else 0)):
         rel_tol = mp.mpf(rel_tol)
-        seen = {}
-        for p, q in _cf_candidates(x, q_cap, rel_tol):
-            if p_cap is not None and p > p_cap:
-                continue
-            qual = abs(mp.mpf(p) / q / x - 1)
-            if qual <= rel_tol:
-                seen[(p, q)] = qual
+        tN, tD = _ratio(rel_tol)
+        cands = _cf_candidates(x, q_cap, rel_tol)
         # Legendre band: fractions with |x - p/q| >= 1/(2q^2) need not be
         # semiconvergents; that is possible once q >= 1/sqrt(2*x*rel_tol).
-        abs_tol = x * rel_tol
-        if abs_tol > 0:
-            q_lo = int(mp.floor(1 / mp.sqrt(2 * abs_tol))) + 1
+        if N * tN > 0:
+            q_lo = math.isqrt(D * tD // (2 * N * tN)) + 1
             if q_cap - q_lo > 1_000_000:
                 raise OverflowError(
                     f"Legendre band [{q_lo}, {q_cap}] too wide for direct scan")
-            for q in range(q_lo, q_cap + 1):  # q_lo >= 1: floor(positive) + 1
-                p = int(mp.nint(q * x))
-                if p < 1 or (p_cap is not None and p > p_cap):
-                    continue
-                if math.gcd(p, q) != 1:
-                    continue
-                qual = abs(mp.mpf(p) / q / x - 1)
-                if qual <= rel_tol:
-                    seen.setdefault((p, q), qual)
+            cands = itertools.chain(cands, _band(N, D, q_lo, q_cap))
+        seen = {}
+        for p, q in cands:
+            if p < 1 or (p_cap is not None and p > p_cap) or math.gcd(p, q) != 1:
+                continue
+            # the exact quality |p*D - q*N|/(q*N) against tN/tD, with a slack
+            # of 2^-20 that keeps every fraction the working precision keeps
+            if (abs(p * D - q * N) * tD << 20) > tN * q * N * ((1 << 20) + 1):
+                continue
+            qual = abs(mp.mpf(p) / q / x - 1)
+            if qual <= rel_tol:
+                seen.setdefault((p, q), qual)
     return sorted((p, q, qual) for (p, q), qual in seen.items())
 
 
@@ -247,10 +266,9 @@ def _progression_x(spec: ProgressionSpec, ell: int):
     rf = spec.rational_form
     if rf is not None:
         k, rem = divmod(ell, rf.ell0)
-        base = mp.mpf(rf.m) / rf.n
-        if rem == 0:
-            return base ** k
-        return base ** (mp.mpf(ell) / rf.ell0)
+        if rem == 0:  # one rounding, so that the power's own quality reads 0
+            return mp.mpf(rf.m ** k) / rf.n ** k
+        return (mp.mpf(rf.m) / rf.n) ** (mp.mpf(ell) / rf.ell0)
     return mp.exp(_TWO_PI * ell / mp.mpf(spec.alpha))
 
 
@@ -260,6 +278,14 @@ def _check_search(T: float, eps: float, caller: str = "find_tuple"):
         raise ValueError(f"{caller} requires T >= 100")
     if not (0.0 < eps < 0.5):
         raise ValueError("eps must lie in (0, 1/2)")
+
+
+@functools.lru_cache
+def _search_tol(T: float, eps: float):
+    """find_tuple's quality tolerance T^(eps-1) at CF_PRECISION_BITS, the
+    same for every ell of a run."""
+    with mp.workprec(CF_PRECISION_BITS):
+        return mp.mpf(T) ** (eps - 1.0)
 
 
 def find_tuple(spec: ProgressionSpec, ell: int, T: float,
@@ -284,9 +310,8 @@ def find_tuple(spec: ProgressionSpec, ell: int, T: float,
         if x > mp.mpf(2) ** CF_PRECISION_BITS:
             raise OverflowError(
                 "exp(2*pi*ell/alpha) exceeds the exact-arithmetic configuration cap")
-        rel_tol = mp.mpf(T) ** (eps - 1.0)
         hits = [(p, q, qual) for p, q, qual in
-                rational_approximations(x, q_cap, rel_tol)
+                rational_approximations(x, q_cap, _search_tol(T, eps))
                 if p * q > 1]
     if not hits:
         return None

@@ -49,7 +49,9 @@ at once, and predict_E_prime every phi_hat(T*nu) at once.  F(a, b, T*x) is
 smooth on [1, 2] (each of its H terms is entire in log tt), so it is
 resolved once per tuple by a Chebyshev interpolant of degree 32, every
 tuple's from one h_many call at the Chebyshev points, kept when its
-coefficients above degree 16 are all within 1e-12 of its largest.  Where
+coefficients above degree 16 are all within 1e-12 of its largest; each
+level reads every kept interpolant at its nodes as one product of the
+nodes' Chebyshev-Vandermonde matrix with the coefficients.  Where
 they are not (heights that start near 0 put F's pole at tt = 0 just left of
 x = 1), F itself is evaluated at every trapezoid node.
 Heights that reach 0 on [T, 2T] (alpha*T + beta <= 0) have no prediction:
@@ -407,7 +409,8 @@ def _F_on_window(tables, T: float, spec: ProgressionSpec):
     _F_CHEB_DEGREE on [1, 2], kept where its coefficients above half the
     degree are all within _F_CHEB_TAIL of its largest; elsewhere F itself
     is evaluated at every node.  Every tuple's interpolant comes from one
-    _F_many call at the Chebyshev points."""
+    _F_many call at the Chebyshev points, and the kept ones are read at the
+    nodes as one Chebyshev-Vandermonde product."""
     cheb = np.polynomial.chebyshev
     coef = cheb.chebinterpolate(lambda u: _F_many(tables, T * (1.5 + 0.5 * u), spec).T,
                                 _F_CHEB_DEGREE)
@@ -418,7 +421,7 @@ def _F_on_window(tables, T: float, spec: ProgressionSpec):
         idx = np.arange(len(tables))[rows]
         out = np.empty((len(idx), len(x)))
         fit = kept[idx]
-        out[fit] = cheb.chebval(-3.0 + 2.0 * x, coef[:, idx[fit]])
+        out[fit] = (cheb.chebvander(-3.0 + 2.0 * x, _F_CHEB_DEGREE) @ coef[:, idx[fit]]).T
         if not np.all(fit):
             out[~fit] = _F_many([tables[i] for i in idx[~fit]], T * x, spec)
         return out

@@ -339,12 +339,14 @@ def progression_sum(ns, coeffs, t0: float, h: float, count: int, starts=None) ->
     and the ratios of G[q] = G[q-1] e^(-i h K ln n) and E[r] = E[r-1]
     e^(-i h ln n), in place of count exponentials per term.  The phases
     t0 ln n, h K ln n and h ln n are reduced mod 2pi once per term in 80-bit
-    extended precision.  Against mpmath at count = 1e7 (on single terms n
-    from 2 to 99991, the last four giant rows and 3000 random nodes), the
-    entries of G @ E.T stay within 5e-12 rad of the exact phases for h <= 1
-    and heights to 2e7; at h = 9.0647 (heights to 9e7) they read 3.5e-11,
-    the 80-bit rounding of h K ln n times q.  A float64 t * ln n at t = 1e5
-    is off by about 1e-10 rad.
+    extended precision, and _powers fills G and E by doubling.  Against
+    mpmath at count = 1e7 (on the single terms n = 2, 3, 7, 97, 1009, 9973,
+    31337, 65537 and 99991, the last four giant rows and 3000 random
+    nodes), the entries of G @ E.T stay within 1e-11 rad of the exact
+    phases for h <= 1 and heights to 2e7 (9.6e-12 at t0 = 1e7, h = 1), and
+    within 5e-13 of their magnitudes; at h = 9.0647 (heights to 9e7) the
+    phases read 4.1e-11 rad, the 80-bit rounding of h K ln n times q.  A
+    float64 t * ln n at t = 1e5 is off by about 1e-10 rad.
 
     A term that starts at node s = K*q_s + r_s is masked out of the rows of
     G before q_s; on row q_s the product still counts it at the baby steps
@@ -407,13 +409,18 @@ def _start_terms(G, E, starts, out):
 
 
 def _powers(first, ratio, rows: int) -> np.ndarray:
-    """The rows x len(first) matrix whose row q is first * ratio^q, each row
-    the one before it times ratio, in place (np.cumprod along axis 0 read
-    13x slower on 58 x 3400)."""
+    """The rows x len(first) matrix whose row q is first * ratio^q, filled
+    by doubling: rows [k, 2k) are rows [0, k) times ratio^k, so about
+    log2(rows) numpy calls fill it with as many multiplications as row by
+    row."""
     out = np.empty((rows, len(first)), dtype=complex)
     out[0] = first
-    for q in range(1, rows):
-        np.multiply(out[q - 1], ratio, out=out[q])
+    power, k = ratio, 1
+    while k < rows:
+        n = min(k, rows - k)
+        np.multiply(out[:n], power, out=out[k:k + n])
+        k += n
+        power = power * power
     return out
 
 

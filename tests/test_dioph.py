@@ -10,12 +10,16 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from zetaprog import (DiophantineTuple, ProgressionSpec, RationalForm, delta,
-                      detect_rational, find_tuple, minimal_fraction,
+from zetaprog import (DiophantineTuple, DirichletPoly, ProgressionSpec, RationalForm,
+                      delta, detect_rational, find_tuple, minimal_fraction,
                       rational_approximations, waldschmidt_bound)
-from zetaprog.dioph import _cf_candidates
+from zetaprog.dioph import _band, _cf_candidates
+from zetaprog.moments import _default_ell_max
 
 TWO_PI = 2.0 * math.pi
 
@@ -208,6 +212,31 @@ def test_find_tuple_rational_alpha_with_larger_denominator():
     assert _farey_oracle(spec, 1, 1e6) == (10, 3)
 
 
+def test_find_tuple_exact_power_quality_is_zero():
+    # (5/3)^ell is built with one rounding, so a/b = 5^ell/3^ell reads
+    # exactly x at working precision; a power taken by repeated
+    # multiplication read 1.7e-77 at ell = 4.
+    spec = ProgressionSpec.from_rational(1, 5, 3)
+    for ell in range(1, 5):
+        tup = find_tuple(spec, ell, 1e6, 0.05)
+        assert (tup.a, tup.b, tup.quality) == (5 ** ell, 3 ** ell, 0.0), ell
+
+
+@pytest.mark.parametrize("spec", [
+    ProgressionSpec(alpha=1.3), ProgressionSpec(alpha=2.2), ProgressionSpec(alpha=2.9),
+    ProgressionSpec.from_rational(1, 2, 1), ProgressionSpec.from_rational(1, 3, 2),
+], ids=["1.3", "2.2", "2.9", "1:2:1", "1:3:2"])
+@pytest.mark.parametrize("T", [800.0, 1600.0])
+def test_find_tuple_matches_oracle_on_moment_ranges(spec, T):
+    # Every ell a moment run with prediction sums over, up to the longest
+    # mollifier (theta 0.4) of the moment benchmark's T range.
+    poly = DirichletPoly(np.ones(int(T ** 0.4) + 1))
+    for ell in range(1, _default_ell_max(spec, T, poly) + 1):
+        got = find_tuple(spec, ell, T, 0.05)
+        want = _farey_oracle(spec, ell, T)
+        assert (None if got is None else (got.a, got.b)) == want, ell
+
+
 def test_find_tuple_none_when_cap_below_one(sym_spec):
     # pi*ell/alpha grows linearly in ell; once e^{-pi ell/alpha} T^{0.45}
     # drops below 1 there is no admissible denominator at all.
@@ -296,6 +325,42 @@ def test_rational_approximations_equal_brute_force(x, q_cap, tol):
     got_pairs = sorted((int(p), int(q)) for p, q, _ in got)
     want = sorted(_brute_approximations(x, q_cap, tol))
     assert got_pairs == want
+
+
+@st.composite
+def _targets(draw):
+    """(x, q_cap, rel_tol): x a 256-bit mpf of magnitude 1e-3 .. 1e12 -- a
+    generic value, an odd multiple of a power of two (q*x ties at
+    half-integers) or a small rational m/n --, q_cap <= 200, and rel_tol in
+    [1e-12, 1e-1] below 1/(2*x*q_cap), where each denominator has at most
+    one numerator within rel_tol, the nearest, as the brute scan takes it."""
+    kind = draw(st.sampled_from(["generic", "dyadic", "small"]))
+    with mp.workprec(256):
+        if kind == "generic":
+            x = mp.mpf(10) ** draw(st.floats(-3.0, 12.0))
+        elif kind == "dyadic":
+            x = mp.mpf(2 * draw(st.integers(0, 10 ** 4)) + 1) / 2 ** draw(st.integers(1, 8))
+        else:
+            x = mp.mpf(draw(st.integers(1, 1000))) / draw(st.integers(1, 1000))
+    q_cap = draw(st.integers(1, 200))
+    top = math.log10(min(0.1, 0.49 / (float(x) * q_cap)))
+    assume(top > -12.0)
+    return x, q_cap, 10.0 ** draw(st.floats(-12.0, top))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_targets())
+def test_rational_approximations_equal_brute_force_property(target):
+    x, q_cap, rel_tol = target
+    got = rational_approximations(x, q_cap, rel_tol)
+    want = _brute_approximations(Fraction(int(x.man)) * Fraction(2) ** int(x.exp),
+                                 q_cap, Fraction(rel_tol))
+    assert sorted((p, q) for p, q, _ in got) == sorted(want)
+
+
+def test_band_numerator_ties_to_even():
+    # q*x = 4.5 and 7.5 for x = 3/2 at q = 3 and 5: nearest numerators 4 and 8.
+    assert list(_band(3, 2, 3, 5)) == [(4, 3), (6, 4), (8, 5)]
 
 
 def test_cf_candidates_only_near_semiconvergents():
