@@ -178,7 +178,9 @@ def _cf_candidates(x, q_cap: int, rel_tol=None):
     approach x from one side, |p - x*q| = |d_{k-2}| - j*|d_{k-1}| with d = p -
     x*q, so the j within rel_tol form one range up to a_k; its start is an
     exact ceiling, widened by one, and the caller's quality test decides.
-    The work is linear in the number of partial quotients.
+    The work is linear in the number of partial quotients and in the length
+    of the runs; a run is counted before it is listed (_check_scan), and the
+    first step's run of j/1, about x*rel_tol long, is the one that grows.
     """
     out = []
     if q_cap < 1:
@@ -197,6 +199,7 @@ def _cf_candidates(x, q_cap: int, rel_tol=None):
             if slope > 0:  # 0 only when rel_tol = 0 and x is the last convergent
                 j_lo = max(1, -((tN * N * qm2 - abs(pm2 * D - N * qm2) * tD) // slope) - 1)
         j_hi = a if qm1 == 0 else min(a, (q_cap - qm2) // qm1)
+        _check_scan(j_hi - j_lo + 1, f"semiconvergent run [{j_lo}, {j_hi}]")
         for j in range(j_lo, j_hi + 1):
             p = j * pm1 + pm2
             if p >= 1:
@@ -208,12 +211,25 @@ def _cf_candidates(x, q_cap: int, rel_tol=None):
     return out
 
 
-def _band(N: int, D: int, q_lo: int, q_cap: int):
-    """(p, q) for q = q_lo .. q_cap, p the integer nearest q*N/D, ties to
-    even as mp.nint rounds."""
-    for q in range(q_lo, q_cap + 1):
-        p, r = divmod(q * N, D)
-        yield p + (2 * r + (p & 1) > D), q
+def _check_scan(count: int, what: str):
+    """OverflowError when a direct scan would list more than 1 000 000 fractions."""
+    if count > 1_000_000:
+        raise OverflowError(f"{what} too wide for direct scan")
+
+
+def _band(N: int, D: int, tN: int, tD: int, q_lo: int, q_cap: int):
+    """(p, q) for q = q_lo .. q_cap and every p >= 1 that passes the screen
+    of rational_approximations, |p*D - q*N| * tD <= tN*q*N*(1 + 2^-20): the
+    p within w/D of q*N/D, w = floor(tN*q*N*(2^20 + 1) / (tD*2^20)).
+    OverflowError, before any is listed, when the band may hold more than
+    1 000 000 fractions: one per q plus 2*sum(w)/D bounds it."""
+    scale, unit = tN * N * ((1 << 20) + 1), tD << 20
+    rows = q_cap - q_lo + 1
+    _check_scan(rows + scale * (q_lo + q_cap) * rows // (unit * D),
+                f"Legendre band [{q_lo}, {q_cap}]")
+    widths = ((q, scale * q // unit) for q in range(q_lo, q_cap + 1))
+    return ((p, q) for q, w in widths
+            for p in range(max(1, -((w - q * N) // D)), (q * N + w) // D + 1))
 
 
 def rational_approximations(x, q_cap: int, rel_tol, p_cap: Optional[int] = None):
@@ -222,7 +238,9 @@ def rational_approximations(x, q_cap: int, rel_tol, p_cap: Optional[int] = None)
     x must be an mpf at working precision (or a float).  Combines the continued
     fraction (convergents + semiconvergents) with a direct scan of the top
     denominator band where rel_tol exceeds the Legendre threshold 1/(2q^2),
-    so the result equals an exhaustive Farey scan.
+    every numerator within the tolerance of each denominator there, so the
+    result equals an exhaustive Farey scan, also where one denominator has
+    several such numerators (x*rel_tol*q >= 1/2).
     Returns a sorted list of (p, q, quality).
 
     Both run in exact integers on x = N/D and rel_tol = tN/tD, which also
@@ -230,6 +248,9 @@ def rational_approximations(x, q_cap: int, rel_tol, p_cap: Optional[int] = None)
     2^-20.  The quality of a survivor, |p/q/x - 1|, is taken at the working
     precision, raised where it falls short to 32 bits below the unit of
     q_cap*x and below rel_tol, and decides against rel_tol there.
+    OverflowError, before the scan, when a run of semiconvergents or the
+    band would list more than 1 000 000 fractions (the first step's run of
+    j/1 alone is about x*rel_tol long).
     """
     if q_cap < 1:
         return []
@@ -243,10 +264,7 @@ def rational_approximations(x, q_cap: int, rel_tol, p_cap: Optional[int] = None)
         # semiconvergents; that is possible once q >= 1/sqrt(2*x*rel_tol).
         if N * tN > 0:
             q_lo = math.isqrt(D * tD // (2 * N * tN)) + 1
-            if q_cap - q_lo > 1_000_000:
-                raise OverflowError(
-                    f"Legendre band [{q_lo}, {q_cap}] too wide for direct scan")
-            cands = itertools.chain(cands, _band(N, D, q_lo, q_cap))
+            cands = itertools.chain(cands, _band(N, D, tN, tD, q_lo, q_cap))
         seen = {}
         for p, q in cands:
             if p < 1 or (p_cap is not None and p > p_cap) or math.gcd(p, q) != 1:

@@ -62,11 +62,16 @@ class SmoothWindow:
     # -- evaluation ---------------------------------------------------------
 
     def phi(self, x):
-        """Evaluate phi pointwise; accepts scalars or arrays, returns the same shape."""
+        """Evaluate phi pointwise; accepts scalars or arrays, returns the same shape.
+
+        One ramp at the nearer edge, S(min(x - 1, 2 - x)/edge), equals the
+        product of both bit for bit: where one argument is below 1 the other
+        exceeds 1/edge - 1 > 1 (edge < 1/2), so its factor is exactly 1.
+        """
         x = np.asarray(x, dtype=float)
-        # a tiny edge overflows the ramp arguments to +-inf: _ramp gives 0 or 1
+        # a tiny edge overflows the ramp argument to +-inf: _ramp gives 0 or 1
         with np.errstate(over="ignore"):
-            val = _ramp((x - 1.0) / self.edge) * _ramp((2.0 - x) / self.edge)
+            val = _ramp(np.minimum(x - 1.0, 2.0 - x) / self.edge)
         if val.ndim == 0:
             return float(val)
         return val

@@ -32,10 +32,13 @@ zeta_critical_grid is one such run per height.  Riemann-Siegel takes the
 main sums of the whole run in one pass (_rs_heads: term n enters from the
 first node where m = floor(sqrt(t/2pi)) >= n) and adds the remainder terms
 C_0..C_4, the Psi-derivative combinations from an FFT-Cauchy Taylor
-expansion of Psi (_rs_coeffs), interpolated once at degree 21 to within
-1e-13.  The five series are the columns of one 22 x 5 matrix, evaluated per
-block of 8192 nodes as a Chebyshev-Vandermonde product (one table per call,
-filled block by block), with theta and the rotation in the same blocks.
+expansion of Psi (_rs_coeffs).  About p = 1/2 C_0, C_2, C_4 are even and
+C_1, C_3 odd, so C_0, C_1/x, C_2, C_3/x, C_4 (x = 2p - 1) are interpolated
+once in u = 2x^2 - 1 at 11 rows to within 1e-13.  The five series are the
+columns of one 11 x 5 matrix, evaluated per block of 8192 nodes as a
+Chebyshev-Vandermonde product (one table per call, filled block by block)
+with the odd columns times x, with theta and the rotation in the same
+blocks.
 theta(t) is its Stirling series through t^-5, whose next term is below
 2e-27 from t = RS_MIN_T up.  EM/RS agreement to 1e-6 wherever
 both run is part of the contract; each engine raises AccuracyError outside
@@ -161,12 +164,8 @@ def _theta(t):
 
 
 # Nodes per block of _riemann_siegel's per-node work: its Chebyshev-Vandermonde
-# table (22 x 8192 floats, 1.4 MB, allocated once per call) stays in cache.
+# table (11 x 8192 floats, 0.7 MB, allocated once per call) stays in cache.
 _RS_BLOCK = 8192
-
-# Degree of the Chebyshev fit of C_0..C_4, the lowest within 1e-13 of
-# _rs_coeffs on [0, 1]: degree 21 reads 9.5e-14 (C_4), degree 20 3.9e-13.
-_RS_DEGREE = 21
 
 
 def _rs_coeffs(p) -> np.ndarray:
@@ -213,11 +212,20 @@ def _euler_maclaurin(ts, h, sigma: float = 0.5) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _rs_remainder_matrix() -> np.ndarray:
-    """The Chebyshev series of degree _RS_DEGREE on x = 2p - 1 of C_0..C_4,
-    interpolating _rs_coeffs at the Chebyshev points, as the columns of one
-    matrix: chebvander(x, _RS_DEGREE) @ M gives C_0..C_4 at every x."""
-    x = np.polynomial.chebyshev.chebpts1(_RS_DEGREE + 1)
-    return np.polynomial.chebyshev.chebfit(x, _rs_coeffs((x + 1.0) / 2.0), _RS_DEGREE)
+    """C_0..C_4 through their parity about p = 1/2 (Gabcke 1979), as the
+    columns of one 11 x 5 matrix of Chebyshev series in u = 2x^2 - 1, x =
+    2p - 1: C_0, C_2 and C_4 are even in x, C_1 and C_3 odd, so the columns
+    interpolate C_0, C_1/x, C_2, C_3/x, C_4 at the 11 Chebyshev points in u
+    (where x = sqrt((u + 1)/2) is never 0), and chebvander(u, 10) @ M with
+    its columns 1 and 3 times x gives C_0..C_4 at every x.  11 rows are the
+    fewest within 1e-13 of _rs_coeffs on [0, 1]: 9.4e-14 (C_4), 10 rows
+    5.1e-12.  The same error as the degree-21 fit in x, whose rows of the
+    other parity are all below 1.7e-15, at half the rows."""
+    u = np.polynomial.chebyshev.chebpts1(11)
+    x = np.sqrt((u + 1.0) / 2.0)
+    c = _rs_coeffs((x + 1.0) / 2.0)
+    c[:, 1::2] /= x[:, None]
+    return np.polynomial.chebyshev.chebfit(u, c, len(u) - 1)
 
 
 def _rs_heads(ts, h, m) -> np.ndarray:
@@ -237,10 +245,14 @@ def _riemann_siegel(ts, h) -> np.ndarray:
     C_j(tau - m) tau^-j is added and the sum rotated by exp(-i theta).
     Theta, the rotation and the remainder run in blocks of _RS_BLOCK nodes,
     the remainder as one Chebyshev-Vandermonde product with
-    _rs_remainder_matrix() (the table T_i(x) filled in place by the
-    recurrence, in one buffer per call that each block fills a slice of) and
-    Horner in 1/tau.  The run must ascend (h >= 0): zeta_on_progression,
-    the one caller, hands it ascending runs from RS_MIN_T up."""
+    _rs_remainder_matrix() (the 11 rows T_i(u), u = 2x^2 - 1 and x = 2(tau
+    - m) - 1, filled in place by the recurrence, in one buffer per call that
+    each block fills a slice of), its odd columns C_1/x and C_3/x times x,
+    and Horner in 1/tau in place on the contiguous rows of the product; the
+    sign and the rotation are written in place as well, the rotation
+    straight into out.real and out.imag.  The run must ascend (h >= 0):
+    zeta_on_progression, the one caller, hands it ascending runs from
+    RS_MIN_T up."""
     if not np.all((ts >= RS_MIN_T) & (ts <= RS_MAX_T)):
         raise AccuracyError(f"Riemann-Siegel runs only on t in "
                             f"[{RS_MIN_T:g}, {RS_MAX_T:g}]; got t in "
@@ -248,28 +260,35 @@ def _riemann_siegel(ts, h) -> np.ndarray:
     tau = np.sqrt(ts / _TWO_PI)
     m = np.floor(tau).astype(np.int64)
     heads = _rs_heads(ts, h, m)
-    M = _rs_remainder_matrix()
+    M = _rs_remainder_matrix().T  # row j: the series of C_j (C_1, C_3 over x)
     out = np.empty(len(ts), dtype=complex)
-    table = np.empty((len(M), min(len(ts), _RS_BLOCK)))  # T_i(x) in row i, per block
+    table = np.empty((M.shape[1], min(len(ts), _RS_BLOCK)))  # T_i(u) in row i, per block
     for lo in range(0, len(ts), _RS_BLOCK):
         sl = slice(lo, lo + _RS_BLOCK)
         th = _theta(ts[sl])
         cos, sin = np.cos(th), np.sin(th)
         inv = 1.0 / tau[sl]
         x = 2.0 * (tau[sl] - m[sl]) - 1.0
-        x2 = 2.0 * x
+        u = 2.0 * x * x - 1.0
+        u2 = 2.0 * u
         V = table[:, :len(x)]
-        V[0], V[1] = 1.0, x
-        for i in range(2, len(M)):
-            np.multiply(V[i - 1], x2, out=V[i])
+        V[0], V[1] = 1.0, u
+        for i in range(2, len(V)):
+            np.multiply(V[i - 1], u2, out=V[i])
             np.subtract(V[i], V[i - 2], out=V[i])
-        C = V.T @ M
-        corr = C[:, -1]
-        for j in range(C.shape[1] - 2, -1, -1):
-            corr = corr * inv + C[:, j]
-        sign = np.where(m[sl] % 2 == 1, 1.0, -1.0)
-        Z = 2.0 * (cos * heads.real[sl] - sin * heads.imag[sl]) + sign * np.sqrt(inv) * corr
-        out.real[sl], out.imag[sl] = cos * Z, -sin * Z
+        C = M @ V
+        C[1::2] *= x
+        corr = C[-1]
+        for j in range(len(C) - 2, -1, -1):
+            corr *= inv
+            corr += C[j]
+        np.sqrt(inv, out=inv)
+        corr *= inv
+        np.negative(corr, out=corr, where=(m[sl] & 1) == 0)
+        Z = 2.0 * (cos * heads.real[sl] - sin * heads.imag[sl]) + corr
+        np.multiply(cos, Z, out=out.real[sl])
+        np.negative(sin, out=sin)
+        np.multiply(sin, Z, out=out.imag[sl])
     return out
 
 

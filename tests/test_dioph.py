@@ -295,13 +295,12 @@ def test_tuple_type_validation():
 # ---------------------------------------------------------------------------
 
 def _brute_approximations(x_frac, q_cap, rel_tol):
+    # every reduced p/q, p >= 1, with x*q*(1 - rel_tol) <= p <= x*q*(1 + rel_tol)
     out = []
     for q in range(1, q_cap + 1):
-        p = round(x_frac * q)
-        if p < 1 or math.gcd(int(p), q) != 1:
-            continue
-        if abs(Fraction(int(p), q) - x_frac) / x_frac <= rel_tol:
-            out.append((int(p), q))
+        lo = max(1, math.ceil(x_frac * q * (1 - rel_tol)))
+        out.extend((p, q) for p in range(lo, math.floor(x_frac * q * (1 + rel_tol)) + 1)
+                   if math.gcd(p, q) == 1)
     return sorted(out, key=lambda t: (t[1], t[0]))
 
 
@@ -317,6 +316,10 @@ X_SQRT2 = 10 ** 6 + Fraction("1.414213562373095048801688724209698") / 7
     (Fraction(100003, 7), 40, Fraction(1, 10 ** 5)),
     (Fraction(3, 2 ** 40), 8, Fraction(1, 4)),
     (X_SQRT2, 10, Fraction(1, 10 ** 8)),
+    # several numerators per denominator: 13/2, 15/2 and 17/2 lie within 0.2
+    # of 7.3, where a band that kept the nearest numerator listed only 15/2
+    (Fraction(73, 10), 2, Fraction(1, 5)),
+    (Fraction(22, 7), 30, Fraction(1, 10)),
 ])
 def test_rational_approximations_equal_brute_force(x, q_cap, tol):
     with mp.workprec(300):
@@ -332,8 +335,9 @@ def _targets(draw):
     """(x, q_cap, rel_tol): x a 256-bit mpf of magnitude 1e-3 .. 1e12 -- a
     generic value, an odd multiple of a power of two (q*x ties at
     half-integers) or a small rational m/n --, q_cap <= 200, and rel_tol in
-    [1e-12, 1e-1] below 1/(2*x*q_cap), where each denominator has at most
-    one numerator within rel_tol, the nearest, as the brute scan takes it."""
+    [1e-12, 1/2] below 20/(x*q_cap), so that a denominator may have up to
+    about 40 numerators within rel_tol, every one of which the brute scan
+    lists."""
     kind = draw(st.sampled_from(["generic", "dyadic", "small"]))
     with mp.workprec(256):
         if kind == "generic":
@@ -343,7 +347,7 @@ def _targets(draw):
         else:
             x = mp.mpf(draw(st.integers(1, 1000))) / draw(st.integers(1, 1000))
     q_cap = draw(st.integers(1, 200))
-    top = math.log10(min(0.1, 0.49 / (float(x) * q_cap)))
+    top = math.log10(min(0.5, 20.0 / (float(x) * q_cap)))
     assume(top > -12.0)
     return x, q_cap, 10.0 ** draw(st.floats(-12.0, top))
 
@@ -351,16 +355,35 @@ def _targets(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_targets())
 def test_rational_approximations_equal_brute_force_property(target):
+    # A fraction within 2^-24 of the tolerance's edge is decided by the
+    # working-precision quality, not by the exact scan (the tolerance-edge
+    # tests pin that rule), so such a draw is left out.
     x, q_cap, rel_tol = target
+    x_frac = Fraction(int(x.man)) * Fraction(2) ** int(x.exp)
+    want = _brute_approximations(x_frac, q_cap, Fraction(rel_tol))
+    assume(want == _brute_approximations(x_frac, q_cap, Fraction(rel_tol) * (1 - Fraction(1, 2 ** 24)))
+           == _brute_approximations(x_frac, q_cap, Fraction(rel_tol) * (1 + Fraction(1, 2 ** 24))))
     got = rational_approximations(x, q_cap, rel_tol)
-    want = _brute_approximations(Fraction(int(x.man)) * Fraction(2) ** int(x.exp),
-                                 q_cap, Fraction(rel_tol))
     assert sorted((p, q) for p, q, _ in got) == sorted(want)
 
 
-def test_band_numerator_ties_to_even():
-    # q*x = 4.5 and 7.5 for x = 3/2 at q = 3 and 5: nearest numerators 4 and 8.
-    assert list(_band(3, 2, 3, 5)) == [(4, 3), (6, 4), (8, 5)]
+def test_band_lists_every_numerator_within_tolerance():
+    # x = 3/2 at rel_tol 1/9: |p - 3q/2| <= q/6.  q = 3 and 5 have two such
+    # numerators each, 4/3 and 5/3 both at the edge, a tie neither wins.
+    assert list(_band(3, 2, 1, 9, 3, 5)) == [(4, 3), (5, 3), (6, 4), (7, 5), (8, 5)]
+
+
+@pytest.mark.parametrize("x, q_cap, rel_tol, what", [
+    (lambda: mp.mpf(10) ** 12 + mp.sqrt(2), 3, 0.1, "semiconvergent run"),
+    (lambda: mp.sqrt(2), 2000, 0.5, "Legendre band"),
+], ids=["first-step-run", "band"])
+def test_rational_approximations_refuses_past_budget(x, q_cap, rel_tol, what):
+    # The first step's run of j/1 holds about x*rel_tol = 1e11 fractions, and
+    # the band about x*rel_tol*q_cap^2 = 2.8e6: each is counted and refused
+    # before one is listed.
+    with mp.workprec(256):
+        with pytest.raises(OverflowError, match=what):
+            rational_approximations(x(), q_cap, rel_tol)
 
 
 def test_cf_candidates_only_near_semiconvergents():
@@ -436,13 +459,15 @@ def test_rational_approximations_tolerance_edge(x, p, q):
 @pytest.mark.parametrize("scale", [-1100, -1060], ids=["float-zero", "subnormal"])
 def test_rational_approximations_outside_float_range(scale):
     # float(x) reads 0 or a subnormal, where no float test could tell the
-    # candidates apart.  The tolerance admits every 1/j; the band's nearest
-    # numerators are 0.
+    # candidates apart.  The tolerance admits every reduced p/q with p <= 2q,
+    # far from the nearest numerators, 0.
     with mp.workprec(1300):
         x = mp.mpf(2) ** scale
         rel_tol = 2 / x
         got = rational_approximations(x, 6, rel_tol)
-        assert got == [(1, j, abs(mp.mpf(1) / j / x - 1)) for j in range(1, 7)]
+        want = _brute_approximations(Fraction(2) ** scale, 6, Fraction(2) ** (1 - scale))
+        assert (1, 6) in want and (12, 5) not in want and (11, 6) in want
+        assert got == sorted((p, q, abs(mp.mpf(p) / q / x - 1)) for p, q in want)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,27 @@ def test_custom_edge():
     assert 0.0 < w.phi(1.1) < 1.0
 
 
+@pytest.mark.parametrize("edge", [0.05, 0.3, 1e-310], ids=["0.05", "0.3", "overflow"])
+def test_phi_one_ramp_equals_two_ramp_product(edge):
+    # phi takes one ramp at the nearer edge; it must equal the product of
+    # both ramps bit for bit, on a dense grid over both ramps and outside
+    # [1, 2], at random points, at the ends and edges, and where a tiny edge
+    # overflows the ramp arguments to +-inf.
+    rng = np.random.default_rng(11)
+    xs = np.concatenate([np.linspace(0.9, 2.1, 200_001), rng.uniform(0.9, 2.1, 100_000),
+                         [1.0, 2.0, 1.0 + edge, 2.0 - edge, np.nextafter(1.0, 0.0),
+                          np.nextafter(2.0, 3.0), -np.inf, np.inf]])
+    ramp = window_module._ramp
+    with np.errstate(over="ignore"):
+        want = ramp((xs - 1.0) / edge) * ramp((2.0 - xs) / edge)
+    assert np.array_equal(SmoothWindow(edge=edge).phi(xs), want)
+    ramps = (want > 0.0) & (want < 1.0)
+    if edge > 1e-300:  # both ramps are sampled
+        assert np.any(ramps & (xs < 1.5)) and np.any(ramps & (xs > 1.5))
+    else:  # every argument off the plateau's ends is +-inf
+        assert not np.any(ramps)
+
+
 @pytest.mark.parametrize("bad", [0.0, 0.5, -0.1, 0.7])
 def test_edge_validation(bad):
     with pytest.raises(ValueError):

@@ -447,29 +447,52 @@ def test_zeta_on_progression_validation():
             zeta_on_progression(t0, h, 3)
 
 
+def _rs_fit_eval(M, p):
+    # C_0..C_4 at each p from a table in u = 2x^2 - 1, x = 2p - 1, whose
+    # columns 1 and 3 hold C_1/x and C_3/x
+    x = 2.0 * p - 1.0
+    C = np.polynomial.chebyshev.chebvander(2.0 * x * x - 1.0, len(M) - 1) @ M
+    C[:, 1::2] *= x[:, None]
+    return C
+
+
 def test_rs_remainder_matrix_matches_pointwise(rng):
-    # The degree-21 fit of C_0..C_4 against _rs_coeffs at 4096 random p.  On
-    # 400001 equally spaced p the largest difference reads 9.5e-14 (C_4: the
-    # fit's own error, the pointwise values being within 1.1e-14 of mpmath);
-    # a fit of degree 20 reads 3.9e-13 and one of degree 15 1.3e-9.
+    # The 11-row fit in u of C_0, C_1/x, .., C_4 against _rs_coeffs at 4096
+    # random p.  On 400001 equally spaced p the largest difference reads
+    # 9.4e-14 (C_4: the fit's own error, the pointwise values being within
+    # 1.1e-14 of mpmath); 10 rows read 5.1e-12.
     M = zmod._rs_remainder_matrix()
-    assert M.shape == (22, 5)
+    assert M.shape == (11, 5)
     p = rng.random(4096)
-    fit = np.polynomial.chebyshev.chebvander(2.0 * p - 1.0, len(M) - 1) @ M
-    assert np.max(np.abs(fit - zmod._rs_coeffs(p))) < 1e-13
+    assert np.max(np.abs(_rs_fit_eval(M, p) - zmod._rs_coeffs(p))) < 1e-13
 
 
-def _rs_full_fit(degree=40):
-    # the Chebyshev interpolant of _rs_coeffs at a degree far past _RS_DEGREE
-    x = np.polynomial.chebyshev.chebpts1(degree + 1)
-    return np.polynomial.chebyshev.chebfit(x, zmod._rs_coeffs((x + 1.0) / 2.0), degree)
+def test_rs_coeffs_parity_about_one_half():
+    # In the 22-row Chebyshev fit in x = 2p - 1, the rows of the other parity
+    # vanish to rounding: odd rows of the even C_0, C_2, C_4 and even rows of
+    # the odd C_1, C_3 (largest 1.7e-15), which is what the table in u drops.
+    x = np.polynomial.chebyshev.chebpts1(22)
+    fit = np.polynomial.chebyshev.chebfit(x, zmod._rs_coeffs((x + 1.0) / 2.0), 21)
+    assert np.max(np.abs(fit[1::2, 0::2])) < 2e-15
+    assert np.max(np.abs(fit[0::2, 1::2])) < 2e-15
+
+
+def _rs_full_fit(rows=21):
+    # the Chebyshev interpolant in u of C_0, C_1/x, .., C_4 at rows far past
+    # the package's 11
+    u = np.polynomial.chebyshev.chebpts1(rows)
+    x = np.sqrt((u + 1.0) / 2.0)
+    C = zmod._rs_coeffs((x + 1.0) / 2.0)
+    C[:, 1::2] /= x[:, None]
+    return np.polynomial.chebyshev.chebfit(u, C, rows - 1)
 
 
 def test_rs_fit_truncated_at_tail():
-    # Against a degree-40 interpolant, each series of the degree-21 fit drops
+    # Against a 21-row interpolant, each series of the 11-row fit drops
     # coefficients summing below 1e-13 in absolute value (the largest, C_4,
-    # reads 7.6e-14), and degree 21 is the lowest such: dropping from degree 21
-    # on leaves 3.6e-13 in C_3.  The kept coefficients agree within 1e-13.
+    # reads 7.7e-14), and 11 rows are the fewest such: dropping from row 10
+    # on leaves 5.0e-12 in C_4.  The kept coefficients agree within 1e-13
+    # (1.1e-14).
     M = zmod._rs_remainder_matrix()
     full = _rs_full_fit()
     assert np.all(np.sum(np.abs(full[len(M):]), axis=0) < 1e-13)
@@ -478,11 +501,43 @@ def test_rs_fit_truncated_at_tail():
 
 
 def test_rs_grid_truncation_against_full_fit(monkeypatch):
+    # _riemann_siegel reads its one table from _rs_remainder_matrix, so the
+    # 21-row fit takes its place; the run must move (by 5.0e-15), or the
+    # patch missed.
     h = (1e6 - RS_MIN_T) / 1999
     ts = RS_MIN_T + h * np.arange(2000)
     cut = zmod._riemann_siegel(ts, h)
     monkeypatch.setattr(zmod, "_rs_remainder_matrix", _rs_full_fit)
-    assert np.max(np.abs(cut - zmod._riemann_siegel(ts, h))) < 1e-12
+    full = zmod._riemann_siegel(ts, h)
+    assert not np.array_equal(cut, full)
+    assert np.max(np.abs(cut - full)) < 1e-12
+
+
+def _oracle_with_package_heads(monkeypatch, ts, h):
+    # zeta_oracle._riemann_siegel with its per-group direct heads replaced by
+    # the package's one-pass heads, so that only theta, the remainder and the
+    # rotation are compared
+    m = np.floor(np.sqrt(ts / (2 * np.pi))).astype(np.int64)
+    heads = zmod._rs_heads(ts, h, m)
+
+    def one_pass(M, run):
+        lo = int(np.flatnonzero(ts == run[0])[0])
+        assert np.all(m[lo:lo + len(run)] == M)
+        return heads[lo:lo + len(run)]
+
+    monkeypatch.setattr(zeta_oracle, "_direct_sum", one_pass)
+    return zeta_oracle._riemann_siegel(ts)
+
+
+@pytest.mark.parametrize("t0", [RS_MIN_T, 2e4, 2e5, 2e6])
+def test_rs_matches_per_series_oracle_per_decade(monkeypatch, t0):
+    # One 2000-node run over each decade from RS_MIN_T to RS_MAX_T: the
+    # table in u against C_0..C_4 taken pointwise from _rs_coeffs (the
+    # largest difference reads 4.0e-15).
+    h = (min(10.0 * t0, RS_MAX_T) - t0) / 1999
+    ts = t0 + h * np.arange(2000)
+    got = zmod._riemann_siegel(ts, h)
+    assert np.max(np.abs(got - _oracle_with_package_heads(monkeypatch, ts, h))) <= 1e-13
 
 
 def test_rs_blocked_matches_per_series_oracle(monkeypatch):
@@ -497,16 +552,8 @@ def test_rs_blocked_matches_per_series_oracle(monkeypatch):
     assert zmod._RS_BLOCK == 8192 and count > 2 * zmod._RS_BLOCK
     for edge in (zmod._RS_BLOCK, 2 * zmod._RS_BLOCK):
         assert m[edge - 1] == m[edge]
-    heads = zmod._rs_heads(ts, h, m)
-
-    def one_pass(M, run):
-        lo = int(np.flatnonzero(ts == run[0])[0])
-        assert np.all(m[lo:lo + len(run)] == M)
-        return heads[lo:lo + len(run)]
-
-    monkeypatch.setattr(zeta_oracle, "_direct_sum", one_pass)
     got = zmod._riemann_siegel(ts, h)
-    assert np.max(np.abs(got - zeta_oracle._riemann_siegel(ts))) <= 1e-13
+    assert np.max(np.abs(got - _oracle_with_package_heads(monkeypatch, ts, h))) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
