@@ -61,9 +61,4 @@ for spec, label in ((spec1, "alpha=1"), (sym, "sym")):
             print(f"  {label:7s} beta={beta:3.1f} {plab}:  E={d - c:9.2f}  "
                   f"predicted={pred:9.2f}")
 
-# moment_report bundles the same numbers and their ratio; it reduces the
-# integer sample for the discrete side and takes the continuous moment from
-# its caller
-rep = zp.moment_report(sym_ints, c_sym)
-print("\nmoment_report:", rep)
 print(f"\ntotal {time.time() - t0:.1f} s")

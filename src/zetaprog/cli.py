@@ -21,9 +21,9 @@ with its "none" cells, is joined cell by cell.  orjson is imported by the
 first run that writes a table, so import and runs without --csv do not load
 it.
 
-moment and firstmoment evaluate zeta*B once per node: their integer sample
-is the one moments.continuous_twisted_moment returns, cut from its start
-level, which holds every integer in [T, 2T].
+moment and firstmoment build their results here from one pass: the integer
+sample moments.continuous_twisted_moment cuts from its start level, then the
+prediction, whose unbudgeted work the sample's refusals guard.
 
 Reports are byte-deterministic for a fixed configuration and seed except for
 the run_meta block (wall time cannot be replayed); consumers comparing runs
@@ -309,8 +309,10 @@ def _cmd_moment(args, t0):
     _check_run(args, spec)
     poly = _poly_from(args)
     cont, sample = mmod.continuous_twisted_moment(spec, window, args.T, poly, power=2)
-    report = mmod.moment_report(sample, cont, predict=args.predict, eps=args.eps)
-    results = {**asdict(report), "delta": dmod.delta(spec)}
+    disc = sample.twisted_sum(2)
+    pred = mmod.predict_E(spec, window, args.T, poly, eps=args.eps) if args.predict else math.nan
+    results = {"discrete": disc, "continuous": cont, "E": disc - cont, "predicted_E": pred,
+               "ratio": disc / cont, "delta": dmod.delta(spec)}
     _emit(args, spec, results, t0, ["ell", "t", "phi", "abs_zeta_B_sq"],
           [sample.ell, sample.t, sample.phi, np.abs(sample.zeta * sample.B) ** 2])
     return 0

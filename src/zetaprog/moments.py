@@ -5,7 +5,7 @@ The discrete second moment over a progression and its continuous twin,
     sum over ell of |zeta * B|^2 (1/2 + i(alpha*ell + beta)) * phi(ell/T)
     vs the same integrand integrated in t over [T, 2T],
 
-differ by a correction E that the tuple machinery predicts:
+differ by a correction E, formed by the caller and predicted by predict_E:
 
     E ~ 4 * Re sum over ell > 0 of H(ell),
     H(ell) = ((a/b)^(i*beta)/sqrt(ab))
@@ -70,10 +70,10 @@ from .quadrature import NODE_CAP, nested_trapezoid
 from .sieves import mobius_table
 from .window import SmoothWindow, _phi_hats, _windowed_transform
 
-__all__ = ["DirichletPoly", "Mollifier", "MomentReport", "NonvanishingReport",
+__all__ = ["DirichletPoly", "Mollifier", "NonvanishingReport",
            "ProgressionSample", "sample_progression", "mollifier_coeffs",
            "continuous_twisted_moment", "F_func", "F_prime",
-           "predict_E", "predict_E_prime", "moment_report",
+           "predict_E", "predict_E_prime",
            "nonvanishing_bound", "empirical_nonvanishing"]
 
 _TWO_PI = 2.0 * math.pi
@@ -150,16 +150,13 @@ def _check_power(power: int):
         raise ValueError("power must be 1 or 2")
 
 
-def _check_T(T: float):
-    if not (0.0 < T < math.inf):
-        raise ValueError("T must be positive and finite")
-
-
 def _check_sample_budget(T: float):
     """ValueError unless T is positive and finite, and CapError when the
     integers in [T, 2T] exceed NODE_CAP, the largest level the continuous
-    moment can ask for.  The CLI calls it before it builds anything."""
-    _check_T(T)
+    moment can ask for.  Both public samples call it before any evaluation,
+    and the CLI before it builds anything."""
+    if not (0.0 < T < math.inf):
+        raise ValueError("T must be positive and finite")
     count = math.floor(2.0 * T) - math.ceil(T) + 1
     if count > NODE_CAP:
         raise CapError(f"progression sample of {count} nodes exceeds the budget of "
@@ -267,7 +264,7 @@ def continuous_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: fl
     them, so the rest of the level is freed once its sum is taken.
     """
     _check_power(power)
-    _check_T(T)
+    _check_sample_budget(T)
     integers = []  # the integer sample, cut from the first level evaluated
 
     def level_sum(j, p):
@@ -476,36 +473,7 @@ def predict_E_prime(spec: ProgressionSpec, window: SmoothWindow, T: float,
     return total
 
 
-# -- reports and nonvanishing ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """moment_report's computed values; the inputs are the caller's to state
-    (the CLI's report echoes them once, as its params)."""
-
-    discrete: float
-    continuous: float
-    E: float
-    predicted_E: float
-    ratio: float
-
-
-def moment_report(sample: ProgressionSample, continuous: float, predict: bool = True,
-                  eps: float = DEFAULT_EPS) -> MomentReport:
-    """Second-moment comparison bundle for the integer sample: the measured
-    discrete moment, the caller's continuous second moment (the CLI takes
-    both from continuous_twisted_moment), their difference E and ratio, and
-    the tuple-machinery prediction for E (NaN without predict); none of the
-    sample's inputs.  DegenerateDenominatorError when the continuous moment
-    is 0."""
-    if continuous == 0.0:
-        raise DegenerateDenominatorError("the continuous moment is 0: the ratio is undefined")
-    disc = sample.twisted_sum(2)
-    pred = (predict_E(sample.spec, sample.window, sample.T, sample.poly, eps=eps)
-            if predict else float("nan"))
-    return MomentReport(discrete=disc, continuous=continuous, E=disc - continuous,
-                        predicted_E=pred, ratio=disc / continuous)
+# -- nonvanishing ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)

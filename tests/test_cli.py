@@ -94,9 +94,16 @@ def test_moment_outputs_and_determinism(tmp_path):
     doc1.pop("run_meta")
     doc2.pop("run_meta")
     assert doc1 == doc2
-    assert doc1["results"]["discrete"] > 0.0
-    assert doc1["results"]["ratio"] == pytest.approx(
-        doc1["results"]["discrete"] / doc1["results"]["continuous"], rel=1e-12)
+    res = doc1["results"]
+    assert res["discrete"] > 0.0
+    assert res["E"] == res["discrete"] - res["continuous"]
+    assert res["ratio"] == res["discrete"] / res["continuous"]
+    assert isinstance(res["predicted_E"], float)
+    # without a prediction predicted_E is null, and nothing else moves: the
+    # prediction reads no value of the sample
+    rc3, doc3 = _run_json(args + ["--no-predict"], tmp_path, "c.json")
+    assert rc3 == 0
+    assert doc3["results"] == {**res, "predicted_E": None}
 
 
 def test_moment_csv_deterministic(tmp_path):
@@ -420,7 +427,7 @@ def test_computation_failure_exit_code(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise QuadratureError("injected failure")
 
-    monkeypatch.setattr(cli.mmod, "moment_report", boom)
+    monkeypatch.setattr(cli.mmod, "predict_E", boom)
     assert main(["moment", "--alpha", "1", "--T", "300",
                  "--json", str(tmp_path / "x.json")]) == 1
 
@@ -433,6 +440,9 @@ _CAP = "computation failed: CapError: progression sample of "
 # the continuous moment's start level at 2.0169 per unit rounds up to 3 nodes
 # per unit, 3e6 + 1 nodes over [1e6, 2e6]: past the trapezoid's 2^21
 _QUAD = "computation failed: QuadratureError: the trapezoid at 2.0169"
+# at alpha = 1e5 the start level refuses 76738501 nodes at once; predicting
+# first would spend seconds and then fail inside predict_E
+_QUAD_STEEP = "computation failed: QuadratureError: the trapezoid at 255794.54"
 # heights alpha*t + beta that reach 0 on [T, 2T] have no predicted E
 _HEIGHTS = "bad configuration: predict_E requires heights alpha*T + beta > 0"
 _EDGE = "bad configuration: edge must lie in (0, 1/2), got 0.7"
@@ -463,6 +473,8 @@ _EDGE = "bad configuration: edge must lie in (0, 1/2), got 0.7"
      "bad configuration: build_excluded_set requires T >= 100"),
     (["moment", "--alpha", "1", "--T", "1e6", "--no-predict"], 1, _QUAD),
     (["firstmoment", "--alpha", "1", "--T", "1e6"], 1, _QUAD),
+    (["moment", "--alpha", "1e5", "--T", "300"], 1, _QUAD_STEEP),
+    (["firstmoment", "--alpha", "1e5", "--T", "300"], 1, _QUAD_STEEP),
     (["moment", "--alpha-rational", "1:2:1", "--T", "300", "--beta", "-9000"], 2, _HEIGHTS),
     (["moment", "--alpha-rational", "1:2:1", "--T", "300", "--beta", "-4000"], 2, _HEIGHTS),
     (["moment", "--alpha", "2.3", "--T", "1000", "--beta", "-20000"], 2, _HEIGHTS),
@@ -482,6 +494,7 @@ _EDGE = "bad configuration: edge must lie in (0, 1/2), got 0.7"
         "resonate-short-N", "moment-theta", "firstmoment-small-T", "moment-small-T",
         "moment-eps", "nonvanish-small-T", "resonate-small-T",
         "moment-continuous-start", "firstmoment-continuous-start",
+        "moment-sample-before-prediction", "firstmoment-sample-before-prediction",
         "moment-negative-heights", "moment-heights-through-0", "moment-float-negative-heights",
         "nonvanish-threshold", "resonate-edge", "moment-edge", "firstmoment-edge",
         "nonvanish-edge", "resonate-overlong-N", "moment-no-predict-small-T"])
@@ -492,9 +505,11 @@ def test_node_budget_exit_code(argv, rc, message, tmp_path, monkeypatch, capsys)
     # builder's T, theta, N or eps check runs before the node budget, with
     # the builder's own message, and so do nonvanish's threshold check, the
     # resonator's support cap and every subcommand's window edge.  The
-    # continuous moment's start level is checked before the sample too.  A
-    # check runs only where the run reaches its builder.
+    # continuous moment's start level is checked before the sample too, and
+    # the sample's refusals before either prediction, whose work has no
+    # budget yet.  A check runs only where the run reaches its builder.
     for mod, name in ((cli.mmod, "mollifier_coeffs"), (cli.mmod, "sample_progression"),
+                      (cli.mmod, "predict_E"), (cli.mmod, "predict_E_prime"),
                       (cli.rmod, "build_excluded_set"), (cli.rmod, "resonator_coeffs")):
         monkeypatch.setattr(mod, name, _unreachable)
     out = tmp_path / "x.json"

@@ -12,6 +12,7 @@ Independent oracles used here:
     constant after first measurement.
 """
 import dataclasses
+import json
 import math
 import warnings
 
@@ -24,10 +25,10 @@ from zeta_oracle import poly_grid, zeta_grid
 import moments_oracle
 from moments_oracle import CapWarning, F_func_series, H_ell, eval_poly
 
-from zetaprog import (DirichletPoly, F_func, F_prime, MomentReport, ProgressionSpec,
+from zetaprog import (DirichletPoly, F_func, F_prime, ProgressionSpec,
                       SmoothWindow, continuous_twisted_moment, delta,
                       empirical_nonvanishing, eval_H, find_tuple,
-                      mollifier_coeffs, moment_report, nonvanishing_bound,
+                      mollifier_coeffs, nonvanishing_bound,
                       predict_E, predict_E_prime, sample_progression,
                       zeta_on_progression)
 from zetaprog import cli
@@ -374,6 +375,24 @@ def test_moment_T_validation(unit_spec, window):
             continuous_twisted_moment(unit_spec, window, T, DirichletPoly.one(), power=2)
 
 
+def _zeta_unreachable(*args, **kwargs):
+    raise AssertionError("zeta evaluated past the sample budget")
+
+
+@pytest.mark.parametrize("sampler", [
+    lambda spec, window, T: sample_progression(spec, window, T, DirichletPoly.one()),
+    lambda spec, window, T: continuous_twisted_moment(spec, window, T, DirichletPoly.one(),
+                                                      power=2),
+], ids=["sample_progression", "continuous_twisted_moment"])
+def test_public_samples_refuse_T_alike(sampler, unit_spec, window, monkeypatch):
+    # Both public samples hold the integers in [T, 2T], and both refuse a
+    # sample past NODE_CAP with the same CapError before any evaluation; the
+    # continuous moment does not first reach its start level's refusal.
+    monkeypatch.setattr(zmod, "zeta_on_progression", _zeta_unreachable)
+    with pytest.raises(CapError, match="progression sample of 10000001 nodes"):
+        sampler(unit_spec, window, 1e7)
+
+
 def test_discrete_near_continuous_alpha_one(unit_spec, window):
     # integer sampling at alpha=1 carries no rational correction, so the
     # discrete and continuous moments already agree to a few percent at
@@ -384,23 +403,19 @@ def test_discrete_near_continuous_alpha_one(unit_spec, window):
     assert abs(sample.twisted_sum(2) - cont) <= 0.25 * cont
 
 
-def test_moment_report_consistency(unit_spec, window):
+def test_moment_report_consistency(unit_spec, window, tmp_path):
+    # `moment` reports the library's own moments and prediction unchanged,
+    # with E and the ratio formed from exactly those two moments
     one = DirichletPoly.one()
     cont, sample = continuous_twisted_moment(unit_spec, window, 300.0, one, power=2)
-    rep = moment_report(sample, cont)
-    assert isinstance(rep, MomentReport)
-    assert rep.E == rep.discrete - rep.continuous
-    assert rep.ratio == rep.discrete / rep.continuous
-    assert rep.predicted_E is not None
-
-
-def test_moment_report_refuses_zero_continuous(unit_spec, window):
-    # B = 0 makes the continuous moment exactly 0, and the ratio undefined
-    cont, sample = continuous_twisted_moment(unit_spec, window, 300.0,
-                                             DirichletPoly(values=[0.0, 0.0, 0.0]), power=2)
-    assert cont == 0.0
-    with pytest.raises(DegenerateDenominatorError):
-        moment_report(sample, cont, predict=False)
+    out = tmp_path / "m.json"
+    assert cli.main(["moment", "--alpha", "1", "--T", "300", "--json", str(out)]) == 0
+    rep = json.loads(out.read_text())["results"]
+    assert rep["discrete"] == sample.twisted_sum(2)
+    assert rep["continuous"] == cont
+    assert rep["E"] == rep["discrete"] - rep["continuous"]
+    assert rep["ratio"] == rep["discrete"] / rep["continuous"]
+    assert rep["predicted_E"] == predict_E(unit_spec, window, 300.0, one)
 
 
 # ---------------------------------------------------------------------------
