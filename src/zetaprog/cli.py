@@ -222,7 +222,10 @@ def _parse_ells(text):
     ends = []
     for chunk in text.split(","):
         lo, dots, hi = chunk.partition("..")
-        ends.append((int(lo), int(hi if dots else lo)))
+        try:
+            ends.append((int(lo), int(hi if dots else lo)))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad ell range {text!r}") from None
     count = sum(max(0, hi - lo + 1) for lo, hi in ends)  # before building any list
     if count > NODE_CAP:
         raise argparse.ArgumentTypeError(f"{count} values exceed the budget of {NODE_CAP}")

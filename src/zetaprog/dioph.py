@@ -199,7 +199,7 @@ def _cf_candidates(x, q_cap: int, rel_tol=None):
             if slope > 0:  # 0 only when rel_tol = 0 and x is the last convergent
                 j_lo = max(1, -((tN * N * qm2 - abs(pm2 * D - N * qm2) * tD) // slope) - 1)
         j_hi = a if qm1 == 0 else min(a, (q_cap - qm2) // qm1)
-        _check_scan(j_hi - j_lo + 1, f"semiconvergent run [{j_lo}, {j_hi}]")
+        _check_scan(j_hi - j_lo + 1, "semiconvergent run")
         for j in range(j_lo, j_hi + 1):
             p = j * pm1 + pm2
             if p >= 1:
@@ -225,8 +225,7 @@ def _band(N: int, D: int, tN: int, tD: int, q_lo: int, q_cap: int):
     1 000 000 fractions: one per q plus 2*sum(w)/D bounds it."""
     scale, unit = tN * N * ((1 << 20) + 1), tD << 20
     rows = q_cap - q_lo + 1
-    _check_scan(rows + scale * (q_lo + q_cap) * rows // (unit * D),
-                f"Legendre band [{q_lo}, {q_cap}]")
+    _check_scan(rows + scale * (q_lo + q_cap) * rows // (unit * D), "Legendre band")
     widths = ((q, scale * q // unit) for q in range(q_lo, q_cap + 1))
     return ((p, q) for q, w in widths
             for p in range(max(1, -((w - q * N) // D)), (q * N + w) // D + 1))

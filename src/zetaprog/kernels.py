@@ -33,7 +33,6 @@ piecewise Chebyshev interpolant in log x sampled from the same contour -- an
 accelerator behind the identical contract, verified against the direct
 quadrature in the property suite.
 """
-import logging
 import math
 from functools import lru_cache
 
@@ -44,8 +43,6 @@ from .errors import CapError, ToleranceError
 from .zeta import _euler_maclaurin
 
 __all__ = ["eval_W", "eval_H", "w_many", "h_many", "afe_square"]
-
-log = logging.getLogger(__name__)
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -138,14 +135,13 @@ def _h_contour(u: np.ndarray) -> np.ndarray:
 def eval_H(x: float) -> float:
     """Arithmetic transform H(x); real, accurate to 1e-8.
 
-    For x >= X_HI returns the asymptotic (1/2) log x + gamma directly (the
-    remainder there is below 1e-12; the crossover is logged at debug level).
-    The pole of zeta(1+2w) at w = 0 stays left of the contour, so the
-    (1/2) log x main term emerges numerically, never by residue bookkeeping.
+    For x >= X_HI returns the asymptotic (1/2) log x + gamma directly; the
+    remainder there is below 1e-12.  The pole of zeta(1+2w) at w = 0 stays
+    left of the contour, so the (1/2) log x main term emerges numerically,
+    never by residue bookkeeping.
     """
     x = float(_positive(float(x), "eval_H"))
     if x >= X_HI:
-        log.debug("eval_H(%g): asymptotic branch (1/2) log x + gamma", x)
         return 0.5 * np.log(x) + EULER_GAMMA
     val = complex(_h_contour(np.array([np.log(x)]))[0])
     if abs(val.imag) > 1e-8:

@@ -34,7 +34,6 @@ where the paper's moment-transfer lemma is proven, and R and the extreme
 search are exploratory at desk scale.
 """
 import math
-import warnings
 from dataclasses import dataclass
 from typing import FrozenSet
 
@@ -48,17 +47,12 @@ from .errors import CapError, DegenerateDenominatorError
 from .moments import DirichletPoly, ProgressionSample
 from .sieves import primes_in, smallest_prime_factor, squarefree_products
 
-__all__ = ["Resonator", "EulerPrediction", "ExtremeReport", "ResidualWarning",
-           "build_excluded_set", "resonator_coeffs", "ratio_R",
-           "euler_product_prediction", "extreme_search"]
+__all__ = ["Resonator", "EulerPrediction", "ExtremeReport", "build_excluded_set",
+           "resonator_coeffs", "ratio_R", "euler_product_prediction", "extreme_search"]
 
 _TWO_PI = 2.0 * math.pi
 
 _SUPPORT_CAP = 5_000_000
-
-
-class ResidualWarning(UserWarning):
-    """The resonated average R has an imaginary part above 1e-2 of |R|."""
 
 
 @dataclass(frozen=True)
@@ -158,11 +152,7 @@ def _resonate(sample: ProgressionSample, resonator: Resonator):
             f"resonator mass sum {den:.3e} below 1e-12; no usable weight")
     A = zmod._main_sum_on_progression(sample.t[live], sample.spec.alpha, sample.zeta[live],
                                       int(np.floor(sample.T)))
-    ratio = complex(np.sum(mass * A)) / den
-    if abs(ratio.imag) > 1e-2 * abs(ratio):
-        warnings.warn(f"resonated average R: imaginary residual {ratio.imag:.3e} above "
-                      f"1e-2 relative (ratio {ratio.real:.6f})", ResidualWarning)
-    return live, mass, ratio.real
+    return live, mass, (complex(np.sum(mass * A)) / den).real
 
 
 def ratio_R(sample: ProgressionSample, resonator: Resonator) -> float:
@@ -170,10 +160,9 @@ def ratio_R(sample: ProgressionSample, resonator: Resonator) -> float:
     sample's phi > 0 nodes, A = main_sum with cutoff floor(T).  The sample
     must hold B = the resonator's coefficients (ValueError otherwise).
 
-    Returns the real part; the imaginary residual (A is complex, the weights
-    are real) is checked, with a ResidualWarning above 1e-2 relative.  It is
-    a weighted average of Im A, which the weights do not cancel: the max-mode
-    resonator of length 100 at alpha = 1, T = 1e4 leaves 1.5e-2.
+    Returns the real part.  The imaginary residual (A is complex, the weights
+    are real) is a weighted average of Im A, which the weights do not cancel:
+    the max-mode resonator of length 100 at alpha = 1, T = 1e4 leaves 1.5e-2.
     """
     return _resonate(sample, resonator)[2]
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from test_boundary import FLOATS
 
 import zetaprog.cli as cli
-from zetaprog import ProgressionSpec, ResidualWarning, SmoothWindow
+from zetaprog import ProgressionSpec, SmoothWindow
 from zetaprog.cli import main
 from zetaprog.errors import QuadratureError
 
@@ -48,6 +48,22 @@ def test_delta_detection(tmp_path):
     assert res["delta"] == 0.0          # candidates never feed the formula
     assert "alpha_rational" not in doc["params"] and "exact" not in res
     assert res["detected_form"] == {"ell0": 1, "m": 2, "n": 1}
+
+
+@pytest.mark.parametrize("argv, rc, message", [
+    (["--alpha", "0.01", "--ell-max", "16"], 0, ""),
+    (["--alpha", "0.0003"], 2,
+     "bad configuration: exp(2*pi*ell/alpha) exceeds the exact-arithmetic configuration cap"),
+], ids=["alpha-0.01", "alpha-0.0003"])
+def test_detection_past_int_str_limit(argv, rc, message, tmp_path, capsys):
+    # exp(2*pi*ell/alpha) passes Python's 4300-digit limit for int-to-str
+    # conversion from ell = 16 at alpha = 0.01 and from ell = 1 at alpha =
+    # 0.0003: the search finds nothing or refuses, and never formats it
+    out = tmp_path / "x.json"
+    assert main(["delta", "--detect"] + argv + ["--json", str(out)]) == rc
+    assert message in capsys.readouterr().err
+    if rc == 0:
+        assert "detected_form" not in json.loads(out.read_text())["results"]
 
 
 def test_report_to_stdout_is_the_json_report(tmp_path, capsys):
@@ -154,11 +170,15 @@ def test_nonvanish(tmp_path):
     assert res["empirical_fraction"] >= 1.0 / 3.0
 
 
-def test_resonate(tmp_path):
-    with pytest.warns(ResidualWarning):  # Im R is 2.7e-2 of R at this T
+def test_resonate(tmp_path, capsys):
+    # Im R is 2.7e-2 of R at this T, an intrinsic residual the run reports
+    # nothing about: it raises no warning and writes nothing to stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc, doc = _run_json(["resonate", "--alpha", "1", "--T", "1000",
                              "--N", "100", "--mode", "max"], tmp_path)
     assert rc == 0
+    assert capsys.readouterr().err == ""
     res = doc["results"]
     assert res["extreme"]["ratio"] > 1.0
     assert res["excluded_primes"] == []
@@ -219,12 +239,6 @@ _EVERY_SUBCOMMAND = [
 ]
 
 
-def _run_quiet(argv, tmp_path):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # the package's own warnings
-        return _run_json(argv, tmp_path)
-
-
 @pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
 def test_params_echo_every_parsed_option(argv, tmp_path):
     # a report's params are its subparser's destinations but the output
@@ -233,7 +247,7 @@ def test_params_echo_every_parsed_option(argv, tmp_path):
                if isinstance(a, argparse._SubParsersAction)).choices[argv[0]]
     dests = {a.dest for a in sub._actions} - {"help", "json", "csv"}
     args = sub.parse_args(argv[1:])
-    rc, doc = _run_quiet(argv, tmp_path)
+    rc, doc = _run_json(argv, tmp_path)
     assert rc == 0
     params = doc["params"]
     if argv[0] == "selftest":
@@ -256,7 +270,7 @@ def test_params_echo_every_parsed_option(argv, tmp_path):
 def test_results_repeat_no_parsed_option(argv, tmp_path):
     # params are the one place a report states an option, and no field holds
     # a value it could not vary (a "candidate" flag was always one value)
-    rc, doc = _run_quiet(argv, tmp_path)
+    rc, doc = _run_json(argv, tmp_path)
     assert rc == 0
 
     def keys(node):
@@ -356,7 +370,7 @@ def test_malformed_option_exit_code(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("ell", ["0", "3..1"])
+@pytest.mark.parametrize("ell", ["0", "3..1", "1..", "x", "1..2.5", ""])
 def test_bad_ell_range_exit_code(ell, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["dioph", "--alpha", "1", "--T", "1e4", "--ell", ell])
@@ -573,8 +587,7 @@ def test_float_options_exit_cleanly(subcommand, data):
             value = data.draw(FLOATS if name in wild else _BANDS[name], label=name)
             argv.append(f"--{name}={value!r}")
     err = io.StringIO()
-    with contextlib.redirect_stderr(err), warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # the package's own warnings
+    with contextlib.redirect_stderr(err):
         try:
             rc = main(argv)
         except SystemExit as exc:
@@ -641,10 +654,7 @@ def test_cli_samples_progression_once(argv, A_by_kernel, tmp_path, monkeypatch):
     run = argv + ["--json", str(tmp_path / "x.json")]
     if argv[0] != "nonvanish":  # nonvanish writes no table
         run += ["--csv", str(csv)]
-    with warnings.catch_warnings():
-        if argv[0] == "resonate":  # R's imaginary residual at this T, as in test_resonate
-            warnings.simplefilter("ignore", ResidualWarning)
-        assert main(run) == 0
+    assert main(run) == 0
 
     T = 300
     alpha = 1.0 if "--alpha" in argv else ProgressionSpec.from_rational(1, 2, 1).alpha
@@ -868,10 +878,9 @@ def test_cli_runs_without_scipy(tmp_path):
     runs = [["selftest", "--json", str(tmp_path / "selftest.json")]] + [
         argv + ["--json", str(tmp_path / f"{i}.json"), "--csv", str(tmp_path / f"{i}.csv")]
         for i, argv in enumerate(experiments)]
-    probe = ("import sys, warnings\n"
+    probe = ("import sys\n"
              "sys.modules['scipy'] = None\n"
              "from zetaprog.cli import main\n"
-             "warnings.simplefilter('ignore')\n"
              f"print([main(argv) for argv in {runs!r}])\n")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -69,6 +69,20 @@ def test_every_public_name_has_a_caller():
     assert [name for name in zetaprog.__all__ if name not in read] == []
 
 
+def test_package_speaks_through_results_and_exceptions():
+    # no module of the package warns or logs: what a run has to say is in
+    # its return value or a typed exception
+    imported = {}
+    for path in sorted((ROOT / "src/zetaprog").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            for name in names:
+                if name.split(".")[0] in ("warnings", "logging"):
+                    imported.setdefault(path.name, []).append(name)
+    assert imported == {}
+
+
 def test_demos_found():
     assert DEMOS, ROOT / "demos"
 

@@ -16,8 +16,8 @@ from gl_oracle import gl_panels
 from zeta_oracle import main_sum_grid, poly_grid
 
 from zetaprog import (DegenerateDenominatorError, DirichletPoly, ProgressionSpec,
-                      ResidualWarning, Resonator, build_excluded_set, euler_product_prediction,
-                      extreme_search, ratio_R, resonator_coeffs, sample_progression)
+                      Resonator, build_excluded_set, euler_product_prediction, extreme_search,
+                      ratio_R, resonator_coeffs, sample_progression)
 from zetaprog.quadrature import NODE_CAP
 from zetaprog.resonance import _SUPPORT_CAP
 from zetaprog.sieves import primes_in
@@ -190,8 +190,7 @@ def test_resonated_ordering(unit_spec, window):
     rmax = resonator_coeffs(100, "max")
     rmin = resonator_coeffs(100, "min")
     triv = _trivial()
-    with pytest.warns(ResidualWarning):
-        vmax = ratio_R(_sample(unit_spec, window, T, rmax), rmax)
+    vmax = ratio_R(_sample(unit_spec, window, T, rmax), rmax)
     vmin = ratio_R(_sample(unit_spec, window, T, rmin), rmin)
     vtriv = ratio_R(_sample(unit_spec, window, T, triv), triv)
     assert vmin < vtriv < vmax
@@ -203,8 +202,7 @@ def test_ratio_is_a_convex_average(unit_spec, window):
     # extreme Re A values over the live window -- exactly, no slack needed.
     T = 1e4
     rmax = resonator_coeffs(100, "max")
-    with pytest.warns(ResidualWarning):
-        r = ratio_R(_sample(unit_spec, window, T, rmax), rmax)
+    r = ratio_R(_sample(unit_spec, window, T, rmax), rmax)
     ell = np.arange(math.ceil(T), math.floor(2 * T) + 1, dtype=float)
     live = window.phi(ell / T) > 0.0
     A = main_sum_grid(ell[live], int(T))
@@ -218,19 +216,17 @@ def test_degenerate_resonator_rejected(unit_spec, window):
         ratio_R(_sample(unit_spec, window, 1e3, dead), dead)
 
 
-def test_length_rule_warns_once_per_call(unit_spec, window):
-    # N = 100 > T^(1/6) = 4.64 raises no warning of its own: each call warns
-    # once, with the max-mode residual (Im R = 1.5e-2 at R = 1.36 at this T);
-    # N = 4 stays silent
+def test_resonated_average_warns_nothing(unit_spec, window):
+    # Neither N = 100 > T^(1/6) = 4.64 nor the max-mode residual (Im R =
+    # 1.5e-2 at R = 1.36 at this T, a weighted average of Im A) raises a
+    # warning; R and the search speak through their results alone
     rmax = resonator_coeffs(100, "max")
     sample = _sample(unit_spec, window, 1e4, rmax)
     for fn in (ratio_R, extreme_search):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             fn(sample, rmax)
-        assert [w.category for w in caught] == [ResidualWarning]
-    short = _trivial(4)
-    ratio_R(_sample(unit_spec, window, 1e4, short), short)
+        assert caught == []
 
 
 def test_sample_of_another_polynomial_rejected(unit_spec, window):
@@ -254,8 +250,7 @@ def test_euler_prediction_trivial_is_one():
 def test_euler_prediction_brackets_ratio(unit_spec, window):
     T = 1e4
     rmax = resonator_coeffs(100, "max")
-    with pytest.warns(ResidualWarning):
-        vmax = ratio_R(_sample(unit_spec, window, T, rmax), rmax)
+    vmax = ratio_R(_sample(unit_spec, window, T, rmax), rmax)
     ep = euler_product_prediction(rmax)
     assert abs(vmax - ep.prediction) <= 0.30 * vmax
     assert ep.envelope_low < ep.prediction < ep.envelope_high
@@ -332,8 +327,7 @@ def test_short_polynomial_moment_transfer(unit_spec, window):
 def test_extreme_search_max_mode(unit_spec, window):
     T = 1e4
     rmax = resonator_coeffs(100, "max")
-    with pytest.warns(ResidualWarning):
-        rep = extreme_search(_sample(unit_spec, window, T, rmax), rmax)
+    rep = extreme_search(_sample(unit_spec, window, T, rmax), rmax)
     assert T <= rep.ell_star <= 2 * T
     assert rep.t_star == unit_spec.alpha * rep.ell_star + unit_spec.beta
     assert rep.witness_abs == pytest.approx(abs(rep.zeta_star), rel=1e-12)
@@ -356,8 +350,6 @@ def test_extreme_search_min_mode(unit_spec, window):
 
 def test_extreme_search_deterministic(unit_spec, window):
     rmax = resonator_coeffs(100, "max")
-    with pytest.warns(ResidualWarning):
-        a = extreme_search(_sample(unit_spec, window, 1e4, rmax), rmax)
-    with pytest.warns(ResidualWarning):
-        b = extreme_search(_sample(unit_spec, window, 1e4, rmax), rmax)
+    a = extreme_search(_sample(unit_spec, window, 1e4, rmax), rmax)
+    b = extreme_search(_sample(unit_spec, window, 1e4, rmax), rmax)
     assert a == b
