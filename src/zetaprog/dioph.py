@@ -35,6 +35,16 @@ DEFAULT_EPS = 0.05
 # Most partial quotients _cf_candidates expands.
 _CF_MAX_TERMS = 400
 
+# detect_rational's precision caps: the most bits one ell may need, and the
+# most squared bits its scan may work through, summed over ell = 1 ..
+# ell_max.  mp.exp at n bits costs about n^2 on mpmath's pure-Python
+# backend (1.3 ms at 4000 bits, 28 ms at 16000, 0.31 s at 60000 on one
+# core), so the scan's budget is about a second there: a scan at the
+# per-ell cap, and 40 ell at alpha = 1 (1e7 squared bits), fit; 3000 ell at
+# alpha = 1 (7e11, 18.8 s) do not.
+_DETECT_BITS_CAP = 65536
+_DETECT_WORK_CAP = 1 << 33
+
 _TWO_PI = 2.0 * math.pi
 
 
@@ -357,16 +367,9 @@ def detect_rational(spec: ProgressionSpec, ell_max: int,
     """
     if spec.rational_form is not None:
         raise ValueError("spec already carries a rational_form")
+    _check_detect_budget(spec.alpha, ell_max)
     for ell in range(1, ell_max + 1):
-        # The tolerance is absolute, so the mantissa must cover the integer
-        # part of x = exp(2*pi*ell/alpha) AND the 1e-12/q^2 scale below the
-        # point; a fixed mantissa would start tracing its own dyadic tail
-        # around x ~ 2^(bits - 40) and hallucinate anomalies.
-        need = CF_PRECISION_BITS + int(_TWO_PI * ell / spec.alpha / math.log(2.0)) + 16
-        if need > 65536:
-            raise OverflowError(
-                "exp(2*pi*ell/alpha) exceeds the exact-arithmetic configuration cap")
-        with mp.workprec(need):
+        with mp.workprec(_detect_bits(spec.alpha, ell)):
             tol0 = mp.mpf("1e-12")
             x = mp.exp(_TWO_PI * ell / mp.mpf(spec.alpha))
             for p, q in _cf_candidates(x, den_max):
@@ -375,6 +378,32 @@ def detect_rational(spec: ProgressionSpec, ell_max: int,
                 if abs(x - mp.mpf(p) / q) <= tol0 / (q * q):
                     return astuple(minimal_fraction(RationalForm(ell, p, q)))
     return None
+
+
+def _detect_bits(alpha: float, ell: int) -> int:
+    """The working precision of detect_rational at ell.  Its tolerance is
+    absolute, so the mantissa must cover the integer part of x =
+    exp(2*pi*ell/alpha) AND the 1e-12/q^2 scale below the point; a fixed
+    mantissa would start tracing its own dyadic tail around x ~ 2^(bits -
+    40) and hallucinate anomalies."""
+    return CF_PRECISION_BITS + int(_TWO_PI * ell / alpha / math.log(2.0)) + 16
+
+
+def _check_detect_budget(alpha: float, ell_max: int):
+    """OverflowError, before any work, when the last ell of detect_rational's
+    scan needs more than _DETECT_BITS_CAP bits (the bits grow with ell), or
+    when the scan's precision work, sum over ell <= ell_max of the bits
+    squared, exceeds _DETECT_WORK_CAP.  The sum is taken in closed form
+    over (c + s*ell)^2 >= bits^2, with c = CF_PRECISION_BITS + 16 and s =
+    2pi/(alpha ln 2), so its cost does not grow with ell_max."""
+    if _detect_bits(alpha, ell_max) > _DETECT_BITS_CAP:
+        raise OverflowError("exp(2*pi*ell/alpha) exceeds the exact-arithmetic configuration cap")
+    c, s, n = CF_PRECISION_BITS + 16, _TWO_PI / alpha / math.log(2.0), ell_max
+    work = n * c * c + c * s * n * (n + 1) + s * s * n * (n + 1) * (2 * n + 1) / 6
+    if work > _DETECT_WORK_CAP:
+        raise OverflowError(f"the rationality scan of ell = 1 .. {ell_max} needs about "
+                            f"{work:.3g} squared bits of precision, past the budget of "
+                            f"{_DETECT_WORK_CAP:.3g}")
 
 
 def delta(spec: ProgressionSpec) -> float:

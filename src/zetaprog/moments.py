@@ -22,9 +22,10 @@ predict_E_prime takes the pair (a, b) at T * phi_hat(-T * nu), the sign
 Poisson summation fixes.
 
 One level sampler evaluates zeta*B and phi(ell/T) at the nodes ell = j / p
-of the progression, its run of heights built from the integers j and p,
-through zeta.zeta_on_progression and zeta.progression_sum: zeta and B are
-only ever evaluated on a progression.  The public sample,
+of the progression, its runs of heights built from the integers j and p,
+one block of at most zeta._BLOCK_ELEMS nodes at a time, through
+zeta.zeta_on_progression and zeta.progression_sum: zeta and B are only ever
+evaluated on a progression.  The public sample,
 sample_progression, is the integers in [T, 2T] (p = 1); every consumer
 reduces it over its phi > 0 nodes, and the discrete moments, the
 nonvanishing bound and the resonator search share it.  Every integral is
@@ -32,14 +33,14 @@ the nested trapezoid of quadrature.py: the continuous moment samples the
 progression at the points ell = j / p of [T, 2T], one level at a time
 (its start level holds the integers, and continuous_twisted_moment returns
 the integer sample cut from it, so the discrete moment costs no evaluation
-of its own), from a start of p = ceil(density) nodes per unit, the
-integrand's top frequency alpha/2pi * log(t_max * len(B) / 2pi) plus 16
-nodes across each window ramp, where the trapezoid of a band-limited
-integrand under a smooth window is exact; where the heights pass through 0,
-zeta's pole at s = 1 narrows the strip of analyticity, and the start stays
-at the power of two above every tuple frequency (the bound _default_ell_max
-that predict_E also sums to).  The same zeta engine feeds both sides of E,
-so engine error cancels in it.
+of its own), each level summed block by block, from a start of p =
+ceil(density) nodes per unit, the integrand's top frequency alpha/2pi *
+log(t_max * len(B) / 2pi) plus 16 nodes across each window ramp, where
+the trapezoid of a band-limited integrand under a smooth window is exact;
+where the heights pass through 0, zeta's pole at s = 1 narrows the strip
+of analyticity, and the start stays at the power of two above every tuple
+frequency (the bound _default_ell_max that predict_E also sums to).  The
+same zeta engine feeds both sides of E, so engine error cancels in it.
 
 The correction integrals share phi_hat's windowed transform
 (window._windowed_transform), which takes an array of frequencies and
@@ -79,6 +80,13 @@ __all__ = ["DirichletPoly", "Mollifier", "NonvanishingReport",
 _TWO_PI = 2.0 * math.pi
 
 _COEFF_MEMORY_CAP = 50_000_000
+
+# Most values of ell the tuple search of predict_E and predict_E_prime may
+# take (CapError past it, before any search).  find_tuple takes about 46 us
+# an ell (the 285 046 of alpha = 1e5, T = 300 took 13 s), so a search at
+# the budget takes about 0.2 s; the widest range the benchmark asks for is
+# 37 values of ell.
+_TUPLE_ELL_CAP = 1 << 12
 
 # _F_on_window's interpolant of F on [1, 2]: its degree, and the largest
 # coefficient above half the degree, relative to the largest overall.
@@ -204,18 +212,36 @@ def sample_progression(spec: ProgressionSpec, window: SmoothWindow, T: float,
 
 def _sample_level(spec: ProgressionSpec, window: SmoothWindow, T: float,
                   poly: DirichletPoly, j: np.ndarray, p: int) -> ProgressionSample:
-    """The sample at the nodes ell = j / p, j an np.arange of int64: zeta from
-    zeta.zeta_on_progression and B from zeta.progression_sum on the run of
-    heights t0 = alpha * (j[0]/p) + beta, step alpha * ((j[1] - j[0])/p),
-    built from j and p so that no step is recovered from rounded nodes.  zeta
-    comes first, so heights the zeta engines refuse (AccuracyError) cost no
-    Dirichlet sum."""
+    """The sample at the nodes ell = j / p, j an np.arange of int64, one
+    block of zeta._on_node_blocks at a time: zeta from
+    zeta.zeta_on_progression and B from zeta.progression_sum on each block's
+    run of heights t0 = alpha * (j[lo]/p) + beta, step alpha * ((j[1] -
+    j[0])/p), built from j and p so that no step is recovered from rounded
+    nodes, written into the sample's arrays.  No engine sees more than a
+    block, so its working set is bounded whatever the length of j; a run
+    that fits one block is evaluated as one run.  zeta comes first, on
+    every block, so heights the zeta engines refuse (AccuracyError) cost no
+    Dirichlet sum; a caller that samples block by block, as the continuous
+    moment does, pays for the blocks before the refused one.
+
+    t and phi come before the blocks.  Their full-length temporaries, freed
+    before the first block, leave the C allocator's trim threshold above a
+    block's working set; after a cold start it otherwise hands that working
+    set back to the system after each block and faults it in again (a first
+    sample at T = 1e6 took 61 000 page faults, against 6 500 with t and phi
+    first)."""
+    ell = j if p == 1 else j / p
+    t, phi = _heights_and_window(spec, window, T, ell)
     step = j[1] - j[0] if len(j) > 1 else 0.0
-    t0 = spec.alpha * (j[0] / p) + spec.beta if len(j) else spec.beta
-    run = t0, spec.alpha * (step / p), len(j)
-    zeta = zmod.zeta_on_progression(*run)
-    B = zmod.progression_sum(*poly.nonzero(), *run)
-    return _sample_at(spec, window, T, poly, j if p == 1 else j / p, zeta, B)
+
+    def run(sl):
+        t0 = spec.alpha * (j[sl.start] / p) + spec.beta
+        return t0, spec.alpha * (step / p), sl.stop - sl.start
+
+    zeta = zmod._on_node_blocks(len(j), lambda sl: zmod.zeta_on_progression(*run(sl)))
+    B = zmod._on_node_blocks(len(j), lambda sl: zmod.progression_sum(*poly.nonzero(), *run(sl)))
+    return ProgressionSample(spec=spec, window=window, T=T, poly=poly, ell=ell, t=t, phi=phi,
+                             zeta=zeta, B=B)
 
 
 def _integers(T: float) -> np.ndarray:
@@ -223,13 +249,9 @@ def _integers(T: float) -> np.ndarray:
     return np.arange(math.ceil(T), math.floor(2.0 * T) + 1, dtype=np.int64)
 
 
-def _sample_at(spec: ProgressionSpec, window: SmoothWindow, T: float, poly: DirichletPoly,
-               ell: np.ndarray, zeta: np.ndarray, B: np.ndarray) -> ProgressionSample:
-    """The sample at nodes ell whose zeta and B are given: t and phi follow
-    from ell."""
-    return ProgressionSample(spec=spec, window=window, T=T, poly=poly, ell=ell,
-                             t=spec.alpha * ell + spec.beta, phi=window.phi(ell / T),
-                             zeta=zeta, B=B)
+def _heights_and_window(spec: ProgressionSpec, window: SmoothWindow, T: float, ell):
+    """(t, phi) at the nodes ell: t = alpha*ell + beta and phi(ell/T)."""
+    return spec.alpha * ell + spec.beta, window.phi(ell / T)
 
 
 # -- moments -------------------------------------------------------------------
@@ -253,33 +275,66 @@ def continuous_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: fl
     halving compares, so two agreeing levels do not prove the step fine
     enough.
 
-    Each level is one sample of the progression, through the level sampler
-    that sample_progression calls with the integers and p = 1, its run
-    (t0, h) built from the integers j and p.  Two successive levels agreeing
-    to 1e-4 relative are accepted; QuadratureError when none do, or, before
-    any evaluation, when the start step exceeds the rule's node budget.  The
-    start level's step is 1 / per_unit with per_unit an integer >= 1, so the
-    integer ell is its node j = per_unit * ell.  Only those rows of zeta and
-    B are copied, with ell, t and phi built as sample_progression builds
-    them, so the rest of the level is freed once its sum is taken.
+    Each level is summed block by block: every block of zeta._node_blocks
+    is one sample of the progression, through the level sampler that
+    sample_progression calls with the integers and p = 1, its run (t0, h)
+    built from the integers j and p, and only the running sum outlives it.
+    A level that fits one block is summed as one sample.  Two successive
+    levels agreeing to 1e-4 relative are accepted; QuadratureError when none
+    do, or, before any evaluation, when the start step exceeds the rule's
+    node budget.  The start level's step is 1 / per_unit with per_unit an
+    integer >= 1, so the integer ell is its node j = per_unit * ell.  Those
+    rows of zeta and B are copied from each block into the integer sample's
+    arrays, allocated once, after the first block is evaluated, with t and
+    phi taken as sample_progression takes them; so the working set is the
+    integer sample, the numerators j of one level and one block.
     """
     _check_power(power)
     _check_sample_budget(T)
-    integers = []  # the integer sample, cut from the first level evaluated
+    integers = []  # the integer sample, its zeta and B cut from the first level
 
     def level_sum(j, p):
-        sample = _sample_level(spec, window, T, poly, j, p)
-        if not integers:
-            ints = _integers(T)
-            rows = p * ints - j[0]
-            integers.append(_sample_at(spec, window, T, poly, ints,
-                                       sample.zeta[rows], sample.B[rows]))
-        return sample.twisted_sum(power)
+        cut = not integers
+        total = 0.0
+        for sl in zmod._node_blocks(len(j)):
+            block = _sample_level(spec, window, T, poly, j[sl], p)
+            if cut:
+                if not integers:
+                    integers.append(_integer_sample(spec, window, T, poly))
+                _cut_integers(block, int(j[sl.start]), p, integers[0])
+            total += block.twisted_sum(power)
+        return total
 
     density = _continuous_density(spec, window, T, poly)
     value = nested_trapezoid(level_sum, T, 2.0 * T, density,
                              lambda new, old: abs(new - old) <= 1e-4 * max(abs(new), 1e-12))
     return value, integers[0]
+
+
+def _integer_sample(spec: ProgressionSpec, window: SmoothWindow, T: float,
+                    poly: DirichletPoly) -> ProgressionSample:
+    """The sample of the integers in [T, 2T] with t and phi as
+    sample_progression takes them and zeta and B allocated, to be filled."""
+    ell = _integers(T)
+    t, phi = _heights_and_window(spec, window, T, ell)
+    return ProgressionSample(spec=spec, window=window, T=T, poly=poly, ell=ell, t=t, phi=phi,
+                             zeta=np.empty(len(ell), dtype=complex),
+                             B=np.empty(len(ell), dtype=complex))
+
+
+def _cut_integers(block: ProgressionSample, j0: int, p: int, integers: ProgressionSample):
+    """Copy zeta and B of the integers ell = integers.ell[i] in block, a
+    sample at the consecutive numerators j0, j0 + 1, ... over p, into row i
+    of integers."""
+    if len(integers.ell) == 0:
+        return
+    first, last = int(integers.ell[0]), int(integers.ell[-1])
+    lo, hi = max(-(-j0 // p), first), min((j0 + len(block.ell) - 1) // p, last)
+    if lo > hi:
+        return
+    src, dst = slice(p * lo - j0, p * hi - j0 + 1, p), slice(lo - first, hi - first + 1)
+    integers.zeta[dst] = block.zeta[src]
+    integers.B[dst] = block.B[src]
 
 
 def _continuous_density(spec: ProgressionSpec, window: SmoothWindow, T: float,
@@ -434,9 +489,13 @@ def _default_ell_max(spec: ProgressionSpec, T: float, poly: DirichletPoly) -> in
 
 
 def _tuples(spec: ProgressionSpec, T: float, poly: DirichletPoly, eps: float):
-    """The tuples of ell = 1 .. _default_ell_max in order, where one exists."""
-    found = (find_tuple(spec, ell, T, eps)
-             for ell in range(1, _default_ell_max(spec, T, poly) + 1))
+    """The tuples of ell = 1 .. _default_ell_max in order, where one exists;
+    CapError, before any search, when that range exceeds _TUPLE_ELL_CAP."""
+    ell_max = _default_ell_max(spec, T, poly)
+    if ell_max > _TUPLE_ELL_CAP:
+        raise CapError(f"the tuple search of ell = 1 .. {ell_max} exceeds the budget of "
+                       f"{_TUPLE_ELL_CAP} values of ell")
+    found = (find_tuple(spec, ell, T, eps) for ell in range(1, ell_max + 1))
     return [tup for tup in found if tup is not None]
 
 

@@ -49,7 +49,12 @@ progression_sum is a baby-step giant-step factorisation (the
 Odlyzko-Schoenhage idea, with a matrix product in place of the FFT): with
 j = K*q + r, K = ceil(sqrt(count)), three exponentials per term, about
 2*sqrt(count) complex multiplications per term to fill the step tables, and
-one complex matrix product replace count exponentials per term.  It gives B
+one complex matrix product replace count exponentials per term, the terms
+in blocks of at most _BLOCK_ELEMS table entries through one buffer pair per
+call.  _BLOCK_ELEMS also caps the nodes of one run of the samplers
+(_on_node_blocks: the progression sampler's levels, and the main sum A), so
+no engine sees more than a block and the working set of an evaluation is
+fixed whatever its length.  It gives B
 to the progression sampler, every head sum to the two engines (and so
 zeta(1 + 2w) to the H contour), and the main sum A to the resonator where
 the Euler-Maclaurin tail cannot be inverted.  The module imports no other
@@ -93,14 +98,30 @@ _EM_ORDER = 12
 
 
 def _em_tail(s, N, head=0.0):
-    """head + N^-s/2 + N^(1-s)/(s-1) + the Bernoulli correction sum, for scalar
-    or array s, added to head term by term (the rounding of in-place sums)."""
-    Ns = np.exp(-s * np.log(N))
-    tot = head + (0.5 * Ns + Ns * N / (s - 1.0))
-    fac = s * Ns / N
+    """head + N^-s/2 + N^(1-s)/(s-1) + the Bernoulli correction sum, for an
+    array s, added to head term by term (the rounding of in-place sums).
+    Each order runs in place on two work arrays with the operands of the
+    term-by-term formula in its order (numpy's complex product is not
+    commutative bit for bit), so the bits are that formula's."""
+    fac, work = np.negative(s), np.empty_like(s)
+    fac *= np.log(N)
+    np.exp(fac, out=fac)  # N^-s
+    np.multiply(fac, N, out=work)
+    tot = s - 1.0
+    work /= tot
+    np.multiply(0.5, fac, out=tot)
+    tot += work
+    tot += head
+    np.multiply(s, fac, out=fac)
+    fac /= N
     for k in range(1, _EM_ORDER + 1):
-        tot = tot + _BERN[2 * k] / math.factorial(2 * k) * fac
-        fac = fac * (s + (2 * k - 1)) * (s + 2 * k) / (N * N)
+        np.multiply(_BERN[2 * k] / math.factorial(2 * k), fac, out=work)
+        tot += work
+        np.add(s, 2 * k - 1, out=work)
+        fac *= work
+        np.add(s, 2 * k, out=work)
+        fac *= work
+        fac /= N * N
     return tot
 
 
@@ -313,22 +334,53 @@ def main_sum(t: float, cutoff: int) -> complex:
 
 def _main_sum_on_progression(ts, h, zs, M: int) -> np.ndarray:
     """sum_{n <= M} n^(-1/2-it) on the progression ts = ts[0] + h*j, where
-    zs = zeta(1/2 + it).  Deep inside the Euler-Maclaurin zone (M >= max|t|/3
-    and M >= _EM_MIN_TERMS) it is zs with the tail at cutoff M inverted,
-    zeta + M^-s/2 - M^(1-s)/(s-1) - C(M); elsewhere one progression_sum over
-    n = 1 .. M."""
+    zs = zeta(1/2 + it), one block of _on_node_blocks at a time.  Deep inside
+    the Euler-Maclaurin zone (M >= max|t|/3 over the whole run, and M >=
+    _EM_MIN_TERMS) it is zs with the tail at cutoff M inverted, zeta +
+    M^-s/2 - M^(1-s)/(s-1) - C(M), elementwise, so the blocks change no bit;
+    elsewhere one progression_sum over n = 1 .. M per block, from the
+    block's first height."""
     if M >= _EM_MIN_TERMS and M >= np.max(np.abs(ts)) / 3.0:
-        s = 0.5 + 1j * ts
-        return zs - _em_tail(s, M) + np.exp(-s * np.log(M))
-    return progression_sum(np.arange(1, M + 1), np.ones(M), ts[0], h, len(ts))
+        def block(sl):
+            s = 0.5 + 1j * ts[sl]
+            return zs[sl] - _em_tail(s, M) + np.exp(-s * np.log(M))
+    else:
+        n = np.arange(1, M + 1)
+
+        def block(sl):
+            return progression_sum(n, np.ones(M), ts[sl.start], h, sl.stop - sl.start)
+    return _on_node_blocks(len(ts), block)
 
 
 # -- Dirichlet sums sum_k c_k n_k^(-1/2 - it) on a progression -------------------
 
-# Most complex entries one block of G or E in progression_sum holds (4 MiB):
-# its exponential matrices never grow past a few blocks, whatever the number
-# of points or terms.
-_BLOCK_ELEMS = 1 << 18
+# The working-set budget of every evaluation on a progression: the most
+# complex entries one block of G or E in progression_sum holds (1 MiB), and
+# the most nodes one run evaluated by the samplers (moments._sample_level,
+# _main_sum_on_progression) holds, so that a run's (Q, K) output stays near
+# 2^16 entries too.  Its tables never grow past a few blocks, whatever the
+# number of points or terms.
+_BLOCK_ELEMS = 1 << 16
+
+
+def _node_blocks(count: int):
+    """Slices of at most _BLOCK_ELEMS consecutive nodes, in order, that
+    cover range(count), one at a time."""
+    for lo in range(0, count, _BLOCK_ELEMS):
+        yield slice(lo, min(lo + _BLOCK_ELEMS, count))
+
+
+def _on_node_blocks(count: int, evaluate) -> np.ndarray:
+    """evaluate(sl), a complex array, for every slice sl of
+    _node_blocks(count), in one array of count entries: the block's own
+    where one block covers them all, so a run that fits a block is
+    evaluated and returned as one run, with no copy."""
+    if 0 < count <= _BLOCK_ELEMS:
+        return evaluate(slice(0, count))
+    out = np.empty(count, dtype=complex)
+    for sl in _node_blocks(count):
+        out[sl] = evaluate(sl)
+    return out
 
 
 def _check_progression(t0, h, count):
@@ -354,7 +406,9 @@ def progression_sum(ns, coeffs, t0: float, h: float, count: int, starts=None) ->
         E[r, k] = e^(-i h r ln ns[k]),
 
     accumulated over blocks of terms of at most _BLOCK_ELEMS entries of G
-    and of E.  Each block takes three exponentials per term, the first rows
+    and of E.  One G/E buffer pair and one Q x K product buffer are
+    allocated per call, and every block fills them in place.  Each block
+    takes three exponentials per term, the first rows
     and the ratios of G[q] = G[q-1] e^(-i h K ln n) and E[r] = E[r-1]
     e^(-i h ln n), in place of count exponentials per term.  The phases
     t0 ln n, h K ln n and h ln n are reduced mod 2pi once per term in 80-bit
@@ -399,13 +453,17 @@ def progression_sum(ns, coeffs, t0: float, h: float, count: int, starts=None) ->
     baby = np.mod(np.longdouble(h) * lnn, _TWO_PI_LD).astype(float)
     out = np.zeros((Q, K), dtype=complex)
     step = max(1, _BLOCK_ELEMS // max(Q, K))
+    width = min(step, len(ns))
+    G_buf, E_buf = np.empty((Q, width), dtype=complex), np.empty((K, width), dtype=complex)
+    prod = np.empty((Q, K), dtype=complex)
     for lo in range(0, len(ns), step):
-        sl = slice(lo, lo + step)
-        G = _powers(mags[sl] * np.exp(-1j * phase0[sl]), np.exp(-1j * giant[sl]), Q)
-        E = _powers(np.ones(len(baby[sl]), dtype=complex), np.exp(-1j * baby[sl]), K)
+        sl = slice(lo, min(lo + step, len(ns)))
+        G, E = G_buf[:, :sl.stop - lo], E_buf[:, :sl.stop - lo]
+        _powers(mags[sl] * np.exp(-1j * phase0[sl]), np.exp(-1j * giant[sl]), G)
+        _powers(1.0, np.exp(-1j * baby[sl]), E)
         if starts is not None:
             _start_terms(G, E, starts[sl], out)
-        out += G @ E.T
+        out += np.matmul(G, E.T, out=prod)
     return out.ravel()[:count]
 
 
@@ -427,12 +485,12 @@ def _start_terms(G, E, starts, out):
     out[rows[first]] -= np.add.reduceat(corr, first, axis=0)
 
 
-def _powers(first, ratio, rows: int) -> np.ndarray:
-    """The rows x len(first) matrix whose row q is first * ratio^q, filled
+def _powers(first, ratio, out):
+    """Fill out, a rows x len(ratio) matrix, with first * ratio^q in row q,
     by doubling: rows [k, 2k) are rows [0, k) times ratio^k, so about
     log2(rows) numpy calls fill it with as many multiplications as row by
     row."""
-    out = np.empty((rows, len(first)), dtype=complex)
+    rows = len(out)
     out[0] = first
     power, k = ratio, 1
     while k < rows:
@@ -440,7 +498,6 @@ def _powers(first, ratio, rows: int) -> np.ndarray:
         np.multiply(out[:n], power, out=out[k:k + n])
         k += n
         power = power * power
-    return out
 
 
 def zeta_on_progression(t0: float, h: float, count: int) -> np.ndarray:

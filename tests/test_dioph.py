@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from zetaprog import (DiophantineTuple, DirichletPoly, ProgressionSpec, RationalForm,
                       delta, detect_rational, find_tuple, minimal_fraction,
                       rational_approximations, waldschmidt_bound)
+from zetaprog import dioph as dmod
 from zetaprog.dioph import _band, _cf_candidates
 from zetaprog.moments import _default_ell_max
 
@@ -516,6 +517,21 @@ def test_detect_precision_cap_overflow():
     spec = ProgressionSpec(alpha=1e-4)
     with pytest.raises(OverflowError):
         detect_rational(spec, 2, 10 ** 6)
+
+
+def test_detect_refuses_scan_past_work_budget(monkeypatch):
+    # At alpha = 1 the scan to ell = 3000 works at up to 27 450 bits per ell,
+    # about 7.6e11 squared bits (18.8 s on mpmath's pure-Python backend):
+    # refused by arithmetic, before any exponential.  ell = 40 at alpha = 1
+    # and ell = 16 at alpha = 0.01 (1.3e9) stay inside the budget; the
+    # per-ell cap keeps its message and comes first.
+    monkeypatch.setattr(mp, "exp", lambda *args: pytest.fail("exp taken"))
+    with pytest.raises(OverflowError, match="ell = 1 .. 3000 needs about 7.62e"):
+        detect_rational(ProgressionSpec(alpha=1.0), 3000, 10 ** 6)
+    with pytest.raises(OverflowError, match="exceeds the exact-arithmetic configuration cap"):
+        detect_rational(ProgressionSpec(alpha=0.0003), 40, 10 ** 6)
+    for alpha, ell_max in ((1.0, 40), (0.01, 16)):
+        dmod._check_detect_budget(alpha, ell_max)
 
 
 # ---------------------------------------------------------------------------

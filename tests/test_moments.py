@@ -14,6 +14,7 @@ Independent oracles used here:
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -347,6 +348,92 @@ def test_continuous_moment_cuts_the_integer_sample(window, spec, T, theta, power
     live = direct.phi > 0.0
     want = direct.twisted_sum(power)
     assert abs(cut.twisted_sum(power) - want) <= np.sum(direct.phi[live] * dv[live])
+
+
+# Runs for the block-budget tests: (spec, T, theta, power, zeta's contract).
+_BLOCK_RUNS = {
+    "euler-maclaurin": (ProgressionSpec(alpha=0.5), 1500.0, 0.3, 2, 1e-10),
+    "riemann-siegel": (ProgressionSpec(alpha=1.0), 3000.0, 0.3, 2, 1e-6),
+    "through-zero": (ProgressionSpec(alpha=1.0, beta=-4000.0), 2500.0, None, 1, 1e-10),
+    "negative-heights": (ProgressionSpec(alpha=1.0, beta=-9000.0), 2500.0, None, 2, 1e-6),
+}
+
+
+@pytest.mark.parametrize("case", list(_BLOCK_RUNS))
+def test_blocked_levels_agree_with_one_block(window, case, monkeypatch):
+    # At the default budget every level of these runs fits one block, and one
+    # block is one run: the sample is zeta_on_progression and progression_sum
+    # on the whole run, and the continuous moment is the trapezoid of whole
+    # level samples, bit for bit.  At a budget of 1000 nodes every level and
+    # the integer sample take several blocks, each its own run from its own
+    # start; each block's zeta is within the engine's contract eps of the
+    # true value, so two evaluations differ by at most 2 eps, and B, whose
+    # phases are reduced once per term in 80-bit arithmetic, by far less
+    # than 1e-12 of sum |b(n)|.
+    spec, T, theta, power, eps = _BLOCK_RUNS[case]
+    poly = mollifier_coeffs(T, theta) if theta is not None else DirichletPoly.one()
+    value, cut = continuous_twisted_moment(spec, window, T, poly, power)
+    sample = sample_progression(spec, window, T, poly)
+    ell = sample.ell
+    assert len(ell) <= zmod._BLOCK_ELEMS
+    run = spec.alpha * ell[0] + spec.beta, spec.alpha, len(ell)
+    assert np.array_equal(sample.zeta, zeta_on_progression(*run))
+    assert np.array_equal(sample.B, zmod.progression_sum(*poly.nonzero(), *run))
+    density = mmod._continuous_density(spec, window, T, poly)
+    whole = mmod.nested_trapezoid(
+        lambda j, p: mmod._sample_level(spec, window, T, poly, j, p).twisted_sum(power),
+        T, 2.0 * T, density, lambda new, old: abs(new - old) <= 1e-4 * max(abs(new), 1e-12))
+    assert value == whole
+
+    calls = []
+    zeta_run = zmod.zeta_on_progression
+    monkeypatch.setattr(zmod, "_BLOCK_ELEMS", 1000)
+    monkeypatch.setattr(zmod, "zeta_on_progression",
+                        lambda *run: calls.append(run[2]) or zeta_run(*run))
+    blocked = sample_progression(spec, window, T, poly)
+    assert max(calls) == 1000 and len(calls) == -(-len(ell) // 1000)
+    calls.clear()
+    blocked_value, blocked_cut = continuous_twisted_moment(spec, window, T, poly, power)
+    assert max(calls) == 1000
+    dz = 2.0 * eps
+    dB = 1e-12 * float(np.sum(np.abs(poly.nonzero()[1])))
+    for got in (blocked, blocked_cut):
+        for name in ("ell", "t", "phi"):
+            assert np.array_equal(getattr(got, name), getattr(sample, name)), name
+        assert np.max(np.abs(got.zeta - sample.zeta)) <= dz
+        assert np.max(np.abs(got.B - sample.B)) <= dB
+    # |delta(zeta B)| <= dz |B| + |zeta| dB + dz dB at every node, and the
+    # window's integral over [T, 2T] is below T
+    v = np.abs(sample.zeta * sample.B)
+    dv = float(np.max(dz * np.abs(sample.B) + np.abs(sample.zeta) * dB + dz * dB))
+    bound = T * dv * (2.0 * float(np.max(v)) + dv if power == 2 else 1.0)
+    assert abs(blocked_value - value) <= bound
+
+
+def test_continuous_moment_memory_grows_by_its_sample_and_numerators(unit_spec, window,
+                                                                    monkeypatch):
+    # Each level is summed block by block, so past one block the continuous
+    # moment's peak traced memory grows with T only by the integer sample it
+    # returns (ell, t, phi, zeta and B: 56 bytes a node) and the int64
+    # numerators of the level being summed.  At 1000 nodes a block, 1:1 at
+    # T = 8000 and 32000 both start at 2 nodes per unit, and their largest
+    # level is the start level; Python's own objects add a few hundred bytes.
+    monkeypatch.setattr(zmod, "_BLOCK_ELEMS", 1000)
+    sizes, trapezoid = [], mmod.nested_trapezoid
+    monkeypatch.setattr(mmod, "nested_trapezoid", lambda level_sum, *args: trapezoid(
+        lambda j, p: sizes.append(len(j)) or level_sum(j, p), *args))
+    runs = []
+    for T in (8000.0, 32000.0):
+        sizes.clear()
+        tracemalloc.start()
+        try:
+            _, cut = continuous_twisted_moment(unit_spec, window, T, DirichletPoly.one(), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        runs.append((len(cut.ell), max(sizes), peak))
+    (n1, level1, peak1), (n2, level2, peak2) = runs
+    assert peak2 - peak1 <= 56 * (n2 - n1) + 8 * (level2 - level1) + 4096
 
 
 def test_moment_evaluates_the_start_level_and_one_halving(tmp_path, monkeypatch):
@@ -692,6 +779,24 @@ def test_predict_e_prime_alpha_one_small(unit_spec, window):
     Bq = poly_grid(moll, unit_spec.alpha * t + unit_spec.beta)
     cont = float(np.sum(wq * window.phi(t / T) * (Bq * np.conj(Bq)).real))
     assert abs(disc - cont) <= 0.05 * T * math.log(T)
+
+
+@pytest.mark.parametrize("predict", [predict_E, predict_E_prime])
+def test_predictions_refuse_a_tuple_search_past_budget(predict, window, monkeypatch):
+    # alpha = 1e5 at T = 300 would search 285 046 values of ell (13 s, and
+    # then a QuadratureError); the range is counted and refused before any
+    # find_tuple call.  4096 values pass, and the widest the suite asks for
+    # (38, at 2:5:1 and T = 2000) is far inside.
+    monkeypatch.setattr(mmod, "find_tuple", lambda *args: pytest.fail("searched"))
+    spec = ProgressionSpec(alpha=1e5)
+    assert mmod._default_ell_max(spec, 300.0, DirichletPoly.one()) == 285_046
+    with pytest.raises(CapError, match=r"ell = 1 \.\. 285046 exceeds the budget of 4096"):
+        predict(spec, window, 300.0, DirichletPoly.one())
+    found = []
+    monkeypatch.setattr(mmod, "find_tuple", lambda spec, ell, T, eps: found.append(ell))
+    monkeypatch.setattr(mmod, "_default_ell_max", lambda *args: mmod._TUPLE_ELL_CAP)
+    assert predict(spec, window, 300.0, DirichletPoly.one()) == 0.0
+    assert found == list(range(1, 4097))
 
 
 def test_support_annihilation(sym_spec, window):
