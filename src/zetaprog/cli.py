@@ -14,12 +14,14 @@ only for parsing.
 
 CSV cells are written as Python writes them: integers by str, floats by
 repr (the shortest text that reads back to the same double).  A table of
-float64 and integer columns is one orjson call over its rows, whose text
-equals repr's except for NaN, +-inf and nonzero magnitudes outside [1e-4,
-1e16); those cells are written by repr.  Any other table, such as dioph's
-with its "none" cells, is joined cell by cell.  orjson is imported by the
-first run that writes a table, so import and runs without --csv do not load
-it.
+float64 and integer columns is made by orjson a block of whole rows at a
+time, one call per block of _CSV_BLOCK_CELLS cells, and each block goes to
+the file as soon as it is made, so the writer holds one block, never the
+whole table.  orjson's text equals repr's except for NaN, +-inf and nonzero
+magnitudes outside [1e-4, 1e16); those cells are written by repr.  Any other
+table, such as dioph's with its "none" cells, is joined cell by cell.
+orjson is imported by the first run that writes a table, so import and runs
+without --csv do not load it.
 
 moment and firstmoment build their results here from one pass: the integer
 sample moments.continuous_twisted_moment cuts from its start level, then the
@@ -32,6 +34,7 @@ computation error, 2 bad configuration.
 """
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -51,6 +54,11 @@ from .quadrature import NODE_CAP, nested_trapezoid
 from .window import SmoothWindow
 
 SCHEMA_VERSION = 4
+
+# A numeric table is formatted and written this many cells at a time (whole
+# rows, about 150 KB of text), so the writer's working set does not grow
+# with the table.
+_CSV_BLOCK_CELLS = 8192
 
 
 # -- plumbing ------------------------------------------------------------------
@@ -102,17 +110,17 @@ def _emit(args, spec, results, t0, csv_header=None, csv_columns=None):
         },
     }
     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    table = None
+    blocks = None
     if csv_columns is not None and args.csv:  # first, so a refused table writes no report
-        table = _csv_table(csv_header, csv_columns)
+        blocks = _csv_blocks(csv_header, csv_columns)
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if table is not None:
+    if blocks is not None:
         with open(args.csv, "wb") as fh:
-            fh.write(table)
+            fh.writelines(blocks)
 
 
 def _csv_cell(c):
@@ -122,64 +130,82 @@ def _csv_cell(c):
 
 
 def _csv_table(header, columns):
-    """The CSV text, as bytes, of a header and equal-length columns: one row
-    per index, each cell _csv_cell of its entry (ValueError for columns of
-    unequal length).
+    """The CSV text, as bytes, of a header and equal-length columns: the
+    join of _csv_blocks."""
+    return b"".join(_csv_blocks(header, columns))
+
+
+def _csv_blocks(header, columns):
+    """The CSV text of a header and equal-length columns as an iterable of
+    bytes blocks: the header line, then one row per index, each cell
+    _csv_cell of its entry.  ValueError for columns of unequal length is
+    raised here, before any block is made.
 
     A table whose every column is a native-order float64 ndarray or an
-    integer ndarray strictly inside (-2**53, 2**53) is written by one
-    orjson call over its row-major float64 block: its shortest round-trip
-    floats spell every value as repr does except NaN and +-inf (null) and
-    nonzero magnitudes below 1e-4 or from 1e16 up (0.00001, 1e16 for 1e-05,
-    1e+16), whose cells are redone by repr.  The dump's every k-th comma
-    ends a row, and an integer cell drops the ".0" it gains as a float.
-    Any other table is converted by tolist() and joined cell by cell."""
+    integer ndarray strictly inside (-2**53, 2**53) is made in blocks of
+    _CSV_BLOCK_CELLS cells, whole rows each, by _orjson_blocks.  Any other
+    table is converted by tolist() and joined cell by cell."""
     lengths = [len(col) for col in columns]
     if len(set(lengths)) > 1:
         raise ValueError(f"CSV columns differ in length: {lengths}")
     head = (",".join(header) + "\n").encode()
     if not columns or not lengths[0]:
-        return head
+        return (head,)
     if not all(map(_fits_orjson, columns)):
         rows = zip(*(col.tolist() if isinstance(col, np.ndarray) else col for col in columns))
-        return head + "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows).encode()
+        return head, "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows).encode()
+    return itertools.chain((head,), _orjson_blocks(columns))
+
+
+def _orjson_blocks(columns):
+    """The rows of float64 and integer columns, _CSV_BLOCK_CELLS cells at a
+    time: each block of rows is copied into one reused row-major float64
+    block and written by one orjson call.  Its shortest round-trip floats
+    spell every value as repr does except NaN and +-inf (null) and nonzero
+    magnitudes below 1e-4 or from 1e16 up (0.00001, 1e16 for 1e-05, 1e+16),
+    whose cells are redone by repr.  The dump's every k-th comma ends a row,
+    and an integer cell drops the ".0" it gains as a float."""
     import orjson  # only a run that writes a table pays for the import
-    n, k = lengths[0], len(columns)
-    block = np.empty((n, k))
-    for j, col in enumerate(columns):
-        block[:, j] = col
-    flat = block.reshape(-1)
-    body = np.frombuffer(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY),
-                         np.uint8)[1:].copy()
-    # cell i spans (edges[i], edges[i + 1]); the closing "]" ends the last row
-    edges = np.concatenate(([-1], np.flatnonzero(body == ord(",")), [len(body) - 1]))
-    body[edges[k::k]] = ord("\n")
+    n, k = len(columns[0]), len(columns)
+    rows = max(1, _CSV_BLOCK_CELLS // k)
+    buf = np.empty((min(rows, n), k))
     ints = np.array([j for j, col in enumerate(columns) if col.dtype.kind in "iu"], dtype=int)
-    if ints.size:
-        keep = np.ones(len(body), dtype=bool)
-        dot = edges[1:].reshape(n, k)[:, ints] - 2
-        keep[dot], keep[dot + 1] = False, False
-        body = body[keep]
-    mag = np.abs(flat)
-    redo = np.flatnonzero((mag < 1e-4) & (mag != 0) | ~(mag < 1e16))
-    if not redo.size:
-        return head + body.tobytes()
-    # a redone cell's place in the compacted body: two bytes fewer for each
-    # integer cell before it
-    row, j = np.divmod(redo, k)
-    shift = 2 * (row * ints.size + np.searchsorted(ints, j))
-    starts, stops = edges[redo] + 1 - shift, edges[redo + 1] - shift
-    text, pieces, last = body.tobytes(), [head], 0
-    for start, stop, x in zip(starts.tolist(), stops.tolist(), flat[redo].tolist()):
-        pieces += [text[last:start], repr(x).encode()]
-        last = stop
-    pieces.append(text[last:])
-    return b"".join(pieces)
+    for lo in range(0, n, rows):
+        block = buf[:min(rows, n - lo)]
+        for j, col in enumerate(columns):
+            block[:, j] = col[lo:lo + len(block)]
+        flat = block.reshape(-1)
+        body = np.frombuffer(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY),
+                             np.uint8)[1:].copy()
+        # cell i spans (edges[i], edges[i + 1]); the closing "]" ends the last row
+        edges = np.concatenate(([-1], np.flatnonzero(body == ord(",")), [len(body) - 1]))
+        body[edges[k::k]] = ord("\n")
+        if ints.size:
+            keep = np.ones(len(body), dtype=bool)
+            dot = edges[1:].reshape(len(block), k)[:, ints] - 2
+            keep[dot], keep[dot + 1] = False, False
+            body = body[keep]
+        mag = np.abs(flat)
+        redo = np.flatnonzero((mag < 1e-4) & (mag != 0) | ~(mag < 1e16))
+        if not redo.size:
+            yield body.tobytes()
+            continue
+        # a redone cell's place in the compacted body: two bytes fewer for
+        # each integer cell before it
+        row, j = np.divmod(redo, k)
+        shift = 2 * (row * ints.size + np.searchsorted(ints, j))
+        starts, stops = edges[redo] + 1 - shift, edges[redo + 1] - shift
+        text, pieces, last = body.tobytes(), [], 0
+        for start, stop, x in zip(starts.tolist(), stops.tolist(), flat[redo].tolist()):
+            pieces += [text[last:start], repr(x).encode()]
+            last = stop
+        pieces.append(text[last:])
+        yield b"".join(pieces)
 
 
 def _fits_orjson(col):
     """Whether orjson's text of col as float64 is its _csv_cell text, but
-    for the cells _csv_table redoes by repr."""
+    for the cells _orjson_blocks redoes by repr."""
     if not isinstance(col, np.ndarray) or not col.dtype.isnative:
         return False
     if col.dtype == np.float64:

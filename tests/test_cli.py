@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -843,6 +844,78 @@ def test_csv_table_is_repr(data, k, n):
         ",".join(str(c) if j == at else repr(c) for j, c in enumerate(row))
         for row in zip(*lists)]
     assert _table(*columns) == "".join(line + "\n" for line in want)
+
+
+_REDO = [math.nan, math.inf, -math.inf, 1e-05, 1e16]
+
+
+def _emitted_csv(path, monkeypatch, rows_a_block, header, columns):
+    """The CSV file _emit streams of the columns at rows_a_block rows a block."""
+    monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", rows_a_block * len(columns))
+    args = argparse.Namespace(subcommand="moment", json=str(path / "x.json"),
+                              csv=str(path / "x.csv"))
+    cli._emit(args, None, {}, 0.0, header, columns)
+    return (path / "x.csv").read_text()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), k=st.integers(1, 4), n=st.integers(0, 12),
+       rows_a_block=st.integers(1, 3))
+def test_csv_blocks_are_the_repr_join(tmp_path_factory, data, k, n, rows_a_block):
+    # test_csv_table_is_repr's tables, streamed 1-3 rows a block, with the
+    # cells redone by repr drawn often enough to land on a block's edges
+    cell = st.one_of(st.floats(), st.sampled_from(_REDO))
+    floats = [data.draw(st.lists(cell, min_size=n, max_size=n)) for _ in range(k)]
+    ints = data.draw(st.lists(st.integers(-2 ** 53 + 1, 2 ** 53 - 1), min_size=n, max_size=n))
+    at = data.draw(st.integers(0, k))
+    columns = [np.array(xs, dtype=np.float64) for xs in floats]
+    columns.insert(at, np.array(ints, dtype=np.int64))
+    header = [f"c{j}" for j in range(k + 1)]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        got = _emitted_csv(tmp_path_factory.getbasetemp(), monkeypatch, rows_a_block,
+                           header, columns)
+    assert got == _joined(*columns)
+
+
+@pytest.mark.parametrize("rows_a_block", [1, 2, 3])
+def test_csv_blocks_redo_cells_at_block_edges(rows_a_block, tmp_path, monkeypatch):
+    # every block opens and closes on a cell redone by repr, with an integer
+    # cell between them, and the last block is one row
+    n = 2 * rows_a_block + 1
+    first = [_REDO[i % 5] for i in range(n)]
+    last = [_REDO[(i + 2) % 5] for i in range(n)]
+    columns = [np.array(first), np.arange(n) - 1, np.array(last)]
+    monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", 3 * rows_a_block)
+    blocks = list(cli._csv_blocks(["a", "ell", "b"], columns))[1:]
+    assert [block.count(b"\n") for block in blocks] == [rows_a_block] * 2 + [1]
+    assert [(block.split(b",")[0], block.split(b",")[-1]) for block in blocks] == [
+        (repr(first[lo]).encode(), repr(last[min(lo + rows_a_block, n) - 1]).encode() + b"\n")
+        for lo in range(0, n, rows_a_block)]
+    want = _joined(*columns).replace("c0,c1,c2", "a,ell,b", 1)
+    assert _emitted_csv(tmp_path, monkeypatch, rows_a_block, ["a", "ell", "b"], columns) == want
+
+
+def test_emit_streams_the_table_in_bounded_memory(tmp_path):
+    # the table is made and written a block of rows at a time, so _emit's
+    # traced peak beyond its input columns is the same at 50 000 and 200 000
+    # rows, where the whole table as one text and its masks took 21 and 84 MB
+    import orjson  # noqa: F401  (the first table's import is no part of the peak)
+    args = argparse.Namespace(subcommand="resonate", json=str(tmp_path / "x.json"),
+                              csv=str(tmp_path / "x.csv"))
+    peaks = []
+    for n in (50_000, 200_000):
+        ell = np.arange(n)
+        columns = [ell, 1e4 + 0.5 * ell, np.abs(np.sin(ell)), np.sin(ell) ** 4 * 1e-2]
+        tracemalloc.start()
+        try:
+            cli._emit(args, None, {}, 0.0, ["ell", "t", "abs_zeta", "resonator_mass"], columns)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        with open(tmp_path / "x.csv", "rb") as fh:
+            assert sum(1 for _ in fh) == n + 1
+    assert max(peaks) < 2 * 2 ** 20, f"peaks {[p / 2 ** 20 for p in peaks]} MB"
+    assert abs(peaks[1] - peaks[0]) < 0.1 * 2 ** 20
 
 
 def test_emit_csv_is_the_repr_join(tmp_path):
