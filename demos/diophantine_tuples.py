@@ -27,8 +27,8 @@ spec1 = zp.ProgressionSpec(alpha=1.0)
 for ell in (1, 2, 3):
     print(f"alpha=1 ell={ell} T=1e6:", zp.find_tuple(spec1, ell, T=1e6))
 
-# under the hood: continued-fraction convergents + semiconvergents +
-# a Legendre-band scan.  rational_approximations exposes the candidates.
+# under the hood: every fraction of the tolerance interval, listed by
+# Stern-Brocot descent.  rational_approximations exposes them.
 x = math.exp(2 * math.pi)        # ~535.49
 print("\nbest rational approximations to exp(2*pi) with b <= 40:")
 for a, b, q in zp.rational_approximations(x, 40, rel_tol=1e-3):

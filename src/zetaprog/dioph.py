@@ -10,15 +10,12 @@ otherwise delta = 0.  The tuple machinery hunts, for each ell, the unique
 coprime pair (a, b) with b below T^(1/2-eps)*exp(-pi*ell/alpha) approximating
 x to relative quality T^(-1+eps).
 
-x is taken at 256 bits, and the continued fraction and the band scan below
-are exact integer work on that value; only the qualities are taken at
-working precision.  Convergents and semiconvergents cover every fraction
-with |x - a/b| < 1/(2b^2) (Legendre); the residual top band of denominators,
-where the quality tolerance can exceed that threshold, is scanned directly,
-making the search provably equivalent to an exhaustive Farey scan.
+x is taken at 256 bits, and the search lists every fraction of the
+tolerance interval around it by Stern-Brocot descent, in exact integers on
+that value, which makes it an exhaustive Farey scan; only the qualities are
+taken at working precision.
 """
 import functools
-import itertools
 import math
 from dataclasses import astuple, dataclass
 from typing import Optional
@@ -32,7 +29,7 @@ __all__ = ["RationalForm", "ProgressionSpec", "DiophantineTuple",
 CF_PRECISION_BITS = 256
 DEFAULT_EPS = 0.05
 
-# Most partial quotients _cf_candidates expands.
+# Most partial quotients detect_rational expands (_convergents).
 _CF_MAX_TERMS = 400
 
 # detect_rational's precision caps: the most bits one ell may need, and the
@@ -176,90 +173,72 @@ def _ratio(v):
     return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
 
 
-def _cf_candidates(x, q_cap: int, rel_tol=None):
-    """Reduced convergents p/q of x with q <= q_cap and, when rel_tol is
-    given, the semiconvergents that may lie within rel_tol of x (relative).
-
-    x and rel_tol are taken at their exact values N/D and tN/tD (_ratio),
-    and everything below is integer work on them: the expansion is divmod
-    on (N, D) until the remainder is 0 or q exceeds q_cap.  Any
-    semiconvergent (p_{k-1}*j + p_{k-2})/(q_{k-1}*j + q_{k-2}) is reduced
-    because p_{k-1} q_k - p_k q_{k-1} = +-1.  Those of one step, j = 1..a_k,
-    approach x from one side, |p - x*q| = |d_{k-2}| - j*|d_{k-1}| with d = p -
-    x*q, so the j within rel_tol form one range up to a_k; its start is an
-    exact ceiling, widened by one, and the caller's quality test decides.
-    The work is linear in the number of partial quotients and in the length
-    of the runs; a run is counted before it is listed (_check_scan), and the
-    first step's run of j/1, about x*rel_tol long, is the one that grows.
-    """
-    out = []
-    if q_cap < 1:
-        return out
-    N, D = _ratio(x)
-    if rel_tol is not None:
-        tN, tD = _ratio(rel_tol)
-    pm2, qm2 = 0, 1
-    pm1, qm1 = 1, 0
-    num, den = N, D
+def _convergents(x, q_cap: int):
+    """The convergents p/q of x with p >= 1 and q <= q_cap, in order: divmod
+    on x's exact N/D (_ratio) until the remainder is 0 or q passes q_cap."""
+    num, den = _ratio(x)
+    pm1, qm1, p, q = 0, 1, 1, 0
     for _ in range(_CF_MAX_TERMS):
         a, rem = divmod(num, den)
-        j_lo = a
-        if rel_tol is not None:  # |d_{k-2}| - j*slope <= rel_tol*x*q_{k-2}, times D*tD
-            slope = abs(pm1 * D - N * qm1) * tD + tN * N * qm1
-            if slope > 0:  # 0 only when rel_tol = 0 and x is the last convergent
-                j_lo = max(1, -((tN * N * qm2 - abs(pm2 * D - N * qm2) * tD) // slope) - 1)
-        j_hi = a if qm1 == 0 else min(a, (q_cap - qm2) // qm1)
-        _check_scan(j_hi - j_lo + 1, "semiconvergent run")
-        for j in range(j_lo, j_hi + 1):
-            p = j * pm1 + pm2
-            if p >= 1:
-                out.append((p, j * qm1 + qm2))
-        pm2, qm2, pm1, qm1 = pm1, qm1, a * pm1 + pm2, a * qm1 + qm2
-        if qm1 > q_cap or rem == 0:
-            break
+        pm1, qm1, p, q = p, q, a * p + pm1, a * q + qm1
+        if q > q_cap:
+            return
+        if p >= 1:
+            yield p, q
+        if rem == 0:
+            return
         num, den = den, rem
-    return out
 
 
-def _check_scan(count: int, what: str):
-    """OverflowError when a direct scan would list more than 1 000 000 fractions."""
-    if count > 1_000_000:
-        raise OverflowError(f"{what} too wide for direct scan")
+def _simplest(an: int, ad: int, bn: int, bd: int, q_cap: int):
+    """The reduced p/q of least q in [a, b] = [an/ad, bn/bd], 0 < a <= b, or
+    None once q passes q_cap.  Stern-Brocot descent (Concrete Mathematics,
+    4.5): the least integer of [a, b] if it holds one, else n = floor(a) plus
+    the simplest of [1/(b - n), 1/(a - n)], with y of that interval mapped
+    back to (m*y + m1)/(k*y + k1).  Past the first step y > 1, so k + k1
+    bounds q and grows like the Fibonacci numbers: O(log q_cap) steps."""
+    m, m1, k, k1 = 1, 0, 0, 1
+    while k + k1 <= q_cap:
+        c = -(-an // ad)
+        if c * bd <= bn:
+            return (m * c + m1, k * c + k1) if k * c + k1 <= q_cap else None
+        n = c - 1
+        an, ad, bn, bd = bd, bn - n * bd, ad, an - n * ad
+        m, m1, k, k1 = m * n + m1, m, k * n + k1, k
+    return None
 
 
-def _band(N: int, D: int, tN: int, tD: int, q_lo: int, q_cap: int):
-    """(p, q) for q = q_lo .. q_cap and every p >= 1 that passes the screen
-    of rational_approximations, |p*D - q*N| * tD <= tN*q*N*(1 + 2^-20): the
-    p within w/D of q*N/D, w = floor(tN*q*N*(2^20 + 1) / (tD*2^20)).
-    OverflowError, before any is listed, when the band may hold more than
-    1 000 000 fractions: one per q plus 2*sum(w)/D bounds it."""
-    scale, unit = tN * N * ((1 << 20) + 1), tD << 20
-    rows = q_cap - q_lo + 1
-    _check_scan(rows + scale * (q_lo + q_cap) * rows // (unit * D), "Legendre band")
-    widths = ((q, scale * q // unit) for q in range(q_lo, q_cap + 1))
-    return ((p, q) for q, w in widths
-            for p in range(max(1, -((w - q * N) // D)), (q * N + w) // D + 1))
+def _fractions_between(an: int, ad: int, bn: int, bd: int, q_cap: int):
+    """Every reduced p/q, q <= q_cap, in [an/ad, bn/bd] (an/ad > 0): the
+    simplest, then the same on either side of it past 1/(q*q_cap), within
+    which Farey spacing puts no other.  The fractions of F_q_cap lie at least
+    1/q_cap^2 apart, so OverflowError, before any is listed, when the
+    width times q_cap^2 exceeds 999 999."""
+    if (bn * ad - an * bd) * q_cap * q_cap > 999_999 * ad * bd:
+        raise OverflowError("interval too wide to list: it may hold 1 000 000 fractions")
+    stack = [(an, ad, bn, bd)]
+    while stack:
+        an, ad, bn, bd = stack.pop()
+        hit = _simplest(an, ad, bn, bd, q_cap) if an * bd <= bn * ad else None
+        if hit is not None:
+            p, q = hit
+            yield hit
+            stack += [(an, ad, p * q_cap - 1, q * q_cap), (p * q_cap + 1, q * q_cap, bn, bd)]
 
 
 def rational_approximations(x, q_cap: int, rel_tol, p_cap: Optional[int] = None):
     """All reduced fractions p/q, q <= q_cap, with |p/q - x|/x <= rel_tol.
 
-    x must be an mpf at working precision (or a float).  Combines the continued
-    fraction (convergents + semiconvergents) with a direct scan of the top
-    denominator band where rel_tol exceeds the Legendre threshold 1/(2q^2),
-    every numerator within the tolerance of each denominator there, so the
-    result equals an exhaustive Farey scan, also where one denominator has
-    several such numerators (x*rel_tol*q >= 1/2).
-    Returns a sorted list of (p, q, quality).
+    x must be an mpf at working precision (or a float).  Returns a sorted
+    list of (p, q, quality), equal to an exhaustive Farey scan.
 
-    Both run in exact integers on x = N/D and rel_tol = tN/tD, which also
-    screen each candidate: |p*D - q*N| * tD <= tN * q * N, with a slack of
-    2^-20.  The quality of a survivor, |p/q/x - 1|, is taken at the working
-    precision, raised where it falls short to 32 bits below the unit of
-    q_cap*x and below rel_tol, and decides against rel_tol there.
-    OverflowError, before the scan, when a run of semiconvergents or the
-    band would list more than 1 000 000 fractions (the first step's run of
-    j/1 alone is about x*rel_tol long).
+    _fractions_between lists the exact interval x*(1 -+ rel_tol*(1 +
+    2^-20)), from x = N/D and rel_tol = tN/tD, clipped at 1/q_cap so that
+    p >= 1; the slack keeps every fraction the working precision keeps.  The
+    quality |p/q/x - 1| of each is taken at the working precision, raised
+    where it falls short to 32 bits below the unit of q_cap*x and below
+    rel_tol, and decides against rel_tol there.  OverflowError, before the
+    listing, when the interval may hold 1 000 000 fractions.
     """
     if q_cap < 1:
         return []
@@ -268,24 +247,17 @@ def rational_approximations(x, q_cap: int, rel_tol, p_cap: Optional[int] = None)
                          32 - mp.mag(rel_tol) if rel_tol > 0 else 0)):
         rel_tol = mp.mpf(rel_tol)
         tN, tD = _ratio(rel_tol)
-        cands = _cf_candidates(x, q_cap, rel_tol)
-        # Legendre band: fractions with |x - p/q| >= 1/(2q^2) need not be
-        # semiconvergents; that is possible once q >= 1/sqrt(2*x*rel_tol).
-        if N * tN > 0:
-            q_lo = math.isqrt(D * tD // (2 * N * tN)) + 1
-            cands = itertools.chain(cands, _band(N, D, tN, tD, q_lo, q_cap))
-        seen = {}
-        for p, q in cands:
-            if p < 1 or (p_cap is not None and p > p_cap) or math.gcd(p, q) != 1:
-                continue
-            # the exact quality |p*D - q*N|/(q*N) against tN/tD, with a slack
-            # of 2^-20 that keeps every fraction the working precision keeps
-            if (abs(p * D - q * N) * tD << 20) > tN * q * N * ((1 << 20) + 1):
+        den, half = D * tD << 20, tN * ((1 << 20) + 1)
+        lo, hi = N * ((tD << 20) - half), N * ((tD << 20) + half)
+        an, ad = (1, q_cap) if lo * q_cap < den else (lo, den)
+        out = []
+        for p, q in _fractions_between(an, ad, hi, den, q_cap):
+            if p_cap is not None and p > p_cap:
                 continue
             qual = abs(mp.mpf(p) / q / x - 1)
             if qual <= rel_tol:
-                seen.setdefault((p, q), qual)
-    return sorted((p, q, qual) for (p, q), qual in seen.items())
+                out.append((p, q, qual))
+    return sorted(out)
 
 
 def _progression_x(spec: ProgressionSpec, ell: int):
@@ -300,11 +272,16 @@ def _progression_x(spec: ProgressionSpec, ell: int):
 
 
 def _check_search(T: float, eps: float, caller: str = "find_tuple"):
-    """ValueError, naming the caller, unless T >= 100 and eps lies in (0, 1/2)."""
+    """ValueError, naming the caller, unless T >= 100, eps lies in (0, 1/2)
+    and the tolerance T^(eps-1) is at least 2^(20 - CF_PRECISION_BITS): a
+    finer one reads x's rounding to CF_PRECISION_BITS as a rational x."""
     if T < 100.0:
         raise ValueError(f"{caller} requires T >= 100")
     if not (0.0 < eps < 0.5):
         raise ValueError("eps must lie in (0, 1/2)")
+    if (1.0 - eps) * math.log2(T) > CF_PRECISION_BITS - 20:
+        raise ValueError(f"{caller}'s tolerance T^(eps-1) at T = {T!r}, eps = {eps!r} is "
+                         f"finer than x's {CF_PRECISION_BITS} bits; lower T or raise eps")
 
 
 @functools.lru_cache
@@ -324,6 +301,9 @@ def find_tuple(spec: ProgressionSpec, ell: int, T: float,
     Uniqueness is the Farey-spacing argument: fractions with denominator
     below K are separated by more than K^-2, which exceeds twice the quality
     tolerance whenever T^eps > 2.
+
+    An admissible denominator needs x < T^(1 - 2 eps), and _check_search
+    keeps T^(1 - eps) <= 2^(CF_PRECISION_BITS - 20), so x fits its bits.
     """
     _check_search(T, eps)
     if ell < 1:
@@ -334,9 +314,6 @@ def find_tuple(spec: ProgressionSpec, ell: int, T: float,
     with mp.workprec(CF_PRECISION_BITS):
         q_cap = int(mp.ceil(mp.exp(ln_bcap))) - 1  # the largest integer below the cap
         x = _progression_x(spec, ell)
-        if x > mp.mpf(2) ** CF_PRECISION_BITS:
-            raise OverflowError(
-                "exp(2*pi*ell/alpha) exceeds the exact-arithmetic configuration cap")
         hits = [(p, q, qual) for p, q, qual in
                 rational_approximations(x, q_cap, _search_tol(T, eps))
                 if p * q > 1]
@@ -372,7 +349,7 @@ def detect_rational(spec: ProgressionSpec, ell_max: int,
         with mp.workprec(_detect_bits(spec.alpha, ell)):
             tol0 = mp.mpf("1e-12")
             x = mp.exp(_TWO_PI * ell / mp.mpf(spec.alpha))
-            for p, q in _cf_candidates(x, den_max):
+            for p, q in _convergents(x, den_max):
                 if p == q:
                     continue
                 if abs(x - mp.mpf(p) / q) <= tol0 / (q * q):

@@ -505,6 +505,12 @@ _EDGE = "bad configuration: edge must lie in (0, 1/2), got 0.7"
      "computation failed: CapError: resonator length 6000000 exceeds the memory cap"),
     # find_tuple would refuse T = 50; a moment that predicts nothing never asks it
     (["moment", "--alpha", "1", "--T", "50", "--no-predict"], 0, ""),
+    # T^(eps-1) finer than x at 256 bits: refused before the node budget, and
+    # dioph, which has no budget, writes no tuple read off x's rounding
+    (["moment", "--alpha", "1", "--T", "1e80"], 2,
+     "bad configuration: find_tuple's tolerance T^(eps-1) at T = 1e+80, eps = 0.05"),
+    (["dioph", "--alpha", "1", "--T", "1e200", "--ell", "1..3"], 2,
+     "bad configuration: find_tuple's tolerance T^(eps-1) at T = 1e+200, eps = 0.05"),
 ], ids=["nonvanish", "moment", "nonvanish-mollified", "resonate", "moment-overlong-mollifier",
         "resonate-short-N", "moment-theta", "firstmoment-small-T", "moment-small-T",
         "moment-eps", "nonvanish-small-T", "resonate-small-T",
@@ -512,7 +518,8 @@ _EDGE = "bad configuration: edge must lie in (0, 1/2), got 0.7"
         "moment-sample-before-prediction", "firstmoment-sample-before-prediction",
         "moment-negative-heights", "moment-heights-through-0", "moment-float-negative-heights",
         "nonvanish-threshold", "resonate-edge", "moment-edge", "firstmoment-edge",
-        "nonvanish-edge", "resonate-overlong-N", "moment-no-predict-small-T"])
+        "nonvanish-edge", "resonate-overlong-N", "moment-no-predict-small-T",
+        "moment-tolerance-below-x-bits", "dioph-tolerance-below-x-bits"])
 def test_node_budget_exit_code(argv, rc, message, tmp_path, monkeypatch, capsys):
     # Refused before any array is allocated, and before the mollifier, the
     # excluded set, the resonator or the sample is built; the mollifier of

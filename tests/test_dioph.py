@@ -19,7 +19,6 @@ from zetaprog import (DiophantineTuple, DirichletPoly, ProgressionSpec, Rational
                       delta, detect_rational, find_tuple, minimal_fraction,
                       rational_approximations, waldschmidt_bound)
 from zetaprog import dioph as dmod
-from zetaprog.dioph import _band, _cf_candidates
 from zetaprog.moments import _default_ell_max
 
 TWO_PI = 2.0 * math.pi
@@ -83,6 +82,9 @@ def test_spec_validation():
     # a consistent but non-minimal form: delta relies on minimal forms only
     with pytest.raises(ValueError, match="not minimal"):
         ProgressionSpec(alpha=TWO_PI / math.log(2.0), rational_form=RationalForm(2, 4, 1))
+    # m/n < 1 would give alpha < 0
+    with pytest.raises(ValueError, match="m/n > 1"):
+        ProgressionSpec.from_rational(1, 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +255,18 @@ def test_find_tuple_validation(sym_spec):
         find_tuple(sym_spec, 0, 1e4, 0.05)
 
 
+def test_find_tuple_refuses_tolerance_finer_than_x():
+    # At T = 1e200 the tolerance T^(eps-1) = 1e-190 is finer than x =
+    # e^(2*pi*ell) at 256 bits, whose rounding read as tuples of quality 0
+    # with b = 2^246, 2^237 and 2^228; e^(2*pi) is transcendental.  At
+    # T = 1e74 (T^(eps-1) = 2^-233.5) the search still decides on x.
+    spec = ProgressionSpec(alpha=1.0)
+    for ell in (1, 2, 3):
+        with pytest.raises(ValueError, match="T = 1e\\+200, eps = 0.05"):
+            find_tuple(spec, ell, 1e200, 0.05)
+        assert find_tuple(spec, ell, 1e74, 0.05) is None
+
+
 def test_tuple_growth_bound(sym_spec):
     # a*b >= e^{2 pi ell / alpha} / 2 for every tuple returned
     for ell in (1, 2, 3, 4):
@@ -289,6 +303,8 @@ def test_tuple_type_validation():
         DiophantineTuple(ell=1, a=4, b=2, quality=0.0)   # not coprime
     with pytest.raises(ValueError):
         DiophantineTuple(ell=1, a=1, b=1, quality=0.0)   # a*b must exceed 1
+    with pytest.raises(ValueError, match="positive"):
+        DiophantineTuple(ell=1, a=0, b=1, quality=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +321,9 @@ def _brute_approximations(x_frac, q_cap, rel_tol):
     return sorted(out, key=lambda t: (t[1], t[0]))
 
 
-# 1e6 + sqrt(2)/7 to 34 digits: its first partial quotient is 10^6, and
-# listing every semiconvergent j/1 of that step took 0.26 s.
+# 1e6 + sqrt(2)/7 to 34 digits: its first partial quotient is 10^6, so a
+# search that steps through a partial quotient one unit at a time takes
+# 10^6 steps there.
 X_SQRT2 = 10 ** 6 + Fraction("1.414213562373095048801688724209698") / 7
 
 
@@ -321,13 +338,16 @@ X_SQRT2 = 10 ** 6 + Fraction("1.414213562373095048801688724209698") / 7
     # of 7.3, where a band that kept the nearest numerator listed only 15/2
     (Fraction(73, 10), 2, Fraction(1, 5)),
     (Fraction(22, 7), 30, Fraction(1, 10)),
+    # a float x is taken at its exact value
+    (math.exp(TWO_PI), 40, Fraction(1, 1000)),
+    (Fraction(22, 7), 0, Fraction(1, 10)),
 ])
 def test_rational_approximations_equal_brute_force(x, q_cap, tol):
     with mp.workprec(300):
-        got = rational_approximations(mp.mpf(x.numerator) / x.denominator,
-                                      q_cap, mp.mpf(tol.numerator) / tol.denominator)
+        x_in = x if isinstance(x, float) else mp.mpf(x.numerator) / x.denominator
+        got = rational_approximations(x_in, q_cap, mp.mpf(tol.numerator) / tol.denominator)
     got_pairs = sorted((int(p), int(q)) for p, q, _ in got)
-    want = sorted(_brute_approximations(x, q_cap, tol))
+    want = sorted(_brute_approximations(Fraction(x), q_cap, tol))
     assert got_pairs == want
 
 
@@ -368,33 +388,74 @@ def test_rational_approximations_equal_brute_force_property(target):
     assert sorted((p, q) for p, q, _ in got) == sorted(want)
 
 
-def test_band_lists_every_numerator_within_tolerance():
-    # x = 3/2 at rel_tol 1/9: |p - 3q/2| <= q/6.  q = 3 and 5 have two such
-    # numerators each, 4/3 and 5/3 both at the edge, a tie neither wins.
-    assert list(_band(3, 2, 1, 9, 3, 5)) == [(4, 3), (5, 3), (6, 4), (7, 5), (8, 5)]
-
-
-@pytest.mark.parametrize("x, q_cap, rel_tol, what", [
-    (lambda: mp.mpf(10) ** 12 + mp.sqrt(2), 3, 0.1, "semiconvergent run"),
-    (lambda: mp.sqrt(2), 2000, 0.5, "Legendre band"),
+@pytest.mark.parametrize("x, q_cap, rel_tol", [
+    (lambda: mp.mpf(10) ** 12 + mp.sqrt(2), 3, 0.1),
+    (lambda: mp.sqrt(2), 2000, 0.5),
 ], ids=["first-step-run", "band"])
-def test_rational_approximations_refuses_past_budget(x, q_cap, rel_tol, what):
-    # The first step's run of j/1 holds about x*rel_tol = 1e11 fractions, and
-    # the band about x*rel_tol*q_cap^2 = 2.8e6: each is counted and refused
-    # before one is listed.
+def test_rational_approximations_refuses_past_budget(x, q_cap, rel_tol, monkeypatch):
+    # The interval's width times q_cap^2 bounds the fractions it may hold:
+    # 2e11 * 9 for the run of integers j/1 around 1e12, and 1.41 * 4e6 for
+    # the band of denominators up to 2000 around sqrt(2).  Each is refused
+    # before one fraction is listed.
+    monkeypatch.setattr(dmod, "_simplest", lambda *a: pytest.fail("listed"))
     with mp.workprec(256):
-        with pytest.raises(OverflowError, match=what):
+        with pytest.raises(OverflowError, match="too wide to list"):
             rational_approximations(x(), q_cap, rel_tol)
 
 
-def test_cf_candidates_only_near_semiconvergents():
-    # Of the 10^6 semiconvergents j/1 of the first step only those within
-    # rel_tol of x are listed, widened by one; the rest of the steps add a
-    # few convergents, so the list stays short.
-    with mp.workprec(300):
-        x = mp.mpf(X_SQRT2.numerator) / X_SQRT2.denominator
-        cands = _cf_candidates(x, 10, mp.mpf(10) ** -8)
-    assert (10 ** 6, 1) in cands and len(cands) <= 8
+@pytest.mark.parametrize("excess", [999_999, 1_000_000], ids=["just-under", "just-over"])
+def test_fractions_between_budget_edge(excess):
+    # [1, 1 + excess/q_cap^2] at q_cap = 1000: the budget admits width *
+    # q_cap^2 up to 999 999, and then lists the brute scan's 304 192
+    # fractions; one more is refused before any is listed.
+    q_cap = 1000
+    args = (1, 1, q_cap ** 2 + excess, q_cap ** 2, q_cap)
+    if excess > 999_999:
+        with pytest.raises(OverflowError, match="too wide to list"):
+            next(dmod._fractions_between(*args))
+        return
+    half = Fraction(excess, 2 * q_cap ** 2)  # the brute scan's x*(1 -+ rel_tol)
+    got = sorted(dmod._fractions_between(*args), key=lambda t: (t[1], t[0]))
+    assert got == _brute_approximations(1 + half, q_cap, half / (1 + half))
+
+
+def _count_descents(monkeypatch):
+    """The list of what each _simplest call returns."""
+    calls = []
+    simplest = dmod._simplest
+
+    def counted(*args):
+        calls.append(simplest(*args))
+        return calls[-1]
+    monkeypatch.setattr(dmod, "_simplest", counted)
+    return calls
+
+
+def _check_descents(calls):
+    # each listed fraction opens two intervals, so k fractions take at most
+    # 2k + 1 descents
+    listed = sum(hit is not None for hit in calls)
+    assert len(calls) <= 2 * listed + 1
+
+
+@pytest.mark.parametrize("x, q_cap, rel_tol", [
+    (lambda: mp.mpf(X_SQRT2.numerator) / X_SQRT2.denominator, 10, lambda: mp.mpf(10) ** -8),
+    (lambda: mp.mpf(2) ** 1100, 10, lambda: mp.mpf(2) ** -1105),
+], ids=["first-quotient-1e6", "two-to-the-1100"])
+def test_fractions_between_work_bound(x, q_cap, rel_tol, monkeypatch):
+    calls = _count_descents(monkeypatch)
+    with mp.workprec(1200):
+        assert rational_approximations(x(), q_cap, rel_tol())
+    _check_descents(calls)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_targets())
+def test_fractions_between_work_bound_property(target):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _count_descents(monkeypatch)
+        rational_approximations(*target)
+    _check_descents(calls)
 
 
 def test_rational_approximations_at_two_to_the_1100():

@@ -223,6 +223,13 @@ def test_h_table_checks_imaginary_residual(monkeypatch):
         kernels._h_table.cache_clear()
 
 
+def test_eval_H_checks_imaginary_residual(monkeypatch):
+    contour = kernels._h_contour
+    monkeypatch.setattr(kernels, "_h_contour", lambda u: contour(u) + 1e-6j)
+    with pytest.raises(ToleranceError, match="imaginary residual"):
+        eval_H(5.0)
+
+
 def test_many_cover_out_of_range_branches():
     # the Chebyshev table spans exp(-20) < x < 1e4; probe both of its edges
     xs = np.array([1e-6, 3e-5, 2e4, 1e6,

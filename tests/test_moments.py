@@ -80,6 +80,12 @@ def test_poly_nonzero_listing():
     assert bs.tolist() == [1.0, -0.5]
 
 
+@pytest.mark.parametrize("values", [[1.0], np.ones((2, 2))], ids=["short", "2-d"])
+def test_poly_rejects_bad_values(values):
+    with pytest.raises(ValueError, match="1-d array"):
+        DirichletPoly(values)
+
+
 def test_mollifier_length_and_normalization():
     T, theta = 1e4, 0.4
     moll = mollifier_coeffs(T, theta)
@@ -523,6 +529,8 @@ def test_f_validation(unit_spec):
         F_func(2, 4, 1e3, one, unit_spec)   # not coprime
     with pytest.raises(ValueError):
         F_func(1, 1, 1e3, one, unit_spec)   # a*b must exceed 1
+    with pytest.raises(ValueError, match="coprime"):
+        F_prime(2, 4, one)
 
 
 GRID_PAIRS = [(2, 1), (3, 1), (3, 2), (9, 4), (8, 1)]

@@ -173,6 +173,9 @@ def test_excluded_set_size_bound():
 def test_excluded_set_validation(unit_spec):
     with pytest.raises(ValueError):
         build_excluded_set(unit_spec, 50.0)
+    # T^(eps-1) = 1e-190 is finer than x at 256 bits
+    with pytest.raises(ValueError, match="build_excluded_set's tolerance T\\^\\(eps-1\\) at T = 1e\\+200"):
+        build_excluded_set(unit_spec, 1e200)
 
 
 # ---------------------------------------------------------------------------
