@@ -24,7 +24,7 @@ orjson is imported by the first run that writes a table, so import and runs
 without --csv do not load it.
 
 moment and firstmoment build their results here from one pass: the integer
-sample moments.continuous_twisted_moment cuts from its start level, then the
+sample moments.continuous_twisted_moment cuts from its first lattice, then the
 prediction, whose unbudgeted work the sample's refusals guard.
 
 Reports are byte-deterministic for a fixed configuration and seed except for
@@ -50,7 +50,7 @@ from . import moments as mmod
 from . import resonance as rmod
 from . import zeta as zmod
 from .errors import ZetaprogError
-from .quadrature import NODE_CAP, nested_trapezoid
+from .quadrature import NODE_CAP, nested_trapezoid, parity_slices
 from .window import SmoothWindow
 
 SCHEMA_VERSION = 4
@@ -442,8 +442,13 @@ def _selftest_checks(rng):
     w = SmoothWindow()
     checks.append(("window_plateau", float(w.phi(1.5)) == 1.0, f"phi(1.5)={w.phi(1.5)}"))
     ph0 = w.phi_hat(0.0).real
-    mass = nested_trapezoid(lambda j, p: float(np.sum(w.phi(j / p))), 1.0, 2.0,
-                            16.0 / w.edge, lambda new, old: abs(new - old) <= 1e-12)
+
+    def mass_sums(j, p):
+        phi = w.phi(np.arange(j.start, j.stop, j.step) / p)
+        return [float(np.sum(phi[half])) for half in parity_slices(j)]
+
+    mass = nested_trapezoid(mass_sums, 1.0, 2.0, 16.0 / w.edge,
+                            lambda new, old: abs(new - old) <= 1e-12)
     checks.append(("window_phihat0", close(mass, 1.0 - w.edge, 1e-9) and close(ph0, mass, 1e-9),
                    f"phi_hat(0)={ph0!r}, trapezoid mass={mass!r}, 1 - edge={1.0 - w.edge!r}"))
 

@@ -30,13 +30,14 @@ sample_progression, is the integers in [T, 2T] (p = 1); every consumer
 reduces it over its phi > 0 nodes, and the discrete moments, the
 nonvanishing bound and the resonator search share it.  Every integral is
 the nested trapezoid of quadrature.py: the continuous moment samples the
-progression at the points ell = j / p of [T, 2T], one level at a time
-(its start level holds the integers, and continuous_twisted_moment returns
-the integer sample cut from it, so the discrete moment costs no evaluation
-of its own), each level summed block by block, from a start of p =
-ceil(density) nodes per unit, the integrand's top frequency alpha/2pi *
-log(t_max * len(B) / 2pi) plus 16 nodes across each window ramp, where
-the trapezoid of a band-limited integrand under a smooth window is exact;
+progression at the points ell = j / p of [T, 2T], its start level and
+first halving as one lattice (which holds the integers, and
+continuous_twisted_moment returns the integer sample cut from it, so the
+discrete moment costs no evaluation of its own), each call of the rule
+summed block by block, from a start of p = ceil(density) nodes per unit,
+the integrand's top frequency alpha/2pi * log(t_max * len(B) / 2pi) plus
+16 nodes across each window ramp, where the trapezoid of a band-limited
+integrand under a smooth window is exact;
 where the heights pass through 0, zeta's pole at s = 1 narrows the strip
 of analyticity, and the start stays at the power of two above every tuple
 frequency (the bound _default_ell_max that predict_E also sums to).  The
@@ -67,7 +68,7 @@ from . import zeta as zmod
 from .dioph import DEFAULT_EPS, ProgressionSpec, find_tuple
 from .errors import CapError, DegenerateDenominatorError
 from .kernels import h_many
-from .quadrature import NODE_CAP, nested_trapezoid
+from .quadrature import NODE_CAP, nested_trapezoid, parity_slices
 from .sieves import mobius_table
 from .window import SmoothWindow, _phi_hats, _windowed_transform
 
@@ -189,13 +190,15 @@ class ProgressionSample:
     zeta: np.ndarray
     B: np.ndarray
 
-    def twisted_sum(self, power: int):
+    def twisted_sum(self, power: int, nodes=slice(None)):
         """sum over the phi > 0 nodes of phi * zeta*B (power=1, complex) or of
-        phi * |zeta*B|^2 (power=2, real)."""
+        phi * |zeta*B|^2 (power=2, real), of every node or of the slice
+        nodes."""
         _check_power(power)
-        live = self.phi > 0.0
-        w = self.phi[live]
-        vals = self.zeta[live] * self.B[live]
+        phi = self.phi[nodes]
+        live = phi > 0.0
+        w = phi[live]
+        vals = self.zeta[nodes][live] * self.B[nodes][live]
         if power == 2:
             return float(np.sum(w * (vals * np.conj(vals)).real))
         return complex(np.sum(w * vals))
@@ -211,18 +214,18 @@ def sample_progression(spec: ProgressionSpec, window: SmoothWindow, T: float,
 
 
 def _sample_level(spec: ProgressionSpec, window: SmoothWindow, T: float,
-                  poly: DirichletPoly, j: np.ndarray, p: int) -> ProgressionSample:
-    """The sample at the nodes ell = j / p, j an np.arange of int64, one
+                  poly: DirichletPoly, j: range, p: int) -> ProgressionSample:
+    """The sample at the nodes ell = j / p, j a range of numerators, one
     block of zeta._on_node_blocks at a time: zeta from
     zeta.zeta_on_progression and B from zeta.progression_sum on each block's
-    run of heights t0 = alpha * (j[lo]/p) + beta, step alpha * ((j[1] -
-    j[0])/p), built from j and p so that no step is recovered from rounded
-    nodes, written into the sample's arrays.  No engine sees more than a
-    block, so its working set is bounded whatever the length of j; a run
-    that fits one block is evaluated as one run.  zeta comes first, on
-    every block, so heights the zeta engines refuse (AccuracyError) cost no
-    Dirichlet sum; a caller that samples block by block, as the continuous
-    moment does, pays for the blocks before the refused one.
+    run of heights t0 = alpha * (j[lo]/p) + beta, step alpha * (j.step/p),
+    built from j and p so that no step is recovered from rounded nodes,
+    written into the sample's arrays.  No engine sees more than a block, so
+    its working set is bounded whatever the length of j; a run that fits
+    one block is evaluated as one run.  zeta comes first, on every block, so
+    heights the zeta engines refuse (AccuracyError) cost no Dirichlet sum; a
+    caller that samples block by block, as the continuous moment does, pays
+    for the blocks before the refused one.
 
     t and phi come before the blocks.  Their full-length temporaries, freed
     before the first block, leave the C allocator's trim threshold above a
@@ -230,13 +233,14 @@ def _sample_level(spec: ProgressionSpec, window: SmoothWindow, T: float,
     set back to the system after each block and faults it in again (a first
     sample at T = 1e6 took 61 000 page faults, against 6 500 with t and phi
     first)."""
-    ell = j if p == 1 else j / p
-    t, phi = _heights_and_window(spec, window, T, ell)
-    step = j[1] - j[0] if len(j) > 1 else 0.0
+    ell = np.arange(j.start, j.stop, j.step, dtype=np.int64)
+    if p != 1:
+        ell = ell / p  # frees the int64 numerators before the engines run
+    t, phi = spec.alpha * ell + spec.beta, window.phi(ell / T)
 
     def run(sl):
         t0 = spec.alpha * (j[sl.start] / p) + spec.beta
-        return t0, spec.alpha * (step / p), sl.stop - sl.start
+        return t0, spec.alpha * (j.step / p), sl.stop - sl.start
 
     zeta = zmod._on_node_blocks(len(j), lambda sl: zmod.zeta_on_progression(*run(sl)))
     B = zmod._on_node_blocks(len(j), lambda sl: zmod.progression_sum(*poly.nonzero(), *run(sl)))
@@ -244,14 +248,9 @@ def _sample_level(spec: ProgressionSpec, window: SmoothWindow, T: float,
                              zeta=zeta, B=B)
 
 
-def _integers(T: float) -> np.ndarray:
-    """The integers in [T, 2T], as int64."""
-    return np.arange(math.ceil(T), math.floor(2.0 * T) + 1, dtype=np.int64)
-
-
-def _heights_and_window(spec: ProgressionSpec, window: SmoothWindow, T: float, ell):
-    """(t, phi) at the nodes ell: t = alpha*ell + beta and phi(ell/T)."""
-    return spec.alpha * ell + spec.beta, window.phi(ell / T)
+def _integers(T: float) -> range:
+    """The integers in [T, 2T]."""
+    return range(math.ceil(T), math.floor(2.0 * T) + 1)
 
 
 # -- moments -------------------------------------------------------------------
@@ -262,7 +261,7 @@ def continuous_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: fl
     """(value, integers): value is the integral over ell in [T, 2T] of
     phi(ell/T) * |zeta*B|^2 (power=2, real) or of phi(ell/T) * zeta*B
     (power=1, complex), to 1e-4 relative; integers is the sample of the
-    integers in [T, 2T], cut from the rule's start level, so every node is
+    integers in [T, 2T], cut from the rule's first lattice, so every node is
     evaluated once.  integers.twisted_sum(power) is the discrete moment.
 
     The rule is quadrature.nested_trapezoid on the points ell = j / p of
@@ -275,35 +274,39 @@ def continuous_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: fl
     halving compares, so two agreeing levels do not prove the step fine
     enough.
 
-    Each level is summed block by block: every block of zeta._node_blocks
-    is one sample of the progression, through the level sampler that
-    sample_progression calls with the integers and p = 1, its run (t0, h)
-    built from the integers j and p, and only the running sum outlives it.
-    A level that fits one block is summed as one sample.  Two successive
-    levels agreeing to 1e-4 relative are accepted; QuadratureError when none
-    do, or, before any evaluation, when the start step exceeds the rule's
-    node budget.  The start level's step is 1 / per_unit with per_unit an
-    integer >= 1, so the integer ell is its node j = per_unit * ell.  Those
-    rows of zeta and B are copied from each block into the integer sample's
-    arrays, allocated once, after the first block is evaluated, with t and
-    phi taken as sample_progression takes them; so the working set is the
-    integer sample, the numerators j of one level and one block.
+    Each call of the rule is summed block by block: every block of
+    zeta._node_blocks is one sample of the progression, through the level
+    sampler that sample_progression calls with the integers and p = 1, its
+    run (t0, h) built from the numerators j and p, and only the running
+    sums by parity of j outlive it.  The first call holds the start level
+    and its first halving, the lattice at p = 2 * per_unit, so a moment
+    that fits one block costs one zeta_on_progression and one
+    progression_sum run for both levels.  Two successive levels agreeing to
+    1e-4 relative are accepted; QuadratureError when none do, or, before
+    any evaluation, when the start step exceeds the rule's node budget.
+    per_unit is an integer >= 1, so the integer ell is the lattice's node j
+    = p * ell.  Those rows of t, phi, zeta and B are copied from each block
+    into the integer sample's arrays, allocated once, after the first block
+    is evaluated; so the working set is the integer sample and one block,
+    its numerators included.
     """
     _check_power(power)
     _check_sample_budget(T)
-    integers = []  # the integer sample, its zeta and B cut from the first level
+    integers = []  # the integer sample, cut from the first call's lattice
 
     def level_sum(j, p):
         cut = not integers
-        total = 0.0
+        sums = [0.0, 0.0]
         for sl in zmod._node_blocks(len(j)):
-            block = _sample_level(spec, window, T, poly, j[sl], p)
+            nodes = j[sl]
+            block = _sample_level(spec, window, T, poly, nodes, p)
             if cut:
                 if not integers:
                     integers.append(_integer_sample(spec, window, T, poly))
-                _cut_integers(block, int(j[sl.start]), p, integers[0])
-            total += block.twisted_sum(power)
-        return total
+                _cut_integers(block, nodes.start, p, integers[0])
+            for i, half in enumerate(parity_slices(nodes)):
+                sums[i] += block.twisted_sum(power, half)
+        return sums
 
     density = _continuous_density(spec, window, T, poly)
     value = nested_trapezoid(level_sum, T, 2.0 * T, density,
@@ -313,19 +316,21 @@ def continuous_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: fl
 
 def _integer_sample(spec: ProgressionSpec, window: SmoothWindow, T: float,
                     poly: DirichletPoly) -> ProgressionSample:
-    """The sample of the integers in [T, 2T] with t and phi as
-    sample_progression takes them and zeta and B allocated, to be filled."""
-    ell = _integers(T)
-    t, phi = _heights_and_window(spec, window, T, ell)
-    return ProgressionSample(spec=spec, window=window, T=T, poly=poly, ell=ell, t=t, phi=phi,
+    """The sample of the integers in [T, 2T], its ell as sample_progression
+    takes them and its t, phi, zeta and B allocated, to be filled."""
+    j = _integers(T)
+    ell = np.arange(j.start, j.stop, dtype=np.int64)
+    return ProgressionSample(spec=spec, window=window, T=T, poly=poly, ell=ell,
+                             t=np.empty(len(ell)), phi=np.empty(len(ell)),
                              zeta=np.empty(len(ell), dtype=complex),
                              B=np.empty(len(ell), dtype=complex))
 
 
 def _cut_integers(block: ProgressionSample, j0: int, p: int, integers: ProgressionSample):
-    """Copy zeta and B of the integers ell = integers.ell[i] in block, a
-    sample at the consecutive numerators j0, j0 + 1, ... over p, into row i
-    of integers."""
+    """Copy t, phi, zeta and B of the integers ell = integers.ell[i] in block,
+    a sample at the consecutive numerators j0, j0 + 1, ... over p, into row
+    i of integers: at an integer node j / p is exact, so t and phi are
+    sample_progression's bit for bit."""
     if len(integers.ell) == 0:
         return
     first, last = int(integers.ell[0]), int(integers.ell[-1])
@@ -333,8 +338,8 @@ def _cut_integers(block: ProgressionSample, j0: int, p: int, integers: Progressi
     if lo > hi:
         return
     src, dst = slice(p * lo - j0, p * hi - j0 + 1, p), slice(lo - first, hi - first + 1)
-    integers.zeta[dst] = block.zeta[src]
-    integers.B[dst] = block.B[src]
+    for name in ("t", "phi", "zeta", "B"):
+        getattr(integers, name)[dst] = getattr(block, name)[src]
 
 
 def _continuous_density(spec: ProgressionSpec, window: SmoothWindow, T: float,

@@ -17,14 +17,15 @@ evaluated, like the correction integrals H(ell), by _windowed_transform:
 the nested trapezoid at max(4|xi|, 16/edge) > 32, so 33 or more, nodes per
 unit of [1, 2], i.e. four per oscillation and sixteen across each ramp.
 The transform takes an array of frequencies and integrates them all on the
-same levels, one sum over the nodes per frequency; phi_hat at one xi,
+same levels, one sum over the nodes per frequency, the start level and
+its first halving from one evaluation of their lattice; phi_hat at one xi,
 predict_E's tuples and predict_E_prime's frequencies are all calls of it.
 """
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import nested_trapezoid, start_level
+from .quadrature import nested_trapezoid, parity_slices, start_level
 
 __all__ = ["SmoothWindow"]
 
@@ -117,10 +118,13 @@ def _windowed_transform(window: SmoothWindow, xis, g, agree) -> np.ndarray:
 
     g(x, rows) gives the integrand's other factor at every node x (all in
     [1, 2]) for the frequencies xis[rows], as an array of shape
-    (len(xis[rows]), len(x)) or one that broadcasts to it.  The start level
-    is max(4 max|xi|, 16/edge) nodes per unit, rounded up, for every row,
-    and a block holds as many rows as keep its largest level (four times
-    the start level's nodes) within _TRANSFORM_ELEMS entries.
+    (len(xis[rows]), len(x)) or one that broadcasts to it, and each call of
+    the trapezoid evaluates it once on all its nodes, split by parity only
+    in the sums.  The start level is max(4 max|xi|, 16/edge) nodes per unit,
+    rounded up, for every row, and a block holds as many rows as keep the
+    largest call within _TRANSFORM_ELEMS entries: the third halving, four
+    times the start level's nodes (the first call, which holds the start
+    level and its first halving, has twice them).
     agree(new, previous) compares the levels entry by entry, and a level is
     accepted only when every entry agrees.  QuadratureError, before any
     work, when the start level exceeds the trapezoid's budget.
@@ -133,9 +137,10 @@ def _windowed_transform(window: SmoothWindow, xis, g, agree) -> np.ndarray:
         rows = slice(lo, lo + step)
 
         def level_sum(j, p):
-            x = j / p
+            x = np.arange(j.start, j.stop, j.step) / p
             wave = np.exp((-2j * np.pi * xis[rows])[:, None] * x)
-            return np.sum(window.phi(x) * wave * g(x, rows), axis=-1)
+            terms = window.phi(x) * wave * g(x, rows)
+            return [np.sum(terms[:, half], axis=-1) for half in parity_slices(j)]
 
         out[rows] = nested_trapezoid(level_sum, 1.0, 2.0, density,
                                      lambda new, old: bool(np.all(agree(new, old))))

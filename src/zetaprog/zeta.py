@@ -504,23 +504,28 @@ def zeta_on_progression(t0: float, h: float, count: int) -> np.ndarray:
     """zeta(1/2 + i(t0 + h*j)) for j = 0 .. count-1, every Dirichlet sum
     through progression_sum.
 
-    The run splits into at most three contiguous sub-runs: Euler-Maclaurin where |t| < RS_MIN_T,
-    Riemann-Siegel where t >= RS_MIN_T, and where t <= -RS_MIN_T the
-    conjugate of Riemann-Siegel on the mirrored run.  Each engine gets its
-    sub-run ascending (reversed where its step is negative), so that m =
-    floor(sqrt(t/2pi)) never falls along a Riemann-Siegel run.  Raises
-    ValueError for a negative count or a non-finite height.
+    The run splits into at most three contiguous sub-runs: Euler-Maclaurin
+    where |t| < RS_MIN_T, Riemann-Siegel where t >= RS_MIN_T, and where t <=
+    -RS_MIN_T the conjugate of Riemann-Siegel on the mirrored run.  The
+    heights are monotone, so two bisections find the sub-runs, with no mask
+    or index array as long as the run.  Each engine gets its sub-run
+    ascending (reversed where its step is negative), so that m =
+    floor(sqrt(t/2pi)) never falls along a Riemann-Siegel run, as a view of
+    the heights except on the mirrored run.  Raises ValueError for a
+    negative count or a non-finite height.
     """
     t0, h, count = _check_progression(t0, h, count)
     ts = t0 + h * np.arange(count)
     out = np.empty(count, dtype=complex)
-    pos, neg = ts >= RS_MIN_T, ts <= -RS_MIN_T
-    for mask, sign, run in ((~(pos | neg), 1.0, _euler_maclaurin),
-                            (pos, 1.0, _riemann_siegel), (neg, -1.0, _riemann_siegel)):
-        j = np.flatnonzero(mask)
-        if len(j):
-            sub = slice(j[0], j[-1] + 1)
+    up = ts if h >= 0.0 else ts[::-1]
+    lo, hi = np.searchsorted(up, -RS_MIN_T, "right"), np.searchsorted(up, RS_MIN_T)
+    for (a, b), sign, run in (((lo, hi), 1.0, _euler_maclaurin),
+                              ((hi, count), 1.0, _riemann_siegel),
+                              ((0, lo), -1.0, _riemann_siegel)):
+        if a < b:
+            sub = slice(a, b) if h >= 0.0 else slice(count - b, count - a)
             order = slice(None, None, -1 if sign * h < 0.0 else 1)
-            z = run(sign * ts[sub][order], abs(h))[order]
+            part = ts[sub][order]
+            z = run(part if sign > 0.0 else -part, abs(h))[order]
             out[sub] = z if sign > 0.0 else np.conj(z)
     return out

@@ -36,7 +36,7 @@ from zetaprog import cli
 from zetaprog import moments as mmod
 from zetaprog import zeta as zmod
 from zetaprog.errors import CapError, DegenerateDenominatorError, QuadratureError
-from zetaprog.quadrature import start_level
+from zetaprog.quadrature import parity_slices, start_level
 
 TWO_PI = 2.0 * math.pi
 EULER_GAMMA = 0.5772156649015329
@@ -164,8 +164,7 @@ def test_level_sampler_matches_direct_sum_on_dyadic_nodes(unit_spec, window):
     # the level sampler builds its run from the numerators j and the
     # denominator p; at ell = j / 8, B matches the direct sum
     moll = mollifier_coeffs(1e4, 0.4)
-    sample = mmod._sample_level(unit_spec, window, 300.0, moll,
-                                np.arange(2400, 4801, dtype=np.int64), 8)
+    sample = mmod._sample_level(unit_spec, window, 300.0, moll, range(2400, 4801), 8)
     assert np.array_equal(sample.ell, np.arange(2400, 4801) / 8.0)
     assert np.max(np.abs(sample.B - poly_grid(moll, sample.t))) < 1e-12
 
@@ -308,19 +307,20 @@ def _lipschitz_zeta(t):
 ], ids=["euler-maclaurin", "riemann-siegel-exact-form", "through-zero", "one-per-unit",
         "euler-maclaurin-off-integer-T", "riemann-siegel-off-integer-T", "float-alpha-off-integer-T"])
 def test_continuous_moment_cuts_the_integer_sample(window, spec, T, theta, power, per_unit):
-    # The start level's step is 1/per_unit, so its every per_unit-th node is
-    # an integer; the sample cut there has sample_progression's ell, t and
-    # phi bit for bit, and zeta and B from the level's run, exactly equal at
-    # one node per unit; its twisted_sum is the discrete moment.
+    # The first call's lattice has step 1/(2 * per_unit), so its every
+    # (2 * per_unit)-th node is an integer; the sample cut there has
+    # sample_progression's ell, t and phi bit for bit, and its t, phi, zeta
+    # and B are the lattice run's rows exactly (each lattice here fits one
+    # block, so one run); its twisted_sum is the discrete moment.
     #
-    # Elsewhere the two runs reach a node's height by different roundings.
-    # Each correctly rounded operation errs by at most ulp(S)/2 at heights
-    # formed from magnitudes up to S = |alpha|*ell + |beta|.  The level's
-    # start alpha*(lo/p) + beta takes three (the quotient, the product, the
-    # sum), its step alpha*(1/p) two relative ones, at most 2 ulp(S) once
-    # multiplied by the row, and the engine's float height column two more:
-    # 5 ulp(S).  The direct run's start takes two and its column two: 2
-    # ulp(S).  theta, evaluated in float64 from each run's column, adds a
+    # The lattice run and sample_progression's reach a node's height by
+    # different roundings.  Each correctly rounded operation errs by at most
+    # ulp(S)/2 at heights formed from magnitudes up to S = |alpha|*ell +
+    # |beta|.  The lattice's start alpha*(lo/p) + beta takes three (the
+    # quotient, the product, the sum), its step alpha*(1/p) two relative
+    # ones, at most 2 ulp(S) once multiplied by the row, and the engine's
+    # float height column two more: 5 ulp(S).  The direct run's start takes
+    # two and its column two: 2 ulp(S).  theta, evaluated in float64 from each run's column, adds a
     # few ulp(theta) ~ t theta' each, at most 4 ulp(t) of height per side.
     # So the heights differ by at most _CUT_HEIGHT_ULPS = 16 ulp(S), and zeta
     # by at most that times an upper bound on |dzeta/dt| (_lipschitz_zeta),
@@ -335,10 +335,16 @@ def test_continuous_moment_cuts_the_integer_sample(window, spec, T, theta, power
         got, want = getattr(cut, name), getattr(direct, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     assert (cut.spec, cut.window, cut.T, cut.poly) == (spec, window, T, poly)
-    # copies of the integer rows: the level they came from is not kept alive
+    # copies of the integer rows: the lattice they came from is not kept alive
     assert cut.zeta.base is None and cut.B.base is None
-    if per_unit == 1:
-        assert np.array_equal(cut.zeta, direct.zeta) and np.array_equal(cut.B, direct.B)
+    p = 2 * per_unit
+    nodes = range(math.ceil(T * p), math.floor(2.0 * T * p) + 1)
+    assert len(nodes) <= zmod._BLOCK_ELEMS
+    lattice = mmod._sample_level(spec, window, T, poly, nodes, p)
+    first, last = p * int(direct.ell[0]) - nodes.start, p * int(direct.ell[-1]) - nodes.start
+    rows = slice(first, last + 1, p)
+    for name in ("t", "phi", "zeta", "B"):
+        assert np.array_equal(getattr(cut, name), getattr(lattice, name)[rows]), name
     heights = _CUT_HEIGHT_ULPS * np.spacing(abs(spec.alpha) * direct.ell + abs(spec.beta))
     ns, bs = poly.nonzero()
     dz = heights * _lipschitz_zeta(direct.t)
@@ -367,11 +373,12 @@ _BLOCK_RUNS = {
 
 @pytest.mark.parametrize("case", list(_BLOCK_RUNS))
 def test_blocked_levels_agree_with_one_block(window, case, monkeypatch):
-    # At the default budget every level of these runs fits one block, and one
+    # At the default budget every call of these runs fits one block, and one
     # block is one run: the sample is zeta_on_progression and progression_sum
     # on the whole run, and the continuous moment is the trapezoid of whole
-    # level samples, bit for bit.  At a budget of 1000 nodes every level and
-    # the integer sample take several blocks, each its own run from its own
+    # samples of each call's nodes, split by parity, bit for bit.  At a
+    # budget of 1000 nodes every call and the integer sample take several
+    # blocks, each its own run from its own
     # start; each block's zeta is within the engine's contract eps of the
     # true value, so two evaluations differ by at most 2 eps, and B, whose
     # phases are reduced once per term in 80-bit arithmetic, by far less
@@ -386,9 +393,13 @@ def test_blocked_levels_agree_with_one_block(window, case, monkeypatch):
     assert np.array_equal(sample.zeta, zeta_on_progression(*run))
     assert np.array_equal(sample.B, zmod.progression_sum(*poly.nonzero(), *run))
     density = mmod._continuous_density(spec, window, T, poly)
-    whole = mmod.nested_trapezoid(
-        lambda j, p: mmod._sample_level(spec, window, T, poly, j, p).twisted_sum(power),
-        T, 2.0 * T, density, lambda new, old: abs(new - old) <= 1e-4 * max(abs(new), 1e-12))
+
+    def whole_sums(j, p):
+        level = mmod._sample_level(spec, window, T, poly, j, p)
+        return [level.twisted_sum(power, half) for half in parity_slices(j)]
+
+    whole = mmod.nested_trapezoid(whole_sums, T, 2.0 * T, density,
+                                  lambda new, old: abs(new - old) <= 1e-4 * max(abs(new), 1e-12))
     assert value == whole
 
     calls = []
@@ -416,37 +427,33 @@ def test_blocked_levels_agree_with_one_block(window, case, monkeypatch):
     assert abs(blocked_value - value) <= bound
 
 
-def test_continuous_moment_memory_grows_by_its_sample_and_numerators(unit_spec, window,
-                                                                    monkeypatch):
-    # Each level is summed block by block, so past one block the continuous
-    # moment's peak traced memory grows with T only by the integer sample it
-    # returns (ell, t, phi, zeta and B: 56 bytes a node) and the int64
-    # numerators of the level being summed.  At 1000 nodes a block, 1:1 at
-    # T = 8000 and 32000 both start at 2 nodes per unit, and their largest
-    # level is the start level; Python's own objects add a few hundred bytes.
+def test_continuous_moment_memory_grows_by_its_sample(unit_spec, window, monkeypatch):
+    # Each call of the rule is summed block by block, its numerators made a
+    # block at a time, so past one block the continuous moment's peak traced
+    # memory grows with T only by the integer sample it returns (ell, t,
+    # phi, zeta and B: 56 bytes a node).  At 1000 nodes a block, 1:1 at T =
+    # 8000 and 32000 both start at 2 nodes per unit, so their first call is
+    # the lattice at 4; Python's own objects add a few hundred bytes.
     monkeypatch.setattr(zmod, "_BLOCK_ELEMS", 1000)
-    sizes, trapezoid = [], mmod.nested_trapezoid
-    monkeypatch.setattr(mmod, "nested_trapezoid", lambda level_sum, *args: trapezoid(
-        lambda j, p: sizes.append(len(j)) or level_sum(j, p), *args))
     runs = []
     for T in (8000.0, 32000.0):
-        sizes.clear()
         tracemalloc.start()
         try:
             _, cut = continuous_twisted_moment(unit_spec, window, T, DirichletPoly.one(), 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        runs.append((len(cut.ell), max(sizes), peak))
-    (n1, level1, peak1), (n2, level2, peak2) = runs
-    assert peak2 - peak1 <= 56 * (n2 - n1) + 8 * (level2 - level1) + 4096
+        runs.append((len(cut.ell), peak))
+    (n1, peak1), (n2, peak2) = runs
+    assert peak2 - peak1 <= 56 * (n2 - n1) + 4096
 
 
 def test_moment_evaluates_the_start_level_and_one_halving(tmp_path, monkeypatch):
     # 1:2:1 at T = 2000, bare: the top frequency 12.5 plus the ramps' 0.16
-    # start at 13 nodes per unit ell, 26001 nodes on [2000, 4000], and the
-    # first halving, 26000 new nodes, agrees.  The next power of two, 16 per
-    # unit, would send 64001 nodes.
+    # start at 13 nodes per unit ell, and the first halving agrees.  Both are
+    # the lattice at 26 per unit, 52001 nodes on [2000, 4000], evaluated
+    # once, in one run.  The next power of two, 16 per unit, would send
+    # 64001 nodes to the start level alone.
     counts = []
 
     def counting(t0, h, count):
@@ -457,7 +464,35 @@ def test_moment_evaluates_the_start_level_and_one_halving(tmp_path, monkeypatch)
     argv = ["moment", "--alpha-rational", "1:2:1", "--T", "2000", "--no-predict",
             "--json", str(tmp_path / "m.json")]
     assert cli.main(argv) == 0
-    assert counts == [13 * 2000 + 1, 13 * 2000]
+    assert counts == [26 * 2000 + 1]
+
+
+def test_firstmoment_runs_each_engine_once(tmp_path, monkeypatch):
+    # alpha 1 at T = 150, theta 0.3 starts at 3 nodes per unit and accepts
+    # the first halving: one zeta_on_progression run and one progression_sum
+    # run of the mollifier B on the lattice at 6 per unit, 901 nodes
+    # ([150, 300] at step 1/6), where sampling the two levels apart took two
+    # runs of each.  progression_sum's runs of other coefficients are the
+    # zeta engine's own.
+    ns = mollifier_coeffs(150.0, 0.3).nonzero()[0]
+    zeta_counts, B_counts = [], []
+    zeta_run, sum_run = zmod.zeta_on_progression, zmod.progression_sum
+
+    def zeta_counting(t0, h, count):
+        zeta_counts.append(count)
+        return zeta_run(t0, h, count)
+
+    def sum_counting(n, coeffs, t0, h, count, starts=None):
+        if np.array_equal(n, ns):
+            B_counts.append(count)
+        return sum_run(n, coeffs, t0, h, count, starts)
+
+    monkeypatch.setattr(zmod, "zeta_on_progression", zeta_counting)
+    monkeypatch.setattr(zmod, "progression_sum", sum_counting)
+    argv = ["firstmoment", "--alpha", "1", "--T", "150", "--theta", "0.3",
+            "--json", str(tmp_path / "f.json")]
+    assert cli.main(argv) == 0
+    assert zeta_counts == B_counts == [6 * 150 + 1]
 
 
 def test_moment_T_validation(unit_spec, window):

@@ -184,18 +184,19 @@ def test_phi_hat_rejects_non_finite_frequency(window, xi):
 @pytest.mark.parametrize("edge, per_unit", [(0.3, 54), (0.49, 33)], ids=["0.3", "0.49"])
 def test_phi_hat_starts_at_16_nodes_across_a_ramp(edge, per_unit, monkeypatch):
     # 16/edge > 32 for every edge the window accepts, so the start level of
-    # a low frequency holds ceil(16/edge) > 32 nodes per unit
-    levels = []
+    # a low frequency holds ceil(16/edge) > 32 nodes per unit: the even
+    # numerators of the first call's lattice at twice that
+    calls = []
 
     def recording(level_sum, *args):
         def record(j, p):
-            levels.append(j / p)
+            calls.append((j, p))
             return level_sum(j, p)
         return nested_trapezoid(record, *args)
 
     monkeypatch.setattr(window_module, "nested_trapezoid", recording)
     SmoothWindow(edge).phi_hat(0.3)
-    assert np.array_equal(levels[0], np.arange(per_unit, 2 * per_unit + 1) / per_unit)
+    assert calls[0] == (range(2 * per_unit, 4 * per_unit + 1), 2 * per_unit)
 
 
 @pytest.mark.parametrize("edge, xi", [(1e-7, 3.0), (0.05, 1e300), (0.05, 1e7)])

@@ -450,6 +450,8 @@ _PROGRESSIONS = {
     "dyadic-5": (_ALPHA * 300.25, _ALPHA / 32, 19201),
     "negative": (-5000.0, 0.37, 3000),
     "descending": (3000.0, -0.5, 3000),
+    "descending-through-zero": (2500.0, -1.3, 4000),
+    "descending-crossing-on-node": (1.0 - RS_MIN_T, -0.25, 9),
     "through-zero": (-2500.0, 1.3, 4000),
     "em-through-zero": (-700.0, 0.5, 2801),
 }
@@ -463,6 +465,8 @@ def test_zeta_on_progression_matches_grid(case):
         assert ts[5] == _EDGE
     if case == "crossing-on-node":
         assert ts[4] == RS_MIN_T
+    if case == "descending-crossing-on-node":
+        assert ts[4] == -RS_MIN_T
     got = zeta_on_progression(t0, h, count)
     assert got.shape == (count,)
     if count:
