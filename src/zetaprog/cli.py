@@ -129,12 +129,6 @@ def _csv_cell(c):
     return str(c)
 
 
-def _csv_table(header, columns):
-    """The CSV text, as bytes, of a header and equal-length columns: the
-    join of _csv_blocks."""
-    return b"".join(_csv_blocks(header, columns))
-
-
 def _csv_blocks(header, columns):
     """The CSV text of a header and equal-length columns as an iterable of
     bytes blocks: the header line, then one row per index, each cell
@@ -556,7 +550,9 @@ def build_parser():
     p.add_argument("--detect", action="store_true",
                    help="scan a float alpha for candidate rational structure")
     p.add_argument("--ell-max", type=_int_at_least(1), default=40)
-    p.add_argument("--den-max", type=_int_at_least(1), default=100_000)
+    p.add_argument("--den-max", type=_int_at_least(1), default=100_000,
+                   help="largest denominator --detect tries; must lie below 2^100, "
+                        "past which x's precision cannot resolve 1e-12/q^2")
     _add_outputs(p)
     p.set_defaults(fn=_cmd_delta)
 

@@ -10,10 +10,10 @@ otherwise delta = 0.  The tuple machinery hunts, for each ell, the unique
 coprime pair (a, b) with b below T^(1/2-eps)*exp(-pi*ell/alpha) approximating
 x to relative quality T^(-1+eps).
 
-x is taken at 256 bits, and the search lists every fraction of the
-tolerance interval around it by Stern-Brocot descent, in exact integers on
-that value, which makes it an exhaustive Farey scan; only the qualities are
-taken at working precision.
+x is taken at 256 bits.  _fractions_between lists every fraction of an
+exact interval by Stern-Brocot descent, an exhaustive Farey scan: the
+tolerance interval around x (qualities at working precision), and the
+excluded set's log-defect band.  Detection walks x's convergents only.
 """
 import functools
 import math
@@ -28,9 +28,6 @@ __all__ = ["RationalForm", "ProgressionSpec", "DiophantineTuple",
 
 CF_PRECISION_BITS = 256
 DEFAULT_EPS = 0.05
-
-# Most partial quotients detect_rational expands (_convergents).
-_CF_MAX_TERMS = 400
 
 # detect_rational's precision caps: the most bits one ell may need, and the
 # most squared bits its scan may work through, summed over ell = 1 ..
@@ -175,10 +172,11 @@ def _ratio(v):
 
 def _convergents(x, q_cap: int):
     """The convergents p/q of x with p >= 1 and q <= q_cap, in order: divmod
-    on x's exact N/D (_ratio) until the remainder is 0 or q passes q_cap."""
+    on x's exact N/D (_ratio) until the remainder is 0 or q passes q_cap.
+    q_k >= F_(k+1), so q_cap < 2^100 ends the walk within 146 quotients."""
     num, den = _ratio(x)
     pm1, qm1, p, q = 0, 1, 1, 0
-    for _ in range(_CF_MAX_TERMS):
+    while True:
         a, rem = divmod(num, den)
         pm1, qm1, p, q = p, q, a * p + pm1, a * q + qm1
         if q > q_cap:
@@ -226,11 +224,12 @@ def _fractions_between(an: int, ad: int, bn: int, bd: int, q_cap: int):
             stack += [(an, ad, p * q_cap - 1, q * q_cap), (p * q_cap + 1, q * q_cap, bn, bd)]
 
 
-def rational_approximations(x, q_cap: int, rel_tol, p_cap: Optional[int] = None):
+def rational_approximations(x, q_cap: int, rel_tol):
     """All reduced fractions p/q, q <= q_cap, with |p/q - x|/x <= rel_tol.
 
     x must be an mpf at working precision (or a float).  Returns a sorted
-    list of (p, q, quality), equal to an exhaustive Farey scan.
+    list of (p, q, quality), equal to an exhaustive Farey scan; find_tuple
+    is its one caller in the package.
 
     _fractions_between lists the exact interval x*(1 -+ rel_tol*(1 +
     2^-20)), from x = N/D and rel_tol = tN/tD, clipped at 1/q_cap so that
@@ -252,8 +251,6 @@ def rational_approximations(x, q_cap: int, rel_tol, p_cap: Optional[int] = None)
         an, ad = (1, q_cap) if lo * q_cap < den else (lo, den)
         out = []
         for p, q in _fractions_between(an, ad, hi, den, q_cap):
-            if p_cap is not None and p > p_cap:
-                continue
             qual = abs(mp.mpf(p) / q / x - 1)
             if qual <= rel_tol:
                 out.append((p, q, qual))
@@ -344,7 +341,7 @@ def detect_rational(spec: ProgressionSpec, ell_max: int,
     """
     if spec.rational_form is not None:
         raise ValueError("spec already carries a rational_form")
-    _check_detect_budget(spec.alpha, ell_max)
+    _check_detect_budget(spec.alpha, ell_max, den_max)
     for ell in range(1, ell_max + 1):
         with mp.workprec(_detect_bits(spec.alpha, ell)):
             tol0 = mp.mpf("1e-12")
@@ -366,13 +363,18 @@ def _detect_bits(alpha: float, ell: int) -> int:
     return CF_PRECISION_BITS + int(_TWO_PI * ell / alpha / math.log(2.0)) + 16
 
 
-def _check_detect_budget(alpha: float, ell_max: int):
-    """OverflowError, before any work, when the last ell of detect_rational's
-    scan needs more than _DETECT_BITS_CAP bits (the bits grow with ell), or
-    when the scan's precision work, sum over ell <= ell_max of the bits
-    squared, exceeds _DETECT_WORK_CAP.  The sum is taken in closed form
-    over (c + s*ell)^2 >= bits^2, with c = CF_PRECISION_BITS + 16 and s =
-    2pi/(alpha ln 2), so its cost does not grow with ell_max."""
+def _check_detect_budget(alpha: float, ell_max: int, den_max: int):
+    """Before any work: ValueError when den_max >= 2^100, whose 1e-12/den_max^2
+    lies within 2^32 of x's rounding at _detect_bits (x - p/q would read 0);
+    OverflowError when the last ell of detect_rational's scan needs more
+    than _DETECT_BITS_CAP bits (the bits grow with ell), or when the scan's
+    precision work, sum over ell <= ell_max of the bits squared, exceeds
+    _DETECT_WORK_CAP.  The sum is taken in closed form over (c + s*ell)^2
+    >= bits^2, with c = CF_PRECISION_BITS + 16 and s = 2pi/(alpha ln 2), so
+    its cost does not grow with ell_max."""
+    if 2 * den_max.bit_length() + 40 > CF_PRECISION_BITS - 16:
+        raise ValueError(f"den_max must lie below 2^{CF_PRECISION_BITS // 2 - 28}: x's "
+                         f"bits cannot resolve 1e-12/den_max^2 past it")
     if _detect_bits(alpha, ell_max) > _DETECT_BITS_CAP:
         raise OverflowError("exp(2*pi*ell/alpha) exceeds the exact-arithmetic configuration cap")
     c, s, n = CF_PRECISION_BITS + 16, _TWO_PI / alpha / math.log(2.0), ell_max
@@ -401,7 +403,8 @@ def waldschmidt_bound(m: int, p: int) -> float:
 
         log-bound = -2^72 * log(2m) * log(p) * log(log(p)).
 
-    Returned in the log domain (the raw bound underflows any float).
+    Returned in the log domain (the raw bound underflows any float).  Kept
+    as a paper quantity that demos/diophantine_tuples.py shows.
     """
     if m < 1:
         raise ValueError("m must be >= 1")

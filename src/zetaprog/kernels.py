@@ -87,7 +87,8 @@ def afe_square(t: float, cap: float | None = None) -> float:
         2 * sum_{N < cap} (W(2*pi*N/t)/sqrt(N)) * Re[N^-it * sum_{d|N} d^2it].
 
     The double sum over mn = N is regrouped through the divisor sums
-    sigma_2it(N), filled by a d -> multiples sieve in O(cap log cap).
+    sigma_2it(N), filled by a d -> multiples sieve in O(cap log cap).  Kept
+    as a paper quantity that demos/kernels_and_engines.py shows.
     """
     t = float(t)
     if t < 10.0:

@@ -412,7 +412,8 @@ def F_func(a: int, b: int, t: float, poly: DirichletPoly, spec: ProgressionSpec)
         F(a,b,t) = sum_{m,n <= length} b(m)b(n)/(mn) * g * H(tt*g^2/(2*pi*m*a*n*b)),
 
     with g = gcd(m*a, n*b) and tt = alpha*t + beta.  For the constant
-    polynomial this is a single term H(tt/(2*pi*a*b))."""
+    polynomial this is a single term H(tt/(2*pi*a*b)).  Kept as selftest's
+    oracle of the batched F tables."""
     if math.gcd(a, b) != 1 or a * b <= 1:
         raise ValueError("need coprime (a, b) with a*b > 1")
     return float(_F_many([_f_pair_tables(a, b, poly)], [float(t)], spec)[0, 0])

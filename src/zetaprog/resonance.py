@@ -20,10 +20,10 @@ max|t|/3, else one progression_sum.
 The multiplicative coefficients r(p) = L/(sqrt(p) log p), L = sqrt(log N
 log log N), live on primes in [L^2, N] minus an excluded set S.
 S holds the smallest prime factors of a and b > 1, for each ell <= 2 log T,
-of the best coprime pair with both members below T^(1/2-eps) and log-defect
-|alpha*log(a/b)/(2*pi) - ell| at most T^(eps-1).  That is not find_tuple's
-search, whose tuples drive the moment corrections: at 1:3:2 and T = 3100, S
-is {2, 3}, while those tuples' smallest prime factors are {2, 3, 173}.
+of the coprime pair with both members below T^(1/2-eps) and log-defect
+|alpha*log(a/b)/(2*pi) - ell| at most T^(eps-1), listed from that band's
+ends.  That is not find_tuple's search, whose tuples drive the moment
+corrections: at 1:3:2 and T = 3100, S is {2, 3}, not {2, 3, 173}.
 
 Desk-scale note: the paper takes primes in [L^2, exp((log L)^2)] and a
 length N <= T^(1/6), both asymptotic.  That window is empty exactly when
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import zeta as zmod
 from .dioph import CF_PRECISION_BITS, DEFAULT_EPS, ProgressionSpec, _check_search, \
-    _progression_x, rational_approximations
+    _fractions_between, _progression_x, _ratio
 from .errors import CapError, DegenerateDenominatorError
 from .moments import DirichletPoly, ProgressionSample
 from .sieves import primes_in, smallest_prime_factor, squarefree_products
@@ -79,31 +79,27 @@ def build_excluded_set(spec: ProgressionSpec, T: float,
     [x e^-tau, x e^tau], x = e^(u*ell) >= e^u, narrower than the gap
     x^2 e^(-2 tau)/C^2 between two such fractions, as 2u T^(-eps) e^(3 tau -
     u) < 1 for T >= 100 and eps in (0, 1/2); 1/1 needs ell <= T^(eps-1) < 1.
+    The band's ends are taken at CF_PRECISION_BITS and listed exactly.
     """
     _check_search(T, eps, "build_excluded_set")
     member_cap = (0.5 - eps) * math.log(T)
     freq_tol = T ** (eps - 1.0)
     out = set()
     for ell in range(1, int(2.0 * math.log(T)) + 1):
-        # a ~ b * exp(2*pi*ell/alpha); both below exp(member_cap) forces
-        # b < exp(member_cap - 2*pi*ell/alpha) up to the tiny frequency slack.
-        ln_x = _TWO_PI * ell / spec.alpha
-        if ln_x >= member_cap + freq_tol * _TWO_PI / spec.alpha:
-            continue
+        if _TWO_PI * ell / spec.alpha >= member_cap + freq_tol * _TWO_PI / spec.alpha:
+            continue  # a >= b * exp(2*pi*(ell - T^(eps-1))/alpha) passes a's cap
         with mp.workprec(CF_PRECISION_BITS):
-            x = _progression_x(spec, ell)
-            # |log ratio| <= tau is covered by a symmetric relative band of
-            # half-width exp(tau) - 1 (the wider side).
-            tau = mp.mpf(_TWO_PI) / spec.alpha * freq_tol
-            search_tol = mp.expm1(tau)
             cap = int(mp.ceil(mp.exp(member_cap))) - 1  # the largest integer below the cap
-            hits = [(p, q) for p, q, _qual in rational_approximations(
-                        x, int(mp.floor(cap / x)) + 1, search_tol, p_cap=cap)
-                    if abs(spec.alpha * mp.log(mp.mpf(p) / q) / _TWO_PI - ell) <= freq_tol]
+            u = mp.mpf(_TWO_PI) / spec.alpha
+            lo, hi = (mp.exp(u * (ell + mp.mpf(d))) for d in (-freq_tol, freq_tol))
+            hits = [(p, q) for p, q in _fractions_between(
+                        *_ratio(lo), *_ratio(hi),
+                        int(mp.floor(cap / _progression_x(spec, ell))) + 1)
+                    if p <= cap]
         if not hits:
             continue
         (a, b), = hits
-        # a hit has alpha*ln(a/b)/(2*pi) >= ell - T^(eps-1) > 0, so a > b >= 1
+        # a hit has a/b >= exp(2*pi*(ell - T^(eps-1))/alpha) > 1, so a > b >= 1
         out.add(smallest_prime_factor(a))
         if b > 1:
             out.add(smallest_prime_factor(b))

@@ -315,7 +315,8 @@ def _riemann_siegel(ts, h) -> np.ndarray:
 
 def zeta_critical_grid(ts) -> np.ndarray:
     """zeta(1/2+it) at each t of an array, as a one-node zeta_on_progression
-    per height (negative t by conjugation)."""
+    per height (negative t by conjugation).  Kept for selftest's checks and
+    bench/probe.py's RS-table timing."""
     ts = np.asarray(ts, dtype=float)
     z = np.array([zeta_on_progression(t, 0.0, 1)[0] for t in np.abs(ts)], dtype=complex)
     return np.where(ts < 0.0, np.conj(z), z)
@@ -325,7 +326,8 @@ def zeta_critical_grid(ts) -> np.ndarray:
 
 
 def main_sum(t: float, cutoff: int) -> complex:
-    """sum_{n <= cutoff} n^(-1/2 - it), direct compensated summation."""
+    """sum_{n <= cutoff} n^(-1/2 - it), direct compensated summation.  Kept
+    as selftest's oracle of the progression's main sums."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     n = np.arange(1, int(cutoff) + 1, dtype=np.int64)

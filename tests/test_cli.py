@@ -67,6 +67,15 @@ def test_detection_past_int_str_limit(argv, rc, message, tmp_path, capsys):
         assert "detected_form" not in json.loads(out.read_text())["results"]
 
 
+def test_detection_refuses_den_max_past_precision(tmp_path, capsys):
+    # at 10^41 the scan once exited 0 with a form 1.0e-82 from x = e^(2*pi)
+    out = tmp_path / "x.json"
+    argv = ["delta", "--alpha", "1", "--detect", "--den-max", str(10 ** 41)]
+    assert main(argv + ["--json", str(out)]) == 2
+    assert "bad configuration: den_max must lie below 2^100" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_to_stdout_is_the_json_report(tmp_path, capsys):
     # without --json the same report goes to stdout
     argv = ["delta", "--alpha-rational", "1:2:1", "--beta", "0.5"]
@@ -718,8 +727,9 @@ def test_cli_reads_public_moments_and_prechecks():
 
 
 def _table(*columns):
-    """cli._csv_table of the columns under the header c0, c1, ..., as text."""
-    return cli._csv_table([f"c{j}" for j in range(len(columns))], list(columns)).decode()
+    """cli._csv_blocks of the columns under the header c0, c1, ..., joined as text."""
+    return b"".join(cli._csv_blocks([f"c{j}" for j in range(len(columns))],
+                                    list(columns))).decode()
 
 
 def _cells(col):
@@ -818,16 +828,16 @@ def test_csv_table_degenerate_shapes():
     assert _table(np.arange(3)) == "c0\n0\n1\n2\n"
     empty = np.array([])
     assert _table(empty, empty.astype(np.int64), ()) == "c0,c1,c2\n"
-    assert cli._csv_table(["ell", "a"], []) == b"ell,a\n"
+    assert b"".join(cli._csv_blocks(["ell", "a"], [])) == b"ell,a\n"
 
 
 def test_csv_table_refuses_unequal_columns(tmp_path):
     # zip once cut every column to the shortest, dropping rows unseen; a
     # mismatch is refused before either report is written
     with pytest.raises(ValueError, match=r"\[3, 2\]"):
-        cli._csv_table(["a", "b"], [np.zeros(3), np.arange(2)])
+        b"".join(cli._csv_blocks(["a", "b"], [np.zeros(3), np.arange(2)]))
     with pytest.raises(ValueError, match=r"\[2, 2, 1\]"):
-        cli._csv_table(["a", "b", "c"], [np.zeros(2), (1, "none"), ("none",)])
+        b"".join(cli._csv_blocks(["a", "b", "c"], [np.zeros(2), (1, "none"), ("none",)]))
     args = argparse.Namespace(subcommand="moment", json=str(tmp_path / "x.json"),
                               csv=str(tmp_path / "x.csv"))
     with pytest.raises(ValueError, match="differ in length"):

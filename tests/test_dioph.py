@@ -592,7 +592,25 @@ def test_detect_refuses_scan_past_work_budget(monkeypatch):
     with pytest.raises(OverflowError, match="exceeds the exact-arithmetic configuration cap"):
         detect_rational(ProgressionSpec(alpha=0.0003), 40, 10 ** 6)
     for alpha, ell_max in ((1.0, 40), (0.01, 16)):
-        dmod._check_detect_budget(alpha, ell_max)
+        dmod._check_detect_budget(alpha, ell_max, 10 ** 6)
+
+
+def test_detect_refuses_den_max_past_precision(monkeypatch):
+    # from den_max = 2^100 on, 1e-12/den_max^2 lies within 2^32 of x's
+    # rounding: at 10^41 and alpha = 1 the subtraction x - p/q read 0 and
+    # reported a form 1.0e-82 from x.  Refused before any exponential.
+    monkeypatch.setattr(mp, "exp", lambda *args: pytest.fail("exp taken"))
+    for den_max in (2 ** 100, 10 ** 41):
+        with pytest.raises(ValueError, match="den_max must lie below 2\\^100"):
+            detect_rational(ProgressionSpec(alpha=1.0), 40, den_max)
+    dmod._check_detect_budget(1.0, 40, 2 ** 100 - 1)
+
+
+def test_detect_alpha_one_finds_nothing_at_the_largest_cap():
+    # test_detect_alpha_one_finds_nothing_deep out to the largest accepted
+    # bit length of den_max, 100
+    assert (10 ** 30).bit_length() == 100
+    assert detect_rational(ProgressionSpec(alpha=1.0), 40, 10 ** 30) is None
 
 
 # ---------------------------------------------------------------------------

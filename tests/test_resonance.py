@@ -10,6 +10,7 @@ is built by hand.
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from gl_oracle import gl_panels
@@ -168,6 +169,49 @@ def test_excluded_set_size_bound():
         for T in (1e3, 1e4):
             s = build_excluded_set(spec, T)
             assert len(s) <= 4.0 * math.log(T)
+
+
+def _spf(n):
+    """The smallest prime factor of n >= 2, by trial division."""
+    return next(d for d in range(2, n + 1) if n % d == 0)
+
+
+def _excluded_by_definition(spec, T, eps):
+    """S by its definition: every coprime 1 <= b < a < T^(1/2-eps) whose
+    defect |alpha*log(a/b)/(2*pi) - ell| is at most T^(eps-1) for some
+    1 <= ell <= 2 ln T, decided at 110 digits with the float alpha and 2*pi;
+    the smallest prime factors of a and of b > 1."""
+    C, tol, ell_max = T ** (0.5 - eps), T ** (eps - 1.0), int(2.0 * math.log(T))
+    out = set()
+    with mp.workdps(110):
+        scale = mp.mpf(spec.alpha) / (2.0 * math.pi)
+        for a in range(2, math.ceil(C)):
+            for b in range(1, a):
+                if math.gcd(a, b) != 1:
+                    continue
+                d = scale * mp.log(mp.mpf(a) / b)
+                ell = int(mp.nint(d))
+                if 1 <= ell <= ell_max and abs(d - ell) <= tol:
+                    out |= {_spf(a)} | ({_spf(b)} if b > 1 else set())
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.2])
+@pytest.mark.parametrize("T", [300.0, 3100.0, 1e4])
+@pytest.mark.parametrize("spec", [
+    ProgressionSpec.from_rational(1, 2, 1, beta=0.25),
+    ProgressionSpec.from_rational(1, 3, 2),
+    ProgressionSpec.from_rational(2, 5, 1),
+    *(ProgressionSpec(alpha=a) for a in (1.0, 1.3, 3.0, 9.0647)),
+], ids=["1:2:1", "1:3:2", "2:5:1", "alpha-1", "alpha-1.3", "alpha-3", "alpha-9.0647"])
+def test_excluded_set_is_its_definition(spec, T, eps):
+    # the band's listing against a brute scan of every pair below the cap
+    assert build_excluded_set(spec, T, eps) == _excluded_by_definition(spec, T, eps)
+
+
+def test_excluded_set_one_three_two():
+    # find_tuple's tuples at the same T give {2, 3, 173}
+    assert build_excluded_set(ProgressionSpec.from_rational(1, 3, 2), 3100.0) == frozenset({2, 3})
 
 
 def test_excluded_set_validation(unit_spec):
