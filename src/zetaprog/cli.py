@@ -2,7 +2,8 @@
 
 Subcommands: moment, delta, dioph, firstmoment, nonvanish, resonate, selftest.
 Every run emits a versioned JSON report (schema_version at top level, full
-parameter echo, results, run_meta with wall time and engine versions).  The
+parameter echo, results, run_meta with wall time, engine versions and, per
+stage, wall seconds and minor page faults: parse, the run's own, emit).  The
 echo is the parsed options, the progression's as its spec holds them, and the
 pre-checks are keyed on the options, so a new option needs no edit to either.
 The results hold what the run computed: no option the echo states, and no
@@ -24,7 +25,7 @@ orjson is imported by the first run that writes a table, so import and runs
 without --csv do not load it.
 
 moment and firstmoment build their results here from one pass: the integer
-sample moments.continuous_twisted_moment cuts from its first lattice, then the
+sample moments.continuous_twisted_moment cuts from its level, then the
 prediction, whose unbudgeted work the sample's refusals guard.
 
 Reports are byte-deterministic for a fixed configuration and seed except for
@@ -38,6 +39,7 @@ import itertools
 import json
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import asdict
@@ -50,8 +52,8 @@ from . import moments as mmod
 from . import resonance as rmod
 from . import zeta as zmod
 from .errors import ZetaprogError
-from .quadrature import NODE_CAP, nested_trapezoid, parity_slices
-from .window import SmoothWindow
+from .quadrature import NODE_CAP, trapezoid
+from .window import ETA_PHI_HAT, SmoothWindow
 
 SCHEMA_VERSION = 4
 
@@ -93,34 +95,42 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(args, spec, results, t0, csv_header=None, csv_columns=None):
-    """Write the report, and the table with --csv; params echo the parsed options."""
+class _Stages(dict):
+    """run_meta["stages"]: each stage of a run, marked at its end, with its
+    wall seconds and the process's minor page faults since the last mark."""
+
+    def mark(self, name=None):
+        now = time.monotonic(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        if name is not None:
+            self[name] = {"wall_s": now[0] - self.last[0], "minor_faults": now[1] - self.last[1]}
+        self.last = now
+        return now[0]
+
+
+def _emit(args, spec, results, t0, csv_header=None, csv_columns=None, stages=None):
+    """Write the table with --csv, then the report; params echo the parsed
+    options.  stages, when given, is marked "emit" once the table is
+    written, so its record holds all of the writing but the report's own."""
     params = {k: v for k, v in vars(args).items()
               if k not in ("fn", "subcommand", "json", "csv", "alpha", "alpha_rational", "beta")}
     if spec is not None:
         params.update(_spec_params(spec))
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": args.subcommand,
-        "params": _jsonable(params),
-        "results": _jsonable(results),
-        "run_meta": {
-            "wall_time_s": round(time.monotonic() - t0, 3),
-            "versions": _versions(),
-        },
-    }
+    if csv_columns is not None and args.csv:
+        blocks = _csv_blocks(csv_header, csv_columns)  # a refused table writes no file
+        with open(args.csv, "wb") as fh:
+            fh.writelines(blocks)
+    run_meta = {"wall_time_s": round(time.monotonic() - t0, 3), "versions": _versions()}
+    if stages is not None:
+        stages.mark("emit")
+        run_meta["stages"] = stages
+    report = {"schema_version": SCHEMA_VERSION, "subcommand": args.subcommand,
+              "params": _jsonable(params), "results": _jsonable(results), "run_meta": run_meta}
     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    blocks = None
-    if csv_columns is not None and args.csv:  # first, so a refused table writes no report
-        blocks = _csv_blocks(csv_header, csv_columns)
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if blocks is not None:
-        with open(args.csv, "wb") as fh:
-            fh.writelines(blocks)
 
 
 def _csv_cell(c):
@@ -327,33 +337,37 @@ def _check_run(args, spec):
         raise ValueError(f"the window [T, 2T] holds no integer node at T = {args.T!r}")
 
 
-def _cmd_moment(args, t0):
+def _cmd_moment(args, stages):
     spec, window = _spec_from(args), SmoothWindow(edge=args.edge)
     _check_run(args, spec)
     poly = _poly_from(args)
     cont, sample = mmod.continuous_twisted_moment(spec, window, args.T, poly, power=2)
     disc = sample.twisted_sum(2)
+    stages.mark("continuous")
     pred = mmod.predict_E(spec, window, args.T, poly, eps=args.eps) if args.predict else math.nan
+    stages.mark("predict")
     results = {"discrete": disc, "continuous": cont, "E": disc - cont, "predicted_E": pred,
                "ratio": disc / cont, "delta": dmod.delta(spec)}
-    _emit(args, spec, results, t0, ["ell", "t", "phi", "abs_zeta_B_sq"],
-          [sample.ell, sample.t, sample.phi, np.abs(sample.zeta * sample.B) ** 2])
+    _emit(args, spec, results, stages.t0, ["ell", "t", "phi", "abs_zeta_B_sq"],
+          [sample.ell, sample.t, sample.phi, np.abs(sample.zeta * sample.B) ** 2], stages)
     return 0
 
 
-def _cmd_delta(args, t0):
+def _cmd_delta(args, stages):
     spec = _spec_from(args)
     results = {}
     if spec.rational_form is None and args.detect:
         found = dmod.detect_rational(spec, args.ell_max, args.den_max)
+        results["detect_resolved_ell"] = dmod.detect_resolved_ell(spec.alpha, args.ell_max)
         if found is not None:
             results["detected_form"] = dict(zip(("ell0", "m", "n"), found))
     results["delta"] = dmod.delta(spec)
-    _emit(args, spec, results, t0)
+    stages.mark("search")
+    _emit(args, spec, results, stages.t0, stages=stages)
     return 0
 
 
-def _cmd_dioph(args, t0):
+def _cmd_dioph(args, stages):
     spec = _spec_from(args)
     rows = []
     found = []
@@ -365,17 +379,21 @@ def _cmd_dioph(args, t0):
             rows.append((ell, tup.a, tup.b, float(tup.quality)))
             found.append({"ell": ell, "a": tup.a, "b": tup.b,
                           "quality": tup.quality})
-    _emit(args, spec, {"tuples": found}, t0, ["ell", "a", "b", "quality"], list(zip(*rows)))
+    stages.mark("search")
+    _emit(args, spec, {"tuples": found}, stages.t0, ["ell", "a", "b", "quality"],
+          list(zip(*rows)), stages)
     return 0
 
 
-def _cmd_firstmoment(args, t0):
+def _cmd_firstmoment(args, stages):
     spec, window = _spec_from(args), SmoothWindow(edge=args.edge)
     _check_run(args, spec)
     poly = _poly_from(args)
     cont, sample = mmod.continuous_twisted_moment(spec, window, args.T, poly, power=1)
     disc = sample.twisted_sum(1)
+    stages.mark("continuous")
     pred = mmod.predict_E_prime(spec, window, args.T, poly, eps=args.eps)
+    stages.mark("predict")
     ref = args.T * window.plateau_mass
     results = {
         "discrete": disc, "continuous": cont,
@@ -385,30 +403,33 @@ def _cmd_firstmoment(args, t0):
         "abs_deviation_from_reference": abs(disc - ref),
     }
     vals = sample.zeta * sample.B
-    _emit(args, spec, results, t0, ["ell", "t", "phi", "re_zeta_B", "im_zeta_B"],
-          [sample.ell, sample.t, sample.phi, vals.real, vals.imag])
+    _emit(args, spec, results, stages.t0, ["ell", "t", "phi", "re_zeta_B", "im_zeta_B"],
+          [sample.ell, sample.t, sample.phi, vals.real, vals.imag], stages)
     return 0
 
 
-def _cmd_nonvanish(args, t0):
+def _cmd_nonvanish(args, stages):
     spec, window = _spec_from(args), SmoothWindow(edge=args.edge)
     _check_run(args, spec)
     sample = mmod.sample_progression(spec, window, args.T, _poly_from(args))
     rep = mmod.nonvanishing_bound(sample)
     emp = mmod.empirical_nonvanishing(sample, args.threshold)
+    stages.mark("sample")
     results = {**asdict(rep), "empirical_fraction": emp}
-    _emit(args, spec, results, t0)
+    _emit(args, spec, results, stages.t0, stages=stages)
     return 0
 
 
-def _cmd_resonate(args, t0):
+def _cmd_resonate(args, stages):
     spec, window = _spec_from(args), SmoothWindow(edge=args.edge)
     _check_run(args, spec)
     excluded = rmod.build_excluded_set(spec, args.T, args.eps)
     res = rmod.resonator_coeffs(args.N, args.mode, excluded)
     euler = rmod.euler_product_prediction(res)
+    stages.mark("predict")
     sample = mmod.sample_progression(spec, window, args.T, res.coeffs)
     rep = rmod.extreme_search(sample, res)
+    stages.mark("sample")
     results = {
         "excluded_primes": excluded,
         "resonator": {"L": res.L, "prime_lo": res.prime_lo,
@@ -416,8 +437,8 @@ def _cmd_resonate(args, t0):
         "euler_prediction": asdict(euler),
         "extreme": asdict(rep),
     }
-    _emit(args, spec, results, t0, ["ell", "t", "abs_zeta", "resonator_mass"],
-          [sample.ell, sample.t, np.abs(sample.zeta), sample.phi * np.abs(sample.B) ** 2])
+    _emit(args, spec, results, stages.t0, ["ell", "t", "abs_zeta", "resonator_mass"],
+          [sample.ell, sample.t, np.abs(sample.zeta), sample.phi * np.abs(sample.B) ** 2], stages)
     return 0
 
 
@@ -436,13 +457,8 @@ def _selftest_checks(rng):
     w = SmoothWindow()
     checks.append(("window_plateau", float(w.phi(1.5)) == 1.0, f"phi(1.5)={w.phi(1.5)}"))
     ph0 = w.phi_hat(0.0).real
-
-    def mass_sums(j, p):
-        phi = w.phi(np.arange(j.start, j.stop, j.step) / p)
-        return [float(np.sum(phi[half])) for half in parity_slices(j)]
-
-    mass = nested_trapezoid(mass_sums, 1.0, 2.0, 16.0 / w.edge,
-                            lambda new, old: abs(new - old) <= 1e-12)
+    mass = trapezoid(lambda j, p: float(np.sum(w.phi(np.arange(j.start, j.stop) / p))),
+                     1.0, 2.0, ETA_PHI_HAT / w.edge)
     checks.append(("window_phihat0", close(mass, 1.0 - w.edge, 1e-9) and close(ph0, mass, 1e-9),
                    f"phi_hat(0)={ph0!r}, trapezoid mass={mass!r}, 1 - edge={1.0 - w.edge!r}"))
 
@@ -509,16 +525,17 @@ def _selftest_checks(rng):
     return checks
 
 
-def _cmd_selftest(args, t0):
+def _cmd_selftest(args, stages):
     rng = np.random.default_rng(args.seed)
     checks = _selftest_checks(rng)
+    stages.mark("checks")
     results = {
         "checks": [{"name": n, "passed": bool(p), "detail": d}
                    for n, p, d in checks],
         "n_passed": sum(1 for _, p, _ in checks if p),
         "n_total": len(checks),
     }
-    _emit(args, None, results, t0)
+    _emit(args, None, results, stages.t0, stages=stages)
     return 0 if results["n_passed"] == results["n_total"] else 1
 
 
@@ -619,11 +636,13 @@ def _check_outputs(args):
 
 
 def main(argv=None) -> int:
+    stages = _Stages()
+    stages.mark()
     args = build_parser().parse_args(argv)
-    t0 = time.monotonic()
+    stages.t0 = stages.mark("parse")
     try:
         _check_outputs(args)
-        return args.fn(args, t0)
+        return args.fn(args, stages)
     except (ValueError, OverflowError) as exc:
         print(f"zetaprog {args.subcommand}: bad configuration: {exc}", file=sys.stderr)
         return 2

@@ -363,6 +363,15 @@ def _detect_bits(alpha: float, ell: int) -> int:
     return CF_PRECISION_BITS + int(_TWO_PI * ell / alpha / math.log(2.0)) + 16
 
 
+def detect_resolved_ell(alpha: float, ell_max: int) -> int:
+    """The last ell <= ell_max (0 for none) whose x = exp(2*pi*ell/alpha) the
+    rounding of alpha moves, by about x ln x 2^-53, less than detect_rational's
+    criterion at q = 1: past it a form can be missed, so none decides nothing."""
+    bar = math.log(1e-12) + 53.0 * math.log(2.0)
+    return next((ell - 1 for ell in range(1, ell_max + 1)
+                 if _TWO_PI * ell / alpha + math.log(_TWO_PI * ell / alpha) > bar), ell_max)
+
+
 def _check_detect_budget(alpha: float, ell_max: int, den_max: int):
     """Before any work: ValueError when den_max >= 2^100, whose 1e-12/den_max^2
     lies within 2^32 of x's rounding at _detect_bits (x - p/q would read 0);

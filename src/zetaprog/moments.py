@@ -29,33 +29,33 @@ evaluated on a progression.  The public sample,
 sample_progression, is the integers in [T, 2T] (p = 1); every consumer
 reduces it over its phi > 0 nodes, and the discrete moments, the
 nonvanishing bound and the resonator search share it.  Every integral is
-the nested trapezoid of quadrature.py: the continuous moment samples the
-progression at the points ell = j / p of [T, 2T], its start level and
-first halving as one lattice (which holds the integers, and
-continuous_twisted_moment returns the integer sample cut from it, so the
-discrete moment costs no evaluation of its own), each call of the rule
-summed block by block, from a start of p = ceil(density) nodes per unit,
-the integrand's top frequency alpha/2pi * log(t_max * len(B) / 2pi) plus
-16 nodes across each window ramp, where the trapezoid of a band-limited
-integrand under a smooth window is exact;
+one trapezoid level of quadrature.py, its step fixed up front from the
+integrand's band plus window.ETA_RELATIVE nodes across each window ramp,
+where the trapezoid of a band-limited integrand under a smooth window is
+exact to the window's transform at the first alias: the continuous moment
+samples the progression at the points ell = j / p of [T, 2T], p =
+ceil(density) nodes per unit, the band being the integrand's top frequency
+alpha/2pi * log(t_max * len(B) / 2pi), and that level holds the integers
+(continuous_twisted_moment returns the integer sample cut from it, so the
+discrete moment costs no evaluation of its own), summed block by block;
 where the heights pass through 0, zeta's pole at s = 1 narrows the strip
-of analyticity, and the start stays at the power of two above every tuple
-frequency (the bound _default_ell_max that predict_E also sums to).  The
-same zeta engine feeds both sides of E, so engine error cancels in it.
+of analyticity and bounds no band, and the level is the power of two at or
+above twice every tuple frequency (the bound _default_ell_max that
+predict_E also sums to).  The same zeta engine feeds both sides of E, so
+engine error cancels in it.
 
 The correction integrals share phi_hat's windowed transform
 (window._windowed_transform), which takes an array of frequencies and
-integrates them on one nested trapezoid, a level accepted only when every
-frequency agrees: predict_E passes every tuple of ell = 1 .. _default_ell_max
-at once, and predict_E_prime every phi_hat(T*nu) at once.  F(a, b, T*x) is
-smooth on [1, 2] (each of its H terms is entire in log tt), so it is
-resolved once per tuple by a Chebyshev interpolant of degree 32, every
-tuple's from one h_many call at the Chebyshev points, kept when its
-coefficients above degree 16 are all within 1e-12 of its largest; each
-level reads every kept interpolant at its nodes as one product of the
-nodes' Chebyshev-Vandermonde matrix with the coefficients.  Where
-they are not (heights that start near 0 put F's pole at tt = 0 just left of
-x = 1), F itself is evaluated at every trapezoid node.
+integrates them on one trapezoid level: predict_E passes every tuple of
+ell = 1 .. _default_ell_max at once, and predict_E_prime every phi_hat(T*nu)
+at once.  F(a, b, T*x) is smooth on [1, 2] (each of its H terms is entire
+in log tt), so it is resolved once per tuple by a Chebyshev interpolant of
+degree 32, every tuple's from one h_many call at the Chebyshev points, kept
+when its coefficients above degree 16 are all within 1e-12 of its largest;
+the level reads every kept interpolant at its nodes as one product of the
+nodes' Chebyshev-Vandermonde matrix with the coefficients.  Where they are
+not (heights that start near 0 put F's pole at tt = 0 just left of x = 1),
+F itself is evaluated at every trapezoid node.
 Heights that reach 0 on [T, 2T] (alpha*T + beta <= 0) have no prediction:
 predict_E refuses them.
 """
@@ -68,9 +68,9 @@ from . import zeta as zmod
 from .dioph import DEFAULT_EPS, ProgressionSpec, find_tuple
 from .errors import CapError, DegenerateDenominatorError
 from .kernels import h_many
-from .quadrature import NODE_CAP, nested_trapezoid, parity_slices
+from .quadrature import NODE_CAP, trapezoid
 from .sieves import mobius_table
-from .window import SmoothWindow, _phi_hats, _windowed_transform
+from .window import ETA_RELATIVE, SmoothWindow, _phi_hats, _windowed_transform
 
 __all__ = ["DirichletPoly", "Mollifier", "NonvanishingReport",
            "ProgressionSample", "sample_progression", "mollifier_coeffs",
@@ -190,15 +190,13 @@ class ProgressionSample:
     zeta: np.ndarray
     B: np.ndarray
 
-    def twisted_sum(self, power: int, nodes=slice(None)):
+    def twisted_sum(self, power: int):
         """sum over the phi > 0 nodes of phi * zeta*B (power=1, complex) or of
-        phi * |zeta*B|^2 (power=2, real), of every node or of the slice
-        nodes."""
+        phi * |zeta*B|^2 (power=2, real)."""
         _check_power(power)
-        phi = self.phi[nodes]
-        live = phi > 0.0
-        w = phi[live]
-        vals = self.zeta[nodes][live] * self.B[nodes][live]
+        live = self.phi > 0.0
+        w = self.phi[live]
+        vals = self.zeta[live] * self.B[live]
         if power == 2:
             return float(np.sum(w * (vals * np.conj(vals)).real))
         return complex(np.sum(w * vals))
@@ -260,57 +258,45 @@ def continuous_twisted_moment(spec: ProgressionSpec, window: SmoothWindow, T: fl
                               poly: DirichletPoly, power: int):
     """(value, integers): value is the integral over ell in [T, 2T] of
     phi(ell/T) * |zeta*B|^2 (power=2, real) or of phi(ell/T) * zeta*B
-    (power=1, complex), to 1e-4 relative; integers is the sample of the
-    integers in [T, 2T], cut from the rule's first lattice, so every node is
+    (power=1, complex), to 1e-10 relative; integers is the sample of the
+    integers in [T, 2T], cut from the rule's level, so every node is
     evaluated once.  integers.twisted_sum(power) is the discrete moment.
 
-    The rule is quadrature.nested_trapezoid on the points ell = j / p of
-    [T, 2T], p = per_unit * 2^k, from the start density of
-    _continuous_density.  The trapezoid integrates a band-limited integrand
-    under a smooth window exactly once the step 1/p puts the first alias
-    frequency p above the integrand's top frequency plus the window's.  The
-    start step comes from that bound, not from the refinement check: a
-    frequency at an even multiple of the step aliases on both levels a
-    halving compares, so two agreeing levels do not prove the step fine
-    enough.
+    The rule is one quadrature.trapezoid level on the points ell = j / p of
+    [T, 2T], p = ceil(_continuous_density).  The trapezoid integrates a
+    band-limited integrand under a smooth window to the window's transform
+    at the first alias frequency, p minus the integrand's top frequency, so
+    the step comes from that bound, not from a halving: a frequency at an
+    even multiple of the step aliases on both levels a halving compares.
+    tests/test_moments.py evaluates the halving instead.
 
-    Each call of the rule is summed block by block: every block of
-    zeta._node_blocks is one sample of the progression, through the level
-    sampler that sample_progression calls with the integers and p = 1, its
-    run (t0, h) built from the numerators j and p, and only the running
-    sums by parity of j outlive it.  The first call holds the start level
-    and its first halving, the lattice at p = 2 * per_unit, so a moment
-    that fits one block costs one zeta_on_progression and one
-    progression_sum run for both levels.  Two successive levels agreeing to
-    1e-4 relative are accepted; QuadratureError when none do, or, before
-    any evaluation, when the start step exceeds the rule's node budget.
-    per_unit is an integer >= 1, so the integer ell is the lattice's node j
-    = p * ell.  Those rows of t, phi, zeta and B are copied from each block
-    into the integer sample's arrays, allocated once, after the first block
-    is evaluated; so the working set is the integer sample and one block,
-    its numerators included.
+    The level is summed block by block: every block of zeta._node_blocks is
+    one sample of the progression, through the level sampler that
+    sample_progression calls with the integers and p = 1, its run (t0, h)
+    built from the numerators j and p, and only the running sum outlives
+    it, so a moment that fits one block costs one zeta_on_progression and
+    one progression_sum run.  QuadratureError, before any evaluation, when
+    the level exceeds the rule's node budget.  p is an integer >= 1, so the
+    integer ell is the level's node j = p * ell.  Those rows of t, phi,
+    zeta and B are copied from each block into the integer sample's arrays,
+    allocated once, after the first block is evaluated; so the working set
+    is the integer sample and one block, its numerators included.
     """
     _check_power(power)
     _check_sample_budget(T)
-    integers = []  # the integer sample, cut from the first call's lattice
+    integers = []  # the integer sample, cut from the level
 
     def level_sum(j, p):
-        cut = not integers
-        sums = [0.0, 0.0]
+        total = 0.0
         for sl in zmod._node_blocks(len(j)):
-            nodes = j[sl]
-            block = _sample_level(spec, window, T, poly, nodes, p)
-            if cut:
-                if not integers:
-                    integers.append(_integer_sample(spec, window, T, poly))
-                _cut_integers(block, nodes.start, p, integers[0])
-            for i, half in enumerate(parity_slices(nodes)):
-                sums[i] += block.twisted_sum(power, half)
-        return sums
+            block = _sample_level(spec, window, T, poly, j[sl], p)
+            if not integers:
+                integers.append(_integer_sample(spec, window, T, poly))
+            _cut_integers(block, j[sl].start, p, integers[0])
+            total += block.twisted_sum(power)
+        return total
 
-    density = _continuous_density(spec, window, T, poly)
-    value = nested_trapezoid(level_sum, T, 2.0 * T, density,
-                             lambda new, old: abs(new - old) <= 1e-4 * max(abs(new), 1e-12))
+    value = trapezoid(level_sum, T, 2.0 * T, _continuous_density(spec, window, T, poly))
     return value, integers[0]
 
 
@@ -344,26 +330,30 @@ def _cut_integers(block: ProgressionSample, j0: int, p: int, integers: Progressi
 
 def _continuous_density(spec: ProgressionSpec, window: SmoothWindow, T: float,
                         poly: DirichletPoly) -> float:
-    """Start nodes per unit ell of the continuous moment's trapezoid.
+    """Nodes per unit ell of the continuous moment's trapezoid level.
 
     Where the heights t = alpha*ell + beta keep one sign over [T, 2T], zeta*B
     carries frequencies up to log(|t| * len(B) / 2pi) / 2pi per unit t (the
     Dirichlet side, and the rotation of chi at theta'(t) = log(t/2pi)/2), and
     so does |zeta*B|^2 = Z^2 |B|^2; per unit ell that is alpha/2pi times it,
     taken at the largest |t|.  The window's ramps, edge * T wide in ell, add
-    16 nodes across each.  Where the heights pass through 0, the pole of zeta
-    at s = 1 narrows the strip of analyticity, and the start is the power of
-    two at or above every tuple frequency (_default_ell_max + 1, the bound
-    predict_E sums to) and 16 nodes across each ramp: on 1:2:1 through 0 at
-    T = 300, a start at the bound itself (18 per unit, not 32) is 9.3e-9
-    relative off a dense Gauss-Legendre reference.
+    ETA_RELATIVE nodes across each, so the first alias lies ETA_RELATIVE /
+    (edge * T) past that band: never more than twice ceil(band + 16 / (edge
+    * T)), the start of a rule that accepted its first halving.  Where the
+    heights pass through 0, the pole of zeta at s = 1 narrows the strip of
+    analyticity and bounds no band, and the level is the power of two at or
+    above twice every tuple frequency (_default_ell_max + 1, the bound
+    predict_E sums to) and ETA_RELATIVE nodes across each ramp, the lattice
+    such a rule accepted: on 1:2:1 through 0 at T = 300 a start at the
+    bound itself (18 per unit, not 32) was 9.3e-9 relative off a dense
+    Gauss-Legendre reference.
     """
-    ramp = 16.0 / (window.edge * T)
+    ramp = ETA_RELATIVE / (window.edge * T)
     first, last = spec.alpha * T + spec.beta, 2.0 * spec.alpha * T + spec.beta
     if first > 0.0 or last < 0.0:
         t_max = max(abs(first), abs(last))
         return max(0.0, spec.alpha / _TWO_PI * math.log(t_max * poly.length / _TWO_PI)) + ramp
-    bound = max(_default_ell_max(spec, T, poly) + 1, ramp)
+    bound = max(2 * (_default_ell_max(spec, T, poly) + 1), ramp)
     return float(1 << (math.ceil(bound) - 1).bit_length())
 
 
@@ -449,13 +439,11 @@ def _check_heights(spec: ProgressionSpec, T: float):
 def _correction_integrals(tuples, spec: ProgressionSpec, window: SmoothWindow, T: float,
                           poly: DirichletPoly) -> np.ndarray:
     """H of each tuple, all from one _windowed_transform.  With t = T*x, H
-    is T times the windowed transform of F(a, b, T*x) at T*nu, each to 1e-5
-    relative (floored at 1e-9), F as _F_on_window gives it."""
+    is T times the windowed transform of F(a, b, T*x) at T*nu, on the level
+    of the margin ETA_RELATIVE (1e-10 relative), F as _F_on_window gives it."""
     phases = [_tuple_phase(spec, tup) for tup in tuples]
     F = _F_on_window([_f_pair_tables(tup.a, tup.b, poly) for tup in tuples], T, spec)
-    vals = _windowed_transform(window, T * np.array([nu for nu, _ in phases]), F,
-                               lambda new, old: np.abs(new - old)
-                               <= 1e-5 * np.maximum(np.abs(new), 1e-9))
+    vals = _windowed_transform(window, T * np.array([nu for nu, _ in phases]), F, ETA_RELATIVE)
     return np.array([pref for _, pref in phases]) * T * vals
 
 

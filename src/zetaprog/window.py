@@ -11,23 +11,39 @@ integrates to edge/2 and the total mass is exactly 1 - edge.
 
 The Fourier transform uses the convention
 
-    phi_hat(xi) = integral over [1, 2] of phi(t) * exp(-2*pi*i*xi*t) dt,
+    phi_hat(xi) = integral over [1, 2] of phi(t) * exp(-2*pi*i*xi*t) dt.
 
-evaluated, like the correction integrals H(ell), by _windowed_transform:
-the nested trapezoid at max(4|xi|, 16/edge) > 32, so 33 or more, nodes per
-unit of [1, 2], i.e. four per oscillation and sixteen across each ramp.
-The transform takes an array of frequencies and integrates them all on the
-same levels, one sum over the nodes per frequency, the start level and
-its first halving from one evaluation of their lattice; phi_hat at one xi,
-predict_E's tuples and predict_E_prime's frequencies are all calls of it.
+S(u) + S(1 - u) = 1 makes the ramp's density S' even about u = 1/2, and one
+integration by parts gives, for every edge,
+
+    phi_hat(xi) = e^(-3*pi*i*xi) (1 - edge) sinc((1 - edge) xi) G(edge xi),
+    G(eta)      = integral over [0, 1] of S'(u) cos(2*pi*eta*(u - 1/2)) du,
+
+so |phi_hat(xi)| <= |G(eta)| edge / (pi eta) at eta = edge |xi|: G (real,
+even, G(0) = 1, the same for every edge) is the alias error of every
+trapezoid of the package (quadrature.py), whose first alias lies eta / ramp
+past the integrand's band.  ETA_RELATIVE and ETA_PHI_HAT are the margins
+eta past which that bound meets each accuracy contract, read off a scan of
+G that tests/test_window.py repeats.
+
+phi_hat, like the correction integrals H(ell), is one trapezoid level of
+_windowed_transform, at |xi| + ETA_PHI_HAT / edge nodes per unit of [1, 2];
+phi_hat at one xi, predict_E's tuples and predict_E_prime's frequencies are
+all calls of it.
 """
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import nested_trapezoid, parity_slices, start_level
+from .quadrature import start_level, trapezoid
 
 __all__ = ["SmoothWindow"]
+
+# The trapezoid's alias margins, in nodes across a ramp: sup over eta' >= eta
+# of |G(eta')| edge / (pi eta') bounds |phi_hat| at the first alias.  At
+# ETA_RELATIVE, for the moments' and H's 1e-10 relative, it is 3.4e-11 at
+# edge 0.05; at ETA_PHI_HAT, for phi_hat's 1e-12, 3.4e-13 at every edge.
+ETA_RELATIVE, ETA_PHI_HAT = 32.0, 56.0
 
 
 def _ramp(u):
@@ -78,23 +94,22 @@ class SmoothWindow:
         return val
 
     def phi_hat(self, xi: float) -> complex:
-        """Fourier transform at xi, once two trapezoid levels agree to 1e-12:
-        the one-element case of _phi_hats.
+        """Fourier transform at xi, to 1e-12 absolute: the one-element case
+        of _phi_hats.
 
         phi_hat(-xi) = conj(phi_hat(xi)) is enforced exactly by evaluating at
         |xi| and conjugating, which is legitimate because phi is real.
         ValueError for a non-finite xi; QuadratureError, before any work,
-        when |xi| or 1/edge asks for more nodes than the trapezoid's budget.
+        when |xi| + ETA_PHI_HAT / edge nodes per unit exceed the trapezoid's
+        budget.
         """
         return complex(_phi_hats(self, [xi])[0])
 
 
 def _phi_hats(window: SmoothWindow, xis) -> np.ndarray:
     """phi_hat at every xi of an array, as phi_hat describes, the nonzero |xi|
-    by one _windowed_transform whose levels must agree to 1e-12 at every xi;
-    the zero frequency is the cached mass (quadrature agrees to 1e-14).
-    QuadratureError, before any work, when the largest |xi| asks for more
-    nodes than the trapezoid's budget."""
+    by one _windowed_transform at the margin ETA_PHI_HAT; the zero frequency
+    is the cached mass (quadrature agrees to 1e-14)."""
     xis = np.asarray(xis, dtype=float)
     if not np.all(np.isfinite(xis)):
         raise ValueError(f"phi_hat needs a finite frequency, got {xis[~np.isfinite(xis)][0]}")
@@ -102,46 +117,42 @@ def _phi_hats(window: SmoothWindow, xis) -> np.ndarray:
     live = xis != 0.0
     if np.any(live):
         out[live] = _windowed_transform(window, np.abs(xis[live]), lambda x, rows: 1.0,
-                                        lambda new, old: np.abs(new - old) <= 1e-12)
+                                        ETA_PHI_HAT)
     return np.where(xis < 0.0, np.conj(out), out)
 
 
-# Most complex entries one level of _windowed_transform holds per array
-# (4 MiB): a level of n new nodes integrates _TRANSFORM_ELEMS // n
-# frequencies at once.
+# Most complex entries one block of _windowed_transform holds per array
+# (4 MiB): a level of n nodes integrates _TRANSFORM_ELEMS // n frequencies
+# at once.
 _TRANSFORM_ELEMS = 1 << 18
 
 
-def _windowed_transform(window: SmoothWindow, xis, g, agree) -> np.ndarray:
+def _windowed_transform(window: SmoothWindow, xis, g, eta: float) -> np.ndarray:
     """integral over [1, 2] of phi(x) e^(-2*pi*i*xi*x) g(x, rows)[i] dx for
-    every xi = xis[rows][i], as one nested trapezoid per block of rows.
+    every xi = xis[rows][i], each on the trapezoid level of its own band,
+    ceil(|xi| + eta / edge) nodes per unit, so that its first alias is eta /
+    edge away (g's own band, a smooth factor's, lies far inside that) and
+    its value does not depend on the call's other frequencies.
 
-    g(x, rows) gives the integrand's other factor at every node x (all in
-    [1, 2]) for the frequencies xis[rows], as an array of shape
-    (len(xis[rows]), len(x)) or one that broadcasts to it, and each call of
-    the trapezoid evaluates it once on all its nodes, split by parity only
-    in the sums.  The start level is max(4 max|xi|, 16/edge) nodes per unit,
-    rounded up, for every row, and a block holds as many rows as keep the
-    largest call within _TRANSFORM_ELEMS entries: the third halving, four
-    times the start level's nodes (the first call, which holds the start
-    level and its first halving, has twice them).
-    agree(new, previous) compares the levels entry by entry, and a level is
-    accepted only when every entry agrees.  QuadratureError, before any
-    work, when the start level exceeds the trapezoid's budget.
+    g(x, rows) gives the integrand's other factor at every node x for the
+    frequencies xis[rows], rows an index array, as an array of shape
+    (len(rows), len(x)) or one that broadcasts to it.  The xis of one level
+    are integrated together, in blocks of as many rows as keep the level
+    within _TRANSFORM_ELEMS entries.  QuadratureError, before any work,
+    when the largest level exceeds the trapezoid's budget.
     """
     xis = np.asarray(xis, dtype=float)
-    density = max(4.0 * float(np.max(np.abs(xis))), 16.0 / window.edge)
-    step = max(1, _TRANSFORM_ELEMS // (4 * start_level(1.0, 2.0, density)[0]))
+    levels = np.ceil(np.abs(xis) + eta / window.edge)
+    start_level(1.0, 2.0, float(np.max(levels)))  # the budget, before any work
     out = np.empty(len(xis), dtype=complex)
-    for lo in range(0, len(xis), step):
-        rows = slice(lo, lo + step)
+    for per_unit in np.unique(levels):
+        same = np.flatnonzero(levels == per_unit)
+        step = max(1, _TRANSFORM_ELEMS // (int(per_unit) + 1))
+        for rows in np.split(same, range(step, len(same), step)):
+            def level_sum(j, p):
+                x = np.arange(j.start, j.stop) / p
+                wave = np.exp((-2j * np.pi * xis[rows])[:, None] * x)
+                return np.sum(window.phi(x) * wave * g(x, rows), axis=-1)
 
-        def level_sum(j, p):
-            x = np.arange(j.start, j.stop, j.step) / p
-            wave = np.exp((-2j * np.pi * xis[rows])[:, None] * x)
-            terms = window.phi(x) * wave * g(x, rows)
-            return [np.sum(terms[:, half], axis=-1) for half in parity_slices(j)]
-
-        out[rows] = nested_trapezoid(level_sum, 1.0, 2.0, density,
-                                     lambda new, old: bool(np.all(agree(new, old))))
+            out[rows] = trapezoid(level_sum, 1.0, 2.0, float(per_unit))
     return out

@@ -76,6 +76,53 @@ def test_detection_refuses_den_max_past_precision(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alpha, resolved, form", [
+    ("0.755393356971199", 0, None),
+    ("0.824065480332217", 0, {"ell0": 1, "m": 2048, "n": 1}),
+    ("1", 1, None),
+], ids=["x-2^12", "x-2^11", "alpha-1"])
+def test_detection_states_the_ells_it_resolves(alpha, resolved, form, tmp_path):
+    # The criterion 1e-12/q^2 is absolute, and the rounding of alpha moves x
+    # = exp(2*pi*ell/alpha) by about x ln x 2^-53: 3.8e-12 at x = 2^12 and
+    # 1.7e-12 at 2^11, past it at q = 1 from ell = 1, where the scan misses
+    # 2^12 and still finds 2^11; at alpha = 1 ell = 1 (3.7e-13) is resolved
+    # and ell = 2 is not.  A missing form past the stated ell is undecided.
+    rc, doc = _run_json(["delta", "--alpha", alpha, "--detect"], tmp_path)
+    assert rc == 0
+    assert doc["results"]["detect_resolved_ell"] == resolved
+    assert doc["results"].get("detected_form") == form
+
+
+_STAGES = {
+    "moment": (["moment", "--alpha", "1", "--T", "300"], ["continuous", "predict"]),
+    "firstmoment": (["firstmoment", "--alpha", "1", "--T", "300"], ["continuous", "predict"]),
+    "nonvanish": (["nonvanish", "--alpha", "1", "--T", "300"], ["sample"]),
+    "resonate": (["resonate", "--alpha", "1", "--T", "300", "--N", "100", "--mode", "max"],
+                 ["predict", "sample"]),
+    "delta": (["delta", "--alpha", "1", "--detect"], ["search"]),
+    "dioph": (["dioph", "--alpha", "1", "--T", "300", "--ell", "1..3"], ["search"]),
+    "selftest": (["selftest"], ["checks"]),
+}
+
+
+@pytest.mark.parametrize("subcommand", list(_STAGES))
+def test_run_meta_states_each_stage(subcommand, tmp_path):
+    # run_meta.stages holds, per stage of the run, its wall seconds and the
+    # process's minor page faults: parse, the subcommand's own stages, then
+    # emit, which holds the table's writing; nothing outside run_meta moves
+    argv, own = _STAGES[subcommand]
+    rc, doc = _run_json(argv, tmp_path)
+    assert rc == 0
+    stages = doc["run_meta"]["stages"]
+    assert set(stages) == {"parse", *own, "emit"}
+    for record in stages.values():
+        assert set(record) == {"wall_s", "minor_faults"}
+        assert record["wall_s"] >= 0.0 and record["minor_faults"] >= 0
+    rc, again = _run_json(argv, tmp_path, "again.json")
+    del doc["run_meta"], again["run_meta"]
+    assert doc == again
+
+
 def test_report_to_stdout_is_the_json_report(tmp_path, capsys):
     # without --json the same report goes to stdout
     argv = ["delta", "--alpha-rational", "1:2:1", "--beta", "0.5"]
@@ -461,12 +508,12 @@ def _unreachable(*args, **kwargs):
 
 
 _CAP = "computation failed: CapError: progression sample of "
-# the continuous moment's start level at 2.0169 per unit rounds up to 3 nodes
-# per unit, 3e6 + 1 nodes over [1e6, 2e6]: past the trapezoid's 2^21
-_QUAD = "computation failed: QuadratureError: the trapezoid at 2.0169"
-# at alpha = 1e5 the start level refuses 76738501 nodes at once; predicting
-# first would spend seconds and then fail inside predict_E
-_QUAD_STEEP = "computation failed: QuadratureError: the trapezoid at 255794.54"
+# the continuous moment's level at 2.0172 per unit rounds up to 3 nodes per
+# unit, 3e6 + 1 nodes over [1e6, 2e6]: past the trapezoid's 2^21
+_QUAD = "computation failed: QuadratureError: the trapezoid at 2.0172"
+# at alpha = 1e5 the level refuses 76738801 nodes at once; predicting first
+# would spend seconds and then fail inside predict_E
+_QUAD_STEEP = "computation failed: QuadratureError: the trapezoid at 255795.60"
 # heights alpha*t + beta that reach 0 on [T, 2T] have no predicted E
 _HEIGHTS = "bad configuration: predict_E requires heights alpha*T + beta > 0"
 _EDGE = "bad configuration: edge must lie in (0, 1/2), got 0.7"
@@ -536,7 +583,7 @@ def test_node_budget_exit_code(argv, rc, message, tmp_path, monkeypatch, capsys)
     # builder's T, theta, N or eps check runs before the node budget, with
     # the builder's own message, and so do nonvanish's threshold check, the
     # resonator's support cap and every subcommand's window edge.  The
-    # continuous moment's start level is checked before the sample too, and
+    # continuous moment's level is checked before the sample too, and
     # the sample's refusals before either prediction, whose work has no
     # budget yet.  A check runs only where the run reaches its builder.
     for mod, name in ((cli.mmod, "mollifier_coeffs"), (cli.mmod, "sample_progression"),
@@ -630,7 +677,7 @@ def test_cli_samples_progression_once(argv, A_by_kernel, tmp_path, monkeypatch):
     # from the run's sample.  The kernel calls zeta_on_progression makes for
     # its own Dirichlet sums are tagged "zeta", apart from the B and A calls.
     # moment and firstmoment cut their integer sample from the continuous
-    # moment's start level, so their run scope evaluates nothing itself.
+    # moment's level, so their run scope evaluates nothing itself.
     calls = []
     scope = ["run"]
 

@@ -36,7 +36,7 @@ from zetaprog import cli
 from zetaprog import moments as mmod
 from zetaprog import zeta as zmod
 from zetaprog.errors import CapError, DegenerateDenominatorError, QuadratureError
-from zetaprog.quadrature import parity_slices, start_level
+from zetaprog.quadrature import start_level
 
 TWO_PI = 2.0 * math.pi
 EULER_GAMMA = 0.5772156649015329
@@ -228,34 +228,96 @@ def test_continuous_matches_dense_gl(window, spec, T, theta, panels_per_unit):
         assert abs(got - ref) <= 1e-10 * abs(ref), (power, got, ref)
 
 
+# The criterion-3 grid (T = 2000, power 2), then ten cases from T = 150 to
+# 1e5: (spec, T, theta, power).
+_HALVING_CASES = [(spec, 2000.0, theta, 2)
+                  for spec in (ProgressionSpec(alpha=1.0), ProgressionSpec(alpha=1.0, beta=1.0),
+                               ProgressionSpec.from_rational(1, 2, 1),
+                               ProgressionSpec.from_rational(1, 2, 1, beta=1.0))
+                  for theta in (None, 0.3)] + [
+    (ProgressionSpec.from_rational(1, 2, 1), 2000.0, None, 2),
+    (ProgressionSpec.from_rational(1, 2, 1), 500.0, 0.3, 1),
+    (ProgressionSpec(alpha=1.0), 1e3, None, 2),
+    (ProgressionSpec(alpha=1.0), 1e5, None, 2),
+    (ProgressionSpec(alpha=1.0), 4e4, 0.3, 1),
+    (ProgressionSpec(alpha=1.0), 2e4, 0.3, 2),
+    (ProgressionSpec(alpha=3.0), 2e4, None, 2),
+    (ProgressionSpec(alpha=math.sqrt(2.0), beta=0.5), 5e3, None, 2),
+    (ProgressionSpec.from_rational(1, 3, 2), 3e3, 0.4, 2),
+    (ProgressionSpec(alpha=1.0), 150.0, 0.3, 1),
+]
+
+
+@pytest.mark.parametrize("spec, T, theta, power", _HALVING_CASES)
+def test_continuous_moment_agrees_with_its_halving(window, spec, T, theta, power,
+                                                   monkeypatch):
+    # The level's step comes from the band limit and the window's decay,
+    # not from a comparison; this is the comparison.  The lattice at twice
+    # the level's nodes per unit, through the same blocked sampler, agrees
+    # with the one level to 1e-10 relative (it read at most 1.5e-12, at T =
+    # 150, where a margin of 16 nodes across a ramp read 7.4e-9).
+    poly = DirichletPoly.one() if theta is None else mollifier_coeffs(T, theta)
+    value = continuous_twisted_moment(spec, window, T, poly, power)[0]
+    density = mmod._continuous_density
+    monkeypatch.setattr(mmod, "_continuous_density",
+                        lambda *args: 2.0 * math.ceil(density(*args)))
+    halved = continuous_twisted_moment(spec, window, T, poly, power)[0]
+    assert abs(value - halved) <= 1e-10 * abs(halved)
+
+
+def test_continuous_level_never_exceeds_the_halving_lattice():
+    # A rule that started at ceil(band + 16 / (edge * T)) nodes per unit and
+    # accepted its first halving evaluated twice that on its first call, and
+    # ceil(band + 32 / (edge * T)) is never more: band + 32/w <= 2 * (band +
+    # 16/w).  Heights through 0 take that same lattice.
+    window_edges = [SmoothWindow(edge) for edge in (0.01, 0.05, 0.25, 0.4)]
+    for alpha in np.linspace(0.8, 3.0, 12):
+        for T in np.geomspace(100.0, 1600.0, 9):
+            for theta in (None, 0.3, 0.4):
+                poly = DirichletPoly.one() if theta is None else mollifier_coeffs(T, theta)
+                for window in window_edges:
+                    for beta in (0.0, -1.5 * alpha * T):
+                        spec = ProgressionSpec(alpha=alpha, beta=beta)
+                        level = math.ceil(mmod._continuous_density(spec, window, T, poly))
+                        if beta == 0.0:
+                            top = 2.0 * alpha * T * poly.length / TWO_PI
+                            band = max(0.0, alpha / TWO_PI * math.log(top))
+                            lattice = 2 * math.ceil(band + 16.0 / (window.edge * T))
+                            assert level <= lattice
+                        else:
+                            bound = max(mmod._default_ell_max(spec, T, poly) + 1,
+                                        16.0 / (window.edge * T))
+                            assert level == 2 << (math.ceil(bound) - 1).bit_length()
+
+
 class _Stop(Exception):
     pass
 
 
-@pytest.mark.parametrize("k, per_unit", [(0.0, 13), (-1.5, 32)], ids=["one-sign", "through-zero"])
+@pytest.mark.parametrize("k, per_unit", [(0.0, 13), (-1.5, 64)], ids=["one-sign", "through-zero"])
 def test_continuous_start_level(window, k, per_unit, monkeypatch):
     # At 1:2:1, T = 2000, bare, beta = 0, the integrand's top frequency is
     # alpha/2pi * log(2*alpha*T/2pi) = 12.5 per unit ell and the ramps add
-    # 16/(edge*T) = 0.16: the start is 13 nodes per unit.  With beta = -1.5 *
-    # alpha*T the heights pass through 0, and the start is the power of two
-    # above every tuple frequency, _default_ell_max + 1 = 23: 32 nodes per
-    # unit.
+    # 32/(edge*T) = 0.32: the level is 13 nodes per unit.  With beta = -1.5 *
+    # alpha*T the heights pass through 0, and the level is the power of two
+    # above twice every tuple frequency, 2 * (_default_ell_max + 1) = 46: 64
+    # nodes per unit, the lattice a start at 32 and its first halving held.
     densities = []
 
-    def recording(level_sum, a, b, density, agree):
+    def recording(level_sum, a, b, density):
         densities.append(density)
         raise _Stop
 
-    monkeypatch.setattr(mmod, "nested_trapezoid", recording)
+    monkeypatch.setattr(mmod, "trapezoid", recording)
     spec = ProgressionSpec.from_rational(1, 2, 1, beta=k * SYM_ALPHA * 2000.0)
     one = DirichletPoly.one()
     with pytest.raises(_Stop):
         continuous_twisted_moment(spec, window, 2000.0, one, power=2)
     assert start_level(2000.0, 4000.0, densities[0])[0] == per_unit
     if k == 0.0:
-        assert densities[0] == pytest.approx(12.49 + 0.16, abs=0.01)
+        assert densities[0] == pytest.approx(12.49 + 0.32, abs=0.01)
     else:
-        assert mmod._default_ell_max(spec, 2000.0, one) + 1 == 23 and densities[0] == 32
+        assert mmod._default_ell_max(spec, 2000.0, one) + 1 == 23 and densities[0] == 64
 
 
 def test_continuous_refuses_start_step_past_budget(window, sym_spec, monkeypatch):
@@ -297,21 +359,21 @@ def _lipschitz_zeta(t):
 
 
 @pytest.mark.parametrize("spec, T, theta, power, per_unit", [
-    (ProgressionSpec(alpha=1.0), 150.0, 0.3, 2, 3),
+    (ProgressionSpec(alpha=1.0), 150.0, 0.3, 2, 6),
     (ProgressionSpec.from_rational(1, 2, 1), 1600.0, None, 2, 13),
-    (ProgressionSpec(alpha=1.0, beta=-4000.0), 2500.0, None, 1, 4),
+    (ProgressionSpec(alpha=1.0, beta=-4000.0), 2500.0, None, 1, 8),
     (ProgressionSpec(alpha=0.5, beta=0.3), 2000.0, 0.3, 1, 1),
-    (ProgressionSpec(alpha=1.0), 150.5, 0.3, 2, 3),
+    (ProgressionSpec(alpha=1.0), 150.5, 0.3, 2, 6),
     (ProgressionSpec.from_rational(1, 2, 1), 1600.37, None, 2, 13),
-    (ProgressionSpec(alpha=2.3456, beta=0.41), 1234.56, None, 2, 3),
+    (ProgressionSpec(alpha=2.3456, beta=0.41), 1234.56, None, 2, 4),
 ], ids=["euler-maclaurin", "riemann-siegel-exact-form", "through-zero", "one-per-unit",
         "euler-maclaurin-off-integer-T", "riemann-siegel-off-integer-T", "float-alpha-off-integer-T"])
 def test_continuous_moment_cuts_the_integer_sample(window, spec, T, theta, power, per_unit):
-    # The first call's lattice has step 1/(2 * per_unit), so its every
-    # (2 * per_unit)-th node is an integer; the sample cut there has
-    # sample_progression's ell, t and phi bit for bit, and its t, phi, zeta
-    # and B are the lattice run's rows exactly (each lattice here fits one
-    # block, so one run); its twisted_sum is the discrete moment.
+    # The level has step 1/per_unit, so its every per_unit-th node is an
+    # integer; the sample cut there has sample_progression's ell, t and phi
+    # bit for bit, and its t, phi, zeta and B are the level run's rows
+    # exactly (each level here fits one block, so one run); its twisted_sum
+    # is the discrete moment.
     #
     # The lattice run and sample_progression's reach a node's height by
     # different roundings.  Each correctly rounded operation errs by at most
@@ -337,7 +399,7 @@ def test_continuous_moment_cuts_the_integer_sample(window, spec, T, theta, power
     assert (cut.spec, cut.window, cut.T, cut.poly) == (spec, window, T, poly)
     # copies of the integer rows: the lattice they came from is not kept alive
     assert cut.zeta.base is None and cut.B.base is None
-    p = 2 * per_unit
+    p = per_unit
     nodes = range(math.ceil(T * p), math.floor(2.0 * T * p) + 1)
     assert len(nodes) <= zmod._BLOCK_ELEMS
     lattice = mmod._sample_level(spec, window, T, poly, nodes, p)
@@ -373,12 +435,12 @@ _BLOCK_RUNS = {
 
 @pytest.mark.parametrize("case", list(_BLOCK_RUNS))
 def test_blocked_levels_agree_with_one_block(window, case, monkeypatch):
-    # At the default budget every call of these runs fits one block, and one
+    # At the default budget the level of these runs fits one block, and one
     # block is one run: the sample is zeta_on_progression and progression_sum
-    # on the whole run, and the continuous moment is the trapezoid of whole
-    # samples of each call's nodes, split by parity, bit for bit.  At a
-    # budget of 1000 nodes every call and the integer sample take several
-    # blocks, each its own run from its own
+    # on the whole run, and the continuous moment is the trapezoid of the
+    # whole sample of the level's nodes, bit for bit.  At a budget of 1000
+    # nodes the level and the integer sample take several blocks, each its
+    # own run from its own
     # start; each block's zeta is within the engine's contract eps of the
     # true value, so two evaluations differ by at most 2 eps, and B, whose
     # phases are reduced once per term in 80-bit arithmetic, by far less
@@ -393,13 +455,8 @@ def test_blocked_levels_agree_with_one_block(window, case, monkeypatch):
     assert np.array_equal(sample.zeta, zeta_on_progression(*run))
     assert np.array_equal(sample.B, zmod.progression_sum(*poly.nonzero(), *run))
     density = mmod._continuous_density(spec, window, T, poly)
-
-    def whole_sums(j, p):
-        level = mmod._sample_level(spec, window, T, poly, j, p)
-        return [level.twisted_sum(power, half) for half in parity_slices(j)]
-
-    whole = mmod.nested_trapezoid(whole_sums, T, 2.0 * T, density,
-                                  lambda new, old: abs(new - old) <= 1e-4 * max(abs(new), 1e-12))
+    whole = mmod.trapezoid(lambda j, p: mmod._sample_level(spec, window, T, poly, j, p)
+                           .twisted_sum(power), T, 2.0 * T, density)
     assert value == whole
 
     calls = []
@@ -428,12 +485,12 @@ def test_blocked_levels_agree_with_one_block(window, case, monkeypatch):
 
 
 def test_continuous_moment_memory_grows_by_its_sample(unit_spec, window, monkeypatch):
-    # Each call of the rule is summed block by block, its numerators made a
-    # block at a time, so past one block the continuous moment's peak traced
-    # memory grows with T only by the integer sample it returns (ell, t,
-    # phi, zeta and B: 56 bytes a node).  At 1000 nodes a block, 1:1 at T =
-    # 8000 and 32000 both start at 2 nodes per unit, so their first call is
-    # the lattice at 4; Python's own objects add a few hundred bytes.
+    # The level is summed block by block, its numerators made a block at a
+    # time, so past one block the continuous moment's peak traced memory
+    # grows with T only by the integer sample it returns (ell, t, phi, zeta
+    # and B: 56 bytes a node).  At 1000 nodes a block, 1:1 at T = 8000 and
+    # 32000 both take 2 nodes per unit; Python's own objects add a few
+    # hundred bytes.
     monkeypatch.setattr(zmod, "_BLOCK_ELEMS", 1000)
     runs = []
     for T in (8000.0, 32000.0):
@@ -448,12 +505,11 @@ def test_continuous_moment_memory_grows_by_its_sample(unit_spec, window, monkeyp
     assert peak2 - peak1 <= 56 * (n2 - n1) + 4096
 
 
-def test_moment_evaluates_the_start_level_and_one_halving(tmp_path, monkeypatch):
-    # 1:2:1 at T = 2000, bare: the top frequency 12.5 plus the ramps' 0.16
-    # start at 13 nodes per unit ell, and the first halving agrees.  Both are
-    # the lattice at 26 per unit, 52001 nodes on [2000, 4000], evaluated
-    # once, in one run.  The next power of two, 16 per unit, would send
-    # 64001 nodes to the start level alone.
+def test_moment_evaluates_one_level(tmp_path, monkeypatch):
+    # 1:2:1 at T = 2000, bare: the top frequency 12.5 plus the ramps' 0.32
+    # make one level of 13 nodes per unit ell, 26001 nodes on [2000, 4000],
+    # evaluated once, in one run, where the start level and its first
+    # halving took the lattice at 26 per unit, 52001 nodes.
     counts = []
 
     def counting(t0, h, count):
@@ -464,16 +520,17 @@ def test_moment_evaluates_the_start_level_and_one_halving(tmp_path, monkeypatch)
     argv = ["moment", "--alpha-rational", "1:2:1", "--T", "2000", "--no-predict",
             "--json", str(tmp_path / "m.json")]
     assert cli.main(argv) == 0
-    assert counts == [26 * 2000 + 1]
+    assert counts == [13 * 2000 + 1]
 
 
 def test_firstmoment_runs_each_engine_once(tmp_path, monkeypatch):
-    # alpha 1 at T = 150, theta 0.3 starts at 3 nodes per unit and accepts
-    # the first halving: one zeta_on_progression run and one progression_sum
-    # run of the mollifier B on the lattice at 6 per unit, 901 nodes
-    # ([150, 300] at step 1/6), where sampling the two levels apart took two
-    # runs of each.  progression_sum's runs of other coefficients are the
-    # zeta engine's own.
+    # alpha 1 at T = 150, theta 0.3: the band 0.84 plus the ramps' 32/7.5 =
+    # 4.27 make one level of 6 nodes per unit, one zeta_on_progression run
+    # and one progression_sum run of the mollifier B on 901 nodes ([150,
+    # 300] at step 1/6), no more than the start level and its first halving
+    # (the lattice at 6 per unit) took, and where sampling those two levels
+    # apart took two runs of each.  progression_sum's runs of other
+    # coefficients are the zeta engine's own.
     ns = mollifier_coeffs(150.0, 0.3).nonzero()[0]
     zeta_counts, B_counts = [], []
     zeta_run, sum_run = zmod.zeta_on_progression, zmod.progression_sum
@@ -740,7 +797,7 @@ def test_h_ell_heights_reaching_zero_in_window(window, monkeypatch):
 ], ids=["1:3:2-mollified", "generic-alpha"])
 def test_predict_e_sums_h_ell(spec, T, theta, window):
     # predict_E integrates all its tuples in one trapezoid; H_ell takes each
-    # alone at its own start level.  Both agree to 1e-12 relative.
+    # alone on the level of its own band.  Both agree to 1e-12 relative.
     poly = DirichletPoly.one() if theta is None else mollifier_coeffs(T, theta)
     ells = range(1, mmod._default_ell_max(spec, T, poly) + 1)
     H = [H_ell(ell, spec, window, T, poly) for ell in ells]

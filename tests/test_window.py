@@ -19,7 +19,7 @@ from gl_oracle import gl_panels
 
 from zetaprog import QuadratureError, SmoothWindow
 from zetaprog import window as window_module
-from zetaprog.quadrature import nested_trapezoid, start_level
+from zetaprog.quadrature import start_level, trapezoid
 
 
 def test_support_and_plateau(window):
@@ -161,18 +161,18 @@ def test_phi_hat_against_gauss_legendre(edge, xi):
 
 
 def test_phi_hats_batch_matches_phi_hat(window):
-    # 421 frequencies, 0 and negative ones among them, take three blocks of
-    # the batched transform (204 rows each at 320 nodes per unit); each
-    # agrees with its own one-element phi_hat to phi_hat's 1e-12 (a block
-    # halves until all its rows agree, a single frequency may stop a level
-    # earlier)
-    xis = np.arange(-210, 211) * (40.0 / 210)
-    per_unit = start_level(1.0, 2.0, max(4 * 40.0, 16 / window.edge))[0]
-    assert len(xis) > 2 * (window_module._TRANSFORM_ELEMS // (4 * per_unit))
+    # 601 frequencies in [-0.9, 0.9], 0 and negative ones among them, share
+    # the level of 1121 nodes per unit (the band below 1 plus 56 nodes
+    # across each ramp) and take three blocks of it (233 rows each); 40 more
+    # up to 40 take levels of their own.  Each is its own one-element
+    # phi_hat: the same level, and one row's sum.
+    xis = np.concatenate([np.arange(-300, 301) * (0.9 / 300), np.linspace(1.5, 40.0, 40)])
+    per_unit = start_level(1.0, 2.0, 0.9 + window_module.ETA_PHI_HAT / window.edge)[0]
+    assert per_unit == 1121 and 600 > 2 * (window_module._TRANSFORM_ELEMS // (per_unit + 1))
     got = window_module._phi_hats(window, xis)
     want = np.array([window.phi_hat(xi) for xi in xis])
-    assert np.max(np.abs(got - want)) < 1e-12
-    assert got[210] == window.plateau_mass and np.all(got[:210] == np.conj(got[:210:-1]))
+    assert np.array_equal(got, want)
+    assert got[300] == window.plateau_mass and np.all(got[:300] == np.conj(got[600:300:-1]))
 
 
 @pytest.mark.parametrize("xi", [math.inf, -math.inf, math.nan])
@@ -181,28 +181,28 @@ def test_phi_hat_rejects_non_finite_frequency(window, xi):
         window.phi_hat(xi)
 
 
-@pytest.mark.parametrize("edge, per_unit", [(0.3, 54), (0.49, 33)], ids=["0.3", "0.49"])
-def test_phi_hat_starts_at_16_nodes_across_a_ramp(edge, per_unit, monkeypatch):
-    # 16/edge > 32 for every edge the window accepts, so the start level of
-    # a low frequency holds ceil(16/edge) > 32 nodes per unit: the even
-    # numerators of the first call's lattice at twice that
+@pytest.mark.parametrize("edge, per_unit", [(0.3, 187), (0.49, 115)], ids=["0.3", "0.49"])
+def test_phi_hat_level_is_its_band_and_margin(edge, per_unit, monkeypatch):
+    # 56/edge > 112 for every edge the window accepts, so the one level of
+    # a low frequency xi holds ceil(xi + 56/edge) > 112 nodes per unit:
+    # 0.3 + 186.67 and 0.3 + 114.29 round up to 187 and 115
     calls = []
 
     def recording(level_sum, *args):
         def record(j, p):
             calls.append((j, p))
             return level_sum(j, p)
-        return nested_trapezoid(record, *args)
+        return trapezoid(record, *args)
 
-    monkeypatch.setattr(window_module, "nested_trapezoid", recording)
+    monkeypatch.setattr(window_module, "trapezoid", recording)
     SmoothWindow(edge).phi_hat(0.3)
-    assert calls[0] == (range(2 * per_unit, 4 * per_unit + 1), 2 * per_unit)
+    assert calls == [(range(per_unit, 2 * per_unit + 1), per_unit)]
 
 
 @pytest.mark.parametrize("edge, xi", [(1e-7, 3.0), (0.05, 1e300), (0.05, 1e7)])
 def test_phi_hat_refuses_past_node_budget_unallocated(edge, xi):
-    # 16/edge or 4*xi nodes per unit would put the start level past the
-    # trapezoid's budget: refused before any node array exists
+    # 56/edge or xi nodes per unit would put the level past the trapezoid's
+    # budget: refused before any node array exists
     tracemalloc.start()
     try:
         with pytest.raises(QuadratureError):
@@ -240,3 +240,68 @@ def test_phi_hat_alignment_zeros(window):
     # exactly; phi_hat vanishes identically there.
     for xi in (20.0, 40.0, 60.0):
         assert abs(window.phi_hat(xi)) < 1e-12
+
+
+def _ramp_density(u):
+    """S'(u) of the ramp S(u) = f(u) / (f(u) + f(1 - u)), f(u) = exp(-1/u),
+    at 0 < u < 1."""
+    fu, fv = np.exp(-1.0 / u), np.exp(-1.0 / (1.0 - u))
+    return fu * fv * (1.0 / u ** 2 + 1.0 / (1.0 - u) ** 2) / (fu + fv) ** 2
+
+
+def _ramp_transform(etas, nodes=4000):
+    """The cosine and sine parts of integral over [0, 1] of S'(u)
+    e^(-2*pi*i*eta*(u - 1/2)) du at every eta, by the trapezoid with `nodes`
+    intervals: S' vanishes with all its derivatives at 0 and 1, and its
+    transform (G itself) is below rounding past eta = 160, so the rule is
+    exact to rounding for eta <= nodes - 160."""
+    u = np.arange(1, nodes) / nodes
+    d = _ramp_density(u) / nodes
+    phase = 2.0 * np.pi * np.outer(etas, u - 0.5)
+    return np.cos(phase) @ d, np.sin(phase) @ d
+
+
+def test_ramp_transform_G():
+    # G(eta), the cosine part, is the ramp's transform that sets every
+    # trapezoid margin: G(0) = 1, for S' integrates to S(1) - S(0); S' is
+    # even about 1/2, since S(u) + S(1 - u) = 1, so the sine part vanishes
+    # and G is real and even; and 4000 intervals agree with 2e5
+    u = np.linspace(0.01, 0.99, 99)
+    assert np.allclose(_ramp_density(u), _ramp_density(1.0 - u), rtol=1e-13, atol=0.0)
+    etas = np.array([0.0, 1.0, 5.0, 20.0, 40.0, 80.0])
+    G, sine = _ramp_transform(etas)
+    assert abs(G[0] - 1.0) < 1e-15 and np.max(np.abs(sine)) < 1e-15
+    assert np.all(_ramp_transform(-etas)[0] == G)
+    assert np.max(np.abs(G - _ramp_transform(etas, 200_000)[0])) < 1e-15
+    assert G[3] == pytest.approx(-4.44e-6, rel=1e-3) and G[4] == pytest.approx(-7.38e-9, rel=1e-3)
+    # and the closed form it enters: phi_hat(xi) = e^(-3 pi i xi) (1 - edge)
+    # sinc((1 - edge) xi) G(edge xi), whose sinc bounds |phi_hat(xi)| by
+    # |G(edge xi)| edge / (pi edge xi); phi_hat meets it to its own 1e-12
+    # (at edge 0.25 and xi = 333.3 its alias error reads 1.5e-13)
+    for edge in (0.01, 0.05, 0.25, 0.4):
+        w = SmoothWindow(edge)
+        xis = np.array([0.3, 7.0, 41.5, 333.3])
+        closed = (np.exp(-3j * np.pi * xis) * (1.0 - edge) * np.sinc((1.0 - edge) * xis)
+                  * _ramp_transform(edge * xis)[0])
+        assert np.max(np.abs(window_module._phi_hats(w, xis) - closed)) < 1e-12
+
+
+@pytest.mark.parametrize("name, scale, contract", [
+    ("ETA_RELATIVE", 0.05 / np.pi, 1e-10),
+    ("ETA_PHI_HAT", 1.0 / (2.0 * np.pi), 1e-12),
+], ids=["relative", "phi-hat"])
+def test_alias_margins_are_rederived_from_G(name, scale, contract):
+    # A trapezoid whose first alias lies eta / edge past the band errs by at
+    # most sup over eta' >= eta of |G(eta')| edge / (pi eta'): for the
+    # moments' and H's 1e-10 relative at the default edge 0.05, and for
+    # phi_hat's 1e-12 absolute at every edge below 1/2, edge / pi < 1/(2 pi).
+    # Each margin is the smallest multiple of 8 at which that bound stays
+    # below half its contract.  A scan to 240, where |G| is at rounding,
+    # covers every eta' that matters.
+    etas = np.arange(1, 4801) * 0.05
+    bound = np.abs(_ramp_transform(etas)[0]) * scale / etas
+    tail = np.maximum.accumulate(bound[::-1])[::-1]
+    eta = next(e for e in range(8, 240, 8) if tail[20 * e - 1] < contract / 2)
+    assert getattr(window_module, name) == eta
+    # the two readings the constants rest on: 3.4e-11 and 3.4e-13
+    assert tail[20 * eta - 1] == pytest.approx({32: 3.39e-11, 56: 3.43e-13}[eta], rel=0.01)
